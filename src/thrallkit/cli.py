@@ -330,6 +330,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "d", None) is not None:
+            jsonio.check_wire_dimension(args.d, "d")
         return args.func(args)
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -301,30 +301,36 @@ def is_lie_element(tensor: Tensor) -> bool:
 
 
 def lie_coordinates(tensor: Tensor) -> dict[Word, Fraction] | None:
-    """Lyndon coordinates of a tensor, or None if it is not a Lie element."""
+    """Lyndon coordinates of a tensor, or None if it is not a Lie element.
+
+    Triangular back-substitution: the standard bracketing of a Lyndon word
+    ``w`` has coefficient 1 at ``w`` and otherwise only lex-greater words
+    (Reutenauer, *Free Lie Algebras*, Thm 5.1).  Walking the Lyndon words in
+    ascending order, the coefficient of ``w`` is the residual entry at
+    ``w``; subtracting its bracketing leaves the remaining words untouched.
+    The tensor is a Lie element iff the residual ends at zero.
+    """
     words = lyndon_words(tensor.d, tensor.k)
-    basis = [lyndon_bracketing(w, tensor.d) for w in words]
-    matrix = [[b.entries[i] for b in basis] for i in range(tensor.d**tensor.k)]
-    coords = linalg.solve(matrix, list(tensor.entries))
-    if coords is None:
+    residual = tensor.nonzero_terms()
+    coords: dict[Word, Fraction] = {}
+    for w in words:
+        c = residual.get(w)
+        if not c:
+            continue
+        coords[w] = c
+        for u, e in bracket_expansion(w).items():
+            residual[u] = residual.get(u, 0) - c * e
+    if any(residual.values()):
         return None
-    # solve() ignores non-pivot rows' consistency only when inconsistent -> None;
-    # double check reconstruction since the system is overdetermined.
-    acc = Tensor.zero(tensor.d, tensor.k)
-    for w, c, b in zip(words, coords, basis):
-        if c != 0:
-            acc = acc + b.scale(c)
-    if acc != tensor:
-        return None
-    return {w: c for w, c in zip(words, coords) if c != 0}
+    return coords
 
 
 def lie_bracket(a: LieElement, b: LieElement) -> LieElement:
     """Commutator of truncated Lie elements, in Lyndon coordinates.
 
     Level pieces are expanded to tensors, bracketed there, and the Lyndon
-    coordinates recovered by the dual solve; graded pieces above the common
-    truncation are dropped.
+    coordinates recovered by :func:`lie_coordinates`' triangular
+    back-substitution; graded pieces above the common truncation are dropped.
     """
     if a.d != b.d:
         raise ValueError("dimension mismatch")

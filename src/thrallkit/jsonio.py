@@ -1,6 +1,7 @@
 """JSON (de)serialization for every wire format the CLI speaks.
 
-Rationals travel as strings ("p/q" or "p"), words as digit strings,
+Rationals travel as strings ("p/q" or "p"), words as digit strings (one
+digit per letter, so the alphabet size is capped at :data:`MAX_WIRE_D`),
 partitions as integer arrays, permutations as 1-based cycle lists.
 Parse errors raise :class:`FormatError` naming the offending field.
 """
@@ -23,6 +24,21 @@ class FormatError(ValueError):
     def __init__(self, field: str, message: str):
         self.field = field
         super().__init__(f"field {field!r}: {message}")
+
+
+# Largest alphabet whose words read back unambiguously: with d >= 10 the
+# words (1, 12) and (11, 2) would both be written "112".
+MAX_WIRE_D = 9
+
+
+def check_wire_dimension(d: int, field: str) -> int:
+    """Return ``d`` if its words fit the one-digit-per-letter wire format."""
+    if not 1 <= d <= MAX_WIRE_D:
+        raise FormatError(
+            field, f"d={d} is outside 1..{MAX_WIRE_D}, the alphabets whose words "
+            "are written one digit per letter"
+        )
+    return d
 
 
 def format_fraction(x: Fraction) -> str:
@@ -66,7 +82,7 @@ def tensor_to_json(tensor: Tensor) -> dict:
 
 
 def tensor_from_json(obj: dict, where: str = "tensor") -> Tensor:
-    d = _require(obj, "d", int, where)
+    d = check_wire_dimension(_require(obj, "d", int, where), f"{where}.d")
     k = _require(obj, "k", int, where)
     entries = _require(obj, "entries", dict, where)
     terms = {}
@@ -101,7 +117,7 @@ def series_to_json(series: TensorSeries) -> dict:
 
 
 def series_from_json(obj: dict, where: str = "series") -> TensorSeries:
-    d = _require(obj, "d", int, where)
+    d = check_wire_dimension(_require(obj, "d", int, where), f"{where}.d")
     k_max = _require(obj, "k_max", int, where)
     levels = _require(obj, "levels", list, where)
     if len(levels) != k_max + 1:
@@ -165,7 +181,7 @@ def lie_element_to_json(element: LieElement) -> dict:
 
 
 def lie_element_from_json(obj: dict, where: str = "lie") -> LieElement:
-    d = _require(obj, "d", int, where)
+    d = check_wire_dimension(_require(obj, "d", int, where), f"{where}.d")
     raw = _require(obj, "coeffs", dict, where)
     coeffs = {}
     for key, value in raw.items():
@@ -195,6 +211,7 @@ def functional_to_json(beta: WordFunctional, grading: Partition | None = None) -
 
 
 def functional_from_json(obj: dict, d: int, where: str = "functional") -> WordFunctional:
+    check_wire_dimension(d, f"{where}.d")
     raw = _require(obj, "terms", dict, where)
     terms = {}
     for key, value in raw.items():
@@ -217,7 +234,7 @@ def path_to_json(path: PiecewiseLinearPath) -> dict:
 
 
 def path_from_json(obj: dict, where: str = "path") -> PiecewiseLinearPath:
-    d = _require(obj, "d", int, where)
+    d = check_wire_dimension(_require(obj, "d", int, where), f"{where}.d")
     points = _require(obj, "points", list, where)
     parsed = []
     for i, p in enumerate(points):

@@ -3,17 +3,24 @@
 A piecewise-linear path is stored by its vertices only; signatures are
 reparametrization invariant, so that is all the data there is.  Each segment
 with increment ``v`` contributes the exponential of ``v``, and concatenation
-multiplies the series, which keeps every computation in exact rationals.
+multiplies the series (Chen's identity).
+
+:func:`signature` applies ``S <- S (x) exp(v)`` in place, one segment at a
+time, on integer numerators: with ``q`` the lcm of all vertex-coordinate
+denominators, level ``m`` is kept as numerators over the fixed denominator
+``m! q^m``, so every update is integer arithmetic and rationals are formed
+once, at the end.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 
-from .free_lie import exp_truncated, log_truncated
-from .tensors import Tensor, TensorSeries, series_product
+from .free_lie import log_truncated
+from .tensors import Tensor, TensorSeries
 from .words import Word, all_words, word_to_index
 
 
@@ -129,23 +136,28 @@ def is_group_like(series: TensorSeries) -> bool:
     """Exact check of the product identity T_{I shuffle J} = T_I * T_J.
 
     Runs over unordered pairs of nonempty words with |I| + |J| <= k_max;
-    the empty word holds trivially since level 0 must be 1.
+    the empty word holds trivially since level 0 must be 1.  Both sides are
+    read straight off one word -> numerator table, level k scaled to integers
+    over the lcm ``den[k]`` of its denominators, and compared cross-multiplied.
     """
     if series.level(0) != Tensor.scalar(series.d, 1):
         raise ValueError("group-likeness needs level 0 equal to 1")
     d, k_max = series.d, series.k_max
-    words: list[Word] = []
-    for k in range(1, k_max):
-        words.extend(all_words(d, k))
+    den = [1]
+    value: dict[Word, int] = {}
+    for k in range(1, k_max + 1):
+        entries = series.level(k).entries
+        den.append(math.lcm(*(c.denominator for c in entries)))
+        for w, c in zip(all_words(d, k), entries):
+            value[w] = c.numerator * (den[k] // c.denominator)
+    words = [w for k in range(1, k_max) for w in all_words(d, k)]
     for i, a in enumerate(words):
         for b in words[i:]:
-            if len(a) + len(b) > k_max:
+            m = len(a) + len(b)
+            if m > k_max:
                 continue
-            lhs = shuffle_words(a, b, d).evaluate(series)
-            rhs = series.level(len(a)).entries[word_to_index(a, d)] * series.level(
-                len(b)
-            ).entries[word_to_index(b, d)]
-            if lhs != rhs:
+            lhs = sum(c * value[w] for w, c in _shuffle_multiplicities(a, b))
+            if lhs * den[len(a)] * den[len(b)] != value[a] * value[b] * den[m]:
                 return False
     return True
 
@@ -212,17 +224,38 @@ class PiecewiseLinearPath:
 def signature(path: PiecewiseLinearPath, k_max: int) -> TensorSeries:
     """Signature series of a piecewise-linear path, truncated at k_max.
 
-    Product over segments of the exponential of the increment, in path order.
+    Chen's identity in place: each segment with nonzero increment ``v``
+    updates ``S <- S (x) exp(v)``.  With ``q`` the lcm of the vertex
+    denominators, level ``m`` is held as a flat list of integer numerators
+    ``N_m`` over the fixed denominator ``m! q^m`` and, for ``u = q v``,
+
+        N_m <- sum_{i=0..m} binomial(m, i) N_i (x) u^(x)(m - i),
+
+    evaluated top level first (so the lower levels read are still the old
+    ones) in Horner form: ``acc = N_0``, then ``acc = acc (x) u +
+    binomial(m, j) N_j`` for ``j = 1..m``.
     """
-    result = TensorSeries.unit(path.d, k_max)
+    if k_max < 0:
+        raise ValueError("k_max must be >= 0")
+    d = path.d
+    q = math.lcm(*(x.denominator for p in path.points for x in p))
+    nums = [[1]] + [[0] * d**m for m in range(1, k_max + 1)]
     for inc in path.increments():
         if all(x == 0 for x in inc):
             continue
-        step = TensorSeries.from_levels(
-            path.d, k_max, {1: Tensor.from_vector(path.d, inc)}
-        )
-        result = series_product(result, exp_truncated(step))
-    return result
+        u = [int(x * q) for x in inc]
+        for m in range(k_max, 0, -1):
+            acc = nums[0]
+            for j in range(1, m + 1):
+                c, lower = math.comb(m, j), iter(nums[j])
+                # the entry of acc (x) u at word (p, letter) sits at index p * d + letter
+                acc = [a * x + c * next(lower) for a in acc for x in u]
+            nums[m] = acc
+    levels = []
+    for m, level in enumerate(nums):
+        den = math.factorial(m) * q**m
+        levels.append(Tensor(d, m, tuple(Fraction(n, den) for n in level)))
+    return TensorSeries(d, tuple(levels))
 
 
 def log_signature(path: PiecewiseLinearPath, k_max: int) -> TensorSeries:

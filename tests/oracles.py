@@ -1,17 +1,19 @@
 """Independent oracles shared by test modules.
 
 These deliberately avoid the library's own computational paths: signatures
-come from direct polynomial integration and matrix rank from minors, so the
-main implementations are checked against genuinely different arithmetic.
+come from direct polynomial integration, matrix rank from minors and Lyndon
+coordinates from a dense exact solve, so the main implementations are
+checked against genuinely different arithmetic.
 """
 
 import itertools
 from fractions import Fraction
 
 from thrallkit import linalg
+from thrallkit.free_lie import lyndon_bracketing
 from thrallkit.shuffle_sig import PiecewiseLinearPath
 from thrallkit.tensors import Tensor, TensorSeries
-from thrallkit.words import all_words
+from thrallkit.words import all_words, lyndon_words
 
 
 def _poly_integrate(coeffs):
@@ -48,6 +50,42 @@ def integration_oracle(path: PiecewiseLinearPath, k_max: int) -> TensorSeries:
     }
     levels[0] = Tensor.scalar(path.d, 1)
     return TensorSeries.from_levels(path.d, k_max, levels)
+
+
+def dense_lie_coordinates(tensor: Tensor):
+    """Lyndon coordinates by solving against the dense bracketing matrix.
+
+    The d^k x L system is overdetermined, so a solution is accepted only if
+    it rebuilds the tensor exactly; None when the tensor is not a Lie element.
+    """
+    words = lyndon_words(tensor.d, tensor.k)
+    basis = [lyndon_bracketing(w, tensor.d) for w in words]
+    matrix = [[b.entries[i] for b in basis] for i in range(tensor.d**tensor.k)]
+    coords = linalg.solve(matrix, list(tensor.entries))
+    if coords is None:
+        return None
+    acc = Tensor.zero(tensor.d, tensor.k)
+    for c, b in zip(coords, basis):
+        if c != 0:
+            acc = acc + b.scale(c)
+    if acc != tensor:
+        return None
+    return {w: c for w, c in zip(words, coords) if c != 0}
+
+
+def group_like_oracle(series: TensorSeries) -> bool:
+    """The shuffle identity T_a * T_b = T_(a shuffle b) over all word pairs,
+    with interleavings enumerated by :func:`shuffle_oracle`."""
+    d, k_max = series.d, series.k_max
+    words = [w for k in range(1, k_max) for w in all_words(d, k)]
+    for a, b in itertools.combinations_with_replacement(words, 2):
+        if len(a) + len(b) > k_max:
+            continue
+        level = series.level(len(a) + len(b))
+        lhs = sum(c * level[w] for w, c in shuffle_oracle(a, b).items())
+        if lhs != series.level(len(a))[a] * series.level(len(b))[b]:
+            return False
+    return True
 
 
 def rank_by_minors(m) -> int:

@@ -147,6 +147,19 @@ def test_malformed_input_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_alphabets_beyond_nine_letters_exit_2(tmp_path, capsys):
+    # with d >= 10 the words (1, 12) and (11, 2) would both print as "112"
+    code, out, err = run(capsys, "lyndon", "--d", "12", "--k", "2")
+    assert code == 2 and out == "" and "'d'" in err
+    code, out, _ = run(capsys, "lyndon", "--d", "9", "--k", "1")
+    assert code == 0 and json.loads(out)["words"] == [str(i) for i in range(1, 10)]
+    wide = PiecewiseLinearPath.from_lists([[0] * 10, list(range(10))])
+    file = tmp_path / "wide.json"
+    file.write_text(json.dumps(path_to_json(wide)))
+    code, out, err = run(capsys, "signature", "--path", str(file), "--level", "2")
+    assert code == 2 and out == "" and "path.d" in err
+
+
 def test_resource_guard_exits_3(capsys):
     code, _, err = run(capsys, "idempotent", "--k", "6", "--partition", "6")
     assert code == 3

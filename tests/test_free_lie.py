@@ -33,6 +33,11 @@ from thrallkit.tensors import (
 )
 from thrallkit.words import lie_dim, lyndon_words, multichoose, partitions
 
+from oracles import dense_lie_coordinates
+
+# Shapes (d, k) on which the Lyndon fast paths are cross-checked.
+LYNDON_SHAPES = [(3, 5), (2, 6), (4, 4)]
+
 
 def test_standard_factorization():
     assert standard_factorization((1, 1, 2)) == ((1,), (1, 2))
@@ -248,6 +253,38 @@ def test_is_lie_element():
         assert is_lie_element(combo)
     generic = random_tensor(2, 4, rng)
     assert is_lie_element(generic) == (lie_coordinates(generic) is not None)
+
+
+def test_lyndon_bracketings_are_unitriangular():
+    for d, k_max in LYNDON_SHAPES:
+        for k in range(1, k_max + 1):
+            for w in lyndon_words(d, k):
+                expansion = bracket_expansion(w)
+                assert expansion[w] == 1
+                assert all(u > w for u in expansion if u != w)
+
+
+def test_lie_coordinates_match_dense_solve():
+    rng = Random(17)
+    for d, k in LYNDON_SHAPES:
+        words = lyndon_words(d, k)
+        for _ in range(2):
+            coeffs = {
+                w: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                for w in rng.sample(words, 4)
+            }
+            lie = Tensor.zero(d, k)
+            for w, c in coeffs.items():
+                lie = lie + lyndon_bracketing(w, d).scale(c)
+            want = {w: c for w, c in coeffs.items() if c}
+            assert lie_coordinates(lie) == dense_lie_coordinates(lie) == want
+            # moving one entry, or taking a generic tensor, leaves the Lie span
+            entries = list(lie.entries)
+            entries[rng.randrange(len(entries))] += Fraction(1, 2)
+            for other in (Tensor(d, k, tuple(entries)), random_tensor(d, k, rng)):
+                assert lie_coordinates(other) is None
+                assert dense_lie_coordinates(other) is None
+    assert lie_coordinates(Tensor.zero(3, 4)) == dense_lie_coordinates(Tensor.zero(3, 4)) == {}
 
 
 def test_lie_element_validation():

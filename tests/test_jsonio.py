@@ -32,6 +32,23 @@ def test_tensor_roundtrip():
     assert sparse["entries"] == {"12": "1/3"}
 
 
+def test_wire_alphabet_capped_at_nine_letters():
+    assert jsonio.check_wire_dimension(9, "d") == 9
+    readers = [
+        lambda d: jsonio.tensor_from_json({"d": d, "k": 1, "entries": {}}),
+        lambda d: jsonio.series_from_json({"d": d, "k_max": 0, "levels": [{"": "1"}]}),
+        lambda d: jsonio.lie_element_from_json({"d": d, "coeffs": {}}),
+        lambda d: jsonio.functional_from_json({"terms": {}}, d),
+        lambda d: jsonio.path_from_json({"d": d, "points": [["0"] * d]}),
+    ]
+    for read in readers:
+        read(9)
+        for d in (0, 10):
+            with pytest.raises(FormatError) as exc:
+                read(d)
+            assert exc.value.field.endswith(".d")
+
+
 def test_tensor_errors_name_fields():
     with pytest.raises(FormatError) as exc:
         jsonio.tensor_from_json({"d": 2, "entries": {}})

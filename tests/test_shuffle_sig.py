@@ -26,7 +26,7 @@ from thrallkit.tensors import Tensor, TensorSeries, series_product
 from thrallkit.words import all_words
 
 
-from oracles import integration_oracle, shuffle_oracle
+from oracles import group_like_oracle, integration_oracle, shuffle_oracle
 
 
 word_strategy = st.lists(st.integers(1, 3), min_size=0, max_size=4).map(tuple)
@@ -98,6 +98,28 @@ def test_group_like_exponentials_and_counterexample():
         is_group_like(TensorSeries.zero(2, 2))
 
 
+def test_group_like_matches_oracle_on_signatures_and_corruptions():
+    rng = Random(28)
+    for d, k_max in [(2, 5), (3, 4), (1, 4)]:
+        for _ in range(3):
+            points = [
+                [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(d)]
+                for _ in range(4)
+            ]
+            sig = signature(PiecewiseLinearPath.from_lists(points), k_max)
+            assert is_group_like(sig) and group_like_oracle(sig)
+            # one entry of one level moved by a small rational
+            levels = list(sig.levels)
+            k = rng.randint(1, k_max)
+            entries = list(levels[k].entries)
+            entries[rng.randrange(len(entries))] += Fraction(1, rng.randint(1, 3))
+            levels[k] = Tensor(d, k, tuple(entries))
+            bad = TensorSeries(d, tuple(levels))
+            assert is_group_like(bad) == group_like_oracle(bad)
+            if k == k_max:  # the top level only ever sits on the shuffle side
+                assert not is_group_like(bad)
+
+
 def test_staircase_against_integration_oracle():
     stair = PiecewiseLinearPath.from_lists([[0, 0], [1, 0], [1, 1]])
     sig = signature(stair, 2)
@@ -118,6 +140,26 @@ def test_signature_matches_integration_oracle_random_paths():
         ]
         path = PiecewiseLinearPath.from_lists(points)
         assert signature(path, 3) == integration_oracle(path, 3)
+
+
+def test_signature_matches_integration_oracle_edge_cases():
+    third, neg = Fraction(1, 3), Fraction(-5, 2)
+    cases = [
+        # non-integer vertices with a repeated point (zero increment)
+        ([[0, 0], [third, neg], [third, neg], [1, Fraction(2, 7)]], 4),
+        ([[third], [neg], [neg], [2]], 5),  # d = 1
+        ([[0, 0, 0], [1, third, 0], [neg, 1, 1]], 0),
+        ([[0, 0, 0], [1, third, 0], [neg, 1, 1]], 1),
+        ([[0, 0, 0], [1, third, 0], [neg, 1, 1]], 2),
+        ([[0, 0, 0, 0], [1, -1, 2, 0], [1, -1, 2, 0], [third, 0, 1, neg]], 4),
+        ([[0, 0], [2, -1], [third, 1], [third, 1], [neg, 0]], 6),
+        ([[1, 2]], 3),  # a single point
+    ]
+    for points, k_max in cases:
+        path = PiecewiseLinearPath.from_lists(points)
+        assert signature(path, k_max) == integration_oracle(path, k_max)
+    with pytest.raises(ValueError):
+        signature(PiecewiseLinearPath.from_lists([[0, 0], [1, 1]]), -1)
 
 
 def test_signature_trivial_cases():
