@@ -11,12 +11,19 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 
 from . import linalg
-from .tensors import Tensor, TensorSeries, series_product, tensor_product
+from .tensors import (
+    Tensor,
+    TensorSeries,
+    series_product,
+    tensor_product,
+    weight_blocks,
+)
 from .words import (
     Partition,
     Word,
@@ -26,6 +33,9 @@ from .words import (
     multiplicity_profile,
     partitions,
 )
+
+
+_ZERO = Fraction(0)
 
 
 def standard_factorization(word: Word) -> tuple[Word, Word]:
@@ -206,27 +216,76 @@ def w_lambda_basis(lam: Partition, d: int) -> list[Tensor]:
 
 
 @cache
-def _thrall_change_of_basis(d: int, k: int):
-    """Columns: concatenated graded bases; returns (matrix rows, block slices)."""
-    columns: list[Tensor] = []
-    blocks: list[tuple[Partition, int, int]] = []
+def _solve_blocks(d: int, k: int):
+    """The solve backend's change of basis, factorized once per (d, k).
+
+    The concatenated graded bases form a d^k x d^k change of basis.  Each
+    basis vector lies in one weight block (letter content), so the matrix is
+    block-diagonal, and each block is square and inverted once by the exact
+    kernel.  One entry per weight block: ``(word indices, inverse
+    numerators, denominator, parts)``, where a part is ``(lam, lo, hi,
+    rows)`` for the block's columns ``lo..hi-1`` from the lam-graded basis
+    and ``rows[t]`` holds their (integer) entries at the block's word ``t``.
+    """
+    blocks = weight_blocks(d, k)
+    block_of = {i: b for b, block in enumerate(blocks) for i in block}
+    columns: list[list[tuple[Partition, Tensor]]] = [[] for _ in blocks]
     for lam in partitions(k):
-        basis = w_lambda_basis(lam, d)
-        blocks.append((lam, len(columns), len(columns) + len(basis)))
-        columns.extend(basis)
-    n = d**k
-    if len(columns) != n:
-        raise ArithmeticError("graded bases do not fill the tensor power")
-    rows = [[columns[j].entries[i] for j in range(n)] for i in range(n)]
-    return rows, blocks, columns
+        for vec in w_lambda_basis(lam, d):
+            first = next(i for i, c in enumerate(vec.entries) if c)
+            columns[block_of[first]].append((lam, vec))
+    out = []
+    for block, cols in zip(blocks, columns):
+        if len(cols) != len(block):
+            raise ArithmeticError("graded bases do not fill the tensor power")
+        try:
+            inverse, den = linalg.integer_inverse(
+                [[vec.entries[i] for _, vec in cols] for i in block]
+            )
+        except ZeroDivisionError:
+            raise ArithmeticError("decomposition solve failed") from None
+        parts = []
+        lo = 0
+        for lam, group in itertools.groupby(cols, key=lambda col: col[0]):
+            vecs = [vec for _, vec in group]
+            rows = [[int(vec.entries[i]) for vec in vecs] for i in block]
+            parts.append((lam, lo, lo + len(vecs), rows))
+            lo += len(vecs)
+        out.append((block, inverse, den, parts))
+    return tuple(out)
+
+
+def _solve_decompose(tensor: Tensor) -> dict[Partition, Tensor]:
+    """Block matrix-vector products with the cached inverses, then recombination."""
+    d, k = tensor.d, tensor.k
+    tden, values = linalg.integer_numerators(tensor.entries)
+    out = {lam: [_ZERO] * len(values) for lam in partitions(k)}
+    for block, inverse, den, parts in _solve_blocks(d, k):
+        local = [values[i] for i in block]
+        if not any(local):
+            continue
+        coords = [sum(map(operator.mul, row, local)) for row in inverse]
+        den *= tden
+        for lam, lo, hi, rows in parts:
+            part = coords[lo:hi]
+            if not any(part):
+                continue
+            entries = out[lam]
+            for i, row in zip(block, rows):
+                v = sum(map(operator.mul, row, part))
+                if v:
+                    entries[i] = Fraction(v, den)
+    return {lam: Tensor(d, k, tuple(entries)) for lam, entries in out.items()}
 
 
 def thrall_decompose(tensor: Tensor, method: str = "auto") -> dict[Partition, Tensor]:
     """Split a tensor into its graded components, one per partition of k.
 
-    Two interchangeable backends: ``"solve"`` expresses the tensor in the
-    concatenated graded bases; ``"idempotent"`` applies the projector family
-    from :mod:`thrallkit.group_algebra` (subject to its degree cap).
+    Two independent backends: ``"solve"`` expresses the tensor in the
+    concatenated graded bases, one weight block at a time, through inverses
+    cached per (d, k), so a warm call is a block matrix-vector product and a
+    recombination of basis vectors; ``"idempotent"`` applies the projector
+    family from :mod:`thrallkit.group_algebra` (subject to its degree cap).
     ``"auto"`` prefers the idempotent route when available.
     """
     if method not in ("auto", "solve", "idempotent"):
@@ -248,18 +307,7 @@ def thrall_decompose(tensor: Tensor, method: str = "auto") -> dict[Partition, Te
             raise ResourceLimitError(
                 f"idempotent decomposition capped at k <= {K_MAX}"
             )
-    rows, blocks, columns = _thrall_change_of_basis(tensor.d, tensor.k)
-    coords = linalg.solve(rows, list(tensor.entries))
-    if coords is None:
-        raise ArithmeticError("decomposition solve failed")
-    out: dict[Partition, Tensor] = {}
-    for lam, lo, hi in blocks:
-        acc = Tensor.zero(tensor.d, tensor.k)
-        for j in range(lo, hi):
-            if coords[j] != 0:
-                acc = acc + columns[j].scale(coords[j])
-        out[lam] = acc
-    return out
+    return _solve_decompose(tensor)
 
 
 def left_to_right_bracketing(tensor: Tensor) -> Tensor:

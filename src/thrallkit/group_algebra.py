@@ -16,6 +16,7 @@ import itertools
 import json
 import math
 import os
+import tempfile
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -34,13 +35,16 @@ from .permutations import (
     sign,
     word_to_perm,
 )
-from .tensors import Tensor, permute_slots
+from .tensors import Tensor, gather_map, weight_blocks
 from .words import Partition, Word, YoungTableau, check_partition, partitions
 
 # Degree cap for the exact projector solve; reproduction of the published
 # values needs k <= 4, and 5 stays comfortably fast.  Larger degrees are an
 # extension point, not a supported path.
 K_MAX = 5
+
+
+_ZERO = Fraction(0)
 
 
 class ResourceLimitError(RuntimeError):
@@ -112,24 +116,44 @@ class GroupAlgebraElement:
 
 
 def ga_multiply(x: GroupAlgebraElement, y: GroupAlgebraElement) -> GroupAlgebraElement:
-    """Convolution product with (sigma tau)(i) = sigma(tau(i))."""
+    """Convolution product with (sigma tau)(i) = sigma(tau(i)).
+
+    Accumulates integer numerators over the product of the two common
+    denominators.
+    """
     x._check(y)
-    terms: dict[Perm, Fraction] = {}
-    for p, cp in x.terms.items():
-        for q, cq in y.terms.items():
+    xden, xs = linalg.integer_numerators(x.terms.values())
+    yden, ys = linalg.integer_numerators(y.terms.values())
+    acc: dict[Perm, int] = {}
+    for p, a in zip(x.terms, xs):
+        for q, b in zip(y.terms, ys):
             pq = compose(p, q)
-            terms[pq] = terms.get(pq, Fraction(0)) + cp * cq
-    return GroupAlgebraElement(x.k, terms)
+            acc[pq] = acc.get(pq, 0) + a * b
+    den = xden * yden
+    return GroupAlgebraElement(x.k, {p: Fraction(c, den) for p, c in acc.items() if c})
 
 
 def ga_act(x: GroupAlgebraElement, tensor: Tensor) -> Tensor:
-    """Apply an element to a tensor through the slot action."""
+    """Apply an element to a tensor through the slot action.
+
+    ``out[u] = sum_sigma x_sigma T[u o sigma]``, accumulated as integer
+    numerators over the product of the common denominators of ``x`` and
+    ``T``, in one pass per permutation through its cached
+    :func:`~thrallkit.tensors.gather_map`; no intermediate tensors are built.
+    Each gather map stays inside the weight blocks of
+    :func:`~thrallkit.tensors.weight_blocks`.
+    """
     if x.k != tensor.k:
         raise ValueError(f"degree mismatch: element {x.k}, tensor order {tensor.k}")
-    acc = Tensor.zero(tensor.d, tensor.k)
-    for perm, c in x.terms.items():
-        acc = acc + permute_slots(tensor, perm).scale(c)
-    return acc
+    d, k = tensor.d, tensor.k
+    tden, values = linalg.integer_numerators(tensor.entries)
+    xden, coeffs = linalg.integer_numerators(x.terms.values())
+    acc = [0] * len(values)
+    if any(values):
+        for perm, c in zip(x.terms, coeffs):
+            acc = [a + c * values[j] for a, j in zip(acc, gather_map(d, k, perm))]
+    den = xden * tden
+    return Tensor(d, k, tuple(Fraction(a, den) if a else _ZERO for a in acc))
 
 
 def operator_image(x: GroupAlgebraElement, d: int) -> list[Tensor]:
@@ -143,8 +167,27 @@ def operator_image(x: GroupAlgebraElement, d: int) -> list[Tensor]:
 
 
 def operator_rank(x: GroupAlgebraElement, d: int) -> int:
-    vectors = [list(t.entries) for t in operator_image(x, d)]
-    return linalg.rank(vectors) if vectors else 0
+    """Rank of ``ga_act(x, .)`` on the k-fold tensor power of a d-space.
+
+    The slot action keeps letter content, so the operator is block-diagonal
+    on the weight blocks; its rank is the sum of the ranks of the block
+    matrices, built straight from ``x.terms`` through the gather maps
+    (row ``u`` holds ``x_sigma`` at column ``u o sigma``; scaling ``x`` to
+    integer coefficients keeps the rank).
+    """
+    _, coeffs = linalg.integer_numerators(x.terms.values())
+    maps = [gather_map(d, x.k, perm) for perm in x.terms]
+    total = 0
+    for block in weight_blocks(d, x.k):
+        position = {i: t for t, i in enumerate(block)}
+        rows = []
+        for u in block:
+            row = [0] * len(block)
+            for c, g in zip(coeffs, maps):
+                row[position[g[u]]] += c
+            rows.append(row)
+        total += linalg.rank(rows)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +374,12 @@ def _solve_lie_idempotents(k: int) -> dict[Partition, GroupAlgebraElement]:
     return out
 
 
+# Version of the disk-cache file format (the first format had no version in
+# its file names); bump it when the projector convention or the JSON layout
+# changes, so stale files are never read.
+CACHE_VERSION = 2
+
+
 def _cache_dir() -> Path | None:
     path = os.environ.get("THRALLKIT_CACHE_DIR")
     return Path(path) if path else None
@@ -340,27 +389,59 @@ def _cache_file(k: int, lam: Partition) -> Path | None:
     base = _cache_dir()
     if base is None:
         return None
-    name = f"idempotent_k{k}_" + "-".join(str(p) for p in lam) + ".json"
+    name = f"idempotent_v{CACHE_VERSION}_k{k}_" + "-".join(map(str, lam)) + ".json"
     return base / name
 
 
 def _load_cached(k: int, lam: Partition) -> GroupAlgebraElement | None:
+    """The cached element, or None when the file is missing or undecodable."""
     path = _cache_file(k, lam)
-    if path is None or not path.exists():
+    if path is None:
         return None
     from .jsonio import group_element_from_json
 
-    return group_element_from_json(json.loads(path.read_text()))
+    try:
+        element = group_element_from_json(json.loads(path.read_text()))
+    except (FileNotFoundError, ValueError, TypeError):
+        # missing, corrupt JSON, bad UTF-8 or a payload of the wrong shape
+        return None
+    return element if element.k == k else None
 
 
 def _store_cached(k: int, lam: Partition, element: GroupAlgebraElement) -> None:
+    """Write atomically: a temporary file in the cache directory, then a rename."""
     path = _cache_file(k, lam)
     if path is None:
         return
     from .jsonio import group_element_to_json
 
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(group_element_to_json(element)))
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as handle:
+            handle.write(json.dumps(group_element_to_json(element)))
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _is_projector_family(k: int, table: dict[Partition, GroupAlgebraElement]) -> bool:
+    """Check a loaded family: E_lam has identity coefficient |class lam| / k!
+    (its trace on the group algebra), the family sums to the identity, and
+    each E_lam is idempotent.  Idempotents summing to the identity in
+    characteristic 0 are pairwise orthogonal, so that is implied."""
+    from .symfun import centralizer_order
+
+    one = identity_perm(k)
+    total = GroupAlgebraElement.zero(k)
+    for lam, element in table.items():
+        if element.coefficient(one) != Fraction(1, centralizer_order(lam)):
+            return False
+        total = total + element
+    if total != GroupAlgebraElement.identity(k):
+        return False
+    return all(element.is_idempotent() for element in table.values())
 
 
 def higher_lie_idempotent(lam: Partition) -> GroupAlgebraElement:
@@ -369,7 +450,9 @@ def higher_lie_idempotent(lam: Partition) -> GroupAlgebraElement:
     Acts as the identity on the lam-graded subspace and as zero on every
     other graded summand, for every dimension d.  Computed once per degree
     by an exact linear solve (see the comment block above) and memoized;
-    set THRALLKIT_CACHE_DIR to persist results across processes.
+    set THRALLKIT_CACHE_DIR to persist results across processes.  Cached
+    families are validated on load; an undecodable or invalid family is
+    recomputed and its files rewritten.
     """
     lam = check_partition(lam)
     k = sum(lam)
@@ -381,7 +464,7 @@ def higher_lie_idempotent(lam: Partition) -> GroupAlgebraElement:
         if k in _idempotent_table:
             return _idempotent_table[k][lam]
     cached = {mu: _load_cached(k, mu) for mu in partitions(k)}
-    if all(v is not None for v in cached.values()):
+    if all(v is not None for v in cached.values()) and _is_projector_family(k, cached):
         table = cached
     else:
         table = _solve_lie_idempotents(k)

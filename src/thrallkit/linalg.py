@@ -1,49 +1,95 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of rows of :class:`fractions.Fraction`.  Everything here
-is plain Gaussian elimination with exact pivoting; no floating point.
+Matrices are lists of rows of :class:`fractions.Fraction` (ints are accepted
+too).  Every routine goes through one fraction-free kernel: each row is
+scaled to integers by the lcm of its denominators (which keeps its row
+space), then reduced by Gauss-Jordan elimination with Bareiss's exact
+division (Bareiss, *Math. Comp.* 22, 1968), so every intermediate entry is
+an integer minor of the scaled matrix.  Fractions are built only for the
+results; the reduced row echelon form is unique, so it is the same one that
+elimination over the rationals gives.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 Matrix = list[list[Fraction]]
 Vector = list[Fraction]
 
 
-def _as_fraction_rows(matrix) -> Matrix:
-    return [[Fraction(x) for x in row] for row in matrix]
+def integer_numerators(values) -> tuple[int, list[int]]:
+    """Common denominator ``D`` and integers ``n`` with ``values[i] == n[i] / D``."""
+    values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    den = math.lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
 
 
-def rref(matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and the list of pivot columns."""
-    m = _as_fraction_rows(matrix)
-    if not m:
-        return m, []
-    nrows, ncols = len(m), len(m[0])
+def _integer_rows(matrix) -> tuple[list[list[int]], list[int]]:
+    """Each row scaled to integers; returns the rows and their scale factors."""
+    rows, scales = [], []
+    for row in matrix:
+        den, nums = integer_numerators(row)
+        rows.append(nums)
+        scales.append(den)
+    return rows, scales
+
+
+def _eliminate(rows: list[list[int]]) -> tuple[list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination of an integer matrix, in place.
+
+    Returns ``(pivot columns, p, s)``.  Afterwards row ``r`` below the rank
+    holds ``p`` at its pivot column and 0 at every other pivot column, the
+    remaining rows are zero, and the RREF is ``rows / p``.  ``p`` is the
+    determinant of the pivot rows and columns after the row swaps, whose
+    sign is ``s``.
+    """
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
     pivots: list[int] = []
-    r = 0
+    prev, sign, r = 1, 1, 0
     for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        pivot_row = next((i for i in range(r, nrows) if rows[i][c]), None)
         if pivot_row is None:
             continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
+        if pivot_row != r:
+            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+            sign = -sign
+        top = rows[r]
+        p = top[c]
         for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            if i == r:
+                continue
+            row = rows[i]
+            f = row[c]
+            # Sylvester's identity makes every division exact
+            if f:
+                rows[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
+            elif p != prev:
+                rows[i] = [p * a // prev for a in row]
+        prev = p
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return m, pivots
+    return pivots, prev, sign
+
+
+def rref(matrix) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form and the list of pivot columns."""
+    rows, _ = _integer_rows(matrix)
+    if not rows:
+        return [], []
+    pivots, p, _ = _eliminate(rows)
+    zero = [Fraction(0)] * len(rows[0])
+    red = [[Fraction(a, p) for a in row] for row in rows[: len(pivots)]]
+    return red + [list(zero) for _ in rows[len(pivots) :]], pivots
 
 
 def rank(matrix) -> int:
-    return len(rref(matrix)[1])
+    rows, _ = _integer_rows(matrix)
+    return len(_eliminate(rows)[0])
 
 
 def nullspace(matrix) -> list[Vector]:
@@ -66,19 +112,38 @@ def solve(matrix, rhs) -> Vector | None:
 
     When the system is underdetermined the free variables are set to zero.
     """
-    m = _as_fraction_rows(matrix)
-    b = [Fraction(x) for x in rhs]
-    if len(m) != len(b):
+    matrix = list(matrix)
+    rhs = list(rhs)
+    if len(matrix) != len(rhs):
         raise ValueError("matrix/rhs size mismatch")
-    aug = [row + [b[i]] for i, row in enumerate(m)]
-    red, pivots = rref(aug)
-    ncols = len(m[0]) if m else 0
+    ncols = len(matrix[0]) if matrix else 0
+    rows, _ = _integer_rows(list(row) + [b] for row, b in zip(matrix, rhs))
+    pivots, p, _ = _eliminate(rows)
     if ncols in pivots:
         return None
     x = [Fraction(0)] * ncols
     for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncols]
+        x[pc] = Fraction(rows[r][ncols], p)
     return x
+
+
+def integer_inverse(matrix) -> tuple[list[list[int]], int]:
+    """Inverse of a square matrix as integer numerators over one denominator.
+
+    Returns ``(N, D)`` with ``inverse == N / D``.  Reducing ``[S A | S]``,
+    where ``S`` holds the row scale factors, leaves ``[D I | D A^-1]``.
+    Raises :class:`ZeroDivisionError` when the matrix is singular.
+    """
+    rows, scales = _integer_rows(matrix)
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("inverse requires a square matrix")
+    for i, s in enumerate(scales):
+        rows[i] += [s if j == i else 0 for j in range(n)]
+    pivots, p, _ = _eliminate(rows)
+    if pivots != list(range(n)):
+        raise ZeroDivisionError("matrix is singular")
+    return [row[n:] for row in rows], p
 
 
 def row_space_basis(vectors) -> list[Vector]:
@@ -109,35 +174,12 @@ def identity_matrix(n: int) -> Matrix:
     ]
 
 
-def mat_mul(a, b) -> Matrix:
-    a = _as_fraction_rows(a)
-    b = _as_fraction_rows(b)
-    if a and b and len(a[0]) != len(b):
-        raise ValueError("inner dimension mismatch")
-    ncols = len(b[0]) if b else 0
-    return [
-        [sum((row[t] * b[t][j] for t in range(len(b))), Fraction(0)) for j in range(ncols)]
-        for row in a
-    ]
-
-
 def determinant(matrix) -> Fraction:
-    m = _as_fraction_rows(matrix)
-    n = len(m)
-    if any(len(row) != n for row in m):
+    rows, scales = _integer_rows(matrix)
+    n = len(rows)
+    if any(len(row) != n for row in rows):
         raise ValueError("determinant requires a square matrix")
-    det = Fraction(1)
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != c:
-            m[c], m[pivot_row] = m[pivot_row], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return det
+    pivots, p, swaps = _eliminate(rows)
+    if len(pivots) < n:
+        return Fraction(0)
+    return Fraction(swaps * p, math.prod(scales))

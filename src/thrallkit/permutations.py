@@ -103,13 +103,6 @@ def from_cycles(cycles, k: int) -> Perm:
     return tuple(p)
 
 
-def cycles_string(p: Perm) -> str:
-    cycles = to_cycles(p)
-    if not cycles:
-        return "id"
-    return "".join("(" + "".join(str(x) for x in cyc) + ")" for cyc in cycles)
-
-
 def perm_to_word(p: Perm) -> tuple[int, ...]:
     """One-line word with 1-based letters, e.g. id -> (1, 2, .., k)."""
     return tuple(v + 1 for v in p)

@@ -21,7 +21,6 @@ from .words import (
     moebius,
     multichoose,
     multiplicity_profile,
-    num_standard,
     partition_union,
     partitions,
 )
@@ -256,7 +255,3 @@ def w_module_dim(lam: Partition, d: int) -> int:
         multichoose(lie_dim(d, i), a) for i, a in multiplicity_profile(lam).items()
     )
 
-
-def schur_weyl_multiplicity(mu: Partition) -> int:
-    """Multiplicity of the Schur module for mu inside the full tensor power."""
-    return num_standard(mu)

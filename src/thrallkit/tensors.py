@@ -12,6 +12,12 @@ to slot ``sigma^{-1}(i)``:
 
 which makes the assignment ``sigma -> permute_slots(., sigma)`` a left
 group action: ``(sigma tau) . T = sigma . (tau . T)``.
+
+Weight blocks: slot permutations keep the letter content of a word (the
+multiset of its letters), and so do the graded bases and every operator
+built from them, because the diagonal torus of GL_d fixes each of these.
+:func:`weight_blocks` groups the flat indices by content, and
+:func:`gather_map` gives each permutation's action as one index map.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .linalg import rank as matrix_rank
 from .permutations import Perm, inverse
@@ -145,21 +152,41 @@ def tensor_product(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(a.d, a.k + b.k, tuple(entries))
 
 
+@cache
+def weight_blocks(d: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """Flat indices of the words of length k grouped by letter content.
+
+    Blocks appear in the order of their first index, indices ascending.
+    """
+    blocks: dict[tuple[int, ...], list[int]] = {}
+    for i, word in enumerate(itertools.product(range(d), repeat=k)):
+        blocks.setdefault(tuple(sorted(word)), []).append(i)
+    return tuple(tuple(block) for block in blocks.values())
+
+
+@cache
+def gather_map(d: int, k: int, sigma: Perm) -> tuple[int, ...]:
+    """Index map ``g`` with ``permute_slots(T, sigma).entries[u] == T.entries[g[u]]``.
+
+    ``g[index(w)] = index(w o sigma)``; letter j of w lands at place
+    ``sigma^{-1}(j)`` of ``w o sigma``, so the map is built slot by slot,
+    leftmost (most significant) first.
+    """
+    inv = inverse(sigma)
+    g = [0]
+    for j in range(k):
+        place = d ** (k - 1 - inv[j])
+        g = [x + a * place for x in g for a in range(d)]
+    return tuple(g)
+
+
 def permute_slots(tensor: Tensor, sigma: Perm) -> Tensor:
     """Left slot action; see the module docstring for the convention."""
     if len(sigma) != tensor.k:
         raise ValueError(f"permutation size {len(sigma)} != tensor order {tensor.k}")
-    d, k = tensor.d, tensor.k
-    inv = inverse(sigma)
-    # entry at u equals T[u o sigma]; filling via u = w o sigma^{-1} over nonzeros
-    entries = [Fraction(0)] * d**k
-    for i, c in enumerate(tensor.entries):
-        if c == 0:
-            continue
-        w = index_to_word(i, d, k)
-        u = tuple(w[inv[j]] for j in range(k))
-        entries[word_to_index(u, d)] = c
-    return Tensor(d, k, tuple(entries))
+    entries = tensor.entries
+    g = gather_map(tensor.d, tensor.k, tuple(sigma))
+    return Tensor(tensor.d, tensor.k, tuple(map(entries.__getitem__, g)))
 
 
 def is_symmetric(tensor: Tensor) -> bool:

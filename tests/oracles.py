@@ -1,19 +1,22 @@
 """Independent oracles shared by test modules.
 
 These deliberately avoid the library's own computational paths: signatures
-come from direct polynomial integration, matrix rank from minors and Lyndon
-coordinates from a dense exact solve, so the main implementations are
-checked against genuinely different arithmetic.
+come from direct polynomial integration, matrix rank from minors, Lyndon
+coordinates from a dense exact solve, row reduction from Gauss-Jordan
+elimination over Fractions, the slot action from a dense sum of scattered
+tensors and the graded decomposition from one dense solve, so the main
+implementations are checked against genuinely different arithmetic.
 """
 
 import itertools
 from fractions import Fraction
 
 from thrallkit import linalg
-from thrallkit.free_lie import lyndon_bracketing
+from thrallkit.free_lie import lyndon_bracketing, w_lambda_basis
+from thrallkit.permutations import inverse
 from thrallkit.shuffle_sig import PiecewiseLinearPath
 from thrallkit.tensors import Tensor, TensorSeries
-from thrallkit.words import all_words, lyndon_words
+from thrallkit.words import all_words, index_to_word, lyndon_words, partitions, word_to_index
 
 
 def _poly_integrate(coeffs):
@@ -156,3 +159,85 @@ def reduce_path(path: PiecewiseLinearPath) -> PiecewiseLinearPath:
 
 def is_segment_equivalent(path: PiecewiseLinearPath) -> bool:
     return len(reduce_path(path).points) <= 2
+
+
+def gauss_jordan_rref(matrix):
+    """Reduced row echelon form by Gauss-Jordan elimination over Fractions,
+    dividing each pivot row by its pivot."""
+    m = [[Fraction(x) for x in row] for row in matrix]
+    if not m:
+        return m, []
+    nrows, ncols = len(m), len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m, pivots
+
+
+def gauss_jordan_solve(matrix, rhs):
+    """Particular solution (free variables zero) from the augmented RREF, or None."""
+    ncols = len(matrix[0]) if matrix else 0
+    red, pivots = gauss_jordan_rref([list(row) + [b] for row, b in zip(matrix, rhs)])
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for r, pc in enumerate(pivots):
+        x[pc] = red[r][ncols]
+    return x
+
+
+def scatter_permute_slots(tensor: Tensor, sigma) -> Tensor:
+    """Slot action by scattering each nonzero entry at w to w o sigma^{-1}."""
+    d, k = tensor.d, tensor.k
+    inv = inverse(sigma)
+    entries = [Fraction(0)] * d**k
+    for i, c in enumerate(tensor.entries):
+        if c == 0:
+            continue
+        w = index_to_word(i, d, k)
+        entries[word_to_index(tuple(w[inv[j]] for j in range(k)), d)] = c
+    return Tensor(d, k, tuple(entries))
+
+
+def dense_ga_act(x, tensor: Tensor) -> Tensor:
+    """sum_sigma x_sigma * permute_slots(T, sigma), one dense tensor per term."""
+    acc = Tensor.zero(tensor.d, tensor.k)
+    for perm, c in x.terms.items():
+        acc = acc + scatter_permute_slots(tensor, perm).scale(c)
+    return acc
+
+
+def dense_operator_rank(x, d: int) -> int:
+    """Rank of the images of every basis tensor, by one dense row reduction."""
+    images = [
+        list(dense_ga_act(x, Tensor.basis(d, w)).entries) for w in all_words(d, x.k)
+    ]
+    return len(gauss_jordan_rref(images)[1])
+
+
+def dense_solve_decompose(tensor: Tensor) -> dict:
+    """Graded components from one dense solve in the concatenated graded bases."""
+    d, k = tensor.d, tensor.k
+    labelled = [(lam, vec) for lam in partitions(k) for vec in w_lambda_basis(lam, d)]
+    n = d**k
+    rows = [[vec.entries[i] for _, vec in labelled] for i in range(n)]
+    coords = gauss_jordan_solve(rows, list(tensor.entries))
+    out = {lam: Tensor.zero(d, k) for lam in partitions(k)}
+    for (lam, vec), c in zip(labelled, coords):
+        if c != 0:
+            out[lam] = out[lam] + vec.scale(c)
+    return out

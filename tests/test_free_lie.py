@@ -33,7 +33,7 @@ from thrallkit.tensors import (
 )
 from thrallkit.words import lie_dim, lyndon_words, multichoose, partitions
 
-from oracles import dense_lie_coordinates
+from oracles import dense_lie_coordinates, dense_solve_decompose
 
 # Shapes (d, k) on which the Lyndon fast paths are cross-checked.
 LYNDON_SHAPES = [(3, 5), (2, 6), (4, 4)]
@@ -229,6 +229,24 @@ def test_thrall_decompose_methods_agree():
                     assert linalg.in_span(span, list(part.entries))
                 total = total + part
             assert total == t
+
+
+@pytest.mark.parametrize("d, k", [(1, 4), (2, 6), (3, 4), (3, 5)])
+def test_solve_decompose_matches_dense_solve(d, k):
+    # fractional entries, a basis tensor (the dense solve at (3, 5) takes
+    # seconds, so only once there) and the zero tensor
+    rng = Random(31 * d + k)
+    t = Tensor(
+        d, k, tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(d**k))
+    )
+    assert thrall_decompose(t, method="solve") == dense_solve_decompose(t)
+    if d**k < 243:
+        e = Tensor.basis(d, tuple(min(i + 1, d) for i in range(k)))
+        assert thrall_decompose(e, method="solve") == dense_solve_decompose(e)
+    zero = Tensor.zero(d, k)
+    assert thrall_decompose(zero, method="solve") == {
+        lam: zero for lam in partitions(k)
+    }
 
 
 def test_thrall_decompose_e112():

@@ -31,8 +31,10 @@ from thrallkit.reference_suite import (
     _element,
 )
 from thrallkit.symfun import thrall_coefficients
-from thrallkit.tensors import Tensor, random_tensor, symmetrize
+from thrallkit.tensors import Tensor, permute_slots, random_tensor, symmetrize
 from thrallkit.words import YoungTableau, partitions, schur_dim
+
+from oracles import dense_ga_act, dense_operator_rank, scatter_permute_slots
 
 
 def tau(*rows):
@@ -77,6 +79,73 @@ def test_ga_act_identity_and_symmetrization():
     assert ga_act(GroupAlgebraElement.identity(3), t) == t
     full = higher_lie_idempotent((1, 1, 1))
     assert ga_act(full, t) == symmetrize(t)
+
+
+def _random_element(k, rng, count):
+    perms = list(itertools.permutations(range(k)))
+    return GroupAlgebraElement(
+        k,
+        {
+            p: Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+            for p in rng.sample(perms, min(count, len(perms)))
+        },
+    )
+
+
+def _random_fractional_tensor(d, k, rng):
+    return Tensor(
+        d,
+        k,
+        tuple(
+            Fraction(rng.randint(-4, 4), rng.randint(1, 5)) if rng.random() < 0.7 else Fraction(0)
+            for _ in range(d**k)
+        ),
+    )
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_ga_act_matches_dense_sum(d, k):
+    rng = Random(1000 * d + k)
+    for count in (1, 3, 24):
+        x = _random_element(k, rng, count)
+        t = _random_fractional_tensor(d, k, rng)
+        assert ga_act(x, t) == dense_ga_act(x, t)
+        assert ga_act(x, Tensor.zero(d, k)) == Tensor.zero(d, k)
+        assert ga_act(GroupAlgebraElement.zero(k), t) == Tensor.zero(d, k)
+    for sigma in itertools.permutations(range(k)):
+        t = _random_fractional_tensor(d, k, rng)
+        assert permute_slots(t, sigma) == scatter_permute_slots(t, sigma)
+
+
+def _rank_cases(k):
+    """Projectors, and Young symmetrizers scaled to idempotents (c^2 = (k!/f) c)."""
+    import math
+
+    from thrallkit.words import num_standard, standard_tableaux
+
+    cases = [higher_lie_idempotent(lam) for lam in partitions(k)]
+    for lam in partitions(k):
+        for tab in standard_tableaux(lam):
+            scale = Fraction(num_standard(lam), math.factorial(k))
+            cases.append(young_symmetrizer(tab).scale(scale))
+            cases.append(young_symmetrizer_transposed(tab).scale(scale))
+    return cases
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_operator_rank_matches_oracles(d, k):
+    # every case is idempotent, so its rank equals its trace at every d; the
+    # dense row reduction is also run where it stays small
+    for x in _rank_cases(k):
+        rank = operator_rank(x, d)
+        assert rank == _projector_trace(x, d)
+        if d**k <= 27:
+            assert rank == dense_operator_rank(x, d)
+    x = _random_element(k, Random(d * k), 5)
+    if d**k <= 27:
+        assert operator_rank(x, d) == dense_operator_rank(x, d)
 
 
 def test_ga_act_degree_mismatch():
@@ -290,16 +359,80 @@ def test_idempotent_disk_cache(tmp_path, monkeypatch):
     first = higher_lie_idempotent((3,))
     files = sorted(p.name for p in tmp_path.iterdir())
     assert files == [
-        "idempotent_k3_1-1-1.json",
-        "idempotent_k3_2-1.json",
-        "idempotent_k3_3.json",
+        f"idempotent_v{ga.CACHE_VERSION}_k3_1-1-1.json",
+        f"idempotent_v{ga.CACHE_VERSION}_k3_2-1.json",
+        f"idempotent_v{ga.CACHE_VERSION}_k3_3.json",
     ]
     # corrupt-resistant reload: drop the in-memory table, reload from disk
     ga._idempotent_table.pop(3, None)
     assert higher_lie_idempotent((3,)) == first
-    payload = json.loads((tmp_path / "idempotent_k3_3.json").read_text())
+    payload = json.loads((tmp_path / f"idempotent_v{ga.CACHE_VERSION}_k3_3.json").read_text())
     assert payload["k"] == 3
     ga._idempotent_table.pop(3, None)
+
+
+def test_poisoned_disk_cache_is_recomputed(tmp_path, monkeypatch, capsys):
+    # an empty, undecodable or wrong cached family must never replace the
+    # projectors: each one is recomputed and its files rewritten
+    import thrallkit.group_algebra as ga
+    from thrallkit.cli import main
+    from thrallkit.jsonio import group_element_to_json, tensor_to_json
+
+    family = {lam: higher_lie_idempotent(lam) for lam in partitions(4)}
+    monkeypatch.setenv("THRALLKIT_CACHE_DIR", str(tmp_path))
+    paths = {lam: ga._cache_file(4, lam) for lam in family}
+    tensor = random_tensor(2, 4, Random(4))
+    tensor_file = tmp_path / "tensor.json"
+    tensor_file.write_text(json.dumps(tensor_to_json(tensor)))
+    expected = {
+        ",".join(map(str, lam)): tensor_to_json(ga_act(e, tensor))
+        for lam, e in family.items()
+    }
+
+    def write(lam, text):
+        paths[lam].write_text(text)
+
+    def reload_and_check():
+        ga._idempotent_table.pop(4, None)
+        code = main(["decompose", "--tensor", str(tensor_file)])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out) == expected
+        for lam, e in family.items():
+            assert json.loads(paths[lam].read_text()) == group_element_to_json(e)
+        assert not list(tmp_path.glob("*.tmp"))
+
+    empty = json.dumps({"k": 4, "terms": []})
+    # the same poison under the unversioned names of the old format is ignored
+    for lam in family:
+        (tmp_path / ("idempotent_k4_" + "-".join(map(str, lam)) + ".json")).write_text(empty)
+        write(lam, empty)
+    reload_and_check()
+
+    write((2, 2), "{bad")
+    reload_and_check()
+
+    write((3, 1), json.dumps({"k": 3, "terms": []}))
+    reload_and_check()
+
+    # swapped files keep the sum but break the identity coefficients
+    write((4,), json.dumps(group_element_to_json(family[(3, 1)])))
+    write((3, 1), json.dumps(group_element_to_json(family[(4,)])))
+    reload_and_check()
+
+    # a shift with zero identity coefficient keeps the sum and the identity
+    # coefficients but breaks idempotency
+    shift = GroupAlgebraElement.of(4, (1, 0, 2, 3), Fraction(1, 7))
+    write((4,), json.dumps(group_element_to_json(family[(4,)] + shift)))
+    write((3, 1), json.dumps(group_element_to_json(family[(3, 1)] - shift)))
+    reload_and_check()
+
+    # a valid family is read back, not recomputed
+    ga._idempotent_table.pop(4, None)
+    monkeypatch.setattr(ga, "_solve_lie_idempotents", None)
+    assert higher_lie_idempotent((2, 2)) == family[(2, 2)]
+    ga._idempotent_table.pop(4, None)
+    monkeypatch.delenv("THRALLKIT_CACHE_DIR")
+    ga._idempotent_table[4] = family
 
 
 @pytest.mark.slow

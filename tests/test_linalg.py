@@ -1,12 +1,12 @@
 import itertools
 from fractions import Fraction
-from random import Random
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from thrallkit import linalg
+
+from oracles import gauss_jordan_rref, gauss_jordan_solve
 
 
 def frac_matrix(rows):
@@ -87,13 +87,89 @@ def test_span_helpers():
     assert basis == frac_matrix([[1, 0, 0], [0, 1, 0]])
 
 
-def test_mat_mul_and_identity():
-    rng = Random(0)
-    a = frac_matrix([[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)])
-    assert linalg.mat_mul(a, linalg.identity_matrix(3)) == a
-    assert linalg.mat_mul(linalg.identity_matrix(3), a) == a
+def test_identity_matrix():
+    assert linalg.identity_matrix(3) == frac_matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert linalg.identity_matrix(0) == []
 
 
-def test_mat_mul_shape_check():
+fractions = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+
+
+@st.composite
+def rational_matrices(draw):
+    """Rectangular matrices with fractional entries: full, rank-deficient
+    (a product through a thin inner dimension) or with zero rows mixed in."""
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["full", "low-rank", "zero-rows"]))
+    if kind == "low-rank":
+        inner = draw(st.integers(0, 3))
+        a = draw(st.lists(st.lists(fractions, min_size=inner, max_size=inner), min_size=nrows, max_size=nrows))
+        b = draw(st.lists(st.lists(fractions, min_size=ncols, max_size=ncols), min_size=inner, max_size=inner))
+        return [[sum((a[i][t] * b[t][j] for t in range(inner)), Fraction(0)) for j in range(ncols)] for i in range(nrows)]
+    rows = draw(st.lists(st.lists(fractions, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
+    if kind == "zero-rows":
+        for i in draw(st.lists(st.integers(0, max(nrows - 1, 0)), max_size=3)):
+            if rows:
+                rows[i] = [Fraction(0)] * ncols
+    return rows
+
+
+@given(rational_matrices())
+def test_kernel_matches_gauss_jordan_oracle(m):
+    red, pivots = gauss_jordan_rref(m)
+    assert linalg.rref(m) == (red, pivots)
+    assert linalg.rank(m) == len(pivots)
+    assert linalg.row_space_basis(m) == red[: len(pivots)]
+    ncols = len(m[0]) if m else 0
+    null = linalg.nullspace(m)
+    assert len(null) == ncols - len(pivots)
+    for v in null:
+        for row in m:
+            assert sum(a * b for a, b in zip(row, v)) == 0
+
+
+@given(rational_matrices(), st.data())
+def test_solve_matches_gauss_jordan_oracle(m, data):
+    rhs = data.draw(st.lists(fractions, min_size=len(m), max_size=len(m)))
+    assert linalg.solve(m, rhs) == gauss_jordan_solve(m, rhs)
+    # a consistent right-hand side built from a known solution
+    ncols = len(m[0]) if m else 0
+    x = data.draw(st.lists(fractions, min_size=ncols, max_size=ncols))
+    b = [sum((a * c for a, c in zip(row, x)), Fraction(0)) for row in m]
+    got = linalg.solve(m, b)
+    assert got == gauss_jordan_solve(m, b)
+    assert [sum((a * c for a, c in zip(row, got)), Fraction(0)) for row in m] == b
+
+
+def _leibniz(m):
+    n = len(m)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+        term = Fraction(-1) ** inversions
+        for i in range(n):
+            term *= m[i][perm[i]]
+        total += term
+    return total
+
+
+@given(st.integers(0, 4).flatmap(
+    lambda n: st.lists(st.lists(fractions, min_size=n, max_size=n), min_size=n, max_size=n)
+))
+def test_determinant_and_inverse_fractional(m):
+    det = linalg.determinant(m)
+    assert det == _leibniz(m)
+    n = len(m)
+    if det == 0:
+        with pytest.raises(ZeroDivisionError):
+            linalg.integer_inverse(m)
+        return
+    num, den = linalg.integer_inverse(m)
+    inv = [[Fraction(x, den) for x in row] for row in num]
+    product = [[sum((m[i][t] * inv[t][j] for t in range(n)), Fraction(0)) for j in range(n)] for i in range(n)]
+    assert product == linalg.identity_matrix(n)
+
+
+def test_integer_inverse_rejects_non_square():
     with pytest.raises(ValueError):
-        linalg.mat_mul([[1, 2]], [[1, 2]])
+        linalg.integer_inverse([[1, 2]])
