@@ -233,7 +233,7 @@ def cmd_hdet_pullback(args) -> int:
 def cmd_paper_suite(args) -> int:
     from .reference_suite import run_reference_checks
 
-    results = run_reference_checks(threads=args.threads)
+    results = run_reference_checks()
     payload = {
         "passed": all(r.passed for r in results),
         "checks": [
@@ -263,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
         "decompositions, projectors, invariants and rank diagnostics.",
     )
     parser.add_argument("--format", choices=["json", "text"], default="json")
-    parser.add_argument("--threads", type=int, default=1, help="opt-in parallelism")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("dims", help="dimension tables")

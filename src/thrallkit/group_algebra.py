@@ -12,18 +12,13 @@ two differ and this package consistently uses the slot action above.
 
 from __future__ import annotations
 
+import functools
 import itertools
-import json
 import math
-import os
-import tempfile
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
-from pathlib import Path
 
 from . import linalg
-from .free_lie import bracket_expansion
 from .permutations import (
     Perm,
     all_permutations,
@@ -38,9 +33,9 @@ from .permutations import (
 from .tensors import Tensor, gather_map, weight_blocks
 from .words import Partition, Word, YoungTableau, check_partition, partitions
 
-# Degree cap for the exact projector solve; reproduction of the published
-# values needs k <= 4, and 5 stays comfortably fast.  Larger degrees are an
-# extension point, not a supported path.
+# Degree cap for the projector family; reproduction of the published values
+# needs k <= 4.  The closed form has k! terms per projector; lifting the cap
+# is an extension point, not a supported path.
 K_MAX = 5
 
 
@@ -221,16 +216,13 @@ def young_symmetrizer(tableau: YoungTableau) -> GroupAlgebraElement:
 
 
 def young_symmetrizer_transposed(tableau: YoungTableau) -> GroupAlgebraElement:
-    """Signed column sum times row sum (the column-first variant)."""
-    k = tableau.size
-    rows = [tuple(r) for r in tableau.rows]
-    cols = [tableau.column(j) for j in range(tableau.shape[0])]
-    terms: dict[Perm, Fraction] = {}
-    for s in _subgroup_fixing(cols, k):
-        for t in _subgroup_fixing(rows, k):
-            st = compose(s, t)
-            terms[st] = terms.get(st, Fraction(0)) + sign(s)
-    return GroupAlgebraElement(k, terms)
+    """Signed column sum times row sum (the column-first variant).
+
+    The antipode reverses products, the row and column groups are closed
+    under inverses and sign(s^{-1}) = sign(s), so this is the reverse of
+    :func:`young_symmetrizer`.
+    """
+    return young_symmetrizer(tableau).reverse()
 
 
 # ---------------------------------------------------------------------------
@@ -255,224 +247,70 @@ def central_idempotent(mu: Partition) -> GroupAlgebraElement:
 
 
 # ---------------------------------------------------------------------------
-# higher Lie idempotents via the multilinear graded decomposition
+# higher Lie idempotents in closed form (Garsia & Reutenauer, Adv. Math. 77,
+# 1989; Reutenauer, Free Lie Algebras, ch. 3)
 #
 # The projector family is determined by its action on the single tensor
 # e_1 x e_2 x .. x e_k (all letters distinct): permutation operators are
-# linearly independent there, and the graded decomposition preserves the
-# multilinear weight space.  So it suffices to decompose that one tensor
-# inside the k!-dimensional span of the permutation words.
+# linearly independent there.  The first Eulerian idempotent rho_a sends
+# e_{1..a} to sum_v (-1)^des(v) / (a C(a-1, des(v))) e_v over the permutation
+# words v, and
+#
+#     E_lam = (1/l!) sum over distinct rearrangements (a_1..a_l) of lam of
+#             rho_{a_1} * .. * rho_{a_l}
+#
+# where the convolution * applied to e_{1..k} sums the concatenations of rho
+# applied to the blocks of every ordered set partition with block sizes
+# a_1..a_l.  A word w arises from exactly one such partition per
+# rearrangement (its consecutive segments of lengths a_1..a_l), so its
+# coefficient is a product over those segments.  Since
+# 1 / (a C(a-1, j)) = j! (a-1-j)! / a!, every product shares the denominator
+# l! prod(lam_i!) and the sum stays in integers.
 
 
-def _lyndon_words_on_set(letters: tuple[int, ...]) -> list[Word]:
-    """Lyndon words using each of the given distinct letters exactly once.
-
-    A word on distinct letters is Lyndon iff it starts with the smallest one.
-    """
-    smallest = min(letters)
-    rest = sorted(x for x in letters if x != smallest)
-    return [(smallest,) + perm for perm in itertools.permutations(rest)]
+def _descents(word: Word) -> int:
+    return sum(1 for x, y in zip(word, word[1:]) if x > y)
 
 
-def _set_partitions_with_sizes(elements: tuple[int, ...], sizes: tuple[int, ...]):
-    """Partitions of ``elements`` into unordered blocks of the given sizes."""
-    if not sizes:
-        if not elements:
-            yield ()
-        return
-    first = elements[0]
-    for s in sorted(set(sizes), reverse=True):
-        remaining_sizes = list(sizes)
-        remaining_sizes.remove(s)
-        for combo in itertools.combinations(elements[1:], s - 1):
-            block = (first,) + combo
-            rest = tuple(e for e in elements if e not in block)
-            for tail in _set_partitions_with_sizes(rest, tuple(remaining_sizes)):
-                yield (block,) + tail
-
-
-def _sparse_product(factors: list[dict[Word, int]]) -> dict[Word, int]:
-    term: dict[Word, int] = {(): 1}
-    for factor in factors:
-        new: dict[Word, int] = {}
-        for wa, ca in term.items():
-            for wb, cb in factor.items():
-                key = wa + wb
-                new[key] = new.get(key, 0) + ca * cb
-        term = new
-    return term
-
-
-def _multilinear_w_basis(k: int) -> dict[Partition, list[dict[Word, int]]]:
-    """Multilinear part of each graded subspace, as sparse word vectors."""
-    elements = tuple(range(1, k + 1))
-    out: dict[Partition, list[dict[Word, int]]] = {}
+@functools.cache
+def _projector_family(k: int) -> dict[Partition, GroupAlgebraElement]:
+    words = [perm_to_word(p) for p in all_permutations(k)]
+    family: dict[Partition, GroupAlgebraElement] = {}
     for lam in partitions(k):
-        vectors = []
-        seen: set[tuple] = set()
-        for blocks in _set_partitions_with_sizes(elements, lam):
-            key = tuple(sorted(tuple(sorted(b)) for b in blocks))
-            if key in seen:
-                continue
-            seen.add(key)
-            blocks_sorted = sorted(key, key=lambda b: (len(b), b))
-            choices = [
-                _lyndon_words_on_set(tuple(block)) for block in blocks_sorted
-            ]
-            for words in itertools.product(*choices):
-                brackets = [dict(bracket_expansion(w)) for w in words]
-                vec: dict[Word, int] = {}
-                for order in itertools.permutations(range(len(words))):
-                    for w, c in _sparse_product([brackets[i] for i in order]).items():
-                        vec[w] = vec.get(w, 0) + c
-                vectors.append({w: c for w, c in vec.items() if c})
-        out[lam] = vectors
-    return out
-
-
-_idempotent_lock = threading.Lock()
-_idempotent_table: dict[int, dict[Partition, GroupAlgebraElement]] = {}
-
-
-def _solve_lie_idempotents(k: int) -> dict[Partition, GroupAlgebraElement]:
-    basis = _multilinear_w_basis(k)
-    perm_words = [perm_to_word(p) for p in all_permutations(k)]
-    word_index = {w: i for i, w in enumerate(perm_words)}
-    n = len(perm_words)
-    columns: list[list[Fraction]] = []
-    column_labels: list[Partition] = []
-    for lam in partitions(k):
-        for vec in basis[lam]:
-            col = [Fraction(0)] * n
-            for w, c in vec.items():
-                col[word_index[w]] = Fraction(c)
-            columns.append(col)
-            column_labels.append(lam)
-    if len(columns) != n:
-        raise ArithmeticError("multilinear graded bases do not fill the weight space")
-    matrix = [[columns[j][i] for j in range(n)] for i in range(n)]
-    iota = tuple(range(1, k + 1))
-    rhs = [Fraction(1) if w == iota else Fraction(0) for w in perm_words]
-    coords = linalg.solve(matrix, rhs)
-    if coords is None:
-        raise ArithmeticError("projector solve is inconsistent")
-    out: dict[Partition, GroupAlgebraElement] = {}
-    for lam in partitions(k):
-        component = [Fraction(0)] * n
-        for j, label in enumerate(column_labels):
-            if label == lam and coords[j] != 0:
-                col = columns[j]
-                for i in range(n):
-                    component[i] += coords[j] * col[i]
-        # component = projection of e_iota; the slot action sends e_iota to
-        # e_{word(sigma^{-1})}, so the coefficient of sigma sits at that word
+        den = math.factorial(len(lam)) * math.prod(map(math.factorial, lam))
+        arrangements = sorted(set(itertools.permutations(lam)))
         terms: dict[Perm, Fraction] = {}
-        for i, w in enumerate(perm_words):
-            if component[i] != 0:
-                terms[inverse(word_to_perm(w))] = component[i]
-        out[lam] = GroupAlgebraElement(k, terms)
-    return out
-
-
-# Version of the disk-cache file format (the first format had no version in
-# its file names); bump it when the projector convention or the JSON layout
-# changes, so stale files are never read.
-CACHE_VERSION = 2
-
-
-def _cache_dir() -> Path | None:
-    path = os.environ.get("THRALLKIT_CACHE_DIR")
-    return Path(path) if path else None
-
-
-def _cache_file(k: int, lam: Partition) -> Path | None:
-    base = _cache_dir()
-    if base is None:
-        return None
-    name = f"idempotent_v{CACHE_VERSION}_k{k}_" + "-".join(map(str, lam)) + ".json"
-    return base / name
-
-
-def _load_cached(k: int, lam: Partition) -> GroupAlgebraElement | None:
-    """The cached element, or None when the file is missing or undecodable."""
-    path = _cache_file(k, lam)
-    if path is None:
-        return None
-    from .jsonio import group_element_from_json
-
-    try:
-        element = group_element_from_json(json.loads(path.read_text()))
-    except (FileNotFoundError, ValueError, TypeError):
-        # missing, corrupt JSON, bad UTF-8 or a payload of the wrong shape
-        return None
-    return element if element.k == k else None
-
-
-def _store_cached(k: int, lam: Partition, element: GroupAlgebraElement) -> None:
-    """Write atomically: a temporary file in the cache directory, then a rename."""
-    path = _cache_file(k, lam)
-    if path is None:
-        return
-    from .jsonio import group_element_to_json
-
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(json.dumps(group_element_to_json(element)))
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
-def _is_projector_family(k: int, table: dict[Partition, GroupAlgebraElement]) -> bool:
-    """Check a loaded family: E_lam has identity coefficient |class lam| / k!
-    (its trace on the group algebra), the family sums to the identity, and
-    each E_lam is idempotent.  Idempotents summing to the identity in
-    characteristic 0 are pairwise orthogonal, so that is implied."""
-    from .symfun import centralizer_order
-
-    one = identity_perm(k)
-    total = GroupAlgebraElement.zero(k)
-    for lam, element in table.items():
-        if element.coefficient(one) != Fraction(1, centralizer_order(lam)):
-            return False
-        total = total + element
-    if total != GroupAlgebraElement.identity(k):
-        return False
-    return all(element.is_idempotent() for element in table.values())
+        for w in words:
+            total = 0
+            for parts in arrangements:
+                term, start = 1, 0
+                for a in parts:
+                    j = _descents(w[start : start + a])
+                    term *= (-1) ** j * math.factorial(j) * math.factorial(a - 1 - j)
+                    start += a
+                total += term
+            # the slot action sends e_iota to e_{word(sigma^{-1})}, so the
+            # coefficient of sigma sits at that word
+            terms[inverse(word_to_perm(w))] = Fraction(total, den)
+        family[lam] = GroupAlgebraElement(k, terms)
+    return family
 
 
 def higher_lie_idempotent(lam: Partition) -> GroupAlgebraElement:
     """The projector onto the lam-graded subspace along the other summands.
 
     Acts as the identity on the lam-graded subspace and as zero on every
-    other graded summand, for every dimension d.  Computed once per degree
-    by an exact linear solve (see the comment block above) and memoized;
-    set THRALLKIT_CACHE_DIR to persist results across processes.  Cached
-    families are validated on load; an undecodable or invalid family is
-    recomputed and its files rewritten.
+    other graded summand, for every dimension d.  Built in closed form from
+    the first Eulerian idempotents (see the comment block above), once per
+    degree, and memoized.
     """
     lam = check_partition(lam)
     k = sum(lam)
     if k < 1:
         raise ValueError("lam must be a partition of k >= 1")
     if k > K_MAX:
-        raise ResourceLimitError(f"degree {k} exceeds the exact-solve cap {K_MAX}")
-    with _idempotent_lock:
-        if k in _idempotent_table:
-            return _idempotent_table[k][lam]
-    cached = {mu: _load_cached(k, mu) for mu in partitions(k)}
-    if all(v is not None for v in cached.values()) and _is_projector_family(k, cached):
-        table = cached
-    else:
-        table = _solve_lie_idempotents(k)
-        for mu, element in table.items():
-            _store_cached(k, mu, element)
-    with _idempotent_lock:
-        _idempotent_table[k] = table
-    return table[lam]
+        raise ResourceLimitError(f"degree {k} exceeds the projector degree cap {K_MAX}")
+    return _projector_family(k)[lam]
 
 
 def verify_refinement(

@@ -8,7 +8,6 @@ as ``thrallkit paper-suite``.  Checks return (passed, detail).
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
@@ -451,18 +450,14 @@ ALL_CHECKS: list[tuple[str, Callable[[], tuple[bool, str]]]] = [
 ]
 
 
-def run_reference_checks(threads: int = 1) -> list[CheckResult]:
-    """Run every check; independent checks may run on a thread pool."""
-
-    def run(item) -> CheckResult:
-        name, func = item
+def run_reference_checks() -> list[CheckResult]:
+    """Run every check in order; a crash is a failure with the error as detail."""
+    results = []
+    for name, func in ALL_CHECKS:
         try:
             passed, detail = func()
-        except Exception as exc:  # a crash is a failure with the error as detail
-            return CheckResult(name, False, f"error: {exc}")
-        return CheckResult(name, passed, detail)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, ALL_CHECKS))
-    return [run(item) for item in ALL_CHECKS]
+        except Exception as exc:
+            results.append(CheckResult(name, False, f"error: {exc}"))
+        else:
+            results.append(CheckResult(name, passed, detail))
+    return results

@@ -4,7 +4,9 @@ These deliberately avoid the library's own computational paths: signatures
 come from direct polynomial integration, matrix rank from minors, Lyndon
 coordinates from a dense exact solve, row reduction from Gauss-Jordan
 elimination over Fractions, the slot action from a dense sum of scattered
-tensors and the graded decomposition from one dense solve, so the main
+tensors, the graded decomposition from one dense solve, the graded projector
+family from an exact solve in the multilinear Lyndon-bracket bases and the
+column-first Young symmetrizer from its double sum, so the main
 implementations are checked against genuinely different arithmetic.
 """
 
@@ -12,8 +14,16 @@ import itertools
 from fractions import Fraction
 
 from thrallkit import linalg
-from thrallkit.free_lie import lyndon_bracketing, w_lambda_basis
-from thrallkit.permutations import inverse
+from thrallkit.free_lie import bracket_expansion, lyndon_bracketing, w_lambda_basis
+from thrallkit.group_algebra import GroupAlgebraElement, _subgroup_fixing
+from thrallkit.permutations import (
+    all_permutations,
+    compose,
+    inverse,
+    perm_to_word,
+    sign,
+    word_to_perm,
+)
 from thrallkit.shuffle_sig import PiecewiseLinearPath
 from thrallkit.tensors import Tensor, TensorSeries
 from thrallkit.words import all_words, index_to_word, lyndon_words, partitions, word_to_index
@@ -241,3 +251,127 @@ def dense_solve_decompose(tensor: Tensor) -> dict:
         if c != 0:
             out[lam] = out[lam] + vec.scale(c)
     return out
+
+
+def _lyndon_words_on_set(letters):
+    """Lyndon words using each of the given distinct letters exactly once.
+
+    A word on distinct letters is Lyndon iff it starts with the smallest one.
+    """
+    smallest = min(letters)
+    rest = sorted(x for x in letters if x != smallest)
+    return [(smallest,) + perm for perm in itertools.permutations(rest)]
+
+
+def _set_partitions_with_sizes(elements, sizes):
+    """Partitions of ``elements`` into unordered blocks of the given sizes."""
+    if not sizes:
+        if not elements:
+            yield ()
+        return
+    first = elements[0]
+    for s in sorted(set(sizes), reverse=True):
+        remaining_sizes = list(sizes)
+        remaining_sizes.remove(s)
+        for combo in itertools.combinations(elements[1:], s - 1):
+            block = (first,) + combo
+            rest = tuple(e for e in elements if e not in block)
+            for tail in _set_partitions_with_sizes(rest, tuple(remaining_sizes)):
+                yield (block,) + tail
+
+
+def _sparse_product(factors):
+    term = {(): 1}
+    for factor in factors:
+        new = {}
+        for wa, ca in term.items():
+            for wb, cb in factor.items():
+                key = wa + wb
+                new[key] = new.get(key, 0) + ca * cb
+        term = new
+    return term
+
+
+def _multilinear_w_basis(k):
+    """Multilinear part of each graded subspace, as sparse word vectors."""
+    elements = tuple(range(1, k + 1))
+    out = {}
+    for lam in partitions(k):
+        vectors = []
+        seen = set()
+        for blocks in _set_partitions_with_sizes(elements, lam):
+            key = tuple(sorted(tuple(sorted(b)) for b in blocks))
+            if key in seen:
+                continue
+            seen.add(key)
+            blocks_sorted = sorted(key, key=lambda b: (len(b), b))
+            choices = [_lyndon_words_on_set(tuple(block)) for block in blocks_sorted]
+            for words in itertools.product(*choices):
+                brackets = [dict(bracket_expansion(w)) for w in words]
+                vec = {}
+                for order in itertools.permutations(range(len(words))):
+                    for w, c in _sparse_product([brackets[i] for i in order]).items():
+                        vec[w] = vec.get(w, 0) + c
+                vectors.append({w: c for w, c in vec.items() if c})
+        out[lam] = vectors
+    return out
+
+
+def solve_lie_idempotents(k):
+    """The graded projector family by an exact solve.
+
+    Decomposes e_1 x .. x e_k inside the k!-dimensional span of the
+    permutation words, in the multilinear parts of the graded bases (symmetrized
+    products of Lyndon brackets); the component in each graded piece, read
+    through the slot action, is that piece's projector.
+    """
+    basis = _multilinear_w_basis(k)
+    perm_words = [perm_to_word(p) for p in all_permutations(k)]
+    word_index = {w: i for i, w in enumerate(perm_words)}
+    n = len(perm_words)
+    columns = []
+    column_labels = []
+    for lam in partitions(k):
+        for vec in basis[lam]:
+            col = [Fraction(0)] * n
+            for w, c in vec.items():
+                col[word_index[w]] = Fraction(c)
+            columns.append(col)
+            column_labels.append(lam)
+    if len(columns) != n:
+        raise ArithmeticError("multilinear graded bases do not fill the weight space")
+    matrix = [[columns[j][i] for j in range(n)] for i in range(n)]
+    iota = tuple(range(1, k + 1))
+    rhs = [Fraction(1) if w == iota else Fraction(0) for w in perm_words]
+    coords = linalg.solve(matrix, rhs)
+    if coords is None:
+        raise ArithmeticError("projector solve is inconsistent")
+    out = {}
+    for lam in partitions(k):
+        component = [Fraction(0)] * n
+        for j, label in enumerate(column_labels):
+            if label == lam and coords[j] != 0:
+                col = columns[j]
+                for i in range(n):
+                    component[i] += coords[j] * col[i]
+        # component = projection of e_iota; the slot action sends e_iota to
+        # e_{word(sigma^{-1})}, so the coefficient of sigma sits at that word
+        terms = {}
+        for i, w in enumerate(perm_words):
+            if component[i] != 0:
+                terms[inverse(word_to_perm(w))] = component[i]
+        out[lam] = GroupAlgebraElement(k, terms)
+    return out
+
+
+def column_first_young_symmetrizer(tableau):
+    """Signed column sum times row sum, by the double sum over both groups."""
+    k = tableau.size
+    rows = [tuple(r) for r in tableau.rows]
+    cols = [tableau.column(j) for j in range(tableau.shape[0])]
+    terms = {}
+    for s in _subgroup_fixing(cols, k):
+        for t in _subgroup_fixing(rows, k):
+            st = compose(s, t)
+            terms[st] = terms.get(st, Fraction(0)) + sign(s)
+    return GroupAlgebraElement(k, terms)

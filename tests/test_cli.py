@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 
+import pytest
 
 from thrallkit.cli import main
 from thrallkit.jsonio import path_to_json, tensor_to_json
@@ -190,10 +191,12 @@ def test_deterministic_output(capsys):
     assert inv1 == inv2
 
 
-def test_threaded_suite_matches_serial(capsys):
-    _, serial, _ = run(capsys, "paper-suite")
-    _, threaded, _ = run(capsys, "--threads", "4", "paper-suite")
-    assert serial == threaded
+def test_threads_option_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", "4", "paper-suite"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error" in captured.err
 
 
 def test_partition_weight_mismatch_exits_2(capsys):
