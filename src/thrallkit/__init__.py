@@ -51,6 +51,7 @@ from .rank_variety import (
     symmetric_level_implies_segment,
 )
 from .shuffle_sig import (
+    SIGNATURE_ENTRIES_MAX,
     PiecewiseLinearPath,
     WordFunctional,
     is_group_like,

@@ -5,6 +5,13 @@ The standard bracketing of a Lyndon word ``w`` of length >= 2 splits
 ``w = u v`` with ``v`` the lexicographically smallest proper suffix (the
 classical right factorization; ``u`` and ``v`` are then Lyndon) and maps
 ``w`` to ``[b(u), b(v)]``.
+
+The truncated exponential and logarithm share one kernel,
+:func:`_power_series`: it evaluates sum_n c_n X^n (c_n = 1/n! or
+(-1)^(n+1)/n) in Horner form on flat lists of integer numerators, one
+denominator per level, and builds Fractions only for the output levels.
+:func:`thrallkit.shuffle_sig.log_signature` feeds it the integer levels of
+the Chen update directly.
 """
 
 from __future__ import annotations
@@ -20,7 +27,6 @@ from . import linalg
 from .tensors import (
     Tensor,
     TensorSeries,
-    series_product,
     tensor_product,
     weight_blocks,
 )
@@ -121,29 +127,99 @@ class LieElement:
 # truncated exponential and logarithm
 
 
+def _power_series(
+    d: int, nums: list[list[int]], dens: list[int], coeffs: list[Fraction]
+) -> TensorSeries:
+    """The truncated power series sum_{n=0..K} coeffs[n] X^n on integer numerators.
+
+    ``X`` has zero level 0 and, for ``a = 1..K``, level ``a`` equal to
+    ``nums[a] / dens[a]`` (flat numerators; index 0 is ignored).  With ``S``
+    the lcm of the coefficient denominators and ``s_n = S coeffs[n]``, the
+    sum is ``R_0 / S`` for the Horner recursion ``R_K = s_K``, ``R_j = s_j +
+    X (x) R_(j+1)``, where ``R_j`` is only needed up to level ``K - j``.
+    Level ``m`` of every ``R_j`` is held as integer numerators over
+    ``D_m = lcm_a D_(m-a) dens[a]`` (``D_0 = 1``), so each term ``X_a (x)
+    R_(m-a)`` is an integer outer product once ``X_a`` is scaled by ``D_m /
+    (D_(m-a) dens[a])``; Fractions are built once, for the output levels.
+    """
+    k_max = len(coeffs) - 1
+    scale, weights = linalg.integer_numerators(coeffs)
+    # D_m of the docstring
+    level_dens = [1]
+    for m in range(1, k_max + 1):
+        level_dens.append(
+            math.lcm(*(level_dens[m - a] * dens[a] for a in range(1, m + 1)))
+        )
+    nonzero = [a for a in range(1, k_max + 1) if any(nums[a])]
+    # scaled[m] lists (a, X_a scaled into D_m) for the nonzero levels a <= m
+    scaled: list[list[tuple[int, list[int]]]] = [[]]
+    for m in range(1, k_max + 1):
+        row = []
+        for a in nonzero:
+            if a > m:
+                break
+            f = level_dens[m] // (level_dens[m - a] * dens[a])
+            row.append((a, nums[a] if f == 1 else [f * x for x in nums[a]]))
+        scaled.append(row)
+    r = [[weights[k_max]]]
+    for j in range(k_max - 1, -1, -1):
+        nxt = [[weights[j]]]
+        for m in range(1, k_max - j + 1):
+            acc = None
+            for a, xa in scaled[m]:
+                term = [x * y for x in xa for y in r[m - a]]
+                acc = term if acc is None else list(map(operator.add, acc, term))
+            nxt.append(acc or [0] * d**m)
+        r = nxt
+    levels = []
+    for m, level in enumerate(r):
+        den = scale * level_dens[m]
+        levels.append(
+            Tensor(d, m, tuple(Fraction(n, den) if n else _ZERO for n in level))
+        )
+    return TensorSeries(d, tuple(levels))
+
+
+def _numerators(series: TensorSeries) -> tuple[list[list[int]], list[int]]:
+    """Each level as integer numerators over its own lcm denominator."""
+    nums, dens = [], []
+    for level in series.levels:
+        den, values = linalg.integer_numerators(level.entries)
+        nums.append(values)
+        dens.append(den)
+    return nums, dens
+
+
+def _log_series(d: int, nums: list[list[int]], dens: list[int]) -> TensorSeries:
+    """log(1 + X) = sum_{n>=1} (-1)^(n+1) X^n / n, for X as in :func:`_power_series`."""
+    coeffs = [_ZERO] + [Fraction((-1) ** (n + 1), n) for n in range(1, len(nums))]
+    return _power_series(d, nums, dens, coeffs)
+
+
 def exp_truncated(series: TensorSeries) -> TensorSeries:
-    """Truncated tensor exponential; input must have zero level 0."""
+    """Truncated tensor exponential; input must have zero level 0.
+
+    Evaluates sum_n X^n / n! with the integer-numerator Horner kernel
+    :func:`_power_series`: each level of ``X`` is scaled to integers over
+    its lcm denominator, and Fractions are built once, for the output.
+    """
     if not series.level(0).is_zero():
         raise ValueError("exp requires level 0 equal to 0")
-    result = TensorSeries.unit(series.d, series.k_max)
-    power = TensorSeries.unit(series.d, series.k_max)
-    for n in range(1, series.k_max + 1):
-        power = series_product(power, series)
-        result = result + power.scale(Fraction(1, math.factorial(n)))
-    return result
+    coeffs = [Fraction(1, math.factorial(n)) for n in range(series.k_max + 1)]
+    return _power_series(series.d, *_numerators(series), coeffs)
 
 
 def log_truncated(series: TensorSeries) -> TensorSeries:
-    """Truncated tensor logarithm; input must have level 0 equal to 1."""
+    """Truncated tensor logarithm; input must have level 0 equal to 1.
+
+    Evaluates sum_n (-1)^(n+1) (S - 1)^n / n with the integer-numerator
+    Horner kernel :func:`_power_series` (levels of ``S - 1`` scaled to
+    integers over their lcm denominators; Fractions built once, for the
+    output).
+    """
     if series.level(0) != Tensor.scalar(series.d, 1):
         raise ValueError("log requires level 0 equal to 1")
-    shifted = series - TensorSeries.unit(series.d, series.k_max)
-    result = TensorSeries.zero(series.d, series.k_max)
-    power = TensorSeries.unit(series.d, series.k_max)
-    for n in range(1, series.k_max + 1):
-        power = series_product(power, shifted)
-        result = result + power.scale(Fraction((-1) ** (n + 1), n))
-    return result
+    return _log_series(series.d, *_numerators(series))
 
 
 def phi_k(element: LieElement, k: int) -> Tensor:

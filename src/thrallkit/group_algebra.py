@@ -43,7 +43,7 @@ _ZERO = Fraction(0)
 
 
 class ResourceLimitError(RuntimeError):
-    """Raised when a computation exceeds the configured degree cap."""
+    """Raised when a computation exceeds a fixed degree or size cap."""
 
 
 @dataclass(frozen=True)

@@ -168,7 +168,10 @@ def fls_check(path: PiecewiseLinearPath, k_max: int) -> FlsReport:
     (a) the log-signature vanishes in degrees 2..k_max, (b) all signature
     levels are symmetric, (c) all signature levels have rank at most one.
     The three must coincide on genuine paths with nonzero total increment.
+    Raises ``ValueError`` for ``k_max < 1``, where there is no level 1.
     """
+    if k_max < 1:
+        raise ValueError("the straight-line criteria need k_max >= 1")
     sig = signature(path, k_max)
     if sig.level(1).is_zero():
         raise ValueError("outside the hypothesis: total increment is zero")

@@ -9,7 +9,9 @@ multiplies the series (Chen's identity).
 time, on integer numerators: with ``q`` the lcm of all vertex-coordinate
 denominators, level ``m`` is kept as numerators over the fixed denominator
 ``m! q^m``, so every update is integer arithmetic and rationals are formed
-once, at the end.
+once, at the end.  :func:`log_signature` passes those integer levels
+straight to the integer log kernel of :mod:`thrallkit.free_lie`.  Both are
+capped at :data:`SIGNATURE_ENTRIES_MAX` entries over all levels.
 """
 
 from __future__ import annotations
@@ -19,9 +21,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 
-from .free_lie import log_truncated
+from .free_lie import _log_series
+from .group_algebra import ResourceLimitError
 from .tensors import Tensor, TensorSeries
 from .words import Word, all_words, word_to_index
+
+# Cap on the entries of a truncated signature, 1 + d + .. + d^k_max, so that
+# every level fits in memory: d=2 to level 16, d=3 to level 10 and d=4 to
+# level 8 pass; d=9 to level 6 does not.
+SIGNATURE_ENTRIES_MAX = 200_000
 
 
 @dataclass(frozen=True)
@@ -221,23 +229,21 @@ class PiecewiseLinearPath:
         return True
 
 
-def signature(path: PiecewiseLinearPath, k_max: int) -> TensorSeries:
-    """Signature series of a piecewise-linear path, truncated at k_max.
-
-    Chen's identity in place: each segment with nonzero increment ``v``
-    updates ``S <- S (x) exp(v)``.  With ``q`` the lcm of the vertex
-    denominators, level ``m`` is held as a flat list of integer numerators
-    ``N_m`` over the fixed denominator ``m! q^m`` and, for ``u = q v``,
-
-        N_m <- sum_{i=0..m} binomial(m, i) N_i (x) u^(x)(m - i),
-
-    evaluated top level first (so the lower levels read are still the old
-    ones) in Horner form: ``acc = N_0``, then ``acc = acc (x) u +
-    binomial(m, j) N_j`` for ``j = 1..m``.
-    """
+def _chen_numerators(path: PiecewiseLinearPath, k_max: int):
+    """The signature levels as numerators ``N_m`` and their denominators
+    ``m! q^m``; see :func:`signature`."""
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     d = path.d
+    entries, size = 0, 1
+    for _ in range(k_max + 1):
+        entries += size
+        if entries > SIGNATURE_ENTRIES_MAX:
+            raise ResourceLimitError(
+                f"signature of d={d} to level {k_max} exceeds the cap of "
+                f"{SIGNATURE_ENTRIES_MAX} entries over all levels"
+            )
+        size *= d
     q = math.lcm(*(x.denominator for p in path.points for x in p))
     nums = [[1]] + [[0] * d**m for m in range(1, k_max + 1)]
     for inc in path.increments():
@@ -251,16 +257,44 @@ def signature(path: PiecewiseLinearPath, k_max: int) -> TensorSeries:
                 # the entry of acc (x) u at word (p, letter) sits at index p * d + letter
                 acc = [a * x + c * next(lower) for a in acc for x in u]
             nums[m] = acc
-    levels = []
-    for m, level in enumerate(nums):
-        den = math.factorial(m) * q**m
-        levels.append(Tensor(d, m, tuple(Fraction(n, den) for n in level)))
-    return TensorSeries(d, tuple(levels))
+    return nums, [math.factorial(m) * q**m for m in range(k_max + 1)]
+
+
+def signature(path: PiecewiseLinearPath, k_max: int) -> TensorSeries:
+    """Signature series of a piecewise-linear path, truncated at k_max.
+
+    Chen's identity in place: each segment with nonzero increment ``v``
+    updates ``S <- S (x) exp(v)``.  With ``q`` the lcm of the vertex
+    denominators, level ``m`` is held as a flat list of integer numerators
+    ``N_m`` over the fixed denominator ``m! q^m`` and, for ``u = q v``,
+
+        N_m <- sum_{i=0..m} binomial(m, i) N_i (x) u^(x)(m - i),
+
+    evaluated top level first (so the lower levels read are still the old
+    ones) in Horner form: ``acc = N_0``, then ``acc = acc (x) u +
+    binomial(m, j) N_j`` for ``j = 1..m``.
+
+    Raises :class:`ResourceLimitError`, before allocating any level, when
+    the series would hold more than :data:`SIGNATURE_ENTRIES_MAX` entries
+    (``1 + d + .. + d^k_max``).
+    """
+    nums, dens = _chen_numerators(path, k_max)
+    levels = [
+        Tensor(path.d, m, tuple(Fraction(n, den) for n in level))
+        for m, (level, den) in enumerate(zip(nums, dens))
+    ]
+    return TensorSeries(path.d, tuple(levels))
 
 
 def log_signature(path: PiecewiseLinearPath, k_max: int) -> TensorSeries:
-    """Truncated logarithm of the signature; levels are Lie elements."""
-    return log_truncated(signature(path, k_max))
+    """Truncated logarithm of the signature; levels are Lie elements.
+
+    The integer levels of the Chen update (numerators over ``m! q^m``, see
+    :func:`signature`) go straight into the integer Horner kernel of
+    :func:`thrallkit.free_lie.log_truncated`; no Fraction signature is
+    built.  Same size cap as :func:`signature`.
+    """
+    return _log_series(path.d, *_chen_numerators(path, k_max))
 
 
 def levy_area(series: TensorSeries) -> Fraction:

@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's own computational paths: signatures
 come from direct polynomial integration, matrix rank from minors, Lyndon
-coordinates from a dense exact solve, row reduction from Gauss-Jordan
+coordinates from a dense exact solve, the truncated exp and log from
+Fraction series-product power sums, row reduction from Gauss-Jordan
 elimination over Fractions, the slot action from a dense sum of scattered
 tensors, the graded decomposition from one dense solve, the graded projector
 family from an exact solve in the multilinear Lyndon-bracket bases and the
@@ -11,6 +12,7 @@ implementations are checked against genuinely different arithmetic.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 from thrallkit import linalg
@@ -25,7 +27,7 @@ from thrallkit.permutations import (
     word_to_perm,
 )
 from thrallkit.shuffle_sig import PiecewiseLinearPath
-from thrallkit.tensors import Tensor, TensorSeries
+from thrallkit.tensors import Tensor, TensorSeries, series_product
 from thrallkit.words import all_words, index_to_word, lyndon_words, partitions, word_to_index
 
 
@@ -63,6 +65,31 @@ def integration_oracle(path: PiecewiseLinearPath, k_max: int) -> TensorSeries:
     }
     levels[0] = Tensor.scalar(path.d, 1)
     return TensorSeries.from_levels(path.d, k_max, levels)
+
+
+def series_exp(series: TensorSeries) -> TensorSeries:
+    """Truncated exponential as the Fraction power sum of series products."""
+    if not series.level(0).is_zero():
+        raise ValueError("exp requires level 0 equal to 0")
+    result = TensorSeries.unit(series.d, series.k_max)
+    power = TensorSeries.unit(series.d, series.k_max)
+    for n in range(1, series.k_max + 1):
+        power = series_product(power, series)
+        result = result + power.scale(Fraction(1, math.factorial(n)))
+    return result
+
+
+def series_log(series: TensorSeries) -> TensorSeries:
+    """Truncated logarithm as the Fraction power sum of series products."""
+    if series.level(0) != Tensor.scalar(series.d, 1):
+        raise ValueError("log requires level 0 equal to 1")
+    shifted = series - TensorSeries.unit(series.d, series.k_max)
+    result = TensorSeries.zero(series.d, series.k_max)
+    power = TensorSeries.unit(series.d, series.k_max)
+    for n in range(1, series.k_max + 1):
+        power = series_product(power, shifted)
+        result = result + power.scale(Fraction((-1) ** (n + 1), n))
+    return result
 
 
 def dense_lie_coordinates(tensor: Tensor):

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -161,10 +162,25 @@ def test_alphabets_beyond_nine_letters_exit_2(tmp_path, capsys):
     assert code == 2 and out == "" and "path.d" in err
 
 
-def test_resource_guard_exits_3(capsys):
+def test_resource_guard_exits_3(tmp_path, capsys):
     code, _, err = run(capsys, "idempotent", "--k", "6", "--partition", "6")
     assert code == 3
     assert "resource guard" in err
+    wide = PiecewiseLinearPath.from_lists([[0] * 9, list(range(9))])
+    file = tmp_path / "wide.json"
+    file.write_text(json.dumps(path_to_json(wide)))
+    for argv in (["signature", "--path", str(file), "--level", "12"],
+                 ["signature", "--path", str(file), "--level", "12", "--log"],
+                 ["check", "fls", "--input", str(file), "--level", "12"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "" and "resource guard" in err
+
+
+def test_fls_level_below_one_exits_2(tmp_path, capsys):
+    file = tmp_path / "seg.json"
+    file.write_text(json.dumps(path_to_json(PiecewiseLinearPath.from_lists([[0, 0], [2, 1]]))))
+    code, out, err = run(capsys, "check", "fls", "--input", str(file), "--level", "0")
+    assert code == 2 and out == "" and "k_max >= 1" in err
 
 
 def test_hdet_pullback_command(capsys):
@@ -226,3 +242,26 @@ def test_decompose_guard_and_solve_fallback(tmp_path, capsys):
     payload = json.loads(out)
     nonzero = [lam for lam, part in payload.items() if part["entries"]]
     assert nonzero == ["6"]
+
+
+DATA = Path(__file__).parent / "data"
+# Stdout recorded from the Fraction series-product implementation of exp/log.
+GOLDEN = [
+    (["signature", "--path", "path_d2_integer.json", "--level", "6", "--log"],
+     "signature_log_d2_integer_level6.out", 0),
+    (["signature", "--path", "path_d3_fractional.json", "--level", "5", "--log"],
+     "signature_log_d3_fractional_level5.out", 0),
+    (["check", "fls", "--input", "path_collinear.json", "--level", "5"],
+     "check_fls_collinear_level5.out", 0),
+    (["check", "fls", "--input", "path_bent.json", "--level", "5"],
+     "check_fls_bent_level5.out", 1),
+    (["paper-suite"], "paper_suite.out", 0),
+]
+
+
+@pytest.mark.parametrize("argv,golden,exit_code", GOLDEN, ids=[g for _, g, _ in GOLDEN])
+def test_stdout_matches_golden_bytes(capsys, argv, golden, exit_code):
+    argv = [str(DATA / a) if a.endswith(".json") else a for a in argv]
+    code, out, _ = run(capsys, *argv)
+    assert code == exit_code
+    assert out.encode() == (DATA / golden).read_bytes()

@@ -3,6 +3,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thrallkit import linalg
 from thrallkit.free_lie import (
@@ -33,7 +35,7 @@ from thrallkit.tensors import (
 )
 from thrallkit.words import lie_dim, lyndon_words, multichoose, partitions
 
-from oracles import dense_lie_coordinates, dense_solve_decompose
+from oracles import dense_lie_coordinates, dense_solve_decompose, series_exp, series_log
 
 # Shapes (d, k) on which the Lyndon fast paths are cross-checked.
 LYNDON_SHAPES = [(3, 5), (2, 6), (4, 4)]
@@ -117,6 +119,71 @@ def test_log_of_two_segment_product_level2():
     sig = series_product(exp_truncated(e1), exp_truncated(e2))
     log = log_truncated(sig)
     assert log.level(2) == lyndon_bracketing((1, 2), 2).scale(Fraction(1, 2))
+
+
+@st.composite
+def truncated_series(draw):
+    """Series with d 1..4, k_max 0..6 (at most 1024 top-level entries),
+    level 0 in {0, 1, other}, and each higher level zero, sparse or dense
+    with entries over mixed denominators."""
+    d = draw(st.integers(1, 4))
+    k_max = draw(st.integers(0, 6).filter(lambda k: d**k <= 1024))
+    dens = draw(st.lists(st.sampled_from([1, 2, 3, 4, 5, 7, 9, 12]), min_size=1, max_size=3))
+    rng = Random(draw(st.integers(0, 2**32)))
+    levels = [Tensor.scalar(d, draw(st.sampled_from([0, 1, Fraction(1, 2), -1])))]
+    for k in range(1, k_max + 1):
+        kind = draw(st.sampled_from(["zero", "sparse", "dense"]))
+        entries = [Fraction(0)] * d**k
+        if kind != "zero":
+            share = 0.15 if kind == "sparse" else 1.0
+            for i in range(d**k):
+                if rng.random() < share:
+                    entries[i] = Fraction(rng.randint(-6, 6), rng.choice(dens))
+        levels.append(Tensor(d, k, tuple(entries)))
+    return TensorSeries(d, tuple(levels))
+
+
+def _with_level0(series, value):
+    return TensorSeries(series.d, (Tensor.scalar(series.d, value),) + series.levels[1:])
+
+
+@settings(deadline=None, max_examples=80)
+@given(truncated_series())
+def test_exp_log_kernel_matches_series_product_oracle(series):
+    # the level-0 ValueErrors are the oracle's: exp needs 0, log needs 1
+    level0 = series.level(0).entries[0]
+    if level0 == 0:
+        assert exp_truncated(series) == series_exp(series)
+    else:
+        for f in (exp_truncated, series_exp):
+            with pytest.raises(ValueError, match="level 0 equal to 0"):
+                f(series)
+    if level0 == 1:
+        # random levels are generally not group-like
+        assert log_truncated(series) == series_log(series)
+    else:
+        for f in (log_truncated, series_log):
+            with pytest.raises(ValueError, match="level 0 equal to 1"):
+                f(series)
+
+
+@settings(deadline=None, max_examples=40)
+@given(truncated_series())
+def test_exp_log_roundtrips(series):
+    x = _with_level0(series, 0)
+    assert log_truncated(exp_truncated(x)) == x
+    s = _with_level0(series, 1)
+    assert exp_truncated(log_truncated(s)) == s
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(1, 3), st.integers(1, 5), st.integers(0, 2**32))
+def test_phi_k_is_sum_of_f_lambda(d, k, seed):
+    element = random_lie_element(d, k, Random(seed))
+    total = Tensor.zero(d, k)
+    for lam in partitions(k):
+        total = total + f_lambda(element, lam)
+    assert phi_k(element, k) == total
 
 
 def test_phi_k_examples():

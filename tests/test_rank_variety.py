@@ -157,6 +157,9 @@ def test_fls_on_model_paths():
     closed = PiecewiseLinearPath.from_lists([[0, 0], [1, 0], [0, 0]])
     with pytest.raises(ValueError):
         fls_check(closed, 3)
+    for level in (0, -1):
+        with pytest.raises(ValueError, match="k_max >= 1"):
+            fls_check(segment, level)
 
 
 def test_fls_zero_level2_but_nonsegment():

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thrallkit import shuffle_sig
 from thrallkit.free_lie import exp_truncated, is_lie_element, random_lie_element
-from thrallkit.group_algebra import higher_lie_idempotent
+from thrallkit.group_algebra import ResourceLimitError, higher_lie_idempotent
 from thrallkit.invariants import random_unimodular_matrix
+from thrallkit.rank_variety import fls_check
 from thrallkit.shuffle_sig import (
     PiecewiseLinearPath,
     WordFunctional,
@@ -26,7 +28,7 @@ from thrallkit.tensors import Tensor, TensorSeries, series_product
 from thrallkit.words import all_words
 
 
-from oracles import group_like_oracle, integration_oracle, shuffle_oracle
+from oracles import group_like_oracle, integration_oracle, series_log, shuffle_oracle
 
 
 word_strategy = st.lists(st.integers(1, 3), min_size=0, max_size=4).map(tuple)
@@ -157,9 +159,26 @@ def test_signature_matches_integration_oracle_edge_cases():
     ]
     for points, k_max in cases:
         path = PiecewiseLinearPath.from_lists(points)
-        assert signature(path, k_max) == integration_oracle(path, k_max)
-    with pytest.raises(ValueError):
-        signature(PiecewiseLinearPath.from_lists([[0, 0], [1, 1]]), -1)
+        expected = integration_oracle(path, k_max)
+        assert signature(path, k_max) == expected
+        assert log_signature(path, k_max) == series_log(expected)
+    for f in (signature, log_signature):
+        with pytest.raises(ValueError):
+            f(PiecewiseLinearPath.from_lists([[0, 0], [1, 1]]), -1)
+
+
+def test_signature_size_cap(monkeypatch):
+    wide = PiecewiseLinearPath.from_lists([[0] * 9, list(range(9))])
+    for f in (signature, log_signature, fls_check):
+        with pytest.raises(ResourceLimitError, match="entries"):
+            f(wide, 12)
+    # the cap counts 1 + d + .. + d^k_max entries, inclusive
+    monkeypatch.setattr(shuffle_sig, "SIGNATURE_ENTRIES_MAX", 7)
+    stair = PiecewiseLinearPath.from_lists([[0, 0], [1, 0], [1, 1]])
+    assert signature(stair, 2) == integration_oracle(stair, 2)
+    for f in (signature, log_signature):
+        with pytest.raises(ResourceLimitError):
+            f(stair, 3)
 
 
 def test_signature_trivial_cases():
