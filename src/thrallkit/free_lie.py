@@ -24,12 +24,8 @@ from fractions import Fraction
 from functools import cache
 
 from . import linalg
-from .tensors import (
-    Tensor,
-    TensorSeries,
-    tensor_product,
-    weight_blocks,
-)
+from .group_algebra import K_MAX, ResourceLimitError, _projector_blocks
+from .tensors import Tensor, TensorSeries, permute_slots, tensor_product, weight_blocks
 from .words import (
     Partition,
     Word,
@@ -38,6 +34,7 @@ from .words import (
     lyndon_words,
     multiplicity_profile,
     partitions,
+    word_to_index,
 )
 
 
@@ -108,12 +105,15 @@ class LieElement:
         object.__setattr__(self, "coeffs", cleaned)
 
     def level(self, k: int) -> Tensor:
-        """The degree-k homogeneous part, expanded as a dense tensor."""
-        acc = Tensor.zero(self.d, k)
-        for word, c in self.coeffs.items():
-            if len(word) == k:
-                acc = acc + lyndon_bracketing(word, self.d).scale(c)
-        return acc
+        """The degree-k homogeneous part, expanded as a dense tensor: the bracket
+        expansions summed on integer numerators over one denominator."""
+        words = [w for w in self.coeffs if len(w) == k]
+        den, nums = linalg.integer_numerators(self.coeffs[w] for w in words)
+        acc = [0] * self.d**k
+        for word, n in zip(words, nums):
+            for w, e in bracket_expansion(word).items():
+                acc[word_to_index(w, self.d)] += n * e
+        return Tensor(self.d, k, tuple(Fraction(a, den) if a else _ZERO for a in acc))
 
     def to_series(self, k_max: int | None = None) -> TensorSeries:
         """Embed into the tensor algebra (level 0 is zero)."""
@@ -354,31 +354,42 @@ def _solve_decompose(tensor: Tensor) -> dict[Partition, Tensor]:
     return {lam: Tensor(d, k, tuple(entries)) for lam, entries in out.items()}
 
 
+def _idempotent_decompose(tensor: Tensor) -> dict[Partition, Tensor]:
+    """Integer mat-vec products with the cached projector blocks, one per weight block."""
+    d, k = tensor.d, tensor.k
+    tden, values = linalg.integer_numerators(tensor.entries)
+    out = {}
+    for lam, den, groups in _projector_blocks(d, k):
+        den *= tden
+        entries = [_ZERO] * len(values)
+        for rows, blocks in groups.values():
+            for block in blocks:
+                local = [values[i] for i in block]
+                if not any(local):
+                    continue
+                for i, row in zip(block, rows):
+                    v = sum(map(operator.mul, row, local))
+                    if v:
+                        entries[i] = Fraction(v, den)
+        out[lam] = Tensor(d, k, tuple(entries))
+    return out
+
+
 def thrall_decompose(tensor: Tensor, method: str = "auto") -> dict[Partition, Tensor]:
     """Split a tensor into its graded components, one per partition of k.
 
-    Two independent backends: ``"solve"`` expresses the tensor in the
-    concatenated graded bases, one weight block at a time, through inverses
-    cached per (d, k), so a warm call is a block matrix-vector product and a
-    recombination of basis vectors; ``"idempotent"`` applies the projector
-    family from :mod:`thrallkit.group_algebra` (subject to its degree cap).
-    ``"auto"`` prefers the idempotent route when available.
+    Two independent backends, each a warm block matrix-vector product on
+    integer matrices cached per (d, k): ``"solve"`` expresses the tensor in
+    the concatenated graded bases through the blocks' inverses and
+    recombines basis vectors; ``"idempotent"`` applies the block matrices of
+    the projector family from :mod:`thrallkit.group_algebra` (subject to its
+    degree cap).  ``"auto"`` prefers the idempotent route when available.
     """
     if method not in ("auto", "solve", "idempotent"):
         raise ValueError(f"unknown method {method!r}")
     if method in ("auto", "idempotent"):
-        from .group_algebra import (
-            K_MAX,
-            ResourceLimitError,
-            ga_act,
-            higher_lie_idempotent,
-        )
-
         if tensor.k <= K_MAX:
-            return {
-                lam: ga_act(higher_lie_idempotent(lam), tensor)
-                for lam in partitions(tensor.k)
-            }
+            return _idempotent_decompose(tensor)
         if method == "idempotent":
             raise ResourceLimitError(
                 f"idempotent decomposition capped at k <= {K_MAX}"
@@ -387,34 +398,19 @@ def thrall_decompose(tensor: Tensor, method: str = "auto") -> dict[Partition, Te
 
 
 def left_to_right_bracketing(tensor: Tensor) -> Tensor:
-    """Replace each word w_1 .. w_k by [[..[e_{w_1}, e_{w_2}], ..], e_{w_k}]."""
+    """Replace each word w_1 .. w_k by [[..[e_{w_1}, e_{w_2}], ..], e_{w_k}].
+
+    Step j brackets slot j+1 onto slots 1..j: [x, v] = x (x) v - v (x) x
+    subtracts the tensor with slot j+1 moved in front of slots 1..j, which
+    is ``permute_slots`` by the cycle (1 2 .. j+1) read on places 0..j.
+    """
     if tensor.k < 1:
         raise ValueError("needs order >= 1")
-    if tensor.k == 1:
-        return tensor
-    # iteratively bracket slot j+1 onto the accumulated left part:
-    # [x, v] = x (x) v - v (x) x, realized as a slot shuffle
     result = tensor
     for j in range(1, tensor.k):
-        # commutator in slots (1..j) vs slot j+1, applied to all trailing slots
-        swapped = _swap_block(result, j)
-        result = result - swapped
+        sigma = tuple((i + 1) % (j + 1) if i <= j else i for i in range(tensor.k))
+        result = result - permute_slots(result, sigma)
     return result
-
-
-def _swap_block(tensor: Tensor, j: int) -> Tensor:
-    """Move slot j+1 in front of slots 1..j (cyclic shift on the first j+1 slots)."""
-    from .tensors import permute_slots
-
-    k = tensor.k
-    # sigma sends slot j+1 to front: built as the cycle (1 2 .. j+1) read on
-    # positions 0..j, identity elsewhere.
-    sigma = list(range(k))
-    for i in range(j + 1):
-        sigma[i] = (i + 1) % (j + 1)
-    # permute_slots uses entry rule T'[w] = T[w o sigma]; this sigma realizes
-    # the required slot shuffle for the bracketing recursion.
-    return permute_slots(tensor, tuple(sigma))
 
 
 def is_lie_element(tensor: Tensor) -> bool:

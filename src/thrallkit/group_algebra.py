@@ -31,7 +31,7 @@ from .permutations import (
     word_to_perm,
 )
 from .tensors import Tensor, gather_map, weight_blocks
-from .words import Partition, Word, YoungTableau, check_partition, partitions
+from .words import Partition, Word, YoungTableau, check_partition, index_to_word, partitions
 
 # Degree cap for the projector family; reproduction of the published values
 # needs k <= 4.  The closed form has k! terms per projector; lifting the cap
@@ -151,14 +151,62 @@ def ga_act(x: GroupAlgebraElement, tensor: Tensor) -> Tensor:
     return Tensor(d, k, tuple(Fraction(a, den) if a else _ZERO for a in acc))
 
 
+@functools.cache
+def _block_gather(counts: tuple[int, ...]) -> dict[Perm, tuple[int, ...]]:
+    """For each sigma, the place of ``u o sigma`` for each word ``u`` with
+    these letter counts, the words in lex order."""
+    letters = [a for a, c in enumerate(counts) for _ in range(c)]
+    words = sorted(set(itertools.permutations(letters)))
+    place = {w: t for t, w in enumerate(words)}
+    # permutations(u) lists u o sigma in the order of all_permutations
+    images = [[place[v] for v in itertools.permutations(u)] for u in words]
+    return dict(zip(all_permutations(len(letters)), zip(*images)))
+
+
+def _block_operator(x: GroupAlgebraElement, d: int):
+    """``(den, groups)``: the integer matrices of ``ga_act(x, .)`` over ``den``.
+
+    ``groups`` maps the letter counts of a weight block, in letter order, to
+    ``(rows, blocks)``; row ``t`` holds ``x_sigma`` at the place of ``u o
+    sigma`` for ``u`` the block's ``t``-th word.  Relabelling the letters in
+    order keeps the word order and commutes with ``u -> u o sigma``, so the
+    blocks with the same counts share one matrix.
+    """
+    den, coeffs = linalg.integer_numerators(x.terms.values())
+    groups: dict[tuple[int, ...], tuple[tuple, list]] = {}
+    for block in weight_blocks(d, x.k):
+        first = index_to_word(block[0], d, x.k)
+        counts = tuple(len(list(run)) for _, run in itertools.groupby(first))
+        if counts not in groups:
+            rows = [[0] * len(block) for _ in block]
+            for perm, c in zip(x.terms, coeffs):
+                for row, j in zip(rows, _block_gather(counts)[perm]):
+                    row[j] += c
+            groups[counts] = (tuple(map(tuple, rows)), [])
+        groups[counts][1].append(block)
+    return den, groups
+
+
+@functools.cache
+def _projector_blocks(d: int, k: int):
+    """``(lam, *_block_operator(E_lam, d))`` for each partition lam of k."""
+    return tuple((lam, *_block_operator(higher_lie_idempotent(lam), d)) for lam in partitions(k))
+
+
 def operator_image(x: GroupAlgebraElement, d: int) -> list[Tensor]:
-    """Images of all basis tensors under ``ga_act(x, .)`` (spanning the image)."""
-    out = []
-    for word in itertools.product(range(1, d + 1), repeat=x.k):
-        img = ga_act(x, Tensor.basis(d, word))
-        if not img.is_zero():
-            out.append(img)
-    return out
+    """The nonzero images of the basis tensors under ``ga_act(x, .)``, in word
+    order (they span the image): the nonzero columns of :func:`_block_operator`."""
+    den, groups = _block_operator(x, d)
+    images = {}
+    for rows, blocks in groups.values():
+        for block in blocks:
+            for v, column in zip(block, zip(*rows)):
+                if any(column):
+                    entries = [_ZERO] * d**x.k
+                    for u, c in zip(block, column):
+                        entries[u] = Fraction(c, den)
+                    images[v] = Tensor(d, x.k, tuple(entries))
+    return [images[v] for v in sorted(images)]
 
 
 def operator_rank(x: GroupAlgebraElement, d: int) -> int:
@@ -166,23 +214,11 @@ def operator_rank(x: GroupAlgebraElement, d: int) -> int:
 
     The slot action keeps letter content, so the operator is block-diagonal
     on the weight blocks; its rank is the sum of the ranks of the block
-    matrices, built straight from ``x.terms`` through the gather maps
-    (row ``u`` holds ``x_sigma`` at column ``u o sigma``; scaling ``x`` to
-    integer coefficients keeps the rank).
+    matrices of :func:`_block_operator`, one elimination per shared matrix
+    (scaling ``x`` to integer coefficients keeps the rank).
     """
-    _, coeffs = linalg.integer_numerators(x.terms.values())
-    maps = [gather_map(d, x.k, perm) for perm in x.terms]
-    total = 0
-    for block in weight_blocks(d, x.k):
-        position = {i: t for t, i in enumerate(block)}
-        rows = []
-        for u in block:
-            row = [0] * len(block)
-            for c, g in zip(coeffs, maps):
-                row[position[g[u]]] += c
-            rows.append(row)
-        total += linalg.rank(rows)
-    return total
+    _, groups = _block_operator(x, d)
+    return sum(linalg.rank(rows) * len(blocks) for rows, blocks in groups.values())
 
 
 # ---------------------------------------------------------------------------

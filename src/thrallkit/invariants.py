@@ -10,15 +10,16 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from . import linalg
 from .free_lie import LieElement
-from .group_algebra import K_MAX, ResourceLimitError, higher_lie_idempotent
+from .group_algebra import K_MAX, ResourceLimitError, _projector_blocks
 from .permutations import all_permutations, sign
-from .shuffle_sig import WordFunctional, act_on_functional
+from .shuffle_sig import WordFunctional
 from .tensors import Tensor
-from .words import Partition, Word, all_words, partitions, word_to_index
+from .words import Partition, Word, word_to_index
 
 
 def _words_with_counts(counts: dict[int, int]) -> list[Word]:
@@ -96,28 +97,30 @@ def path_invariants(d: int, ell: int) -> dict[Partition, list[WordFunctional]]:
     depend on the lam-graded component, obtained by projecting the invariant
     space with the graded projector family.  The dimension at lam equals the
     multiplicity of the d-by-ell rectangle inside the lam-graded character.
+
+    The invariants live on the balanced weight block (each letter ell times),
+    so each image is an invariant's integer row times that block's cached
+    projector matrix (:mod:`thrallkit.group_algebra`).
     """
     k = d * ell
     if k > K_MAX:
         raise ResourceLimitError(
             f"path invariants via projectors capped at degree {K_MAX}"
         )
-    ambient = sl_invariant_space(d, k)
-    words = all_words(d, k)
+    words = _words_with_counts({letter: ell for letter in range(1, d + 1)})
+    ambient = [
+        linalg.integer_numerators(beta.terms.get(w, 0) for w in words)[1]
+        for beta in sl_invariant_space(d, k)
+    ]
     out: dict[Partition, list[WordFunctional]] = {}
-    for lam in partitions(k):
-        projector = higher_lie_idempotent(lam)
-        images = []
-        for beta in ambient:
-            image = act_on_functional(projector, beta, k)
-            if image.terms:
-                images.append([image.terms.get(w, Fraction(0)) for w in words])
-        basis = linalg.row_space_basis(images) if images else []
+    for lam, _, groups in _projector_blocks(d, k):
+        columns = list(zip(*groups[(ell,) * d][0]))
+        images = [[sum(map(operator.mul, beta, col)) for col in columns] for beta in ambient]
         out[lam] = [
             normalize_functional(
                 WordFunctional(d, {w: v[i] for i, w in enumerate(words) if v[i] != 0})
             )
-            for v in basis
+            for v in linalg.row_space_basis(images)
         ]
     return out
 

@@ -21,10 +21,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 
+from . import linalg
 from .free_lie import _log_series
-from .group_algebra import ResourceLimitError
+from .group_algebra import ResourceLimitError, higher_lie_idempotent
 from .tensors import Tensor, TensorSeries
-from .words import Word, all_words, word_to_index
+from .words import Word, all_words, check_partition, partition_union, word_to_index
 
 # Cap on the entries of a truncated signature, 1 + d + .. + d^k_max, so that
 # every level fits in memory: d=2 to level 16, d=3 to level 10 and d=4 to
@@ -316,22 +317,25 @@ def act_on_functional(x, beta: WordFunctional, k: int) -> WordFunctional:
 
     Since the slot action sends the basis tensor at word u to the one at
     u o sigma^{-1}, the coefficient of beta at word w is scattered to w o sigma.
+    The sums run on integer numerators over one denominator for ``x`` and
+    one for ``beta``, and touch only the support of ``beta``: no index map
+    over all d^k words is built.
     """
-    terms: dict[Word, Fraction] = {}
-    for word in beta.terms:
-        if len(word) != k:
-            raise ValueError("functional is not homogeneous of degree k")
-    for perm, c in x.terms.items():
-        for word, v in beta.terms.items():
-            moved = tuple(word[perm[i]] for i in range(k))
-            terms[moved] = terms.get(moved, Fraction(0)) + c * v
-    return WordFunctional(beta.d, terms)
+    if any(len(word) != k for word in beta.terms):
+        raise ValueError("functional is not homogeneous of degree k")
+    xden, xs = linalg.integer_numerators(x.terms.values())
+    bden, bs = linalg.integer_numerators(beta.terms.values())
+    acc: dict[Word, int] = {}
+    for perm, c in zip(x.terms, xs):
+        for word, v in zip(beta.terms, bs):
+            moved = tuple(map(word.__getitem__, perm))
+            acc[moved] = acc.get(moved, 0) + c * v
+    den = xden * bden
+    return WordFunctional(beta.d, {w: Fraction(a, den) for w, a in acc.items() if a})
 
 
 def functional_in_w_dual(beta: WordFunctional, lam, k: int) -> bool:
     """True iff the degree-k functional only depends on the lam-graded part."""
-    from .group_algebra import higher_lie_idempotent
-
     return act_on_functional(higher_lie_idempotent(lam), beta, k) == beta
 
 
@@ -343,8 +347,6 @@ def shuffle_grading_check(
     Requires beta to be graded by lam and gamma by mu (checked); returns
     whether beta shuffle gamma is graded by the union partition.
     """
-    from .words import check_partition, partition_union
-
     lam, mu = check_partition(lam), check_partition(mu)
 
     def graded(functional: WordFunctional, grade) -> bool:

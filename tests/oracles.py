@@ -7,8 +7,9 @@ Fraction series-product power sums, row reduction from Gauss-Jordan
 elimination over Fractions, the slot action from a dense sum of scattered
 tensors, the graded decomposition from one dense solve, the graded projector
 family from an exact solve in the multilinear Lyndon-bracket bases and the
-column-first Young symmetrizer from its double sum, so the main
-implementations are checked against genuinely different arithmetic.
+column-first Young symmetrizer from its double sum, the dual slot action
+on functionals and the Lie levels from term-by-term Fraction sums, so the
+main implementations are checked against genuinely different arithmetic.
 """
 
 import itertools
@@ -17,7 +18,8 @@ from fractions import Fraction
 
 from thrallkit import linalg
 from thrallkit.free_lie import bracket_expansion, lyndon_bracketing, w_lambda_basis
-from thrallkit.group_algebra import GroupAlgebraElement, _subgroup_fixing
+from thrallkit.group_algebra import GroupAlgebraElement, _subgroup_fixing, higher_lie_idempotent
+from thrallkit.invariants import normalize_functional, sl_invariant_space
 from thrallkit.permutations import (
     all_permutations,
     compose,
@@ -26,7 +28,7 @@ from thrallkit.permutations import (
     sign,
     word_to_perm,
 )
-from thrallkit.shuffle_sig import PiecewiseLinearPath
+from thrallkit.shuffle_sig import PiecewiseLinearPath, WordFunctional
 from thrallkit.tensors import Tensor, TensorSeries, series_product
 from thrallkit.words import all_words, index_to_word, lyndon_words, partitions, word_to_index
 
@@ -402,3 +404,50 @@ def column_first_young_symmetrizer(tableau):
             st = compose(s, t)
             terms[st] = terms.get(st, Fraction(0)) + sign(s)
     return GroupAlgebraElement(k, terms)
+
+
+def fraction_act_on_functional(x, beta: WordFunctional, k: int) -> WordFunctional:
+    """Dual slot action, scattering each term of beta at w to w o sigma with
+    Fraction products, one term at a time."""
+    terms: dict = {}
+    for word in beta.terms:
+        if len(word) != k:
+            raise ValueError("functional is not homogeneous of degree k")
+    for perm, c in x.terms.items():
+        for word, v in beta.terms.items():
+            moved = tuple(word[perm[i]] for i in range(k))
+            terms[moved] = terms.get(moved, Fraction(0)) + c * v
+    return WordFunctional(beta.d, terms)
+
+
+def fraction_path_invariants(d: int, ell: int) -> dict:
+    """Graded invariants by projecting the ambient invariants with
+    :func:`fraction_act_on_functional`, one row per image over all d^k words."""
+    k = d * ell
+    ambient = sl_invariant_space(d, k)
+    words = all_words(d, k)
+    out = {}
+    for lam in partitions(k):
+        projector = higher_lie_idempotent(lam)
+        images = []
+        for beta in ambient:
+            image = fraction_act_on_functional(projector, beta, k)
+            if image.terms:
+                images.append([image.terms.get(w, Fraction(0)) for w in words])
+        basis = linalg.row_space_basis(images) if images else []
+        out[lam] = [
+            normalize_functional(
+                WordFunctional(d, {w: v[i] for i, w in enumerate(words) if v[i] != 0})
+            )
+            for v in basis
+        ]
+    return out
+
+
+def dense_lie_level(element, k: int) -> Tensor:
+    """Degree-k part of a Lie element as a sum of scaled dense bracketings."""
+    acc = Tensor.zero(element.d, k)
+    for word, c in element.coeffs.items():
+        if len(word) == k:
+            acc = acc + lyndon_bracketing(word, element.d).scale(c)
+    return acc

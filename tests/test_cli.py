@@ -245,7 +245,10 @@ def test_decompose_guard_and_solve_fallback(tmp_path, capsys):
 
 
 DATA = Path(__file__).parent / "data"
-# Stdout recorded from the Fraction series-product implementation of exp/log.
+# Stdout recorded from the earlier implementations: the Fraction series-product
+# exp/log for the signature, fls and paper-suite cases, and the per-partition
+# ga_act route with the Fraction dual action for the decompose and invariants
+# cases.
 GOLDEN = [
     (["signature", "--path", "path_d2_integer.json", "--level", "6", "--log"],
      "signature_log_d2_integer_level6.out", 0),
@@ -256,6 +259,10 @@ GOLDEN = [
     (["check", "fls", "--input", "path_bent.json", "--level", "5"],
      "check_fls_bent_level5.out", 1),
     (["paper-suite"], "paper_suite.out", 0),
+    (["decompose", "--tensor", "tensor_d2_k5_fractional.json"],
+     "decompose_d2_k5_fractional.out", 0),
+    (["decompose", "--tensor", "tensor_d3_k4.json"], "decompose_d3_k4.out", 0),
+    (["invariants", "--d", "2", "--ell", "2"], "invariants_d2_ell2.out", 0),
 ]
 
 
@@ -265,3 +272,13 @@ def test_stdout_matches_golden_bytes(capsys, argv, golden, exit_code):
     code, out, _ = run(capsys, *argv)
     assert code == exit_code
     assert out.encode() == (DATA / golden).read_bytes()
+
+
+@pytest.mark.parametrize("method", ["idempotent", "solve"])
+@pytest.mark.parametrize("name", ["d2_k5_fractional", "d3_k4"])
+def test_decompose_methods_match_golden_bytes(capsys, method, name):
+    code, out, _ = run(
+        capsys, "decompose", "--tensor", str(DATA / f"tensor_{name}.json"), "--method", method
+    )
+    assert code == 0
+    assert out.encode() == (DATA / f"decompose_{name}.out").read_bytes()

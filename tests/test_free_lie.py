@@ -23,6 +23,7 @@ from thrallkit.free_lie import (
     thrall_decompose,
     w_lambda_basis,
 )
+from thrallkit.group_algebra import ga_act, higher_lie_idempotent
 from thrallkit.symfun import w_module_dim
 from thrallkit.tensors import (
     Tensor,
@@ -32,10 +33,17 @@ from thrallkit.tensors import (
     series_product,
     symmetrize,
     tensor_product,
+    weight_blocks,
 )
 from thrallkit.words import lie_dim, lyndon_words, multichoose, partitions
 
-from oracles import dense_lie_coordinates, dense_solve_decompose, series_exp, series_log
+from oracles import (
+    dense_lie_coordinates,
+    dense_lie_level,
+    dense_solve_decompose,
+    series_exp,
+    series_log,
+)
 
 # Shapes (d, k) on which the Lyndon fast paths are cross-checked.
 LYNDON_SHAPES = [(3, 5), (2, 6), (4, 4)]
@@ -316,6 +324,38 @@ def test_solve_decompose_matches_dense_solve(d, k):
     }
 
 
+@st.composite
+def decompose_tensors(draw):
+    """Tensors with d 1..4 and k 1..5 that are zero, supported on one weight
+    block, sparse or dense, with entries over mixed denominators."""
+    d, k = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    rng = Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(["zero", "block", "sparse", "dense"]))
+    support = {
+        "zero": [],
+        "block": rng.choice(weight_blocks(d, k)),
+        "sparse": [i for i in range(d**k) if rng.random() < 0.15],
+        "dense": range(d**k),
+    }[kind]
+    entries = [Fraction(0)] * d**k
+    for i in support:
+        entries[i] = Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3, 5, 12]))
+    return Tensor(d, k, tuple(entries))
+
+
+@settings(deadline=None, max_examples=60)
+@given(decompose_tensors())
+def test_idempotent_decompose_matches_ga_act_and_solve(tensor):
+    d, k = tensor.d, tensor.k
+    got = thrall_decompose(tensor, "idempotent")
+    assert list(got) == list(partitions(k))
+    assert got == {lam: ga_act(higher_lie_idempotent(lam), tensor) for lam in partitions(k)}
+    assert thrall_decompose(tensor, "auto") == got
+    # the solve backend's first call at (4, 5) inverts its blocks for seconds
+    if d**k <= 243:
+        assert thrall_decompose(tensor, "solve") == got
+
+
 def test_thrall_decompose_e112():
     t = Tensor.basis(2, (1, 1, 2))
     parts = thrall_decompose(t, method="idempotent")
@@ -388,6 +428,14 @@ def test_lie_element_level_and_series():
     series = element.to_series()
     assert series.k_max == 3
     assert series.level(0).is_zero()
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 4), st.integers(1, 5), st.integers(0, 2**32))
+def test_lie_level_matches_dense_bracketing_sum(d, k_max, seed):
+    element = random_lie_element(d, k_max, Random(seed))
+    for k in range(k_max + 2):
+        assert element.level(k) == dense_lie_level(element, k)
 
 
 def test_lie_bracket_in_lyndon_coordinates():

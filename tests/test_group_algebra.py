@@ -123,6 +123,20 @@ def test_ga_act_matches_dense_sum(d, k):
         assert permute_slots(t, sigma) == scatter_permute_slots(t, sigma)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+def test_operator_image_matches_basis_tensor_images(d, k):
+    # the images of every basis tensor through ga_act, in word order, zero
+    # images left out; the projectors share one block matrix between blocks
+    rng = Random(2000 * d + k)
+    cases = [_random_element(k, rng, count) for count in (1, 3, 24)]
+    cases += [GroupAlgebraElement.zero(k)]
+    cases += [higher_lie_idempotent(lam) for lam in partitions(k) if k]
+    for x in cases:
+        want = [ga_act(x, Tensor.basis(d, w)) for w in itertools.product(range(1, d + 1), repeat=k)]
+        assert operator_image(x, d) == [t for t in want if not t.is_zero()]
+
+
 def _rank_cases(k):
     """Projectors, and Young symmetrizers scaled to idempotents (c^2 = (k!/f) c)."""
     import math

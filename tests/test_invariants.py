@@ -23,6 +23,8 @@ from thrallkit.symfun import thrall_coefficients
 from thrallkit.tensors import Tensor, random_tensor, symmetrize, tensor_product
 from thrallkit.words import all_words, num_standard, partitions
 
+from oracles import fraction_path_invariants
+
 BETA_22 = WordFunctional(
     2, {(1, 1, 2, 2): 1, (1, 2, 2, 1): -1, (2, 1, 1, 2): -1, (2, 2, 1, 1): 1}
 )
@@ -102,6 +104,16 @@ def test_path_invariants_dims_match_thrall_coefficients():
             assert len(table[lam]) == expected
             total += expected
         assert total == len(sl_invariant_space(d, k))
+
+
+@pytest.mark.parametrize(
+    "d,ell",
+    [(1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (2, 1), (2, 2), (3, 1), (4, 1), (5, 1)],
+)
+def test_path_invariants_match_fraction_action(d, ell):
+    table = path_invariants(d, ell)
+    assert list(table) == list(partitions(d * ell))
+    assert table == fraction_path_invariants(d, ell)
 
 
 def test_path_invariants_resource_guard():

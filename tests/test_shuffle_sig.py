@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 from random import Random
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from thrallkit import shuffle_sig
 from thrallkit.free_lie import exp_truncated, is_lie_element, random_lie_element
-from thrallkit.group_algebra import ResourceLimitError, higher_lie_idempotent
+from thrallkit.group_algebra import GroupAlgebraElement, ResourceLimitError, higher_lie_idempotent
 from thrallkit.invariants import random_unimodular_matrix
 from thrallkit.rank_variety import fls_check
 from thrallkit.shuffle_sig import (
@@ -28,7 +29,13 @@ from thrallkit.tensors import Tensor, TensorSeries, series_product
 from thrallkit.words import all_words
 
 
-from oracles import group_like_oracle, integration_oracle, series_log, shuffle_oracle
+from oracles import (
+    fraction_act_on_functional,
+    group_like_oracle,
+    integration_oracle,
+    series_log,
+    shuffle_oracle,
+)
 
 
 word_strategy = st.lists(st.integers(1, 3), min_size=0, max_size=4).map(tuple)
@@ -271,6 +278,27 @@ def test_act_on_functional_duality():
         assert act_on_functional(x, beta, 4).evaluate_tensor(t) == beta.evaluate_tensor(
             ga_act(x, t)
         )
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 4), st.integers(0, 5), st.integers(0, 2**32))
+def test_act_on_functional_matches_fraction_oracle(d, k, seed):
+    rng = Random(seed)
+    perms = list(itertools.permutations(range(k)))
+    x = GroupAlgebraElement(k, {
+        p: Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+        for p in rng.sample(perms, rng.randint(0, len(perms)))
+    })
+    words = all_words(d, k)
+    beta = WordFunctional(d, {
+        w: Fraction(rng.randint(-4, 4), rng.randint(1, 6))
+        for w in rng.sample(words, rng.randint(0, min(len(words), 40)))
+    })
+    assert act_on_functional(x, beta, k) == fraction_act_on_functional(x, beta, k)
+    mixed = beta + WordFunctional.coordinate(d, (1,) * (k + 1))
+    for f in (act_on_functional, fraction_act_on_functional):
+        with pytest.raises(ValueError, match="not homogeneous"):
+            f(x, mixed, k)
 
 
 def test_shuffle_grading():
