@@ -24,12 +24,13 @@ from fractions import Fraction
 from functools import cache
 
 from . import linalg
-from .group_algebra import K_MAX, ResourceLimitError, _projector_blocks
-from .tensors import Tensor, TensorSeries, permute_slots, tensor_product, weight_blocks
+from .group_algebra import K_MAX, ResourceLimitError, _apply_blocks, _projector_blocks
+from .tensors import Tensor, TensorSeries, permute_slots, weight_blocks
 from .words import (
     Partition,
     Word,
     check_partition,
+    index_to_word,
     is_lyndon,
     lyndon_words,
     multiplicity_profile,
@@ -39,6 +40,36 @@ from .words import (
 
 
 _ZERO = Fraction(0)
+
+
+def _concat_into(out: dict, a: dict, b: dict, scale: int = 1) -> dict:
+    """Add ``scale`` times the concatenation product ``a b`` into ``out``."""
+    for wa, ca in a.items():
+        ca *= scale
+        for wb, cb in b.items():
+            out[wa + wb] = out.get(wa + wb, 0) + ca * cb
+    return out
+
+
+def _symmetrized_product(labels, expand) -> dict[Word, int]:
+    """Sum over the distinct orderings of the multiset ``labels`` of the
+    concatenation product of ``expand(label)`` in that order."""
+    out: dict[Word, int] = {}
+    for order in set(itertools.permutations(labels)):
+        term = {(): 1}
+        for label in order:
+            term = _concat_into({}, term, expand(label))
+        _concat_into(out, term, {(): 1})  # out += term
+    return {w: c for w, c in out.items() if c}
+
+
+def _tensor(d: int, k: int, den: int, terms: dict[Word, int]) -> Tensor:
+    """The dense tensor of sparse integer numerators over ``den``."""
+    entries = [_ZERO] * d**k
+    for w, n in terms.items():
+        if n:
+            entries[word_to_index(w, d)] = Fraction(n, den)
+    return Tensor(d, k, tuple(entries))
 
 
 def standard_factorization(word: Word) -> tuple[Word, Word]:
@@ -56,20 +87,14 @@ def bracket_expansion(word: Word) -> dict[Word, int]:
         raise ValueError(f"{word} is not a Lyndon word")
     if len(word) == 1:
         return {word: 1}
-    u, v = standard_factorization(word)
-    bu, bv = bracket_expansion(u), bracket_expansion(v)
-    out: dict[Word, int] = {}
-    for wa, ca in bu.items():
-        for wb, cb in bv.items():
-            out[wa + wb] = out.get(wa + wb, 0) + ca * cb
-            out[wb + wa] = out.get(wb + wa, 0) - ca * cb
+    bu, bv = map(bracket_expansion, standard_factorization(word))
+    out = _concat_into(_concat_into({}, bu, bv), bv, bu, -1)
     return {w: c for w, c in out.items() if c}
 
 
 def lyndon_bracketing(word: Word, d: int) -> Tensor:
     """Dense tensor of the standard bracketing of a Lyndon word over {1..d}."""
-    terms = bracket_expansion(tuple(word))
-    return Tensor.from_dict(d, len(word), {w: Fraction(c) for w, c in terms.items()})
+    return _tensor(d, len(word), 1, bracket_expansion(tuple(word)))
 
 
 def lie_basis(d: int, k: int) -> list[Tensor]:
@@ -104,16 +129,19 @@ class LieElement:
                 cleaned[word] = c
         object.__setattr__(self, "coeffs", cleaned)
 
-    def level(self, k: int) -> Tensor:
-        """The degree-k homogeneous part, expanded as a dense tensor: the bracket
-        expansions summed on integer numerators over one denominator."""
+    def _terms(self, k: int) -> tuple[int, dict[Word, int]]:
+        """The degree-k part: bracket expansions summed on integer numerators
+        over one denominator."""
         words = [w for w in self.coeffs if len(w) == k]
         den, nums = linalg.integer_numerators(self.coeffs[w] for w in words)
-        acc = [0] * self.d**k
+        acc: dict[Word, int] = {}
         for word, n in zip(words, nums):
-            for w, e in bracket_expansion(word).items():
-                acc[word_to_index(w, self.d)] += n * e
-        return Tensor(self.d, k, tuple(Fraction(a, den) if a else _ZERO for a in acc))
+            _concat_into(acc, {(): n}, bracket_expansion(word))
+        return den, acc
+
+    def level(self, k: int) -> Tensor:
+        """The degree-k homogeneous part, expanded as a dense tensor."""
+        return _tensor(self.d, k, *self._terms(k))
 
     def to_series(self, k_max: int | None = None) -> TensorSeries:
         """Embed into the tensor algebra (level 0 is zero)."""
@@ -240,19 +268,10 @@ def f_lambda(element: LieElement, lam: Partition) -> Tensor:
     (a_1, .., a_l) of lam.
     """
     lam = check_partition(lam)
-    k = sum(lam)
-    ell = len(lam)
-    parts = {i: element.level(i) for i in set(lam)}
-    acc = Tensor.zero(element.d, k)
-    for comp in sorted(set(itertools.permutations(lam))):
-        term = Tensor.scalar(element.d, 1)
-        for a in comp:
-            term = tensor_product(term, parts[a])
-            if term.is_zero():
-                break
-        else:
-            acc = acc + term
-    return acc.scale(Fraction(1, math.factorial(ell)))
+    parts = {i: element._terms(i) for i in set(lam)}
+    den = math.factorial(len(lam)) * math.prod(parts[a][0] for a in lam)
+    terms = _symmetrized_product(lam, lambda a: parts[a][1])
+    return _tensor(element.d, sum(lam), den, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -260,25 +279,16 @@ def f_lambda(element: LieElement, lam: Partition) -> Tensor:
 
 
 @cache
-def _w_basis_cached(lam: Partition, d: int) -> tuple[Tensor, ...]:
-    profile = multiplicity_profile(lam)
+def _w_basis_cached(lam: Partition, d: int) -> tuple[dict[Word, int], ...]:
+    """The lam-graded basis vectors as sparse integer word polynomials."""
     per_size = [
-        list(itertools.combinations_with_replacement(lyndon_words(d, i), a))
-        for i, a in sorted(profile.items())
+        itertools.combinations_with_replacement(lyndon_words(d, i), a)
+        for i, a in sorted(multiplicity_profile(lam).items())
     ]
-    vectors: list[Tensor] = []
-    k = sum(lam)
-    for combo in itertools.product(*per_size):
-        words = [w for group in combo for w in group]
-        acc = Tensor.zero(d, k)
-        for order in sorted(set(itertools.permutations(words))):
-            term = Tensor.scalar(d, 1)
-            for w in order:
-                term = tensor_product(term, lyndon_bracketing(w, d))
-            acc = acc + term
-        if not acc.is_zero():
-            vectors.append(acc)
-    return tuple(vectors)
+    return tuple(
+        _symmetrized_product([w for group in combo for w in group], bracket_expansion)
+        for combo in itertools.product(*per_size)
+    )
 
 
 def w_lambda_basis(lam: Partition, d: int) -> list[Tensor]:
@@ -288,7 +298,7 @@ def w_lambda_basis(lam: Partition, d: int) -> list[Tensor]:
     distinct orderings of the tensor products of their bracketings.  The
     count is the product of multichoose(lie_dim(d, i), a_i(lam)).
     """
-    return list(_w_basis_cached(check_partition(lam), d))
+    return [_tensor(d, sum(lam), 1, vec) for vec in _w_basis_cached(check_partition(lam), d)]
 
 
 @cache
@@ -305,18 +315,18 @@ def _solve_blocks(d: int, k: int):
     """
     blocks = weight_blocks(d, k)
     block_of = {i: b for b, block in enumerate(blocks) for i in block}
-    columns: list[list[tuple[Partition, Tensor]]] = [[] for _ in blocks]
+    columns: list[list[tuple[Partition, dict[Word, int]]]] = [[] for _ in blocks]
     for lam in partitions(k):
-        for vec in w_lambda_basis(lam, d):
-            first = next(i for i, c in enumerate(vec.entries) if c)
-            columns[block_of[first]].append((lam, vec))
+        for vec in _w_basis_cached(lam, d):
+            columns[block_of[word_to_index(next(iter(vec)), d)]].append((lam, vec))
     out = []
     for block, cols in zip(blocks, columns):
         if len(cols) != len(block):
             raise ArithmeticError("graded bases do not fill the tensor power")
+        words = [index_to_word(i, d, k) for i in block]
         try:
             inverse, den = linalg.integer_inverse(
-                [[vec.entries[i] for _, vec in cols] for i in block]
+                [[vec.get(w, 0) for _, vec in cols] for w in words]
             )
         except ZeroDivisionError:
             raise ArithmeticError("decomposition solve failed") from None
@@ -324,7 +334,7 @@ def _solve_blocks(d: int, k: int):
         lo = 0
         for lam, group in itertools.groupby(cols, key=lambda col: col[0]):
             vecs = [vec for _, vec in group]
-            rows = [[int(vec.entries[i]) for vec in vecs] for i in block]
+            rows = [[vec.get(w, 0) for vec in vecs] for w in words]
             parts.append((lam, lo, lo + len(vecs), rows))
             lo += len(vecs)
         out.append((block, inverse, den, parts))
@@ -356,23 +366,11 @@ def _solve_decompose(tensor: Tensor) -> dict[Partition, Tensor]:
 
 def _idempotent_decompose(tensor: Tensor) -> dict[Partition, Tensor]:
     """Integer mat-vec products with the cached projector blocks, one per weight block."""
-    d, k = tensor.d, tensor.k
     tden, values = linalg.integer_numerators(tensor.entries)
-    out = {}
-    for lam, den, groups in _projector_blocks(d, k):
-        den *= tden
-        entries = [_ZERO] * len(values)
-        for rows, blocks in groups.values():
-            for block in blocks:
-                local = [values[i] for i in block]
-                if not any(local):
-                    continue
-                for i, row in zip(block, rows):
-                    v = sum(map(operator.mul, row, local))
-                    if v:
-                        entries[i] = Fraction(v, den)
-        out[lam] = Tensor(d, k, tuple(entries))
-    return out
+    return {
+        lam: Tensor(tensor.d, tensor.k, _apply_blocks(groups, values, den * tden))
+        for lam, den, groups in _projector_blocks(tensor.d, tensor.k)
+    }
 
 
 def thrall_decompose(tensor: Tensor, method: str = "auto") -> dict[Partition, Tensor]:
@@ -430,10 +428,14 @@ def lie_coordinates(tensor: Tensor) -> dict[Word, Fraction] | None:
     ``w``; subtracting its bracketing leaves the remaining words untouched.
     The tensor is a Lie element iff the residual ends at zero.
     """
-    words = lyndon_words(tensor.d, tensor.k)
-    residual = tensor.nonzero_terms()
-    coords: dict[Word, Fraction] = {}
-    for w in words:
+    return _back_substitute(tensor.nonzero_terms(), tensor.d, tensor.k)
+
+
+def _back_substitute(residual: dict, d: int, k: int) -> dict | None:
+    """:func:`lie_coordinates` of the degree-k word polynomial ``residual``
+    (consumed), with coefficients of the same type as its values."""
+    coords = {}
+    for w in lyndon_words(d, k):
         c = residual.get(w)
         if not c:
             continue
@@ -448,28 +450,26 @@ def lie_coordinates(tensor: Tensor) -> dict[Word, Fraction] | None:
 def lie_bracket(a: LieElement, b: LieElement) -> LieElement:
     """Commutator of truncated Lie elements, in Lyndon coordinates.
 
-    Level pieces are expanded to tensors, bracketed there, and the Lyndon
-    coordinates recovered by :func:`lie_coordinates`' triangular
+    Level pieces are bracketed on their integer word numerators, and the
+    Lyndon coordinates recovered by :func:`lie_coordinates`' triangular
     back-substitution; graded pieces above the common truncation are dropped.
     """
     if a.d != b.d:
         raise ValueError("dimension mismatch")
     k_max = min(a.k_max, b.k_max)
+    left, right = ([x._terms(i) for i in range(k_max + 1)] for x in (a, b))
     coeffs: dict[Word, Fraction] = {}
     for i in range(1, k_max):
-        left = a.level(i)
-        if left.is_zero():
-            continue
         for j in range(1, k_max - i + 1):
-            right = b.level(j)
-            if right.is_zero():
+            (aden, u), (bden, v) = left[i], right[j]
+            if not (u and v):
                 continue
-            commutator = tensor_product(left, right) - tensor_product(right, left)
-            coords = lie_coordinates(commutator)
+            commutator = _concat_into(_concat_into({}, u, v), v, u, -1)
+            coords = _back_substitute(commutator, a.d, i + j)
             if coords is None:
                 raise ArithmeticError("commutator left the graded Lie subspace")
             for w, c in coords.items():
-                coeffs[w] = coeffs.get(w, Fraction(0)) + c
+                coeffs[w] = coeffs.get(w, 0) + Fraction(c, aden * bden)
     return LieElement(a.d, k_max, {w: c for w, c in coeffs.items() if c})
 
 

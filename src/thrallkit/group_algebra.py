@@ -1,7 +1,7 @@
 """The rational group algebra of the symmetric group acting on tensor slots.
 
 Element product is the convolution extending ``(sigma tau)(i) = sigma(tau(i))``.
-Elements act on tensors through :func:`thrallkit.tensors.permute_slots`:
+Elements act on tensors by the slot action of :func:`~thrallkit.tensors.permute_slots`:
 
     ga_act(x, T) = sum_sigma x_sigma * permute_slots(T, sigma)
 
@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -30,7 +31,7 @@ from .permutations import (
     sign,
     word_to_perm,
 )
-from .tensors import Tensor, gather_map, weight_blocks
+from .tensors import Tensor, weight_blocks
 from .words import Partition, Word, YoungTableau, check_partition, index_to_word, partitions
 
 # Degree cap for the projector family; reproduction of the published values
@@ -131,24 +132,15 @@ def ga_multiply(x: GroupAlgebraElement, y: GroupAlgebraElement) -> GroupAlgebraE
 def ga_act(x: GroupAlgebraElement, tensor: Tensor) -> Tensor:
     """Apply an element to a tensor through the slot action.
 
-    ``out[u] = sum_sigma x_sigma T[u o sigma]``, accumulated as integer
-    numerators over the product of the common denominators of ``x`` and
-    ``T``, in one pass per permutation through its cached
-    :func:`~thrallkit.tensors.gather_map`; no intermediate tensors are built.
-    Each gather map stays inside the weight blocks of
-    :func:`~thrallkit.tensors.weight_blocks`.
+    ``out[u] = sum_sigma x_sigma T[u o sigma]``: the integer block matrices
+    of :func:`_block_operator` applied to the tensor's integer numerators by
+    :func:`_apply_blocks`, one mat-vec per weight block.
     """
     if x.k != tensor.k:
         raise ValueError(f"degree mismatch: element {x.k}, tensor order {tensor.k}")
-    d, k = tensor.d, tensor.k
     tden, values = linalg.integer_numerators(tensor.entries)
-    xden, coeffs = linalg.integer_numerators(x.terms.values())
-    acc = [0] * len(values)
-    if any(values):
-        for perm, c in zip(x.terms, coeffs):
-            acc = [a + c * values[j] for a, j in zip(acc, gather_map(d, k, perm))]
-    den = xden * tden
-    return Tensor(d, k, tuple(Fraction(a, den) if a else _ZERO for a in acc))
+    den, groups = _block_operator(x, tensor.d)
+    return Tensor(tensor.d, tensor.k, _apply_blocks(groups, values, den * tden))
 
 
 @functools.cache
@@ -185,6 +177,22 @@ def _block_operator(x: GroupAlgebraElement, d: int):
             groups[counts] = (tuple(map(tuple, rows)), [])
         groups[counts][1].append(block)
     return den, groups
+
+
+def _apply_blocks(groups, values: list[int], den: int) -> tuple[Fraction, ...]:
+    """Entries of the block matrices ``groups`` of :func:`_block_operator`
+    applied to the integer numerators ``values``, over ``den``."""
+    entries = [_ZERO] * len(values)
+    for rows, blocks in groups.values():
+        for block in blocks:
+            local = [values[i] for i in block]
+            if not any(local):
+                continue
+            for i, row in zip(block, rows):
+                v = sum(map(operator.mul, row, local))
+                if v:
+                    entries[i] = Fraction(v, den)
+    return tuple(entries)
 
 
 @functools.cache

@@ -76,18 +76,11 @@ def normalize_functional(beta: WordFunctional) -> WordFunctional:
     """Clear denominators, divide by the gcd, make the lex-first coefficient positive."""
     if not beta.terms:
         return beta
-    denom_lcm = 1
-    for c in beta.terms.values():
-        denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
-    ints = {w: c * denom_lcm for w, c in beta.terms.items()}
-    g = 0
-    for c in ints.values():
-        g = math.gcd(g, int(c))
-    ints = {w: c / g for w, c in ints.items()}
-    first_word = min(ints)
-    if ints[first_word] < 0:
-        ints = {w: -c for w, c in ints.items()}
-    return WordFunctional(beta.d, ints)
+    _, nums = linalg.integer_numerators(beta.terms.values())
+    g = math.gcd(*nums)
+    if beta.terms[min(beta.terms)] < 0:
+        g = -g
+    return WordFunctional(beta.d, {w: n // g for w, n in zip(beta.terms, nums)})
 
 
 def path_invariants(d: int, ell: int) -> dict[Partition, list[WordFunctional]]:

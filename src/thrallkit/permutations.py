@@ -30,21 +30,23 @@ def inverse(p: Perm) -> Perm:
     return tuple(inv)
 
 
-def sign(p: Perm) -> int:
+def _cycles(p: Perm) -> list[list[int]]:
+    """Every cycle of ``p``, fixed points included, each from its minimum."""
     seen = [False] * len(p)
-    s = 1
+    cycles = []
     for i in range(len(p)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
+        cycle, j = [], i
         while not seen[j]:
             seen[j] = True
+            cycle.append(j)
             j = p[j]
-            length += 1
-        if length % 2 == 0:
-            s = -s
-    return s
+        if cycle:
+            cycles.append(cycle)
+    return cycles
+
+
+def sign(p: Perm) -> int:
+    return (-1) ** (len(p) - len(_cycles(p)))
 
 
 def all_permutations(k: int) -> list[Perm]:
@@ -53,38 +55,12 @@ def all_permutations(k: int) -> list[Perm]:
 
 def cycle_type(p: Perm) -> tuple[int, ...]:
     """Cycle type as a partition (weakly decreasing, fixed points included)."""
-    seen = [False] * len(p)
-    lengths = []
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        lengths.append(length)
-    return tuple(sorted(lengths, reverse=True))
+    return tuple(sorted(map(len, _cycles(p)), reverse=True))
 
 
 def to_cycles(p: Perm) -> list[list[int]]:
     """Nontrivial cycles with 1-based entries, each starting at its minimum."""
-    seen = [False] * len(p)
-    cycles = []
-    for i in range(len(p)):
-        if seen[i] or p[i] == i:
-            seen[i] = True
-            continue
-        cyc = [i]
-        seen[i] = True
-        j = p[i]
-        while j != i:
-            cyc.append(j)
-            seen[j] = True
-            j = p[j]
-        cycles.append([x + 1 for x in cyc])
-    return cycles
+    return [[x + 1 for x in cycle] for cycle in _cycles(p) if len(cycle) > 1]
 
 
 def from_cycles(cycles, k: int) -> Perm:

@@ -10,7 +10,7 @@ truncated (log-)signature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from random import Random
 
@@ -83,12 +83,7 @@ class SignatureRankReport:
     asserted_in_variety: bool
 
     def as_dict(self) -> dict:
-        return {
-            "symmetric": self.symmetric,
-            "rank_one": self.rank_one,
-            "agree": self.agree,
-            "asserted_in_variety": self.asserted_in_variety,
-        }
+        return asdict(self)
 
 
 def signature_rank_one_check(tensor: Tensor, assert_in_variety: bool) -> SignatureRankReport:
@@ -111,12 +106,7 @@ class SymmetryCascadeReport:
     passed: bool
 
     def as_dict(self) -> dict:
-        return {
-            "hypothesis_level_symmetric": self.hypothesis_level_symmetric,
-            "higher_parts_vanish": self.higher_parts_vanish,
-            "lower_levels_symmetric": self.lower_levels_symmetric,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def symmetric_level_implies_segment(series: TensorSeries, k: int) -> SymmetryCascadeReport:
@@ -153,13 +143,7 @@ class FlsReport:
     is_segment: bool
 
     def as_dict(self) -> dict:
-        return {
-            "criterion_a": self.criterion_a,
-            "criterion_b": self.criterion_b,
-            "criterion_c": self.criterion_c,
-            "consistent": self.consistent,
-            "is_segment": self.is_segment,
-        }
+        return asdict(self)
 
 
 def fls_check(path: PiecewiseLinearPath, k_max: int) -> FlsReport:

@@ -155,10 +155,9 @@ def is_group_like(series: TensorSeries) -> bool:
     den = [1]
     value: dict[Word, int] = {}
     for k in range(1, k_max + 1):
-        entries = series.level(k).entries
-        den.append(math.lcm(*(c.denominator for c in entries)))
-        for w, c in zip(all_words(d, k), entries):
-            value[w] = c.numerator * (den[k] // c.denominator)
+        level_den, nums = linalg.integer_numerators(series.level(k).entries)
+        den.append(level_den)
+        value.update(zip(all_words(d, k), nums))
     words = [w for k in range(1, k_max) for w in all_words(d, k)]
     for i, a in enumerate(words):
         for b in words[i:]:

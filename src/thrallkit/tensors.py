@@ -1,6 +1,6 @@
 """Dense tensors and truncated tensor series over exact rationals.
 
-Slot-action convention (fixed here once, everything else routes through
+Slot-action convention (fixed here once, and every slot action agrees with
 :func:`permute_slots`): for a permutation ``sigma`` the permuted tensor has
 
     permute_slots(T, sigma)[w] = T[w o sigma]      (w o sigma)_i = w_{sigma(i)}
@@ -16,8 +16,7 @@ group action: ``(sigma tau) . T = sigma . (tau . T)``.
 Weight blocks: slot permutations keep the letter content of a word (the
 multiset of its letters), and so do the graded bases and every operator
 built from them, because the diagonal torus of GL_d fixes each of these.
-:func:`weight_blocks` groups the flat indices by content, and
-:func:`gather_map` gives each permutation's action as one index map.
+:func:`weight_blocks` groups the flat indices by content.
 """
 
 from __future__ import annotations
@@ -164,29 +163,21 @@ def weight_blocks(d: int, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(block) for block in blocks.values())
 
 
-@cache
-def gather_map(d: int, k: int, sigma: Perm) -> tuple[int, ...]:
-    """Index map ``g`` with ``permute_slots(T, sigma).entries[u] == T.entries[g[u]]``.
-
-    ``g[index(w)] = index(w o sigma)``; letter j of w lands at place
-    ``sigma^{-1}(j)`` of ``w o sigma``, so the map is built slot by slot,
-    leftmost (most significant) first.
-    """
-    inv = inverse(sigma)
-    g = [0]
-    for j in range(k):
-        place = d ** (k - 1 - inv[j])
-        g = [x + a * place for x in g for a in range(d)]
-    return tuple(g)
-
-
 def permute_slots(tensor: Tensor, sigma: Perm) -> Tensor:
-    """Left slot action; see the module docstring for the convention."""
-    if len(sigma) != tensor.k:
-        raise ValueError(f"permutation size {len(sigma)} != tensor order {tensor.k}")
-    entries = tensor.entries
-    g = gather_map(tensor.d, tensor.k, tuple(sigma))
-    return Tensor(tensor.d, tensor.k, tuple(map(entries.__getitem__, g)))
+    """Left slot action; see the module docstring for the convention.
+
+    Gathers through the index map ``g[index(w)] = index(w o sigma)``: letter
+    j of w lands at place ``sigma^{-1}(j)`` of ``w o sigma``, so the map is
+    built slot by slot, leftmost (most significant) first.
+    """
+    d, k = tensor.d, tensor.k
+    if len(sigma) != k:
+        raise ValueError(f"permutation size {len(sigma)} != tensor order {k}")
+    g = [0]
+    for place in inverse(tuple(sigma)):
+        step = d ** (k - 1 - place)
+        g = [x + a * step for x in g for a in range(d)]
+    return Tensor(d, k, tuple(map(tensor.entries.__getitem__, g)))
 
 
 def is_symmetric(tensor: Tensor) -> bool:

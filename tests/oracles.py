@@ -8,8 +8,10 @@ elimination over Fractions, the slot action from a dense sum of scattered
 tensors, the graded decomposition from one dense solve, the graded projector
 family from an exact solve in the multilinear Lyndon-bracket bases and the
 column-first Young symmetrizer from its double sum, the dual slot action
-on functionals and the Lie levels from term-by-term Fraction sums, so the
-main implementations are checked against genuinely different arithmetic.
+on functionals and the Lie levels from term-by-term Fraction sums, and the
+graded bases, the f_lambda summands and the Lie bracket from dense Fraction
+tensor products, so the main implementations are checked against genuinely
+different arithmetic.
 """
 
 import itertools
@@ -17,7 +19,13 @@ import math
 from fractions import Fraction
 
 from thrallkit import linalg
-from thrallkit.free_lie import bracket_expansion, lyndon_bracketing, w_lambda_basis
+from thrallkit.free_lie import (
+    LieElement,
+    bracket_expansion,
+    lie_coordinates,
+    lyndon_bracketing,
+    w_lambda_basis,
+)
 from thrallkit.group_algebra import GroupAlgebraElement, _subgroup_fixing, higher_lie_idempotent
 from thrallkit.invariants import normalize_functional, sl_invariant_space
 from thrallkit.permutations import (
@@ -29,8 +37,16 @@ from thrallkit.permutations import (
     word_to_perm,
 )
 from thrallkit.shuffle_sig import PiecewiseLinearPath, WordFunctional
-from thrallkit.tensors import Tensor, TensorSeries, series_product
-from thrallkit.words import all_words, index_to_word, lyndon_words, partitions, word_to_index
+from thrallkit.tensors import Tensor, TensorSeries, series_product, tensor_product
+from thrallkit.words import (
+    all_words,
+    check_partition,
+    index_to_word,
+    lyndon_words,
+    multiplicity_profile,
+    partitions,
+    word_to_index,
+)
 
 
 def _poly_integrate(coeffs):
@@ -253,11 +269,18 @@ def scatter_permute_slots(tensor: Tensor, sigma) -> Tensor:
 
 
 def dense_ga_act(x, tensor: Tensor) -> Tensor:
-    """sum_sigma x_sigma * permute_slots(T, sigma), one dense tensor per term."""
-    acc = Tensor.zero(tensor.d, tensor.k)
-    for perm, c in x.terms.items():
-        acc = acc + scatter_permute_slots(tensor, perm).scale(c)
-    return acc
+    """sum_sigma x_sigma * permute_slots(T, sigma) in Fractions, scattering
+    each nonzero entry at w to w o sigma^{-1} once per term."""
+    d, k = tensor.d, tensor.k
+    moves = [(inverse(perm), c) for perm, c in x.terms.items()]
+    entries = [Fraction(0)] * d**k
+    for i, v in enumerate(tensor.entries):
+        if v == 0:
+            continue
+        w = index_to_word(i, d, k)
+        for inv, c in moves:
+            entries[word_to_index(tuple(w[inv[j]] for j in range(k)), d)] += c * v
+    return Tensor(d, k, tuple(entries))
 
 
 def dense_operator_rank(x, d: int) -> int:
@@ -451,3 +474,58 @@ def dense_lie_level(element, k: int) -> Tensor:
         if len(word) == k:
             acc = acc + lyndon_bracketing(word, element.d).scale(c)
     return acc
+
+
+def dense_w_lambda_basis(lam, d: int) -> list:
+    """The lam-graded basis: for each multiset of Lyndon words realizing lam,
+    the sum over its distinct orderings of dense tensor products of the
+    bracketings."""
+    lam = check_partition(lam)
+    per_size = [
+        list(itertools.combinations_with_replacement(lyndon_words(d, i), a))
+        for i, a in sorted(multiplicity_profile(lam).items())
+    ]
+    vectors = []
+    for combo in itertools.product(*per_size):
+        words = [w for group in combo for w in group]
+        acc = Tensor.zero(d, sum(lam))
+        for order in sorted(set(itertools.permutations(words))):
+            term = Tensor.scalar(d, 1)
+            for w in order:
+                term = tensor_product(term, lyndon_bracketing(w, d))
+            acc = acc + term
+        if not acc.is_zero():
+            vectors.append(acc)
+    return vectors
+
+
+def dense_f_lambda(element, lam) -> Tensor:
+    """(1/l!) times the sum over the distinct rearrangements (a_1..a_l) of lam
+    of the dense tensor products of the Lie element's levels."""
+    lam = check_partition(lam)
+    parts = {i: dense_lie_level(element, i) for i in set(lam)}
+    acc = Tensor.zero(element.d, sum(lam))
+    for comp in sorted(set(itertools.permutations(lam))):
+        term = Tensor.scalar(element.d, 1)
+        for a in comp:
+            term = tensor_product(term, parts[a])
+        acc = acc + term
+    return acc.scale(Fraction(1, math.factorial(len(lam))))
+
+
+def dense_lie_bracket(a, b):
+    """The commutator of every pair of dense levels, read back in Lyndon
+    coordinates; graded pieces above the common truncation are dropped."""
+    k_max = min(a.k_max, b.k_max)
+    coeffs: dict = {}
+    for i in range(1, k_max):
+        left = dense_lie_level(a, i)
+        for j in range(1, k_max - i + 1):
+            right = dense_lie_level(b, j)
+            commutator = tensor_product(left, right) - tensor_product(right, left)
+            coords = lie_coordinates(commutator)
+            if coords is None:
+                raise ArithmeticError("commutator left the graded Lie subspace")
+            for w, c in coords.items():
+                coeffs[w] = coeffs.get(w, Fraction(0)) + c
+    return LieElement(a.d, k_max, coeffs)

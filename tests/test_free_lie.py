@@ -23,7 +23,7 @@ from thrallkit.free_lie import (
     thrall_decompose,
     w_lambda_basis,
 )
-from thrallkit.group_algebra import ga_act, higher_lie_idempotent
+from thrallkit.group_algebra import higher_lie_idempotent
 from thrallkit.symfun import w_module_dim
 from thrallkit.tensors import (
     Tensor,
@@ -38,9 +38,13 @@ from thrallkit.tensors import (
 from thrallkit.words import lie_dim, lyndon_words, multichoose, partitions
 
 from oracles import (
+    dense_f_lambda,
+    dense_ga_act,
+    dense_lie_bracket,
     dense_lie_coordinates,
     dense_lie_level,
     dense_solve_decompose,
+    dense_w_lambda_basis,
     series_exp,
     series_log,
 )
@@ -349,7 +353,8 @@ def test_idempotent_decompose_matches_ga_act_and_solve(tensor):
     d, k = tensor.d, tensor.k
     got = thrall_decompose(tensor, "idempotent")
     assert list(got) == list(partitions(k))
-    assert got == {lam: ga_act(higher_lie_idempotent(lam), tensor) for lam in partitions(k)}
+    want = {lam: dense_ga_act(higher_lie_idempotent(lam), tensor) for lam in partitions(k)}
+    assert got == want
     assert thrall_decompose(tensor, "auto") == got
     # the solve backend's first call at (4, 5) inverts its blocks for seconds
     if d**k <= 243:
@@ -486,3 +491,43 @@ def test_lie_bracket_jacobi():
         lie_bracket(c, lie_bracket(a, b)),
     )
     assert lhs.coeffs == {}
+
+
+# Shapes (d, k) on which the sparse builders are checked against the dense oracles.
+ORACLE_SHAPES = [(d, k) for d in range(1, 5) for k in range(1, 6)] + [(2, 6)]
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.sampled_from([(lam, d) for d, k in ORACLE_SHAPES for lam in partitions(k)]))
+def test_w_lambda_basis_matches_dense_oracle(case):
+    lam, d = case
+    assert w_lambda_basis(lam, d) == dense_w_lambda_basis(lam, d)
+
+
+def _lie_element(d, k_max, rng):
+    """A random Lie element with each graded piece dropped with probability 1/3."""
+    element = random_lie_element(d, k_max, rng)
+    kept = {k for k in range(1, k_max + 1) if rng.random() < 2 / 3}
+    return LieElement(d, k_max, {w: c for w, c in element.coeffs.items() if len(w) in kept})
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(ORACLE_SHAPES), st.integers(0, 2**32), st.data())
+def test_f_lambda_matches_dense_oracle(shape, seed, data):
+    d, k = shape
+    element = _lie_element(d, k, Random(seed))
+    lam = data.draw(st.sampled_from(partitions(k)))
+    assert f_lambda(element, lam) == dense_f_lambda(element, lam)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(ORACLE_SHAPES), st.integers(0, 2**32))
+def test_lie_bracket_matches_dense_oracle(shape, seed):
+    from thrallkit.free_lie import lie_bracket
+
+    d, k = shape
+    rng = Random(seed)
+    a = _lie_element(d, k, rng)
+    b = _lie_element(d, rng.randint(1, k), rng)
+    assert lie_bracket(a, b) == dense_lie_bracket(a, b)
+    assert lie_bracket(b, a) == dense_lie_bracket(b, a)

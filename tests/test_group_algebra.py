@@ -123,17 +123,29 @@ def test_ga_act_matches_dense_sum(d, k):
         assert permute_slots(t, sigma) == scatter_permute_slots(t, sigma)
 
 
+def test_ga_act_on_nine_letters_matches_dense_oracle():
+    # one weight block of 120 words among 9^5 entries: the block operator
+    # builds one matrix per letter-count pattern, not one map per permutation
+    x = higher_lie_idempotent((5,))
+    t = Tensor.basis(9, (1, 2, 3, 4, 5))
+    assert ga_act(x, t) == dense_ga_act(x, t)
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
 def test_operator_image_matches_basis_tensor_images(d, k):
-    # the images of every basis tensor through ga_act, in word order, zero
-    # images left out; the projectors share one block matrix between blocks
+    # the images of every basis tensor through the dense slot action, in word
+    # order, zero images left out; the projectors share one block matrix
+    # between blocks
     rng = Random(2000 * d + k)
     cases = [_random_element(k, rng, count) for count in (1, 3, 24)]
     cases += [GroupAlgebraElement.zero(k)]
     cases += [higher_lie_idempotent(lam) for lam in partitions(k) if k]
     for x in cases:
-        want = [ga_act(x, Tensor.basis(d, w)) for w in itertools.product(range(1, d + 1), repeat=k)]
+        want = [
+            dense_ga_act(x, Tensor.basis(d, w))
+            for w in itertools.product(range(1, d + 1), repeat=k)
+        ]
         assert operator_image(x, d) == [t for t in want if not t.is_zero()]
 
 

@@ -1,5 +1,5 @@
 """Static checks on the library source: stdlib-only imports, no floating
-point, and no imported name left unused."""
+point, no imported name left unused and no private name left unreferenced."""
 
 import ast
 import sys
@@ -69,3 +69,37 @@ def test_no_unused_imports(path):
         if name not in used
     ]
     assert not unused, f"imported but never used: {unused}"
+
+
+def _private_definitions(tree: ast.Module):
+    """Module-level ``_name`` functions, classes and assignments (dunders excluded)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.endswith("__"):
+                yield node.lineno, name
+
+
+def test_no_orphaned_private_names():
+    loaded = set()
+    for path in SOURCES:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                loaded.add(node.attr)
+    defined = [
+        (path.name, line, name)
+        for path in SOURCES
+        for line, name in _private_definitions(_tree(path))
+    ]
+    assert len(defined) > 20
+    orphans = [f"{file}:{line} {name}" for file, line, name in defined if name not in loaded]
+    assert not orphans, f"private names never referenced in the package: {orphans}"
