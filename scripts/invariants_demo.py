@@ -4,12 +4,15 @@ The normalized (2,2)-graded invariant is the shuffle square of the area
 functional, so on genuine signatures it evaluates to the squared area; the
 (3,1)-graded one is an independent invariant.  Both are
 evaluated here on a few explicit polygonal paths, together with a random
-volume-preserving change of coordinates to exhibit the invariance.
+volume-preserving change of coordinates to exhibit the invariance.  The
+script exits with status 1 if beta22 differs from the squared area or an
+invariant changes under the map.
 
 Usage: python scripts/invariants_demo.py [--seed 7]
 """
 
 import argparse
+import sys
 from fractions import Fraction
 from random import Random
 
@@ -23,7 +26,7 @@ PATHS = {
 }
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args()
@@ -39,6 +42,7 @@ def main() -> None:
     g = random_unimodular_matrix(2, rng)
     print("sample volume-preserving map:", [[str(x) for x in row] for row in g])
     print()
+    failed = False
     for name, points in PATHS.items():
         path = PiecewiseLinearPath.from_lists(points)
         sig = signature(path, 4)
@@ -50,8 +54,13 @@ def main() -> None:
         )
         moved_sig = signature(moved, 4)
         print(f"{name:<10} area={area}  beta22={v22}  (= area^2: {v22 == area * area})  beta31={v31}")
-        print(f"{'':<10} after the map: beta22={beta22.evaluate(moved_sig)}  beta31={beta31.evaluate(moved_sig)}")
+        moved22, moved31 = beta22.evaluate(moved_sig), beta31.evaluate(moved_sig)
+        print(f"{'':<10} after the map: beta22={moved22}  beta31={moved31}")
+        if v22 != area * area or (moved22, moved31) != (v22, v31):
+            failed = True
+            print(f"FAILED: {name}")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

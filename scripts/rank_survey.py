@@ -1,13 +1,14 @@
 """Seeded survey of the symmetry/rank-one equivalence and the line criteria.
 
 Samples truncated Lie elements and polygonal paths, recording how often each
-side of the equivalences fires; discrepancies would be printed, none are
-expected.
+side of the equivalences fires; discrepancies are printed, none are
+expected, and any of them makes the script exit with status 1.
 
 Usage: python scripts/rank_survey.py [--samples 40] [--seed 3]
 """
 
 import argparse
+import sys
 from fractions import Fraction
 from random import Random
 
@@ -17,7 +18,7 @@ from thrallkit.shuffle_sig import PiecewiseLinearPath, signature
 from thrallkit.tensors import is_symmetric
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--samples", type=int, default=40)
     parser.add_argument("--seed", type=int, default=3)
@@ -60,7 +61,8 @@ def main() -> None:
         f"paths: {segments} segment-equivalent, {others} genuinely bent, "
         f"{inconsistent} inconsistent criteria"
     )
+    return 1 if disagreements or inconsistent else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -25,7 +25,7 @@ from functools import cache
 
 from . import linalg
 from .group_algebra import K_MAX, ResourceLimitError, _apply_blocks, _projector_blocks
-from .tensors import Tensor, TensorSeries, permute_slots, weight_blocks
+from .tensors import Tensor, TensorSeries, weight_blocks
 from .words import (
     Partition,
     Word,
@@ -395,27 +395,10 @@ def thrall_decompose(tensor: Tensor, method: str = "auto") -> dict[Partition, Te
     return _solve_decompose(tensor)
 
 
-def left_to_right_bracketing(tensor: Tensor) -> Tensor:
-    """Replace each word w_1 .. w_k by [[..[e_{w_1}, e_{w_2}], ..], e_{w_k}].
-
-    Step j brackets slot j+1 onto slots 1..j: [x, v] = x (x) v - v (x) x
-    subtracts the tensor with slot j+1 moved in front of slots 1..j, which
-    is ``permute_slots`` by the cycle (1 2 .. j+1) read on places 0..j.
-    """
-    if tensor.k < 1:
-        raise ValueError("needs order >= 1")
-    result = tensor
-    for j in range(1, tensor.k):
-        sigma = tuple((i + 1) % (j + 1) if i <= j else i for i in range(tensor.k))
-        result = result - permute_slots(result, sigma)
-    return result
-
-
 def is_lie_element(tensor: Tensor) -> bool:
-    """Dynkin criterion: the left-to-right bracketing multiplies by k."""
-    if tensor.k < 1:
-        return False
-    return left_to_right_bracketing(tensor) == tensor.scale(tensor.k)
+    """Lie membership: order at least one and :func:`lie_coordinates`'
+    back-substitution leaves no residual."""
+    return tensor.k >= 1 and lie_coordinates(tensor) is not None
 
 
 def lie_coordinates(tensor: Tensor) -> dict[Word, Fraction] | None:

@@ -1,9 +1,12 @@
 """Linear functionals on tensor levels invariant under volume-preserving maps.
 
-Invariance is imposed infinitesimally: a functional is invariant under the
-connected group of determinant-one matrices iff it is killed by the traceless
-matrices acting by derivations across the slots.  That condition is a finite
-exact linear system, so the space of invariants is a nullspace computation.
+By the first fundamental theorem for the determinant-one group, the
+degree-k invariants are zero unless k = d*ell, and then they are spanned by
+products of determinants: split the k slots into ell columns of d slots and
+multiply the determinants of the letters read in each column.  The standard
+tableaux of the d-by-ell rectangle give a basis (the standard polytabloids;
+straightening rewrites every other column split in terms of them), so the
+invariant space is read off directly, with no linear solve.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from .group_algebra import K_MAX, ResourceLimitError, _projector_blocks
 from .permutations import all_permutations, sign
 from .shuffle_sig import WordFunctional
 from .tensors import Tensor
-from .words import Partition, Word, word_to_index
+from .words import Partition, Word, standard_tableaux, word_to_index
 
 
 def _words_with_counts(counts: dict[int, int]) -> list[Word]:
@@ -28,48 +31,54 @@ def _words_with_counts(counts: dict[int, int]) -> list[Word]:
     return sorted(set(itertools.permutations(letters)))
 
 
+def _column_sign(letters: Word) -> int:
+    """Determinant of the basis vectors e_letters: a sign, or 0 on a repeat."""
+    if len(set(letters)) < len(letters):
+        return 0
+    return sign(tuple(letter - 1 for letter in letters))
+
+
+def _polytabloid_rows(d: int, ell: int) -> tuple[list[Word], list[list[int]]]:
+    """The balanced words (each letter ell times) and one integer row per
+    standard tableau of the rectangle ``(ell,)*d``: at the word w, the product
+    over the tableau's columns of the determinant of the letters of w in that
+    column's slots."""
+    words = _words_with_counts({letter: ell for letter in range(1, d + 1)})
+    rows = []
+    for tableau in standard_tableaux((ell,) * d):
+        columns = [tableau.column(j) for j in range(ell)]
+        rows.append([
+            math.prod(_column_sign(tuple(w[slot - 1] for slot in col)) for col in columns)
+            for w in words
+        ])
+    return words, rows
+
+
+def _functionals(d: int, words: list[Word], vectors) -> list[WordFunctional]:
+    """Normalized functionals of the canonical basis of the vectors' span."""
+    return [
+        normalize_functional(
+            WordFunctional(d, {w: v[i] for i, w in enumerate(words) if v[i] != 0})
+        )
+        for v in linalg.row_space_basis(vectors)
+    ]
+
+
 def sl_invariant_space(d: int, k: int) -> list[WordFunctional]:
     """Basis of the degree-k functionals invariant under determinant-one maps.
 
-    Invariance under the diagonal traceless generators pins the support to
-    balanced words (each letter appearing k/d times, so empty unless d
-    divides k); the off-diagonal elementary matrices E_ab then impose exact
-    linear conditions, and the space is their nullspace.  Returned
-    functionals are normalized: integer coefficients with gcd one, first
-    nonzero coefficient (in lex word order) positive.
+    Empty unless d divides k.  Otherwise the standard polytabloid rows of
+    the d-by-(k/d) rectangle span the invariants (they are products of
+    determinants, and their number is the rectangle's count of standard
+    tableaux, the dimension of the space), supported on the balanced words.
+    Returned functionals are the canonical (row-reduced) basis of that span,
+    normalized: integer coefficients with gcd one, first nonzero coefficient
+    (in lex word order) positive.
     """
     if k <= 0 or k % d != 0:
         return []
-    quota = k // d
-    balanced = _words_with_counts({letter: quota for letter in range(1, d + 1)})
-    index = {w: i for i, w in enumerate(balanced)}
-    rows: list[list[Fraction]] = []
-    # one condition per generator E_ab and word w with one extra b and one
-    # missing a: sum over slots of w holding b of beta[w with that slot -> a]
-    for a in range(1, d + 1):
-        for b in range(1, d + 1):
-            if a == b:
-                continue
-            counts = {letter: quota for letter in range(1, d + 1)}
-            counts[a] -= 1
-            counts[b] += 1
-            if counts[a] < 0:
-                continue
-            for w in _words_with_counts(counts):
-                row = [Fraction(0)] * len(balanced)
-                for slot, letter in enumerate(w):
-                    if letter == b:
-                        moved = w[:slot] + (a,) + w[slot + 1 :]
-                        row[index[moved]] += 1
-                rows.append(row)
-    basis = linalg.nullspace(rows) if rows else linalg.identity_matrix(len(balanced))
-    basis = linalg.row_space_basis(basis)
-    return [
-        normalize_functional(
-            WordFunctional(d, {w: v[i] for w, i in index.items() if v[i] != 0})
-        )
-        for v in basis
-    ]
+    words, rows = _polytabloid_rows(d, k // d)
+    return _functionals(d, words, rows)
 
 
 def normalize_functional(beta: WordFunctional) -> WordFunctional:
@@ -92,29 +101,20 @@ def path_invariants(d: int, ell: int) -> dict[Partition, list[WordFunctional]]:
     multiplicity of the d-by-ell rectangle inside the lam-graded character.
 
     The invariants live on the balanced weight block (each letter ell times),
-    so each image is an invariant's integer row times that block's cached
-    projector matrix (:mod:`thrallkit.group_algebra`).
+    so each image is a polytabloid row times that block's cached projector
+    matrix (:mod:`thrallkit.group_algebra`).
     """
     k = d * ell
     if k > K_MAX:
         raise ResourceLimitError(
             f"path invariants via projectors capped at degree {K_MAX}"
         )
-    words = _words_with_counts({letter: ell for letter in range(1, d + 1)})
-    ambient = [
-        linalg.integer_numerators(beta.terms.get(w, 0) for w in words)[1]
-        for beta in sl_invariant_space(d, k)
-    ]
+    words, ambient = _polytabloid_rows(d, ell)
     out: dict[Partition, list[WordFunctional]] = {}
     for lam, _, groups in _projector_blocks(d, k):
         columns = list(zip(*groups[(ell,) * d][0]))
         images = [[sum(map(operator.mul, beta, col)) for col in columns] for beta in ambient]
-        out[lam] = [
-            normalize_functional(
-                WordFunctional(d, {w: v[i] for i, w in enumerate(words) if v[i] != 0})
-            )
-            for v in linalg.row_space_basis(images)
-        ]
+        out[lam] = _functionals(d, words, images)
     return out
 
 

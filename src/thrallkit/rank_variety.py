@@ -17,14 +17,7 @@ from random import Random
 from . import linalg
 from .free_lie import LieElement, exp_truncated, is_lie_element, log_truncated, phi_k
 from .shuffle_sig import PiecewiseLinearPath, signature
-from .tensors import (
-    Tensor,
-    TensorSeries,
-    flattening_matrix,
-    flattening_rank,
-    is_symmetric,
-    tensor_product,
-)
+from .tensors import Tensor, TensorSeries, is_symmetric, tensor_product
 
 
 @dataclass(frozen=True)
@@ -41,38 +34,35 @@ class RankOneResult:
 def is_rank_one(tensor: Tensor) -> RankOneResult:
     """Decide whether a nonzero tensor is elementary; recover the factors.
 
-    A tensor is elementary iff every single-slot flattening has rank one.
-    The recovered factors follow the convention that the first one absorbs
-    the overall scale and the others have leading coordinate one.
+    If T = u_1 (x) .. (x) u_k is nonzero at the word w, the slice of T
+    through w along slot j (letter j free, the others fixed as in w) is u_j
+    times the nonzero number prod_{i != j} u_i[w_i].  So the slices through
+    one nonzero entry are the factors up to scale, and T is elementary iff
+    their product, scaled to agree at w, rebuilds it.  The recovered factors
+    follow the convention that the first one absorbs the overall scale and
+    the others have leading coordinate one.
     """
     if tensor.is_zero():
         raise ValueError("the zero tensor has no rank-one factorization")
     k, d = tensor.k, tensor.d
     if k == 0:
         return RankOneResult(True, ((tensor.entries[0],),))
-    for slot in range(1, k + 1):
-        if flattening_rank(tensor, {slot}) != 1:
-            return RankOneResult(False)
+    at = next(i for i, c in enumerate(tensor.entries) if c != 0)
     factors: list[tuple[Fraction, ...]] = []
-    for slot in range(1, k + 1):
-        m = flattening_matrix(tensor, {slot})
-        col = next(c for c in zip(*m) if any(x != 0 for x in c))
-        factors.append(tuple(col))
-    # normalize: factors 2..k get leading coefficient 1, factor 1 takes the scale
-    normalized: list[tuple[Fraction, ...]] = [factors[0]]
+    for slot in range(k):
+        stride = d ** (k - slot - 1)
+        first = at - (at // stride) % d * stride
+        vec = tensor.entries[first : first + d * stride : stride]
+        lead = next(x for x in vec if x != 0) if slot else 1
+        factors.append(tuple(x / lead for x in vec))
+    rebuilt = Tensor.from_vector(d, factors[0])
     for vec in factors[1:]:
-        lead = next(x for x in vec if x != 0)
-        normalized.append(tuple(x / lead for x in vec))
-    rebuilt = Tensor.from_vector(d, normalized[0])
-    for vec in normalized[1:]:
         rebuilt = tensor_product(rebuilt, Tensor.from_vector(d, vec))
-    witness_entry = next(i for i, c in enumerate(tensor.entries) if c != 0)
-    ratio = tensor.entries[witness_entry] / rebuilt.entries[witness_entry]
-    normalized[0] = tuple(ratio * x for x in normalized[0])
-    rebuilt = rebuilt.scale(ratio)
-    if rebuilt != tensor:
-        raise ArithmeticError("flattening ranks were one but factors do not multiply back")
-    return RankOneResult(True, tuple(normalized))
+    ratio = tensor.entries[at] / rebuilt.entries[at]
+    if rebuilt.scale(ratio) != tensor:
+        return RankOneResult(False)
+    factors[0] = tuple(ratio * x for x in factors[0])
+    return RankOneResult(True, tuple(factors))
 
 
 @dataclass(frozen=True)
@@ -203,50 +193,20 @@ def skew_plus_rank_one_rank(a, x) -> int:
 # the generic-rank lower bound
 
 
-def _ceil_of_surd_quotient(p: int, q: int, d: int, denom: int) -> int:
-    """Exact ceil((p - q * sqrt(d)) / denom) for nonnegative integers q, denom > 0.
-
-    Comparisons with sqrt(d) are settled by integer squaring, so the result
-    is exact for every d, square or not.
-    """
-    if q == 0:
-        return -((-p) // denom)
-    root = math.isqrt(d)
-    if root * root == d:
-        return -((-(p - q * root)) // denom)
-
-    def less_than_value(m: int) -> bool:
-        # m < p - q sqrt(d)  <=>  q sqrt(d) < p - m
-        rhs = p - m
-        if rhs <= 0:
-            return False
-        return q * q * d < rhs * rhs
-
-    # the value is irrational, so ceil(value / denom) is the least n with
-    # n * denom > value; walk there from an integer estimate
-    n = (p - q * root) // denom
-    while not less_than_value(n * denom):
-        n -= 1
-    while less_than_value(n * denom):
-        n += 1
-    return n
-
-
 def generic_rank_lower_bound(d: int, k: int) -> int:
     """Evaluate ceil((d^k (d-1) - d (d^(k/2) - 1)) / ((d-1) k (k d - k + 1))) - 1.
 
-    For odd k the half power is irrational (unless d is a square); the
-    ceiling is still computed exactly via integer square-root comparisons.
+    With p = d^k (d-1) + d and r = isqrt(d^(k+2)), the numerator is p - s for
+    s = d sqrt(d^k) = sqrt(d^(k+2)), and r <= s < r + 1.  If s = r, then
+    ceil((p - r) / denom) - 1 = (p - r - 1) // denom for the integer p - r.
+    If s is irrational, p - s lies strictly between the integers p - r - 1
+    and p - r, so its ceiling over denom is (p - r - 1) // denom + 1.  Both
+    cases give the same exact integer expression, whatever the parity of k.
     """
     if d < 2 or k < 2:
         raise ValueError("need d >= 2 and k >= 2")
     denom = (d - 1) * k * (k * d - k + 1)
-    p = d**k * (d - 1) + d
-    if k % 2 == 0:
-        numerator = p - d ** (k // 2 + 1)
-        return -((-numerator) // denom) - 1
-    q = d ** ((k + 1) // 2)
-    return _ceil_of_surd_quotient(p, q, d, denom) - 1
+    return (d**k * (d - 1) + d - math.isqrt(d ** (k + 2)) - 1) // denom
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,10 @@ family from an exact solve in the multilinear Lyndon-bracket bases and the
 column-first Young symmetrizer from its double sum, the dual slot action
 on functionals and the Lie levels from term-by-term Fraction sums, and the
 graded bases, the f_lambda summands and the Lie bracket from dense Fraction
-tensor products, so the main implementations are checked against genuinely
-different arithmetic.
+tensor products, the determinant-one invariants from the nullspace of the
+infinitesimal conditions, Lie membership from Dynkin's criterion and the
+rank-one test from single-slot flattening ranks, so the main
+implementations are checked against genuinely different arithmetic.
 """
 
 import itertools
@@ -27,7 +29,7 @@ from thrallkit.free_lie import (
     w_lambda_basis,
 )
 from thrallkit.group_algebra import GroupAlgebraElement, _subgroup_fixing, higher_lie_idempotent
-from thrallkit.invariants import normalize_functional, sl_invariant_space
+from thrallkit.invariants import normalize_functional
 from thrallkit.permutations import (
     all_permutations,
     compose,
@@ -36,8 +38,17 @@ from thrallkit.permutations import (
     sign,
     word_to_perm,
 )
+from thrallkit.rank_variety import RankOneResult
 from thrallkit.shuffle_sig import PiecewiseLinearPath, WordFunctional
-from thrallkit.tensors import Tensor, TensorSeries, series_product, tensor_product
+from thrallkit.tensors import (
+    Tensor,
+    TensorSeries,
+    flattening_matrix,
+    flattening_rank,
+    permute_slots,
+    series_product,
+    tensor_product,
+)
 from thrallkit.words import (
     all_words,
     check_partition,
@@ -108,6 +119,49 @@ def series_log(series: TensorSeries) -> TensorSeries:
         power = series_product(power, shifted)
         result = result + power.scale(Fraction((-1) ** (n + 1), n))
     return result
+
+
+def dynkin_is_lie_element(tensor: Tensor) -> bool:
+    """Dynkin criterion: the left-to-right bracketing multiplies by k.
+
+    The bracketing replaces each word w_1 .. w_k by
+    [[..[e_{w_1}, e_{w_2}], ..], e_{w_k}]; step j brackets slot j+1 onto
+    slots 1..j, subtracting the tensor with slot j+1 moved in front of slots
+    1..j, which is ``permute_slots`` by the cycle (1 2 .. j+1).
+    """
+    if tensor.k < 1:
+        return False
+    result = tensor
+    for j in range(1, tensor.k):
+        sigma = tuple((i + 1) % (j + 1) if i <= j else i for i in range(tensor.k))
+        result = result - permute_slots(result, sigma)
+    return result == tensor.scale(tensor.k)
+
+
+def flattening_is_rank_one(tensor: Tensor) -> RankOneResult:
+    """Rank one iff every single-slot flattening has rank one; each factor is
+    the first nonzero column of its slot's flattening, factors 2..k scaled to
+    leading coordinate one and the first to the tensor's scale.  Orders 0
+    and 1 have no proper flattening: the tensor is its own factor."""
+    k, d = tensor.k, tensor.d
+    if k <= 1:
+        return RankOneResult(True, (tensor.entries,))
+    if any(flattening_rank(tensor, {slot}) != 1 for slot in range(1, k + 1)):
+        return RankOneResult(False)
+    factors = []
+    for slot in range(1, k + 1):
+        m = flattening_matrix(tensor, {slot})
+        col = next(c for c in zip(*m) if any(x != 0 for x in c))
+        lead = next(x for x in col if x != 0) if slot > 1 else 1
+        factors.append(tuple(x / lead for x in col))
+    rebuilt = Tensor.from_vector(d, factors[0])
+    for vec in factors[1:]:
+        rebuilt = tensor_product(rebuilt, Tensor.from_vector(d, vec))
+    at = next(i for i, c in enumerate(tensor.entries) if c != 0)
+    ratio = tensor.entries[at] / rebuilt.entries[at]
+    assert rebuilt.scale(ratio) == tensor
+    factors[0] = tuple(ratio * x for x in factors[0])
+    return RankOneResult(True, tuple(factors))
 
 
 def dense_lie_coordinates(tensor: Tensor):
@@ -443,11 +497,55 @@ def fraction_act_on_functional(x, beta: WordFunctional, k: int) -> WordFunctiona
     return WordFunctional(beta.d, terms)
 
 
+def _words_with_counts(counts: dict) -> list:
+    letters = [letter for letter, c in sorted(counts.items()) for _ in range(c)]
+    return sorted(set(itertools.permutations(letters)))
+
+
+def nullspace_sl_invariant_space(d: int, k: int) -> list:
+    """Determinant-one invariants as the nullspace of the infinitesimal
+    conditions, normalized like :func:`thrallkit.invariants.sl_invariant_space`.
+
+    Invariance under the diagonal traceless generators pins the support to
+    balanced words (each letter k/d times, so empty unless d divides k); each
+    off-diagonal elementary matrix E_ab then gives, for every word w with one
+    extra b and one missing a, the condition sum over the slots of w holding
+    b of beta[w with that slot set to a] = 0.
+    """
+    if k <= 0 or k % d != 0:
+        return []
+    quota = k // d
+    balanced = _words_with_counts({letter: quota for letter in range(1, d + 1)})
+    index = {w: i for i, w in enumerate(balanced)}
+    rows = []
+    for a in range(1, d + 1):
+        for b in range(1, d + 1):
+            if a == b:
+                continue
+            counts = {letter: quota for letter in range(1, d + 1)}
+            counts[a] -= 1
+            counts[b] += 1
+            for w in _words_with_counts(counts):
+                row = [Fraction(0)] * len(balanced)
+                for slot, letter in enumerate(w):
+                    if letter == b:
+                        row[index[w[:slot] + (a,) + w[slot + 1 :]]] += 1
+                rows.append(row)
+    basis = linalg.nullspace(rows) if rows else linalg.identity_matrix(len(balanced))
+    return [
+        normalize_functional(
+            WordFunctional(d, {w: v[i] for w, i in index.items() if v[i] != 0})
+        )
+        for v in linalg.row_space_basis(basis)
+    ]
+
+
 def fraction_path_invariants(d: int, ell: int) -> dict:
-    """Graded invariants by projecting the ambient invariants with
-    :func:`fraction_act_on_functional`, one row per image over all d^k words."""
+    """Graded invariants by projecting the nullspace-built ambient invariants
+    with :func:`fraction_act_on_functional`, one row per image over all d^k
+    words."""
     k = d * ell
-    ambient = sl_invariant_space(d, k)
+    ambient = nullspace_sl_invariant_space(d, k)
     words = all_words(d, k)
     out = {}
     for lam in partitions(k):

@@ -138,6 +138,15 @@ def test_check_rank1_witness(tmp_path, capsys):
     assert payload["passed"] and len(payload["witness"]) == 2
 
 
+def test_check_rank1_order_one_witness_is_the_vector(tmp_path, capsys):
+    tfile = tmp_path / "v.json"
+    tfile.write_text(json.dumps({"d": 2, "k": 1, "entries": {"1": "3", "2": "-1"}}))
+    code, out, _ = run(capsys, "check", "rank1", "--input", str(tfile))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["passed"] and payload["witness"] == [["3", "-1"]]
+
+
 def test_malformed_input_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"d": 2, "k": 2, "entries": {"31": "1"}}))
@@ -263,6 +272,10 @@ GOLDEN = [
      "decompose_d2_k5_fractional.out", 0),
     (["decompose", "--tensor", "tensor_d3_k4.json"], "decompose_d3_k4.out", 0),
     (["invariants", "--d", "2", "--ell", "2"], "invariants_d2_ell2.out", 0),
+    (["invariants", "--d", "5", "--ell", "1"], "invariants_d5_ell1.out", 0),
+    (["invariant-space", "--d", "3", "--k", "6"], "invariant_space_d3_k6.out", 0),
+    (["check", "rank1", "--input", "tensor_d2_k3_rank_one.json"],
+     "check_rank1_d2_k3.out", 0),
 ]
 
 

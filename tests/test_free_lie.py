@@ -45,6 +45,7 @@ from oracles import (
     dense_lie_level,
     dense_solve_decompose,
     dense_w_lambda_basis,
+    dynkin_is_lie_element,
     series_exp,
     series_log,
 )
@@ -379,10 +380,26 @@ def test_is_lie_element():
         combo = Tensor.zero(2, 4)
         for b in basis:
             combo = combo + b.scale(Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
-        assert is_lie_element(combo) == (lie_coordinates(combo) is not None)
+        assert is_lie_element(combo) == dynkin_is_lie_element(combo)
         assert is_lie_element(combo)
     generic = random_tensor(2, 4, rng)
-    assert is_lie_element(generic) == (lie_coordinates(generic) is not None)
+    assert is_lie_element(generic) == dynkin_is_lie_element(generic)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 4), st.integers(0, 6), st.booleans(), st.integers(0, 2**32))
+def test_is_lie_element_matches_dynkin(d, k, perturb, seed):
+    rng = Random(seed)
+    if k == 0:
+        tensor = Tensor.scalar(d, rng.randint(-3, 3))
+    else:
+        tensor = random_lie_element(d, k, rng).level(k)
+    if perturb:
+        word = tuple(rng.randint(1, d) for _ in range(k))
+        tensor = tensor + Tensor.basis(d, word).scale(rng.randint(1, 3))
+    elif k >= 1:
+        assert is_lie_element(tensor)
+    assert is_lie_element(tensor) == dynkin_is_lie_element(tensor)
 
 
 def test_lyndon_bracketings_are_unitriangular():

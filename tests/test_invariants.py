@@ -23,7 +23,7 @@ from thrallkit.symfun import thrall_coefficients
 from thrallkit.tensors import Tensor, random_tensor, symmetrize, tensor_product
 from thrallkit.words import all_words, num_standard, partitions
 
-from oracles import fraction_path_invariants
+from oracles import fraction_path_invariants, nullspace_sl_invariant_space
 
 BETA_22 = WordFunctional(
     2, {(1, 1, 2, 2): 1, (1, 2, 2, 1): -1, (2, 1, 1, 2): -1, (2, 2, 1, 1): 1}
@@ -53,6 +53,16 @@ def proportional(beta, gamma):
 def test_invariant_space_dimension_is_rectangle_multiplicity(d, ell):
     k = d * ell
     assert len(sl_invariant_space(d, k)) == num_standard((ell,) * d)
+
+
+@pytest.mark.parametrize(
+    "d,k",
+    [(1, k) for k in range(1, 7)]
+    + [(2, k) for k in range(1, 10)]
+    + [(3, 3), (3, 6), (4, 4), (5, 5)],
+)
+def test_invariant_space_matches_nullspace_reference(d, k):
+    assert sl_invariant_space(d, k) == nullspace_sl_invariant_space(d, k)
 
 
 def test_invariant_space_empty_when_degree_not_divisible():

@@ -16,6 +16,7 @@ from thrallkit.rank_variety import (
     generic_rank_lower_bound,
     hdet_pullback_check,
     hyperdeterminant_2x2x2,
+    RankOneResult,
     is_rank_one,
     signature_rank_one_check,
     skew_plus_rank_one_rank,
@@ -24,7 +25,7 @@ from thrallkit.rank_variety import (
 from thrallkit.shuffle_sig import PiecewiseLinearPath, signature
 from thrallkit.tensors import Tensor, TensorSeries, is_symmetric, random_tensor, tensor_product
 
-from oracles import is_segment_equivalent, rank_by_minors
+from oracles import flattening_is_rank_one, is_segment_equivalent, rank_by_minors
 
 
 def product_of(vectors, d):
@@ -71,6 +72,51 @@ def test_rank_one_witness_random_elementary():
             result = is_rank_one(t)
             assert result
             assert product_of(result.factors, d) == t
+
+
+def test_rank_one_order_one_is_the_vector_itself():
+    v = Tensor.from_vector(2, [3, -1])
+    assert is_rank_one(v) == RankOneResult(True, ((Fraction(3), Fraction(-1)),))
+    assert is_rank_one(Tensor.from_vector(3, [0, Fraction(1, 2), 0])).factors == (
+        (0, Fraction(1, 2), 0),
+    )
+
+
+def rank_one_inputs():
+    rng = Random(42)
+    for d, k in ((1, 3), (2, 1), (2, 3), (3, 2), (3, 3), (2, 5)):
+        for _ in range(6):
+            # outer products with some zero coordinates, so leads vary
+            vecs = [
+                [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(d)]
+                for _ in range(k)
+            ]
+            yield product_of(vecs, d).scale(Fraction(rng.randint(1, 5), rng.randint(1, 5)))
+            yield random_tensor(d, k, rng)
+            # a rank-one tensor with one entry moved off the variety
+            t = product_of(vecs, d)
+            yield t + Tensor.basis(d, tuple(rng.randint(1, d) for _ in range(k)))
+    for points in (
+        [[0, 0], [1, 2], [3, 6], [2, 4]],
+        [[0, 0, 0], [1, -1, 2], [-2, 2, -4]],
+        [[0, 0], [1, 0], [1, 1]],
+        [[0, 0, 0], [1, 0, 2], [1, 3, 2], [0, 1, 1]],
+    ):
+        sig = signature(PiecewiseLinearPath.from_lists(points), 4)
+        for level in range(1, 5):
+            yield sig.level(level)
+
+
+def test_rank_one_matches_flattening_definition():
+    checked = rank_one = 0
+    for t in rank_one_inputs():
+        if t.is_zero():
+            continue
+        got = is_rank_one(t)
+        assert got == flattening_is_rank_one(t)
+        checked += 1
+        rank_one += bool(got)
+    assert checked > 100 and 30 < rank_one < checked - 30
 
 
 def test_rank_one_rejects_phi3_with_area():
@@ -287,6 +333,8 @@ def bound_oracle(d, k):
         (3, 5, 4),
         (4, 3, 1),
         (5, 4, 8),
+        # rounding sqrt(d^k) before multiplying by d gives 613 here
+        (74, 3, 612),
     ],
 )
 def test_generic_rank_lower_bound_values(d, k, expected):
@@ -295,9 +343,12 @@ def test_generic_rank_lower_bound_values(d, k, expected):
 
 
 def test_generic_rank_lower_bound_matches_oracle_sweep():
-    for d in range(2, 6):
-        for k in range(2, 9):
-            assert generic_rank_lower_bound(d, k) == bound_oracle(d, k)
+    # square d with odd k is the case where d^(k+2) is a perfect square
+    # although k/2 is not an integer
+    shapes = [(d, k) for d in range(2, 41) for k in range(2, 16)]
+    assert {(d, k) for d, k in shapes if math.isqrt(d) ** 2 == d and k % 2}
+    for d, k in shapes:
+        assert generic_rank_lower_bound(d, k) == bound_oracle(d, k)
 
 
 def test_generic_rank_bound_matrix_case_is_weak():
