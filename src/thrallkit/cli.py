@@ -14,24 +14,20 @@ import sys
 from pathlib import Path
 
 from . import jsonio
-from .free_lie import is_lie_element, thrall_decompose
-from .group_algebra import (
-    ResourceLimitError,
-    higher_lie_idempotent,
-    intersection_projector,
-)
-from .invariants import path_invariants, sl_invariant_space
 from .jsonio import FormatError, format_partition, parse_partition
-from .rank_variety import (
-    fls_check,
-    hdet_pullback_check,
-    is_rank_one,
-    signature_rank_one_check,
+from .words import (
+    ResourceLimitError,
+    lie_dim,
+    lyndon_words,
+    num_standard,
+    partitions,
+    schur_dim,
+    word_to_string,
 )
-from .shuffle_sig import is_group_like, log_signature, signature
-from .symfun import thrall_coefficients, w_module_dim
-from .tensors import is_symmetric
-from .words import lie_dim, lyndon_words, num_standard, partitions, schur_dim, word_to_string
+
+# Each handler imports the library modules it uses once its input has been
+# read, so a process loads only what its subcommand needs, and malformed
+# input exits before any of the algebra is loaded.
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -60,6 +56,8 @@ def _load_json(path: str, what: str) -> dict:
 
 
 def cmd_dims(args) -> int:
+    from .symfun import w_module_dim
+
     d, k = args.d, args.k
     payload = {
         "d": d,
@@ -99,6 +97,8 @@ def cmd_idempotent(args) -> int:
     lam = parse_partition(args.partition, "partition")
     if sum(lam) != args.k:
         raise FormatError("partition", f"{lam} is not a partition of k={args.k}")
+    from .group_algebra import higher_lie_idempotent, intersection_projector
+
     if args.intersect_mu:
         mu = parse_partition(args.intersect_mu, "intersect-mu")
         element = intersection_projector(lam, mu)
@@ -123,6 +123,8 @@ def cmd_thrall_coeffs(args) -> int:
         lams = [lam]
     else:
         lams = list(partitions(args.k))
+    from .symfun import thrall_coefficients
+
     table = {
         format_partition(lam): {
             format_partition(mu): a for mu, a in sorted(thrall_coefficients(lam).items(), reverse=True)
@@ -141,6 +143,8 @@ def cmd_thrall_coeffs(args) -> int:
 
 def cmd_decompose(args) -> int:
     tensor = jsonio.tensor_from_json(_load_json(args.tensor, "tensor"), "tensor")
+    from .free_lie import thrall_decompose
+
     components = thrall_decompose(tensor, method=args.method)
     payload = {
         format_partition(lam): jsonio.tensor_to_json(component)
@@ -151,6 +155,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_invariants(args) -> int:
+    from .invariants import path_invariants
+
     table = path_invariants(args.d, args.ell)
     payload = {
         format_partition(lam): [
@@ -173,6 +179,8 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_ambient_invariants(args) -> int:
+    from .invariants import sl_invariant_space
+
     basis = sl_invariant_space(args.d, args.k)
     payload = [jsonio.functional_to_json(beta) for beta in basis]
     _emit(payload, args.format)
@@ -181,6 +189,8 @@ def cmd_ambient_invariants(args) -> int:
 
 def cmd_signature(args) -> int:
     path = jsonio.path_from_json(_load_json(args.path, "path"), "path")
+    from .shuffle_sig import log_signature, signature
+
     series = (
         log_signature(path, args.level) if args.log else signature(path, args.level)
     )
@@ -192,14 +202,20 @@ def cmd_check(args) -> int:
     what = args.what
     if what == "group-like":
         series = jsonio.series_from_json(_load_json(args.input, "series"), "series")
+        from .shuffle_sig import is_group_like
+
         passed = is_group_like(series)
         payload = {"check": what, "passed": passed}
     elif what == "symmetric":
         tensor = jsonio.tensor_from_json(_load_json(args.input, "tensor"), "tensor")
+        from .tensors import is_symmetric
+
         passed = is_symmetric(tensor)
         payload = {"check": what, "passed": passed}
     elif what == "rank1":
         tensor = jsonio.tensor_from_json(_load_json(args.input, "tensor"), "tensor")
+        from .rank_variety import is_rank_one, signature_rank_one_check
+
         result = is_rank_one(tensor)
         passed = bool(result)
         payload = {"check": what, "passed": passed}
@@ -211,10 +227,14 @@ def cmd_check(args) -> int:
         payload["symmetric"] = report.symmetric
     elif what == "lie":
         tensor = jsonio.tensor_from_json(_load_json(args.input, "tensor"), "tensor")
+        from .free_lie import is_lie_element
+
         passed = is_lie_element(tensor)
         payload = {"check": what, "passed": passed}
     elif what == "fls":
         path = jsonio.path_from_json(_load_json(args.input, "path"), "path")
+        from .rank_variety import fls_check
+
         report = fls_check(path, args.level)
         passed = report.is_segment
         payload = {"check": what, "passed": passed, **report.as_dict()}
@@ -225,6 +245,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_hdet_pullback(args) -> int:
+    from .rank_variety import hdet_pullback_check
+
     report = hdet_pullback_check(seed=args.seed, samples=args.samples)
     _emit(report.as_dict(), args.format)
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED

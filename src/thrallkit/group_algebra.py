@@ -32,7 +32,15 @@ from .permutations import (
     word_to_perm,
 )
 from .tensors import Tensor, weight_blocks
-from .words import Partition, Word, YoungTableau, check_partition, index_to_word, partitions
+from .words import (
+    Partition,
+    ResourceLimitError,
+    Word,
+    YoungTableau,
+    check_partition,
+    index_to_word,
+    partitions,
+)
 
 # Degree cap for the projector family; reproduction of the published values
 # needs k <= 4.  The closed form has k! terms per projector; lifting the cap
@@ -41,10 +49,6 @@ K_MAX = 5
 
 
 _ZERO = Fraction(0)
-
-
-class ResourceLimitError(RuntimeError):
-    """Raised when a computation exceeds a fixed degree or size cap."""
 
 
 @dataclass(frozen=True)

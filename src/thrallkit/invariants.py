@@ -11,7 +11,6 @@ invariant space is read off directly, with no linear solve.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from fractions import Fraction
@@ -26,16 +25,36 @@ from .words import Partition, Word, standard_tableaux, word_to_index
 
 
 def _words_with_counts(counts: dict[int, int]) -> list[Word]:
-    """All words with the given letter multiplicities, lexicographically."""
-    letters = [letter for letter, c in sorted(counts.items()) for _ in range(c)]
-    return sorted(set(itertools.permutations(letters)))
+    """All words with the given letter multiplicities, lexicographically.
+
+    Each word is the lexicographic successor of the one before (Knuth,
+    TAOCP 7.2.1.2, Algorithm L), so the cost is the number of words.
+    """
+    w = [letter for letter, c in sorted(counts.items()) for _ in range(c)]
+    words = [tuple(w)]
+    while True:
+        i = len(w) - 2
+        while i >= 0 and w[i] >= w[i + 1]:
+            i -= 1
+        if i < 0:
+            return words
+        j = len(w) - 1
+        while w[j] <= w[i]:
+            j -= 1
+        w[i], w[j] = w[j], w[i]
+        w[i + 1 :] = w[:i:-1]
+        words.append(tuple(w))
 
 
 def _column_sign(letters: Word) -> int:
     """Determinant of the basis vectors e_letters: a sign, or 0 on a repeat."""
-    if len(set(letters)) < len(letters):
-        return 0
-    return sign(tuple(letter - 1 for letter in letters))
+    inversions = 0
+    for i, a in enumerate(letters):
+        for b in letters[i + 1 :]:
+            if a == b:
+                return 0
+            inversions += a > b
+    return -1 if inversions % 2 else 1
 
 
 def _polytabloid_rows(d: int, ell: int) -> tuple[list[Word], list[list[int]]]:

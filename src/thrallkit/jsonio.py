@@ -9,13 +9,17 @@ Parse errors raise :class:`FormatError` naming the offending field.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .free_lie import LieElement
-from .group_algebra import GroupAlgebraElement
-from .permutations import from_cycles, to_cycles
-from .shuffle_sig import PiecewiseLinearPath, WordFunctional
-from .tensors import Tensor, TensorSeries
 from .words import Partition, word_from_string, word_to_string
+
+# The model classes are imported where a parser builds one, so that the CLI
+# loads only the modules of the subcommand that runs.
+if TYPE_CHECKING:
+    from .free_lie import LieElement
+    from .group_algebra import GroupAlgebraElement
+    from .shuffle_sig import PiecewiseLinearPath, WordFunctional
+    from .tensors import Tensor, TensorSeries
 
 
 class FormatError(ValueError):
@@ -96,6 +100,8 @@ def tensor_from_json(obj: dict, where: str = "tensor") -> Tensor:
         if any(not 1 <= x <= d for x in word):
             raise FormatError(f"{where}.entries.{key}", f"letters outside 1..{d}")
         terms[word] = parse_fraction(value, f"{where}.entries.{key}")
+    from .tensors import Tensor
+
     try:
         return Tensor.from_dict(d, k, terms)
     except ValueError as exc:
@@ -129,6 +135,8 @@ def series_from_json(obj: dict, where: str = "series") -> TensorSeries:
         tensors.append(
             tensor_from_json({"d": d, "k": k, "entries": level}, f"{where}.levels[{k}]")
         )
+    from .tensors import TensorSeries
+
     return TensorSeries(d, tuple(tensors))
 
 
@@ -137,6 +145,8 @@ def series_from_json(obj: dict, where: str = "series") -> TensorSeries:
 
 
 def group_element_to_json(element: GroupAlgebraElement) -> dict:
+    from .permutations import to_cycles
+
     terms = []
     for perm in sorted(element.terms):
         terms.append(
@@ -149,6 +159,8 @@ def group_element_to_json(element: GroupAlgebraElement) -> dict:
 
 
 def group_element_from_json(obj: dict, where: str = "element") -> GroupAlgebraElement:
+    from .permutations import from_cycles
+
     k = _require(obj, "k", int, where)
     raw = _require(obj, "terms", list, where)
     terms = {}
@@ -162,6 +174,8 @@ def group_element_from_json(obj: dict, where: str = "element") -> GroupAlgebraEl
             raise FormatError(f"{where}.terms[{i}].cycles", str(exc)) from None
         coeff = parse_fraction(item.get("coeff"), f"{where}.terms[{i}].coeff")
         terms[perm] = terms.get(perm, Fraction(0)) + coeff
+    from .group_algebra import GroupAlgebraElement
+
     return GroupAlgebraElement(k, terms)
 
 
@@ -193,6 +207,8 @@ def lie_element_from_json(obj: dict, where: str = "lie") -> LieElement:
     k_max = obj.get("k_max", max((len(w) for w in coeffs), default=1))
     if not isinstance(k_max, int):
         raise FormatError(f"{where}.k_max", "expected int")
+    from .free_lie import LieElement
+
     try:
         return LieElement(d, k_max, coeffs)
     except ValueError as exc:
@@ -220,6 +236,8 @@ def functional_from_json(obj: dict, d: int, where: str = "functional") -> WordFu
         except ValueError as exc:
             raise FormatError(f"{where}.terms.{key}", str(exc)) from None
         terms[word] = parse_fraction(value, f"{where}.terms.{key}")
+    from .shuffle_sig import WordFunctional
+
     try:
         return WordFunctional(d, terms)
     except ValueError as exc:
@@ -245,6 +263,8 @@ def path_from_json(obj: dict, where: str = "path") -> PiecewiseLinearPath:
                 parse_fraction(x, f"{where}.points[{i}][{j}]") for j, x in enumerate(p)
             )
         )
+    from .shuffle_sig import PiecewiseLinearPath
+
     try:
         return PiecewiseLinearPath(d, tuple(parsed))
     except ValueError as exc:

@@ -92,21 +92,6 @@ def rank(matrix) -> int:
     return len(_eliminate(rows)[0])
 
 
-def nullspace(matrix) -> list[Vector]:
-    """Basis of the right nullspace, one vector per free column."""
-    m, pivots = rref(matrix)
-    ncols = len(m[0]) if m else 0
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -m[r][fc]
-        basis.append(v)
-    return basis
-
-
 def solve(matrix, rhs) -> Vector | None:
     """A particular solution of ``matrix @ x = rhs``, or None if inconsistent.
 
@@ -166,12 +151,6 @@ def same_span(vectors_a, vectors_b) -> bool:
     ra = rank(a) if a else 0
     rb = rank(b) if b else 0
     return ra == rb == rank(a + b)
-
-
-def identity_matrix(n: int) -> Matrix:
-    return [
-        [Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)
-    ]
 
 
 def determinant(matrix) -> Fraction:

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .linalg import rank as matrix_rank
 from .permutations import Perm, inverse
 from .words import Word, index_to_word, word_to_index
 
@@ -194,31 +193,6 @@ def is_symmetric(tensor: Tensor) -> bool:
     return True
 
 
-def flattening_matrix(tensor: Tensor, split: frozenset[int] | set[int]):
-    """Matrix of the flattening grouping the 1-based slots in ``split`` as rows."""
-    k, d = tensor.k, tensor.d
-    split = set(split)
-    if not split or split >= set(range(1, k + 1)) or not split <= set(range(1, k + 1)):
-        raise ValueError(f"split must be a nonempty proper subset of 1..{k}")
-    row_slots = sorted(s - 1 for s in split)
-    col_slots = [s for s in range(k) if s not in row_slots]
-    nrows, ncols = d ** len(row_slots), d ** len(col_slots)
-    matrix = [[Fraction(0)] * ncols for _ in range(nrows)]
-    for i, c in enumerate(tensor.entries):
-        if c == 0:
-            continue
-        w = index_to_word(i, d, k)
-        r = word_to_index(tuple(w[s] for s in row_slots), d)
-        col = word_to_index(tuple(w[s] for s in col_slots), d)
-        matrix[r][col] = c
-    return matrix
-
-
-def flattening_rank(tensor: Tensor, split) -> int:
-    """Exact rank of the flattening determined by ``split``."""
-    return matrix_rank(flattening_matrix(tensor, split))
-
-
 @dataclass(frozen=True)
 class TensorSeries:
     """Truncated tensor series: one tensor per level 0..k_max."""
@@ -280,21 +254,6 @@ class TensorSeries:
 
     def scale(self, c) -> "TensorSeries":
         return TensorSeries(self.d, tuple(level.scale(c) for level in self.levels))
-
-
-def series_product(s: TensorSeries, t: TensorSeries) -> TensorSeries:
-    """Product in the truncated tensor algebra; levels above k_max are dropped."""
-    s._check_compatible(t)
-    levels = []
-    for m in range(s.k_max + 1):
-        acc = Tensor.zero(s.d, m) if m else Tensor.scalar(s.d, 0)
-        for i in range(m + 1):
-            a, b = s.levels[i], t.levels[m - i]
-            if a.is_zero() or b.is_zero():
-                continue
-            acc = acc + tensor_product(a, b)
-        levels.append(acc)
-    return TensorSeries(s.d, tuple(levels))
 
 
 def random_tensor(d: int, k: int, rng, bound: int = 5) -> Tensor:

@@ -22,6 +22,12 @@ Word = tuple[int, ...]
 Partition = tuple[int, ...]
 
 
+# Defined in this dependency-free module so that the CLI can catch it without
+# loading the algebra; ``group_algebra`` re-exports it.
+class ResourceLimitError(RuntimeError):
+    """Raised when a computation exceeds a fixed degree or size cap."""
+
+
 # ---------------------------------------------------------------------------
 # words
 

@@ -43,10 +43,7 @@ from thrallkit.shuffle_sig import PiecewiseLinearPath, WordFunctional
 from thrallkit.tensors import (
     Tensor,
     TensorSeries,
-    flattening_matrix,
-    flattening_rank,
     permute_slots,
-    series_product,
     tensor_product,
 )
 from thrallkit.words import (
@@ -56,8 +53,73 @@ from thrallkit.words import (
     lyndon_words,
     multiplicity_profile,
     partitions,
+    standard_tableaux,
     word_to_index,
 )
+
+
+# ---------------------------------------------------------------------------
+# dense helpers that only the references use (they were public library API
+# until no library path called them)
+
+
+def series_product(s: TensorSeries, t: TensorSeries) -> TensorSeries:
+    """Product in the truncated tensor algebra; levels above k_max are dropped."""
+    if s.d != t.d or s.k_max != t.k_max:
+        raise ValueError("series shape mismatch")
+    levels = []
+    for m in range(s.k_max + 1):
+        acc = Tensor.zero(s.d, m) if m else Tensor.scalar(s.d, 0)
+        for i in range(m + 1):
+            a, b = s.levels[i], t.levels[m - i]
+            if a.is_zero() or b.is_zero():
+                continue
+            acc = acc + tensor_product(a, b)
+        levels.append(acc)
+    return TensorSeries(s.d, tuple(levels))
+
+
+def flattening_matrix(tensor: Tensor, split) -> list:
+    """Matrix of the flattening grouping the 1-based slots in ``split`` as rows."""
+    k, d = tensor.k, tensor.d
+    split = set(split)
+    if not split or split >= set(range(1, k + 1)) or not split <= set(range(1, k + 1)):
+        raise ValueError(f"split must be a nonempty proper subset of 1..{k}")
+    row_slots = sorted(s - 1 for s in split)
+    col_slots = [s for s in range(k) if s not in row_slots]
+    nrows, ncols = d ** len(row_slots), d ** len(col_slots)
+    matrix = [[Fraction(0)] * ncols for _ in range(nrows)]
+    for i, c in enumerate(tensor.entries):
+        if c == 0:
+            continue
+        w = index_to_word(i, d, k)
+        r = word_to_index(tuple(w[s] for s in row_slots), d)
+        col = word_to_index(tuple(w[s] for s in col_slots), d)
+        matrix[r][col] = c
+    return matrix
+
+
+def flattening_rank(tensor: Tensor, split) -> int:
+    """Exact rank of the flattening determined by ``split``."""
+    return linalg.rank(flattening_matrix(tensor, split))
+
+
+def nullspace(matrix) -> list:
+    """Basis of the right nullspace, one vector per free column."""
+    m, pivots = linalg.rref(matrix)
+    ncols = len(m[0]) if m else 0
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -m[r][fc]
+        basis.append(v)
+    return basis
+
+
+def identity_matrix(n: int) -> list:
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
 def _poly_integrate(coeffs):
@@ -497,9 +559,36 @@ def fraction_act_on_functional(x, beta: WordFunctional, k: int) -> WordFunctiona
     return WordFunctional(beta.d, terms)
 
 
-def _words_with_counts(counts: dict) -> list:
+def permutation_words_with_counts(counts: dict) -> list:
+    """Words with the given letter multiplicities: every ordering of the
+    letters, deduplicated and sorted."""
     letters = [letter for letter, c in sorted(counts.items()) for _ in range(c)]
     return sorted(set(itertools.permutations(letters)))
+
+
+def permutation_sl_invariant_space(d: int, k: int) -> list:
+    """The standard polytabloid rows over the balanced words of
+    :func:`permutation_words_with_counts`, each column determinant read off
+    ``permutations.sign``; normalized like
+    :func:`thrallkit.invariants.sl_invariant_space`."""
+    if k <= 0 or k % d != 0:
+        return []
+    ell = k // d
+    words = permutation_words_with_counts({letter: ell for letter in range(1, d + 1)})
+    rows = []
+    for tableau in standard_tableaux((ell,) * d):
+        row = []
+        for w in words:
+            value = 1
+            for j in range(ell):
+                letters = [w[slot - 1] for slot in tableau.column(j)]
+                value *= sign(tuple(x - 1 for x in letters)) if len(set(letters)) == d else 0
+            row.append(value)
+        rows.append(row)
+    return [
+        normalize_functional(WordFunctional(d, {w: v[i] for i, w in enumerate(words) if v[i]}))
+        for v in linalg.row_space_basis(rows)
+    ]
 
 
 def nullspace_sl_invariant_space(d: int, k: int) -> list:
@@ -515,7 +604,7 @@ def nullspace_sl_invariant_space(d: int, k: int) -> list:
     if k <= 0 or k % d != 0:
         return []
     quota = k // d
-    balanced = _words_with_counts({letter: quota for letter in range(1, d + 1)})
+    balanced = permutation_words_with_counts({letter: quota for letter in range(1, d + 1)})
     index = {w: i for i, w in enumerate(balanced)}
     rows = []
     for a in range(1, d + 1):
@@ -525,13 +614,13 @@ def nullspace_sl_invariant_space(d: int, k: int) -> list:
             counts = {letter: quota for letter in range(1, d + 1)}
             counts[a] -= 1
             counts[b] += 1
-            for w in _words_with_counts(counts):
+            for w in permutation_words_with_counts(counts):
                 row = [Fraction(0)] * len(balanced)
                 for slot, letter in enumerate(w):
                     if letter == b:
                         row[index[w[:slot] + (a,) + w[slot + 1 :]]] += 1
                 rows.append(row)
-    basis = linalg.nullspace(rows) if rows else linalg.identity_matrix(len(balanced))
+    basis = nullspace(rows) if rows else identity_matrix(len(balanced))
     return [
         normalize_functional(
             WordFunctional(d, {w: v[i] for w, i in index.items() if v[i] != 0})

@@ -18,7 +18,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from oracles import integration_oracle, is_segment_equivalent, rank_by_minors
+from oracles import integration_oracle, is_segment_equivalent, rank_by_minors, series_product
 
 from thrallkit import linalg
 from thrallkit.free_lie import (
@@ -53,7 +53,7 @@ from thrallkit.rank_variety import (
 from thrallkit.reference_suite import ALL_CHECKS
 from thrallkit.shuffle_sig import PiecewiseLinearPath, is_group_like, signature
 from thrallkit.symfun import lie_character, plethysm_h, schur_expand, thrall_coefficients
-from thrallkit.tensors import is_symmetric, random_tensor, series_product
+from thrallkit.tensors import is_symmetric, random_tensor
 from thrallkit.words import (
     YoungTableau,
     conjugate_partition,

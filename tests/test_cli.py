@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -254,11 +257,22 @@ def test_decompose_guard_and_solve_fallback(tmp_path, capsys):
 
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
 # Stdout recorded from the earlier implementations: the Fraction series-product
-# exp/log for the signature, fls and paper-suite cases, and the per-partition
+# exp/log for the signature, fls and paper-suite cases, the per-partition
 # ga_act route with the Fraction dual action for the decompose and invariants
-# cases.
+# cases, and the CLI that imported every module up front for the dims, lyndon,
+# thrall-coeffs, idempotent, check lie, check group-like and help cases.
 GOLDEN = [
+    (["dims", "--d", "3", "--k", "5"], "dims_d3_k5.out", 0),
+    (["--format", "text", "dims", "--d", "3", "--k", "5"], "dims_d3_k5_text.out", 0),
+    (["lyndon", "--d", "3", "--k", "4", "--upto"], "lyndon_d3_k4_upto.out", 0),
+    (["thrall-coeffs", "--k", "5"], "thrall_coeffs_k5.out", 0),
+    (["idempotent", "--k", "4", "--partition", "2,1,1", "--intersect-mu", "3,1"],
+     "idempotent_k4_211_mu31.out", 0),
+    (["check", "lie", "--input", "tensor_d3_k4_lie.json"], "check_lie_d3_k4.out", 0),
+    (["check", "group-like", "--input", "series_d2_level3_signature.json"],
+     "check_group_like_d2_level3.out", 0),
     (["signature", "--path", "path_d2_integer.json", "--level", "6", "--log"],
      "signature_log_d2_integer_level6.out", 0),
     (["signature", "--path", "path_d3_fractional.json", "--level", "5", "--log"],
@@ -285,6 +299,17 @@ def test_stdout_matches_golden_bytes(capsys, argv, golden, exit_code):
     code, out, _ = run(capsys, *argv)
     assert code == exit_code
     assert out.encode() == (DATA / golden).read_bytes()
+
+
+def test_help_matches_golden_bytes():
+    # the installed console script and ``python -m thrallkit.cli`` share main()
+    env = dict(os.environ, COLUMNS="80")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "thrallkit.cli", "--help"], capture_output=True, env=env
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == (DATA / "help.out").read_bytes()
 
 
 @pytest.mark.parametrize("method", ["idempotent", "solve"])

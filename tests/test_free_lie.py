@@ -30,7 +30,6 @@ from thrallkit.tensors import (
     TensorSeries,
     is_symmetric,
     random_tensor,
-    series_product,
     symmetrize,
     tensor_product,
     weight_blocks,
@@ -48,6 +47,7 @@ from oracles import (
     dynkin_is_lie_element,
     series_exp,
     series_log,
+    series_product,
 )
 
 # Shapes (d, k) on which the Lyndon fast paths are cross-checked.

