@@ -25,9 +25,9 @@ _EXPORTS = {
             "thrall_decompose", "w_lambda_basis",
         ),
         "group_algebra": (
-            "GroupAlgebraElement", "K_MAX", "ResourceLimitError", "central_idempotent",
-            "ga_act", "ga_multiply", "higher_lie_idempotent", "intersection_projector",
-            "verify_refinement", "young_symmetrizer", "young_symmetrizer_transposed",
+            "GroupAlgebraElement", "K_MAX", "central_idempotent", "ga_act", "ga_multiply",
+            "higher_lie_idempotent", "intersection_projector", "verify_refinement",
+            "young_symmetrizer", "young_symmetrizer_transposed",
         ),
         "invariants": (
             "alternating_signature", "check_invariance", "path_invariants",
@@ -49,8 +49,9 @@ _EXPORTS = {
         ),
         "tensors": ("Tensor", "TensorSeries", "is_symmetric", "permute_slots", "tensor_product"),
         "words": (
-            "Partition", "Word", "YoungTableau", "lie_dim", "lyndon_words", "moebius",
-            "num_standard", "partition_union", "partitions", "schur_dim", "standard_tableaux",
+            "Partition", "ResourceLimitError", "Word", "YoungTableau", "lie_dim", "lyndon_words",
+            "moebius", "num_standard", "partition_union", "partitions", "schur_dim",
+            "standard_tableaux",
         ),
     }.items()
     for name in names

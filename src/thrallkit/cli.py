@@ -214,7 +214,8 @@ def cmd_check(args) -> int:
         payload = {"check": what, "passed": passed}
     elif what == "rank1":
         tensor = jsonio.tensor_from_json(_load_json(args.input, "tensor"), "tensor")
-        from .rank_variety import is_rank_one, signature_rank_one_check
+        from .rank_variety import is_rank_one
+        from .tensors import is_symmetric
 
         result = is_rank_one(tensor)
         passed = bool(result)
@@ -223,8 +224,7 @@ def cmd_check(args) -> int:
             payload["witness"] = [
                 [jsonio.format_fraction(x) for x in factor] for factor in result.factors
             ]
-        report = signature_rank_one_check(tensor, assert_in_variety=False)
-        payload["symmetric"] = report.symmetric
+        payload["symmetric"] = is_symmetric(tensor)
     elif what == "lie":
         tensor = jsonio.tensor_from_json(_load_json(args.input, "tensor"), "tensor")
         from .free_lie import is_lie_element

@@ -24,12 +24,13 @@ from fractions import Fraction
 from functools import cache
 
 from . import linalg
-from .group_algebra import K_MAX, ResourceLimitError, _apply_blocks, _projector_blocks
 from .tensors import Tensor, TensorSeries, weight_blocks
 from .words import (
     Partition,
+    ResourceLimitError,
     Word,
     check_partition,
+    distinct_orderings,
     index_to_word,
     is_lyndon,
     lyndon_words,
@@ -55,7 +56,7 @@ def _symmetrized_product(labels, expand) -> dict[Word, int]:
     """Sum over the distinct orderings of the multiset ``labels`` of the
     concatenation product of ``expand(label)`` in that order."""
     out: dict[Word, int] = {}
-    for order in set(itertools.permutations(labels)):
+    for order in distinct_orderings(labels):
         term = {(): 1}
         for label in order:
             term = _concat_into({}, term, expand(label))
@@ -364,34 +365,27 @@ def _solve_decompose(tensor: Tensor) -> dict[Partition, Tensor]:
     return {lam: Tensor(d, k, tuple(entries)) for lam, entries in out.items()}
 
 
-def _idempotent_decompose(tensor: Tensor) -> dict[Partition, Tensor]:
-    """Integer mat-vec products with the cached projector blocks, one per weight block."""
-    tden, values = linalg.integer_numerators(tensor.entries)
-    return {
-        lam: Tensor(tensor.d, tensor.k, _apply_blocks(groups, values, den * tden))
-        for lam, den, groups in _projector_blocks(tensor.d, tensor.k)
-    }
-
-
 def thrall_decompose(tensor: Tensor, method: str = "auto") -> dict[Partition, Tensor]:
     """Split a tensor into its graded components, one per partition of k.
 
     Two independent backends, each a warm block matrix-vector product on
     integer matrices cached per (d, k): ``"solve"`` expresses the tensor in
     the concatenated graded bases through the blocks' inverses and
-    recombines basis vectors; ``"idempotent"`` applies the block matrices of
-    the projector family from :mod:`thrallkit.group_algebra` (subject to its
-    degree cap).  ``"auto"`` prefers the idempotent route when available.
+    recombines basis vectors; ``"idempotent"`` is
+    :func:`thrallkit.group_algebra.graded_projections` (subject to its degree
+    cap).  ``"auto"`` takes the idempotent route and falls back to the solve
+    where the projector family raises :class:`ResourceLimitError`.
     """
     if method not in ("auto", "solve", "idempotent"):
         raise ValueError(f"unknown method {method!r}")
-    if method in ("auto", "idempotent"):
-        if tensor.k <= K_MAX:
-            return _idempotent_decompose(tensor)
-        if method == "idempotent":
-            raise ResourceLimitError(
-                f"idempotent decomposition capped at k <= {K_MAX}"
-            )
+    if method != "solve":
+        from .group_algebra import graded_projections
+
+        try:
+            return graded_projections(tensor)
+        except ResourceLimitError:
+            if method == "idempotent":
+                raise
     return _solve_decompose(tensor)
 
 

@@ -38,13 +38,15 @@ from .words import (
     Word,
     YoungTableau,
     check_partition,
+    distinct_orderings,
     index_to_word,
     partitions,
 )
 
-# Degree cap for the projector family; reproduction of the published values
-# needs k <= 4.  The closed form has k! terms per projector; lifting the cap
-# is an extension point, not a supported path.
+# Degree cap for the projector family, checked by :func:`_projector_family`
+# before any table is built; reproduction of the published values needs
+# k <= 4.  The closed form has k! terms per projector; lifting the cap is an
+# extension point, not a supported path.
 K_MAX = 5
 
 
@@ -107,9 +109,6 @@ class GroupAlgebraElement:
             self.k, {inverse(p): c for p, c in self.terms.items()}
         )
 
-    def is_idempotent(self) -> bool:
-        return ga_multiply(self, self) == self
-
     def _check(self, other: "GroupAlgebraElement") -> None:
         if self.k != other.k:
             raise ValueError(f"degree mismatch: {self.k} vs {other.k}")
@@ -152,7 +151,7 @@ def _block_gather(counts: tuple[int, ...]) -> dict[Perm, tuple[int, ...]]:
     """For each sigma, the place of ``u o sigma`` for each word ``u`` with
     these letter counts, the words in lex order."""
     letters = [a for a, c in enumerate(counts) for _ in range(c)]
-    words = sorted(set(itertools.permutations(letters)))
+    words = list(distinct_orderings(letters))
     place = {w: t for t, w in enumerate(words)}
     # permutations(u) lists u o sigma in the order of all_permutations
     images = [[place[v] for v in itertools.permutations(u)] for u in words]
@@ -202,7 +201,38 @@ def _apply_blocks(groups, values: list[int], den: int) -> tuple[Fraction, ...]:
 @functools.cache
 def _projector_blocks(d: int, k: int):
     """``(lam, *_block_operator(E_lam, d))`` for each partition lam of k."""
-    return tuple((lam, *_block_operator(higher_lie_idempotent(lam), d)) for lam in partitions(k))
+    return tuple((lam, *_block_operator(e, d)) for lam, e in _projector_family(k).items())
+
+
+def graded_projections(tensor: Tensor) -> dict[Partition, Tensor]:
+    """The graded components of a tensor, ``ga_act(E_lam, tensor)`` for each
+    partition lam of k: one integer mat-vec per weight block with the cached
+    block matrices of the projector family (subject to :data:`K_MAX`)."""
+    blocks = _projector_blocks(tensor.d, tensor.k)
+    tden, values = linalg.integer_numerators(tensor.entries)
+    return {
+        lam: Tensor(tensor.d, tensor.k, _apply_blocks(groups, values, den * tden))
+        for lam, den, groups in blocks
+    }
+
+
+def balanced_projections(d: int, ell: int, build):
+    """Functionals on the balanced weight block, projected along the graded pieces.
+
+    ``build(d, ell)`` returns ``(words, rows)``: the balanced words (each
+    letter of 1..d exactly ell times) in lex order and integer rows over
+    them, read as functionals.  It is called only after the degree d*ell
+    has been checked against :data:`K_MAX`.  Returns ``(words, images)``, where ``images[lam]``
+    holds each row composed with the slot action of E_lam (scaled by its
+    common denominator): the row times that block's projector matrix.
+    """
+    blocks = _projector_blocks(d, d * ell)
+    words, rows = build(d, ell)
+    images = {}
+    for lam, _, groups in blocks:
+        columns = list(zip(*groups[(ell,) * d][0]))
+        images[lam] = [[sum(map(operator.mul, row, col)) for col in columns] for row in rows]
+    return words, images
 
 
 def operator_image(x: GroupAlgebraElement, d: int) -> list[Tensor]:
@@ -322,11 +352,15 @@ def _descents(word: Word) -> int:
 
 @functools.cache
 def _projector_family(k: int) -> dict[Partition, GroupAlgebraElement]:
+    if k < 1:
+        raise ValueError("lam must be a partition of k >= 1")
+    if k > K_MAX:
+        raise ResourceLimitError(f"degree {k} exceeds the projector degree cap {K_MAX}")
     words = [perm_to_word(p) for p in all_permutations(k)]
     family: dict[Partition, GroupAlgebraElement] = {}
     for lam in partitions(k):
         den = math.factorial(len(lam)) * math.prod(map(math.factorial, lam))
-        arrangements = sorted(set(itertools.permutations(lam)))
+        arrangements = list(distinct_orderings(lam))
         terms: dict[Perm, Fraction] = {}
         for w in words:
             total = 0
@@ -353,12 +387,7 @@ def higher_lie_idempotent(lam: Partition) -> GroupAlgebraElement:
     degree, and memoized.
     """
     lam = check_partition(lam)
-    k = sum(lam)
-    if k < 1:
-        raise ValueError("lam must be a partition of k >= 1")
-    if k > K_MAX:
-        raise ResourceLimitError(f"degree {k} exceeds the projector degree cap {K_MAX}")
-    return _projector_family(k)[lam]
+    return _projector_family(sum(lam))[lam]
 
 
 def verify_refinement(

@@ -12,38 +12,14 @@ invariant space is read off directly, with no linear solve.
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 
 from . import linalg
 from .free_lie import LieElement
-from .group_algebra import K_MAX, ResourceLimitError, _projector_blocks
 from .permutations import all_permutations, sign
 from .shuffle_sig import WordFunctional
 from .tensors import Tensor
-from .words import Partition, Word, standard_tableaux, word_to_index
-
-
-def _words_with_counts(counts: dict[int, int]) -> list[Word]:
-    """All words with the given letter multiplicities, lexicographically.
-
-    Each word is the lexicographic successor of the one before (Knuth,
-    TAOCP 7.2.1.2, Algorithm L), so the cost is the number of words.
-    """
-    w = [letter for letter, c in sorted(counts.items()) for _ in range(c)]
-    words = [tuple(w)]
-    while True:
-        i = len(w) - 2
-        while i >= 0 and w[i] >= w[i + 1]:
-            i -= 1
-        if i < 0:
-            return words
-        j = len(w) - 1
-        while w[j] <= w[i]:
-            j -= 1
-        w[i], w[j] = w[j], w[i]
-        w[i + 1 :] = w[:i:-1]
-        words.append(tuple(w))
+from .words import Partition, Word, distinct_orderings, standard_tableaux, word_to_index
 
 
 def _column_sign(letters: Word) -> int:
@@ -62,7 +38,7 @@ def _polytabloid_rows(d: int, ell: int) -> tuple[list[Word], list[list[int]]]:
     standard tableau of the rectangle ``(ell,)*d``: at the word w, the product
     over the tableau's columns of the determinant of the letters of w in that
     column's slots."""
-    words = _words_with_counts({letter: ell for letter in range(1, d + 1)})
+    words = list(distinct_orderings(letter for letter in range(1, d + 1) for _ in range(ell)))
     rows = []
     for tableau in standard_tableaux((ell,) * d):
         columns = [tableau.column(j) for j in range(ell)]
@@ -121,20 +97,13 @@ def path_invariants(d: int, ell: int) -> dict[Partition, list[WordFunctional]]:
 
     The invariants live on the balanced weight block (each letter ell times),
     so each image is a polytabloid row times that block's cached projector
-    matrix (:mod:`thrallkit.group_algebra`).
+    matrix (:func:`thrallkit.group_algebra.balanced_projections`, subject to
+    its degree cap).
     """
-    k = d * ell
-    if k > K_MAX:
-        raise ResourceLimitError(
-            f"path invariants via projectors capped at degree {K_MAX}"
-        )
-    words, ambient = _polytabloid_rows(d, ell)
-    out: dict[Partition, list[WordFunctional]] = {}
-    for lam, _, groups in _projector_blocks(d, k):
-        columns = list(zip(*groups[(ell,) * d][0]))
-        images = [[sum(map(operator.mul, beta, col)) for col in columns] for beta in ambient]
-        out[lam] = _functionals(d, words, images)
-    return out
+    from .group_algebra import balanced_projections
+
+    words, images = balanced_projections(d, ell, _polytabloid_rows)
+    return {lam: _functionals(d, words, rows) for lam, rows in images.items()}
 
 
 def lie_invariant_dimension(d: int, ell: int) -> int:

@@ -1,9 +1,12 @@
-"""JSON (de)serialization for every wire format the CLI speaks.
+"""JSON (de)serialization for the wire formats the CLI speaks.
 
-Rationals travel as strings ("p/q" or "p"), words as digit strings (one
-digit per letter, so the alphabet size is capped at :data:`MAX_WIRE_D`),
-partitions as integer arrays, permutations as 1-based cycle lists.
-Parse errors raise :class:`FormatError` naming the offending field.
+The CLI reads three formats: tensors, series (for ``check group-like``) and
+paths.  It writes tensors, series, word functionals and group algebra
+elements.  Rationals travel as strings ("p/q" or "p"), words as digit
+strings (one digit per letter, so the alphabet size is capped at
+:data:`MAX_WIRE_D`), partitions as integer arrays, permutations as 1-based
+cycle lists.  Parse errors raise :class:`FormatError` naming the offending
+field.
 """
 
 from __future__ import annotations
@@ -11,12 +14,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .words import Partition, word_from_string, word_to_string
+from .words import Partition, Word, word_from_string, word_to_string
 
 # The model classes are imported where a parser builds one, so that the CLI
 # loads only the modules of the subcommand that runs.
 if TYPE_CHECKING:
-    from .free_lie import LieElement
     from .group_algebra import GroupAlgebraElement
     from .shuffle_sig import PiecewiseLinearPath, WordFunctional
     from .tensors import Tensor, TensorSeries
@@ -50,7 +52,7 @@ def format_fraction(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def parse_fraction(text, field: str) -> Fraction:
+def _parse_fraction(text, field: str) -> Fraction:
     if isinstance(text, int):
         return Fraction(text)
     if not isinstance(text, str):
@@ -70,19 +72,17 @@ def _require(obj: dict, key: str, kind, where: str):
     return value
 
 
+def _terms_to_json(terms: dict[Word, Fraction]) -> dict[str, str]:
+    """A word -> rational map as digit strings -> rational strings, in word order."""
+    return {word_to_string(w): format_fraction(c) for w, c in sorted(terms.items())}
+
+
 # ---------------------------------------------------------------------------
 # tensors and series
 
 
 def tensor_to_json(tensor: Tensor) -> dict:
-    return {
-        "d": tensor.d,
-        "k": tensor.k,
-        "entries": {
-            word_to_string(w): format_fraction(c)
-            for w, c in sorted(tensor.nonzero_terms().items())
-        },
-    }
+    return {"d": tensor.d, "k": tensor.k, "entries": _terms_to_json(tensor.nonzero_terms())}
 
 
 def tensor_from_json(obj: dict, where: str = "tensor") -> Tensor:
@@ -99,7 +99,7 @@ def tensor_from_json(obj: dict, where: str = "tensor") -> Tensor:
             raise FormatError(f"{where}.entries.{key}", f"word length != {k}")
         if any(not 1 <= x <= d for x in word):
             raise FormatError(f"{where}.entries.{key}", f"letters outside 1..{d}")
-        terms[word] = parse_fraction(value, f"{where}.entries.{key}")
+        terms[word] = _parse_fraction(value, f"{where}.entries.{key}")
     from .tensors import Tensor
 
     try:
@@ -113,11 +113,7 @@ def series_to_json(series: TensorSeries) -> dict:
         "d": series.d,
         "k_max": series.k_max,
         "levels": [
-            {
-                word_to_string(w): format_fraction(c)
-                for w, c in sorted(series.level(k).nonzero_terms().items())
-            }
-            for k in range(series.k_max + 1)
+            _terms_to_json(series.level(k).nonzero_terms()) for k in range(series.k_max + 1)
         ],
     }
 
@@ -141,114 +137,24 @@ def series_from_json(obj: dict, where: str = "series") -> TensorSeries:
 
 
 # ---------------------------------------------------------------------------
-# group algebra
+# group algebra elements, functionals, paths
 
 
 def group_element_to_json(element: GroupAlgebraElement) -> dict:
     from .permutations import to_cycles
 
-    terms = []
-    for perm in sorted(element.terms):
-        terms.append(
-            {
-                "cycles": to_cycles(perm),
-                "coeff": format_fraction(element.terms[perm]),
-            }
-        )
+    terms = [
+        {"cycles": to_cycles(perm), "coeff": format_fraction(element.terms[perm])}
+        for perm in sorted(element.terms)
+    ]
     return {"k": element.k, "terms": terms}
 
 
-def group_element_from_json(obj: dict, where: str = "element") -> GroupAlgebraElement:
-    from .permutations import from_cycles
-
-    k = _require(obj, "k", int, where)
-    raw = _require(obj, "terms", list, where)
-    terms = {}
-    for i, item in enumerate(raw):
-        if not isinstance(item, dict):
-            raise FormatError(f"{where}.terms[{i}]", "expected an object")
-        cycles = _require(item, "cycles", list, f"{where}.terms[{i}]")
-        try:
-            perm = from_cycles(cycles, k)
-        except (ValueError, TypeError) as exc:
-            raise FormatError(f"{where}.terms[{i}].cycles", str(exc)) from None
-        coeff = parse_fraction(item.get("coeff"), f"{where}.terms[{i}].coeff")
-        terms[perm] = terms.get(perm, Fraction(0)) + coeff
-    from .group_algebra import GroupAlgebraElement
-
-    return GroupAlgebraElement(k, terms)
-
-
-# ---------------------------------------------------------------------------
-# Lie elements, functionals, paths
-
-
-def lie_element_to_json(element: LieElement) -> dict:
-    return {
-        "d": element.d,
-        "k_max": element.k_max,
-        "coeffs": {
-            word_to_string(w): format_fraction(c)
-            for w, c in sorted(element.coeffs.items())
-        },
-    }
-
-
-def lie_element_from_json(obj: dict, where: str = "lie") -> LieElement:
-    d = check_wire_dimension(_require(obj, "d", int, where), f"{where}.d")
-    raw = _require(obj, "coeffs", dict, where)
-    coeffs = {}
-    for key, value in raw.items():
-        try:
-            word = word_from_string(key)
-        except ValueError as exc:
-            raise FormatError(f"{where}.coeffs.{key}", str(exc)) from None
-        coeffs[word] = parse_fraction(value, f"{where}.coeffs.{key}")
-    k_max = obj.get("k_max", max((len(w) for w in coeffs), default=1))
-    if not isinstance(k_max, int):
-        raise FormatError(f"{where}.k_max", "expected int")
-    from .free_lie import LieElement
-
-    try:
-        return LieElement(d, k_max, coeffs)
-    except ValueError as exc:
-        raise FormatError(f"{where}.coeffs", str(exc)) from None
-
-
 def functional_to_json(beta: WordFunctional, grading: Partition | None = None) -> dict:
-    out = {
-        "terms": {
-            word_to_string(w): format_fraction(c) for w, c in sorted(beta.terms.items())
-        }
-    }
+    out = {"terms": _terms_to_json(beta.terms)}
     if grading is not None:
         out["grading"] = list(grading)
     return out
-
-
-def functional_from_json(obj: dict, d: int, where: str = "functional") -> WordFunctional:
-    check_wire_dimension(d, f"{where}.d")
-    raw = _require(obj, "terms", dict, where)
-    terms = {}
-    for key, value in raw.items():
-        try:
-            word = word_from_string(key)
-        except ValueError as exc:
-            raise FormatError(f"{where}.terms.{key}", str(exc)) from None
-        terms[word] = parse_fraction(value, f"{where}.terms.{key}")
-    from .shuffle_sig import WordFunctional
-
-    try:
-        return WordFunctional(d, terms)
-    except ValueError as exc:
-        raise FormatError(f"{where}.terms", str(exc)) from None
-
-
-def path_to_json(path: PiecewiseLinearPath) -> dict:
-    return {
-        "d": path.d,
-        "points": [[format_fraction(x) for x in p] for p in path.points],
-    }
 
 
 def path_from_json(obj: dict, where: str = "path") -> PiecewiseLinearPath:
@@ -260,7 +166,7 @@ def path_from_json(obj: dict, where: str = "path") -> PiecewiseLinearPath:
             raise FormatError(f"{where}.points[{i}]", "expected an array")
         parsed.append(
             tuple(
-                parse_fraction(x, f"{where}.points[{i}][{j}]") for j, x in enumerate(p)
+                _parse_fraction(x, f"{where}.points[{i}][{j}]") for j, x in enumerate(p)
             )
         )
     from .shuffle_sig import PiecewiseLinearPath

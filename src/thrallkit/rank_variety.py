@@ -70,22 +70,21 @@ class SignatureRankReport:
     symmetric: bool
     rank_one: bool
     agree: bool
-    asserted_in_variety: bool
 
     def as_dict(self) -> dict:
         return asdict(self)
 
 
-def signature_rank_one_check(tensor: Tensor, assert_in_variety: bool) -> SignatureRankReport:
+def signature_rank_one_check(tensor: Tensor) -> SignatureRankReport:
     """Report symmetry and rank-one status side by side.
 
     For tensors genuinely arising as a signature level the two flags must
-    agree; the caller asserts membership (this library does not decide it
-    for a lone level).  Without the assertion a disagreement is unremarkable.
+    agree; this library does not decide membership for a lone level, so
+    for other tensors a disagreement is unremarkable.
     """
     sym = is_symmetric(tensor)
     rk1 = bool(is_rank_one(tensor)) if not tensor.is_zero() else False
-    return SignatureRankReport(sym, rk1, sym == rk1, assert_in_variety)
+    return SignatureRankReport(sym, rk1, sym == rk1)
 
 
 @dataclass(frozen=True)

@@ -23,9 +23,8 @@ from functools import cache
 
 from . import linalg
 from .free_lie import _log_series
-from .group_algebra import ResourceLimitError, higher_lie_idempotent
 from .tensors import Tensor, TensorSeries
-from .words import Word, all_words, check_partition, partition_union, word_to_index
+from .words import ResourceLimitError, Word, all_words, check_partition, partition_union, word_to_index
 
 # Cap on the entries of a truncated signature, 1 + d + .. + d^k_max, so that
 # every level fits in memory: d=2 to level 16, d=3 to level 10 and d=4 to
@@ -335,6 +334,8 @@ def act_on_functional(x, beta: WordFunctional, k: int) -> WordFunctional:
 
 def functional_in_w_dual(beta: WordFunctional, lam, k: int) -> bool:
     """True iff the degree-k functional only depends on the lam-graded part."""
+    from .group_algebra import higher_lie_idempotent
+
     return act_on_functional(higher_lie_idempotent(lam), beta, k) == beta
 
 

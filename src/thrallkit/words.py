@@ -22,8 +22,8 @@ Word = tuple[int, ...]
 Partition = tuple[int, ...]
 
 
-# Defined in this dependency-free module so that the CLI can catch it without
-# loading the algebra; ``group_algebra`` re-exports it.
+# Defined in this dependency-free module so that the CLI can catch it, and
+# every module raise it, without loading the algebra.
 class ResourceLimitError(RuntimeError):
     """Raised when a computation exceeds a fixed degree or size cap."""
 
@@ -67,6 +67,28 @@ def word_from_string(s: str) -> Word:
 
 def word_to_string(word: Word) -> str:
     return "".join(str(letter) for letter in word)
+
+
+def distinct_orderings(items):
+    """The distinct orderings of a multiset, as tuples in lexicographic order.
+
+    Each ordering is the lexicographic successor of the one before (Knuth,
+    TAOCP 7.2.1.2, Algorithm L), so the cost is the number of orderings,
+    not ``len(items)!``.
+    """
+    w = sorted(items)
+    while True:
+        yield tuple(w)
+        i = len(w) - 2
+        while i >= 0 and w[i] >= w[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(w) - 1
+        while w[j] <= w[i]:
+            j -= 1
+        w[i], w[j] = w[j], w[i]
+        w[i + 1 :] = w[:i:-1]
 
 
 def is_lyndon(word: Word) -> bool:

@@ -559,11 +559,15 @@ def fraction_act_on_functional(x, beta: WordFunctional, k: int) -> WordFunctiona
     return WordFunctional(beta.d, terms)
 
 
+def permutation_orderings(items) -> list:
+    """The distinct orderings of a multiset: every ordering, deduplicated
+    and sorted."""
+    return sorted(set(itertools.permutations(items)))
+
+
 def permutation_words_with_counts(counts: dict) -> list:
-    """Words with the given letter multiplicities: every ordering of the
-    letters, deduplicated and sorted."""
-    letters = [letter for letter, c in sorted(counts.items()) for _ in range(c)]
-    return sorted(set(itertools.permutations(letters)))
+    """Words with the given letter multiplicities, by :func:`permutation_orderings`."""
+    return permutation_orderings([letter for letter, c in counts.items() for _ in range(c)])
 
 
 def permutation_sl_invariant_space(d: int, k: int) -> list:
@@ -676,7 +680,7 @@ def dense_w_lambda_basis(lam, d: int) -> list:
     for combo in itertools.product(*per_size):
         words = [w for group in combo for w in group]
         acc = Tensor.zero(d, sum(lam))
-        for order in sorted(set(itertools.permutations(words))):
+        for order in permutation_orderings(words):
             term = Tensor.scalar(d, 1)
             for w in order:
                 term = tensor_product(term, lyndon_bracketing(w, d))

@@ -8,8 +8,7 @@ from pathlib import Path
 import pytest
 
 from thrallkit.cli import main
-from thrallkit.jsonio import path_to_json, tensor_to_json
-from thrallkit.shuffle_sig import PiecewiseLinearPath
+from thrallkit.jsonio import tensor_to_json
 from thrallkit.tensors import Tensor
 
 
@@ -87,9 +86,9 @@ def test_invariants_command(capsys):
 
 
 def test_signature_command(tmp_path, capsys):
-    stair = PiecewiseLinearPath.from_lists([[0, 0], [1, 0], [1, 1]])
+    stair = {"d": 2, "points": [[0, 0], [1, 0], [1, 1]]}
     file = tmp_path / "path.json"
-    file.write_text(json.dumps(path_to_json(stair)))
+    file.write_text(json.dumps(stair))
     code, out, _ = run(capsys, "signature", "--path", str(file), "--level", "2")
     assert code == 0
     payload = json.loads(out)
@@ -103,16 +102,16 @@ def test_signature_command(tmp_path, capsys):
 
 
 def test_check_exit_codes(tmp_path, capsys):
-    stair = PiecewiseLinearPath.from_lists([[0, 0], [1, 0], [1, 1]])
+    stair = {"d": 2, "points": [[0, 0], [1, 0], [1, 1]]}
     pfile = tmp_path / "path.json"
-    pfile.write_text(json.dumps(path_to_json(stair)))
+    pfile.write_text(json.dumps(stair))
     code, out, _ = run(capsys, "check", "fls", "--input", str(pfile), "--level", "3")
     assert code == 1
     assert json.loads(out)["criterion_a"] is False
 
-    seg = PiecewiseLinearPath.from_lists([[0, 0], [2, 1]])
+    seg = {"d": 2, "points": [[0, 0], [2, 1]]}
     sfile = tmp_path / "seg.json"
-    sfile.write_text(json.dumps(path_to_json(seg)))
+    sfile.write_text(json.dumps(seg))
     code, out, _ = run(capsys, "check", "fls", "--input", str(sfile), "--level", "3")
     assert code == 0
 
@@ -167,9 +166,9 @@ def test_alphabets_beyond_nine_letters_exit_2(tmp_path, capsys):
     assert code == 2 and out == "" and "'d'" in err
     code, out, _ = run(capsys, "lyndon", "--d", "9", "--k", "1")
     assert code == 0 and json.loads(out)["words"] == [str(i) for i in range(1, 10)]
-    wide = PiecewiseLinearPath.from_lists([[0] * 10, list(range(10))])
+    wide = {"d": 10, "points": [[0] * 10, list(range(10))]}
     file = tmp_path / "wide.json"
-    file.write_text(json.dumps(path_to_json(wide)))
+    file.write_text(json.dumps(wide))
     code, out, err = run(capsys, "signature", "--path", str(file), "--level", "2")
     assert code == 2 and out == "" and "path.d" in err
 
@@ -178,9 +177,9 @@ def test_resource_guard_exits_3(tmp_path, capsys):
     code, _, err = run(capsys, "idempotent", "--k", "6", "--partition", "6")
     assert code == 3
     assert "resource guard" in err
-    wide = PiecewiseLinearPath.from_lists([[0] * 9, list(range(9))])
+    wide = {"d": 9, "points": [[0] * 9, list(range(9))]}
     file = tmp_path / "wide.json"
-    file.write_text(json.dumps(path_to_json(wide)))
+    file.write_text(json.dumps(wide))
     for argv in (["signature", "--path", str(file), "--level", "12"],
                  ["signature", "--path", str(file), "--level", "12", "--log"],
                  ["check", "fls", "--input", str(file), "--level", "12"]):
@@ -190,7 +189,7 @@ def test_resource_guard_exits_3(tmp_path, capsys):
 
 def test_fls_level_below_one_exits_2(tmp_path, capsys):
     file = tmp_path / "seg.json"
-    file.write_text(json.dumps(path_to_json(PiecewiseLinearPath.from_lists([[0, 0], [2, 1]]))))
+    file.write_text(json.dumps({"d": 2, "points": [[0, 0], [2, 1]]}))
     code, out, err = run(capsys, "check", "fls", "--input", str(file), "--level", "0")
     assert code == 2 and out == "" and "k_max >= 1" in err
 

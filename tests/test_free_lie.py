@@ -34,7 +34,7 @@ from thrallkit.tensors import (
     tensor_product,
     weight_blocks,
 )
-from thrallkit.words import lie_dim, lyndon_words, multichoose, partitions
+from thrallkit.words import ResourceLimitError, lie_dim, lyndon_words, multichoose, partitions
 
 from oracles import (
     dense_f_lambda,
@@ -360,6 +360,19 @@ def test_idempotent_decompose_matches_ga_act_and_solve(tensor):
     # the solve backend's first call at (4, 5) inverts its blocks for seconds
     if d**k <= 243:
         assert thrall_decompose(tensor, "solve") == got
+
+
+def test_auto_falls_back_to_the_solve_above_the_projector_cap():
+    t = random_tensor(2, 6, Random(61))
+    with pytest.raises(ResourceLimitError):
+        thrall_decompose(t, "idempotent")
+    assert thrall_decompose(t, "auto") == thrall_decompose(t, "solve")
+
+
+def test_one_letter_basis_has_one_ordering():
+    # the (1^12) basis vector at d = 1 is a symmetrized product of 12 equal
+    # labels, which has one ordering, not 12!
+    assert [t.nonzero_terms() for t in w_lambda_basis((1,) * 12, 1)] == [{(1,) * 12: 1}]
 
 
 def test_thrall_decompose_e112():

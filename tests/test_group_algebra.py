@@ -4,7 +4,7 @@ from random import Random
 
 import pytest
 
-from thrallkit import linalg
+from thrallkit import group_algebra, linalg
 from thrallkit.free_lie import lie_basis, lyndon_bracketing, w_lambda_basis
 from thrallkit.group_algebra import (
     GroupAlgebraElement,
@@ -13,6 +13,7 @@ from thrallkit.group_algebra import (
     central_idempotent,
     ga_act,
     ga_multiply,
+    graded_projections,
     higher_lie_idempotent,
     intersection_projector,
     operator_image,
@@ -401,6 +402,17 @@ def test_resource_guard():
         higher_lie_idempotent((K_MAX + 1,))
     with pytest.raises(ResourceLimitError):
         intersection_projector((6,), (6,))
+
+
+def test_graded_projections_check_the_cap_before_any_table(monkeypatch):
+    def fail(*args):
+        raise AssertionError("built before the degree cap was checked")
+
+    monkeypatch.setattr(group_algebra, "partitions", fail)
+    monkeypatch.setattr(group_algebra, "all_permutations", fail)
+    for k in (K_MAX + 1, 40):
+        with pytest.raises(ResourceLimitError):
+            graded_projections(Tensor.basis(1, (1,) * k))
 
 
 def test_higher_lie_idempotents_k5():

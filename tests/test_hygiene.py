@@ -103,3 +103,20 @@ def test_no_orphaned_private_names():
     assert len(defined) > 20
     orphans = [f"{file}:{line} {name}" for file, line, name in defined if name not in loaded]
     assert not orphans, f"private names never referenced in the package: {orphans}"
+
+
+def test_every_public_jsonio_function_is_used_by_another_module():
+    """The wire codecs are the formats the CLI speaks, so none may go unused."""
+    jsonio = next(p for p in SOURCES if p.name == "jsonio.py")
+    public = [
+        node.name for node in _tree(jsonio).body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    ]
+    referenced = {
+        node.attr if isinstance(node, ast.Attribute) else node.id
+        for path in SOURCES if path != jsonio
+        for node in ast.walk(_tree(path))
+        if isinstance(node, (ast.Attribute, ast.Name))
+    }
+    assert len(public) > 5
+    assert [name for name in public if name not in referenced] == []

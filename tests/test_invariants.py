@@ -4,15 +4,13 @@ from random import Random
 
 import pytest
 
-from thrallkit import linalg
+from thrallkit import group_algebra, invariants, linalg
 from thrallkit.free_lie import LieElement, phi_k, random_lie_element
-from thrallkit.group_algebra import ResourceLimitError
 from thrallkit.invariants import (
     alternating_signature,
     apply_matrix,
     check_invariance,
     lie_invariant_dimension,
-    _words_with_counts,
     normalize_functional,
     path_invariants,
     pfaffian_form,
@@ -22,7 +20,7 @@ from thrallkit.invariants import (
 from thrallkit.shuffle_sig import WordFunctional, levy_functional
 from thrallkit.symfun import thrall_coefficients
 from thrallkit.tensors import Tensor, random_tensor, symmetrize, tensor_product
-from thrallkit.words import all_words, num_standard, partitions
+from thrallkit.words import ResourceLimitError, all_words, distinct_orderings, num_standard, partitions
 
 from oracles import (
     fraction_path_invariants,
@@ -30,6 +28,11 @@ from oracles import (
     permutation_sl_invariant_space,
     permutation_words_with_counts,
 )
+
+
+def words_with_counts(counts: dict) -> list:
+    return list(distinct_orderings(letter for letter, c in counts.items() for _ in range(c)))
+
 
 BETA_22 = WordFunctional(
     2, {(1, 1, 2, 2): 1, (1, 2, 2, 1): -1, (2, 1, 1, 2): -1, (2, 2, 1, 1): 1}
@@ -76,7 +79,7 @@ def test_invariant_space_matches_nullspace_reference(d, k):
     [{}, {1: 3}, {1: 2, 2: 2}, {1: 3, 2: 1, 3: 2}, {1: 0, 2: 2}, {2: 4, 1: 1, 3: 1, 4: 2}],
 )
 def test_words_with_counts_match_the_permutation_enumeration(counts):
-    assert _words_with_counts(counts) == permutation_words_with_counts(counts)
+    assert words_with_counts(counts) == permutation_words_with_counts(counts)
 
 
 @pytest.mark.parametrize(
@@ -87,7 +90,7 @@ def test_words_with_counts_match_the_permutation_enumeration(counts):
 )
 def test_balanced_words_and_invariants_match_the_permutation_enumeration(d, k):
     counts = {letter: k // d for letter in range(1, d + 1)}
-    assert _words_with_counts(counts) == permutation_words_with_counts(counts)
+    assert words_with_counts(counts) == permutation_words_with_counts(counts)
     assert sl_invariant_space(d, k) == permutation_sl_invariant_space(d, k)
 
 
@@ -152,9 +155,16 @@ def test_path_invariants_match_fraction_action(d, ell):
     assert table == fraction_path_invariants(d, ell)
 
 
-def test_path_invariants_resource_guard():
-    with pytest.raises(ResourceLimitError):
-        path_invariants(2, 3)
+def test_path_invariants_resource_guard(monkeypatch):
+    # the cap is checked before the invariant rows or the partitions of d*ell
+    def fail(*args):
+        raise AssertionError("built before the degree cap was checked")
+
+    monkeypatch.setattr(invariants, "_polytabloid_rows", fail)
+    monkeypatch.setattr(group_algebra, "partitions", fail)
+    for d, ell in ((2, 3), (9, 1000)):
+        with pytest.raises(ResourceLimitError):
+            path_invariants(d, ell)
 
 
 def test_path_invariants_pass_invariance_battery():

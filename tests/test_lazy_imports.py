@@ -47,7 +47,8 @@ def test_import_cli_loads_only_jsonio_and_words():
     }
 
 
-MALFORMED = Path(__file__).resolve().parent / "data" / "malformed_tensor.json"
+DATA = Path(__file__).resolve().parent / "data"
+MALFORMED = DATA / "malformed_tensor.json"
 
 
 @pytest.mark.parametrize(
@@ -72,6 +73,28 @@ def test_light_subcommands_leave_the_algebra_stack_unloaded(argv, code):
     )
     assert "thrallkit.cli" in loaded
     assert not loaded & {f"thrallkit.{name}" for name in HEAVY}
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["signature", "--path", str(DATA / "path_d2_integer.json"), "--level", "3"], 0),
+        (["signature", "--path", str(DATA / "path_d2_integer.json"), "--level", "3", "--log"], 0),
+        (["check", "lie", "--input", str(DATA / "tensor_d3_k4_lie.json")], 0),
+        (["check", "group-like", "--input", str(DATA / "series_d2_level3_signature.json")], 0),
+        (["check", "fls", "--input", str(DATA / "path_bent.json"), "--level", "5"], 1),
+        (["check", "rank1", "--input", str(DATA / "tensor_d2_k3_rank_one.json")], 0),
+    ],
+    ids=["signature", "signature-log", "check-lie", "check-group-like", "check-fls", "check-rank1"],
+)
+def test_signature_and_checks_leave_the_group_algebra_unloaded(argv, code):
+    loaded = loaded_after(
+        "from thrallkit.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == {code}\n"
+    )
+    assert "thrallkit.shuffle_sig" in loaded or "thrallkit.free_lie" in loaded
+    assert "thrallkit.group_algebra" not in loaded
 
 
 def test_every_export_is_the_object_of_its_defining_module():

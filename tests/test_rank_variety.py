@@ -128,17 +128,17 @@ def test_rank_one_rejects_phi3_with_area():
 
 def test_signature_rank_one_check_reports():
     v = LieElement(2, 4, {(1,): 2, (2,): 1})
-    report = signature_rank_one_check(phi_k(v, 4), assert_in_variety=True)
+    report = signature_rank_one_check(phi_k(v, 4))
     assert report.symmetric and report.rank_one and report.agree
 
     mixed = LieElement(2, 3, {(1,): 1, (1, 2): 1})
-    report = signature_rank_one_check(phi_k(mixed, 3), assert_in_variety=True)
+    report = signature_rank_one_check(phi_k(mixed, 3))
     assert not report.symmetric and not report.rank_one and report.agree
 
     sym_rank2 = product_of([[1, 0], [1, 0]], 2) + product_of([[0, 1], [0, 1]], 2)
-    report = signature_rank_one_check(sym_rank2, assert_in_variety=False)
+    report = signature_rank_one_check(sym_rank2)
     assert report.symmetric and not report.rank_one and not report.agree
-    assert not report.asserted_in_variety
+    assert report.as_dict() == {"symmetric": True, "rank_one": False, "agree": False}
 
 
 @pytest.mark.parametrize("d,k", [(2, 3), (2, 4), (3, 3), (3, 4)])

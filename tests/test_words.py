@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from thrallkit.words import (
     YoungTableau,
     all_words,
+    distinct_orderings,
     index_to_word,
     is_lyndon,
     lie_dim,
@@ -22,6 +23,8 @@ from thrallkit.words import (
     word_to_index,
     word_to_string,
 )
+
+from oracles import permutation_orderings
 
 
 def brute_force_lyndon(d, k):
@@ -154,3 +157,15 @@ def test_is_lyndon_matches_membership(d, k):
     generated = set(lyndon_words(d, k))
     for w in all_words(d, k):
         assert is_lyndon(w) == (w in generated)
+
+
+@given(st.lists(st.integers(1, 4), max_size=7))
+def test_distinct_orderings_match_the_permutation_enumeration(items):
+    assert list(distinct_orderings(items)) == permutation_orderings(items)
+
+
+def test_distinct_orderings_of_labels_and_repeats():
+    labels = [(1, 2), (1,), (1, 2)]
+    assert list(distinct_orderings(labels)) == permutation_orderings(labels)
+    assert list(distinct_orderings([7] * 30)) == [(7,) * 30]
+    assert list(distinct_orderings([])) == [()]
