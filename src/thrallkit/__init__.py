@@ -35,8 +35,8 @@ _EXPORTS = {
         ),
         "rank_variety": (
             "fls_check", "generic_rank_lower_bound", "hdet_pullback_check",
-            "hyperdeterminant_2x2x2", "is_rank_one", "signature_rank_one_check",
-            "skew_plus_rank_one_rank", "symmetric_level_implies_segment",
+            "hyperdeterminant_2x2x2", "is_rank_one", "skew_plus_rank_one_rank",
+            "symmetric_level_implies_segment",
         ),
         "shuffle_sig": (
             "SIGNATURE_ENTRIES_MAX", "PiecewiseLinearPath", "WordFunctional",

@@ -29,6 +29,7 @@ from .words import (
     Partition,
     ResourceLimitError,
     Word,
+    all_words,
     check_partition,
     distinct_orderings,
     index_to_word,
@@ -405,12 +406,13 @@ def lie_coordinates(tensor: Tensor) -> dict[Word, Fraction] | None:
     ``w``; subtracting its bracketing leaves the remaining words untouched.
     The tensor is a Lie element iff the residual ends at zero.
     """
-    return _back_substitute(tensor.nonzero_terms(), tensor.d, tensor.k)
+    den, nums = linalg.integer_numerators(tensor.entries)
+    return _back_substitute(dict(zip(all_words(tensor.d, tensor.k), nums)), tensor.d, tensor.k, den)
 
 
-def _back_substitute(residual: dict, d: int, k: int) -> dict | None:
-    """:func:`lie_coordinates` of the degree-k word polynomial ``residual``
-    (consumed), with coefficients of the same type as its values."""
+def _back_substitute(residual: dict, d: int, k: int, den: int) -> dict | None:
+    """:func:`lie_coordinates` of the degree-k word polynomial ``residual / den``
+    (``residual`` integer and consumed), as Fractions."""
     coords = {}
     for w in lyndon_words(d, k):
         c = residual.get(w)
@@ -421,7 +423,7 @@ def _back_substitute(residual: dict, d: int, k: int) -> dict | None:
             residual[u] = residual.get(u, 0) - c * e
     if any(residual.values()):
         return None
-    return coords
+    return {w: Fraction(c, den) for w, c in coords.items()}
 
 
 def lie_bracket(a: LieElement, b: LieElement) -> LieElement:
@@ -442,11 +444,11 @@ def lie_bracket(a: LieElement, b: LieElement) -> LieElement:
             if not (u and v):
                 continue
             commutator = _concat_into(_concat_into({}, u, v), v, u, -1)
-            coords = _back_substitute(commutator, a.d, i + j)
+            coords = _back_substitute(commutator, a.d, i + j, aden * bden)
             if coords is None:
                 raise ArithmeticError("commutator left the graded Lie subspace")
             for w, c in coords.items():
-                coeffs[w] = coeffs.get(w, 0) + Fraction(c, aden * bden)
+                coeffs[w] = coeffs.get(w, 0) + c
     return LieElement(a.d, k_max, {w: c for w, c in coeffs.items() if c})
 
 

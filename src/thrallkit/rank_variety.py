@@ -66,28 +66,6 @@ def is_rank_one(tensor: Tensor) -> RankOneResult:
 
 
 @dataclass(frozen=True)
-class SignatureRankReport:
-    symmetric: bool
-    rank_one: bool
-    agree: bool
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-
-def signature_rank_one_check(tensor: Tensor) -> SignatureRankReport:
-    """Report symmetry and rank-one status side by side.
-
-    For tensors genuinely arising as a signature level the two flags must
-    agree; this library does not decide membership for a lone level, so
-    for other tensors a disagreement is unremarkable.
-    """
-    sym = is_symmetric(tensor)
-    rk1 = bool(is_rank_one(tensor)) if not tensor.is_zero() else False
-    return SignatureRankReport(sym, rk1, sym == rk1)
-
-
-@dataclass(frozen=True)
 class SymmetryCascadeReport:
     hypothesis_level_symmetric: bool
     higher_parts_vanish: bool | None

@@ -5,13 +5,16 @@ reparametrization invariant, so that is all the data there is.  Each segment
 with increment ``v`` contributes the exponential of ``v``, and concatenation
 multiplies the series (Chen's identity).
 
-:func:`signature` applies ``S <- S (x) exp(v)`` in place, one segment at a
-time, on integer numerators: with ``q`` the lcm of all vertex-coordinate
-denominators, level ``m`` is kept as numerators over the fixed denominator
-``m! q^m``, so every update is integer arithmetic and rationals are formed
-once, at the end.  :func:`log_signature` passes those integer levels
-straight to the integer log kernel of :mod:`thrallkit.free_lie`.  Both are
-capped at :data:`SIGNATURE_ENTRIES_MAX` entries over all levels.
+:func:`signature` runs Chen's identity on integer numerators over ``m! q^m``
+(``q`` the lcm of the vertex denominators).  Runs of consecutive parallel
+increments are merged into one segment, and the runs are applied right to
+left, ``S <- exp(u) (x) S``, on levels packed into one Python int each
+(``N_m[i]`` in bits ``B i .. B i + B - 1``, index order), so that the
+per-entry work runs inside integer arithmetic.  The slot width ``B`` comes
+from the bound ``|N_m(w)| <= V^m``, ``V`` summing each run's largest
+coordinate.  :func:`log_signature` passes the integer levels straight to
+the integer log kernel of :mod:`thrallkit.free_lie`.  Both are capped at
+:data:`SIGNATURE_ENTRIES_MAX` entries over all levels.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from fractions import Fraction
 from functools import cache
 
 from . import linalg
-from .free_lie import _log_series
 from .tensors import Tensor, TensorSeries
 from .words import ResourceLimitError, Word, all_words, check_partition, partition_union, word_to_index
 
@@ -244,34 +246,70 @@ def _chen_numerators(path: PiecewiseLinearPath, k_max: int):
             )
         size *= d
     q = math.lcm(*(x.denominator for p in path.points for x in p))
-    nums = [[1]] + [[0] * d**m for m in range(1, k_max + 1)]
-    for inc in path.increments():
-        if all(x == 0 for x in inc):
+    dens = [math.factorial(m) * q**m for m in range(k_max + 1)]
+    points = [[x.numerator * (q // x.denominator) for x in p] for p in path.points]
+    runs: list[list[int]] = []
+    for a, b in zip(points, points[1:]):
+        u = list(map(int.__sub__, b, a))
+        i = next((i for i, x in enumerate(u) if x), None)
+        if i is None:
             continue
-        u = [int(x * q) for x in inc]
+        # u_i != 0, so the last run r is parallel to u iff r_l u_i = u_l r_i
+        if runs and all(x * u[i] == y * runs[-1][i] for x, y in zip(runs[-1], u)):
+            runs[-1] = list(map(int.__add__, runs[-1], u))
+            if not any(runs[-1]):
+                runs.pop()
+        else:
+            runs.append(u)
+    if not runs:
+        return [[1]] + [[0] * d**m for m in range(1, k_max + 1)], dens
+    # slot bound: |N_m(w)| = m! q^m |S_m(w)| <= V^m < 2^(B - 1) for V the sum over
+    # runs of max_l |u_l|, as entrywise |exp(u / q)| <= exp(max_l |u_l| / q) times
+    # the all-ones tensor; so each final N_m(w) + 2^(B - 1) fits its B-bit slot
+    V = sum(max(map(abs, u)) for u in runs)
+    B = -(-(k_max * (V.bit_length() + 1) + 2) // 8) * 8
+    # u (x) X is the sum of x X << shift over the pairs of row j, for X of level j
+    rows = [[[(x, l * d**j * B) for l, x in enumerate(u) if x] for j in range(k_max)] for u in runs]
+    packed = [1]
+    for row in rows.pop():
+        packed.append(sum(x * packed[-1] << shift for x, shift in row))
+    for u_rows in reversed(rows):
         for m in range(k_max, 0, -1):
-            acc = nums[0]
+            acc = 1
             for j in range(1, m + 1):
-                c, lower = math.comb(m, j), iter(nums[j])
-                # the entry of acc (x) u at word (p, letter) sits at index p * d + letter
-                acc = [a * x + c * next(lower) for a in acc for x in u]
-            nums[m] = acc
-    return nums, [math.factorial(m) * q**m for m in range(k_max + 1)]
+                new = math.comb(m, j) * packed[j]
+                for x, shift in u_rows[j - 1]:
+                    new += x * acc << shift
+                acc = new
+            packed[m] = acc
+    b, half, nums = B // 8, 1 << (B - 1), [[1]]
+    for m in range(1, k_max + 1):
+        bias = int.from_bytes((bytes(b - 1) + b"\x80") * d**m, "little")
+        raw = (packed[m] + bias).to_bytes(d**m * b, "little")
+        nums.append([int.from_bytes(raw[i : i + b], "little") - half for i in range(0, len(raw), b)])
+    return nums, dens
 
 
 def signature(path: PiecewiseLinearPath, k_max: int) -> TensorSeries:
     """Signature series of a piecewise-linear path, truncated at k_max.
 
-    Chen's identity in place: each segment with nonzero increment ``v``
-    updates ``S <- S (x) exp(v)``.  With ``q`` the lcm of the vertex
-    denominators, level ``m`` is held as a flat list of integer numerators
-    ``N_m`` over the fixed denominator ``m! q^m`` and, for ``u = q v``,
+    Chen's identity over the runs of consecutive parallel increments: these
+    commute, so a run is one segment, and a run that sums to zero is
+    dropped.  Level ``m`` is held as integer numerators ``N_m`` over ``m!
+    q^m``, for ``q`` the lcm of the vertex denominators.  The runs are
+    applied last first, ``S <- exp(u) (x) S`` for ``u = q v``: the last run
+    sets ``N_m = u^(x)m``, and each earlier one updates, top level first,
 
-        N_m <- sum_{i=0..m} binomial(m, i) N_i (x) u^(x)(m - i),
+        N_m <- sum_{j=0..m} binomial(m, j) u^(x)(m - j) (x) N_j
 
-    evaluated top level first (so the lower levels read are still the old
-    ones) in Horner form: ``acc = N_0``, then ``acc = acc (x) u +
-    binomial(m, j) N_j`` for ``j = 1..m``.
+    in Horner form: ``acc = N_0``, then ``acc = u (x) acc + binomial(m, j)
+    N_j`` for ``j = 1..m``.  Each level is packed into one int, ``sum_i
+    N_m[i] 2^(B i)`` in index order (first letter most significant), so
+    ``u (x) acc`` at level ``j`` is ``sum_l (u_l acc) << (l d^j B)``.
+    Packing is linear, so it is exact; each level is unpacked once, at the
+    end, and a slot of ``B = k_max (bit_length(V) + 1) + 2`` bits, rounded
+    up to bytes, holds every final ``|N_m(w)| <= V^m``, for ``V`` the sum
+    over the runs of ``max_l |u_l|``.
 
     Raises :class:`ResourceLimitError`, before allocating any level, when
     the series would hold more than :data:`SIGNATURE_ENTRIES_MAX` entries
@@ -293,6 +331,8 @@ def log_signature(path: PiecewiseLinearPath, k_max: int) -> TensorSeries:
     :func:`thrallkit.free_lie.log_truncated`; no Fraction signature is
     built.  Same size cap as :func:`signature`.
     """
+    from .free_lie import _log_series
+
     return _log_series(path.d, *_chen_numerators(path, k_max))
 
 

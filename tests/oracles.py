@@ -158,6 +158,28 @@ def integration_oracle(path: PiecewiseLinearPath, k_max: int) -> TensorSeries:
     return TensorSeries.from_levels(path.d, k_max, levels)
 
 
+def chen_numerators_reference(path: PiecewiseLinearPath, k_max: int):
+    """Chen's identity ``S <- S (x) exp(v)`` one segment at a time, on flat
+    lists of integer numerators over ``m! q^m``, with no run merging or
+    packing: the ``(nums, dens)`` that ``shuffle_sig._chen_numerators``
+    must return."""
+    d = path.d
+    q = math.lcm(*(x.denominator for p in path.points for x in p))
+    nums = [[1]] + [[0] * d**m for m in range(1, k_max + 1)]
+    for inc in path.increments():
+        if all(x == 0 for x in inc):
+            continue
+        u = [int(x * q) for x in inc]
+        for m in range(k_max, 0, -1):
+            acc = nums[0]
+            for j in range(1, m + 1):
+                c, lower = math.comb(m, j), iter(nums[j])
+                # the entry of acc (x) u at word (p, letter) sits at index p * d + letter
+                acc = [a * x + c * next(lower) for a in acc for x in u]
+            nums[m] = acc
+    return nums, [math.factorial(m) * q**m for m in range(k_max + 1)]
+
+
 def series_exp(series: TensorSeries) -> TensorSeries:
     """Truncated exponential as the Fraction power sum of series products."""
     if not series.level(0).is_zero():

@@ -426,11 +426,12 @@ def test_lyndon_bracketings_are_unitriangular():
 
 def test_lie_coordinates_match_dense_solve():
     rng = Random(17)
+    dens = (1, 2, 3, 5, 7, 12)  # mixed denominators, so the scale is an lcm
     for d, k in LYNDON_SHAPES:
         words = lyndon_words(d, k)
-        for _ in range(2):
+        for _ in range(3):
             coeffs = {
-                w: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                w: Fraction(rng.randint(-9, 9), rng.choice(dens))
                 for w in rng.sample(words, 4)
             }
             lie = Tensor.zero(d, k)
@@ -438,12 +439,25 @@ def test_lie_coordinates_match_dense_solve():
                 lie = lie + lyndon_bracketing(w, d).scale(c)
             want = {w: c for w, c in coeffs.items() if c}
             assert lie_coordinates(lie) == dense_lie_coordinates(lie) == want
-            # moving one entry, or taking a generic tensor, leaves the Lie span
-            entries = list(lie.entries)
-            entries[rng.randrange(len(entries))] += Fraction(1, 2)
-            for other in (Tensor(d, k, tuple(entries)), random_tensor(d, k, rng)):
+            # a fractional rescaling stays in the Lie span
+            scale = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.choice(dens))
+            assert lie_coordinates(lie.scale(scale)) == {w: scale * c for w, c in want.items()}
+            assert lie_coordinates(lie.scale(scale)) == dense_lie_coordinates(lie.scale(scale))
+            # moving one or two entries by fractions of other denominators, or
+            # taking a generic tensor, leaves the Lie span: for k >= 2 the
+            # coefficients of a Lie element sum to zero over each letter
+            # content, and two moves of different sizes cannot cancel
+            for moves in (1, 2):
+                entries = list(lie.entries)
+                sizes = rng.sample((2, 11, 13), moves)
+                for i, den in zip(rng.sample(range(len(entries)), moves), sizes):
+                    entries[i] += Fraction(rng.choice((-1, 1)), den)
+                other = Tensor(d, k, tuple(entries))
                 assert lie_coordinates(other) is None
                 assert dense_lie_coordinates(other) is None
+            other = random_tensor(d, k, rng)
+            assert lie_coordinates(other) is None
+            assert dense_lie_coordinates(other) is None
     assert lie_coordinates(Tensor.zero(3, 4)) == dense_lie_coordinates(Tensor.zero(3, 4)) == {}
 
 

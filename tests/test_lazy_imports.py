@@ -97,6 +97,24 @@ def test_signature_and_checks_leave_the_group_algebra_unloaded(argv, code):
     assert "thrallkit.group_algebra" not in loaded
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["signature", "--path", str(DATA / "path_d2_integer.json"), "--level", "3"],
+        ["check", "group-like", "--input", str(DATA / "series_d2_level3_signature.json")],
+    ],
+    ids=["signature", "check-group-like"],
+)
+def test_signature_without_log_leaves_free_lie_unloaded(argv):
+    loaded = loaded_after(
+        "from thrallkit.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0\n"
+    )
+    assert "thrallkit.shuffle_sig" in loaded
+    assert "thrallkit.free_lie" not in loaded
+
+
 def test_every_export_is_the_object_of_its_defining_module():
     assert len(thrallkit.__all__) == len(set(thrallkit.__all__))
     for name in thrallkit.__all__:

@@ -18,7 +18,6 @@ from thrallkit.rank_variety import (
     hyperdeterminant_2x2x2,
     RankOneResult,
     is_rank_one,
-    signature_rank_one_check,
     skew_plus_rank_one_rank,
     symmetric_level_implies_segment,
 )
@@ -126,19 +125,16 @@ def test_rank_one_rejects_phi3_with_area():
     assert not is_symmetric(t)
 
 
-def test_signature_rank_one_check_reports():
+def test_symmetry_and_rank_one_side_by_side():
     v = LieElement(2, 4, {(1,): 2, (2,): 1})
-    report = signature_rank_one_check(phi_k(v, 4))
-    assert report.symmetric and report.rank_one and report.agree
+    assert is_symmetric(phi_k(v, 4)) and is_rank_one(phi_k(v, 4))
 
     mixed = LieElement(2, 3, {(1,): 1, (1, 2): 1})
-    report = signature_rank_one_check(phi_k(mixed, 3))
-    assert not report.symmetric and not report.rank_one and report.agree
+    assert not is_symmetric(phi_k(mixed, 3)) and not is_rank_one(phi_k(mixed, 3))
 
+    # symmetric but of rank two: not a signature level
     sym_rank2 = product_of([[1, 0], [1, 0]], 2) + product_of([[0, 1], [0, 1]], 2)
-    report = signature_rank_one_check(sym_rank2)
-    assert report.symmetric and not report.rank_one and not report.agree
-    assert report.as_dict() == {"symmetric": True, "rank_one": False, "agree": False}
+    assert is_symmetric(sym_rank2) and not is_rank_one(sym_rank2)
 
 
 @pytest.mark.parametrize("d,k", [(2, 3), (2, 4), (3, 3), (3, 4)])

@@ -4,7 +4,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thrallkit import shuffle_sig
@@ -30,6 +30,7 @@ from thrallkit.words import all_words
 
 
 from oracles import (
+    chen_numerators_reference,
     fraction_act_on_functional,
     group_like_oracle,
     integration_oracle,
@@ -173,6 +174,61 @@ def test_signature_matches_integration_oracle_edge_cases():
     for f in (signature, log_signature):
         with pytest.raises(ValueError):
             f(PiecewiseLinearPath.from_lists([[0, 0], [1, 1]]), -1)
+
+
+fraction_strategy = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def chen_paths(draw):
+    """Paths whose steps are fresh, parallel or antiparallel to the step
+    before, undo the step before (so its run may sum to zero), or repeat a
+    point, on fractional vertices."""
+    d = draw(st.integers(1, 3))
+    points = [draw(st.lists(fraction_strategy, min_size=d, max_size=d))]
+    steps: list = []
+    for kind in draw(st.lists(st.sampled_from(["fresh", "parallel", "undo", "repeat"]), max_size=7)):
+        if kind == "fresh" or not steps:
+            step = draw(st.lists(fraction_strategy, min_size=d, max_size=d))
+        elif kind == "parallel":
+            t = draw(fraction_strategy)
+            step = [t * x for x in steps[-1]]
+        elif kind == "undo":
+            step = [-x for x in steps[-1]]
+        else:
+            step = [0] * d
+        steps.append(step)
+        points.append([p + x for p, x in zip(points[-1], step)])
+    return PiecewiseLinearPath.from_lists(points)
+
+
+def diagonal(d: int, steps) -> PiecewiseLinearPath:
+    """The straight path from the origin along -(1, .., 1) in the given
+    steps: one run, with |N_m| = V^m at every word."""
+    points = [[0] * d]
+    for t in steps:
+        points.append([x - t for x in points[-1]])
+    return PiecewiseLinearPath.from_lists(points)
+
+
+@settings(deadline=None, max_examples=150)
+@given(chen_paths(), st.integers(0, 5))
+@example(diagonal(2, [1, 2, 4]), 6)  # every N_m(w) is (-7)^m
+@example(diagonal(3, [2**7, 2**7 - 1]), 4)  # V = 255
+@example(diagonal(1, [2**8]), 12)  # V = 256, one past a bit-length boundary
+@example(diagonal(2, [2**8]), 0)
+@example(PiecewiseLinearPath.from_lists([[1, 2], [3, 0], [1, 2], [1, 2]]), 4)  # a run that cancels
+def test_chen_numerators_match_the_list_update(path, k_max):
+    assert shuffle_sig._chen_numerators(path, k_max) == chen_numerators_reference(path, k_max)
+
+
+def test_one_letter_signature_at_level_1000():
+    points = [[Fraction(1, 3)], [Fraction(-5, 2)], [Fraction(-5, 2)], [2], [Fraction(-1, 7)]]
+    sig = signature(PiecewiseLinearPath.from_lists(points), 1000)
+    x = Fraction(-1, 7) - Fraction(1, 3)
+    assert [level.entries for level in sig.levels] == [
+        (x**m / math.factorial(m),) for m in range(1001)
+    ]
 
 
 def test_signature_size_cap(monkeypatch):
