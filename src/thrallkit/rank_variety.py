@@ -235,8 +235,11 @@ def hdet_pullback_check(seed: int, samples: int = 20) -> PullbackReport:
 
         c * (s2 u112 + s1 u122)^2 * (3 t12^2 - 4 s2 u112 - 4 s1 u122)
 
-    for one constant c shared across all samples.
+    for one constant c shared across all samples.  Raises ``ValueError``
+    for ``samples < 1``, which would check nothing.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     rng = Random(seed)
     constant: Fraction | None = None
     checked = 0

@@ -15,6 +15,12 @@ from the bound ``|N_m(w)| <= V^m``, ``V`` summing each run's largest
 coordinate.  :func:`log_signature` passes the integer levels straight to
 the integer log kernel of :mod:`thrallkit.free_lie`.  Both are capped at
 :data:`SIGNATURE_ENTRIES_MAX` entries over all levels.
+
+:func:`is_group_like` tests one shuffle identity per non-Lyndon word ``w =
+l v`` (``l`` the longest Lyndon prefix), ``T_{l shuffle v} = T_l T_v``,
+rather than one per word pair: the word ``w`` leads ``l shuffle v`` in lex
+order, so these identities and the Lyndon coordinates are triangular, and
+by induction on the level they imply all the others (see its docstring).
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
+from operator import mul
 
 from . import linalg
 from .tensors import Tensor, TensorSeries
@@ -142,31 +149,77 @@ def shuffle_functionals(beta: WordFunctional, gamma: WordFunctional) -> WordFunc
     return acc
 
 
-def is_group_like(series: TensorSeries) -> bool:
-    """Exact check of the product identity T_{I shuffle J} = T_I * T_J.
+def _first_lyndon_factor(word: Word) -> int:
+    """Length of the longest Lyndon prefix of a nonempty word, which is the
+    first factor of its Lyndon factorization (Duval's algorithm)."""
+    i, j = 0, 1
+    while j < len(word) and word[i] <= word[j]:
+        i = 0 if word[i] < word[j] else i + 1
+        j += 1
+    return j - i
 
-    Runs over unordered pairs of nonempty words with |I| + |J| <= k_max;
-    the empty word holds trivially since level 0 must be 1.  Both sides are
-    read straight off one word -> numerator table, level k scaled to integers
-    over the lcm ``den[k]`` of its denominators, and compared cross-multiplied.
+
+@cache
+def _group_like_plan(d: int, m: int) -> tuple[tuple, ...]:
+    """The level-m equations of :func:`is_group_like`, one per non-Lyndon word
+    ``w = l v``: ``(|l|, index of l, index of v, indices of the words of
+    l shuffle v, their multiplicities)``."""
+    plan = []
+    for w in all_words(d, m):
+        p = _first_lyndon_factor(w)
+        if p == m:
+            continue
+        terms = _shuffle_multiplicities(w[:p], w[p:])
+        plan.append((
+            p, word_to_index(w[:p], d), word_to_index(w[p:], d),
+            tuple(word_to_index(u, d) for u, _ in terms), tuple(c for _, c in terms),
+        ))
+    return tuple(plan)
+
+
+def is_group_like(series: TensorSeries) -> bool:
+    """Exact check that the series satisfies every shuffle identity
+    T_{a shuffle b} = T_a * T_b up to its truncation.
+
+    Only one identity per non-Lyndon word is tested: for ``w = l v`` with
+    ``l`` the first Lyndon factor of ``w`` (its longest Lyndon prefix),
+    ``T_{l shuffle v} = T_l * T_v``.  At level ``m`` these are ``d^m`` minus
+    the number of Lyndon words of length ``m``, which is the number of
+    independent identities there: the shuffle algebra is the free
+    commutative algebra on the Lyndon words (Radford 1979; Reutenauer, *Free
+    Lie Algebras*, 6.1).  The reduced set suffices, by induction on ``m``:
+
+    * the lexicographically largest word of ``l shuffle v`` is ``w`` itself,
+      with a positive coefficient, so the functionals ``T -> T_{l shuffle v}``
+      of the non-Lyndon words and the coordinates at the Lyndon words are
+      triangular in lex order: a basis of the dual of level ``m``;
+    * if ``T`` is group-like below ``m``, some group-like ``G`` equals ``T``
+      below ``m`` and at the Lyndon words of length ``m``: add to the
+      exponential of the lower Lie part the Lie element of degree ``m`` with
+      the right values there, which exists because the Lyndon bracketings are
+      unitriangular on the Lyndon words (Reutenauer Thm 5.1, as in
+      :func:`thrallkit.free_lie.lie_coordinates`);
+    * if the reduced identities hold, ``(T - G)_{l shuffle v} = T_l T_v - G_l
+      G_v = 0``, as ``l`` and ``v`` are shorter than ``m``; ``T - G`` vanishes
+      at level ``m`` on that basis, so ``T`` equals ``G`` there.
+
+    Each level ``k`` is read as integers over the lcm ``den[k]`` of its
+    denominators and the two sides are compared cross-multiplied.  The
+    equations of each level are built once per ``(d, m)`` and shared by
+    every truncation; the empty word holds trivially since level 0 must be 1.
     """
     if series.level(0) != Tensor.scalar(series.d, 1):
         raise ValueError("group-likeness needs level 0 equal to 1")
-    d, k_max = series.d, series.k_max
-    den = [1]
-    value: dict[Word, int] = {}
-    for k in range(1, k_max + 1):
-        level_den, nums = linalg.integer_numerators(series.level(k).entries)
+    den, nums = [1], [[1]]
+    for k in range(1, series.k_max + 1):
+        level_den, level = linalg.integer_numerators(series.level(k).entries)
         den.append(level_den)
-        value.update(zip(all_words(d, k), nums))
-    words = [w for k in range(1, k_max) for w in all_words(d, k)]
-    for i, a in enumerate(words):
-        for b in words[i:]:
-            m = len(a) + len(b)
-            if m > k_max:
-                continue
-            lhs = sum(c * value[w] for w, c in _shuffle_multiplicities(a, b))
-            if lhs * den[len(a)] * den[len(b)] != value[a] * value[b] * den[m]:
+        nums.append(level)
+    for m in range(2, series.k_max + 1):
+        top = nums[m]
+        for p, i, j, words, mults in _group_like_plan(series.d, m):
+            lhs = sum(map(mul, mults, map(top.__getitem__, words)))
+            if lhs * den[p] * den[m - p] != nums[p][i] * nums[m - p][j] * den[m]:
                 return False
     return True
 

@@ -103,8 +103,15 @@ def lyndon_words(d: int, k: int) -> list[Word]:
     """Lyndon words of length exactly ``k`` over ``{1, .., d}``, in lex order.
 
     Uses Duval's generation of Lyndon words of length at most ``k``,
-    keeping the ones of full length.
+    keeping the ones of full length.  The words are generated once per
+    ``(d, k)``; each call returns a fresh list of them.
     """
+    return list(_lyndon_words(d, k))
+
+
+@cache
+def _lyndon_words(d: int, k: int) -> tuple[Word, ...]:
+    """The words of :func:`lyndon_words`, generated once per ``(d, k)``."""
     if d < 1 or k < 1:
         raise ValueError("require d >= 1 and k >= 1")
     out: list[Word] = []
@@ -120,7 +127,7 @@ def lyndon_words(d: int, k: int) -> list[Word]:
             w.pop()
         if w:
             w[-1] += 1
-    return out
+    return tuple(out)
 
 
 @cache

@@ -201,6 +201,12 @@ def test_hdet_pullback_command(capsys):
     assert payload["passed"] and payload["constant"] == "1/3"
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_hdet_pullback_without_samples_exits_2(capsys, samples):
+    code, out, err = run(capsys, "hdet-pullback", "--seed", "3", "--samples", samples)
+    assert code == 2 and out == "" and "samples must be >= 1" in err
+
+
 def test_paper_suite_command(capsys):
     code, out, _ = run(capsys, "paper-suite")
     assert code == 0

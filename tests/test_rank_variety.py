@@ -402,6 +402,9 @@ def test_hdet_pullback_check_passes_with_fixed_constant():
         assert report.passed
         assert report.constant == Fraction(1, 3)
         assert report.samples == 20
+    for samples in (0, -3):
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            hdet_pullback_check(seed=1, samples=samples)
 
 
 def test_hdet_pullback_degenerate_tuples():

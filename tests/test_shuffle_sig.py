@@ -26,7 +26,7 @@ from thrallkit.shuffle_sig import (
     signature,
 )
 from thrallkit.tensors import Tensor, TensorSeries
-from thrallkit.words import all_words
+from thrallkit.words import all_words, is_lyndon, lie_dim
 
 
 from oracles import (
@@ -129,6 +129,58 @@ def test_group_like_matches_oracle_on_signatures_and_corruptions():
             assert is_group_like(bad) == group_like_oracle(bad)
             if k == k_max:  # the top level only ever sits on the shuffle side
                 assert not is_group_like(bad)
+
+
+def _with_level(series, k, tensor):
+    levels = list(series.levels)
+    levels[k] = tensor
+    return TensorSeries(series.d, tuple(levels))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 3), st.integers(0, 5), st.integers(0, 2**32))
+def test_group_like_matches_all_pairs_oracle(d, k_max, seed):
+    rng = Random(seed)
+    points = [
+        [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(d)]
+        for _ in range(rng.randint(1, 4))
+    ]
+    sig = signature(PiecewiseLinearPath.from_lists(points), k_max)
+    assert is_group_like(sig) and group_like_oracle(sig)
+    for k in range(1, k_max + 1):
+        # one entry of level k moved by a small rational
+        entries = list(sig.level(k).entries)
+        entries[rng.randrange(len(entries))] += Fraction(rng.choice([-1, 1]), rng.randint(1, 3))
+        bad = _with_level(sig, k, Tensor(d, k, tuple(entries)))
+        assert is_group_like(bad) == group_like_oracle(bad)
+        # a Lie element of degree k added at level k: group-like at the top
+        # level, where exp(x + y) = exp(x) + y, and generally not below it
+        lie = random_lie_element(d, k, rng).level(k)
+        moved = _with_level(sig, k, sig.level(k) + lie)
+        assert is_group_like(moved) == group_like_oracle(moved)
+        if k == k_max:
+            assert is_group_like(moved)
+
+
+def _longest_lyndon_prefix(word):
+    return max(p for p in range(1, len(word) + 1) if is_lyndon(word[:p]))
+
+
+@pytest.mark.parametrize("d, m", [(d, m) for d in (1, 2, 3) for m in range(2, 6)] + [(2, 7)])
+def test_reduced_shuffle_equations_are_triangular(d, m):
+    """For each non-Lyndon ``w = l v``, ``l`` its longest Lyndon prefix, the
+    lexicographically largest word of ``l shuffle v`` is ``w``, with a positive
+    coefficient: the lemma behind the reduced set of :func:`is_group_like`."""
+    equations = 0
+    for w in all_words(d, m):
+        p = _longest_lyndon_prefix(w)
+        if p == m:
+            continue
+        equations += 1
+        terms = shuffle_oracle(w[:p], w[p:])
+        assert max(terms) == w and terms[w] > 0
+    assert equations == d**m - lie_dim(d, m)
+    assert len(shuffle_sig._group_like_plan(d, m)) == equations
 
 
 def test_staircase_against_integration_oracle():

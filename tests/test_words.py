@@ -45,6 +45,14 @@ def test_lyndon_reference_values():
     assert lyndon_words(3, 2) == [(1, 2), (1, 3), (2, 3)]
 
 
+def test_lyndon_words_returns_a_fresh_list_each_call():
+    words = lyndon_words(3, 3)
+    words.clear()
+    assert lyndon_words(3, 3) == brute_force_lyndon(3, 3)
+    with pytest.raises(ValueError):
+        lyndon_words(0, 2)
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_lyndon_count_equals_lie_dim(d):
     for k in range(1, 9):
