@@ -9,7 +9,8 @@ classical right factorization; ``u`` and ``v`` are then Lyndon) and maps
 The truncated exponential and logarithm share one kernel,
 :func:`_power_series`: it evaluates sum_n c_n X^n (c_n = 1/n! or
 (-1)^(n+1)/n) in Horner form on flat lists of integer numerators, one
-denominator per level, and builds Fractions only for the output levels.
+denominator per level, and builds Fractions only for the output levels,
+which keep their numerators (:meth:`thrallkit.tensors.Tensor.numerators`).
 :func:`thrallkit.shuffle_sig.log_signature` feeds it the integer levels of
 the Chen update directly.
 """
@@ -158,7 +159,7 @@ class LieElement:
 
 
 def _power_series(
-    d: int, nums: list[list[int]], dens: list[int], coeffs: list[Fraction]
+    d: int, nums: tuple[tuple[int, ...], ...], dens: tuple[int, ...], coeffs: list[Fraction]
 ) -> TensorSeries:
     """The truncated power series sum_{n=0..K} coeffs[n] X^n on integer numerators.
 
@@ -170,7 +171,8 @@ def _power_series(
     Level ``m`` of every ``R_j`` is held as integer numerators over
     ``D_m = lcm_a D_(m-a) dens[a]`` (``D_0 = 1``), so each term ``X_a (x)
     R_(m-a)`` is an integer outer product once ``X_a`` is scaled by ``D_m /
-    (D_(m-a) dens[a])``; Fractions are built once, for the output levels.
+    (D_(m-a) dens[a])``; Fractions are built once, for the output levels,
+    which keep their numerators over ``S D_m``.
     """
     k_max = len(coeffs) - 1
     scale, weights = linalg.integer_numerators(coeffs)
@@ -201,26 +203,19 @@ def _power_series(
                 acc = term if acc is None else list(map(operator.add, acc, term))
             nxt.append(acc or [0] * d**m)
         r = nxt
-    levels = []
-    for m, level in enumerate(r):
-        den = scale * level_dens[m]
-        levels.append(
-            Tensor(d, m, tuple(Fraction(n, den) if n else _ZERO for n in level))
-        )
-    return TensorSeries(d, tuple(levels))
+    return TensorSeries(d, tuple(
+        Tensor.from_numerators(d, m, scale * level_dens[m], level) for m, level in enumerate(r)
+    ))
 
 
-def _numerators(series: TensorSeries) -> tuple[list[list[int]], list[int]]:
-    """Each level as integer numerators over its own lcm denominator."""
-    nums, dens = [], []
-    for level in series.levels:
-        den, values = linalg.integer_numerators(level.entries)
-        nums.append(values)
-        dens.append(den)
+def _numerators(series: TensorSeries) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Each level as its integer numerators over one denominator
+    (:meth:`Tensor.numerators`)."""
+    dens, nums = zip(*(level.numerators() for level in series.levels))
     return nums, dens
 
 
-def _log_series(d: int, nums: list[list[int]], dens: list[int]) -> TensorSeries:
+def _log_series(d: int, nums: tuple[tuple[int, ...], ...], dens: tuple[int, ...]) -> TensorSeries:
     """log(1 + X) = sum_{n>=1} (-1)^(n+1) X^n / n, for X as in :func:`_power_series`."""
     coeffs = [_ZERO] + [Fraction((-1) ** (n + 1), n) for n in range(1, len(nums))]
     return _power_series(d, nums, dens, coeffs)
@@ -230,8 +225,8 @@ def exp_truncated(series: TensorSeries) -> TensorSeries:
     """Truncated tensor exponential; input must have zero level 0.
 
     Evaluates sum_n X^n / n! with the integer-numerator Horner kernel
-    :func:`_power_series`: each level of ``X`` is scaled to integers over
-    its lcm denominator, and Fractions are built once, for the output.
+    :func:`_power_series` on the levels' :meth:`Tensor.numerators`; Fractions
+    are built once, for the output.
     """
     if not series.level(0).is_zero():
         raise ValueError("exp requires level 0 equal to 0")
@@ -243,9 +238,8 @@ def log_truncated(series: TensorSeries) -> TensorSeries:
     """Truncated tensor logarithm; input must have level 0 equal to 1.
 
     Evaluates sum_n (-1)^(n+1) (S - 1)^n / n with the integer-numerator
-    Horner kernel :func:`_power_series` (levels of ``S - 1`` scaled to
-    integers over their lcm denominators; Fractions built once, for the
-    output).
+    Horner kernel :func:`_power_series` on the levels'
+    :meth:`Tensor.numerators` (Fractions built once, for the output).
     """
     if series.level(0) != Tensor.scalar(series.d, 1):
         raise ValueError("log requires level 0 equal to 1")
@@ -346,7 +340,7 @@ def _solve_blocks(d: int, k: int):
 def _solve_decompose(tensor: Tensor) -> dict[Partition, Tensor]:
     """Block matrix-vector products with the cached inverses, then recombination."""
     d, k = tensor.d, tensor.k
-    tden, values = linalg.integer_numerators(tensor.entries)
+    tden, values = tensor.numerators()
     out = {lam: [_ZERO] * len(values) for lam in partitions(k)}
     for block, inverse, den, parts in _solve_blocks(d, k):
         local = [values[i] for i in block]
@@ -375,7 +369,9 @@ def thrall_decompose(tensor: Tensor, method: str = "auto") -> dict[Partition, Te
     recombines basis vectors; ``"idempotent"`` is
     :func:`thrallkit.group_algebra.graded_projections` (subject to its degree
     cap).  ``"auto"`` takes the idempotent route and falls back to the solve
-    where the projector family raises :class:`ResourceLimitError`.
+    where the projector family raises :class:`ResourceLimitError`.  Degree 0
+    is the trivial piece: every route returns an order-0 tensor as its one
+    component, at the empty partition.
     """
     if method not in ("auto", "solve", "idempotent"):
         raise ValueError(f"unknown method {method!r}")
@@ -404,9 +400,10 @@ def lie_coordinates(tensor: Tensor) -> dict[Word, Fraction] | None:
     (Reutenauer, *Free Lie Algebras*, Thm 5.1).  Walking the Lyndon words in
     ascending order, the coefficient of ``w`` is the residual entry at
     ``w``; subtracting its bracketing leaves the remaining words untouched.
-    The tensor is a Lie element iff the residual ends at zero.
+    The tensor is a Lie element iff the residual ends at zero.  The walk runs
+    on the tensor's integer numerators (:meth:`Tensor.numerators`).
     """
-    den, nums = linalg.integer_numerators(tensor.entries)
+    den, nums = tensor.numerators()
     return _back_substitute(dict(zip(all_words(tensor.d, tensor.k), nums)), tensor.d, tensor.k, den)
 
 

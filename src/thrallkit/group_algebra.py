@@ -141,7 +141,7 @@ def ga_act(x: GroupAlgebraElement, tensor: Tensor) -> Tensor:
     """
     if x.k != tensor.k:
         raise ValueError(f"degree mismatch: element {x.k}, tensor order {tensor.k}")
-    tden, values = linalg.integer_numerators(tensor.entries)
+    tden, values = tensor.numerators()
     den, groups = _block_operator(x, tensor.d)
     return Tensor(tensor.d, tensor.k, _apply_blocks(groups, values, den * tden))
 
@@ -207,9 +207,13 @@ def _projector_blocks(d: int, k: int):
 def graded_projections(tensor: Tensor) -> dict[Partition, Tensor]:
     """The graded components of a tensor, ``ga_act(E_lam, tensor)`` for each
     partition lam of k: one integer mat-vec per weight block with the cached
-    block matrices of the projector family (subject to :data:`K_MAX`)."""
+    block matrices of the projector family (subject to :data:`K_MAX`).  An
+    order-0 tensor is its own component at the empty partition, as in the
+    solve backend of :func:`thrallkit.free_lie.thrall_decompose`."""
+    if tensor.k == 0:
+        return {(): tensor}
     blocks = _projector_blocks(tensor.d, tensor.k)
-    tden, values = linalg.integer_numerators(tensor.entries)
+    tden, values = tensor.numerators()
     return {
         lam: Tensor(tensor.d, tensor.k, _apply_blocks(groups, values, den * tden))
         for lam, den, groups in blocks

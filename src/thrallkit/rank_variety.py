@@ -15,8 +15,8 @@ from fractions import Fraction
 from random import Random
 
 from . import linalg
-from .free_lie import LieElement, exp_truncated, is_lie_element, log_truncated, phi_k
-from .shuffle_sig import PiecewiseLinearPath, signature
+from .free_lie import LieElement, exp_truncated, is_lie_element, phi_k
+from .shuffle_sig import PiecewiseLinearPath, log_signature, signature
 from .tensors import Tensor, TensorSeries, is_symmetric, tensor_product
 
 
@@ -119,14 +119,16 @@ def fls_check(path: PiecewiseLinearPath, k_max: int) -> FlsReport:
     (a) the log-signature vanishes in degrees 2..k_max, (b) all signature
     levels are symmetric, (c) all signature levels have rank at most one.
     The three must coincide on genuine paths with nonzero total increment.
-    Raises ``ValueError`` for ``k_max < 1``, where there is no level 1.
+    The signature and the log-signature share the path's one Chen update
+    (see :func:`thrallkit.shuffle_sig.signature`).  Raises ``ValueError``
+    for ``k_max < 1``, where there is no level 1.
     """
     if k_max < 1:
         raise ValueError("the straight-line criteria need k_max >= 1")
     sig = signature(path, k_max)
     if sig.level(1).is_zero():
         raise ValueError("outside the hypothesis: total increment is zero")
-    log = log_truncated(sig)
+    log = log_signature(path, k_max)
     crit_a = all(log.level(i).is_zero() for i in range(2, k_max + 1))
     crit_b = all(is_symmetric(sig.level(i)) for i in range(2, k_max + 1))
     crit_c = all(

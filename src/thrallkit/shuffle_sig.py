@@ -12,9 +12,15 @@ left, ``S <- exp(u) (x) S``, on levels packed into one Python int each
 (``N_m[i]`` in bits ``B i .. B i + B - 1``, index order), so that the
 per-entry work runs inside integer arithmetic.  The slot width ``B`` comes
 from the bound ``|N_m(w)| <= V^m``, ``V`` summing each run's largest
-coordinate.  :func:`log_signature` passes the integer levels straight to
-the integer log kernel of :mod:`thrallkit.free_lie`.  Both are capped at
-:data:`SIGNATURE_ENTRIES_MAX` entries over all levels.
+coordinate.  One path object shares one update: it keeps the integer
+levels of its highest truncation, which :func:`signature`,
+:func:`log_signature` and the straight-line criteria of
+:func:`thrallkit.rank_variety.fls_check` read, a lower truncation as a
+slice.  :func:`log_signature` passes them straight to the integer log
+kernel of :mod:`thrallkit.free_lie`, and every level built from them keeps
+its integer numerators (:meth:`Tensor.numerators`), so no reader scales a
+level back to integers.  Both are capped at :data:`SIGNATURE_ENTRIES_MAX`
+entries over all levels.
 
 :func:`is_group_like` tests one shuffle identity per non-Lyndon word ``w =
 l v`` (``l`` the longest Lyndon prefix), ``T_{l shuffle v} = T_l T_v``,
@@ -159,6 +165,34 @@ def _first_lyndon_factor(word: Word) -> int:
     return j - i
 
 
+def _shuffle_indices(a: Word, b: Word, d: int) -> dict[int, int]:
+    """The words of ``a shuffle b`` as flat indices, with multiplicities.
+
+    Recurrence on the first letter, ``a[i:] shuffle b[j:] = a[i] (a[i+1:]
+    shuffle b[j:]) + b[j] (a[i:] shuffle b[j+1:])``, where a leading letter
+    ``x`` adds ``(x - 1) d^(n - 1)`` to the index of a word of length ``n``.
+    The memo over the positions ``(i, j)`` lives for one call, so no
+    sub-shuffle outlives it (unlike the word cache of :func:`shuffle_words`).
+    """
+    memo: dict[tuple[int, int], dict[int, int]] = {}
+
+    def rec(i: int, j: int) -> dict[int, int]:
+        if i == len(a) or j == len(b):
+            return {word_to_index(a[i:] + b[j:], d): 1}
+        out = memo.get((i, j))
+        if out is None:
+            out = {}
+            step = d ** (len(a) - i + len(b) - j - 1)
+            for head, rest in ((a[i], rec(i + 1, j)), (b[j], rec(i, j + 1))):
+                for index, c in rest.items():
+                    index += (head - 1) * step
+                    out[index] = out.get(index, 0) + c
+            memo[(i, j)] = out
+        return out
+
+    return rec(0, 0)
+
+
 @cache
 def _group_like_plan(d: int, m: int) -> tuple[tuple, ...]:
     """The level-m equations of :func:`is_group_like`, one per non-Lyndon word
@@ -169,10 +203,9 @@ def _group_like_plan(d: int, m: int) -> tuple[tuple, ...]:
         p = _first_lyndon_factor(w)
         if p == m:
             continue
-        terms = _shuffle_multiplicities(w[:p], w[p:])
+        terms = _shuffle_indices(w[:p], w[p:], d)
         plan.append((
-            p, word_to_index(w[:p], d), word_to_index(w[p:], d),
-            tuple(word_to_index(u, d) for u, _ in terms), tuple(c for _, c in terms),
+            p, word_to_index(w[:p], d), word_to_index(w[p:], d), tuple(terms), tuple(terms.values()),
         ))
     return tuple(plan)
 
@@ -203,18 +236,15 @@ def is_group_like(series: TensorSeries) -> bool:
       G_v = 0``, as ``l`` and ``v`` are shorter than ``m``; ``T - G`` vanishes
       at level ``m`` on that basis, so ``T`` equals ``G`` there.
 
-    Each level ``k`` is read as integers over the lcm ``den[k]`` of its
-    denominators and the two sides are compared cross-multiplied.  The
+    Each level ``k`` is read as integer numerators over one denominator
+    ``den[k]`` (:meth:`Tensor.numerators`, kept from the Chen update for a
+    signature) and the two sides are compared cross-multiplied.  The
     equations of each level are built once per ``(d, m)`` and shared by
     every truncation; the empty word holds trivially since level 0 must be 1.
     """
     if series.level(0) != Tensor.scalar(series.d, 1):
         raise ValueError("group-likeness needs level 0 equal to 1")
-    den, nums = [1], [[1]]
-    for k in range(1, series.k_max + 1):
-        level_den, level = linalg.integer_numerators(series.level(k).entries)
-        den.append(level_den)
-        nums.append(level)
+    den, nums = zip(*(level.numerators() for level in series.levels))
     for m in range(2, series.k_max + 1):
         top = nums[m]
         for p, i, j, words, mults in _group_like_plan(series.d, m):
@@ -343,6 +373,23 @@ def _chen_numerators(path: PiecewiseLinearPath, k_max: int):
     return nums, dens
 
 
+def _signature_levels(path: PiecewiseLinearPath, k_max: int):
+    """:func:`_chen_numerators` as tuples, computed once per path object.
+
+    The path keeps the ``(nums, dens)`` of the highest truncation computed so
+    far, outside its dataclass fields (equality, hashing and repr ignore
+    it).  Level ``m`` and its denominator ``m! q^m`` do not depend on
+    ``k_max``, so a lower truncation is a slice; a higher one runs the
+    update again, size cap included.
+    """
+    memo = path.__dict__.get("_chen_levels")
+    if memo is None or not 0 <= k_max < len(memo[1]):
+        nums, dens = _chen_numerators(path, k_max)
+        memo = (tuple(map(tuple, nums)), tuple(dens))
+        object.__setattr__(path, "_chen_levels", memo)
+    return memo[0][: k_max + 1], memo[1][: k_max + 1]
+
+
 def signature(path: PiecewiseLinearPath, k_max: int) -> TensorSeries:
     """Signature series of a piecewise-linear path, truncated at k_max.
 
@@ -364,29 +411,35 @@ def signature(path: PiecewiseLinearPath, k_max: int) -> TensorSeries:
     up to bytes, holds every final ``|N_m(w)| <= V^m``, for ``V`` the sum
     over the runs of ``max_l |u_l|``.
 
+    The update runs once per path object and truncation: the path keeps
+    its highest truncation's numerators, which :func:`log_signature` and
+    lower truncations share.  Each level keeps ``(m! q^m, N_m)`` as its
+    :meth:`Tensor.numerators`.
+
     Raises :class:`ResourceLimitError`, before allocating any level, when
     the series would hold more than :data:`SIGNATURE_ENTRIES_MAX` entries
     (``1 + d + .. + d^k_max``).
     """
-    nums, dens = _chen_numerators(path, k_max)
-    levels = [
-        Tensor(path.d, m, tuple(Fraction(n, den) for n in level))
+    nums, dens = _signature_levels(path, k_max)
+    return TensorSeries(path.d, tuple(
+        Tensor.from_numerators(path.d, m, den, level)
         for m, (level, den) in enumerate(zip(nums, dens))
-    ]
-    return TensorSeries(path.d, tuple(levels))
+    ))
 
 
 def log_signature(path: PiecewiseLinearPath, k_max: int) -> TensorSeries:
     """Truncated logarithm of the signature; levels are Lie elements.
 
     The integer levels of the Chen update (numerators over ``m! q^m``, see
-    :func:`signature`) go straight into the integer Horner kernel of
+    :func:`signature`), shared with :func:`signature` on the same path
+    object, go straight into the integer Horner kernel of
     :func:`thrallkit.free_lie.log_truncated`; no Fraction signature is
-    built.  Same size cap as :func:`signature`.
+    built, and the output levels keep their integer numerators.  Same size
+    cap as :func:`signature`.
     """
     from .free_lie import _log_series
 
-    return _log_series(path.d, *_chen_numerators(path, k_max))
+    return _log_series(path.d, *_signature_levels(path, k_max))
 
 
 def levy_area(series: TensorSeries) -> Fraction:

@@ -26,10 +26,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
+from . import linalg
 from .permutations import Perm, inverse
 from .words import Word, index_to_word, word_to_index
 
 Scalar = Fraction
+
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -37,7 +40,10 @@ class Tensor:
     """Dense order-``k`` tensor on a ``d``-dimensional space.
 
     ``entries`` has length ``d**k`` and is indexed by words via base-``d``
-    encoding; ``k == 0`` stores a single scalar.
+    encoding; ``k == 0`` stores a single scalar.  A tensor built from
+    integers by :meth:`from_numerators` keeps them for :meth:`numerators`,
+    outside the dataclass fields, so equality, hashing and repr read the
+    entries only.
     """
 
     d: int
@@ -53,6 +59,18 @@ class Tensor:
             )
 
     # -- construction -------------------------------------------------
+
+    @staticmethod
+    def from_numerators(d: int, k: int, den: int, nums) -> "Tensor":
+        """The tensor with entries ``nums[i] / den`` (``den >= 1``), whose
+        :meth:`numerators` are ``(den, nums)``."""
+        nums = tuple(nums)
+        entries = [_ZERO] * len(nums)
+        for i in itertools.compress(range(len(nums)), nums):
+            entries[i] = Fraction(nums[i], den)
+        tensor = Tensor(d, k, tuple(entries))
+        object.__setattr__(tensor, "_numerators", (den, nums))
+        return tensor
 
     @staticmethod
     def zero(d: int, k: int) -> "Tensor":
@@ -100,6 +118,18 @@ class Tensor:
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.entries)
+
+    def numerators(self) -> tuple[int, tuple[int, ...]]:
+        """Common denominator ``D`` and integers ``n`` with ``entries[i] == n[i]
+        / D``, as in :func:`thrallkit.linalg.integer_numerators` (``D`` need
+        not be least); computed once per tensor, or kept from
+        :meth:`from_numerators`."""
+        try:
+            return self._numerators
+        except AttributeError:
+            den, nums = linalg.integer_numerators(self.entries)
+            object.__setattr__(self, "_numerators", (den, tuple(nums)))
+            return self._numerators
 
     # -- linear structure -----------------------------------------------
 

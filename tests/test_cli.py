@@ -325,3 +325,12 @@ def test_decompose_methods_match_golden_bytes(capsys, method, name):
     )
     assert code == 0
     assert out.encode() == (DATA / f"decompose_{name}.out").read_bytes()
+
+
+@pytest.mark.parametrize("method", ["auto", "idempotent", "solve"])
+def test_order_zero_decompose_is_its_empty_partition_component(tmp_path, capsys, method):
+    file = tmp_path / "t0.json"
+    file.write_text(json.dumps({"d": 2, "k": 0, "entries": {"": "3"}}))
+    code, out, err = run(capsys, "decompose", "--tensor", str(file), "--method", method)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"": {"d": 2, "k": 0, "entries": {"": "3"}}}

@@ -311,6 +311,13 @@ def test_thrall_decompose_methods_agree():
             assert total == t
 
 
+@pytest.mark.parametrize("method", ["auto", "idempotent", "solve"])
+@pytest.mark.parametrize("d, value", [(1, 0), (2, 3), (3, Fraction(-5, 2))])
+def test_order_zero_tensor_is_its_own_component(method, d, value):
+    tensor = Tensor.scalar(d, value)
+    assert thrall_decompose(tensor, method) == {(): tensor}
+
+
 @pytest.mark.parametrize("d, k", [(1, 4), (2, 6), (3, 4), (3, 5)])
 def test_solve_decompose_matches_dense_solve(d, k):
     # fractional entries, a basis tensor (the dense solve at (3, 5) takes

@@ -26,7 +26,7 @@ from thrallkit.shuffle_sig import (
     signature,
 )
 from thrallkit.tensors import Tensor, TensorSeries
-from thrallkit.words import all_words, is_lyndon, lie_dim
+from thrallkit.words import all_words, is_lyndon, lie_dim, word_to_index
 
 
 from oracles import (
@@ -181,6 +181,24 @@ def test_reduced_shuffle_equations_are_triangular(d, m):
         assert max(terms) == w and terms[w] > 0
     assert equations == d**m - lie_dim(d, m)
     assert len(shuffle_sig._group_like_plan(d, m)) == equations
+
+
+@pytest.mark.parametrize("d, m", [(1, 5), (2, 6), (3, 4), (4, 3)])
+def test_group_like_plan_matches_the_position_oracle(d, m):
+    shuffle_sig._group_like_plan.cache_clear()
+    before = shuffle_sig._shuffle_multiplicities.cache_info().currsize
+    plan = iter(shuffle_sig._group_like_plan(d, m))
+    for w in all_words(d, m):
+        p = _longest_lyndon_prefix(w)
+        if p == m:
+            continue
+        got = next(plan)
+        want = {word_to_index(u, d): c for u, c in shuffle_oracle(w[:p], w[p:]).items() if c}
+        assert got[:3] == (p, word_to_index(w[:p], d), word_to_index(w[p:], d))
+        assert dict(zip(got[3], got[4])) == want
+    assert next(plan, None) is None
+    # the plan keeps no sub-shuffle in the module's word cache
+    assert shuffle_sig._shuffle_multiplicities.cache_info().currsize == before
 
 
 def test_staircase_against_integration_oracle():
@@ -463,3 +481,90 @@ def test_path_signatures_are_group_like():
         for _ in range(3):
             points = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(4)]
             assert is_group_like(signature(PiecewiseLinearPath.from_lists(points), 4))
+
+
+# one Chen update per path object: signature, log_signature and fls_check
+# share the integer levels of the highest truncation computed so far
+
+PATH_READERS = {"signature": signature, "log_signature": log_signature, "fls_check": fls_check}
+
+
+def _outcome(name, path, k_max):
+    try:
+        return PATH_READERS[name](path, k_max)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _fresh(path):
+    return PiecewiseLinearPath(path.d, path.points)
+
+
+def _check_numerators(series):
+    for level in series.levels:
+        den, nums = level.numerators()
+        assert tuple(Fraction(n, den) for n in nums) == level.entries
+
+
+@settings(deadline=None, max_examples=80)
+@given(chen_paths(), st.lists(st.tuples(st.sampled_from(sorted(PATH_READERS)), st.integers(0, 5)),
+                              min_size=2, max_size=6))
+@example(diagonal(2, [1, 2]), [("signature", 5), ("log_signature", 2), ("fls_check", 3)])
+@example(diagonal(2, [1, 2]), [("fls_check", 1), ("log_signature", 4), ("signature", 5)])
+@example(PiecewiseLinearPath.from_lists([[1, 2], [3, 0], [1, 2], [1, 2]]),
+         [("log_signature", 1), ("fls_check", 4), ("signature", 0)])  # a run that cancels
+def test_one_path_object_answers_like_fresh_equal_paths(path, calls):
+    for name, k_max in calls:
+        got = _outcome(name, path, k_max)
+        assert got == _outcome(name, _fresh(path), k_max)
+        if name != "fls_check":
+            _check_numerators(got)
+
+
+def test_memo_slices_lower_and_recomputes_higher(monkeypatch):
+    calls = []
+    chen = shuffle_sig._chen_numerators
+    monkeypatch.setattr(shuffle_sig, "_chen_numerators", lambda p, k: calls.append((p, k)) or chen(p, k))
+    path = PiecewiseLinearPath.from_lists([[0, 0], [1, Fraction(1, 2)], [2, 3], [0, 1]])
+    for k_max in (3, 1, 0, 3, 5, 2, 4):
+        assert signature(path, k_max) == signature(_fresh(path), k_max)
+    assert [k for p, k in calls if p is path] == [3, 5]
+    with pytest.raises(ValueError, match="k_max"):
+        signature(path, -1)
+
+
+def test_one_chen_update_per_path_for_signature_log_and_fls(monkeypatch):
+    calls = []
+    chen = shuffle_sig._chen_numerators
+    monkeypatch.setattr(shuffle_sig, "_chen_numerators", lambda p, k: calls.append(k) or chen(p, k))
+    rng = Random(31)
+    for d, level in [(2, 6), (3, 4), (1, 5)]:
+        path = PiecewiseLinearPath.from_lists(
+            [[rng.randint(-2, 2) for _ in range(d)] for _ in range(8)] + [[9] * d]
+        )
+        calls.clear()
+        sig = signature(path, level)
+        log = log_signature(path, level)
+        fls_check(path, level)
+        assert calls == [level]
+        assert log == log_signature(_fresh(path), level)
+        assert is_group_like(sig)
+
+
+def test_size_cap_still_fires_after_a_lower_call():
+    wide = PiecewiseLinearPath.from_lists([[0] * 9, list(range(9)), [1] * 9])
+    assert signature(wide, 2) == signature(_fresh(wide), 2)
+    for f in (signature, log_signature, fls_check):
+        with pytest.raises(ResourceLimitError, match="entries"):
+            f(wide, 12)
+    assert log_signature(wide, 1) == log_signature(_fresh(wide), 1)
+
+
+def test_path_equality_hash_and_repr_ignore_the_memo():
+    path = PiecewiseLinearPath.from_lists([[0, 0], [1, 2], [Fraction(3, 2), 0]])
+    before = (repr(path), hash(path))
+    signature(path, 4)
+    other = _fresh(path)
+    assert path == other and hash(path) == hash(other) == before[1]
+    assert repr(path) == repr(other) == before[0]
+    assert len({path, other}) == 1

@@ -1,8 +1,11 @@
 import itertools
+import math
 from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from thrallkit.permutations import compose
 from thrallkit.tensors import (
@@ -191,3 +194,23 @@ def test_series_shape_validation():
         TensorSeries(2, (Tensor.zero(2, 1),))
     with pytest.raises(ValueError):
         series_product(TensorSeries.unit(2, 2), TensorSeries.unit(2, 3))
+
+
+fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+@given(st.integers(1, 3), st.integers(0, 3), st.data())
+def test_numerators_contract_seeded_and_unseeded(d, k, data):
+    entries = tuple(data.draw(st.lists(fractions, min_size=d**k, max_size=d**k)))
+    den = data.draw(st.integers(1, 4)) * math.lcm(*(x.denominator for x in entries))
+    nums = [int(x * den) for x in entries]
+    seeded = Tensor.from_numerators(d, k, den, nums)
+    plain = Tensor(d, k, entries)
+    assert seeded.numerators() == (den, tuple(nums))
+    for tensor in (seeded, plain):
+        got_den, got = tensor.numerators()
+        assert got_den >= 1 and all(isinstance(n, int) for n in got)
+        assert tuple(Fraction(n, got_den) for n in got) == tensor.entries
+        assert tensor.numerators() is tensor.numerators()  # kept once computed
+    assert seeded == plain and hash(seeded) == hash(plain) and repr(seeded) == repr(plain)
+    assert seeded.entries == entries
