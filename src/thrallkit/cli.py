@@ -3,7 +3,8 @@
 Every subcommand maps onto one library operation and emits JSON with a
 stable key order (or aligned text with ``--format text``).  Exit codes:
 0 success / check passed, 1 check failed, 2 malformed input or usage,
-3 resource guard tripped.
+3 resource guard tripped, 4 internal error (any other exception, with its
+traceback on stderr), so that 1 only ever means a check failed.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 
 def _emit(payload, fmt: str, text_renderer=None) -> None:
@@ -363,6 +365,11 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception:
+        import traceback
+
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -8,11 +8,11 @@ classical right factorization; ``u`` and ``v`` are then Lyndon) and maps
 
 The truncated exponential and logarithm share one kernel,
 :func:`_power_series`: it evaluates sum_n c_n X^n (c_n = 1/n! or
-(-1)^(n+1)/n) in Horner form on flat lists of integer numerators, one
-denominator per level, and builds Fractions only for the output levels,
-which keep their numerators (:meth:`thrallkit.tensors.Tensor.numerators`).
-:func:`thrallkit.shuffle_sig.log_signature` feeds it the integer levels of
-the Chen update directly.
+(-1)^(n+1)/n) in Horner form on the levels' integer numerators (each
+tensor's ``nums`` over its ``den``, see :mod:`thrallkit.tensors`) and hands
+each output level's numerators to the tensor constructor.  The graded
+bases, the decomposition backends and :func:`lie_coordinates` likewise run
+on integers, so no Fraction is built per entry.
 """
 
 from __future__ import annotations
@@ -42,9 +42,6 @@ from .words import (
 )
 
 
-_ZERO = Fraction(0)
-
-
 def _concat_into(out: dict, a: dict, b: dict, scale: int = 1) -> dict:
     """Add ``scale`` times the concatenation product ``a b`` into ``out``."""
     for wa, ca in a.items():
@@ -64,15 +61,6 @@ def _symmetrized_product(labels, expand) -> dict[Word, int]:
             term = _concat_into({}, term, expand(label))
         _concat_into(out, term, {(): 1})  # out += term
     return {w: c for w, c in out.items() if c}
-
-
-def _tensor(d: int, k: int, den: int, terms: dict[Word, int]) -> Tensor:
-    """The dense tensor of sparse integer numerators over ``den``."""
-    entries = [_ZERO] * d**k
-    for w, n in terms.items():
-        if n:
-            entries[word_to_index(w, d)] = Fraction(n, den)
-    return Tensor(d, k, tuple(entries))
 
 
 def standard_factorization(word: Word) -> tuple[Word, Word]:
@@ -97,7 +85,7 @@ def bracket_expansion(word: Word) -> dict[Word, int]:
 
 def lyndon_bracketing(word: Word, d: int) -> Tensor:
     """Dense tensor of the standard bracketing of a Lyndon word over {1..d}."""
-    return _tensor(d, len(word), 1, bracket_expansion(tuple(word)))
+    return Tensor.from_dict(d, len(word), bracket_expansion(tuple(word)), 1)
 
 
 def lie_basis(d: int, k: int) -> list[Tensor]:
@@ -144,7 +132,8 @@ class LieElement:
 
     def level(self, k: int) -> Tensor:
         """The degree-k homogeneous part, expanded as a dense tensor."""
-        return _tensor(self.d, k, *self._terms(k))
+        den, terms = self._terms(k)
+        return Tensor.from_dict(self.d, k, terms, den)
 
     def to_series(self, k_max: int | None = None) -> TensorSeries:
         """Embed into the tensor algebra (level 0 is zero)."""
@@ -158,23 +147,23 @@ class LieElement:
 # truncated exponential and logarithm
 
 
-def _power_series(
-    d: int, nums: tuple[tuple[int, ...], ...], dens: tuple[int, ...], coeffs: list[Fraction]
-) -> TensorSeries:
+def _power_series(series: TensorSeries, coeffs: list[Fraction]) -> TensorSeries:
     """The truncated power series sum_{n=0..K} coeffs[n] X^n on integer numerators.
 
-    ``X`` has zero level 0 and, for ``a = 1..K``, level ``a`` equal to
-    ``nums[a] / dens[a]`` (flat numerators; index 0 is ignored).  With ``S``
+    ``X`` is the series with level 0 dropped: level ``a = 1..K`` is
+    ``nums[a] / dens[a]``, the level's numerators and denominator.  With ``S``
     the lcm of the coefficient denominators and ``s_n = S coeffs[n]``, the
     sum is ``R_0 / S`` for the Horner recursion ``R_K = s_K``, ``R_j = s_j +
     X (x) R_(j+1)``, where ``R_j`` is only needed up to level ``K - j``.
     Level ``m`` of every ``R_j`` is held as integer numerators over
     ``D_m = lcm_a D_(m-a) dens[a]`` (``D_0 = 1``), so each term ``X_a (x)
     R_(m-a)`` is an integer outer product once ``X_a`` is scaled by ``D_m /
-    (D_(m-a) dens[a])``; Fractions are built once, for the output levels,
-    which keep their numerators over ``S D_m``.
+    (D_(m-a) dens[a])``; each output level is handed to the tensor
+    constructor as its numerators over ``S D_m``.
     """
-    k_max = len(coeffs) - 1
+    d, k_max = series.d, series.k_max
+    nums = [level.nums for level in series.levels]
+    dens = [level.den for level in series.levels]
     scale, weights = linalg.integer_numerators(coeffs)
     # D_m of the docstring
     level_dens = [1]
@@ -204,46 +193,32 @@ def _power_series(
             nxt.append(acc or [0] * d**m)
         r = nxt
     return TensorSeries(d, tuple(
-        Tensor.from_numerators(d, m, scale * level_dens[m], level) for m, level in enumerate(r)
+        Tensor(d, m, level, scale * level_dens[m]) for m, level in enumerate(r)
     ))
-
-
-def _numerators(series: TensorSeries) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """Each level as its integer numerators over one denominator
-    (:meth:`Tensor.numerators`)."""
-    dens, nums = zip(*(level.numerators() for level in series.levels))
-    return nums, dens
-
-
-def _log_series(d: int, nums: tuple[tuple[int, ...], ...], dens: tuple[int, ...]) -> TensorSeries:
-    """log(1 + X) = sum_{n>=1} (-1)^(n+1) X^n / n, for X as in :func:`_power_series`."""
-    coeffs = [_ZERO] + [Fraction((-1) ** (n + 1), n) for n in range(1, len(nums))]
-    return _power_series(d, nums, dens, coeffs)
 
 
 def exp_truncated(series: TensorSeries) -> TensorSeries:
     """Truncated tensor exponential; input must have zero level 0.
 
     Evaluates sum_n X^n / n! with the integer-numerator Horner kernel
-    :func:`_power_series` on the levels' :meth:`Tensor.numerators`; Fractions
-    are built once, for the output.
+    :func:`_power_series` on the levels' numerators.
     """
     if not series.level(0).is_zero():
         raise ValueError("exp requires level 0 equal to 0")
     coeffs = [Fraction(1, math.factorial(n)) for n in range(series.k_max + 1)]
-    return _power_series(series.d, *_numerators(series), coeffs)
+    return _power_series(series, coeffs)
 
 
 def log_truncated(series: TensorSeries) -> TensorSeries:
     """Truncated tensor logarithm; input must have level 0 equal to 1.
 
     Evaluates sum_n (-1)^(n+1) (S - 1)^n / n with the integer-numerator
-    Horner kernel :func:`_power_series` on the levels'
-    :meth:`Tensor.numerators` (Fractions built once, for the output).
+    Horner kernel :func:`_power_series` on the levels' numerators.
     """
     if series.level(0) != Tensor.scalar(series.d, 1):
         raise ValueError("log requires level 0 equal to 1")
-    return _log_series(series.d, *_numerators(series))
+    coeffs = [0] + [Fraction((-1) ** (n + 1), n) for n in range(1, series.k_max + 1)]
+    return _power_series(series, coeffs)
 
 
 def phi_k(element: LieElement, k: int) -> Tensor:
@@ -267,7 +242,7 @@ def f_lambda(element: LieElement, lam: Partition) -> Tensor:
     parts = {i: element._terms(i) for i in set(lam)}
     den = math.factorial(len(lam)) * math.prod(parts[a][0] for a in lam)
     terms = _symmetrized_product(lam, lambda a: parts[a][1])
-    return _tensor(element.d, sum(lam), den, terms)
+    return Tensor.from_dict(element.d, sum(lam), terms, den)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +269,7 @@ def w_lambda_basis(lam: Partition, d: int) -> list[Tensor]:
     distinct orderings of the tensor products of their bracketings.  The
     count is the product of multichoose(lie_dim(d, i), a_i(lam)).
     """
-    return [_tensor(d, sum(lam), 1, vec) for vec in _w_basis_cached(check_partition(lam), d)]
+    return [Tensor.from_dict(d, sum(lam), vec, 1) for vec in _w_basis_cached(check_partition(lam), d)]
 
 
 @cache
@@ -338,26 +313,26 @@ def _solve_blocks(d: int, k: int):
 
 
 def _solve_decompose(tensor: Tensor) -> dict[Partition, Tensor]:
-    """Block matrix-vector products with the cached inverses, then recombination."""
+    """Block matrix-vector products with the cached inverses, then
+    recombination, on integers over the lcm of the blocks' denominators."""
     d, k = tensor.d, tensor.k
-    tden, values = tensor.numerators()
-    out = {lam: [_ZERO] * len(values) for lam in partitions(k)}
-    for block, inverse, den, parts in _solve_blocks(d, k):
-        local = [values[i] for i in block]
+    blocks = _solve_blocks(d, k)
+    common = math.lcm(*(den for _, _, den, _ in blocks))
+    out = {lam: [0] * len(tensor.nums) for lam in partitions(k)}
+    for block, inverse, den, parts in blocks:
+        local = [tensor.nums[i] for i in block]
         if not any(local):
             continue
-        coords = [sum(map(operator.mul, row, local)) for row in inverse]
-        den *= tden
+        f = common // den
+        coords = [f * sum(map(operator.mul, row, local)) for row in inverse]
         for lam, lo, hi, rows in parts:
             part = coords[lo:hi]
             if not any(part):
                 continue
-            entries = out[lam]
+            nums = out[lam]
             for i, row in zip(block, rows):
-                v = sum(map(operator.mul, row, part))
-                if v:
-                    entries[i] = Fraction(v, den)
-    return {lam: Tensor(d, k, tuple(entries)) for lam, entries in out.items()}
+                nums[i] = sum(map(operator.mul, row, part))
+    return {lam: Tensor(d, k, nums, common * tensor.den) for lam, nums in out.items()}
 
 
 def thrall_decompose(tensor: Tensor, method: str = "auto") -> dict[Partition, Tensor]:
@@ -401,10 +376,10 @@ def lie_coordinates(tensor: Tensor) -> dict[Word, Fraction] | None:
     ascending order, the coefficient of ``w`` is the residual entry at
     ``w``; subtracting its bracketing leaves the remaining words untouched.
     The tensor is a Lie element iff the residual ends at zero.  The walk runs
-    on the tensor's integer numerators (:meth:`Tensor.numerators`).
+    on the tensor's integer numerators.
     """
-    den, nums = tensor.numerators()
-    return _back_substitute(dict(zip(all_words(tensor.d, tensor.k), nums)), tensor.d, tensor.k, den)
+    residual = dict(zip(all_words(tensor.d, tensor.k), tensor.nums))
+    return _back_substitute(residual, tensor.d, tensor.k, tensor.den)
 
 
 def _back_substitute(residual: dict, d: int, k: int, den: int) -> dict | None:

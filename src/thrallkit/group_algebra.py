@@ -50,9 +50,6 @@ from .words import (
 K_MAX = 5
 
 
-_ZERO = Fraction(0)
-
-
 @dataclass(frozen=True)
 class GroupAlgebraElement:
     """Rational linear combination of permutations of {1..k}."""
@@ -141,9 +138,8 @@ def ga_act(x: GroupAlgebraElement, tensor: Tensor) -> Tensor:
     """
     if x.k != tensor.k:
         raise ValueError(f"degree mismatch: element {x.k}, tensor order {tensor.k}")
-    tden, values = tensor.numerators()
     den, groups = _block_operator(x, tensor.d)
-    return Tensor(tensor.d, tensor.k, _apply_blocks(groups, values, den * tden))
+    return Tensor(tensor.d, tensor.k, _apply_blocks(groups, tensor.nums), den * tensor.den)
 
 
 @functools.cache
@@ -182,20 +178,18 @@ def _block_operator(x: GroupAlgebraElement, d: int):
     return den, groups
 
 
-def _apply_blocks(groups, values: list[int], den: int) -> tuple[Fraction, ...]:
-    """Entries of the block matrices ``groups`` of :func:`_block_operator`
-    applied to the integer numerators ``values``, over ``den``."""
-    entries = [_ZERO] * len(values)
+def _apply_blocks(groups, values: tuple[int, ...]) -> list[int]:
+    """The block matrices ``groups`` of :func:`_block_operator` applied to
+    the integer numerators ``values``."""
+    out = [0] * len(values)
     for rows, blocks in groups.values():
         for block in blocks:
             local = [values[i] for i in block]
             if not any(local):
                 continue
             for i, row in zip(block, rows):
-                v = sum(map(operator.mul, row, local))
-                if v:
-                    entries[i] = Fraction(v, den)
-    return tuple(entries)
+                out[i] = sum(map(operator.mul, row, local))
+    return out
 
 
 @functools.cache
@@ -212,11 +206,9 @@ def graded_projections(tensor: Tensor) -> dict[Partition, Tensor]:
     solve backend of :func:`thrallkit.free_lie.thrall_decompose`."""
     if tensor.k == 0:
         return {(): tensor}
-    blocks = _projector_blocks(tensor.d, tensor.k)
-    tden, values = tensor.numerators()
     return {
-        lam: Tensor(tensor.d, tensor.k, _apply_blocks(groups, values, den * tden))
-        for lam, den, groups in blocks
+        lam: Tensor(tensor.d, tensor.k, _apply_blocks(groups, tensor.nums), den * tensor.den)
+        for lam, den, groups in _projector_blocks(tensor.d, tensor.k)
     }
 
 
@@ -248,10 +240,10 @@ def operator_image(x: GroupAlgebraElement, d: int) -> list[Tensor]:
         for block in blocks:
             for v, column in zip(block, zip(*rows)):
                 if any(column):
-                    entries = [_ZERO] * d**x.k
+                    nums = [0] * d**x.k
                     for u, c in zip(block, column):
-                        entries[u] = Fraction(c, den)
-                    images[v] = Tensor(d, x.k, tuple(entries))
+                        nums[u] = c
+                    images[v] = Tensor(d, x.k, nums, den)
     return [images[v] for v in sorted(images)]
 
 

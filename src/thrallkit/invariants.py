@@ -62,15 +62,21 @@ def _functionals(d: int, words: list[Word], vectors) -> list[WordFunctional]:
 def sl_invariant_space(d: int, k: int) -> list[WordFunctional]:
     """Basis of the degree-k functionals invariant under determinant-one maps.
 
-    Empty unless d divides k.  Otherwise the standard polytabloid rows of
-    the d-by-(k/d) rectangle span the invariants (they are products of
-    determinants, and their number is the rectangle's count of standard
-    tableaux, the dimension of the space), supported on the balanced words.
-    Returned functionals are the canonical (row-reduced) basis of that span,
-    normalized: integer coefficients with gcd one, first nonzero coefficient
-    (in lex word order) positive.
+    Degree 0 is the trivial piece: the constant functional ``{(): 1}``.
+    Above it the space is empty unless d divides k.  Otherwise the standard
+    polytabloid rows of the d-by-(k/d) rectangle span the invariants (they
+    are products of determinants, and their number is the rectangle's count
+    of standard tableaux, the dimension of the space), supported on the
+    balanced words.  Returned functionals are the canonical (row-reduced)
+    basis of that span, normalized: integer coefficients with gcd one, first
+    nonzero coefficient (in lex word order) positive.  Raises ``ValueError``
+    for ``k < 0``.
     """
-    if k <= 0 or k % d != 0:
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    if k == 0:
+        return [WordFunctional(d, {(): 1})]
+    if k % d != 0:
         return []
     words, rows = _polytabloid_rows(d, k // d)
     return _functionals(d, words, rows)
@@ -98,8 +104,14 @@ def path_invariants(d: int, ell: int) -> dict[Partition, list[WordFunctional]]:
     The invariants live on the balanced weight block (each letter ell times),
     so each image is a polytabloid row times that block's cached projector
     matrix (:func:`thrallkit.group_algebra.balanced_projections`, subject to
-    its degree cap).
+    its degree cap).  Degree 0 (``ell == 0``) is the trivial piece: the
+    constant functional at the empty partition.  Raises ``ValueError`` for
+    ``ell < 0``.
     """
+    if ell < 0:
+        raise ValueError(f"ell must be >= 0, got {ell}")
+    if ell == 0:
+        return {(): sl_invariant_space(d, 0)}
     from .group_algebra import balanced_projections
 
     words, images = balanced_projections(d, ell, _polytabloid_rows)
@@ -130,11 +142,11 @@ def alternating_signature(tensor: Tensor) -> Fraction:
     """
     if tensor.k != tensor.d:
         raise ValueError("alternating signature needs k = d")
-    total = Fraction(0)
-    for p in all_permutations(tensor.d):
-        word = tuple(x + 1 for x in p)
-        total += sign(p) * tensor.entries[word_to_index(word, tensor.d)]
-    return total
+    total = sum(
+        sign(p) * tensor.nums[word_to_index(tuple(x + 1 for x in p), tensor.d)]
+        for p in all_permutations(tensor.d)
+    )
+    return Fraction(total, tensor.den)
 
 
 def pfaffian_form(element: LieElement) -> Fraction:
@@ -168,26 +180,27 @@ def pfaffian_form(element: LieElement) -> Fraction:
 
 
 def apply_matrix(g, tensor: Tensor) -> Tensor:
-    """Apply g to every slot: the diagonal action of a d x d matrix."""
+    """Apply g to every slot: the diagonal action of a d x d matrix, on
+    integer numerators (``g`` scaled by the lcm of its denominators)."""
     d, k = tensor.d, tensor.k
-    g = [[Fraction(x) for x in row] for row in g]
     if len(g) != d or any(len(row) != d for row in g):
         raise ValueError("matrix must be d x d")
-    entries = list(tensor.entries)
+    gden, flat = linalg.integer_numerators(x for row in g for x in row)
+    g = [flat[i * d : (i + 1) * d] for i in range(d)]
+    nums = list(tensor.nums)
     # apply along one slot at a time
     for slot in range(k):
         stride = d ** (k - slot - 1)
-        new = [Fraction(0)] * len(entries)
-        for base in range(0, len(entries), stride * d):
+        new = [0] * len(nums)
+        for base in range(0, len(nums), stride * d):
             for offset in range(stride):
-                column = [entries[base + j * stride + offset] for j in range(d)]
-                if all(c == 0 for c in column):
+                column = [nums[base + j * stride + offset] for j in range(d)]
+                if not any(column):
                     continue
                 for i in range(d):
-                    val = sum(g[i][j] * column[j] for j in range(d))
-                    new[base + i * stride + offset] = val
-        entries = new
-    return Tensor(d, k, tuple(entries))
+                    new[base + i * stride + offset] = sum(g[i][j] * column[j] for j in range(d))
+        nums = new
+    return Tensor(d, k, nums, tensor.den * gden**k)
 
 
 def check_invariance(beta: WordFunctional, g, tensor: Tensor) -> bool:

@@ -17,7 +17,7 @@ from random import Random
 from . import linalg
 from .free_lie import LieElement, exp_truncated, is_lie_element, phi_k
 from .shuffle_sig import PiecewiseLinearPath, log_signature, signature
-from .tensors import Tensor, TensorSeries, is_symmetric, tensor_product
+from .tensors import Tensor, TensorSeries, is_symmetric
 
 
 @dataclass(frozen=True)
@@ -44,24 +44,26 @@ def is_rank_one(tensor: Tensor) -> RankOneResult:
     """
     if tensor.is_zero():
         raise ValueError("the zero tensor has no rank-one factorization")
-    k, d = tensor.k, tensor.d
+    k, d, nums = tensor.k, tensor.d, tensor.nums
     if k == 0:
-        return RankOneResult(True, ((tensor.entries[0],),))
-    at = next(i for i, c in enumerate(tensor.entries) if c != 0)
-    factors: list[tuple[Fraction, ...]] = []
+        return RankOneResult(True, ((Fraction(nums[0], tensor.den),),))
+    at = next(i for i, n in enumerate(nums) if n)
+    slices = []
     for slot in range(k):
         stride = d ** (k - slot - 1)
         first = at - (at // stride) % d * stride
-        vec = tensor.entries[first : first + d * stride : stride]
-        lead = next(x for x in vec if x != 0) if slot else 1
-        factors.append(tuple(x / lead for x in vec))
-    rebuilt = Tensor.from_vector(d, factors[0])
-    for vec in factors[1:]:
-        rebuilt = tensor_product(rebuilt, Tensor.from_vector(d, vec))
-    ratio = tensor.entries[at] / rebuilt.entries[at]
-    if rebuilt.scale(ratio) != tensor:
+        slices.append(nums[first : first + d * stride : stride])
+    # on the numerators the slices' product rebuilds nums[at]^(k-1) times the tensor
+    rebuilt = [1]
+    for vec in slices:
+        rebuilt = [x * y for x in rebuilt for y in vec]
+    c = nums[at] ** (k - 1)
+    if any(r != c * n for r, n in zip(rebuilt, nums)):
         return RankOneResult(False)
-    factors[0] = tuple(ratio * x for x in factors[0])
+    leads = [next(x for x in vec if x) for vec in slices[1:]]
+    scale = Fraction(math.prod(leads), c * tensor.den)
+    factors = [tuple(scale * x for x in slices[0])]
+    factors += [tuple(Fraction(x, lead) for x in vec) for vec, lead in zip(slices[1:], leads)]
     return RankOneResult(True, tuple(factors))
 
 

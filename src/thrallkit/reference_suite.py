@@ -163,15 +163,15 @@ def check_symmetrizer_images() -> tuple[bool, str]:
     tab_ct = YoungTableau(((1, 2), (3,)))
     ok = True
     for d in (2, 3):
-        image_c = [list(t.entries) for t in operator_image(young_symmetrizer(tab_c), d)]
-        lie3 = [list(t.entries) for t in lie_basis(d, 3)]
+        image_c = [list(t.nums) for t in operator_image(young_symmetrizer(tab_c), d)]
+        lie3 = [list(t.nums) for t in lie_basis(d, 3)]
         ok = ok and linalg.same_span(image_c, lie3)
         image_ct = [
-            list(t.entries)
+            list(t.nums)
             for t in operator_image(young_symmetrizer_transposed(tab_ct), d)
         ]
         iso = [
-            list(t.entries)
+            list(t.nums)
             for t in operator_image(intersection_projector((2, 1), (2, 1)), d)
         ]
         ok = ok and linalg.same_span(image_ct, iso)

@@ -16,11 +16,12 @@ coordinate.  One path object shares one update: it keeps the integer
 levels of its highest truncation, which :func:`signature`,
 :func:`log_signature` and the straight-line criteria of
 :func:`thrallkit.rank_variety.fls_check` read, a lower truncation as a
-slice.  :func:`log_signature` passes them straight to the integer log
-kernel of :mod:`thrallkit.free_lie`, and every level built from them keeps
-its integer numerators (:meth:`Tensor.numerators`), so no reader scales a
-level back to integers.  Both are capped at :data:`SIGNATURE_ENTRIES_MAX`
-entries over all levels.
+slice.  Each level goes to the tensor constructor as its numerators over
+``m! q^m`` (every tensor is held that way, see :mod:`thrallkit.tensors`),
+and :func:`log_signature` is the integer log kernel of
+:mod:`thrallkit.free_lie` on that signature, so no reader builds a Fraction
+per entry.  Both are capped at :data:`SIGNATURE_ENTRIES_MAX` entries over
+all levels.
 
 :func:`is_group_like` tests one shuffle identity per non-Lyndon word ``w =
 l v`` (``l`` the longest Lyndon prefix), ``T_{l shuffle v} = T_l T_v``,
@@ -99,19 +100,11 @@ class WordFunctional:
             raise ValueError("dimension mismatch")
         if self.max_length() > series.k_max:
             raise ValueError("series truncated below the functional's top word")
-        total = Fraction(0)
-        for w, c in self.terms.items():
-            level = series.level(len(w))
-            total += c * (level.entries[word_to_index(w, self.d)] if w else level.entries[0])
-        return total
+        return sum((c * series.level(len(w))[w] for w, c in self.terms.items()), Fraction(0))
 
     def evaluate_tensor(self, tensor: Tensor) -> Fraction:
         """Evaluate on a single homogeneous level."""
-        total = Fraction(0)
-        for w, c in self.terms.items():
-            if len(w) == tensor.k:
-                total += c * tensor.entries[word_to_index(w, tensor.d)]
-        return total
+        return sum((c * tensor[w] for w, c in self.terms.items() if len(w) == tensor.k), Fraction(0))
 
     def _check(self, other: "WordFunctional") -> None:
         if self.d != other.d:
@@ -236,15 +229,15 @@ def is_group_like(series: TensorSeries) -> bool:
       G_v = 0``, as ``l`` and ``v`` are shorter than ``m``; ``T - G`` vanishes
       at level ``m`` on that basis, so ``T`` equals ``G`` there.
 
-    Each level ``k`` is read as integer numerators over one denominator
-    ``den[k]`` (:meth:`Tensor.numerators`, kept from the Chen update for a
-    signature) and the two sides are compared cross-multiplied.  The
+    Each level ``k`` is read as its integer numerators over its denominator
+    ``den[k]``, and the two sides are compared cross-multiplied.  The
     equations of each level are built once per ``(d, m)`` and shared by
     every truncation; the empty word holds trivially since level 0 must be 1.
     """
     if series.level(0) != Tensor.scalar(series.d, 1):
         raise ValueError("group-likeness needs level 0 equal to 1")
-    den, nums = zip(*(level.numerators() for level in series.levels))
+    den = [level.den for level in series.levels]
+    nums = [level.nums for level in series.levels]
     for m in range(2, series.k_max + 1):
         top = nums[m]
         for p, i, j, words, mults in _group_like_plan(series.d, m):
@@ -373,23 +366,6 @@ def _chen_numerators(path: PiecewiseLinearPath, k_max: int):
     return nums, dens
 
 
-def _signature_levels(path: PiecewiseLinearPath, k_max: int):
-    """:func:`_chen_numerators` as tuples, computed once per path object.
-
-    The path keeps the ``(nums, dens)`` of the highest truncation computed so
-    far, outside its dataclass fields (equality, hashing and repr ignore
-    it).  Level ``m`` and its denominator ``m! q^m`` do not depend on
-    ``k_max``, so a lower truncation is a slice; a higher one runs the
-    update again, size cap included.
-    """
-    memo = path.__dict__.get("_chen_levels")
-    if memo is None or not 0 <= k_max < len(memo[1]):
-        nums, dens = _chen_numerators(path, k_max)
-        memo = (tuple(map(tuple, nums)), tuple(dens))
-        object.__setattr__(path, "_chen_levels", memo)
-    return memo[0][: k_max + 1], memo[1][: k_max + 1]
-
-
 def signature(path: PiecewiseLinearPath, k_max: int) -> TensorSeries:
     """Signature series of a piecewise-linear path, truncated at k_max.
 
@@ -411,35 +387,36 @@ def signature(path: PiecewiseLinearPath, k_max: int) -> TensorSeries:
     up to bytes, holds every final ``|N_m(w)| <= V^m``, for ``V`` the sum
     over the runs of ``max_l |u_l|``.
 
-    The update runs once per path object and truncation: the path keeps
-    its highest truncation's numerators, which :func:`log_signature` and
-    lower truncations share.  Each level keeps ``(m! q^m, N_m)`` as its
-    :meth:`Tensor.numerators`.
+    Each level hands ``N_m`` over ``m! q^m`` to the tensor constructor,
+    which reduces it to lowest terms.  The update runs once per path object
+    and truncation: the path keeps the levels of the highest truncation
+    computed so far, outside its dataclass fields (equality, hashing and
+    repr ignore them), and :func:`log_signature` and lower truncations share
+    them.  Level ``m`` does not depend on ``k_max``, so a lower truncation
+    is a slice; a higher one runs the update again, size cap included.
 
     Raises :class:`ResourceLimitError`, before allocating any level, when
     the series would hold more than :data:`SIGNATURE_ENTRIES_MAX` entries
     (``1 + d + .. + d^k_max``).
     """
-    nums, dens = _signature_levels(path, k_max)
-    return TensorSeries(path.d, tuple(
-        Tensor.from_numerators(path.d, m, den, level)
-        for m, (level, den) in enumerate(zip(nums, dens))
-    ))
+    levels = path.__dict__.get("_chen_levels")
+    if levels is None or not 0 <= k_max < len(levels):
+        nums, dens = _chen_numerators(path, k_max)
+        levels = tuple(Tensor(path.d, m, n, den) for m, (n, den) in enumerate(zip(nums, dens)))
+        object.__setattr__(path, "_chen_levels", levels)
+    return TensorSeries(path.d, levels[: k_max + 1])
 
 
 def log_signature(path: PiecewiseLinearPath, k_max: int) -> TensorSeries:
     """Truncated logarithm of the signature; levels are Lie elements.
 
-    The integer levels of the Chen update (numerators over ``m! q^m``, see
-    :func:`signature`), shared with :func:`signature` on the same path
-    object, go straight into the integer Horner kernel of
-    :func:`thrallkit.free_lie.log_truncated`; no Fraction signature is
-    built, and the output levels keep their integer numerators.  Same size
-    cap as :func:`signature`.
+    :func:`thrallkit.free_lie.log_truncated` of :func:`signature`, whose
+    levels share the path's one Chen update; both run on integer
+    numerators.  Same size cap as :func:`signature`.
     """
-    from .free_lie import _log_series
+    from .free_lie import log_truncated
 
-    return _log_series(path.d, *_signature_levels(path, k_max))
+    return log_truncated(signature(path, k_max))
 
 
 def levy_area(series: TensorSeries) -> Fraction:

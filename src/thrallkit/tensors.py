@@ -1,5 +1,11 @@
 """Dense tensors and truncated tensor series over exact rationals.
 
+A :class:`Tensor` has one representation: integer numerators over one
+positive denominator, in lowest terms.  Every algorithm computes on those
+integers, and each hands its own to the constructor, the one place where
+numerators become a tensor.  Fractions are built only at the boundary
+(:attr:`Tensor.entries`, item access, :meth:`Tensor.nonzero_terms`).
+
 Slot-action convention (fixed here once, and every slot action agrees with
 :func:`permute_slots`): for a permutation ``sigma`` the permuted tensor has
 
@@ -22,162 +28,139 @@ built from them, because the diagonal torus of GL_d fixes each of these.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 
 from . import linalg
 from .permutations import Perm, inverse
 from .words import Word, index_to_word, word_to_index
-
-Scalar = Fraction
 
 _ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
 class Tensor:
-    """Dense order-``k`` tensor on a ``d``-dimensional space.
+    """Dense order-``k`` tensor on a ``d``-dimensional space: integer
+    numerators ``nums`` over one denominator ``den``.
 
-    ``entries`` has length ``d**k`` and is indexed by words via base-``d``
-    encoding; ``k == 0`` stores a single scalar.  A tensor built from
-    integers by :meth:`from_numerators` keeps them for :meth:`numerators`,
-    outside the dataclass fields, so equality, hashing and repr read the
-    entries only.
+    ``Tensor(d, k, values)`` reads ``d**k`` rationals and ``Tensor(d, k,
+    nums, den)`` integer numerators over ``den >= 1``.  Both are reduced to
+    lowest terms, ``gcd(den, *nums) == 1`` (the zero tensor has ``den ==
+    1``), so equal tensors have equal fields, and equality, hashing and
+    repr read ``(d, k, nums, den)``.  Entries are indexed by words via
+    base-``d`` encoding; ``k == 0`` stores a single scalar.  The Fractions
+    :attr:`entries` are built on first read, for output and tests.
     """
 
     d: int
     k: int
-    entries: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int | None = None
 
     def __post_init__(self) -> None:
         if self.d < 1 or self.k < 0:
             raise ValueError("require d >= 1 and k >= 0")
-        if len(self.entries) != self.d**self.k:
-            raise ValueError(
-                f"expected {self.d ** self.k} entries, got {len(self.entries)}"
-            )
+        nums, den = self.nums, self.den
+        if den is None:
+            den, nums = linalg.integer_numerators(nums)
+        elif den < 1:
+            raise ValueError(f"den must be >= 1, got {den}")
+        nums = tuple(nums)
+        if len(nums) != self.d**self.k:
+            raise ValueError(f"expected {self.d ** self.k} entries, got {len(nums)}")
+        # math.gcd also rejects numerators that are not integers
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums, den = tuple(n // g for n in nums), den // g
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
 
     # -- construction -------------------------------------------------
 
     @staticmethod
-    def from_numerators(d: int, k: int, den: int, nums) -> "Tensor":
-        """The tensor with entries ``nums[i] / den`` (``den >= 1``), whose
-        :meth:`numerators` are ``(den, nums)``."""
-        nums = tuple(nums)
-        entries = [_ZERO] * len(nums)
-        for i in itertools.compress(range(len(nums)), nums):
-            entries[i] = Fraction(nums[i], den)
-        tensor = Tensor(d, k, tuple(entries))
-        object.__setattr__(tensor, "_numerators", (den, nums))
-        return tensor
-
-    @staticmethod
     def zero(d: int, k: int) -> "Tensor":
-        return Tensor(d, k, (Fraction(0),) * d**k)
+        return Tensor(d, k, (0,) * d**k, 1)
 
     @staticmethod
     def scalar(d: int, value) -> "Tensor":
-        return Tensor(d, 0, (Fraction(value),))
+        return Tensor(d, 0, (value,))
 
     @staticmethod
     def basis(d: int, word: Word) -> "Tensor":
-        entries = [Fraction(0)] * d ** len(word)
-        entries[word_to_index(word, d)] = Fraction(1)
-        return Tensor(d, len(word), tuple(entries))
+        nums = [0] * d ** len(word)
+        nums[word_to_index(word, d)] = 1
+        return Tensor(d, len(word), nums, 1)
 
     @staticmethod
     def from_vector(d: int, coords) -> "Tensor":
-        coords = [Fraction(c) for c in coords]
+        coords = list(coords)
         if len(coords) != d:
             raise ValueError("coordinate count must equal d")
-        return Tensor(d, 1, tuple(coords))
+        return Tensor(d, 1, coords)
 
     @staticmethod
-    def from_dict(d: int, k: int, terms: dict[Word, Fraction]) -> "Tensor":
-        entries = [Fraction(0)] * d**k
+    def from_dict(d: int, k: int, terms: dict[Word, Fraction], den: int | None = None) -> "Tensor":
+        """The tensor of a sparse word map: rational coefficients, or integer
+        numerators over ``den`` as in the constructor."""
+        values = [0] * d**k
         for word, coeff in terms.items():
             if len(word) != k:
                 raise ValueError(f"word {word} has length != {k}")
-            entries[word_to_index(word, d)] += Fraction(coeff)
-        return Tensor(d, k, tuple(entries))
+            values[word_to_index(word, d)] += coeff if den else Fraction(coeff)
+        return Tensor(d, k, values, den)
 
     # -- access --------------------------------------------------------
+
+    @cached_property
+    def entries(self) -> tuple[Fraction, ...]:
+        """The entries as Fractions, built once, on first read."""
+        return tuple(Fraction(n, self.den) if n else _ZERO for n in self.nums)
 
     def __getitem__(self, word: Word) -> Fraction:
         if len(word) != self.k:
             raise ValueError(f"word {word} has length != {self.k}")
-        return self.entries[word_to_index(word, self.d)]
+        return Fraction(self.nums[word_to_index(word, self.d)], self.den)
 
     def nonzero_terms(self) -> dict[Word, Fraction]:
         return {
-            index_to_word(i, self.d, self.k): c
-            for i, c in enumerate(self.entries)
-            if c != 0
+            index_to_word(i, self.d, self.k): Fraction(n, self.den)
+            for i, n in enumerate(self.nums)
+            if n
         }
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.entries)
-
-    def numerators(self) -> tuple[int, tuple[int, ...]]:
-        """Common denominator ``D`` and integers ``n`` with ``entries[i] == n[i]
-        / D``, as in :func:`thrallkit.linalg.integer_numerators` (``D`` need
-        not be least); computed once per tensor, or kept from
-        :meth:`from_numerators`."""
-        try:
-            return self._numerators
-        except AttributeError:
-            den, nums = linalg.integer_numerators(self.entries)
-            object.__setattr__(self, "_numerators", (den, tuple(nums)))
-            return self._numerators
+        return not any(self.nums)
 
     # -- linear structure -----------------------------------------------
 
-    def _check_compatible(self, other: "Tensor") -> None:
+    def _combine(self, other: "Tensor", sign: int) -> "Tensor":
+        """``self + sign * other`` over the lcm of the two denominators."""
         if self.d != other.d or self.k != other.k:
             raise ValueError(
                 f"shape mismatch: (d={self.d}, k={self.k}) vs (d={other.d}, k={other.k})"
             )
+        den = math.lcm(self.den, other.den)
+        fa, fb = den // self.den, sign * (den // other.den)
+        return Tensor(self.d, self.k, [fa * a + fb * b for a, b in zip(self.nums, other.nums)], den)
 
     def __add__(self, other: "Tensor") -> "Tensor":
-        self._check_compatible(other)
-        return Tensor(
-            self.d, self.k, tuple(a + b for a, b in zip(self.entries, other.entries))
-        )
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Tensor") -> "Tensor":
-        self._check_compatible(other)
-        return Tensor(
-            self.d, self.k, tuple(a - b for a, b in zip(self.entries, other.entries))
-        )
-
-    def __neg__(self) -> "Tensor":
-        return Tensor(self.d, self.k, tuple(-a for a in self.entries))
+        return self._combine(other, -1)
 
     def scale(self, c) -> "Tensor":
         c = Fraction(c)
-        return Tensor(self.d, self.k, tuple(c * a for a in self.entries))
-
-    def __rmul__(self, c) -> "Tensor":
-        return self.scale(c)
+        return Tensor(self.d, self.k, [c.numerator * n for n in self.nums], self.den * c.denominator)
 
 
 def tensor_product(a: Tensor, b: Tensor) -> Tensor:
     """Tensor (outer) product; entry at word IJ is a[I] * b[J]."""
     if a.d != b.d:
         raise ValueError(f"dimension mismatch: {a.d} vs {b.d}")
-    size_b = b.d**b.k
-    entries = [Fraction(0)] * (a.d ** (a.k + b.k))
-    pos = 0
-    for ca in a.entries:
-        if ca == 0:
-            pos += size_b
-            continue
-        for cb in b.entries:
-            if cb != 0:
-                entries[pos] = ca * cb
-            pos += 1
-    return Tensor(a.d, a.k + b.k, tuple(entries))
+    return Tensor(a.d, a.k + b.k, [x * y for x in a.nums for y in b.nums], a.den * b.den)
 
 
 @cache
@@ -206,7 +189,7 @@ def permute_slots(tensor: Tensor, sigma: Perm) -> Tensor:
     for place in inverse(tuple(sigma)):
         step = d ** (k - 1 - place)
         g = [x + a * step for x in g for a in range(d)]
-    return Tensor(d, k, tuple(map(tensor.entries.__getitem__, g)))
+    return Tensor(d, k, tuple(map(tensor.nums.__getitem__, g)), tensor.den)
 
 
 def is_symmetric(tensor: Tensor) -> bool:
@@ -288,9 +271,7 @@ class TensorSeries:
 
 def random_tensor(d: int, k: int, rng, bound: int = 5) -> Tensor:
     """Uniform small-integer-coefficient tensor from an explicit RNG (tests)."""
-    return Tensor(
-        d, k, tuple(Fraction(rng.randint(-bound, bound)) for _ in range(d**k))
-    )
+    return Tensor(d, k, [rng.randint(-bound, bound) for _ in range(d**k)], 1)
 
 
 def symmetrize(tensor: Tensor) -> Tensor:

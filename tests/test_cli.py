@@ -266,8 +266,9 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # Stdout recorded from the earlier implementations: the Fraction series-product
 # exp/log for the signature, fls and paper-suite cases, the per-partition
 # ga_act route with the Fraction dual action for the decompose and invariants
-# cases, and the CLI that imported every module up front for the dims, lyndon,
-# thrall-coeffs, idempotent, check lie, check group-like and help cases.
+# cases, the CLI that imported every module up front for the dims, lyndon,
+# thrall-coeffs, idempotent, check lie, check group-like and help cases, and
+# the tensors that stored one Fraction per entry for the signature without --log.
 GOLDEN = [
     (["dims", "--d", "3", "--k", "5"], "dims_d3_k5.out", 0),
     (["--format", "text", "dims", "--d", "3", "--k", "5"], "dims_d3_k5_text.out", 0),
@@ -282,6 +283,8 @@ GOLDEN = [
      "signature_log_d2_integer_level6.out", 0),
     (["signature", "--path", "path_d3_fractional.json", "--level", "5", "--log"],
      "signature_log_d3_fractional_level5.out", 0),
+    (["signature", "--path", "path_d3_fractional.json", "--level", "5"],
+     "signature_d3_fractional_level5.out", 0),
     (["check", "fls", "--input", "path_collinear.json", "--level", "5"],
      "check_fls_collinear_level5.out", 0),
     (["check", "fls", "--input", "path_bent.json", "--level", "5"],
@@ -334,3 +337,35 @@ def test_order_zero_decompose_is_its_empty_partition_component(tmp_path, capsys,
     code, out, err = run(capsys, "decompose", "--tensor", str(file), "--method", method)
     assert (code, err) == (0, "")
     assert json.loads(out) == {"": {"d": 2, "k": 0, "entries": {"": "3"}}}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_degree_zero_invariants_are_the_constant_functional(capsys, d):
+    code, out, err = run(capsys, "invariant-space", "--d", str(d), "--k", "0")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == [{"terms": {"": "1"}}]
+    code, out, err = run(capsys, "invariants", "--d", str(d), "--ell", "0")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"": [{"terms": {"": "1"}, "grading": []}]}
+
+
+@pytest.mark.parametrize(
+    "argv,field",
+    [(["invariant-space", "--d", "2", "--k", "-1"], "k"), (["invariants", "--d", "2", "--ell", "-1"], "ell")],
+)
+def test_negative_degree_exits_2_naming_the_field(capsys, argv, field):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"{field} must be >= 0" in err
+
+
+def test_internal_error_exits_4_not_check_failed(capsys, monkeypatch):
+    from thrallkit import cli, free_lie
+
+    def crash(tensor):
+        raise ArithmeticError("injected")
+
+    monkeypatch.setattr(free_lie, "is_lie_element", crash)
+    code, out, err = run(capsys, "check", "lie", "--input", str(DATA / "tensor_d3_k4_lie.json"))
+    assert (code, out) == (cli.EXIT_INTERNAL, "") and code == 4
+    assert "Traceback" in err and "ArithmeticError: injected" in err

@@ -1,5 +1,6 @@
 """Static checks on the library source: stdlib-only imports, no floating
-point, no imported name left unused and no private name left unreferenced."""
+point, no imported name left unused, no private name left unreferenced and
+none reached from another module."""
 
 import ast
 import sys
@@ -103,6 +104,25 @@ def test_no_orphaned_private_names():
     assert len(defined) > 20
     orphans = [f"{file}:{line} {name}" for file, line, name in defined if name not in loaded]
     assert not orphans, f"private names never referenced in the package: {orphans}"
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_private_name_crosses_a_module(path):
+    """No module imports another module's ``_name`` or reads it as
+    ``module._name``: what a module shares, it makes public."""
+    modules = {p.stem for p in SOURCES}
+    crossing = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("thrallkit")):
+            crossing += [(node.lineno, a.name) for a in node.names if _is_private(a.name)]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in modules and _is_private(node.attr):
+                crossing.append((node.lineno, f"{node.value.id}.{node.attr}"))
+    assert not crossing, f"{path.name} reaches into another module: {crossing}"
 
 
 def test_every_public_jsonio_function_is_used_by_another_module():

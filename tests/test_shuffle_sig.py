@@ -502,8 +502,9 @@ def _fresh(path):
 
 def _check_numerators(series):
     for level in series.levels:
-        den, nums = level.numerators()
-        assert tuple(Fraction(n, den) for n in nums) == level.entries
+        assert level.den >= 1 and math.gcd(level.den, *level.nums) == 1
+        rational = Tensor(level.d, level.k, level.entries)
+        assert (rational.den, rational.nums) == (level.den, level.nums)
 
 
 @settings(deadline=None, max_examples=80)

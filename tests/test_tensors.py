@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from thrallkit.free_lie import thrall_decompose
 from thrallkit.permutations import compose
 from thrallkit.tensors import (
     Tensor,
@@ -199,18 +200,46 @@ def test_series_shape_validation():
 fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
 
+def _check_canonical(tensor, expected):
+    """``tensor`` has the entries ``expected``, in lowest terms, with the same
+    fields as the tensor built from those rationals."""
+    assert tensor.den >= 1 and all(isinstance(n, int) for n in tensor.nums)
+    assert math.gcd(tensor.den, *tensor.nums) == 1
+    assert tensor.den == 1 or not tensor.is_zero()
+    assert tensor.entries == tuple(expected)
+    assert tensor.entries is tensor.entries  # built once
+    fresh = Tensor(tensor.d, tensor.k, tuple(expected))
+    assert (tensor.den, tensor.nums) == (fresh.den, fresh.nums)
+    assert tensor == fresh and hash(tensor) == hash(fresh) and repr(tensor) == repr(fresh)
+
+
 @given(st.integers(1, 3), st.integers(0, 3), st.data())
 def test_numerators_contract_seeded_and_unseeded(d, k, data):
-    entries = tuple(data.draw(st.lists(fractions, min_size=d**k, max_size=d**k)))
+    draw_entries = st.lists(fractions, min_size=d**k, max_size=d**k)
+    entries = tuple(data.draw(draw_entries))
+    other = Tensor(d, k, data.draw(draw_entries))
     den = data.draw(st.integers(1, 4)) * math.lcm(*(x.denominator for x in entries))
     nums = [int(x * den) for x in entries]
-    seeded = Tensor.from_numerators(d, k, den, nums)
+    seeded = Tensor(d, k, nums, den)
     plain = Tensor(d, k, entries)
-    assert seeded.numerators() == (den, tuple(nums))
-    for tensor in (seeded, plain):
-        got_den, got = tensor.numerators()
-        assert got_den >= 1 and all(isinstance(n, int) for n in got)
-        assert tuple(Fraction(n, got_den) for n in got) == tensor.entries
-        assert tensor.numerators() is tensor.numerators()  # kept once computed
-    assert seeded == plain and hash(seeded) == hash(plain) and repr(seeded) == repr(plain)
-    assert seeded.entries == entries
+    c = data.draw(fractions)
+    sigma = tuple(data.draw(st.permutations(range(k))))
+    words = list(itertools.product(range(1, d + 1), repeat=k))
+    routes = [
+        (plain, entries),
+        (seeded, entries),
+        (plain + other, [a + b for a, b in zip(entries, other.entries)]),
+        (plain - other, [a - b for a, b in zip(entries, other.entries)]),
+        (plain.scale(c), [c * a for a in entries]),
+        (tensor_product(plain, other), [a * b for a in entries for b in other.entries]),
+        (permute_slots(plain, sigma), [plain[tuple(w[s] for s in sigma)] for w in words]),
+    ]
+    for tensor, expected in routes:
+        _check_canonical(tensor, expected)
+    assert Tensor(d, k, [0] * d**k, den).den == 1
+    solve = thrall_decompose(seeded, "solve")
+    idempotent = thrall_decompose(plain, "idempotent")
+    assert solve.keys() == idempotent.keys()
+    for lam, part in solve.items():
+        _check_canonical(part, part.entries)
+        assert (part.den, part.nums) == (idempotent[lam].den, idempotent[lam].nums)
