@@ -26,8 +26,8 @@ _EXPORTS = {
         ),
         "group_algebra": (
             "GroupAlgebraElement", "K_MAX", "central_idempotent", "ga_act", "ga_multiply",
-            "higher_lie_idempotent", "intersection_projector", "verify_refinement",
-            "young_symmetrizer", "young_symmetrizer_transposed",
+            "higher_lie_idempotent", "intersection_projector", "young_symmetrizer",
+            "young_symmetrizer_transposed",
         ),
         "invariants": (
             "alternating_signature", "check_invariance", "path_invariants",

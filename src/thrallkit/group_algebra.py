@@ -1,5 +1,9 @@
 """The rational group algebra of the symmetric group acting on tensor slots.
 
+An element holds integer numerators over one denominator, as a
+:class:`~thrallkit.tensors.Tensor` does; every builder and the product work on
+those integers, and :attr:`GroupAlgebraElement.terms` is built on first read.
+
 Element product is the convolution extending ``(sigma tau)(i) = sigma(tau(i))``.
 Elements act on tensors by the slot action of :func:`~thrallkit.tensors.permute_slots`:
 
@@ -16,7 +20,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -52,59 +56,77 @@ K_MAX = 5
 
 @dataclass(frozen=True)
 class GroupAlgebraElement:
-    """Rational linear combination of permutations of {1..k}."""
+    """Rational linear combination of permutations of {0..k-1}: a sparse map
+    ``nums`` from permutation to integer numerator over one denominator ``den``.
+
+    ``GroupAlgebraElement(k, terms)`` reads rationals and ``(k, nums, den)``
+    integers over ``den >= 1``; both are reduced to lowest terms (zero has
+    ``den == 1``), so equal elements have equal fields.  The Fractions
+    :attr:`terms` (permutation -> Fraction) are built on first read.
+    """
 
     k: int
-    terms: dict[Perm, Fraction] = field(default_factory=dict)
+    nums: dict[Perm, int]
+    den: int | None = None
 
     def __post_init__(self) -> None:
-        cleaned = {}
-        for perm, c in self.terms.items():
-            perm = tuple(perm)
-            if sorted(perm) != list(range(self.k)):
+        den, nums = self.den, self.nums
+        if den is None:
+            den, values = linalg.integer_numerators(nums.values())
+            nums = dict(zip(nums, values))
+        elif den < 1:
+            raise ValueError(f"den must be >= 1, got {den}")
+        full = list(range(self.k))
+        for perm in nums:
+            if sorted(perm) != full:
                 raise ValueError(f"{perm} is not a permutation of 0..{self.k - 1}")
-            c = Fraction(c)
-            if c != 0:
-                cleaned[perm] = c
-        object.__setattr__(self, "terms", cleaned)
+        # math.gcd also rejects numerators that are not integers
+        g = math.gcd(den, *nums.values())
+        object.__setattr__(self, "nums", {tuple(p): n // g for p, n in nums.items() if n})
+        object.__setattr__(self, "den", den // g)
+
+    @functools.cached_property
+    def terms(self) -> dict[Perm, Fraction]:
+        """The coefficients as Fractions, built once, on first read."""
+        return {p: Fraction(n, self.den) for p, n in self.nums.items()}
 
     @staticmethod
     def identity(k: int) -> "GroupAlgebraElement":
-        return GroupAlgebraElement(k, {identity_perm(k): Fraction(1)})
+        return GroupAlgebraElement(k, {identity_perm(k): 1}, 1)
 
     @staticmethod
     def zero(k: int) -> "GroupAlgebraElement":
-        return GroupAlgebraElement(k, {})
+        return GroupAlgebraElement(k, {}, 1)
 
     @staticmethod
     def of(k: int, perm: Perm, coeff=1) -> "GroupAlgebraElement":
-        return GroupAlgebraElement(k, {tuple(perm): Fraction(coeff)})
+        return GroupAlgebraElement(k, {tuple(perm): coeff})
 
     def coefficient(self, perm: Perm) -> Fraction:
-        return self.terms.get(tuple(perm), Fraction(0))
+        return Fraction(self.nums.get(tuple(perm), 0), self.den)
 
     def __add__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
         self._check(other)
-        terms = dict(self.terms)
-        for p, c in other.terms.items():
-            terms[p] = terms.get(p, Fraction(0)) + c
-        return GroupAlgebraElement(self.k, terms)
+        den = math.lcm(self.den, other.den)
+        nums = {p: n * (den // self.den) for p, n in self.nums.items()}
+        for p, n in other.nums.items():
+            nums[p] = nums.get(p, 0) + n * (den // other.den)
+        return GroupAlgebraElement(self.k, nums, den)
 
     def __sub__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
         return self + other.scale(-1)
 
     def scale(self, c) -> "GroupAlgebraElement":
         c = Fraction(c)
-        return GroupAlgebraElement(self.k, {p: c * v for p, v in self.terms.items()})
+        nums = {p: c.numerator * n for p, n in self.nums.items()}
+        return GroupAlgebraElement(self.k, nums, c.denominator * self.den)
 
     def __mul__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
         return ga_multiply(self, other)
 
     def reverse(self) -> "GroupAlgebraElement":
         """Image under the antipode sigma -> sigma^{-1}."""
-        return GroupAlgebraElement(
-            self.k, {inverse(p): c for p, c in self.terms.items()}
-        )
+        return GroupAlgebraElement(self.k, {inverse(p): n for p, n in self.nums.items()}, self.den)
 
     def _check(self, other: "GroupAlgebraElement") -> None:
         if self.k != other.k:
@@ -114,19 +136,22 @@ class GroupAlgebraElement:
 def ga_multiply(x: GroupAlgebraElement, y: GroupAlgebraElement) -> GroupAlgebraElement:
     """Convolution product with (sigma tau)(i) = sigma(tau(i)).
 
-    Accumulates integer numerators over the product of the two common
-    denominators.
+    Accumulates integer numerators over the product of the denominators;
+    ``itemgetter(*tau)`` composes ``sigma o tau`` in one C call.
     """
     x._check(y)
-    xden, xs = linalg.integer_numerators(x.terms.values())
-    yden, ys = linalg.integer_numerators(y.terms.values())
     acc: dict[Perm, int] = {}
-    for p, a in zip(x.terms, xs):
-        for q, b in zip(y.terms, ys):
-            pq = compose(p, q)
-            acc[pq] = acc.get(pq, 0) + a * b
-    den = xden * yden
-    return GroupAlgebraElement(x.k, {p: Fraction(c, den) for p, c in acc.items() if c})
+    if x.k < 2:
+        # the identity alone; itemgetter needs two indices to return a tuple
+        acc = {p: a * b for p, a in x.nums.items() for b in y.nums.values()}
+    else:
+        xs = x.nums.items()
+        for q, b in y.nums.items():
+            at = operator.itemgetter(*q)
+            for p, a in xs:
+                pq = at(p)
+                acc[pq] = acc.get(pq, 0) + a * b
+    return GroupAlgebraElement(x.k, acc, x.den * y.den)
 
 
 def ga_act(x: GroupAlgebraElement, tensor: Tensor) -> Tensor:
@@ -138,24 +163,31 @@ def ga_act(x: GroupAlgebraElement, tensor: Tensor) -> Tensor:
     """
     if x.k != tensor.k:
         raise ValueError(f"degree mismatch: element {x.k}, tensor order {tensor.k}")
-    den, groups = _block_operator(x, tensor.d)
-    return Tensor(tensor.d, tensor.k, _apply_blocks(groups, tensor.nums), den * tensor.den)
+    groups = _block_operator(x, tensor.d)
+    return Tensor(tensor.d, tensor.k, _apply_blocks(groups, tensor.nums), x.den * tensor.den)
 
 
 @functools.cache
-def _block_gather(counts: tuple[int, ...]) -> dict[Perm, tuple[int, ...]]:
-    """For each sigma, the place of ``u o sigma`` for each word ``u`` with
-    these letter counts, the words in lex order."""
+def _block_places(counts: tuple[int, ...]) -> dict[Word, int]:
+    """The place of each word with these letter counts in lex order."""
     letters = [a for a, c in enumerate(counts) for _ in range(c)]
-    words = list(distinct_orderings(letters))
-    place = {w: t for t, w in enumerate(words)}
-    # permutations(u) lists u o sigma in the order of all_permutations
-    images = [[place[v] for v in itertools.permutations(u)] for u in words]
-    return dict(zip(all_permutations(len(letters)), zip(*images)))
+    return {w: t for t, w in enumerate(distinct_orderings(letters))}
+
+
+@functools.cache
+def _block_gather(counts: tuple[int, ...], perm: Perm) -> tuple[int, ...]:
+    """The place of ``u o perm`` for each word ``u`` with these letter counts,
+    in lex order; cached per permutation, so a sparse element pays only for
+    its own support."""
+    if len(perm) < 2:
+        return (0,)  # one word; itemgetter needs two indices to return a tuple
+    place = _block_places(counts)
+    at = operator.itemgetter(*perm)
+    return tuple(place[at(u)] for u in place)
 
 
 def _block_operator(x: GroupAlgebraElement, d: int):
-    """``(den, groups)``: the integer matrices of ``ga_act(x, .)`` over ``den``.
+    """The integer matrices of ``ga_act(x, .)`` over ``x.den``.
 
     ``groups`` maps the letter counts of a weight block, in letter order, to
     ``(rows, blocks)``; row ``t`` holds ``x_sigma`` at the place of ``u o
@@ -163,19 +195,18 @@ def _block_operator(x: GroupAlgebraElement, d: int):
     order keeps the word order and commutes with ``u -> u o sigma``, so the
     blocks with the same counts share one matrix.
     """
-    den, coeffs = linalg.integer_numerators(x.terms.values())
     groups: dict[tuple[int, ...], tuple[tuple, list]] = {}
     for block in weight_blocks(d, x.k):
         first = index_to_word(block[0], d, x.k)
         counts = tuple(len(list(run)) for _, run in itertools.groupby(first))
         if counts not in groups:
             rows = [[0] * len(block) for _ in block]
-            for perm, c in zip(x.terms, coeffs):
-                for row, j in zip(rows, _block_gather(counts)[perm]):
+            for perm, c in x.nums.items():
+                for row, j in zip(rows, _block_gather(counts, perm)):
                     row[j] += c
             groups[counts] = (tuple(map(tuple, rows)), [])
         groups[counts][1].append(block)
-    return den, groups
+    return groups
 
 
 def _apply_blocks(groups, values: tuple[int, ...]) -> list[int]:
@@ -194,8 +225,8 @@ def _apply_blocks(groups, values: tuple[int, ...]) -> list[int]:
 
 @functools.cache
 def _projector_blocks(d: int, k: int):
-    """``(lam, *_block_operator(E_lam, d))`` for each partition lam of k."""
-    return tuple((lam, *_block_operator(e, d)) for lam, e in _projector_family(k).items())
+    """``(lam, E_lam.den, _block_operator(E_lam, d))`` for each partition lam of k."""
+    return tuple((lam, e.den, _block_operator(e, d)) for lam, e in _projector_family(k).items())
 
 
 def graded_projections(tensor: Tensor) -> dict[Partition, Tensor]:
@@ -234,7 +265,7 @@ def balanced_projections(d: int, ell: int, build):
 def operator_image(x: GroupAlgebraElement, d: int) -> list[Tensor]:
     """The nonzero images of the basis tensors under ``ga_act(x, .)``, in word
     order (they span the image): the nonzero columns of :func:`_block_operator`."""
-    den, groups = _block_operator(x, d)
+    groups = _block_operator(x, d)
     images = {}
     for rows, blocks in groups.values():
         for block in blocks:
@@ -243,7 +274,7 @@ def operator_image(x: GroupAlgebraElement, d: int) -> list[Tensor]:
                     nums = [0] * d**x.k
                     for u, c in zip(block, column):
                         nums[u] = c
-                    images[v] = Tensor(d, x.k, nums, den)
+                    images[v] = Tensor(d, x.k, nums, x.den)
     return [images[v] for v in sorted(images)]
 
 
@@ -255,7 +286,7 @@ def operator_rank(x: GroupAlgebraElement, d: int) -> int:
     matrices of :func:`_block_operator`, one elimination per shared matrix
     (scaling ``x`` to integer coefficients keeps the rank).
     """
-    _, groups = _block_operator(x, d)
+    groups = _block_operator(x, d)
     return sum(linalg.rank(rows) * len(blocks) for rows, blocks in groups.values())
 
 
@@ -281,12 +312,12 @@ def young_symmetrizer(tableau: YoungTableau) -> GroupAlgebraElement:
     k = tableau.size
     rows = [tuple(r) for r in tableau.rows]
     cols = [tableau.column(j) for j in range(tableau.shape[0])]
-    terms: dict[Perm, Fraction] = {}
+    nums: dict[Perm, int] = {}
     for t in _subgroup_fixing(rows, k):
         for s in _subgroup_fixing(cols, k):
             ts = compose(t, s)
-            terms[ts] = terms.get(ts, Fraction(0)) + sign(s)
-    return GroupAlgebraElement(k, terms)
+            nums[ts] = nums.get(ts, 0) + sign(s)
+    return GroupAlgebraElement(k, nums, 1)
 
 
 def young_symmetrizer_transposed(tableau: YoungTableau) -> GroupAlgebraElement:
@@ -303,21 +334,24 @@ def young_symmetrizer_transposed(tableau: YoungTableau) -> GroupAlgebraElement:
 # central idempotents
 
 
+@functools.cache
+def _cycle_types(k: int) -> tuple[tuple[Perm, Partition], ...]:
+    """Every permutation of {0..k-1} with its cycle type."""
+    return tuple((p, cycle_type(p)) for p in all_permutations(k))
+
+
 def central_idempotent(mu: Partition) -> GroupAlgebraElement:
-    """Character projector onto the isotypic component labelled by mu."""
+    """Character projector onto the isotypic component labelled by mu:
+    ``f^mu chi^mu(type sigma) / k!`` at each sigma."""
     from .symfun import sn_character
     from .words import num_standard
 
     mu = check_partition(mu)
     k = sum(mu)
-    norm = Fraction(num_standard(mu), math.factorial(k))
-    char_by_type = {rho: sn_character(mu, rho) for rho in partitions(k)}
-    terms = {
-        p: norm * char_by_type[cycle_type(p)]
-        for p in all_permutations(k)
-        if char_by_type[cycle_type(p)] != 0
-    }
-    return GroupAlgebraElement(k, terms)
+    f = num_standard(mu)
+    char_by_type = {rho: f * sn_character(mu, rho) for rho in partitions(k)}
+    nums = {p: char_by_type[rho] for p, rho in _cycle_types(k)}
+    return GroupAlgebraElement(k, nums, math.factorial(k))
 
 
 # ---------------------------------------------------------------------------
@@ -342,10 +376,6 @@ def central_idempotent(mu: Partition) -> GroupAlgebraElement:
 # l! prod(lam_i!) and the sum stays in integers.
 
 
-def _descents(word: Word) -> int:
-    return sum(1 for x, y in zip(word, word[1:]) if x > y)
-
-
 @functools.cache
 def _projector_family(k: int) -> dict[Partition, GroupAlgebraElement]:
     if k < 1:
@@ -357,20 +387,21 @@ def _projector_family(k: int) -> dict[Partition, GroupAlgebraElement]:
     for lam in partitions(k):
         den = math.factorial(len(lam)) * math.prod(map(math.factorial, lam))
         arrangements = list(distinct_orderings(lam))
-        terms: dict[Perm, Fraction] = {}
+        nums: dict[Perm, int] = {}
         for w in words:
             total = 0
             for parts in arrangements:
                 term, start = 1, 0
                 for a in parts:
-                    j = _descents(w[start : start + a])
+                    segment = w[start : start + a]
+                    j = sum(x > y for x, y in zip(segment, segment[1:]))
                     term *= (-1) ** j * math.factorial(j) * math.factorial(a - 1 - j)
                     start += a
                 total += term
             # the slot action sends e_iota to e_{word(sigma^{-1})}, so the
             # coefficient of sigma sits at that word
-            terms[inverse(word_to_perm(w))] = Fraction(total, den)
-        family[lam] = GroupAlgebraElement(k, terms)
+            nums[inverse(word_to_perm(w))] = total
+        family[lam] = GroupAlgebraElement(k, nums, den)
     return family
 
 
@@ -384,27 +415,6 @@ def higher_lie_idempotent(lam: Partition) -> GroupAlgebraElement:
     """
     lam = check_partition(lam)
     return _projector_family(sum(lam))[lam]
-
-
-def verify_refinement(
-    parts: list[GroupAlgebraElement], whole: GroupAlgebraElement
-) -> bool:
-    """Check a user-supplied splitting of a projector into finer projectors.
-
-    Splittings of an isotypic block into individual irreducible copies are
-    not canonical, so this library never constructs one; it only verifies
-    that the given elements are idempotent, pairwise orthogonal, and sum to
-    the given projector.
-    """
-    total = GroupAlgebraElement.zero(whole.k)
-    for i, p in enumerate(parts):
-        if ga_multiply(p, p) != p:
-            return False
-        for q in parts[i + 1 :]:
-            if ga_multiply(p, q).terms or ga_multiply(q, p).terms:
-                return False
-        total = total + p
-    return total == whole
 
 
 def intersection_projector(lam: Partition, mu: Partition) -> GroupAlgebraElement:

@@ -67,15 +67,8 @@ class CheckResult:
 def _element(k: int, data: dict[str, tuple[int, int]]) -> GroupAlgebraElement:
     terms = {}
     for cycles_str, (num, den) in data.items():
-        if cycles_str == "id":
-            perm = tuple(range(k))
-        else:
-            cycles = [
-                [int(ch) for ch in chunk]
-                for chunk in cycles_str.strip("()").split(")(")
-            ]
-            perm = from_cycles(cycles, k)
-        terms[perm] = Fraction(num, den)
+        chunks = [] if cycles_str == "id" else cycles_str.strip("()").split(")(")
+        terms[from_cycles([list(map(int, c)) for c in chunks], k)] = Fraction(num, den)
     return GroupAlgebraElement(k, terms)
 
 
@@ -180,9 +173,7 @@ def check_symmetrizer_images() -> tuple[bool, str]:
 
 def check_full_symmetrizer() -> tuple[bool, str]:
     tab = YoungTableau(((1, 2, 3),))
-    total = GroupAlgebraElement(
-        3, {p: Fraction(1) for p in itertools.permutations(range(3))}
-    )
+    total = GroupAlgebraElement(3, dict.fromkeys(itertools.permutations(range(3)), 1), 1)
     return young_symmetrizer(tab) == total, "single-row tableau gives the full sum"
 
 

@@ -438,20 +438,19 @@ def act_on_functional(x, beta: WordFunctional, k: int) -> WordFunctional:
 
     Since the slot action sends the basis tensor at word u to the one at
     u o sigma^{-1}, the coefficient of beta at word w is scattered to w o sigma.
-    The sums run on integer numerators over one denominator for ``x`` and
-    one for ``beta``, and touch only the support of ``beta``: no index map
-    over all d^k words is built.
+    The sums run on the integer numerators of ``x`` and on numerators over
+    one denominator for ``beta``, and touch only the support of ``beta``: no
+    index map over all d^k words is built.
     """
     if any(len(word) != k for word in beta.terms):
         raise ValueError("functional is not homogeneous of degree k")
-    xden, xs = linalg.integer_numerators(x.terms.values())
     bden, bs = linalg.integer_numerators(beta.terms.values())
     acc: dict[Word, int] = {}
-    for perm, c in zip(x.terms, xs):
+    for perm, c in x.nums.items():
         for word, v in zip(beta.terms, bs):
             moved = tuple(map(word.__getitem__, perm))
             acc[moved] = acc.get(moved, 0) + c * v
-    den = xden * bden
+    den = x.den * bden
     return WordFunctional(beta.d, {w: Fraction(a, den) for w, a in acc.items() if a})
 
 

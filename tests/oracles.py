@@ -7,7 +7,9 @@ Fraction series-product power sums, row reduction from Gauss-Jordan
 elimination over Fractions, the slot action from a dense sum of scattered
 tensors, the graded decomposition from one dense solve, the graded projector
 family from an exact solve in the multilinear Lyndon-bracket bases and the
-column-first Young symmetrizer from its double sum, the dual slot action
+column-first Young symmetrizer from its double sum, the group-algebra
+product from tuple compositions and Fraction products, the central
+idempotents from Fraction character values, the dual slot action
 on functionals and the Lie levels from term-by-term Fraction sums, and the
 graded bases, the f_lambda summands and the Lie bracket from dense Fraction
 tensor products, the determinant-one invariants from the nullspace of the
@@ -33,6 +35,7 @@ from thrallkit.invariants import normalize_functional
 from thrallkit.permutations import (
     all_permutations,
     compose,
+    cycle_type,
     inverse,
     perm_to_word,
     sign,
@@ -40,6 +43,7 @@ from thrallkit.permutations import (
 )
 from thrallkit.rank_variety import RankOneResult
 from thrallkit.shuffle_sig import PiecewiseLinearPath, WordFunctional
+from thrallkit.symfun import sn_character
 from thrallkit.tensors import (
     Tensor,
     TensorSeries,
@@ -52,6 +56,7 @@ from thrallkit.words import (
     index_to_word,
     lyndon_words,
     multiplicity_profile,
+    num_standard,
     partitions,
     standard_tableaux,
     word_to_index,
@@ -565,6 +570,44 @@ def column_first_young_symmetrizer(tableau):
             st = compose(s, t)
             terms[st] = terms.get(st, Fraction(0)) + sign(s)
     return GroupAlgebraElement(k, terms)
+
+
+def fraction_ga_multiply(x, y):
+    """Convolution product with (sigma tau)(i) = sigma(tau(i)), one tuple
+    composition and one Fraction product per pair of terms."""
+    if x.k != y.k:
+        raise ValueError(f"degree mismatch: {x.k} vs {y.k}")
+    terms = {}
+    for p, a in x.terms.items():
+        for q, b in y.terms.items():
+            pq = compose(p, q)
+            terms[pq] = terms.get(pq, Fraction(0)) + a * b
+    return GroupAlgebraElement(x.k, terms)
+
+
+def fraction_central_idempotent(mu):
+    """(f^mu / k!) chi^mu(cycle type of sigma) at each sigma, in Fractions."""
+    k = sum(mu)
+    norm = Fraction(num_standard(mu), math.factorial(k))
+    return GroupAlgebraElement(
+        k, {p: norm * sn_character(mu, cycle_type(p)) for p in all_permutations(k)}
+    )
+
+
+def verify_refinement(parts, whole) -> bool:
+    """Whether the given elements are idempotent, pairwise orthogonal and
+    sum to ``whole``: a check of a user-supplied splitting of a projector
+    (splittings of an isotypic block into irreducible copies are not
+    canonical, so the library builds none)."""
+    total = GroupAlgebraElement.zero(whole.k)
+    for i, p in enumerate(parts):
+        if fraction_ga_multiply(p, p) != p:
+            return False
+        for q in parts[i + 1 :]:
+            if fraction_ga_multiply(p, q).terms or fraction_ga_multiply(q, p).terms:
+                return False
+        total = total + p
+    return total == whole
 
 
 def fraction_act_on_functional(x, beta: WordFunctional, k: int) -> WordFunctional:

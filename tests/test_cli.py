@@ -267,8 +267,10 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # exp/log for the signature, fls and paper-suite cases, the per-partition
 # ga_act route with the Fraction dual action for the decompose and invariants
 # cases, the CLI that imported every module up front for the dims, lyndon,
-# thrall-coeffs, idempotent, check lie, check group-like and help cases, and
-# the tensors that stored one Fraction per entry for the signature without --log.
+# thrall-coeffs, idempotent, check lie, check group-like and help cases, the
+# tensors that stored one Fraction per entry for the signature without --log,
+# and the group-algebra elements that stored one Fraction per term for the
+# k = 5 idempotent.
 GOLDEN = [
     (["dims", "--d", "3", "--k", "5"], "dims_d3_k5.out", 0),
     (["--format", "text", "dims", "--d", "3", "--k", "5"], "dims_d3_k5_text.out", 0),
@@ -276,6 +278,8 @@ GOLDEN = [
     (["thrall-coeffs", "--k", "5"], "thrall_coeffs_k5.out", 0),
     (["idempotent", "--k", "4", "--partition", "2,1,1", "--intersect-mu", "3,1"],
      "idempotent_k4_211_mu31.out", 0),
+    (["idempotent", "--k", "5", "--partition", "3,2", "--intersect-mu", "3,1,1"],
+     "idempotent_k5_32_mu311.out", 0),
     (["check", "lie", "--input", "tensor_d3_k4_lie.json"], "check_lie_d3_k4.out", 0),
     (["check", "group-like", "--input", "series_d2_level3_signature.json"],
      "check_group_like_d2_level3.out", 0),

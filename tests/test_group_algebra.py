@@ -3,6 +3,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from thrallkit import group_algebra, linalg
 from thrallkit.free_lie import lie_basis, lyndon_bracketing, w_lambda_basis
@@ -38,8 +40,11 @@ from oracles import (
     column_first_young_symmetrizer,
     dense_ga_act,
     dense_operator_rank,
+    fraction_central_idempotent,
+    fraction_ga_multiply,
     scatter_permute_slots,
     solve_lie_idempotents,
+    verify_refinement,
 )
 
 
@@ -54,6 +59,95 @@ def test_ga_multiply_basics():
     assert ga_multiply(swap, swap) == GroupAlgebraElement.identity(2)
     with pytest.raises(ValueError):
         ga_multiply(x, swap)
+
+
+def test_rational_and_integer_constructors_agree():
+    x = GroupAlgebraElement(3, {(1, 0, 2): Fraction(3, 4), (0, 1, 2): Fraction(-1, 6)})
+    assert x == GroupAlgebraElement(3, {(1, 0, 2): 9, (0, 1, 2): -2}, 12)
+    # both forms are reduced to lowest terms, so equal elements have equal fields
+    assert x == GroupAlgebraElement(3, {(1, 0, 2): 18, (0, 1, 2): -4, (2, 1, 0): 0}, 24)
+    assert (x.nums, x.den) == ({(1, 0, 2): 9, (0, 1, 2): -2}, 12)
+    assert GroupAlgebraElement(2, {(1, 0): "2/4"}) == GroupAlgebraElement(2, {(1, 0): 1}, 2)
+
+
+def test_zero_element_has_unit_denominator_and_no_terms():
+    for zero in (
+        GroupAlgebraElement.zero(3),
+        GroupAlgebraElement(3, {(0, 1, 2): 0}, 7),
+        GroupAlgebraElement(3, {(0, 1, 2): Fraction(0)}),
+        GroupAlgebraElement.of(3, (2, 0, 1), 0),
+    ):
+        assert (zero.nums, zero.den, zero.terms) == ({}, 1, {})
+
+
+def test_terms_are_fractions_of_the_numerators():
+    x = GroupAlgebraElement(3, {(1, 0, 2): 9, (0, 1, 2): -2, (2, 0, 1): 12}, 12)
+    assert x.terms == {(1, 0, 2): Fraction(3, 4), (0, 1, 2): Fraction(-1, 6), (2, 0, 1): 1}
+    assert all(type(c) is Fraction for c in x.terms.values())
+    assert all(x.terms[p] == Fraction(n, x.den) for p, n in x.nums.items())
+    assert x.coefficient((2, 1, 0)) == 0
+    assert x.coefficient([1, 0, 2]) == Fraction(3, 4)
+
+
+@pytest.mark.parametrize(
+    "k,nums,den",
+    [
+        (3, {(0, 1, 1): 1}, 1),  # repeated image
+        (3, {(0, 1, 3): 1}, 1),  # image out of range
+        (3, {(0, 1): 1}, 1),  # wrong length
+        (2, {(0, 1, 2): Fraction(1)}, None),  # wrong length, rational form
+        (2, {(1, 1): Fraction(0)}, None),  # checked even with a zero coefficient
+        (2, {(1, 0): 1}, 0),
+        (2, {(1, 0): 1}, -3),
+    ],
+)
+def test_malformed_elements_raise(k, nums, den):
+    with pytest.raises(ValueError):
+        GroupAlgebraElement(k, nums, den)
+
+
+def test_degree_mismatch_raises_in_product_and_sum():
+    with pytest.raises(ValueError):
+        ga_multiply(GroupAlgebraElement.identity(2), GroupAlgebraElement.identity(3))
+    with pytest.raises(ValueError):
+        GroupAlgebraElement.identity(2) + GroupAlgebraElement.identity(3)
+    with pytest.raises(ValueError):
+        ga_multiply(GroupAlgebraElement.zero(0), GroupAlgebraElement.identity(1))
+
+
+_coefficients = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@st.composite
+def _elements(draw, k):
+    # sparse (a few sampled permutations) or dense (every permutation)
+    perms = list(itertools.permutations(range(k)))
+    if draw(st.booleans()):
+        support = perms
+    else:
+        support = draw(st.lists(st.sampled_from(perms), max_size=4, unique=True))
+    return GroupAlgebraElement(k, {p: draw(_coefficients) for p in support})
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 5).flatmap(lambda k: st.tuples(_elements(k), _elements(k))))
+# degrees 0 and 1, where itemgetter cannot compose, are always run
+@example((GroupAlgebraElement(0, {(): Fraction(-2, 3)}),) * 2)
+@example((GroupAlgebraElement.of(1, (0,), Fraction(5, 4)), GroupAlgebraElement.of(1, (0,), 3)))
+@example((GroupAlgebraElement.zero(1), GroupAlgebraElement.identity(1)))
+def test_ga_multiply_matches_fraction_oracle(pair):
+    x, y = pair
+    assert ga_multiply(x, y) == fraction_ga_multiply(x, y)
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_central_idempotents_match_fraction_oracle(k):
+    total = GroupAlgebraElement.zero(k)
+    for mu in partitions(k):
+        z = central_idempotent(mu)
+        assert z == fraction_central_idempotent(mu)
+        total = total + z
+    assert total == GroupAlgebraElement.identity(k)
 
 
 def test_ga_multiply_associative():
@@ -129,6 +223,14 @@ def test_ga_act_on_nine_letters_matches_dense_oracle():
     # builds one matrix per letter-count pattern, not one map per permutation
     x = higher_lie_idempotent((5,))
     t = Tensor.basis(9, (1, 2, 3, 4, 5))
+    assert ga_act(x, t) == dense_ga_act(x, t)
+
+
+def test_sparse_element_on_seven_slots_matches_dense_oracle():
+    # one term among 7! permutations: the block gathers are built only for
+    # the element's support, not for every permutation of each pattern
+    x = GroupAlgebraElement.of(7, (1, 2, 3, 4, 5, 6, 0), Fraction(-3, 2))
+    t = _random_fractional_tensor(3, 7, Random(7))
     assert ga_act(x, t) == dense_ga_act(x, t)
 
 
@@ -510,8 +612,6 @@ def test_projector_length_sums_match_descent_construction_k5():
 
 
 def test_verify_refinement():
-    from thrallkit.group_algebra import verify_refinement
-
     whole = higher_lie_idempotent((2, 1))
     parts = [
         intersection_projector((2, 1), (1, 1, 1)),
