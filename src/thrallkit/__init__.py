@@ -22,17 +22,14 @@ _EXPORTS = {
         "free_lie": (
             "LieElement", "exp_truncated", "f_lambda", "is_lie_element", "lie_basis",
             "lie_bracket", "log_truncated", "lyndon_bracketing", "phi_k",
-            "thrall_decompose", "w_lambda_basis",
+            "thrall_decompose",
         ),
         "group_algebra": (
             "GroupAlgebraElement", "K_MAX", "central_idempotent", "ga_act", "ga_multiply",
             "higher_lie_idempotent", "intersection_projector", "young_symmetrizer",
             "young_symmetrizer_transposed",
         ),
-        "invariants": (
-            "alternating_signature", "check_invariance", "path_invariants",
-            "pfaffian_form", "sl_invariant_space",
-        ),
+        "invariants": ("alternating_signature", "path_invariants", "sl_invariant_space"),
         "rank_variety": (
             "fls_check", "generic_rank_lower_bound", "hdet_pullback_check",
             "hyperdeterminant_2x2x2", "is_rank_one", "skew_plus_rank_one_rank",
@@ -41,7 +38,7 @@ _EXPORTS = {
         "shuffle_sig": (
             "SIGNATURE_ENTRIES_MAX", "PiecewiseLinearPath", "WordFunctional",
             "is_group_like", "levy_area", "log_signature", "shuffle_functionals",
-            "shuffle_grading_check", "shuffle_words", "signature",
+            "shuffle_words", "signature",
         ),
         "symfun": (
             "SymFun", "higher_lie_character", "lie_character", "plethysm_h",

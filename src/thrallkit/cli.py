@@ -36,6 +36,14 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
 
+# Python 3.10.7+ refuses to convert an int of more than a set number of
+# digits (4300 by default) to or from a decimal string, as the conversion is
+# quadratic.  Input is parsed under that limit.  An answer computed from it
+# may exceed the limit, so _read lifts it once the input is read (handlers
+# format their payload before _emit prints it), and main restores it.  The
+# commands that read no file print numbers far below the limit.
+_DIGIT_LIMIT = hasattr(sys, "set_int_max_str_digits")
+
 
 def _emit(payload, fmt: str, text_renderer=None) -> None:
     if fmt == "json" or text_renderer is None:
@@ -44,13 +52,18 @@ def _emit(payload, fmt: str, text_renderer=None) -> None:
         text_renderer(payload)
 
 
-def _load_json(path: str, what: str) -> dict:
+def _read(path: str, what: str, parse):
+    """The input file at ``path``, decoded by ``parse`` under the digit limit."""
     try:
-        return json.loads(Path(path).read_text())
+        obj = json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise FormatError(what, f"file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an integer literal over the digit limit
         raise FormatError(what, f"invalid JSON in {path}: {exc}") from None
+    value = parse(obj, what)
+    if _DIGIT_LIMIT:
+        sys.set_int_max_str_digits(0)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +157,7 @@ def cmd_thrall_coeffs(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    tensor = jsonio.tensor_from_json(_load_json(args.tensor, "tensor"), "tensor")
+    tensor = _read(args.tensor, "tensor", jsonio.tensor_from_json)
     from .free_lie import thrall_decompose
 
     components = thrall_decompose(tensor, method=args.method)
@@ -190,7 +203,7 @@ def cmd_ambient_invariants(args) -> int:
 
 
 def cmd_signature(args) -> int:
-    path = jsonio.path_from_json(_load_json(args.path, "path"), "path")
+    path = _read(args.path, "path", jsonio.path_from_json)
     from .shuffle_sig import log_signature, signature
 
     series = (
@@ -203,19 +216,19 @@ def cmd_signature(args) -> int:
 def cmd_check(args) -> int:
     what = args.what
     if what == "group-like":
-        series = jsonio.series_from_json(_load_json(args.input, "series"), "series")
+        series = _read(args.input, "series", jsonio.series_from_json)
         from .shuffle_sig import is_group_like
 
         passed = is_group_like(series)
         payload = {"check": what, "passed": passed}
     elif what == "symmetric":
-        tensor = jsonio.tensor_from_json(_load_json(args.input, "tensor"), "tensor")
+        tensor = _read(args.input, "tensor", jsonio.tensor_from_json)
         from .tensors import is_symmetric
 
         passed = is_symmetric(tensor)
         payload = {"check": what, "passed": passed}
     elif what == "rank1":
-        tensor = jsonio.tensor_from_json(_load_json(args.input, "tensor"), "tensor")
+        tensor = _read(args.input, "tensor", jsonio.tensor_from_json)
         from .rank_variety import is_rank_one
         from .tensors import is_symmetric
 
@@ -228,13 +241,13 @@ def cmd_check(args) -> int:
             ]
         payload["symmetric"] = is_symmetric(tensor)
     elif what == "lie":
-        tensor = jsonio.tensor_from_json(_load_json(args.input, "tensor"), "tensor")
+        tensor = _read(args.input, "tensor", jsonio.tensor_from_json)
         from .free_lie import is_lie_element
 
         passed = is_lie_element(tensor)
         payload = {"check": what, "passed": passed}
     elif what == "fls":
-        path = jsonio.path_from_json(_load_json(args.input, "path"), "path")
+        path = _read(args.input, "path", jsonio.path_from_json)
         from .rank_variety import fls_check
 
         report = fls_check(path, args.level)
@@ -352,6 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    limit = sys.get_int_max_str_digits() if _DIGIT_LIMIT else None
     try:
         if getattr(args, "d", None) is not None:
             jsonio.check_wire_dimension(args.d, "d")
@@ -370,6 +384,9 @@ def main(argv: list[str] | None = None) -> int:
 
         traceback.print_exc()
         return EXIT_INTERNAL
+    finally:
+        if _DIGIT_LIMIT:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -251,7 +251,9 @@ def f_lambda(element: LieElement, lam: Partition) -> Tensor:
 
 @cache
 def _w_basis_cached(lam: Partition, d: int) -> tuple[dict[Word, int], ...]:
-    """The lam-graded basis vectors as sparse integer word polynomials."""
+    """The lam-graded basis as sparse integer word polynomials: one vector
+    per multiset of Lyndon words realizing lam, the sum over its distinct
+    orderings of the products of their bracketings."""
     per_size = [
         itertools.combinations_with_replacement(lyndon_words(d, i), a)
         for i, a in sorted(multiplicity_profile(lam).items())
@@ -260,16 +262,6 @@ def _w_basis_cached(lam: Partition, d: int) -> tuple[dict[Word, int], ...]:
         _symmetrized_product([w for group in combo for w in group], bracket_expansion)
         for combo in itertools.product(*per_size)
     )
-
-
-def w_lambda_basis(lam: Partition, d: int) -> list[Tensor]:
-    """Basis of the lam-graded subspace of the k-fold tensor power.
-
-    One vector per multiset of Lyndon words realizing lam: the sum over the
-    distinct orderings of the tensor products of their bracketings.  The
-    count is the product of multichoose(lie_dim(d, i), a_i(lam)).
-    """
-    return [Tensor.from_dict(d, sum(lam), vec, 1) for vec in _w_basis_cached(check_partition(lam), d)]
 
 
 @cache

@@ -342,11 +342,15 @@ def _cycle_types(k: int) -> tuple[tuple[Perm, Partition], ...]:
 
 def central_idempotent(mu: Partition) -> GroupAlgebraElement:
     """Character projector onto the isotypic component labelled by mu:
-    ``f^mu chi^mu(type sigma) / k!`` at each sigma."""
+    ``f^mu chi^mu(type sigma) / k!`` at each sigma; built once per mu."""
+    return _central_idempotent(check_partition(mu))
+
+
+@functools.cache
+def _central_idempotent(mu: Partition) -> GroupAlgebraElement:
     from .symfun import sn_character
     from .words import num_standard
 
-    mu = check_partition(mu)
     k = sum(mu)
     f = num_standard(mu)
     char_by_type = {rho: f * sn_character(mu, rho) for rho in partitions(k)}

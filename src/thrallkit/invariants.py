@@ -15,7 +15,6 @@ import math
 from fractions import Fraction
 
 from . import linalg
-from .free_lie import LieElement
 from .permutations import all_permutations, sign
 from .shuffle_sig import WordFunctional
 from .tensors import Tensor
@@ -147,68 +146,6 @@ def alternating_signature(tensor: Tensor) -> Fraction:
         for p in all_permutations(tensor.d)
     )
     return Fraction(total, tensor.den)
-
-
-def pfaffian_form(element: LieElement) -> Fraction:
-    """Pfaffian-type sum on the degree-2 part of a Lie element, for even d.
-
-    Sum over sigma of sgn(sigma) * prod_i M[sigma(2i-1), sigma(2i)] where M
-    is the degree-2 coefficient matrix; proportional to the alternating
-    signature of the level-d exponential image with a fixed constant, pinned
-    by the test suite.
-    """
-    d = element.d
-    if d % 2 != 0:
-        raise ValueError("the Pfaffian form needs even d")
-    level2 = element.level(2)
-    m = [[level2[(i, j)] for j in range(1, d + 1)] for i in range(1, d + 1)]
-    e = d // 2
-    total = Fraction(0)
-    for p in all_permutations(d):
-        prod = Fraction(1)
-        for i in range(e):
-            prod *= m[p[2 * i]][p[2 * i + 1]]
-            if prod == 0:
-                break
-        if prod != 0:
-            total += sign(p) * prod
-    return total
-
-
-# ---------------------------------------------------------------------------
-# invariance checking
-
-
-def apply_matrix(g, tensor: Tensor) -> Tensor:
-    """Apply g to every slot: the diagonal action of a d x d matrix, on
-    integer numerators (``g`` scaled by the lcm of its denominators)."""
-    d, k = tensor.d, tensor.k
-    if len(g) != d or any(len(row) != d for row in g):
-        raise ValueError("matrix must be d x d")
-    gden, flat = linalg.integer_numerators(x for row in g for x in row)
-    g = [flat[i * d : (i + 1) * d] for i in range(d)]
-    nums = list(tensor.nums)
-    # apply along one slot at a time
-    for slot in range(k):
-        stride = d ** (k - slot - 1)
-        new = [0] * len(nums)
-        for base in range(0, len(nums), stride * d):
-            for offset in range(stride):
-                column = [nums[base + j * stride + offset] for j in range(d)]
-                if not any(column):
-                    continue
-                for i in range(d):
-                    new[base + i * stride + offset] = sum(g[i][j] * column[j] for j in range(d))
-        nums = new
-    return Tensor(d, k, nums, tensor.den * gden**k)
-
-
-def check_invariance(beta: WordFunctional, g, tensor: Tensor) -> bool:
-    """Exact test of beta(g . T) == beta(T) for a determinant-one matrix."""
-    g = [[Fraction(x) for x in row] for row in g]
-    if linalg.determinant(g) != 1:
-        raise ValueError("matrix must have determinant exactly 1")
-    return beta.evaluate_tensor(apply_matrix(g, tensor)) == beta.evaluate_tensor(tensor)
 
 
 def random_unimodular_matrix(d: int, rng, steps: int = 6):

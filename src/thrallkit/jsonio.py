@@ -58,9 +58,16 @@ def _parse_fraction(text, field: str) -> Fraction:
     if not isinstance(text, str):
         raise FormatError(field, f"expected a rational string, got {type(text).__name__}")
     try:
-        return Fraction(text)
+        value = Fraction(text)
+        if "e" in text.lower():
+            # exponent notation reaches any size in a few characters; writing
+            # the number out holds it to the digit limit of all other input
+            str(max(abs(value.numerator), value.denominator))
+        return value
     except (ValueError, ZeroDivisionError) as exc:
-        raise FormatError(field, f"bad rational {text!r}: {exc}") from None
+        # a number over the digit limit is named by its length, not echoed
+        shown = repr(text) if len(text) <= 40 else f"of {len(text)} characters"
+        raise FormatError(field, f"bad rational {shown}: {exc}") from None
 
 
 def _require(obj: dict, key: str, kind, where: str):

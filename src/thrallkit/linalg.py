@@ -92,26 +92,6 @@ def rank(matrix) -> int:
     return len(_eliminate(rows)[0])
 
 
-def solve(matrix, rhs) -> Vector | None:
-    """A particular solution of ``matrix @ x = rhs``, or None if inconsistent.
-
-    When the system is underdetermined the free variables are set to zero.
-    """
-    matrix = list(matrix)
-    rhs = list(rhs)
-    if len(matrix) != len(rhs):
-        raise ValueError("matrix/rhs size mismatch")
-    ncols = len(matrix[0]) if matrix else 0
-    rows, _ = _integer_rows(list(row) + [b] for row, b in zip(matrix, rhs))
-    pivots, p, _ = _eliminate(rows)
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = Fraction(rows[r][ncols], p)
-    return x
-
-
 def integer_inverse(matrix) -> tuple[list[list[int]], int]:
     """Inverse of a square matrix as integer numerators over one denominator.
 
@@ -151,14 +131,3 @@ def same_span(vectors_a, vectors_b) -> bool:
     ra = rank(a) if a else 0
     rb = rank(b) if b else 0
     return ra == rb == rank(a + b)
-
-
-def determinant(matrix) -> Fraction:
-    rows, scales = _integer_rows(matrix)
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("determinant requires a square matrix")
-    pivots, p, swaps = _eliminate(rows)
-    if len(pivots) < n:
-        return Fraction(0)
-    return Fraction(swaps * p, math.prod(scales))

@@ -74,9 +74,6 @@ class SymmetryCascadeReport:
     lower_levels_symmetric: bool | None
     passed: bool
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 def symmetric_level_implies_segment(series: TensorSeries, k: int) -> SymmetryCascadeReport:
     """Verify the symmetry cascade for a Lie series with nonzero degree-1 part.

@@ -40,7 +40,13 @@ from .invariants import (
     sl_invariant_space,
 )
 from .permutations import from_cycles
-from .rank_variety import hdet_pullback_check, is_rank_one, skew_plus_rank_one_rank
+from .rank_variety import (
+    generic_rank_lower_bound,
+    hdet_pullback_check,
+    is_rank_one,
+    skew_plus_rank_one_rank,
+    symmetric_level_implies_segment,
+)
 from .shuffle_sig import (
     PiecewiseLinearPath,
     WordFunctional,
@@ -390,6 +396,15 @@ def check_rank_symmetry_equivalence() -> tuple[bool, str]:
     return ok, "symmetry and rank one coincide on exponential levels"
 
 
+def check_symmetric_cascade() -> tuple[bool, str]:
+    segment = LieElement(2, 3, {(1,): 2, (2,): 1}).to_series(3)
+    bent = LieElement(2, 3, {(1,): 1, (1, 2): 1}).to_series(3)
+    report = symmetric_level_implies_segment(segment, 3)
+    ok = report.hypothesis_level_symmetric and report.passed
+    ok = ok and not symmetric_level_implies_segment(bent, 3).hypothesis_level_symmetric
+    return ok, "a symmetric level 3 forces a segment; a bent series is not symmetric there"
+
+
 def check_skew_rank_corollary() -> tuple[bool, str]:
     a = [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]
     x = [0, 0, 1]
@@ -397,6 +412,12 @@ def check_skew_rank_corollary() -> tuple[bool, str]:
     full = [[0, 1], [-1, 0]]
     ok = ok and skew_plus_rank_one_rank(full, [5, 7]) == 2
     return ok, "odd-dimension bump and even-dimension stability"
+
+
+def check_generic_rank_bound() -> tuple[bool, str]:
+    want = {(2, 4): 0, (3, 5): 4, (3, 6): 8, (4, 3): 1, (74, 3): 612}
+    table = {(d, k): generic_rank_lower_bound(d, k) for d, k in want}
+    return table == want, f"bounds at (d, k): {table}"
 
 
 def check_hdet_pullback() -> tuple[bool, str]:
@@ -436,7 +457,9 @@ ALL_CHECKS: list[tuple[str, Callable[[], tuple[bool, str]]]] = [
     ("segment-log-signature", check_segment_log_signature),
     ("staircase-signature", check_staircase_signature),
     ("rank-symmetry-equivalence", check_rank_symmetry_equivalence),
+    ("symmetric-cascade", check_symmetric_cascade),
     ("skew-rank-corollary", check_skew_rank_corollary),
+    ("generic-rank-bound", check_generic_rank_bound),
     ("hdet-pullback", check_hdet_pullback),
 ]
 

@@ -19,9 +19,9 @@ levels of its highest truncation, which :func:`signature`,
 slice.  Each level goes to the tensor constructor as its numerators over
 ``m! q^m`` (every tensor is held that way, see :mod:`thrallkit.tensors`),
 and :func:`log_signature` is the integer log kernel of
-:mod:`thrallkit.free_lie` on that signature, so no reader builds a Fraction
-per entry.  Both are capped at :data:`SIGNATURE_ENTRIES_MAX` entries over
-all levels.
+:mod:`thrallkit.free_lie` on that signature, whose levels the path keeps
+the same way, so no reader builds a Fraction per entry.  Both are capped at
+:data:`SIGNATURE_ENTRIES_MAX` entries over all levels.
 
 :func:`is_group_like` tests one shuffle identity per non-Lyndon word ``w =
 l v`` (``l`` the longest Lyndon prefix), ``T_{l shuffle v} = T_l T_v``,
@@ -38,9 +38,8 @@ from fractions import Fraction
 from functools import cache
 from operator import mul
 
-from . import linalg
 from .tensors import Tensor, TensorSeries
-from .words import ResourceLimitError, Word, all_words, check_partition, partition_union, word_to_index
+from .words import ResourceLimitError, Word, all_words, word_to_index
 
 # Cap on the entries of a truncated signature, 1 + d + .. + d^k_max, so that
 # every level fits in memory: d=2 to level 16, d=3 to level 10 and d=4 to
@@ -71,10 +70,6 @@ class WordFunctional:
         object.__setattr__(self, "terms", cleaned)
 
     @staticmethod
-    def coordinate(d: int, word: Word) -> "WordFunctional":
-        return WordFunctional(d, {tuple(word): Fraction(1)})
-
-    @staticmethod
     def zero(d: int) -> "WordFunctional":
         return WordFunctional(d, {})
 
@@ -101,10 +96,6 @@ class WordFunctional:
         if self.max_length() > series.k_max:
             raise ValueError("series truncated below the functional's top word")
         return sum((c * series.level(len(w))[w] for w, c in self.terms.items()), Fraction(0))
-
-    def evaluate_tensor(self, tensor: Tensor) -> Fraction:
-        """Evaluate on a single homogeneous level."""
-        return sum((c * tensor[w] for w, c in self.terms.items() if len(w) == tensor.k), Fraction(0))
 
     def _check(self, other: "WordFunctional") -> None:
         if self.d != other.d:
@@ -273,37 +264,8 @@ class PiecewiseLinearPath:
             raise ValueError("a path needs at least one point")
         return PiecewiseLinearPath(len(pts[0]), pts)
 
-    def increments(self) -> list[tuple[Fraction, ...]]:
-        return [
-            tuple(b - a for a, b in zip(p, q))
-            for p, q in zip(self.points, self.points[1:])
-        ]
-
     def reversed(self) -> "PiecewiseLinearPath":
         return PiecewiseLinearPath(self.d, tuple(reversed(self.points)))
-
-    def concatenate(self, other: "PiecewiseLinearPath") -> "PiecewiseLinearPath":
-        """Translate ``other`` to start at this path's endpoint and append it."""
-        if self.d != other.d:
-            raise ValueError("dimension mismatch")
-        end = self.points[-1]
-        start = other.points[0]
-        shift = tuple(e - s for e, s in zip(end, start))
-        moved = [tuple(x + dx for x, dx in zip(p, shift)) for p in other.points[1:]]
-        return PiecewiseLinearPath(self.d, self.points + tuple(moved))
-
-    def is_collinear(self) -> bool:
-        incs = [v for v in self.increments() if any(x != 0 for x in v)]
-        if len(incs) <= 1:
-            return True
-        base = incs[0]
-        for v in incs[1:]:
-            # parallel or antiparallel both trace one line: 2x2 minors vanish
-            for i in range(self.d):
-                for j in range(i + 1, self.d):
-                    if base[i] * v[j] - base[j] * v[i] != 0:
-                        return False
-        return True
 
 
 def _chen_numerators(path: PiecewiseLinearPath, k_max: int):
@@ -412,11 +374,18 @@ def log_signature(path: PiecewiseLinearPath, k_max: int) -> TensorSeries:
 
     :func:`thrallkit.free_lie.log_truncated` of :func:`signature`, whose
     levels share the path's one Chen update; both run on integer
-    numerators.  Same size cap as :func:`signature`.
+    numerators.  The path keeps the log levels of its highest truncation
+    beside the signature's: log level ``m`` reads only signature levels up
+    to ``m``, so a lower truncation is a slice.  Same size cap as
+    :func:`signature`.
     """
-    from .free_lie import log_truncated
+    levels = path.__dict__.get("_log_levels")
+    if levels is None or not 0 <= k_max < len(levels):
+        from .free_lie import log_truncated
 
-    return log_truncated(signature(path, k_max))
+        levels = log_truncated(signature(path, k_max)).levels
+        object.__setattr__(path, "_log_levels", levels)
+    return TensorSeries(path.d, levels[: k_max + 1])
 
 
 def levy_area(series: TensorSeries) -> Fraction:
@@ -427,63 +396,6 @@ def levy_area(series: TensorSeries) -> Fraction:
         raise ValueError("needs k_max >= 2")
     level = series.level(2)
     return (level[(1, 2)] - level[(2, 1)]) / 2
-
-
-# ---------------------------------------------------------------------------
-# graded functionals
-
-
-def act_on_functional(x, beta: WordFunctional, k: int) -> WordFunctional:
-    """Dual slot action on degree-k functionals: (x . beta)(T) = beta(x . T).
-
-    Since the slot action sends the basis tensor at word u to the one at
-    u o sigma^{-1}, the coefficient of beta at word w is scattered to w o sigma.
-    The sums run on the integer numerators of ``x`` and on numerators over
-    one denominator for ``beta``, and touch only the support of ``beta``: no
-    index map over all d^k words is built.
-    """
-    if any(len(word) != k for word in beta.terms):
-        raise ValueError("functional is not homogeneous of degree k")
-    bden, bs = linalg.integer_numerators(beta.terms.values())
-    acc: dict[Word, int] = {}
-    for perm, c in x.nums.items():
-        for word, v in zip(beta.terms, bs):
-            moved = tuple(map(word.__getitem__, perm))
-            acc[moved] = acc.get(moved, 0) + c * v
-    den = x.den * bden
-    return WordFunctional(beta.d, {w: Fraction(a, den) for w, a in acc.items() if a})
-
-
-def functional_in_w_dual(beta: WordFunctional, lam, k: int) -> bool:
-    """True iff the degree-k functional only depends on the lam-graded part."""
-    from .group_algebra import higher_lie_idempotent
-
-    return act_on_functional(higher_lie_idempotent(lam), beta, k) == beta
-
-
-def shuffle_grading_check(
-    beta: WordFunctional, gamma: WordFunctional, lam, mu
-) -> bool:
-    """Verify the graded multiplication rule for the shuffle product.
-
-    Requires beta to be graded by lam and gamma by mu (checked); returns
-    whether beta shuffle gamma is graded by the union partition.
-    """
-    lam, mu = check_partition(lam), check_partition(mu)
-
-    def graded(functional: WordFunctional, grade) -> bool:
-        if not grade:
-            # degree-0 grading: constants only
-            return set(functional.terms) <= {()}
-        return functional_in_w_dual(functional, grade, sum(grade))
-
-    if not graded(beta, lam):
-        raise ValueError("beta is not graded by lam")
-    if not graded(gamma, mu):
-        raise ValueError("gamma is not graded by mu")
-    union = partition_union(lam, mu)
-    product = shuffle_functionals(beta, gamma)
-    return graded(product, union)
 
 
 def levy_functional() -> WordFunctional:

@@ -26,13 +26,6 @@ from .words import (
 )
 
 
-def centralizer_order(rho: Partition) -> int:
-    """Order of the centralizer of a permutation of cycle type rho."""
-    return math.prod(
-        i**a * math.factorial(a) for i, a in multiplicity_profile(rho).items()
-    )
-
-
 @dataclass(frozen=True)
 class SymFun:
     """Homogeneous symmetric function of a fixed degree, power-sum coefficients.
@@ -90,18 +83,6 @@ class SymFun:
                 key = partition_union(r1, r2)
                 terms[key] = terms.get(key, Fraction(0)) + c1 * c2
         return SymFun(self.degree + other.degree, terms)
-
-    def specialize(self, d: int) -> Fraction:
-        """Evaluate with every power sum set to d (principal evaluation).
-
-        For the character of a polynomial functor this returns the dimension
-        of the corresponding space on a d-dimensional vector space.
-        """
-        return sum(
-            (c * Fraction(d) ** len(rho) for rho, c in self.terms.items()),
-            Fraction(0),
-        )
-
 
 # ---------------------------------------------------------------------------
 # irreducible characters of the symmetric group

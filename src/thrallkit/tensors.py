@@ -269,11 +269,6 @@ class TensorSeries:
         return TensorSeries(self.d, tuple(level.scale(c) for level in self.levels))
 
 
-def random_tensor(d: int, k: int, rng, bound: int = 5) -> Tensor:
-    """Uniform small-integer-coefficient tensor from an explicit RNG (tests)."""
-    return Tensor(d, k, [rng.randint(-bound, bound) for _ in range(d**k)], 1)
-
-
 def symmetrize(tensor: Tensor) -> Tensor:
     """Average over all slot permutations."""
     k = tensor.k

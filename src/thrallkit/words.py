@@ -250,17 +250,6 @@ class YoungTableau:
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.rows if len(row) > j)
 
-    def is_standard(self) -> bool:
-        for row in self.rows:
-            if any(row[i] >= row[i + 1] for i in range(len(row) - 1)):
-                return False
-        for j in range(self.shape[0] if self.rows else 0):
-            col = self.column(j)
-            if any(col[i] >= col[i + 1] for i in range(len(col) - 1)):
-                return False
-        return True
-
-
 def standard_tableaux(lam: Partition) -> list[YoungTableau]:
     """All standard Young tableaux of shape ``lam``."""
     lam = check_partition(lam)

@@ -1,8 +1,9 @@
 """Independent oracles shared by test modules.
 
 These deliberately avoid the library's own computational paths: signatures
-come from direct polynomial integration, matrix rank from minors, Lyndon
-coordinates from a dense exact solve, the truncated exp and log from
+come from direct polynomial integration, determinants from the Leibniz sum
+and matrix rank from their minors, Lyndon coordinates from a dense exact
+solve, the truncated exp and log from
 Fraction series-product power sums, row reduction from Gauss-Jordan
 elimination over Fractions, the slot action from a dense sum of scattered
 tensors, the graded decomposition from one dense solve, the graded projector
@@ -28,7 +29,6 @@ from thrallkit.free_lie import (
     bracket_expansion,
     lie_coordinates,
     lyndon_bracketing,
-    w_lambda_basis,
 )
 from thrallkit.group_algebra import GroupAlgebraElement, _subgroup_fixing, higher_lie_idempotent
 from thrallkit.invariants import normalize_functional
@@ -64,8 +64,66 @@ from thrallkit.words import (
 
 
 # ---------------------------------------------------------------------------
-# dense helpers that only the references use (they were public library API
-# until no library path called them)
+# helpers that only the tests use (they were public library API until no
+# library path, script or benchmark called them)
+
+
+def random_tensor(d: int, k: int, rng, bound: int = 5) -> Tensor:
+    """Uniform small-integer-coefficient tensor from an explicit RNG."""
+    return Tensor(d, k, [rng.randint(-bound, bound) for _ in range(d**k)], 1)
+
+
+def concatenate_paths(x: PiecewiseLinearPath, y: PiecewiseLinearPath) -> PiecewiseLinearPath:
+    """Translate ``y`` to start at the endpoint of ``x`` and append it."""
+    if x.d != y.d:
+        raise ValueError("dimension mismatch")
+    shift = [e - s for e, s in zip(x.points[-1], y.points[0])]
+    moved = [tuple(a + da for a, da in zip(p, shift)) for p in y.points[1:]]
+    return PiecewiseLinearPath(x.d, x.points + tuple(moved))
+
+
+def apply_matrix(g, tensor: Tensor) -> Tensor:
+    """Apply the d x d matrix g to every slot (the diagonal action), in Fractions."""
+    d, k = tensor.d, tensor.k
+    if len(g) != d or any(len(row) != d for row in g):
+        raise ValueError("matrix must be d x d")
+    entries = list(tensor.entries)
+    for slot in range(k):
+        stride = d ** (k - slot - 1)
+        new = [Fraction(0)] * len(entries)
+        for i in range(len(entries)):
+            letter = i // stride % d
+            base = i - letter * stride
+            new[i] = sum(
+                (Fraction(g[letter][j]) * entries[base + j * stride] for j in range(d)), Fraction(0)
+            )
+        entries = new
+    return Tensor(d, k, tuple(entries))
+
+
+def evaluate_on_tensor(beta: WordFunctional, tensor: Tensor) -> Fraction:
+    """The functional on one homogeneous level: its words of that length only."""
+    return sum((c * tensor[w] for w, c in beta.terms.items() if len(w) == tensor.k), Fraction(0))
+
+
+def leibniz_determinant(m) -> Fraction:
+    """Determinant as the signed sum over permutations (Leibniz)."""
+    n = len(m)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+        term = Fraction(-1) ** inversions
+        for i in range(n):
+            term *= m[i][perm[i]]
+        total += term
+    return total
+
+
+def check_invariance(beta: WordFunctional, g, tensor: Tensor) -> bool:
+    """Exact test of beta(g . T) == beta(T) for a determinant-one matrix."""
+    if leibniz_determinant(g) != 1:
+        raise ValueError("matrix must have determinant exactly 1")
+    return evaluate_on_tensor(beta, apply_matrix(g, tensor)) == evaluate_on_tensor(beta, tensor)
 
 
 def series_product(s: TensorSeries, t: TensorSeries) -> TensorSeries:
@@ -171,10 +229,10 @@ def chen_numerators_reference(path: PiecewiseLinearPath, k_max: int):
     d = path.d
     q = math.lcm(*(x.denominator for p in path.points for x in p))
     nums = [[1]] + [[0] * d**m for m in range(1, k_max + 1)]
-    for inc in path.increments():
-        if all(x == 0 for x in inc):
+    for a, b in zip(path.points, path.points[1:]):
+        u = [int((y - x) * q) for x, y in zip(a, b)]
+        if not any(u):
             continue
-        u = [int(x * q) for x in inc]
         for m in range(k_max, 0, -1):
             acc = nums[0]
             for j in range(1, m + 1):
@@ -262,7 +320,7 @@ def dense_lie_coordinates(tensor: Tensor):
     words = lyndon_words(tensor.d, tensor.k)
     basis = [lyndon_bracketing(w, tensor.d) for w in words]
     matrix = [[b.entries[i] for b in basis] for i in range(tensor.d**tensor.k)]
-    coords = linalg.solve(matrix, list(tensor.entries))
+    coords = gauss_jordan_solve(matrix, list(tensor.entries))
     if coords is None:
         return None
     acc = Tensor.zero(tensor.d, tensor.k)
@@ -296,7 +354,7 @@ def rank_by_minors(m) -> int:
         for rows in itertools.combinations(range(n), size):
             for cols in itertools.combinations(range(n), size):
                 sub = [[m[i][j] for j in cols] for i in rows]
-                if linalg.determinant(sub) != 0:
+                if leibniz_determinant(sub) != 0:
                     return size
     return 0
 
@@ -437,7 +495,7 @@ def dense_operator_rank(x, d: int) -> int:
 def dense_solve_decompose(tensor: Tensor) -> dict:
     """Graded components from one dense solve in the concatenated graded bases."""
     d, k = tensor.d, tensor.k
-    labelled = [(lam, vec) for lam in partitions(k) for vec in w_lambda_basis(lam, d)]
+    labelled = [(lam, vec) for lam in partitions(k) for vec in dense_w_lambda_basis(lam, d)]
     n = d**k
     rows = [[vec.entries[i] for _, vec in labelled] for i in range(n)]
     coords = gauss_jordan_solve(rows, list(tensor.entries))
@@ -538,7 +596,7 @@ def solve_lie_idempotents(k):
     matrix = [[columns[j][i] for j in range(n)] for i in range(n)]
     iota = tuple(range(1, k + 1))
     rhs = [Fraction(1) if w == iota else Fraction(0) for w in perm_words]
-    coords = linalg.solve(matrix, rhs)
+    coords = gauss_jordan_solve(matrix, rhs)
     if coords is None:
         raise ArithmeticError("projector solve is inconsistent")
     out = {}

@@ -18,7 +18,15 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from oracles import integration_oracle, is_segment_equivalent, rank_by_minors, series_product
+from oracles import (
+    check_invariance,
+    concatenate_paths,
+    integration_oracle,
+    is_segment_equivalent,
+    random_tensor,
+    rank_by_minors,
+    series_product,
+)
 
 from thrallkit import linalg
 from thrallkit.free_lie import (
@@ -37,7 +45,6 @@ from thrallkit.group_algebra import (
     young_symmetrizer_transposed,
 )
 from thrallkit.invariants import (
-    check_invariance,
     lie_invariant_dimension,
     path_invariants,
     random_unimodular_matrix,
@@ -53,7 +60,7 @@ from thrallkit.rank_variety import (
 from thrallkit.reference_suite import ALL_CHECKS
 from thrallkit.shuffle_sig import PiecewiseLinearPath, is_group_like, signature
 from thrallkit.symfun import lie_character, plethysm_h, schur_expand, thrall_coefficients
-from thrallkit.tensors import is_symmetric, random_tensor
+from thrallkit.tensors import is_symmetric
 from thrallkit.words import (
     YoungTableau,
     conjugate_partition,
@@ -275,7 +282,7 @@ def test_criterion_14_signature_oracle():
         pts2 = [[Fraction(rng.randint(-2, 2)) for _ in range(2)] for _ in range(3)]
         x = PiecewiseLinearPath.from_lists(pts1)
         y = PiecewiseLinearPath.from_lists(pts2)
-        assert signature(x.concatenate(y), 4) == series_product(
+        assert signature(concatenate_paths(x, y), 4) == series_product(
             signature(x, 4), signature(y, 4)
         )
     report(14, t0, "staircase integration oracle, 25 concatenations")

@@ -1,4 +1,6 @@
+import contextlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from thrallkit.cli import main
-from thrallkit.jsonio import tensor_to_json
+from thrallkit.jsonio import format_fraction, tensor_to_json
 from thrallkit.tensors import Tensor
 
 
@@ -302,6 +304,10 @@ GOLDEN = [
     (["invariant-space", "--d", "3", "--k", "6"], "invariant_space_d3_k6.out", 0),
     (["check", "rank1", "--input", "tensor_d2_k3_rank_one.json"],
      "check_rank1_d2_k3.out", 0),
+    # a 4,000-digit vertex (3^8383): its square has more digits than Python
+    # converts to a string by default
+    (["signature", "--path", "path_d1_4000_digits.json", "--level", "2"],
+     "signature_d1_4000_digits_level2.out", 0),
 ]
 
 
@@ -373,3 +379,77 @@ def test_internal_error_exits_4_not_check_failed(capsys, monkeypatch):
     code, out, err = run(capsys, "check", "lie", "--input", str(DATA / "tensor_d3_k4_lie.json"))
     assert (code, out) == (cli.EXIT_INTERNAL, "") and code == 4
     assert "Traceback" in err and "ArithmeticError: injected" in err
+
+
+# --- Python's limit on int <-> str conversions (3.10.7+, 4300 digits by default)
+
+needs_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-string digit limit"
+)
+
+
+@contextlib.contextmanager
+def unlimited_digits():
+    """Lift the digit limit in the test itself, to write the expected values."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def write_path(tmp_path, points, name="path.json"):
+    file = tmp_path / name
+    file.write_text(json.dumps({"d": len(points[0]), "points": points}))
+    return str(file)
+
+
+@needs_digit_limit
+def test_signature_at_level_1700_prints_every_digit(tmp_path, capsys):
+    # 1700! alone has 4,756 digits; the limit applies again after main returns
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "signature", "--path", write_path(tmp_path, [[0], [1], [3]]),
+                         "--level", "1700")
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit
+    levels = json.loads(out)["levels"]
+    with unlimited_digits():
+        want = [{"1" * m: format_fraction(Fraction(3**m, math.factorial(m)))} for m in range(1701)]
+    assert levels == want
+
+
+@needs_digit_limit
+def test_digit_limit_guards_input_but_not_output(tmp_path, capsys):
+    limit = sys.get_int_max_str_digits()
+    at_limit = "9" * limit
+    code, out, err = run(capsys, "signature", "--path", write_path(tmp_path, [["0"], [at_limit]]),
+                         "--level", "2")
+    assert (code, err) == (0, "")
+    with unlimited_digits():
+        square = format_fraction(Fraction(int(at_limit) ** 2, 2))
+    assert json.loads(out)["levels"][1:] == [{"1": at_limit}, {"11": square}]
+    # one digit more is malformed input: the field is named, the number not echoed
+    over = at_limit + "9"
+    code, out, err = run(capsys, "signature", "--path", write_path(tmp_path, [["0"], [over]]),
+                         "--level", "2")
+    assert (code, out) == (2, "")
+    assert "field 'path.points[1][0]'" in err and f"of {limit + 1} characters" in err
+    assert len(err) < 400
+    # exponent notation is held to the same limit
+    code, out, err = run(capsys, "signature", "--path",
+                         write_path(tmp_path, [["0"], [f"1e{limit}"]]), "--level", "2")
+    assert (code, out) == (2, "")
+    assert f"field 'path.points[1][0]': bad rational '1e{limit}'" in err
+    code, out, err = run(capsys, "signature", "--path",
+                         write_path(tmp_path, [["0"], [f"1e-{limit - 1}"]]), "--level", "1")
+    assert (code, err) == (0, "")
+    with unlimited_digits():
+        assert json.loads(out)["levels"][1] == {"1": format_fraction(Fraction(1, 10 ** (limit - 1)))}
+    # the same number as a JSON integer literal names the file's field
+    literal = tmp_path / "literal.json"
+    literal.write_text('{"d": 1, "points": [[0], [' + over + "]]}")
+    code, out, err = run(capsys, "signature", "--path", str(literal), "--level", "2")
+    assert (code, out) == (2, "")
+    assert "field 'path'" in err and len(err) < 400
+    assert sys.get_int_max_str_digits() == limit

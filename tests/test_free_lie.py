@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from thrallkit import linalg
 from thrallkit.free_lie import (
     LieElement,
+    _w_basis_cached,
     bracket_expansion,
     exp_truncated,
     f_lambda,
@@ -21,7 +22,6 @@ from thrallkit.free_lie import (
     random_lie_element,
     standard_factorization,
     thrall_decompose,
-    w_lambda_basis,
 )
 from thrallkit.group_algebra import higher_lie_idempotent
 from thrallkit.symfun import w_module_dim
@@ -29,7 +29,6 @@ from thrallkit.tensors import (
     Tensor,
     TensorSeries,
     is_symmetric,
-    random_tensor,
     symmetrize,
     tensor_product,
     weight_blocks,
@@ -45,10 +44,16 @@ from oracles import (
     dense_solve_decompose,
     dense_w_lambda_basis,
     dynkin_is_lie_element,
+    random_tensor,
     series_exp,
     series_log,
     series_product,
 )
+
+def w_lambda_basis(lam, d):
+    """The lam-graded basis behind the solve backend, as tensors."""
+    return [Tensor.from_dict(d, sum(lam), vec, 1) for vec in _w_basis_cached(lam, d)]
+
 
 # Shapes (d, k) on which the Lyndon fast paths are cross-checked.
 LYNDON_SHAPES = [(3, 5), (2, 6), (4, 4)]

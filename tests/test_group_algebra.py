@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thrallkit import group_algebra, linalg
-from thrallkit.free_lie import lie_basis, lyndon_bracketing, w_lambda_basis
+from thrallkit.free_lie import lie_basis, lyndon_bracketing
 from thrallkit.group_algebra import (
     GroupAlgebraElement,
     K_MAX,
@@ -33,15 +33,17 @@ from thrallkit.reference_suite import (
     _element,
 )
 from thrallkit.symfun import thrall_coefficients
-from thrallkit.tensors import Tensor, permute_slots, random_tensor, symmetrize
+from thrallkit.tensors import Tensor, permute_slots, symmetrize
 from thrallkit.words import YoungTableau, partitions, schur_dim
 
 from oracles import (
     column_first_young_symmetrizer,
     dense_ga_act,
     dense_operator_rank,
+    dense_w_lambda_basis,
     fraction_central_idempotent,
     fraction_ga_multiply,
+    random_tensor,
     scatter_permute_slots,
     solve_lie_idempotents,
     verify_refinement,
@@ -390,6 +392,16 @@ def test_central_idempotent_trivial_and_sign():
     )
 
 
+def test_central_idempotent_is_built_once_per_partition(monkeypatch):
+    first = central_idempotent((3, 1))
+    # a later request, and the intersection projector, reuse that element
+    monkeypatch.setattr(group_algebra, "_cycle_types", None)
+    assert central_idempotent([3, 1]) is first
+    assert intersection_projector((2, 1, 1), (3, 1)) == ga_multiply(
+        higher_lie_idempotent((2, 1, 1)), first
+    )
+
+
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_central_idempotents_resolve_identity(k):
     total = GroupAlgebraElement.zero(k)
@@ -444,14 +456,14 @@ def test_projector_action_on_graded_bases(k):
     rng = Random(100 + k)
     for lam in partitions(k):
         e_lam = higher_lie_idempotent(lam)
-        basis = w_lambda_basis(lam, k)
+        basis = dense_w_lambda_basis(lam, k)
         sample = basis if k <= 3 else rng.sample(basis, min(3, len(basis)))
         for vec in sample:
             assert ga_act(e_lam, vec) == vec
         for mu in partitions(k):
             if mu == lam:
                 continue
-            others = w_lambda_basis(mu, k)
+            others = dense_w_lambda_basis(mu, k)
             sample = others if k <= 3 else rng.sample(others, min(2, len(others)))
             for vec in sample:
                 assert ga_act(e_lam, vec).is_zero()
@@ -524,7 +536,7 @@ def test_higher_lie_idempotents_k5():
         assert ga_multiply(e, e) == e
         total = total + e
     assert total == GroupAlgebraElement.identity(5)
-    for vec in w_lambda_basis((3, 2), 3):
+    for vec in dense_w_lambda_basis((3, 2), 3):
         assert ga_act(elements[(3, 2)], vec) == vec
         assert ga_act(elements[(2, 2, 1)], vec).is_zero()
 

@@ -1,6 +1,7 @@
 """Static checks on the library source: stdlib-only imports, no floating
 point, no imported name left unused, no private name left unreferenced and
-none reached from another module."""
+none reached from another module, and no public name that only the tests
+reach."""
 
 import ast
 import sys
@@ -8,7 +9,10 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).parent.parent / "src" / "thrallkit").glob("*.py"))
+ROOT = Path(__file__).parent.parent
+SOURCES = sorted((ROOT / "src" / "thrallkit").glob("*.py"))
+# what the program runs besides the package itself
+RUNNERS = sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def _tree(path: Path) -> ast.Module:
@@ -140,3 +144,38 @@ def test_every_public_jsonio_function_is_used_by_another_module():
     }
     assert len(public) > 5
     assert [name for name in public if name not in referenced] == []
+
+
+def _reads(node: ast.AST):
+    """Names read under ``node``: loaded identifiers, attribute names and the
+    names a ``from`` import binds."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.ImportFrom):
+            yield from (alias.name for alias in sub.names)
+
+
+def test_every_public_name_is_reached_outside_the_tests():
+    """Each public top-level function or class of the package is read by the
+    package (its own module counts, its own definition does not), by
+    ``scripts/`` or by ``perfbench/``; a helper only the tests use belongs in
+    ``tests/``.  ``__init__`` only names the exports, so it reaches nothing."""
+    reached = set()
+    for path in SOURCES + RUNNERS:
+        if path.name == "__init__.py":
+            continue
+        for node in _tree(path).body:
+            own = getattr(node, "name", None)
+            reached.update(name for name in _reads(node) if name != own)
+    public = [
+        (path.name, node.lineno, node.name)
+        for path in SOURCES
+        for node in _tree(path).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    ]
+    assert len(public) > 50
+    unreached = [f"{file}:{line} {name}" for file, line, name in public if name not in reached]
+    assert not unreached, f"public names that only the tests reach: {unreached}"

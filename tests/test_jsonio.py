@@ -7,7 +7,9 @@ from thrallkit import jsonio
 from thrallkit.group_algebra import higher_lie_idempotent
 from thrallkit.jsonio import FormatError
 from thrallkit.shuffle_sig import PiecewiseLinearPath, WordFunctional, signature
-from thrallkit.tensors import Tensor, random_tensor
+from thrallkit.tensors import Tensor
+
+from oracles import random_tensor
 
 
 def test_fraction_strings():

@@ -14,12 +14,11 @@ from thrallkit.tensors import (
     TensorSeries,
     is_symmetric,
     permute_slots,
-    random_tensor,
     symmetrize,
     tensor_product,
 )
 
-from oracles import flattening_rank, series_product
+from oracles import flattening_rank, random_tensor, series_product
 
 
 def e(d, *letters):
