@@ -44,7 +44,7 @@ _EXPORTS = {
             "SymFun", "higher_lie_character", "lie_character", "plethysm_h",
             "schur_expand", "sn_character", "thrall_coefficients",
         ),
-        "tensors": ("Tensor", "TensorSeries", "is_symmetric", "permute_slots", "tensor_product"),
+        "tensors": ("Tensor", "TensorSeries", "is_symmetric", "tensor_product"),
         "words": (
             "Partition", "ResourceLimitError", "Word", "YoungTableau", "lie_dim", "lyndon_words",
             "moebius", "num_standard", "partition_union", "partitions", "schur_dim",

@@ -5,11 +5,18 @@ An element holds integer numerators over one denominator, as a
 those integers, and :attr:`GroupAlgebraElement.terms` is built on first read.
 
 Element product is the convolution extending ``(sigma tau)(i) = sigma(tau(i))``.
-Elements act on tensors by the slot action of :func:`~thrallkit.tensors.permute_slots`:
+Elements act on tensors by :func:`ga_act`, the package's one slot action
+(fixed here once):
 
-    ga_act(x, T) = sum_sigma x_sigma * permute_slots(T, sigma)
+    ga_act(x, T)[w] = sum_sigma x_sigma T[w o sigma]      (w o sigma)_i = w_{sigma(i)}
 
-For elements fixed by ``sigma -> sigma^{-1}`` (all degree-3 projectors below,
+so on decomposable tensors the one-term element ``sigma`` moves the factor
+in slot ``i`` to slot ``sigma^{-1}(i)``,
+
+    sigma . (v_1 x ... x v_k) = v_{sigma^{-1}(1)} x ... x v_{sigma^{-1}(k)},
+
+which makes it a left action: ``(sigma tau) . T = sigma . (tau . T)``.  For
+elements fixed by ``sigma -> sigma^{-1}`` (all degree-3 projectors below,
 every central idempotent) this agrees with the mirrored action; in general the
 two differ and this package consistently uses the slot action above.
 """
@@ -29,7 +36,6 @@ from .permutations import (
     all_permutations,
     compose,
     cycle_type,
-    identity as identity_perm,
     inverse,
     perm_to_word,
     sign,
@@ -72,7 +78,7 @@ class GroupAlgebraElement:
     def __post_init__(self) -> None:
         den, nums = self.den, self.nums
         if den is None:
-            den, values = linalg.integer_numerators(nums.values())
+            den, values = linalg.integer_numerators(map(Fraction, nums.values()))
             nums = dict(zip(nums, values))
         elif den < 1:
             raise ValueError(f"den must be >= 1, got {den}")
@@ -91,19 +97,8 @@ class GroupAlgebraElement:
         return {p: Fraction(n, self.den) for p, n in self.nums.items()}
 
     @staticmethod
-    def identity(k: int) -> "GroupAlgebraElement":
-        return GroupAlgebraElement(k, {identity_perm(k): 1}, 1)
-
-    @staticmethod
     def zero(k: int) -> "GroupAlgebraElement":
         return GroupAlgebraElement(k, {}, 1)
-
-    @staticmethod
-    def of(k: int, perm: Perm, coeff=1) -> "GroupAlgebraElement":
-        return GroupAlgebraElement(k, {tuple(perm): coeff})
-
-    def coefficient(self, perm: Perm) -> Fraction:
-        return Fraction(self.nums.get(tuple(perm), 0), self.den)
 
     def __add__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
         self._check(other)

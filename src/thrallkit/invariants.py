@@ -49,12 +49,11 @@ def _polytabloid_rows(d: int, ell: int) -> tuple[list[Word], list[list[int]]]:
 
 
 def _functionals(d: int, words: list[Word], vectors) -> list[WordFunctional]:
-    """Normalized functionals of the canonical basis of the vectors' span."""
+    """The functionals of :func:`thrallkit.linalg.primitive_row_basis` of the
+    vectors, whose entries sit at the words in lex order."""
     return [
-        normalize_functional(
-            WordFunctional(d, {w: v[i] for i, w in enumerate(words) if v[i] != 0})
-        )
-        for v in linalg.row_space_basis(vectors)
+        WordFunctional(d, {w: c for w, c in zip(words, row) if c})
+        for row in linalg.primitive_row_basis(vectors)
     ]
 
 
@@ -79,17 +78,6 @@ def sl_invariant_space(d: int, k: int) -> list[WordFunctional]:
         return []
     words, rows = _polytabloid_rows(d, k // d)
     return _functionals(d, words, rows)
-
-
-def normalize_functional(beta: WordFunctional) -> WordFunctional:
-    """Clear denominators, divide by the gcd, make the lex-first coefficient positive."""
-    if not beta.terms:
-        return beta
-    _, nums = linalg.integer_numerators(beta.terms.values())
-    g = math.gcd(*nums)
-    if beta.terms[min(beta.terms)] < 0:
-        g = -g
-    return WordFunctional(beta.d, {w: n // g for w, n in zip(beta.terms, nums)})
 
 
 def path_invariants(d: int, ell: int) -> dict[Partition, list[WordFunctional]]:

@@ -11,6 +11,7 @@ field.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -58,10 +59,19 @@ def _parse_fraction(text, field: str) -> Fraction:
     if not isinstance(text, str):
         raise FormatError(field, f"expected a rational string, got {type(text).__name__}")
     try:
+        _, e, exponent = text.lower().rpartition("e")
+        if e:
+            # exponent notation reaches any size in a few characters: an
+            # exponent beyond the digit limit (Python's default of 4300 where
+            # the interpreter has none or it is lifted) is refused before
+            # Fraction expands it, and a smaller one is held to that limit by
+            # writing the number out, as all other input is
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+            digits = exponent.strip().lstrip("+-")
+            if digits.isdigit() and int(digits) > limit:
+                raise ValueError(f"exponent beyond the digit limit of {limit}")
         value = Fraction(text)
-        if "e" in text.lower():
-            # exponent notation reaches any size in a few characters; writing
-            # the number out holds it to the digit limit of all other input
+        if e:
             str(max(abs(value.numerator), value.denominator))
         return value
     except (ValueError, ZeroDivisionError) as exc:

@@ -1,27 +1,24 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of rows of :class:`fractions.Fraction` (ints are accepted
-too).  Every routine goes through one fraction-free kernel: each row is
-scaled to integers by the lcm of its denominators (which keeps its row
-space), then reduced by Gauss-Jordan elimination with Bareiss's exact
-division (Bareiss, *Math. Comp.* 22, 1968), so every intermediate entry is
-an integer minor of the scaled matrix.  Fractions are built only for the
-results; the reduced row echelon form is unique, so it is the same one that
-elimination over the rationals gives.
+Matrices are lists of rows of ints or :class:`fractions.Fraction`.  Every
+routine goes through one fraction-free kernel: each row is scaled to
+integers by the lcm of its denominators (which keeps its row space), then
+reduced by Gauss-Jordan elimination with Bareiss's exact division (Bareiss,
+*Math. Comp.* 22, 1968), so every intermediate entry is an integer minor of
+the scaled matrix.  Results are integers too: a rank, an inverse as
+numerators over one denominator, and a row-space basis as primitive
+integer rows; no Fraction is built here.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-
-Matrix = list[list[Fraction]]
-Vector = list[Fraction]
 
 
 def integer_numerators(values) -> tuple[int, list[int]]:
-    """Common denominator ``D`` and integers ``n`` with ``values[i] == n[i] / D``."""
-    values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    """Common denominator ``D`` and integers ``n`` with ``values[i] == n[i] / D``
+    for ints and Fractions ``values``."""
+    values = list(values)
     den = math.lcm(*(v.denominator for v in values))
     return den, [v.numerator * (den // v.denominator) for v in values]
 
@@ -76,17 +73,6 @@ def _eliminate(rows: list[list[int]]) -> tuple[list[int], int, int]:
     return pivots, prev, sign
 
 
-def rref(matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and the list of pivot columns."""
-    rows, _ = _integer_rows(matrix)
-    if not rows:
-        return [], []
-    pivots, p, _ = _eliminate(rows)
-    zero = [Fraction(0)] * len(rows[0])
-    red = [[Fraction(a, p) for a in row] for row in rows[: len(pivots)]]
-    return red + [list(zero) for _ in rows[len(pivots) :]], pivots
-
-
 def rank(matrix) -> int:
     rows, _ = _integer_rows(matrix)
     return len(_eliminate(rows)[0])
@@ -111,10 +97,20 @@ def integer_inverse(matrix) -> tuple[list[list[int]], int]:
     return [row[n:] for row in rows], p
 
 
-def row_space_basis(vectors) -> list[Vector]:
-    """Canonical (RREF) basis of the span of the given vectors."""
-    red, pivots = rref(vectors)
-    return [red[i] for i in range(len(pivots))]
+def primitive_row_basis(matrix) -> list[list[int]]:
+    """Basis of the row space: the nonzero rows of the reduced row echelon
+    form, each scaled to coprime integers with a positive pivot.
+
+    Row ``r`` of the eliminated matrix is ``p`` times RREF row ``r``, so
+    dividing it by its gcd, signed like ``p``, makes it primitive.
+    """
+    rows, _ = _integer_rows(matrix)
+    pivots, p, _ = _eliminate(rows)
+    basis = []
+    for row in rows[: len(pivots)]:
+        g = math.gcd(*row) if p > 0 else -math.gcd(*row)
+        basis.append([a // g for a in row])
+    return basis
 
 
 def in_span(vectors, target) -> bool:

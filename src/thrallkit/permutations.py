@@ -13,10 +13,6 @@ import itertools
 Perm = tuple[int, ...]
 
 
-def identity(k: int) -> Perm:
-    return tuple(range(k))
-
-
 def compose(p: Perm, q: Perm) -> Perm:
     if len(p) != len(q):
         raise ValueError("size mismatch")

@@ -39,7 +39,9 @@ from functools import cache
 from operator import mul
 
 from .tensors import Tensor, TensorSeries
-from .words import ResourceLimitError, Word, all_words, word_to_index
+from .words import (
+    ResourceLimitError, Word, all_words, index_to_word, longest_lyndon_prefix, word_to_index,
+)
 
 # Cap on the entries of a truncated signature, 1 + d + .. + d^k_max, so that
 # every level fits in memory: d=2 to level 16, d=3 to level 10 and d=4 to
@@ -68,10 +70,6 @@ class WordFunctional:
             if c != 0:
                 cleaned[word] = c
         object.__setattr__(self, "terms", cleaned)
-
-    @staticmethod
-    def zero(d: int) -> "WordFunctional":
-        return WordFunctional(d, {})
 
     def __add__(self, other: "WordFunctional") -> "WordFunctional":
         self._check(other)
@@ -102,20 +100,6 @@ class WordFunctional:
             raise ValueError(f"alphabet mismatch: d={self.d} vs d={other.d}")
 
 
-@cache
-def _shuffle_multiplicities(a: Word, b: Word) -> tuple[tuple[Word, int], ...]:
-    if not a:
-        return ((b, 1),)
-    if not b:
-        return ((a, 1),)
-    counts: dict[Word, int] = {}
-    for w, c in _shuffle_multiplicities(a[1:], b):
-        counts[(a[0],) + w] = counts.get((a[0],) + w, 0) + c
-    for w, c in _shuffle_multiplicities(a, b[1:]):
-        counts[(b[0],) + w] = counts.get((b[0],) + w, 0) + c
-    return tuple(sorted(counts.items()))
-
-
 def shuffle_words(a: Word, b: Word, d: int | None = None) -> WordFunctional:
     """Shuffle product of two coordinate functionals.
 
@@ -125,28 +109,22 @@ def shuffle_words(a: Word, b: Word, d: int | None = None) -> WordFunctional:
     a, b = tuple(a), tuple(b)
     if d is None:
         d = max(max(a, default=1), max(b, default=1))
-    terms = {w: Fraction(c) for w, c in _shuffle_multiplicities(a, b)}
-    return WordFunctional(d, terms)
+    return shuffle_functionals(WordFunctional(d, {a: 1}), WordFunctional(d, {b: 1}))
 
 
 def shuffle_functionals(beta: WordFunctional, gamma: WordFunctional) -> WordFunctional:
-    """Bilinear extension of :func:`shuffle_words`."""
+    """Bilinear extension of :func:`shuffle_words`, summed into one map over
+    the interleavings that :func:`_shuffle_indices` counts."""
     beta._check(gamma)
-    acc = WordFunctional.zero(beta.d)
+    d = beta.d
+    terms: dict[Word, Fraction] = {}
     for wa, ca in beta.terms.items():
         for wb, cb in gamma.terms.items():
-            acc = acc + shuffle_words(wa, wb, beta.d).scale(ca * cb)
-    return acc
-
-
-def _first_lyndon_factor(word: Word) -> int:
-    """Length of the longest Lyndon prefix of a nonempty word, which is the
-    first factor of its Lyndon factorization (Duval's algorithm)."""
-    i, j = 0, 1
-    while j < len(word) and word[i] <= word[j]:
-        i = 0 if word[i] < word[j] else i + 1
-        j += 1
-    return j - i
+            n = len(wa) + len(wb)
+            for index, c in sorted(_shuffle_indices(wa, wb, d).items()):
+                w = index_to_word(index, d, n)
+                terms[w] = terms.get(w, 0) + c * ca * cb
+    return WordFunctional(d, terms)
 
 
 def _shuffle_indices(a: Word, b: Word, d: int) -> dict[int, int]:
@@ -156,7 +134,7 @@ def _shuffle_indices(a: Word, b: Word, d: int) -> dict[int, int]:
     shuffle b[j:]) + b[j] (a[i:] shuffle b[j+1:])``, where a leading letter
     ``x`` adds ``(x - 1) d^(n - 1)`` to the index of a word of length ``n``.
     The memo over the positions ``(i, j)`` lives for one call, so no
-    sub-shuffle outlives it (unlike the word cache of :func:`shuffle_words`).
+    sub-shuffle outlives it.
     """
     memo: dict[tuple[int, int], dict[int, int]] = {}
 
@@ -184,7 +162,7 @@ def _group_like_plan(d: int, m: int) -> tuple[tuple, ...]:
     l shuffle v, their multiplicities)``."""
     plan = []
     for w in all_words(d, m):
-        p = _first_lyndon_factor(w)
+        p = longest_lyndon_prefix(w)
         if p == m:
             continue
         terms = _shuffle_indices(w[:p], w[p:], d)
@@ -263,9 +241,6 @@ class PiecewiseLinearPath:
         if not pts:
             raise ValueError("a path needs at least one point")
         return PiecewiseLinearPath(len(pts[0]), pts)
-
-    def reversed(self) -> "PiecewiseLinearPath":
-        return PiecewiseLinearPath(self.d, tuple(reversed(self.points)))
 
 
 def _chen_numerators(path: PiecewiseLinearPath, k_max: int):

@@ -56,13 +56,6 @@ class SymFun:
     def one() -> "SymFun":
         return SymFun(0, {(): Fraction(1)})
 
-    @staticmethod
-    def power_sum(rho: Partition) -> "SymFun":
-        return SymFun(sum(rho), {check_partition(rho): Fraction(1)})
-
-    def coefficient(self, rho: Partition) -> Fraction:
-        return self.terms.get(check_partition(rho), Fraction(0))
-
     def __add__(self, other: "SymFun") -> "SymFun":
         if self.degree != other.degree:
             raise ValueError("degree mismatch")

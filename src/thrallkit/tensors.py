@@ -6,23 +6,13 @@ integers, and each hands its own to the constructor, the one place where
 numerators become a tensor.  Fractions are built only at the boundary
 (:attr:`Tensor.entries`, item access, :meth:`Tensor.nonzero_terms`).
 
-Slot-action convention (fixed here once, and every slot action agrees with
-:func:`permute_slots`): for a permutation ``sigma`` the permuted tensor has
-
-    permute_slots(T, sigma)[w] = T[w o sigma]      (w o sigma)_i = w_{sigma(i)}
-
-equivalently on decomposable tensors sigma moves the factor in slot ``i``
-to slot ``sigma^{-1}(i)``:
-
-    sigma . (v_1 x ... x v_k) = v_{sigma^{-1}(1)} x ... x v_{sigma^{-1}(k)}
-
-which makes the assignment ``sigma -> permute_slots(., sigma)`` a left
-group action: ``(sigma tau) . T = sigma . (tau . T)``.
-
 Weight blocks: slot permutations keep the letter content of a word (the
 multiset of its letters), and so do the graded bases and every operator
 built from them, because the diagonal torus of GL_d fixes each of these.
-:func:`weight_blocks` groups the flat indices by content.
+:func:`weight_blocks` groups the flat indices by content.  The slot action
+itself is :func:`thrallkit.group_algebra.ga_act`; the symmetric group acts
+transitively on each weight block, so :func:`is_symmetric` and
+:func:`symmetrize` read the blocks alone.
 """
 
 from __future__ import annotations
@@ -34,7 +24,6 @@ from fractions import Fraction
 from functools import cache, cached_property
 
 from . import linalg
-from .permutations import Perm, inverse
 from .words import Word, index_to_word, word_to_index
 
 _ZERO = Fraction(0)
@@ -45,7 +34,7 @@ class Tensor:
     """Dense order-``k`` tensor on a ``d``-dimensional space: integer
     numerators ``nums`` over one denominator ``den``.
 
-    ``Tensor(d, k, values)`` reads ``d**k`` rationals and ``Tensor(d, k,
+    ``Tensor(d, k, values)`` reads ``d**k`` ints or Fractions and ``Tensor(d, k,
     nums, den)`` integer numerators over ``den >= 1``.  Both are reduced to
     lowest terms, ``gcd(den, *nums) == 1`` (the zero tensor has ``den ==
     1``), so equal tensors have equal fields, and equality, hashing and
@@ -86,12 +75,6 @@ class Tensor:
     @staticmethod
     def scalar(d: int, value) -> "Tensor":
         return Tensor(d, 0, (value,))
-
-    @staticmethod
-    def basis(d: int, word: Word) -> "Tensor":
-        nums = [0] * d ** len(word)
-        nums[word_to_index(word, d)] = 1
-        return Tensor(d, len(word), nums, 1)
 
     @staticmethod
     def from_vector(d: int, coords) -> "Tensor":
@@ -175,35 +158,12 @@ def weight_blocks(d: int, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(block) for block in blocks.values())
 
 
-def permute_slots(tensor: Tensor, sigma: Perm) -> Tensor:
-    """Left slot action; see the module docstring for the convention.
-
-    Gathers through the index map ``g[index(w)] = index(w o sigma)``: letter
-    j of w lands at place ``sigma^{-1}(j)`` of ``w o sigma``, so the map is
-    built slot by slot, leftmost (most significant) first.
-    """
-    d, k = tensor.d, tensor.k
-    if len(sigma) != k:
-        raise ValueError(f"permutation size {len(sigma)} != tensor order {k}")
-    g = [0]
-    for place in inverse(tuple(sigma)):
-        step = d ** (k - 1 - place)
-        g = [x + a * step for x in g for a in range(d)]
-    return Tensor(d, k, tuple(map(tensor.nums.__getitem__, g)), tensor.den)
-
-
 def is_symmetric(tensor: Tensor) -> bool:
-    """True iff the tensor is fixed by every slot permutation.
-
-    Checked on adjacent transpositions, which generate the full group.
-    """
-    k = tensor.k
-    for i in range(k - 1):
-        sigma = list(range(k))
-        sigma[i], sigma[i + 1] = sigma[i + 1], sigma[i]
-        if permute_slots(tensor, tuple(sigma)) != tensor:
-            return False
-    return True
+    """True iff the tensor is fixed by every slot permutation: these permute
+    each weight block transitively, so iff its numerators are constant on
+    every block."""
+    at = tensor.nums.__getitem__
+    return all(len(set(map(at, block))) == 1 for block in weight_blocks(tensor.d, tensor.k))
 
 
 @dataclass(frozen=True)
@@ -226,16 +186,6 @@ class TensorSeries:
 
     def level(self, k: int) -> Tensor:
         return self.levels[k]
-
-    @staticmethod
-    def unit(d: int, k_max: int) -> "TensorSeries":
-        levels = [Tensor.scalar(d, 1)] + [Tensor.zero(d, k) for k in range(1, k_max + 1)]
-        return TensorSeries(d, tuple(levels))
-
-    @staticmethod
-    def zero(d: int, k_max: int) -> "TensorSeries":
-        levels = [Tensor.scalar(d, 0)] + [Tensor.zero(d, k) for k in range(1, k_max + 1)]
-        return TensorSeries(d, tuple(levels))
 
     @staticmethod
     def from_levels(d: int, k_max: int, parts: dict[int, Tensor]) -> "TensorSeries":
@@ -270,11 +220,13 @@ class TensorSeries:
 
 
 def symmetrize(tensor: Tensor) -> Tensor:
-    """Average over all slot permutations."""
-    k = tensor.k
-    acc = Tensor.zero(tensor.d, k)
-    count = 0
-    for sigma in itertools.permutations(range(k)):
-        acc = acc + permute_slots(tensor, sigma)
-        count += 1
-    return acc.scale(Fraction(1, count))
+    """Average over all slot permutations: each entry becomes the mean of its
+    weight block, which the k! permutations cover k! / |block| times each."""
+    d, k = tensor.d, tensor.k
+    n = math.factorial(k)
+    nums = [0] * len(tensor.nums)
+    for block in weight_blocks(d, k):
+        total = sum(map(tensor.nums.__getitem__, block)) * (n // len(block))
+        for i in block:
+            nums[i] = total
+    return Tensor(d, k, nums, tensor.den * n)

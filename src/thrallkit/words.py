@@ -91,12 +91,20 @@ def distinct_orderings(items):
         w[i + 1 :] = w[:i:-1]
 
 
+def longest_lyndon_prefix(word: Word) -> int:
+    """Length of the longest Lyndon prefix of a nonempty word, which is the
+    first factor of its Lyndon factorization (Duval's algorithm)."""
+    i, j = 0, 1
+    while j < len(word) and word[i] <= word[j]:
+        i = 0 if word[i] < word[j] else i + 1
+        j += 1
+    return j - i
+
+
 def is_lyndon(word: Word) -> bool:
-    """True iff the word is strictly smaller than all of its rotations."""
-    n = len(word)
-    if n == 0:
-        return False
-    return all(word < word[i:] + word[:i] for i in range(1, n))
+    """True iff the word is its own longest Lyndon prefix (a Lyndon word is
+    nonempty and strictly smaller than all of its proper rotations)."""
+    return bool(word) and longest_lyndon_prefix(word) == len(word)
 
 
 def lyndon_words(d: int, k: int) -> list[Word]:

@@ -15,7 +15,8 @@ on functionals and the Lie levels from term-by-term Fraction sums, and the
 graded bases, the f_lambda summands and the Lie bracket from dense Fraction
 tensor products, the determinant-one invariants from the nullspace of the
 infinitesimal conditions, Lie membership from Dynkin's criterion and the
-rank-one test from single-slot flattening ranks, so the main
+rank-one test from single-slot flattening ranks, Lyndon words from their
+rotations and shuffles from the positions of the first word, so the main
 implementations are checked against genuinely different arithmetic.
 """
 
@@ -31,7 +32,6 @@ from thrallkit.free_lie import (
     lyndon_bracketing,
 )
 from thrallkit.group_algebra import GroupAlgebraElement, _subgroup_fixing, higher_lie_idempotent
-from thrallkit.invariants import normalize_functional
 from thrallkit.permutations import (
     all_permutations,
     compose,
@@ -47,7 +47,6 @@ from thrallkit.symfun import sn_character
 from thrallkit.tensors import (
     Tensor,
     TensorSeries,
-    permute_slots,
     tensor_product,
 )
 from thrallkit.words import (
@@ -66,6 +65,19 @@ from thrallkit.words import (
 # ---------------------------------------------------------------------------
 # helpers that only the tests use (they were public library API until no
 # library path, script or benchmark called them)
+
+
+def basis_tensor(d: int, word) -> Tensor:
+    """The coordinate tensor e_word: 1 at ``word``, 0 elsewhere."""
+    nums = [0] * d ** len(word)
+    nums[word_to_index(tuple(word), d)] = 1
+    return Tensor(d, len(word), nums, 1)
+
+
+def slot_permutation(perm, coeff=1) -> GroupAlgebraElement:
+    """The one-term element ``coeff * perm``, whose ``ga_act`` is the slot
+    action of ``perm`` scaled by ``coeff``."""
+    return GroupAlgebraElement(len(perm), {tuple(perm): coeff})
 
 
 def random_tensor(d: int, k: int, rng, bound: int = 5) -> Tensor:
@@ -169,7 +181,7 @@ def flattening_rank(tensor: Tensor, split) -> int:
 
 def nullspace(matrix) -> list:
     """Basis of the right nullspace, one vector per free column."""
-    m, pivots = linalg.rref(matrix)
+    m, pivots = gauss_jordan_rref(matrix)
     ncols = len(m[0]) if m else 0
     basis = []
     for fc in (c for c in range(ncols) if c not in pivots):
@@ -243,12 +255,16 @@ def chen_numerators_reference(path: PiecewiseLinearPath, k_max: int):
     return nums, [math.factorial(m) * q**m for m in range(k_max + 1)]
 
 
+def unit_series(d: int, k_max: int) -> TensorSeries:
+    """The series 1: level 0 is 1, every other level 0."""
+    return TensorSeries.from_levels(d, k_max, {0: Tensor.scalar(d, 1)})
+
+
 def series_exp(series: TensorSeries) -> TensorSeries:
     """Truncated exponential as the Fraction power sum of series products."""
     if not series.level(0).is_zero():
         raise ValueError("exp requires level 0 equal to 0")
-    result = TensorSeries.unit(series.d, series.k_max)
-    power = TensorSeries.unit(series.d, series.k_max)
+    result = power = unit_series(series.d, series.k_max)
     for n in range(1, series.k_max + 1):
         power = series_product(power, series)
         result = result + power.scale(Fraction(1, math.factorial(n)))
@@ -259,9 +275,9 @@ def series_log(series: TensorSeries) -> TensorSeries:
     """Truncated logarithm as the Fraction power sum of series products."""
     if series.level(0) != Tensor.scalar(series.d, 1):
         raise ValueError("log requires level 0 equal to 1")
-    shifted = series - TensorSeries.unit(series.d, series.k_max)
-    result = TensorSeries.zero(series.d, series.k_max)
-    power = TensorSeries.unit(series.d, series.k_max)
+    power = unit_series(series.d, series.k_max)
+    shifted = series - power
+    result = TensorSeries.from_levels(series.d, series.k_max, {})
     for n in range(1, series.k_max + 1):
         power = series_product(power, shifted)
         result = result + power.scale(Fraction((-1) ** (n + 1), n))
@@ -274,14 +290,15 @@ def dynkin_is_lie_element(tensor: Tensor) -> bool:
     The bracketing replaces each word w_1 .. w_k by
     [[..[e_{w_1}, e_{w_2}], ..], e_{w_k}]; step j brackets slot j+1 onto
     slots 1..j, subtracting the tensor with slot j+1 moved in front of slots
-    1..j, which is ``permute_slots`` by the cycle (1 2 .. j+1).
+    1..j, which is the slot action of the cycle (1 2 .. j+1), applied by
+    :func:`scatter_permute_slots`.
     """
     if tensor.k < 1:
         return False
     result = tensor
     for j in range(1, tensor.k):
         sigma = tuple((i + 1) % (j + 1) if i <= j else i for i in range(tensor.k))
-        result = result - permute_slots(result, sigma)
+        result = result - scatter_permute_slots(result, sigma)
     return result == tensor.scale(tensor.k)
 
 
@@ -357,6 +374,17 @@ def rank_by_minors(m) -> int:
                 if leibniz_determinant(sub) != 0:
                     return size
     return 0
+
+
+def is_lyndon_by_rotations(word) -> bool:
+    """A Lyndon word is nonempty and strictly smaller than each of its
+    proper rotations."""
+    return bool(word) and all(word < word[i:] + word[:i] for i in range(1, len(word)))
+
+
+def longest_lyndon_prefix_by_rotations(word) -> int:
+    """The length of the longest prefix that :func:`is_lyndon_by_rotations` accepts."""
+    return max(p for p in range(1, len(word) + 1) if is_lyndon_by_rotations(word[:p]))
 
 
 def shuffle_oracle(a, b) -> dict:
@@ -470,7 +498,7 @@ def scatter_permute_slots(tensor: Tensor, sigma) -> Tensor:
 
 
 def dense_ga_act(x, tensor: Tensor) -> Tensor:
-    """sum_sigma x_sigma * permute_slots(T, sigma) in Fractions, scattering
+    """sum_sigma x_sigma * (slot action of sigma on T) in Fractions, scattering
     each nonzero entry at w to w o sigma^{-1} once per term."""
     d, k = tensor.d, tensor.k
     moves = [(inverse(perm), c) for perm, c in x.terms.items()]
@@ -487,7 +515,7 @@ def dense_ga_act(x, tensor: Tensor) -> Tensor:
 def dense_operator_rank(x, d: int) -> int:
     """Rank of the images of every basis tensor, by one dense row reduction."""
     images = [
-        list(dense_ga_act(x, Tensor.basis(d, w)).entries) for w in all_words(d, x.k)
+        list(dense_ga_act(x, basis_tensor(d, w)).entries) for w in all_words(d, x.k)
     ]
     return len(gauss_jordan_rref(images)[1])
 
@@ -693,6 +721,22 @@ def permutation_words_with_counts(counts: dict) -> list:
     return permutation_orderings([letter for letter, c in counts.items() for _ in range(c)])
 
 
+def normalized_row_functionals(d: int, words, matrix) -> list:
+    """The nonzero rows of :func:`gauss_jordan_rref`, read as functionals
+    over ``words``, each scaled to integer coefficients with gcd one and the
+    coefficient at its lex-first word positive: the normalization of
+    :func:`thrallkit.invariants.sl_invariant_space`."""
+    red, pivots = gauss_jordan_rref(matrix)
+    out = []
+    for row in red[: len(pivots)]:
+        scale = math.lcm(*(x.denominator for x in row))
+        nums = [x.numerator * (scale // x.denominator) for x in row]
+        lead = min((w, n) for w, n in zip(words, nums) if n)[1]
+        g = math.gcd(*nums) * (1 if lead > 0 else -1)
+        out.append(WordFunctional(d, {w: n // g for w, n in zip(words, nums) if n}))
+    return out
+
+
 def permutation_sl_invariant_space(d: int, k: int) -> list:
     """The standard polytabloid rows over the balanced words of
     :func:`permutation_words_with_counts`, each column determinant read off
@@ -712,10 +756,7 @@ def permutation_sl_invariant_space(d: int, k: int) -> list:
                 value *= sign(tuple(x - 1 for x in letters)) if len(set(letters)) == d else 0
             row.append(value)
         rows.append(row)
-    return [
-        normalize_functional(WordFunctional(d, {w: v[i] for i, w in enumerate(words) if v[i]}))
-        for v in linalg.row_space_basis(rows)
-    ]
+    return normalized_row_functionals(d, words, rows)
 
 
 def nullspace_sl_invariant_space(d: int, k: int) -> list:
@@ -748,12 +789,7 @@ def nullspace_sl_invariant_space(d: int, k: int) -> list:
                         row[index[w[:slot] + (a,) + w[slot + 1 :]]] += 1
                 rows.append(row)
     basis = nullspace(rows) if rows else identity_matrix(len(balanced))
-    return [
-        normalize_functional(
-            WordFunctional(d, {w: v[i] for w, i in index.items() if v[i] != 0})
-        )
-        for v in linalg.row_space_basis(basis)
-    ]
+    return normalized_row_functionals(d, balanced, basis)
 
 
 def fraction_path_invariants(d: int, ell: int) -> dict:
@@ -771,13 +807,7 @@ def fraction_path_invariants(d: int, ell: int) -> dict:
             image = fraction_act_on_functional(projector, beta, k)
             if image.terms:
                 images.append([image.terms.get(w, Fraction(0)) for w in words])
-        basis = linalg.row_space_basis(images) if images else []
-        out[lam] = [
-            normalize_functional(
-                WordFunctional(d, {w: v[i] for i, w in enumerate(words) if v[i] != 0})
-            )
-            for v in basis
-        ]
+        out[lam] = normalized_row_functionals(d, words, images)
     return out
 
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -61,7 +62,7 @@ def test_thrall_coeffs(capsys):
 
 
 def test_decompose_roundtrip(tmp_path, capsys):
-    tensor = Tensor.basis(2, (1, 1, 2))
+    tensor = Tensor.from_dict(2, 3, {(1, 1, 2): 1})
     file = tmp_path / "tensor.json"
     file.write_text(json.dumps(tensor_to_json(tensor)))
     code, out, _ = run(capsys, "decompose", "--tensor", str(file))
@@ -417,6 +418,24 @@ def test_signature_at_level_1700_prints_every_digit(tmp_path, capsys):
     with unlimited_digits():
         want = [{"1" * m: format_fraction(Fraction(3**m, math.factorial(m)))} for m in range(1701)]
     assert levels == want
+
+
+@pytest.mark.parametrize("text", ["1e100000000", "-1E-100000000", "1e+0100000000"])
+def test_huge_exponents_are_refused_before_they_are_expanded(tmp_path, capsys, text):
+    # expanding 1e100000000 alone would build a 41 MB integer, for seconds
+    tensor = tmp_path / "tensor.json"
+    tensor.write_text(json.dumps({"d": 1, "k": 1, "entries": {"1": text}}))
+    cases = [
+        (["check", "rank1", "--input", str(tensor)], "tensor.entries.1"),
+        (["signature", "--path", write_path(tmp_path, [["0"], [text]]), "--level", "1"],
+         "path.points[1][0]"),
+    ]
+    for argv, field in cases:
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert f"field {field!r}: bad rational {text!r}: exponent beyond the digit limit" in err
 
 
 @needs_digit_limit

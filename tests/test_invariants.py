@@ -9,7 +9,6 @@ from thrallkit.free_lie import LieElement, phi_k, random_lie_element
 from thrallkit.invariants import (
     alternating_signature,
     lie_invariant_dimension,
-    normalize_functional,
     path_invariants,
     random_unimodular_matrix,
     sl_invariant_space,
@@ -22,6 +21,7 @@ from thrallkit.words import ResourceLimitError, all_words, distinct_orderings, n
 
 from oracles import (
     apply_matrix,
+    basis_tensor,
     check_invariance,
     dense_w_lambda_basis,
     evaluate_on_tensor,
@@ -188,7 +188,7 @@ def test_check_invariance_examples():
     assert check_invariance(BETA_22, identity, t)
     shear = [[1, 2], [0, 1]]
     coord = WordFunctional(2, {(1, 1, 1, 1): 1})
-    assert not check_invariance(coord, shear, Tensor.basis(2, (1, 2, 1, 2)))
+    assert not check_invariance(coord, shear, basis_tensor(2, (1, 2, 1, 2)))
     with pytest.raises(ValueError):
         check_invariance(BETA_22, [[2, 0], [0, 1]], t)
 
@@ -351,12 +351,6 @@ def test_parts_bounded_by_two_pattern():
                 continue
             dim = thrall_coefficients(lam).get((ell,) * 3, 0)
             assert dim == (1 if lam == (2,) * ell + (1,) * ell else 0)
-
-
-def test_normalize_functional():
-    beta = WordFunctional(2, {(1, 2): Fraction(-2, 3), (2, 1): Fraction(4, 3)})
-    normalized = normalize_functional(beta)
-    assert normalized.terms == {(1, 2): Fraction(1), (2, 1): Fraction(-2)}
 
 
 def _kills_other_grades(beta, lam, d, k):

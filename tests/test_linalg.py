@@ -1,6 +1,8 @@
+import math
 from fractions import Fraction
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from thrallkit import linalg
@@ -13,10 +15,7 @@ def frac_matrix(rows):
 
 
 def test_rref_identity():
-    m = frac_matrix([[2, 0], [0, 5]])
-    red, pivots = linalg.rref(m)
-    assert red == frac_matrix([[1, 0], [0, 1]])
-    assert pivots == [0, 1]
+    assert linalg.primitive_row_basis(frac_matrix([[2, 0], [0, 5]])) == [[1, 0], [0, 1]]
 
 
 def test_rank_and_nullspace_hand_case():
@@ -63,8 +62,7 @@ def test_span_helpers():
     assert linalg.same_span(a, b)
     assert linalg.in_span(a, [Fraction(2), Fraction(3), Fraction(0)])
     assert not linalg.in_span(a, [0, 0, 1])
-    basis = linalg.row_space_basis(b)
-    assert basis == frac_matrix([[1, 0, 0], [0, 1, 0]])
+    assert linalg.primitive_row_basis(b) == [[1, 0, 0], [0, 1, 0]]
 
 
 def test_identity_matrix():
@@ -94,12 +92,30 @@ def rational_matrices(draw):
     return rows
 
 
+def primitive_rref_rows(red, pivots):
+    """The nonzero rows of a Fraction RREF, each times the lcm of its
+    denominators over the gcd of the products; the pivot 1 stays positive."""
+    out = []
+    for row in red[: len(pivots)]:
+        scale = math.lcm(*(x.denominator for x in row))
+        nums = [int(x * scale) for x in row]
+        out.append([n // math.gcd(*nums) for n in nums])
+    return out
+
+
 @given(rational_matrices())
+# the zero matrix; negative pivots, alone and after a row swap; rank deficiency
+@example([[Fraction(0)] * 3] * 2)
+@example(frac_matrix([[-3, 6, 1]]))
+@example(frac_matrix([[0, -2, 4], [-5, 1, 0]]))
+@example(frac_matrix([[1, 2], [3, 4]]))
+@example(frac_matrix([[-2, 4, 6], [1, -2, -3], [0, 0, Fraction(-1, 2)]]))
 def test_kernel_matches_gauss_jordan_oracle(m):
     red, pivots = gauss_jordan_rref(m)
-    assert linalg.rref(m) == (red, pivots)
     assert linalg.rank(m) == len(pivots)
-    assert linalg.row_space_basis(m) == red[: len(pivots)]
+    basis = linalg.primitive_row_basis(m)
+    assert basis == primitive_rref_rows(red, pivots)
+    assert all(math.gcd(*row) == 1 and next(a for a in row if a) > 0 for row in basis)
     ncols = len(m[0]) if m else 0
     null = nullspace(m)
     assert len(null) == ncols - len(pivots)

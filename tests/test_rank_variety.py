@@ -24,6 +24,7 @@ from thrallkit.shuffle_sig import PiecewiseLinearPath, signature
 from thrallkit.tensors import Tensor, TensorSeries, is_symmetric, tensor_product
 
 from oracles import (
+    basis_tensor,
     flattening_is_rank_one,
     is_segment_equivalent,
     leibniz_determinant,
@@ -52,8 +53,8 @@ def test_rank_one_detects_powers_with_witness():
 
 
 def test_rank_one_rejects_symmetric_rank_two():
-    t = tensor_product(Tensor.basis(2, (1,)), Tensor.basis(2, (2,))) + tensor_product(
-        Tensor.basis(2, (2,)), Tensor.basis(2, (1,))
+    t = tensor_product(basis_tensor(2, (1,)), basis_tensor(2, (2,))) + tensor_product(
+        basis_tensor(2, (2,)), basis_tensor(2, (1,))
     )
     assert not is_rank_one(t)
     with pytest.raises(ValueError):
@@ -99,7 +100,7 @@ def rank_one_inputs():
             yield random_tensor(d, k, rng)
             # a rank-one tensor with one entry moved off the variety
             t = product_of(vecs, d)
-            yield t + Tensor.basis(d, tuple(rng.randint(1, d) for _ in range(k)))
+            yield t + basis_tensor(d, tuple(rng.randint(1, d) for _ in range(k)))
     for points in (
         [[0, 0], [1, 2], [3, 6], [2, 4]],
         [[0, 0, 0], [1, -1, 2], [-2, 2, -4]],

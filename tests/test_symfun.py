@@ -86,13 +86,13 @@ def test_transpose_symmetry():
 
 
 def test_lie_character_small():
-    assert lie_character(1) == SymFun.power_sum((1,))
+    assert lie_character(1) == SymFun(1, {(1,): 1})
     l2 = lie_character(2)
-    assert l2.coefficient((1, 1)) == Fraction(1, 2)
-    assert l2.coefficient((2,)) == Fraction(-1, 2)
+    assert l2.terms[(1, 1)] == Fraction(1, 2)
+    assert l2.terms[(2,)] == Fraction(-1, 2)
     l3 = lie_character(3)
-    assert l3.coefficient((1, 1, 1)) == Fraction(1, 3)
-    assert l3.coefficient((3,)) == Fraction(-1, 3)
+    assert l3.terms[(1, 1, 1)] == Fraction(1, 3)
+    assert l3.terms[(3,)] == Fraction(-1, 3)
     assert schur_expand(l3) == {(2, 1): Fraction(1)}
 
 
@@ -111,8 +111,8 @@ def test_plethysm_h_degenerate():
 def test_plethysm_p_substitution():
     f = SymFun(2, {(1, 1): Fraction(1, 2), (2,): Fraction(-1, 2)})
     g = plethysm_p(3, f)
-    assert g.coefficient((3, 3)) == Fraction(1, 2)
-    assert g.coefficient((6,)) == Fraction(-1, 2)
+    assert g.terms[(3, 3)] == Fraction(1, 2)
+    assert g.terms[(6,)] == Fraction(-1, 2)
 
 
 def test_sym2_of_wedge2():
@@ -134,7 +134,7 @@ def test_sym_powers_of_wedge2_have_doubled_columns(a):
 def test_higher_lie_character_degenerate_shapes():
     for k in range(1, 6):
         assert higher_lie_character((k,)) == lie_character(k)
-        sym_k = plethysm_h(k, SymFun.power_sum((1,)))
+        sym_k = plethysm_h(k, SymFun(1, {(1,): 1}))
         assert higher_lie_character((1,) * k) == sym_k
 
 
@@ -145,7 +145,7 @@ def test_higher_lie_character_21():
 
 def test_schur_expand_full_tensor_power():
     for k in range(1, 6):
-        f = SymFun.power_sum((1,) * k)
+        f = SymFun(k, {(1,) * k: 1})
         assert schur_expand(f) == {
             mu: Fraction(num_standard(mu)) for mu in partitions(k)
         }
@@ -199,7 +199,7 @@ def test_w_module_dims_fill_tensor_power():
 def test_symfun_product_degree_check():
     with pytest.raises(ValueError):
         SymFun(2, {(1, 1): 1}) + SymFun(3, {(3,): 1})
-    prod = SymFun.power_sum((2,)) * SymFun.power_sum((1,))
+    prod = SymFun(2, {(2,): 1}) * SymFun(1, {(1,): 1})
     assert prod == SymFun(3, {(2, 1): Fraction(1)})
 
 

@@ -8,21 +8,34 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from thrallkit.free_lie import thrall_decompose
+from thrallkit.group_algebra import ga_act
 from thrallkit.permutations import compose
 from thrallkit.tensors import (
     Tensor,
     TensorSeries,
     is_symmetric,
-    permute_slots,
     symmetrize,
     tensor_product,
 )
 
-from oracles import flattening_rank, random_tensor, series_product
+from oracles import (
+    basis_tensor,
+    flattening_rank,
+    random_tensor,
+    scatter_permute_slots,
+    series_product,
+    slot_permutation,
+    unit_series,
+)
 
 
 def e(d, *letters):
-    return Tensor.basis(d, tuple(letters))
+    return basis_tensor(d, tuple(letters))
+
+
+def permute_slots(tensor, sigma):
+    """The slot action of one permutation: ``ga_act`` of its one-term element."""
+    return ga_act(slot_permutation(sigma), tensor)
 
 
 def test_tensor_product_basis():
@@ -75,7 +88,7 @@ def test_series_product_unit_and_cross_term():
             random_tensor(2, 2, rng),
         ),
     )
-    unit = TensorSeries.unit(2, 2)
+    unit = unit_series(2, 2)
     assert series_product(s, unit) == s
     assert series_product(unit, s) == s
     v = TensorSeries.from_levels(2, 2, {0: Tensor.scalar(2, 1), 1: Tensor.from_vector(2, [1, 0])})
@@ -141,6 +154,24 @@ def test_is_symmetric():
     assert is_symmetric(symmetrize(random_tensor(2, 3, Random(7))))
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+def test_symmetry_closed_forms_match_the_sum_over_permutations(d, k):
+    rng = Random(100 * d + k)
+    perms = list(itertools.permutations(range(k)))
+    t = Tensor(d, k, [Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(d**k)])
+    total = Tensor.zero(d, k)
+    for sigma in perms:
+        total = total + scatter_permute_slots(t, sigma)
+    mean = total.scale(Fraction(1, len(perms)))
+    assert symmetrize(t) == mean
+    # off by one entry of a block that holds more than one word when d, k > 1
+    nudged = mean + e(d, *((d,) + (1,) * (k - 1))) if k else mean
+    for x in (t, mean, nudged):
+        assert is_symmetric(x) == all(scatter_permute_slots(x, s) == x for s in perms)
+    assert is_symmetric(mean) and is_symmetric(nudged) == (d == 1 or k < 2)
+
+
 def test_flattening_rank_rank_one():
     vs = [Tensor.from_vector(2, [1, 2]), Tensor.from_vector(2, [3, 1]), Tensor.from_vector(2, [1, -1])]
     t = vs[0]
@@ -193,7 +224,7 @@ def test_series_shape_validation():
     with pytest.raises(ValueError):
         TensorSeries(2, (Tensor.zero(2, 1),))
     with pytest.raises(ValueError):
-        series_product(TensorSeries.unit(2, 2), TensorSeries.unit(2, 3))
+        series_product(unit_series(2, 2), unit_series(2, 3))
 
 
 fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)

@@ -11,6 +11,7 @@ from thrallkit.words import (
     index_to_word,
     is_lyndon,
     lie_dim,
+    longest_lyndon_prefix,
     lyndon_words,
     moebius,
     multichoose,
@@ -24,7 +25,11 @@ from thrallkit.words import (
     word_to_string,
 )
 
-from oracles import permutation_orderings
+from oracles import (
+    is_lyndon_by_rotations,
+    longest_lyndon_prefix_by_rotations,
+    permutation_orderings,
+)
 
 
 def is_standard(tableau: YoungTableau) -> bool:
@@ -173,6 +178,15 @@ def test_is_lyndon_matches_membership(d, k):
     generated = set(lyndon_words(d, k))
     for w in all_words(d, k):
         assert is_lyndon(w) == (w in generated)
+
+
+@pytest.mark.parametrize("d, n", [(1, 6), (2, 8), (3, 6)])
+def test_duval_prefix_matches_the_rotation_definition(d, n):
+    assert not is_lyndon(()) and not is_lyndon_by_rotations(())
+    for k in range(1, n + 1):
+        for w in all_words(d, k):
+            assert longest_lyndon_prefix(w) == longest_lyndon_prefix_by_rotations(w)
+            assert is_lyndon(w) == is_lyndon_by_rotations(w)
 
 
 @given(st.lists(st.integers(1, 4), max_size=7))
