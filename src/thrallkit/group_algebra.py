@@ -337,17 +337,17 @@ def _cycle_types(k: int) -> tuple[tuple[Perm, Partition], ...]:
 
 def central_idempotent(mu: Partition) -> GroupAlgebraElement:
     """Character projector onto the isotypic component labelled by mu:
-    ``f^mu chi^mu(type sigma) / k!`` at each sigma; built once per mu."""
+    ``f^mu chi^mu(type sigma) / k!`` at each sigma, where ``f^mu`` is chi^mu
+    at the identity; built once per mu."""
     return _central_idempotent(check_partition(mu))
 
 
 @functools.cache
 def _central_idempotent(mu: Partition) -> GroupAlgebraElement:
     from .symfun import sn_character
-    from .words import num_standard
 
     k = sum(mu)
-    f = num_standard(mu)
+    f = sn_character(mu, (1,) * k)
     char_by_type = {rho: f * sn_character(mu, rho) for rho in partitions(k)}
     nums = {p: char_by_type[rho] for p, rho in _cycle_types(k)}
     return GroupAlgebraElement(k, nums, math.factorial(k))

@@ -54,7 +54,8 @@ def format_fraction(x: Fraction) -> str:
 
 
 def _parse_fraction(text, field: str) -> Fraction:
-    if isinstance(text, int):
+    # a JSON boolean arrives as a bool, which is also an int
+    if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if not isinstance(text, str):
         raise FormatError(field, f"expected a rational string, got {type(text).__name__}")

@@ -3,15 +3,17 @@
 The power-sum basis makes the two plethystic substitutions we need trivial
 (``p_j`` composed with ``p_m`` is ``p_{jm}``), and Schur coefficients are a
 character sum, so no straightening or Littlewood-Richardson machinery is
-required anywhere.
+required anywhere.  A :class:`SymFun` holds integer numerators over one
+denominator, and the characters of each degree come as one table, so a Schur
+expansion is one integer dot product per row.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 
 from .words import (
     Partition,
@@ -21,99 +23,96 @@ from .words import (
     moebius,
     multichoose,
     multiplicity_profile,
-    partition_union,
     partitions,
 )
 
 
 @dataclass(frozen=True)
 class SymFun:
-    """Homogeneous symmetric function of a fixed degree, power-sum coefficients.
+    """Homogeneous symmetric function of a fixed degree in power sums: a
+    sparse map ``nums`` from partitions of ``degree`` to integer numerators
+    over one denominator ``den >= 1``.
 
-    ``terms`` maps partitions of ``degree`` to rational coefficients; zero
-    coefficients are never stored.
+    Both are reduced to lowest terms and zero numerators are dropped, as a
+    :class:`~thrallkit.tensors.Tensor` holds its entries, so equal functions
+    have equal fields.  The Fractions :attr:`terms` are built on first read.
     """
 
     degree: int
-    terms: dict[Partition, Fraction] = field(default_factory=dict)
+    nums: dict[Partition, int]
+    den: int = 1
 
     def __post_init__(self) -> None:
-        cleaned = {}
-        for rho, c in self.terms.items():
-            rho = check_partition(rho)
-            if sum(rho) != self.degree:
+        if self.den < 1:
+            raise ValueError(f"den must be >= 1, got {self.den}")
+        for rho in self.nums:
+            if sum(check_partition(rho)) != self.degree:
                 raise ValueError(f"{rho} is not a partition of {self.degree}")
-            c = Fraction(c)
-            if c != 0:
-                cleaned[rho] = c
-        object.__setattr__(self, "terms", cleaned)
+        # math.gcd also rejects numerators that are not integers
+        g = math.gcd(self.den, *self.nums.values())
+        object.__setattr__(self, "nums", {tuple(r): n // g for r, n in self.nums.items() if n})
+        object.__setattr__(self, "den", self.den // g)
 
-    @staticmethod
-    def zero(degree: int) -> "SymFun":
-        return SymFun(degree, {})
-
-    @staticmethod
-    def one() -> "SymFun":
-        return SymFun(0, {(): Fraction(1)})
+    @cached_property
+    def terms(self) -> dict[Partition, Fraction]:
+        """The coefficients as Fractions, built once, on first read."""
+        return {rho: Fraction(n, self.den) for rho, n in self.nums.items()}
 
     def __add__(self, other: "SymFun") -> "SymFun":
         if self.degree != other.degree:
             raise ValueError("degree mismatch")
-        terms = dict(self.terms)
-        for rho, c in other.terms.items():
-            terms[rho] = terms.get(rho, Fraction(0)) + c
-        return SymFun(self.degree, terms)
-
-    def scale(self, c) -> "SymFun":
-        c = Fraction(c)
-        return SymFun(self.degree, {rho: c * v for rho, v in self.terms.items()})
+        den = math.lcm(self.den, other.den)
+        nums = {rho: n * (den // self.den) for rho, n in self.nums.items()}
+        for rho, n in other.nums.items():
+            nums[rho] = nums.get(rho, 0) + n * (den // other.den)
+        return SymFun(self.degree, nums, den)
 
     def __mul__(self, other: "SymFun") -> "SymFun":
         """Product; p_rho * p_tau = p_{rho union tau}."""
-        terms: dict[Partition, Fraction] = {}
-        for r1, c1 in self.terms.items():
-            for r2, c2 in other.terms.items():
-                key = partition_union(r1, r2)
-                terms[key] = terms.get(key, Fraction(0)) + c1 * c2
-        return SymFun(self.degree + other.degree, terms)
+        nums: dict[Partition, int] = {}
+        for r1, n1 in self.nums.items():
+            for r2, n2 in other.nums.items():
+                key = tuple(sorted(r1 + r2, reverse=True))
+                nums[key] = nums.get(key, 0) + n1 * n2
+        return SymFun(self.degree + other.degree, nums, self.den * other.den)
 
 # ---------------------------------------------------------------------------
 # irreducible characters of the symmetric group
 
 
-def _beta_set(mu: Partition, slots: int) -> tuple[int, ...]:
-    parts = list(mu) + [0] * (slots - len(mu))
-    return tuple(parts[i] + (slots - 1 - i) for i in range(slots))
-
-
-def _beta_to_partition(beta: tuple[int, ...]) -> Partition:
-    vals = sorted(beta, reverse=True)
-    slots = len(vals)
-    mu = [vals[i] - (slots - 1 - i) for i in range(slots)]
-    return tuple(p for p in mu if p > 0)
-
-
 @cache
-def _mn_character(mu: Partition, rho: Partition) -> int:
-    """Character value by border-strip (Murnaghan-Nakayama) recursion.
+def _character_table(k: int) -> dict[Partition, dict[Partition, int]]:
+    """chi^mu(rho) for every pair of partitions of k, by Murnaghan-Nakayama:
+    rho's largest part r is removed from mu as a border strip, and the rest
+    is read from the degree k - r table.
 
-    Strips are removed on the beta-set: removing a strip of size r moves a
-    bead from position b to b - r, with sign given by the number of beads
-    jumped over.
+    Strips are removed on the beta-set of mu (part i plus the number of parts
+    after it): removing a strip of size r moves a bead from b to b - r, with
+    sign given by the number of beads jumped over.
     """
-    if not rho:
-        return 1 if not mu else 0
-    r = rho[0]
-    rest = rho[1:]
-    beta = set(_beta_set(mu, max(len(mu), 1)))
-    total = 0
-    for b in sorted(beta):
-        if b - r < 0 or (b - r) in beta:
-            continue
-        jumped = sum(1 for x in beta if b - r < x < b)
-        new_beta = tuple(sorted(beta - {b} | {b - r}))
-        total += (-1) ** jumped * _mn_character(_beta_to_partition(new_beta), rest)
-    return total
+    if k == 0:
+        return {(): {(): 1}}
+    classes = partitions(k)
+    table = {}
+    for mu in classes:
+        n = len(mu)
+        beads = {p + n - 1 - i for i, p in enumerate(mu)}
+        strips: dict[int, list[tuple[int, Partition]]] = {}
+        row = {}
+        for rho in classes:
+            r = rho[0]
+            if r not in strips:
+                strips[r] = []
+                for b in beads:
+                    if b - r >= 0 and b - r not in beads:
+                        moved = sorted(beads - {b} | {b - r}, reverse=True)
+                        nu = tuple(x - (n - 1 - i) for i, x in enumerate(moved) if x > n - 1 - i)
+                        jumped = sum(1 for x in beads if b - r < x < b)
+                        strips[r].append(((-1) ** jumped, nu))
+            lower = _character_table(k - r)
+            row[rho] = sum(s * lower[nu][rho[1:]] for s, nu in strips[r])
+        table[mu] = row
+    return table
 
 
 def sn_character(mu: Partition, rho: Partition) -> int:
@@ -121,14 +120,13 @@ def sn_character(mu: Partition, rho: Partition) -> int:
     mu, rho = check_partition(mu), check_partition(rho)
     if sum(mu) != sum(rho):
         raise ValueError("mu and rho must partition the same integer")
-    return _mn_character(mu, rho)
+    return _character_table(sum(mu))[mu][rho]
 
 
 # ---------------------------------------------------------------------------
 # characters of graded Lie pieces and their symmetric powers
 
 
-@cache
 def lie_character(k: int) -> SymFun:
     """Character of the degree-k graded piece of the free Lie algebra.
 
@@ -136,19 +134,15 @@ def lie_character(k: int) -> SymFun:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    terms: dict[Partition, Fraction] = {}
-    for t in divisors(k):
-        rho = (t,) * (k // t)
-        terms[rho] = terms.get(rho, Fraction(0)) + Fraction(moebius(t), k)
-    return SymFun(k, terms)
+    return SymFun(k, {(t,) * (k // t): moebius(t) for t in divisors(k)}, k)
 
 
 def plethysm_p(j: int, f: SymFun) -> SymFun:
     """Compose the j-th power sum with f: substitute p_m -> p_{j m}."""
     if j < 1:
         raise ValueError("j must be >= 1")
-    terms = {tuple(j * part for part in rho): c for rho, c in f.terms.items()}
-    return SymFun(j * f.degree, terms)
+    nums = {tuple(j * part for part in rho): n for rho, n in f.nums.items()}
+    return SymFun(j * f.degree, nums, f.den)
 
 
 def plethysm_h(a: int, f: SymFun) -> SymFun:
@@ -158,17 +152,16 @@ def plethysm_h(a: int, f: SymFun) -> SymFun:
     """
     if a < 0:
         raise ValueError("a must be >= 0")
-    h: list[SymFun] = [SymFun.one()]
+    h: list[SymFun] = [SymFun(0, {(): 1})]
     p = [None] + [plethysm_p(j, f) for j in range(1, a + 1)]
     for n in range(1, a + 1):
-        acc = SymFun.zero(n * f.degree)
+        acc = SymFun(n * f.degree, {})
         for j in range(1, n + 1):
             acc = acc + p[j] * h[n - j]
-        h.append(acc.scale(Fraction(1, n)))
+        h.append(SymFun(acc.degree, acc.nums, acc.den * n))
     return h[a]
 
 
-@cache
 def higher_lie_character(lam: Partition) -> SymFun:
     """Character of the graded module attached to lam.
 
@@ -176,7 +169,7 @@ def higher_lie_character(lam: Partition) -> SymFun:
     Lie character and a_i the multiplicity of i in lam.
     """
     lam = check_partition(lam)
-    result = SymFun.one()
+    result = SymFun(0, {(): 1})
     for i, a in sorted(multiplicity_profile(lam).items()):
         result = result * plethysm_h(a, lie_character(i))
     return result
@@ -187,15 +180,13 @@ def schur_expand(f: SymFun) -> dict[Partition, Fraction]:
 
     With f = sum_rho c_rho p_rho the Schur coefficient at mu is
     sum_rho c_rho * chi_mu(rho), by the self-duality of the power sums
-    under the Hall pairing.
+    under the Hall pairing: one integer dot product per row of the table.
     """
     out: dict[Partition, Fraction] = {}
-    for mu in partitions(f.degree):
-        coeff = sum(
-            (c * sn_character(mu, rho) for rho, c in f.terms.items()), Fraction(0)
-        )
-        if coeff != 0:
-            out[mu] = coeff
+    for mu, row in _character_table(f.degree).items():
+        n = sum(c * row[rho] for rho, c in f.nums.items())
+        if n:
+            out[mu] = Fraction(n, f.den)
     return out
 
 

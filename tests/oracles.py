@@ -9,7 +9,9 @@ elimination over Fractions, the slot action from a dense sum of scattered
 tensors, the graded decomposition from one dense solve, the graded projector
 family from an exact solve in the multilinear Lyndon-bracket bases and the
 column-first Young symmetrizer from its double sum, the group-algebra
-product from tuple compositions and Fraction products, the central
+product from tuple compositions and Fraction products, the characters
+from the Murnaghan-Nakayama recursion one pair at a time, the Lie
+character's Schur multiplicities from major indices of tableaux, the central
 idempotents from Fraction character values, the dual slot action
 on functionals and the Lie levels from term-by-term Fraction sums, and the
 graded bases, the f_lambda summands and the Lie bracket from dense Fraction
@@ -20,6 +22,7 @@ rotations and shuffles from the positions of the first word, so the main
 implementations are checked against genuinely different arithmetic.
 """
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -43,7 +46,6 @@ from thrallkit.permutations import (
 )
 from thrallkit.rank_variety import RankOneResult
 from thrallkit.shuffle_sig import PiecewiseLinearPath, WordFunctional
-from thrallkit.symfun import sn_character
 from thrallkit.tensors import (
     Tensor,
     TensorSeries,
@@ -672,12 +674,63 @@ def fraction_ga_multiply(x, y):
 
 
 def fraction_central_idempotent(mu):
-    """(f^mu / k!) chi^mu(cycle type of sigma) at each sigma, in Fractions."""
+    """(f^mu / k!) chi^mu(cycle type of sigma) at each sigma, in Fractions,
+    with the characters from :func:`mn_character`."""
     k = sum(mu)
     norm = Fraction(num_standard(mu), math.factorial(k))
     return GroupAlgebraElement(
-        k, {p: norm * sn_character(mu, cycle_type(p)) for p in all_permutations(k)}
+        k, {p: norm * mn_character(mu, cycle_type(p)) for p in all_permutations(k)}
     )
+
+
+def _beta_set(mu, slots: int) -> tuple:
+    parts = list(mu) + [0] * (slots - len(mu))
+    return tuple(parts[i] + (slots - 1 - i) for i in range(slots))
+
+
+def _beta_to_partition(beta) -> tuple:
+    vals = sorted(beta, reverse=True)
+    slots = len(vals)
+    mu = [vals[i] - (slots - 1 - i) for i in range(slots)]
+    return tuple(p for p in mu if p > 0)
+
+
+@functools.cache
+def mn_character(mu, rho) -> int:
+    """Character value chi^mu(rho) by border-strip (Murnaghan-Nakayama)
+    recursion, one (mu, rho) pair at a time.
+
+    Strips are removed on the beta-set: removing a strip of size r moves a
+    bead from position b to b - r, with sign given by the number of beads
+    jumped over.
+    """
+    if not rho:
+        return 1 if not mu else 0
+    r = rho[0]
+    rest = rho[1:]
+    beta = set(_beta_set(mu, max(len(mu), 1)))
+    total = 0
+    for b in sorted(beta):
+        if b - r < 0 or (b - r) in beta:
+            continue
+        jumped = sum(1 for x in beta if b - r < x < b)
+        new_beta = tuple(sorted(beta - {b} | {b - r}))
+        total += (-1) ** jumped * mn_character(_beta_to_partition(new_beta), rest)
+    return total
+
+
+def major_index(tableau) -> int:
+    """Sum of the descents i of a standard tableau: i + 1 sits in a lower row than i."""
+    row_of = {x: i for i, row in enumerate(tableau.rows) for x in row}
+    return sum(i for i in range(1, tableau.size) if row_of[i + 1] > row_of[i])
+
+
+def kraskiewicz_weyman_multiplicity(mu) -> int:
+    """Multiplicity of the irreducible mu in the degree-k Lie character:
+    the standard tableaux of shape mu whose major index is 1 mod k
+    (Kraskiewicz & Weyman, Bayreuth. Math. Schr. 63, 2001)."""
+    k = sum(mu)
+    return sum(1 for t in standard_tableaux(mu) if major_index(t) % k == 1 % k)
 
 
 def verify_refinement(parts, whole) -> bool:

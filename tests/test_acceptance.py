@@ -46,7 +46,6 @@ from thrallkit.group_algebra import (
     young_symmetrizer_transposed,
 )
 from thrallkit.invariants import (
-    lie_invariant_dimension,
     path_invariants,
     random_unimodular_matrix,
     sl_invariant_space,
@@ -65,8 +64,6 @@ from thrallkit.tensors import is_symmetric
 from thrallkit.words import (
     YoungTableau,
     conjugate_partition,
-    lie_dim,
-    lyndon_words,
     num_standard,
     partitions,
 )
@@ -80,14 +77,6 @@ def report(number: int, started: float, message: str) -> None:
 def test_reference_check(name, check):
     passed, detail = check()
     assert passed, f"{name}: {detail}"
-
-
-def test_criterion_01_lyndon_dimension_counts():
-    t0 = time.time()
-    assert [lie_dim(2, k) for k in (1, 2, 3)] == [2, 1, 2]
-    flat = [w for k in (1, 2, 3) for w in lyndon_words(2, k)]
-    assert flat == [(1,), (2,), (1, 2), (1, 1, 2), (1, 2, 2)]
-    report(1, t0, "graded dimensions 2,1,2 and the five short Lyndon words")
 
 
 def test_criterion_02_idempotent_regression():
@@ -179,15 +168,6 @@ def test_criterion_08_invariants():
             for g in matrices:
                 assert check_invariance(beta, g, random_tensor(2, k, rng))
     report(8, t0, "graded and ambient invariants stay invariant under SL(2)")
-
-
-def test_criterion_09_lie_invariant_vanishing():
-    t0 = time.time()
-    assert lie_invariant_dimension(3, 1) == 0
-    assert lie_invariant_dimension(2, 2) == 0
-    assert lie_invariant_dimension(3, 2) == 0
-    assert lie_invariant_dimension(2, 3) != 0
-    report(9, t0, "top-piece invariants vanish exactly where stated")
 
 
 def test_criterion_10_rank_symmetry_equivalence():

@@ -279,6 +279,7 @@ GOLDEN = [
     (["--format", "text", "dims", "--d", "3", "--k", "5"], "dims_d3_k5_text.out", 0),
     (["lyndon", "--d", "3", "--k", "4", "--upto"], "lyndon_d3_k4_upto.out", 0),
     (["thrall-coeffs", "--k", "5"], "thrall_coeffs_k5.out", 0),
+    (["thrall-coeffs", "--k", "10"], "thrall_coeffs_k10.out", 0),
     (["idempotent", "--k", "4", "--partition", "2,1,1", "--intersect-mu", "3,1"],
      "idempotent_k4_211_mu31.out", 0),
     (["idempotent", "--k", "5", "--partition", "3,2", "--intersect-mu", "3,1,1"],
@@ -436,6 +437,34 @@ def test_huge_exponents_are_refused_before_they_are_expanded(tmp_path, capsys, t
         assert time.perf_counter() - start < 1
         assert (code, out) == (2, "")
         assert f"field {field!r}: bad rational {text!r}: exponent beyond the digit limit" in err
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_json_booleans_are_not_rationals(tmp_path, capsys, value):
+    # bool is a subclass of int, so true once read as 1 and false as 0
+    tensor = tmp_path / "tensor.json"
+    tensor.write_text(json.dumps({"d": 2, "k": 1, "entries": {"1": value, "2": "1"}}))
+    series = tmp_path / "series.json"
+    series.write_text(json.dumps({"d": 1, "k_max": 1, "levels": [{"": "1"}, {"1": value}]}))
+    cases = [
+        (["decompose", "--tensor", str(tensor)], "tensor.entries.1"),
+        (["check", "group-like", "--input", str(series)], "series.levels[1].entries.1"),
+        (["signature", "--path", write_path(tmp_path, [[0, 0], [value, 1]]), "--level", "1"],
+         "path.points[1][0]"),
+    ]
+    for argv, field in cases:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"field {field!r}: expected a rational string, got bool" in err
+    # JSON integers are still rationals
+    tensor.write_text(json.dumps({"d": 2, "k": 1, "entries": {"1": 1, "2": "1"}}))
+    code, out, err = run(capsys, "decompose", "--tensor", str(tensor))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["1"]["entries"] == {"1": "1", "2": "1"}
+    code, out, err = run(capsys, "signature", "--path", write_path(tmp_path, [[0, 0], [1, 1]]),
+                         "--level", "1")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["levels"][1] == {"1": "1", "2": "1"}
 
 
 @needs_digit_limit

@@ -1,10 +1,11 @@
 """Static checks on the library source: stdlib-only imports, no floating
 point, no imported name left unused, no private name left unreferenced and
-none reached from another module, and no public name that only the tests
-reach."""
+none reached from another module, and no public name or method that only
+the tests reach."""
 
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -179,3 +180,26 @@ def test_every_public_name_is_reached_outside_the_tests():
     assert len(public) > 50
     unreached = [f"{file}:{line} {name}" for file, line, name in public if name not in reached]
     assert not unreached, f"public names that only the tests reach: {unreached}"
+
+
+def test_every_public_method_is_reached_outside_the_tests():
+    """Each public method or property of a package class is read by name in
+    the package, ``scripts/`` or ``perfbench/``, somewhere other than its own
+    definition; dunders are reached by Python itself.  Names are matched
+    across classes, so this is a floor, not an exact call graph."""
+    program = [p for p in SOURCES + RUNNERS if p.name != "__init__.py"]
+    reads = Counter(name for path in program for name in _reads(_tree(path)))
+    methods = [
+        (path.name, node.lineno, f"{cls.name}.{node.name}", node)
+        for path in SOURCES
+        for cls in _tree(path).body if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    ]
+    assert len(methods) > 20
+    unreached = [
+        f"{file}:{line} {name}"
+        for file, line, name, node in methods
+        if reads[node.name] == Counter(_reads(node))[node.name]
+    ]
+    assert not unreached, f"public methods that only the tests reach: {unreached}"

@@ -5,6 +5,7 @@ import pytest
 
 from thrallkit.symfun import (
     SymFun,
+    _character_table,
     higher_lie_character,
     lie_character,
     plethysm_h,
@@ -22,6 +23,8 @@ from thrallkit.words import (
     partitions,
     schur_dim,
 )
+
+from oracles import kraskiewicz_weyman_multiplicity, mn_character
 
 
 def centralizer_order(rho) -> int:
@@ -104,12 +107,12 @@ def test_lie_character_specializes_to_dimension(d):
 
 def test_plethysm_h_degenerate():
     f = lie_character(2)
-    assert plethysm_h(0, f) == SymFun.one()
+    assert plethysm_h(0, f) == SymFun(0, {(): 1})
     assert plethysm_h(1, f) == f
 
 
 def test_plethysm_p_substitution():
-    f = SymFun(2, {(1, 1): Fraction(1, 2), (2,): Fraction(-1, 2)})
+    f = SymFun(2, {(1, 1): 1, (2,): -1}, 2)
     g = plethysm_p(3, f)
     assert g.terms[(3, 3)] == Fraction(1, 2)
     assert g.terms[(6,)] == Fraction(-1, 2)
@@ -200,7 +203,7 @@ def test_symfun_product_degree_check():
     with pytest.raises(ValueError):
         SymFun(2, {(1, 1): 1}) + SymFun(3, {(3,): 1})
     prod = SymFun(2, {(2,): 1}) * SymFun(1, {(1,): 1})
-    assert prod == SymFun(3, {(2, 1): Fraction(1)})
+    assert prod == SymFun(3, {(2, 1): 1})
 
 
 S4_TABLE = {
@@ -225,3 +228,35 @@ def test_alternating_invariant_location_degree5():
     for lam in partitions(5):
         a = thrall_coefficients(lam).get((1, 1, 1, 1, 1), 0)
         assert a == (1 if lam == (2, 2, 1) else 0)
+
+
+@pytest.mark.parametrize("k", range(10))
+def test_character_table_matches_the_pairwise_recursion(k):
+    assert _character_table(k) == {
+        mu: {rho: mn_character(mu, rho) for rho in partitions(k)} for mu in partitions(k)
+    }
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_lie_character_multiplicities_count_tableaux_by_major_index(k):
+    expected = {mu: kraskiewicz_weyman_multiplicity(mu) for mu in partitions(k)}
+    assert thrall_coefficients((k,)) == {mu: a for mu, a in expected.items() if a}
+
+
+def test_symfun_canonical_form():
+    f = SymFun(2, {(1, 1): 2, (2,): -4}, 6)
+    assert (f.nums, f.den) == ({(1, 1): 1, (2,): -2}, 3)
+    assert f.terms == {(1, 1): Fraction(1, 3), (2,): Fraction(-2, 3)}
+    zero = SymFun(2, {(1, 1): 0, (2,): 0}, 5)
+    assert (zero.nums, zero.den) == ({}, 1)
+    assert SymFun(2, {(2,): 3, (1, 1): 0}, 3) == SymFun(2, {(2,): 1})
+    # products and sums come back in lowest terms too
+    half = SymFun(1, {(1,): 1}, 2)
+    assert (half * half).den == 4 and (half + half) == SymFun(1, {(1,): 1})
+    for den in (0, -1):
+        with pytest.raises(ValueError):
+            SymFun(1, {(1,): 1}, den)
+    with pytest.raises(TypeError):
+        SymFun(1, {(1,): Fraction(1, 2)})
+    with pytest.raises(ValueError):
+        SymFun(2, {(3,): 1})
