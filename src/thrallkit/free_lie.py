@@ -135,9 +135,8 @@ class LieElement:
         den, terms = self._terms(k)
         return Tensor.from_dict(self.d, k, terms, den)
 
-    def to_series(self, k_max: int | None = None) -> TensorSeries:
-        """Embed into the tensor algebra (level 0 is zero)."""
-        k_max = self.k_max if k_max is None else k_max
+    def to_series(self, k_max: int) -> TensorSeries:
+        """Embed into the tensor algebra to level ``k_max`` (level 0 is zero)."""
         return TensorSeries.from_levels(
             self.d, k_max, {k: self.level(k) for k in range(1, k_max + 1)}
         )
@@ -416,12 +415,13 @@ def lie_bracket(a: LieElement, b: LieElement) -> LieElement:
     return LieElement(a.d, k_max, {w: c for w, c in coeffs.items() if c})
 
 
-def random_lie_element(d: int, k_max: int, rng, bound: int = 4) -> LieElement:
-    """Seeded random element with small rational Lyndon coefficients (tests)."""
+def random_lie_element(d: int, k_max: int, rng) -> LieElement:
+    """Seeded random element: each Lyndon coefficient is ``n / m`` with
+    ``|n| <= 4`` and ``1 <= m <= 3``."""
     coeffs: dict[Word, Fraction] = {}
     for k in range(1, k_max + 1):
         for w in lyndon_words(d, k):
-            num = rng.randint(-bound, bound)
+            num = rng.randint(-4, 4)
             if num:
                 coeffs[w] = Fraction(num, rng.randint(1, 3))
     return LieElement(d, k_max, coeffs)

@@ -4,7 +4,8 @@ An element holds integer numerators over one denominator, as a
 :class:`~thrallkit.tensors.Tensor` does; every builder and the product work on
 those integers, and :attr:`GroupAlgebraElement.terms` is built on first read.
 
-Element product is the convolution extending ``(sigma tau)(i) = sigma(tau(i))``.
+The one product is :func:`ga_multiply`, the convolution extending
+``(sigma tau)(i) = sigma(tau(i))``.
 Elements act on tensors by :func:`ga_act`, the package's one slot action
 (fixed here once):
 
@@ -99,25 +100,6 @@ class GroupAlgebraElement:
     @staticmethod
     def zero(k: int) -> "GroupAlgebraElement":
         return GroupAlgebraElement(k, {}, 1)
-
-    def __add__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        self._check(other)
-        den = math.lcm(self.den, other.den)
-        nums = {p: n * (den // self.den) for p, n in self.nums.items()}
-        for p, n in other.nums.items():
-            nums[p] = nums.get(p, 0) + n * (den // other.den)
-        return GroupAlgebraElement(self.k, nums, den)
-
-    def __sub__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "GroupAlgebraElement":
-        c = Fraction(c)
-        nums = {p: c.numerator * n for p, n in self.nums.items()}
-        return GroupAlgebraElement(self.k, nums, c.denominator * self.den)
-
-    def __mul__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        return ga_multiply(self, other)
 
     def reverse(self) -> "GroupAlgebraElement":
         """Image under the antipode sigma -> sigma^{-1}."""

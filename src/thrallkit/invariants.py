@@ -136,10 +136,10 @@ def alternating_signature(tensor: Tensor) -> Fraction:
     return Fraction(total, tensor.den)
 
 
-def random_unimodular_matrix(d: int, rng, steps: int = 6):
-    """Product of integer shear matrices; determinant exactly one (tests)."""
+def random_unimodular_matrix(d: int, rng):
+    """Product of up to six random integer shears; determinant exactly one."""
     m = [[Fraction(1) if i == j else Fraction(0) for j in range(d)] for i in range(d)]
-    for _ in range(steps):
+    for _ in range(6):
         a = rng.randrange(d)
         b = rng.randrange(d)
         if a == b:

@@ -106,6 +106,8 @@ def tensor_to_json(tensor: Tensor) -> dict:
 def tensor_from_json(obj: dict, where: str = "tensor") -> Tensor:
     d = check_wire_dimension(_require(obj, "d", int, where), f"{where}.d")
     k = _require(obj, "k", int, where)
+    if k < 0:
+        raise FormatError(f"{where}.k", f"order {k} is negative")
     entries = _require(obj, "entries", dict, where)
     terms = {}
     for key, value in entries.items():
@@ -139,6 +141,8 @@ def series_to_json(series: TensorSeries) -> dict:
 def series_from_json(obj: dict, where: str = "series") -> TensorSeries:
     d = check_wire_dimension(_require(obj, "d", int, where), f"{where}.d")
     k_max = _require(obj, "k_max", int, where)
+    if k_max < 0:
+        raise FormatError(f"{where}.k_max", f"truncation {k_max} is negative")
     levels = _require(obj, "levels", list, where)
     if len(levels) != k_max + 1:
         raise FormatError(f"{where}.levels", f"expected {k_max + 1} levels")

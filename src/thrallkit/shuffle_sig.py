@@ -71,16 +71,6 @@ class WordFunctional:
                 cleaned[word] = c
         object.__setattr__(self, "terms", cleaned)
 
-    def __add__(self, other: "WordFunctional") -> "WordFunctional":
-        self._check(other)
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            terms[w] = terms.get(w, Fraction(0)) + c
-        return WordFunctional(self.d, terms)
-
-    def __sub__(self, other: "WordFunctional") -> "WordFunctional":
-        return self + other.scale(-1)
-
     def scale(self, c) -> "WordFunctional":
         c = Fraction(c)
         return WordFunctional(self.d, {w: c * v for w, v in self.terms.items()})
@@ -100,16 +90,13 @@ class WordFunctional:
             raise ValueError(f"alphabet mismatch: d={self.d} vs d={other.d}")
 
 
-def shuffle_words(a: Word, b: Word, d: int | None = None) -> WordFunctional:
+def shuffle_words(a: Word, b: Word, d: int) -> WordFunctional:
     """Shuffle product of two coordinate functionals.
 
     Sum over all interleavings preserving the internal order of each word,
     with multiplicity; total mass is binomial(|a| + |b|, |a|).
     """
-    a, b = tuple(a), tuple(b)
-    if d is None:
-        d = max(max(a, default=1), max(b, default=1))
-    return shuffle_functionals(WordFunctional(d, {a: 1}), WordFunctional(d, {b: 1}))
+    return shuffle_functionals(WordFunctional(d, {tuple(a): 1}), WordFunctional(d, {tuple(b): 1}))
 
 
 def shuffle_functionals(beta: WordFunctional, gamma: WordFunctional) -> WordFunctional:

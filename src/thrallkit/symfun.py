@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 
 from .words import (
     Partition,
@@ -35,7 +35,7 @@ class SymFun:
 
     Both are reduced to lowest terms and zero numerators are dropped, as a
     :class:`~thrallkit.tensors.Tensor` holds its entries, so equal functions
-    have equal fields.  The Fractions :attr:`terms` are built on first read.
+    have equal fields.
     """
 
     degree: int
@@ -52,11 +52,6 @@ class SymFun:
         g = math.gcd(self.den, *self.nums.values())
         object.__setattr__(self, "nums", {tuple(r): n // g for r, n in self.nums.items() if n})
         object.__setattr__(self, "den", self.den // g)
-
-    @cached_property
-    def terms(self) -> dict[Partition, Fraction]:
-        """The coefficients as Fractions, built once, on first read."""
-        return {rho: Fraction(n, self.den) for rho, n in self.nums.items()}
 
     def __add__(self, other: "SymFun") -> "SymFun":
         if self.degree != other.degree:

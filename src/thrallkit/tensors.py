@@ -69,10 +69,6 @@ class Tensor:
     # -- construction -------------------------------------------------
 
     @staticmethod
-    def zero(d: int, k: int) -> "Tensor":
-        return Tensor(d, k, (0,) * d**k, 1)
-
-    @staticmethod
     def scalar(d: int, value) -> "Tensor":
         return Tensor(d, 0, (value,))
 
@@ -118,21 +114,15 @@ class Tensor:
 
     # -- linear structure -----------------------------------------------
 
-    def _combine(self, other: "Tensor", sign: int) -> "Tensor":
-        """``self + sign * other`` over the lcm of the two denominators."""
+    def __add__(self, other: "Tensor") -> "Tensor":
+        """The sum over the lcm of the two denominators."""
         if self.d != other.d or self.k != other.k:
             raise ValueError(
                 f"shape mismatch: (d={self.d}, k={self.k}) vs (d={other.d}, k={other.k})"
             )
         den = math.lcm(self.den, other.den)
-        fa, fb = den // self.den, sign * (den // other.den)
+        fa, fb = den // self.den, den // other.den
         return Tensor(self.d, self.k, [fa * a + fb * b for a, b in zip(self.nums, other.nums)], den)
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return self._combine(other, 1)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return self._combine(other, -1)
 
     def scale(self, c) -> "Tensor":
         c = Fraction(c)
@@ -189,34 +179,10 @@ class TensorSeries:
 
     @staticmethod
     def from_levels(d: int, k_max: int, parts: dict[int, Tensor]) -> "TensorSeries":
-        levels = []
-        for k in range(k_max + 1):
-            if k in parts:
-                levels.append(parts[k])
-            elif k == 0:
-                levels.append(Tensor.scalar(d, 0))
-            else:
-                levels.append(Tensor.zero(d, k))
-        return TensorSeries(d, tuple(levels))
-
-    def _check_compatible(self, other: "TensorSeries") -> None:
-        if self.d != other.d or self.k_max != other.k_max:
-            raise ValueError("series shape mismatch")
-
-    def __add__(self, other: "TensorSeries") -> "TensorSeries":
-        self._check_compatible(other)
-        return TensorSeries(
-            self.d, tuple(a + b for a, b in zip(self.levels, other.levels))
-        )
-
-    def __sub__(self, other: "TensorSeries") -> "TensorSeries":
-        self._check_compatible(other)
-        return TensorSeries(
-            self.d, tuple(a - b for a, b in zip(self.levels, other.levels))
-        )
-
-    def scale(self, c) -> "TensorSeries":
-        return TensorSeries(self.d, tuple(level.scale(c) for level in self.levels))
+        """The series with the given levels, zero at every level not given."""
+        return TensorSeries(d, tuple(
+            parts[k] if k in parts else Tensor(d, k, (0,) * d**k, 1) for k in range(k_max + 1)
+        ))
 
 
 def symmetrize(tensor: Tensor) -> Tensor:

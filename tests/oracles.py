@@ -146,7 +146,7 @@ def series_product(s: TensorSeries, t: TensorSeries) -> TensorSeries:
         raise ValueError("series shape mismatch")
     levels = []
     for m in range(s.k_max + 1):
-        acc = Tensor.zero(s.d, m) if m else Tensor.scalar(s.d, 0)
+        acc = Tensor(s.d, m, [0] * s.d**m)
         for i in range(m + 1):
             a, b = s.levels[i], t.levels[m - i]
             if a.is_zero() or b.is_zero():
@@ -266,11 +266,13 @@ def series_exp(series: TensorSeries) -> TensorSeries:
     """Truncated exponential as the Fraction power sum of series products."""
     if not series.level(0).is_zero():
         raise ValueError("exp requires level 0 equal to 0")
-    result = power = unit_series(series.d, series.k_max)
+    power = unit_series(series.d, series.k_max)
+    levels = power.levels
     for n in range(1, series.k_max + 1):
         power = series_product(power, series)
-        result = result + power.scale(Fraction(1, math.factorial(n)))
-    return result
+        c = Fraction(1, math.factorial(n))
+        levels = [a + b.scale(c) for a, b in zip(levels, power.levels)]
+    return TensorSeries(series.d, tuple(levels))
 
 
 def series_log(series: TensorSeries) -> TensorSeries:
@@ -278,12 +280,13 @@ def series_log(series: TensorSeries) -> TensorSeries:
     if series.level(0) != Tensor.scalar(series.d, 1):
         raise ValueError("log requires level 0 equal to 1")
     power = unit_series(series.d, series.k_max)
-    shifted = series - power
-    result = TensorSeries.from_levels(series.d, series.k_max, {})
+    shifted = TensorSeries.from_levels(series.d, series.k_max, dict(enumerate(series.levels[1:], 1)))
+    levels = TensorSeries.from_levels(series.d, series.k_max, {}).levels
     for n in range(1, series.k_max + 1):
         power = series_product(power, shifted)
-        result = result + power.scale(Fraction((-1) ** (n + 1), n))
-    return result
+        c = Fraction((-1) ** (n + 1), n)
+        levels = [a + b.scale(c) for a, b in zip(levels, power.levels)]
+    return TensorSeries(series.d, tuple(levels))
 
 
 def dynkin_is_lie_element(tensor: Tensor) -> bool:
@@ -300,7 +303,7 @@ def dynkin_is_lie_element(tensor: Tensor) -> bool:
     result = tensor
     for j in range(1, tensor.k):
         sigma = tuple((i + 1) % (j + 1) if i <= j else i for i in range(tensor.k))
-        result = result - scatter_permute_slots(result, sigma)
+        result = result + scatter_permute_slots(result, sigma).scale(-1)
     return result == tensor.scale(tensor.k)
 
 
@@ -342,7 +345,7 @@ def dense_lie_coordinates(tensor: Tensor):
     coords = gauss_jordan_solve(matrix, list(tensor.entries))
     if coords is None:
         return None
-    acc = Tensor.zero(tensor.d, tensor.k)
+    acc = Tensor(tensor.d, tensor.k, [0] * tensor.d**tensor.k)
     for c, b in zip(coords, basis):
         if c != 0:
             acc = acc + b.scale(c)
@@ -529,7 +532,7 @@ def dense_solve_decompose(tensor: Tensor) -> dict:
     n = d**k
     rows = [[vec.entries[i] for _, vec in labelled] for i in range(n)]
     coords = gauss_jordan_solve(rows, list(tensor.entries))
-    out = {lam: Tensor.zero(d, k) for lam in partitions(k)}
+    out = {lam: Tensor(d, k, [0] * d**k) for lam in partitions(k)}
     for (lam, vec), c in zip(labelled, coords):
         if c != 0:
             out[lam] = out[lam] + vec.scale(c)
@@ -673,6 +676,18 @@ def fraction_ga_multiply(x, y):
     return GroupAlgebraElement(x.k, terms)
 
 
+def fraction_ga_sum(k: int, elements) -> GroupAlgebraElement:
+    """The sum of degree-k group-algebra elements, one Fraction addition per
+    term."""
+    terms = {}
+    for x in elements:
+        if x.k != k:
+            raise ValueError(f"degree mismatch: {x.k} vs {k}")
+        for p, c in x.terms.items():
+            terms[p] = terms.get(p, Fraction(0)) + c
+    return GroupAlgebraElement(k, terms)
+
+
 def fraction_central_idempotent(mu):
     """(f^mu / k!) chi^mu(cycle type of sigma) at each sigma, in Fractions,
     with the characters from :func:`mn_character`."""
@@ -738,15 +753,13 @@ def verify_refinement(parts, whole) -> bool:
     sum to ``whole``: a check of a user-supplied splitting of a projector
     (splittings of an isotypic block into irreducible copies are not
     canonical, so the library builds none)."""
-    total = GroupAlgebraElement.zero(whole.k)
     for i, p in enumerate(parts):
         if fraction_ga_multiply(p, p) != p:
             return False
         for q in parts[i + 1 :]:
             if fraction_ga_multiply(p, q).terms or fraction_ga_multiply(q, p).terms:
                 return False
-        total = total + p
-    return total == whole
+    return fraction_ga_sum(whole.k, parts) == whole
 
 
 def fraction_act_on_functional(x, beta: WordFunctional, k: int) -> WordFunctional:
@@ -866,7 +879,7 @@ def fraction_path_invariants(d: int, ell: int) -> dict:
 
 def dense_lie_level(element, k: int) -> Tensor:
     """Degree-k part of a Lie element as a sum of scaled dense bracketings."""
-    acc = Tensor.zero(element.d, k)
+    acc = Tensor(element.d, k, [0] * element.d**k)
     for word, c in element.coeffs.items():
         if len(word) == k:
             acc = acc + lyndon_bracketing(word, element.d).scale(c)
@@ -885,7 +898,7 @@ def dense_w_lambda_basis(lam, d: int) -> list:
     vectors = []
     for combo in itertools.product(*per_size):
         words = [w for group in combo for w in group]
-        acc = Tensor.zero(d, sum(lam))
+        acc = Tensor(d, sum(lam), [0] * d ** sum(lam))
         for order in permutation_orderings(words):
             term = Tensor.scalar(d, 1)
             for w in order:
@@ -901,7 +914,7 @@ def dense_f_lambda(element, lam) -> Tensor:
     of the dense tensor products of the Lie element's levels."""
     lam = check_partition(lam)
     parts = {i: dense_lie_level(element, i) for i in set(lam)}
-    acc = Tensor.zero(element.d, sum(lam))
+    acc = Tensor(element.d, sum(lam), [0] * element.d ** sum(lam))
     for comp in sorted(set(itertools.permutations(lam))):
         term = Tensor.scalar(element.d, 1)
         for a in comp:
@@ -919,7 +932,7 @@ def dense_lie_bracket(a, b):
         left = dense_lie_level(a, i)
         for j in range(1, k_max - i + 1):
             right = dense_lie_level(b, j)
-            commutator = tensor_product(left, right) - tensor_product(right, left)
+            commutator = tensor_product(left, right) + tensor_product(right, left).scale(-1)
             coords = lie_coordinates(commutator)
             if coords is None:
                 raise ArithmeticError("commutator left the graded Lie subspace")

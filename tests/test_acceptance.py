@@ -21,6 +21,7 @@ import pytest
 from oracles import (
     check_invariance,
     concatenate_paths,
+    fraction_ga_sum,
     integration_oracle,
     is_segment_equivalent,
     random_tensor,
@@ -84,17 +85,17 @@ def test_criterion_02_idempotent_regression():
     t0 = time.time()
     # the raw unnormalized sum of all six permutations is not idempotent;
     # the 1/6 normalization is forced and is the library's answer
-    raw = higher_lie_idempotent((1, 1, 1)).scale(6)
-    assert ga_multiply(raw, raw) == raw.scale(6) != raw
+    normalized = higher_lie_idempotent((1, 1, 1))
+    assert normalized.den == 6 and set(normalized.nums.values()) == {1}
+    raw = GroupAlgebraElement(3, normalized.nums, 1)
+    assert ga_multiply(raw, raw) == GroupAlgebraElement(3, {p: 6 for p in raw.nums}) != raw
     for k in range(1, 5):
         elements = {lam: higher_lie_idempotent(lam) for lam in partitions(k)}
-        total = GroupAlgebraElement.zero(k)
         for lam, e in elements.items():
-            total = total + e
             for mu, f in elements.items():
                 want = e if lam == mu else GroupAlgebraElement.zero(k)
                 assert ga_multiply(e, f) == want
-        assert total == slot_permutation(range(k))
+        assert fraction_ga_sum(k, elements.values()) == slot_permutation(range(k))
     report(2, t0, "the forced 1/6 normalization and the k <= 4 resolution")
 
 

@@ -163,6 +163,23 @@ def test_malformed_input_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["decompose --tensor", "check symmetric --input",
+                                     "check rank1 --input", "check lie --input"])
+def test_negative_tensor_order_exits_2(tmp_path, capsys, command):
+    # d**k is a float when k < 0, so the order is refused where it is read
+    file = tmp_path / "tensor.json"
+    file.write_text(json.dumps({"d": 2, "k": -1, "entries": {}}))
+    code, out, err = run(capsys, *command.split(), str(file))
+    assert code == 2 and out == "" and "tensor.k'" in err
+
+
+def test_negative_series_truncation_exits_2(tmp_path, capsys):
+    file = tmp_path / "series.json"
+    file.write_text(json.dumps({"d": 2, "k_max": -1, "levels": []}))
+    code, out, err = run(capsys, "check", "group-like", "--input", str(file))
+    assert code == 2 and out == "" and "series.k_max'" in err
+
+
 def test_alphabets_beyond_nine_letters_exit_2(tmp_path, capsys):
     # with d >= 10 the words (1, 12) and (11, 2) would both print as "112"
     code, out, err = run(capsys, "lyndon", "--d", "12", "--k", "2")

@@ -44,6 +44,7 @@ from oracles import (
     dense_w_lambda_basis,
     fraction_central_idempotent,
     fraction_ga_multiply,
+    fraction_ga_sum,
     random_tensor,
     scatter_permute_slots,
     slot_permutation,
@@ -110,11 +111,9 @@ def test_malformed_elements_raise(k, nums, den):
         GroupAlgebraElement(k, nums, den)
 
 
-def test_degree_mismatch_raises_in_product_and_sum():
+def test_degree_mismatch_raises_in_product():
     with pytest.raises(ValueError):
         ga_multiply(slot_permutation(range(2)), slot_permutation(range(3)))
-    with pytest.raises(ValueError):
-        slot_permutation(range(2)) + slot_permutation(range(3))
     with pytest.raises(ValueError):
         ga_multiply(GroupAlgebraElement.zero(0), slot_permutation(range(1)))
 
@@ -146,12 +145,10 @@ def test_ga_multiply_matches_fraction_oracle(pair):
 
 @pytest.mark.parametrize("k", range(7))
 def test_central_idempotents_match_fraction_oracle(k):
-    total = GroupAlgebraElement.zero(k)
-    for mu in partitions(k):
-        z = central_idempotent(mu)
+    elements = [central_idempotent(mu) for mu in partitions(k)]
+    for mu, z in zip(partitions(k), elements):
         assert z == fraction_central_idempotent(mu)
-        total = total + z
-    assert total == slot_permutation(range(k))
+    assert fraction_ga_sum(k, elements) == slot_permutation(range(k))
 
 
 def test_ga_multiply_associative():
@@ -215,8 +212,9 @@ def test_ga_act_matches_dense_sum(d, k):
         x = _random_element(k, rng, count)
         t = _random_fractional_tensor(d, k, rng)
         assert ga_act(x, t) == dense_ga_act(x, t)
-        assert ga_act(x, Tensor.zero(d, k)) == Tensor.zero(d, k)
-        assert ga_act(GroupAlgebraElement.zero(k), t) == Tensor.zero(d, k)
+        zero = Tensor(d, k, [0] * d**k)
+        assert ga_act(x, zero) == zero
+        assert ga_act(GroupAlgebraElement.zero(k), t) == zero
     for sigma in itertools.permutations(range(k)):
         t = _random_fractional_tensor(d, k, rng)
         assert ga_act(slot_permutation(sigma), t) == scatter_permute_slots(t, sigma)
@@ -266,8 +264,8 @@ def _rank_cases(k):
     for lam in partitions(k):
         for tab in standard_tableaux(lam):
             scale = Fraction(num_standard(lam), math.factorial(k))
-            cases.append(young_symmetrizer(tab).scale(scale))
-            cases.append(young_symmetrizer_transposed(tab).scale(scale))
+            for y in (young_symmetrizer(tab), young_symmetrizer_transposed(tab)):
+                cases.append(GroupAlgebraElement(k, {p: scale * c for p, c in y.terms.items()}))
     return cases
 
 
@@ -406,11 +404,8 @@ def test_central_idempotent_is_built_once_per_partition(monkeypatch):
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_central_idempotents_resolve_identity(k):
-    total = GroupAlgebraElement.zero(k)
     elements = [central_idempotent(mu) for mu in partitions(k)]
-    for z in elements:
-        total = total + z
-    assert total == slot_permutation(range(k))
+    assert fraction_ga_sum(k, elements) == slot_permutation(range(k))
     for i, z1 in enumerate(elements):
         assert ga_multiply(z1, z1) == z1
         for z2 in elements[i + 1 :]:
@@ -441,14 +436,12 @@ def test_higher_lie_idempotents_k3_reference():
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_higher_lie_idempotents_orthogonal_resolution(k):
     elements = {lam: higher_lie_idempotent(lam) for lam in partitions(k)}
-    total = GroupAlgebraElement.zero(k)
     for lam, e in elements.items():
-        total = total + e
         assert ga_multiply(e, e) == e
         for mu, f in elements.items():
             if mu != lam:
                 assert ga_multiply(e, f) == GroupAlgebraElement.zero(k)
-    assert total == slot_permutation(range(k))
+    assert fraction_ga_sum(k, elements.values()) == slot_permutation(range(k))
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -533,11 +526,9 @@ def test_graded_projections_check_the_cap_before_any_table(monkeypatch):
 
 def test_higher_lie_idempotents_k5():
     elements = {lam: higher_lie_idempotent(lam) for lam in partitions(5)}
-    total = GroupAlgebraElement.zero(5)
     for e in elements.values():
         assert ga_multiply(e, e) == e
-        total = total + e
-    assert total == slot_permutation(range(5))
+    assert fraction_ga_sum(5, elements.values()) == slot_permutation(range(5))
     for vec in dense_w_lambda_basis((3, 2), 3):
         assert ga_act(elements[(3, 2)], vec) == vec
         assert ga_act(elements[(2, 2, 1)], vec).is_zero()
@@ -554,9 +545,9 @@ def test_young_symmetrizer_scalar_idempotency():
         c = young_symmetrizer(tab)
         k = tab.size
         scalar = Fraction(math.factorial(k), num_standard(tab.shape))
-        assert ga_multiply(c, c) == c.scale(scalar)
         ct = young_symmetrizer_transposed(tab)
-        assert ga_multiply(ct, ct) == ct.scale(scalar)
+        for y in (c, ct):
+            assert ga_multiply(y, y).terms == {p: scalar * v for p, v in y.terms.items()}
 
 
 def test_degree5_invariant_grading():
@@ -608,21 +599,15 @@ def _descent_family(k):
 def test_projector_length_sums_match_descent_construction(k):
     family = _descent_family(k)
     for j in range(1, k + 1):
-        total = GroupAlgebraElement.zero(k)
-        for lam in partitions(k):
-            if len(lam) == j:
-                total = total + higher_lie_idempotent(lam)
-        assert total == family[j]
+        pieces = [higher_lie_idempotent(lam) for lam in partitions(k) if len(lam) == j]
+        assert fraction_ga_sum(k, pieces) == family[j]
 
 
 def test_projector_length_sums_match_descent_construction_k5():
     family = _descent_family(5)
     for j in range(1, 6):
-        total = GroupAlgebraElement.zero(5)
-        for lam in partitions(5):
-            if len(lam) == j:
-                total = total + higher_lie_idempotent(lam)
-        assert total == family[j]
+        pieces = [higher_lie_idempotent(lam) for lam in partitions(5) if len(lam) == j]
+        assert fraction_ga_sum(5, pieces) == family[j]
 
 
 def test_verify_refinement():
@@ -634,7 +619,8 @@ def test_verify_refinement():
     assert verify_refinement(parts, whole)
     # dropping a part breaks the sum; a non-idempotent part is rejected
     assert not verify_refinement(parts[:1], whole)
-    assert not verify_refinement([whole.scale(2)], whole.scale(2))
+    double = GroupAlgebraElement(3, {p: 2 * n for p, n in whole.nums.items()}, whole.den)
+    assert not verify_refinement([double], double)
     # sum matches but the halves are neither idempotent nor orthogonal
-    half = whole.scale(Fraction(1, 2))
+    half = GroupAlgebraElement(3, whole.nums, whole.den * 2)
     assert not verify_refinement([half, half], whole)

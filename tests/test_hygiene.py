@@ -1,14 +1,19 @@
-"""Static checks on the library source: stdlib-only imports, no floating
-point, no imported name left unused, no private name left unreferenced and
-none reached from another module, and no public name or method that only
-the tests reach."""
+"""Checks on the library source: stdlib-only imports, no floating point, no
+imported name left unused, no private name left unreferenced and none
+reached from another module, no public name or method that only the tests
+reach, and no function or method that the program itself never enters."""
 
 import ast
+import json
+import os
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from test_cli import GOLDEN
 
 ROOT = Path(__file__).parent.parent
 SOURCES = sorted((ROOT / "src" / "thrallkit").glob("*.py"))
@@ -185,8 +190,9 @@ def test_every_public_name_is_reached_outside_the_tests():
 def test_every_public_method_is_reached_outside_the_tests():
     """Each public method or property of a package class is read by name in
     the package, ``scripts/`` or ``perfbench/``, somewhere other than its own
-    definition; dunders are reached by Python itself.  Names are matched
-    across classes, so this is a floor, not an exact call graph."""
+    definition.  Names are matched across classes and operators are not
+    names, so this is a floor, not an exact call graph: the runtime rule
+    below enters each method, dunders included."""
     program = [p for p in SOURCES + RUNNERS if p.name != "__init__.py"]
     reads = Counter(name for path in program for name in _reads(_tree(path)))
     methods = [
@@ -203,3 +209,104 @@ def test_every_public_method_is_reached_outside_the_tests():
         if reads[node.name] == Counter(_reads(node))[node.name]
     ]
     assert not unreached, f"public methods that only the tests reach: {unreached}"
+
+
+# The program's own entry points besides the goldens: the CLI cases that CI
+# runs through the console script, a malformed input, and the scripts with
+# the arguments CI gives them.
+PROGRAM_ARGV = [argv for argv, _, _ in GOLDEN] + [
+    ["--help"],
+    ["dims", "--d", "2", "--k", "3"],
+    ["decompose", "--tensor", "tensor_d2_k5_fractional.json", "--method", "solve"],
+    ["check", "symmetric", "--input", "tensor_d2_k3_rank_one.json"],
+    ["hdet-pullback", "--seed", "2024", "--samples", "20"],
+    ["decompose", "--tensor", "malformed_tensor.json"],
+]
+SCRIPT_ARGV = [
+    ["rank_survey.py"],
+    ["invariants_demo.py"],
+    ["thrall_tables.py", "--max-k", "4", "--d", "2"],
+]
+# what only the benchmark calls: it times these directly
+PERFBENCH_ONLY = {"free_lie.lie_bracket", "group_algebra.operator_rank", "tensors.Tensor.entries"}
+
+# Runs in a fresh interpreter, so no cache that an earlier test filled can
+# hide a call, and prints the code objects it entered under the package.
+_TRACE = """
+import contextlib, io, json, runpy, sys
+package, argvs, scripts = sys.argv[1], json.loads(sys.argv[2]), json.loads(sys.argv[3])
+entered = set()
+def record(frame, event, arg):
+    if event == "call":
+        entered.add(frame.f_code)
+sys.setprofile(record)
+import thrallkit.cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    for argv in argvs:
+        try:
+            thrallkit.cli.main(argv)
+        except SystemExit:
+            pass
+    for argv in scripts:
+        sys.argv = argv
+        try:
+            runpy.run_path(argv[0], run_name="__main__")
+        except SystemExit:
+            pass
+sys.setprofile(None)
+print(json.dumps(sorted(
+    [code.co_filename, code.co_firstlineno] for code in entered
+    if code.co_filename.startswith(package)
+)))
+"""
+
+
+def _program_functions():
+    """``module.name`` or ``module.Class.name`` of every module-level function
+    and every method or property of a module-level class, keyed by the file
+    and the first line of its code object (its first decorator, if any)."""
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        for node in _tree(path).body:
+            if isinstance(node, ast.ClassDef):
+                members = [(f"{node.name}.", sub) for sub in node.body]
+            else:
+                members = [("", node)]
+            for prefix, sub in members:
+                if isinstance(sub, ast.FunctionDef):
+                    line = min([sub.lineno] + [dec.lineno for dec in sub.decorator_list])
+                    yield (str(path.resolve()), line), f"{path.stem}.{prefix}{sub.name}"
+
+
+def test_every_function_runs_under_the_program():
+    """Each function and method of the package, dunders included, is entered
+    when the program runs: every golden CLI run and every CLI case that CI
+    runs, and the three scripts.  Operators and names shared across classes
+    are invisible to the static rules above; a trace is not.  Only what the
+    benchmark alone calls is exempt, and it must be read in ``perfbench/``."""
+    data = ROOT / "tests" / "data"
+    argvs = [[str(data / a) if a.endswith(".json") else a for a in argv] for argv in PROGRAM_ARGV]
+    scripts = [[str(ROOT / "scripts" / argv[0]), *argv[1:]] for argv in SCRIPT_ARGV]
+    package = SOURCES[0].parent.resolve()
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACE, str(package), json.dumps(argvs), json.dumps(scripts)],
+        capture_output=True, text=True, cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH=str(package.parent)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    entered = {tuple(code) for code in json.loads(proc.stdout)}
+    functions = dict(_program_functions())
+    assert len(functions) > 150
+    unentered = {name for key, name in functions.items() if key not in entered}
+    assert not unentered - PERFBENCH_ONLY, (
+        f"functions that only the tests run: {sorted(unentered - PERFBENCH_ONLY)}"
+    )
+    assert not PERFBENCH_ONLY - unentered, (
+        f"the program runs these after all: {sorted(PERFBENCH_ONLY - unentered)}"
+    )
+    perfbench = {
+        name for path in RUNNERS if path.parent.name == "perfbench" for name in _reads(_tree(path))
+    }
+    unread = sorted(name for name in PERFBENCH_ONLY if name.rsplit(".", 1)[1] not in perfbench)
+    assert not unread, f"perfbench no longer reads these: {unread}"

@@ -58,7 +58,7 @@ def test_rank_one_rejects_symmetric_rank_two():
     )
     assert not is_rank_one(t)
     with pytest.raises(ValueError):
-        is_rank_one(Tensor.zero(2, 2))
+        is_rank_one(Tensor(2, 2, [0] * 4))
 
 
 def test_rank_one_witness_random_elementary():

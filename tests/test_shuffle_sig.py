@@ -80,15 +80,15 @@ def test_shuffle_functionals_match_bilinear_position_oracle(beta, gamma):
 
 
 def test_shuffle_reference_expansions():
-    got = shuffle_words((1, 2), (3, 4))
+    got = shuffle_words((1, 2), (3, 4), 4)
     assert {w: int(c) for w, c in got.terms.items()} == {
         (1, 2, 3, 4): 1, (1, 3, 2, 4): 1, (1, 3, 4, 2): 1,
         (3, 1, 2, 4): 1, (3, 1, 4, 2): 1, (3, 4, 1, 2): 1,
     }
-    assert shuffle_words((1,), (2,)).terms == {
+    assert shuffle_words((1,), (2,), 2).terms == {
         (1, 2): Fraction(1), (2, 1): Fraction(1)
     }
-    assert shuffle_words((1,), (1,)).terms == {(1, 1): Fraction(2)}
+    assert shuffle_words((1,), (1,), 1).terms == {(1, 1): Fraction(2)}
 
 
 def test_shuffle_functionals_unit_and_commutativity():

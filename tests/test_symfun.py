@@ -35,7 +35,7 @@ def centralizer_order(rho) -> int:
 def specialize(f: SymFun, d: int) -> Fraction:
     """Every power sum set to d: for the character of a polynomial functor,
     the dimension of its space on a d-dimensional vector space."""
-    return sum((c * Fraction(d) ** len(rho) for rho, c in f.terms.items()), Fraction(0))
+    return Fraction(sum(n * d ** len(rho) for rho, n in f.nums.items()), f.den)
 
 S3_TABLE = {
     # classes (1,1,1), (2,1), (3)
@@ -91,11 +91,9 @@ def test_transpose_symmetry():
 def test_lie_character_small():
     assert lie_character(1) == SymFun(1, {(1,): 1})
     l2 = lie_character(2)
-    assert l2.terms[(1, 1)] == Fraction(1, 2)
-    assert l2.terms[(2,)] == Fraction(-1, 2)
+    assert (l2.nums, l2.den) == ({(1, 1): 1, (2,): -1}, 2)
     l3 = lie_character(3)
-    assert l3.terms[(1, 1, 1)] == Fraction(1, 3)
-    assert l3.terms[(3,)] == Fraction(-1, 3)
+    assert (l3.nums, l3.den) == ({(1, 1, 1): 1, (3,): -1}, 3)
     assert schur_expand(l3) == {(2, 1): Fraction(1)}
 
 
@@ -114,8 +112,7 @@ def test_plethysm_h_degenerate():
 def test_plethysm_p_substitution():
     f = SymFun(2, {(1, 1): 1, (2,): -1}, 2)
     g = plethysm_p(3, f)
-    assert g.terms[(3, 3)] == Fraction(1, 2)
-    assert g.terms[(6,)] == Fraction(-1, 2)
+    assert (g.nums, g.den) == ({(3, 3): 1, (6,): -1}, 2)
 
 
 def test_sym2_of_wedge2():
@@ -246,7 +243,6 @@ def test_lie_character_multiplicities_count_tableaux_by_major_index(k):
 def test_symfun_canonical_form():
     f = SymFun(2, {(1, 1): 2, (2,): -4}, 6)
     assert (f.nums, f.den) == ({(1, 1): 1, (2,): -2}, 3)
-    assert f.terms == {(1, 1): Fraction(1, 3), (2,): Fraction(-2, 3)}
     zero = SymFun(2, {(1, 1): 0, (2,): 0}, 5)
     assert (zero.nums, zero.den) == ({}, 1)
     assert SymFun(2, {(2,): 3, (1, 1): 0}, 3) == SymFun(2, {(2,): 1})
