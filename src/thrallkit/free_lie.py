@@ -329,12 +329,13 @@ def _solve_decompose(tensor: Tensor) -> dict[Partition, Tensor]:
 def thrall_decompose(tensor: Tensor, method: str = "auto") -> dict[Partition, Tensor]:
     """Split a tensor into its graded components, one per partition of k.
 
-    Two independent backends, each a warm block matrix-vector product on
-    integer matrices cached per (d, k): ``"solve"`` expresses the tensor in
-    the concatenated graded bases through the blocks' inverses and
-    recombines basis vectors; ``"idempotent"`` is
-    :func:`thrallkit.group_algebra.graded_projections` (subject to its degree
-    cap).  ``"auto"`` takes the idempotent route and falls back to the solve
+    Two independent backends on integer block matrices cached per (d, k):
+    ``"solve"`` expresses the tensor in the concatenated graded bases
+    through the blocks' inverses, one dot product per row, and recombines
+    basis vectors; ``"idempotent"`` is
+    :func:`thrallkit.group_algebra.graded_projections`, the projector
+    family's stacked matrices applied one packed big-int product per column
+    (subject to its degree cap).  ``"auto"`` takes the idempotent route and falls back to the solve
     where the projector family raises :class:`ResourceLimitError`.  Degree 0
     is the trivial piece: every route returns an order-0 tensor as its one
     component, at the empty partition.

@@ -20,6 +20,23 @@ which makes it a left action: ``(sigma tau) . T = sigma . (tau . T)``.  For
 elements fixed by ``sigma -> sigma^{-1}`` (all degree-3 projectors below,
 every central idempotent) this agrees with the mirrored action; in general the
 two differ and this package consistently uses the slot action above.
+
+The slot action keeps the letter content of a word, so an element acts by
+one integer matrix per letter pattern of the weight blocks
+(:func:`_block_operator`).  One packed kernel applies them:
+:func:`_stack` stacks the matrices of several operators per pattern (the
+p(k) graded projectors in :func:`graded_projections`, cached per ``(d,
+k)``; one element in :func:`ga_act`), :func:`_pack` packs each column of a
+stack into one Python int, ``W`` bits a slot, and :func:`_apply_stacked`
+computes a block's outputs for every operator as one sum of ``b`` big-int
+products, read back by one ``to_bytes`` and one ``memoryview.cast``.  The
+slot width ``W`` (:func:`_slot_width`) is the smallest power of two, at
+least 8, that holds ``bound * max|x|`` plus a sign bit, ``bound`` the
+stack's largest absolute row sum: every output fits its slot, for inputs of
+any size, and slots over 64 bits are read one ``int.from_bytes`` each.  The
+solve backend of :func:`thrallkit.free_lie.thrall_decompose` keeps its
+plain dot products, one per row, so that each backend stays an independent
+check on the other.
 """
 
 from __future__ import annotations
@@ -28,8 +45,11 @@ import functools
 import itertools
 import math
 import operator
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import linalg
 from .permutations import (
@@ -135,13 +155,16 @@ def ga_act(x: GroupAlgebraElement, tensor: Tensor) -> Tensor:
     """Apply an element to a tensor through the slot action.
 
     ``out[u] = sum_sigma x_sigma T[u o sigma]``: the integer block matrices
-    of :func:`_block_operator` applied to the tensor's integer numerators by
-    :func:`_apply_blocks`, one mat-vec per weight block.
+    of :func:`_block_operator`, packed for this call and applied to the
+    tensor's integer numerators by :func:`_apply_stacked`, the kernel of
+    :func:`graded_projections`, as a stack of one layer.
     """
     if x.k != tensor.k:
         raise ValueError(f"degree mismatch: element {x.k}, tensor order {tensor.k}")
-    groups = _block_operator(x, tensor.d)
-    return Tensor(tensor.d, tensor.k, _apply_blocks(groups, tensor.nums), x.den * tensor.den)
+    stack = _stack([_block_operator(x, tensor.d)])
+    width = _slot_width(stack.bound, tensor.nums)
+    [nums] = _apply_stacked(stack, _pack(stack, width), width, tensor.nums)
+    return Tensor(tensor.d, tensor.k, nums, x.den * tensor.den)
 
 
 @functools.cache
@@ -186,18 +209,101 @@ def _block_operator(x: GroupAlgebraElement, d: int):
     return groups
 
 
-def _apply_blocks(groups, values: tuple[int, ...]) -> list[int]:
-    """The block matrices ``groups`` of :func:`_block_operator` applied to
-    the integer numerators ``values``."""
-    out = [0] * len(values)
-    for rows, blocks in groups.values():
+class _Stack(NamedTuple):
+    """The block matrices of ``layers`` operators at one ``(d, k)``, stacked
+    per letter pattern: row ``t * layers + j`` of a pattern's matrix is row
+    ``t`` of operator ``j``.  ``bound`` is the largest absolute row sum,
+    ``gather`` the flat indices block by block in pattern order, ``scatter``
+    its inverse, and ``patterns`` each pattern's stacked columns with its
+    block count, in that order."""
+
+    layers: int
+    bound: int
+    gather: list[int]
+    scatter: list[int]
+    patterns: list[tuple[tuple[tuple[int, ...], ...], int]]
+
+
+def _stack(operators) -> _Stack:
+    """Stack results of :func:`_block_operator` at one ``(d, k)``, which
+    share their patterns and blocks."""
+    bound, gather, patterns = 0, [], []
+    for counts, (_, blocks) in operators[0].items():
+        rows = [row for rows in zip(*(g[counts][0] for g in operators)) for row in rows]
+        bound = max([bound, *(sum(map(abs, row)) for row in rows)])
+        patterns.append((tuple(zip(*rows)), len(blocks)))
         for block in blocks:
-            local = [values[i] for i in block]
+            gather.extend(block)
+    scatter = sorted(range(len(gather)), key=gather.__getitem__)
+    return _Stack(len(operators), bound, gather, scatter, patterns)
+
+
+def _slot_width(bound: int, values) -> int:
+    """The smallest power of two, at least 8, that holds ``bound * max|x|``
+    plus a sign bit: every output of a stacked matrix whose absolute row
+    sums are at most ``bound``, and every entry of that matrix."""
+    need = (bound * (max(map(abs, values)) or 1)).bit_length() + 1
+    return max(8, 1 << (need - 1).bit_length())
+
+
+# The signed C types of 8, 16, 32 and 64 bits, by width: array and
+# memoryview.cast read and write slots of these widths at C level.
+_SLOT_CODES = {array(code).itemsize * 8: code for code in "bhilq"}
+
+
+def _pack(stack: _Stack, width: int):
+    """The stacked columns packed into one int each, ``width`` bits a slot.
+
+    Slot ``r`` holds row ``r`` (bits ``r * width`` up on a little-endian
+    machine; bytes are in native order throughout, as ``memoryview.cast``
+    reads them).  ``array`` writes the slots of up to 64 bits as two's
+    complement bytes at C level, ``int.to_bytes`` the wider ones, and
+    ``(x ^ mask) - mask``, with ``mask`` the top bit of every slot, turns
+    those bytes into the signed sum over the slots.  Returns ``(columns,
+    mask, size, count)`` per pattern, ``size`` the byte length of its packed
+    outputs and ``count`` its number of blocks.
+    """
+    p, code, step = stack.layers, _SLOT_CODES.get(width), width // 8
+    top = (1 << (width - 1)).to_bytes(step, sys.byteorder)
+    packed = []
+    for columns, count in stack.patterns:
+        mask = int.from_bytes(top * (p * len(columns)), sys.byteorder)
+        raws = (
+            array(code, column).tobytes() if code
+            else b"".join(x.to_bytes(step, sys.byteorder, signed=True) for x in column)
+            for column in columns
+        )
+        ints = [(int.from_bytes(raw, sys.byteorder) ^ mask) - mask for raw in raws]
+        packed.append((ints, mask, step * p * len(columns), count))
+    return packed
+
+
+def _apply_stacked(stack: _Stack, packed, width: int, values) -> list[list[int]]:
+    """Each operator of a stack applied to the integer numerators
+    ``values``, with ``packed`` its columns packed at ``width`` (see the
+    module docstring): adding and then xoring a pattern's ``mask`` leaves
+    each slot of a block's sum holding its output in two's complement."""
+    p, code, step = stack.layers, _SLOT_CODES.get(width), width // 8
+    xs = list(map(values.__getitem__, stack.gather))
+    flat, start = [], 0
+    for columns, mask, size, count in packed:
+        b = len(columns)
+        for _ in range(count):
+            local = xs[start : start + b]
+            start += b
             if not any(local):
+                flat.extend(itertools.repeat(0, b * p))
                 continue
-            for i, row in zip(block, rows):
-                out[i] = sum(map(operator.mul, row, local))
-    return out
+            raw = ((sum(map(operator.mul, local, columns)) + mask) ^ mask).to_bytes(
+                size, sys.byteorder
+            )
+            flat.extend(
+                memoryview(raw).cast(code) if code
+                else [int.from_bytes(raw[i : i + step], sys.byteorder, signed=True)
+                      for i in range(0, size, step)]
+            )
+    # flat[g p + j] is layer j's output at the place gather[g]
+    return [list(map(flat[j::p].__getitem__, stack.scatter)) for j in range(p)]
 
 
 @functools.cache
@@ -206,17 +312,35 @@ def _projector_blocks(d: int, k: int):
     return tuple((lam, e.den, _block_operator(e, d)) for lam, e in _projector_family(k).items())
 
 
+@functools.cache
+def _projector_stack(d: int, k: int) -> _Stack:
+    """The projector family's block matrices stacked by :func:`_stack`."""
+    return _stack([groups for _, _, groups in _projector_blocks(d, k)])
+
+
+@functools.cache
+def _projector_packed(d: int, k: int, width: int):
+    """:func:`_projector_stack` packed at one of the power-of-two widths of
+    :func:`_slot_width`, so a handful of widths per ``(d, k)``."""
+    return _pack(_projector_stack(d, k), width)
+
+
 def graded_projections(tensor: Tensor) -> dict[Partition, Tensor]:
     """The graded components of a tensor, ``ga_act(E_lam, tensor)`` for each
-    partition lam of k: one integer mat-vec per weight block with the cached
-    block matrices of the projector family (subject to :data:`K_MAX`).  An
-    order-0 tensor is its own component at the empty partition, as in the
+    partition lam of k: the projector family's block matrices, stacked and
+    packed once per ``(d, k)`` and slot width (subject to :data:`K_MAX`),
+    applied by :func:`_apply_stacked` in one pass over the weight blocks.
+    An order-0 tensor is its own component at the empty partition, as in the
     solve backend of :func:`thrallkit.free_lie.thrall_decompose`."""
     if tensor.k == 0:
         return {(): tensor}
+    d, k, nums = tensor.d, tensor.k, tensor.nums
+    stack = _projector_stack(d, k)
+    width = _slot_width(stack.bound, nums)
+    outputs = _apply_stacked(stack, _projector_packed(d, k, width), width, nums)
     return {
-        lam: Tensor(tensor.d, tensor.k, _apply_blocks(groups, tensor.nums), den * tensor.den)
-        for lam, den, groups in _projector_blocks(tensor.d, tensor.k)
+        lam: Tensor(d, k, out, den * tensor.den)
+        for (lam, den, _), out in zip(_projector_blocks(d, k), outputs)
     }
 
 

@@ -38,15 +38,10 @@ from fractions import Fraction
 from functools import cache
 from operator import mul
 
-from .tensors import Tensor, TensorSeries
+from .tensors import SIGNATURE_ENTRIES_MAX, Tensor, TensorSeries
 from .words import (
     ResourceLimitError, Word, all_words, index_to_word, longest_lyndon_prefix, word_to_index,
 )
-
-# Cap on the entries of a truncated signature, 1 + d + .. + d^k_max, so that
-# every level fits in memory: d=2 to level 16, d=3 to level 10 and d=4 to
-# level 8 pass; d=9 to level 6 does not.
-SIGNATURE_ENTRIES_MAX = 200_000
 
 
 @dataclass(frozen=True)

@@ -22,11 +22,18 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
+from operator import floordiv
 
 from . import linalg
 from .words import Word, index_to_word, word_to_index
 
 _ZERO = Fraction(0)
+
+# Cap on the entries of a dense tensor read from input, and of a truncated
+# signature or series over all its levels (1 + d + .. + d^k_max), so that
+# every level fits in memory: d=2 to level 16, d=3 to level 10 and d=4 to
+# level 8 pass; d=9 to level 6 does not.
+SIGNATURE_ENTRIES_MAX = 200_000
 
 
 @dataclass(frozen=True)
@@ -62,7 +69,7 @@ class Tensor:
         # math.gcd also rejects numerators that are not integers
         g = math.gcd(den, *nums)
         if g != 1:
-            nums, den = tuple(n // g for n in nums), den // g
+            nums, den = tuple(map(floordiv, nums, itertools.repeat(g))), den // g
         object.__setattr__(self, "nums", nums)
         object.__setattr__(self, "den", den)
 

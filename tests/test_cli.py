@@ -207,6 +207,41 @@ def test_resource_guard_exits_3(tmp_path, capsys):
         assert code == 3 and out == "" and "resource guard" in err
 
 
+@pytest.mark.parametrize("command", ["decompose --tensor", "check symmetric --input"])
+@pytest.mark.parametrize("k", [18, 30, 100])
+def test_tensor_over_the_entry_cap_exits_3(tmp_path, capsys, command, k):
+    # d**k entries would be allocated densely: refused as the file is read,
+    # before any is, where k = 100 once overflowed the list (exit 4)
+    file = tmp_path / "tensor.json"
+    file.write_text(json.dumps({"d": 2, "k": k, "entries": {}}))
+    code, out, err = run(capsys, *command.split(), str(file))
+    assert code == 3 and out == "" and "resource guard" in err and "'tensor.k'" in err
+
+
+def test_entry_cap_is_inclusive(tmp_path, capsys):
+    # 2^17 = 131072 entries fit the cap of 200000 and 2^18 do not; a lone
+    # tensor at d = 1 has one entry whatever its order
+    for d, k in ((2, 17), (1, 10**6)):
+        file = tmp_path / "tensor.json"
+        file.write_text(json.dumps({"d": d, "k": k, "entries": {}}))
+        code, out, _ = run(capsys, "check", "symmetric", "--input", str(file))
+        assert code == 0 and json.loads(out)["passed"]
+
+
+@pytest.mark.parametrize("d,k_max,code", [(2, 16, 2), (2, 17, 3), (2, 100, 3), (1, 200_000, 3)])
+def test_series_over_the_entry_cap_exits_3(tmp_path, capsys, d, k_max, code):
+    # a series is held to the cap over all its levels, 1 + d + .. + d^k_max,
+    # as a signature is: 131071 entries pass the cap (and the zero series
+    # then exits 2 for its level 0), 262143 do not, nor 200001 one-entry
+    # levels at d = 1
+    file = tmp_path / "series.json"
+    file.write_text(json.dumps({"d": d, "k_max": k_max, "levels": [{}] * (k_max + 1)}))
+    got, out, err = run(capsys, "check", "group-like", "--input", str(file))
+    assert got == code
+    if code == 3:
+        assert out == "" and "resource guard" in err and "'series.k_max'" in err
+
+
 def test_fls_level_below_one_exits_2(tmp_path, capsys):
     file = tmp_path / "seg.json"
     file.write_text(json.dumps({"d": 2, "points": [[0, 0], [2, 1]]}))

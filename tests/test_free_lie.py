@@ -375,6 +375,21 @@ def test_idempotent_decompose_matches_ga_act_and_solve(tensor):
         assert thrall_decompose(tensor, "solve") == got
 
 
+@pytest.mark.parametrize("digits", [1, 20, 100])
+@pytest.mark.parametrize(
+    "d,k", [(d, k) for d in range(1, 10) for k in range(6) if d**k <= 243]
+)
+def test_idempotent_and_solve_backends_agree_on_wide_entries(d, k, digits):
+    # the packed kernel against the solve backend's plain dot products, with
+    # entries of 1, 20 and 100 digits that pick slots of 8 to 512 bits
+    rng = Random(1000 * d + 10 * k + digits)
+    nums = [rng.choice((-1, 1)) * rng.randrange(10 ** (digits - 1), 10**digits) for _ in range(d**k)]
+    nums[0] = 7 * nums[0] + 1
+    tensor = Tensor(d, k, nums, 7)
+    assert tensor.den == 7
+    assert thrall_decompose(tensor, "idempotent") == thrall_decompose(tensor, "solve")
+
+
 def test_auto_falls_back_to_the_solve_above_the_projector_cap():
     t = random_tensor(2, 6, Random(61))
     with pytest.raises(ResourceLimitError):

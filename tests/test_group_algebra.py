@@ -1,4 +1,5 @@
 import itertools
+import operator
 from fractions import Fraction
 from random import Random
 
@@ -234,6 +235,90 @@ def test_sparse_element_on_seven_slots_matches_dense_oracle():
     x = slot_permutation((1, 2, 3, 4, 5, 6, 0), Fraction(-3, 2))
     t = _random_fractional_tensor(3, 7, Random(7))
     assert ga_act(x, t) == dense_ga_act(x, t)
+
+
+def plain_layers(layers, values):
+    """Each layer's block matrices applied one dot product per row: the
+    products that the packed kernel replaces."""
+    outputs = []
+    for groups in layers:
+        out = [0] * len(values)
+        for rows, blocks in groups.values():
+            for block in blocks:
+                local = [values[i] for i in block]
+                for i, row in zip(block, rows):
+                    out[i] = sum(map(operator.mul, row, local))
+        outputs.append(out)
+    return outputs
+
+
+def packed_layers(layers, values, width=None):
+    """The packed kernel on ``layers``, at the slot width it picks itself
+    unless ``width`` is given."""
+    stack = group_algebra._stack(layers)
+    width = width or group_algebra._slot_width(stack.bound, values)
+    return group_algebra._apply_stacked(stack, group_algebra._pack(stack, width), width, values)
+
+
+@st.composite
+def stacked_operators(draw):
+    """1-3 layers of block matrices over 1-4 letter patterns, each pattern
+    with 1-3 blocks of 1-4 places, the places a shuffle of the indices, and
+    a vector; entries are small or up to 2^70 in size, and some blocks of
+    the vector are zero."""
+    entries = st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70))
+    sizes = draw(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 3)), min_size=1, max_size=4))
+    places = draw(st.permutations(range(sum(b * count for b, count in sizes))))
+    values = draw(st.lists(entries, min_size=len(places), max_size=len(places)))
+    layers = [{} for _ in range(draw(st.integers(1, 3)))]
+    start = 0
+    for pattern, (b, count) in enumerate(sizes):
+        blocks = [tuple(places[start + i * b : start + (i + 1) * b]) for i in range(count)]
+        start += b * count
+        for block in blocks:
+            if draw(st.booleans()):
+                for i in block:
+                    values[i] = 0
+        for groups in layers:
+            matrix = st.lists(st.lists(entries, min_size=b, max_size=b), min_size=b, max_size=b)
+            groups[pattern] = (tuple(map(tuple, draw(matrix))), blocks)
+    return layers, values
+
+
+@settings(deadline=None, max_examples=200)
+@given(stacked_operators())
+def test_packed_kernel_matches_plain_dot_products(case):
+    layers, values = case
+    assert packed_layers(layers, values) == plain_layers(layers, values)
+
+
+@pytest.mark.parametrize("width", [8, 16, 32, 64, 128])
+def test_packed_kernel_at_the_slot_limits(width):
+    top = 2 ** (width - 1)
+    # outputs up to 2^(W-1) - 1 in size fit W bits; 2^(W-1) takes the next width
+    for x, w in ((top - 1, width), (1 - top, width), (top, 2 * width), (-top, 2 * width)):
+        assert group_algebra._slot_width(1, [x]) == w
+    # neighbouring slots of opposite signs, at the limit of their width
+    plus, minus = {(1,): (((1,),), [(0,)])}, {(1,): (((-1,),), [(0,)])}
+    for x in (top - 1, 1 - top, top, -top, 0):
+        assert packed_layers([plus, minus, plus], [x]) == [[x], [-x], [x]]
+    diagonal = {(1, 1): (((1, 0), (0, -1)), [(0, 1), (2, 3)])}
+    for xs in ([top - 1, top - 1, 0, 0], [1 - top, top - 1, top - 1, 1 - top], [-top, top, 1, -1]):
+        assert packed_layers([diagonal], xs) == plain_layers([diagonal], xs)
+    # the most negative slot value fits W bits in two's complement
+    assert packed_layers([plus], [-top], width) == [[-top]]
+
+
+def test_packed_kernel_on_zero_and_one_place_blocks():
+    groups = {(1,): (((5,),), [(0,), (1,)]), (2,): (((0, 0), (0, 0)), [(2, 3)])}
+    assert packed_layers([groups], [0, 0, 0, 0]) == [[0, 0, 0, 0]]
+    assert packed_layers([groups, groups], [3, 0, 7, -7]) == [[15, 0, 0, 0]] * 2
+    # d = 1: one word, one block of one place
+    for k in range(1, K_MAX + 1):
+        t = Tensor(1, k, [Fraction(-(10**30) - 1, 7)])
+        assert graded_projections(t) == {
+            lam: t if lam == (1,) * k else Tensor(1, k, [0]) for lam in partitions(k)
+        }
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

@@ -115,6 +115,25 @@ def test_signature_without_log_leaves_free_lie_unloaded(argv):
     assert "thrallkit.free_lie" not in loaded
 
 
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["decompose", "--tensor", str(DATA / "tensor_d3_k4.json")], 0),
+        (["check", "symmetric", "--input", str(DATA / "tensor_d2_k3_rank_one.json")], 1),
+    ],
+    ids=["decompose", "check-symmetric"],
+)
+def test_tensor_commands_leave_the_signature_stack_unloaded(argv, code):
+    # the entry cap that the tensor reader checks lives in tensors
+    loaded = loaded_after(
+        "from thrallkit.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == {code}\n"
+    )
+    assert "thrallkit.tensors" in loaded
+    assert "thrallkit.shuffle_sig" not in loaded
+
+
 def test_every_export_is_the_object_of_its_defining_module():
     assert len(thrallkit.__all__) == len(set(thrallkit.__all__))
     for name in thrallkit.__all__:
