@@ -36,7 +36,7 @@ _EXPORTS = {
             "symmetric_level_implies_segment",
         ),
         "shuffle_sig": (
-            "SIGNATURE_ENTRIES_MAX", "PiecewiseLinearPath", "WordFunctional",
+            "PiecewiseLinearPath", "WordFunctional",
             "is_group_like", "levy_area", "log_signature", "shuffle_functionals",
             "shuffle_words", "signature",
         ),
@@ -44,7 +44,9 @@ _EXPORTS = {
             "SymFun", "higher_lie_character", "lie_character", "plethysm_h",
             "schur_expand", "sn_character", "thrall_coefficients",
         ),
-        "tensors": ("Tensor", "TensorSeries", "is_symmetric", "tensor_product"),
+        "tensors": (
+            "SIGNATURE_ENTRIES_MAX", "Tensor", "TensorSeries", "is_symmetric", "tensor_product",
+        ),
         "words": (
             "Partition", "ResourceLimitError", "Word", "YoungTableau", "lie_dim", "lyndon_words",
             "moebius", "num_standard", "partition_union", "partitions", "schur_dim",

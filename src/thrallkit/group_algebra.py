@@ -27,14 +27,17 @@ one integer matrix per letter pattern of the weight blocks
 :func:`_stack` stacks the matrices of several operators per pattern (the
 p(k) graded projectors in :func:`graded_projections`, cached per ``(d,
 k)``; one element in :func:`ga_act`), :func:`_pack` packs each column of a
-stack into one Python int, ``W`` bits a slot, and :func:`_apply_stacked`
-computes a block's outputs for every operator as one sum of ``b`` big-int
-products, read back by one ``to_bytes`` and one ``memoryview.cast``.  The
-slot width ``W`` (:func:`_slot_width`) is the smallest power of two, at
-least 8, that holds ``bound * max|x|`` plus a sign bit, ``bound`` the
-stack's largest absolute row sum: every output fits its slot, for inputs of
-any size, and slots over 64 bits are read one ``int.from_bytes`` each.  The
-solve backend of :func:`thrallkit.free_lie.thrall_decompose` keeps its
+stack into one Python int, ``W`` bits a slot, and :func:`_pass` computes a
+block's outputs for every operator as one sum of ``b`` big-int products,
+read back by one ``to_bytes`` and one ``memoryview.cast``.  The slot width
+``W`` (:func:`_slot_width`) is the smallest of 8, 16, 32 and 64 bits that
+holds ``bound * max|x|`` plus a sign bit, ``bound`` the stack's largest
+absolute row sum, so that every output fits its slot and at most four
+packings are cached per ``(d, k)``.  Where no such slot holds the outputs
+(projector inputs of more than 54 bits), :func:`_apply_stacked` takes one dot
+product per row: a Python int is already a run of packed 30-bit digits, and
+wider slots would cost memory per packing and superlinear products.
+The solve backend of :func:`thrallkit.free_lie.thrall_decompose` keeps its
 plain dot products, one per row, so that each backend stays an independent
 check on the other.
 """
@@ -162,8 +165,7 @@ def ga_act(x: GroupAlgebraElement, tensor: Tensor) -> Tensor:
     if x.k != tensor.k:
         raise ValueError(f"degree mismatch: element {x.k}, tensor order {tensor.k}")
     stack = _stack([_block_operator(x, tensor.d)])
-    width = _slot_width(stack.bound, tensor.nums)
-    [nums] = _apply_stacked(stack, _pack(stack, width), width, tensor.nums)
+    [nums] = _apply_stacked(stack, functools.partial(_pack, stack), tensor.nums)
     return Tensor(tensor.d, tensor.k, nums, x.den * tensor.den)
 
 
@@ -252,56 +254,62 @@ _SLOT_CODES = {array(code).itemsize * 8: code for code in "bhilq"}
 
 
 def _pack(stack: _Stack, width: int):
-    """The stacked columns packed into one int each, ``width`` bits a slot.
+    """The stacked columns packed into one int each, ``width`` bits a slot
+    (8 to 64).
 
     Slot ``r`` holds row ``r`` (bits ``r * width`` up on a little-endian
-    machine; bytes are in native order throughout, as ``memoryview.cast``
-    reads them).  ``array`` writes the slots of up to 64 bits as two's
-    complement bytes at C level, ``int.to_bytes`` the wider ones, and
+    machine; bytes are in native order, as ``memoryview.cast`` reads them).
+    ``array`` writes the slots as two's complement bytes at C level, and
     ``(x ^ mask) - mask``, with ``mask`` the top bit of every slot, turns
     those bytes into the signed sum over the slots.  Returns ``(columns,
     mask, size, count)`` per pattern, ``size`` the byte length of its packed
     outputs and ``count`` its number of blocks.
     """
-    p, code, step = stack.layers, _SLOT_CODES.get(width), width // 8
+    p, code, step = stack.layers, _SLOT_CODES[width], width // 8
     top = (1 << (width - 1)).to_bytes(step, sys.byteorder)
     packed = []
     for columns, count in stack.patterns:
         mask = int.from_bytes(top * (p * len(columns)), sys.byteorder)
-        raws = (
-            array(code, column).tobytes() if code
-            else b"".join(x.to_bytes(step, sys.byteorder, signed=True) for x in column)
-            for column in columns
-        )
+        raws = (array(code, column).tobytes() for column in columns)
         ints = [(int.from_bytes(raw, sys.byteorder) ^ mask) - mask for raw in raws]
         packed.append((ints, mask, step * p * len(columns), count))
     return packed
 
 
-def _apply_stacked(stack: _Stack, packed, width: int, values) -> list[list[int]]:
-    """Each operator of a stack applied to the integer numerators
-    ``values``, with ``packed`` its columns packed at ``width`` (see the
-    module docstring): adding and then xoring a pattern's ``mask`` leaves
-    each slot of a block's sum holding its output in two's complement."""
-    p, code, step = stack.layers, _SLOT_CODES.get(width), width // 8
-    xs = list(map(values.__getitem__, stack.gather))
-    flat, start = [], 0
+def _pass(packed, width: int, xs) -> bytes:
+    """The packed kernel over ``xs``, the inputs in the gather order of a
+    stack, with ``packed`` that stack packed at ``width``: adding and then
+    xoring a pattern's ``mask`` leaves each slot of a block's sum holding its
+    output in two's complement, as native-order bytes."""
+    raws, start = [], 0
     for columns, mask, size, count in packed:
         b = len(columns)
         for _ in range(count):
             local = xs[start : start + b]
             start += b
-            if not any(local):
-                flat.extend(itertools.repeat(0, b * p))
-                continue
-            raw = ((sum(map(operator.mul, local, columns)) + mask) ^ mask).to_bytes(
-                size, sys.byteorder
-            )
-            flat.extend(
-                memoryview(raw).cast(code) if code
-                else [int.from_bytes(raw[i : i + step], sys.byteorder, signed=True)
-                      for i in range(0, size, step)]
-            )
+            total = sum(map(operator.mul, local, columns)) if any(local) else 0
+            raws.append(((total + mask) ^ mask).to_bytes(size, sys.byteorder))
+    return b"".join(raws)
+
+
+def _apply_stacked(stack: _Stack, pack, values) -> list[list[int]]:
+    """Each operator of a stack applied to the integer numerators
+    ``values``, with ``pack(width)`` the stack packed by :func:`_pack`: one
+    :func:`_pass` where a slot of at most 64 bits holds ``bound * max|x|``,
+    else one dot product per row (see the module docstring)."""
+    p = stack.layers
+    xs = list(map(values.__getitem__, stack.gather))
+    width = _slot_width(stack.bound, xs)
+    if width <= 64:
+        flat = memoryview(_pass(pack(width), width, xs)).cast(_SLOT_CODES[width]).tolist()
+    else:
+        flat, start = [], 0
+        for columns, count in stack.patterns:
+            rows = list(zip(*columns))
+            for _ in range(count):
+                local = xs[start : start + len(columns)]
+                start += len(columns)
+                flat.extend(sum(map(operator.mul, row, local)) for row in rows)
     # flat[g p + j] is layer j's output at the place gather[g]
     return [list(map(flat[j::p].__getitem__, stack.scatter)) for j in range(p)]
 
@@ -320,8 +328,9 @@ def _projector_stack(d: int, k: int) -> _Stack:
 
 @functools.cache
 def _projector_packed(d: int, k: int, width: int):
-    """:func:`_projector_stack` packed at one of the power-of-two widths of
-    :func:`_slot_width`, so a handful of widths per ``(d, k)``."""
+    """:func:`_projector_stack` packed at one of the slot widths of
+    :func:`_apply_stacked`, 8, 16, 32 or 64 bits: at most four per ``(d,
+    k)``, whatever the size of the inputs."""
     return _pack(_projector_stack(d, k), width)
 
 
@@ -335,9 +344,8 @@ def graded_projections(tensor: Tensor) -> dict[Partition, Tensor]:
     if tensor.k == 0:
         return {(): tensor}
     d, k, nums = tensor.d, tensor.k, tensor.nums
-    stack = _projector_stack(d, k)
-    width = _slot_width(stack.bound, nums)
-    outputs = _apply_stacked(stack, _projector_packed(d, k, width), width, nums)
+    pack = functools.partial(_projector_packed, d, k)
+    outputs = _apply_stacked(_projector_stack(d, k), pack, nums)
     return {
         lam: Tensor(d, k, out, den * tensor.den)
         for (lam, den, _), out in zip(_projector_blocks(d, k), outputs)

@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .words import Partition, ResourceLimitError, Word, word_from_string, word_to_string
+from .words import Partition, Word, word_from_string, word_to_string
 
 # The model classes are imported where a parser builds one, so that the CLI
 # loads only the modules of the subcommand that runs.
@@ -99,25 +99,6 @@ def _terms_to_json(terms: dict[Word, Fraction]) -> dict[str, str]:
 # tensors and series
 
 
-def _check_entries(d: int, k: int, field: str, levels: bool = False) -> None:
-    """Refuse a tensor of ``d**k`` entries, or with ``levels`` a series of
-    ``1 + d + .. + d**k``, over :data:`thrallkit.tensors.SIGNATURE_ENTRIES_MAX`
-    before any is allocated.  The count is built up a level at a time, so it
-    stops within 18 steps for d >= 2 and within the cap for a series; a lone
-    tensor at d = 1 has one entry whatever its order."""
-    from .tensors import SIGNATURE_ENTRIES_MAX
-
-    entries = size = 1
-    for _ in range(k if levels or d > 1 else 0):
-        size *= d
-        entries = entries + size if levels else size
-        if entries > SIGNATURE_ENTRIES_MAX:
-            raise ResourceLimitError(
-                f"field {field!r}: {field.rpartition('.')[2]}={k} at d={d} needs more than "
-                f"{SIGNATURE_ENTRIES_MAX} entries{' over all levels' if levels else ''}"
-            )
-
-
 def tensor_to_json(tensor: Tensor) -> dict:
     return {"d": tensor.d, "k": tensor.k, "entries": _terms_to_json(tensor.nonzero_terms())}
 
@@ -139,8 +120,9 @@ def tensor_from_json(obj: dict, where: str = "tensor") -> Tensor:
         if any(not 1 <= x <= d for x in word):
             raise FormatError(f"{where}.entries.{key}", f"letters outside 1..{d}")
         terms[word] = _parse_fraction(value, f"{where}.entries.{key}")
-    _check_entries(d, k, f"{where}.k")
-    from .tensors import Tensor
+    from .tensors import Tensor, check_entries
+
+    check_entries(d, k, f"field '{where}.k': tensor")
 
     try:
         return Tensor.from_dict(d, k, terms)
@@ -163,7 +145,9 @@ def series_from_json(obj: dict, where: str = "series") -> TensorSeries:
     k_max = _require(obj, "k_max", int, where)
     if k_max < 0:
         raise FormatError(f"{where}.k_max", f"truncation {k_max} is negative")
-    _check_entries(d, k_max, f"{where}.k_max", levels=True)
+    from .tensors import TensorSeries, check_entries
+
+    check_entries(d, k_max, f"field '{where}.k_max': series", levels=True)
     levels = _require(obj, "levels", list, where)
     if len(levels) != k_max + 1:
         raise FormatError(f"{where}.levels", f"expected {k_max + 1} levels")
@@ -174,8 +158,6 @@ def series_from_json(obj: dict, where: str = "series") -> TensorSeries:
         tensors.append(
             tensor_from_json({"d": d, "k": k, "entries": level}, f"{where}.levels[{k}]")
         )
-    from .tensors import TensorSeries
-
     return TensorSeries(d, tuple(tensors))
 
 

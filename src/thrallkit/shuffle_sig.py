@@ -21,7 +21,7 @@ slice.  Each level goes to the tensor constructor as its numerators over
 and :func:`log_signature` is the integer log kernel of
 :mod:`thrallkit.free_lie` on that signature, whose levels the path keeps
 the same way, so no reader builds a Fraction per entry.  Both are capped at
-:data:`SIGNATURE_ENTRIES_MAX` entries over all levels.
+:data:`~thrallkit.tensors.SIGNATURE_ENTRIES_MAX` entries over all levels.
 
 :func:`is_group_like` tests one shuffle identity per non-Lyndon word ``w =
 l v`` (``l`` the longest Lyndon prefix), ``T_{l shuffle v} = T_l T_v``,
@@ -38,9 +38,9 @@ from fractions import Fraction
 from functools import cache
 from operator import mul
 
-from .tensors import SIGNATURE_ENTRIES_MAX, Tensor, TensorSeries
+from .tensors import Tensor, TensorSeries, check_entries
 from .words import (
-    ResourceLimitError, Word, all_words, index_to_word, longest_lyndon_prefix, word_to_index,
+    Word, all_words, index_to_word, longest_lyndon_prefix, word_to_index,
 )
 
 
@@ -231,15 +231,7 @@ def _chen_numerators(path: PiecewiseLinearPath, k_max: int):
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     d = path.d
-    entries, size = 0, 1
-    for _ in range(k_max + 1):
-        entries += size
-        if entries > SIGNATURE_ENTRIES_MAX:
-            raise ResourceLimitError(
-                f"signature of d={d} to level {k_max} exceeds the cap of "
-                f"{SIGNATURE_ENTRIES_MAX} entries over all levels"
-            )
-        size *= d
+    check_entries(d, k_max, "signature", levels=True)
     q = math.lcm(*(x.denominator for p in path.points for x in p))
     dens = [math.factorial(m) * q**m for m in range(k_max + 1)]
     points = [[x.numerator * (q // x.denominator) for x in p] for p in path.points]
@@ -314,9 +306,10 @@ def signature(path: PiecewiseLinearPath, k_max: int) -> TensorSeries:
     them.  Level ``m`` does not depend on ``k_max``, so a lower truncation
     is a slice; a higher one runs the update again, size cap included.
 
-    Raises :class:`ResourceLimitError`, before allocating any level, when
-    the series would hold more than :data:`SIGNATURE_ENTRIES_MAX` entries
-    (``1 + d + .. + d^k_max``).
+    Raises :class:`~thrallkit.words.ResourceLimitError`, before allocating
+    any level, when the series would hold more than
+    :data:`~thrallkit.tensors.SIGNATURE_ENTRIES_MAX` entries (``1 + d + ..
+    + d^k_max``), as counted by :func:`~thrallkit.tensors.check_entries`.
     """
     levels = path.__dict__.get("_chen_levels")
     if levels is None or not 0 <= k_max < len(levels):

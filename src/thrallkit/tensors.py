@@ -25,7 +25,7 @@ from functools import cache, cached_property
 from operator import floordiv
 
 from . import linalg
-from .words import Word, index_to_word, word_to_index
+from .words import ResourceLimitError, Word, index_to_word, word_to_index
 
 _ZERO = Fraction(0)
 
@@ -34,6 +34,24 @@ _ZERO = Fraction(0)
 # every level fits in memory: d=2 to level 16, d=3 to level 10 and d=4 to
 # level 8 pass; d=9 to level 6 does not.
 SIGNATURE_ENTRIES_MAX = 200_000
+
+
+def check_entries(d: int, k: int, what: str, levels: bool = False) -> None:
+    """Raise :class:`ResourceLimitError` for ``what``, a tensor of ``d**k``
+    entries or with ``levels`` a series of ``1 + d + .. + d**k``, over
+    :data:`SIGNATURE_ENTRIES_MAX`, before any entry is allocated.  The count
+    is built up a level at a time, so it stops within 18 steps for d >= 2
+    and within the cap for a series; a lone tensor at d = 1 has one entry
+    whatever its order."""
+    entries = size = 1
+    for _ in range(k if levels or d > 1 else 0):
+        size *= d
+        entries = entries + size if levels else size
+        if entries > SIGNATURE_ENTRIES_MAX:
+            raise ResourceLimitError(
+                f"{what} of d={d} to {'level' if levels else 'order'} {k} needs more than "
+                f"{SIGNATURE_ENTRIES_MAX} entries{' over all levels' if levels else ''}"
+            )
 
 
 @dataclass(frozen=True)

@@ -324,8 +324,9 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # cases, the CLI that imported every module up front for the dims, lyndon,
 # thrall-coeffs, idempotent, check lie, check group-like and help cases, the
 # tensors that stored one Fraction per entry for the signature without --log,
-# and the group-algebra elements that stored one Fraction per term for the
-# k = 5 idempotent.
+# the group-algebra elements that stored one Fraction per term for the
+# k = 5 idempotent, and the solve backend, whose projector route then took
+# one dot product per row, for the wide decompose case.
 GOLDEN = [
     (["dims", "--d", "3", "--k", "5"], "dims_d3_k5.out", 0),
     (["--format", "text", "dims", "--d", "3", "--k", "5"], "dims_d3_k5_text.out", 0),
@@ -353,6 +354,9 @@ GOLDEN = [
     (["decompose", "--tensor", "tensor_d2_k5_fractional.json"],
      "decompose_d2_k5_fractional.out", 0),
     (["decompose", "--tensor", "tensor_d3_k4.json"], "decompose_d3_k4.out", 0),
+    # 40-digit numerators over an lcm of 200 bits: too wide for 64-bit
+    # slots, so the projectors take one dot product per row
+    (["decompose", "--tensor", "tensor_d3_k4_wide.json"], "decompose_d3_k4_wide.out", 0),
     (["invariants", "--d", "2", "--ell", "2"], "invariants_d2_ell2.out", 0),
     (["invariants", "--d", "5", "--ell", "1"], "invariants_d5_ell1.out", 0),
     (["invariant-space", "--d", "3", "--k", "6"], "invariant_space_d3_k6.out", 0),
@@ -385,7 +389,7 @@ def test_help_matches_golden_bytes():
 
 
 @pytest.mark.parametrize("method", ["idempotent", "solve"])
-@pytest.mark.parametrize("name", ["d2_k5_fractional", "d3_k4"])
+@pytest.mark.parametrize("name", ["d2_k5_fractional", "d3_k4", "d3_k4_wide"])
 def test_decompose_methods_match_golden_bytes(capsys, method, name):
     code, out, _ = run(
         capsys, "decompose", "--tensor", str(DATA / f"tensor_{name}.json"), "--method", method

@@ -381,7 +381,8 @@ def test_idempotent_decompose_matches_ga_act_and_solve(tensor):
 )
 def test_idempotent_and_solve_backends_agree_on_wide_entries(d, k, digits):
     # the packed kernel against the solve backend's plain dot products, with
-    # entries of 1, 20 and 100 digits that pick slots of 8 to 512 bits
+    # entries of 1, 20 and 100 digits: slots of 8 to 64 bits, and one dot
+    # product per row where no slot of 64 bits holds the outputs
     rng = Random(1000 * d + 10 * k + digits)
     nums = [rng.choice((-1, 1)) * rng.randrange(10 ** (digits - 1), 10**digits) for _ in range(d**k)]
     nums[0] = 7 * nums[0] + 1

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from thrallkit import shuffle_sig
+from thrallkit import shuffle_sig, tensors
 from thrallkit.free_lie import exp_truncated, is_lie_element, random_lie_element
 from thrallkit.group_algebra import ResourceLimitError, higher_lie_idempotent
 from thrallkit.invariants import random_unimodular_matrix
@@ -325,7 +325,7 @@ def test_signature_size_cap(monkeypatch):
         with pytest.raises(ResourceLimitError, match="entries"):
             f(wide, 12)
     # the cap counts 1 + d + .. + d^k_max entries, inclusive
-    monkeypatch.setattr(shuffle_sig, "SIGNATURE_ENTRIES_MAX", 7)
+    monkeypatch.setattr(tensors, "SIGNATURE_ENTRIES_MAX", 7)
     stair = PiecewiseLinearPath.from_lists([[0, 0], [1, 0], [1, 1]])
     assert signature(stair, 2) == integration_oracle(stair, 2)
     for f in (signature, log_signature):
