@@ -20,12 +20,13 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 
 from . import linalg
-from .tensors import Tensor, TensorSeries, weight_blocks
+from .tensors import Tensor, TensorSeries, weight_patterns
 from .words import (
     Partition,
     ResourceLimitError,
@@ -265,92 +266,132 @@ def _w_basis_cached(lam: Partition, d: int) -> tuple[dict[Word, int], ...]:
 
 @cache
 def _solve_blocks(d: int, k: int):
-    """The solve backend's change of basis, factorized once per (d, k).
+    """The graded projectors built by the solve, once per (d, k): ``(lam,
+    den, groups)`` for each partition lam of k, ``groups`` the integer
+    matrices of lam's projector over ``den`` (in lowest terms) per letter
+    pattern, in the form that
+    :func:`thrallkit.group_algebra.graded_projections` applies.
 
     The concatenated graded bases form a d^k x d^k change of basis.  Each
     basis vector lies in one weight block (letter content), so the matrix is
-    block-diagonal, and each block is square and inverted once by the exact
-    kernel.  One entry per weight block: ``(word indices, inverse
-    numerators, denominator, parts)``, where a part is ``(lam, lo, hi,
-    rows)`` for the block's columns ``lo..hi-1`` from the lam-graded basis
-    and ``rows[t]`` holds their (integer) entries at the block's word ``t``.
+    block-diagonal with square blocks.  Relabelling the letters in order
+    maps Lyndon words and their bracketings, and so the graded bases of a
+    block, onto those of each block with the same letter pattern
+    (:func:`thrallkit.tensors.weight_patterns`), so these blocks share their
+    projectors.  The first block of each pattern is inverted once by the
+    exact kernel, and lam's projector there is ``rows_lam inverse[lo:hi] /
+    den`` (:func:`_compose`), where ``rows_lam[t]`` holds the entries at the
+    block's word ``t`` of its basis columns ``lo..hi-1`` from the
+    lam-graded basis.
     """
-    blocks = weight_blocks(d, k)
-    block_of = {i: b for b, block in enumerate(blocks) for i in block}
-    columns: list[list[tuple[Partition, dict[Word, int]]]] = [[] for _ in blocks]
+    patterns = weight_patterns(d, k)
+    pattern_of = {i: counts for counts, blocks in patterns.items() for i in blocks[0]}
+    columns: dict[tuple[int, ...], list[tuple[Partition, dict[Word, int]]]] = {
+        counts: [] for counts in patterns
+    }
     for lam in partitions(k):
         for vec in _w_basis_cached(lam, d):
-            columns[block_of[word_to_index(next(iter(vec)), d)]].append((lam, vec))
-    out = []
-    for block, cols in zip(blocks, columns):
-        if len(cols) != len(block):
+            counts = pattern_of.get(word_to_index(next(iter(vec)), d))
+            if counts is not None:
+                columns[counts].append((lam, vec))
+    pieces: dict[Partition, list] = {lam: [] for lam in partitions(k)}
+    for counts, blocks in patterns.items():
+        cols, b = columns[counts], len(blocks[0])
+        if len(cols) != b:
             raise ArithmeticError("graded bases do not fill the tensor power")
-        words = [index_to_word(i, d, k) for i in block]
+        words = [index_to_word(i, d, k) for i in blocks[0]]
         try:
             inverse, den = linalg.integer_inverse(
                 [[vec.get(w, 0) for _, vec in cols] for w in words]
             )
         except ZeroDivisionError:
             raise ArithmeticError("decomposition solve failed") from None
-        parts = []
-        lo = 0
-        for lam, group in itertools.groupby(cols, key=lambda col: col[0]):
-            vecs = [vec for _, vec in group]
-            rows = [[vec.get(w, 0) for vec in vecs] for w in words]
-            parts.append((lam, lo, lo + len(vecs), rows))
-            lo += len(vecs)
-        out.append((block, inverse, den, parts))
+        composed = _compose(cols, {w: t for t, w in enumerate(words)}, inverse)
+        for lam, found in pieces.items():
+            flat = composed.get(lam, [0] * (b * b))
+            g = math.gcd(den, *flat)
+            found.append((counts, blocks, flat, g, den // g))
+    out = []
+    for lam, found in pieces.items():
+        # each piece over its own denominator in lowest terms, so over their
+        # lcm the whole projector is in lowest terms
+        den = math.lcm(*(q for *_, q in found))
+        groups = {}
+        for counts, blocks, flat, g, q in found:
+            flat, b = [x // g * (den // q) for x in flat], len(blocks[0])
+            groups[counts] = (tuple(tuple(flat[i : i + b]) for i in range(0, b * b, b)), blocks)
+        out.append((lam, den, groups))
     return tuple(out)
 
 
-def _solve_decompose(tensor: Tensor) -> dict[Partition, Tensor]:
-    """Block matrix-vector products with the cached inverses, then
-    recombination, on integers over the lcm of the blocks' denominators."""
-    d, k = tensor.d, tensor.k
-    blocks = _solve_blocks(d, k)
-    common = math.lcm(*(den for _, _, den, _ in blocks))
-    out = {lam: [0] * len(tensor.nums) for lam in partitions(k)}
-    for block, inverse, den, parts in blocks:
-        local = [tensor.nums[i] for i in block]
-        if not any(local):
-            continue
-        f = common // den
-        coords = [f * sum(map(operator.mul, row, local)) for row in inverse]
-        for lam, lo, hi, rows in parts:
-            part = coords[lo:hi]
-            if not any(part):
-                continue
-            nums = out[lam]
-            for i, row in zip(block, rows):
-                nums[i] = sum(map(operator.mul, row, part))
-    return {lam: Tensor(d, k, nums, common * tensor.den) for lam, nums in out.items()}
+# struct's standard formats of the signed slots of 1, 2, 4 and 8 bytes
+_SLOT_FORMATS = {1: "b", 2: "h", 4: "i", 8: "q"}
+
+
+def _compose(cols, place, inverse) -> dict[Partition, list[int]]:
+    """The matrix ``rows_lam inverse[lo:hi]`` of :func:`_solve_blocks`,
+    row-major, for each lam among the basis columns ``cols``, with
+    ``place`` the place of each word of the block.
+
+    Each row of the inverse is packed into one int, ``step`` bytes a slot in
+    two's complement, enough for every entry of the product and a sign bit.
+    Row ``t`` of the product is then the one sum of ``c * packed[r]`` over
+    the nonzero entries ``c`` of the basis vectors ``r`` at word ``t``, and
+    adding and then xoring the top bit of every slot turns each slot into
+    its entry's two's complement bytes.
+    """
+    b = len(inverse)
+    bound = max(map(abs, itertools.chain.from_iterable(inverse))) * max(
+        sum(abs(vec.get(w, 0)) for _, vec in cols) for w in place
+    )
+    need = -(-(bound.bit_length() + 1) // 8)
+    step = next((s for s in _SLOT_FORMATS if s >= need), need)
+    mask = int.from_bytes((1 << (8 * step - 1)).to_bytes(step, "little") * b, "little")
+    packed = [
+        (int.from_bytes(b"".join(x.to_bytes(step, "little", signed=True) for x in row), "little")
+         ^ mask) - mask
+        for row in inverse
+    ]
+    out, lo = {}, 0
+    for lam, group in itertools.groupby(cols, key=lambda col: col[0]):
+        sums = [0] * b
+        for (_, vec), column in zip(group, packed[lo:]):
+            lo += 1
+            for w, c in vec.items():
+                sums[place[w]] += c * column
+        raw = b"".join(((total + mask) ^ mask).to_bytes(step * b, "little") for total in sums)
+        if step in _SLOT_FORMATS:
+            out[lam] = list(struct.unpack(f"<{b * b}{_SLOT_FORMATS[step]}", raw))
+        else:
+            slots = range(0, len(raw), step)
+            out[lam] = [int.from_bytes(raw[i : i + step], "little", signed=True) for i in slots]
+    return out
 
 
 def thrall_decompose(tensor: Tensor, method: str = "auto") -> dict[Partition, Tensor]:
     """Split a tensor into its graded components, one per partition of k.
 
-    Two independent backends on integer block matrices cached per (d, k):
-    ``"solve"`` expresses the tensor in the concatenated graded bases
-    through the blocks' inverses, one dot product per row, and recombines
-    basis vectors; ``"idempotent"`` is
-    :func:`thrallkit.group_algebra.graded_projections`, the projector
-    family's stacked matrices applied one packed big-int product per column
-    (subject to its degree cap).  ``"auto"`` takes the idempotent route and falls back to the solve
-    where the projector family raises :class:`ResourceLimitError`.  Degree 0
-    is the trivial piece: every route returns an order-0 tensor as its one
-    component, at the empty partition.
+    Two independent constructions of the graded projectors, each cached per
+    (d, k) and applied by the one packed kernel of
+    :func:`thrallkit.group_algebra.graded_projections`: ``"idempotent"``
+    takes the closed-form projector family (subject to its degree cap),
+    ``"solve"`` the inverse of the concatenated graded bases
+    (:func:`_solve_blocks`).  ``"auto"`` takes the closed form and falls
+    back to the solve where the projector family raises
+    :class:`ResourceLimitError`.  Degree 0 is the trivial piece: every route
+    returns an order-0 tensor as its one component, at the empty partition.
     """
     if method not in ("auto", "solve", "idempotent"):
         raise ValueError(f"unknown method {method!r}")
-    if method != "solve":
-        from .group_algebra import graded_projections
+    from .group_algebra import graded_projections
 
+    if method != "solve":
         try:
             return graded_projections(tensor)
         except ResourceLimitError:
             if method == "idempotent":
                 raise
-    return _solve_decompose(tensor)
+    return graded_projections(tensor, _solve_blocks)
 
 
 def is_lie_element(tensor: Tensor) -> bool:

@@ -25,21 +25,24 @@ The slot action keeps the letter content of a word, so an element acts by
 one integer matrix per letter pattern of the weight blocks
 (:func:`_block_operator`).  One packed kernel applies them:
 :func:`_stack` stacks the matrices of several operators per pattern (the
-p(k) graded projectors in :func:`graded_projections`, cached per ``(d,
-k)``; one element in :func:`ga_act`), :func:`_pack` packs each column of a
-stack into one Python int, ``W`` bits a slot, and :func:`_pass` computes a
-block's outputs for every operator as one sum of ``b`` big-int products,
-read back by one ``to_bytes`` and one ``memoryview.cast``.  The slot width
-``W`` (:func:`_slot_width`) is the smallest of 8, 16, 32 and 64 bits that
-holds ``bound * max|x|`` plus a sign bit, ``bound`` the stack's largest
-absolute row sum, so that every output fits its slot and at most four
-packings are cached per ``(d, k)``.  Where no such slot holds the outputs
-(projector inputs of more than 54 bits), :func:`_apply_stacked` takes one dot
-product per row: a Python int is already a run of packed 30-bit digits, and
-wider slots would cost memory per packing and superlinear products.
-The solve backend of :func:`thrallkit.free_lie.thrall_decompose` keeps its
-plain dot products, one per row, so that each backend stays an independent
-check on the other.
+p(k) graded projectors in :func:`graded_projections`, cached per
+construction and ``(d, k)``; one element in :func:`ga_act`), :func:`_pack`
+packs each column of a stack into one Python int, ``W`` bits a slot, and
+:func:`_pass` computes a block's outputs for every operator as one sum of
+``b`` big-int products, read back by one ``to_bytes`` and one
+``memoryview.cast``.  The slot width ``W`` (:func:`_slot_width`) is the
+smallest of 8, 16, 32 and 64 bits that holds ``bound * max|x|`` plus a sign
+bit, ``bound`` the stack's largest absolute row sum, so that every output
+fits its slot and at most four packings are cached per stack.  Where no
+such slot holds the outputs (closed-form projector inputs of more than 54
+bits), :func:`_apply_stacked` takes one dot product per row: a Python int
+is already a run of packed 30-bit digits, and wider slots would cost memory
+per packing and superlinear products.  The graded projectors have two
+constructions, both applied by this kernel: the closed form here
+(:func:`_projector_blocks`) and the solve backend of
+:func:`thrallkit.free_lie.thrall_decompose`, which inverts the graded
+bases.  They stay independent checks on each other where the risk is, in
+how the matrices are made.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ from .permutations import (
     sign,
     word_to_perm,
 )
-from .tensors import Tensor, weight_blocks
+from .tensors import Tensor, weight_patterns
 from .words import (
     Partition,
     ResourceLimitError,
@@ -73,7 +76,6 @@ from .words import (
     YoungTableau,
     check_partition,
     distinct_orderings,
-    index_to_word,
     partitions,
 )
 
@@ -191,23 +193,19 @@ def _block_gather(counts: tuple[int, ...], perm: Perm) -> tuple[int, ...]:
 def _block_operator(x: GroupAlgebraElement, d: int):
     """The integer matrices of ``ga_act(x, .)`` over ``x.den``.
 
-    ``groups`` maps the letter counts of a weight block, in letter order, to
+    ``groups`` maps each letter pattern of :func:`weight_patterns` to
     ``(rows, blocks)``; row ``t`` holds ``x_sigma`` at the place of ``u o
     sigma`` for ``u`` the block's ``t``-th word.  Relabelling the letters in
-    order keeps the word order and commutes with ``u -> u o sigma``, so the
-    blocks with the same counts share one matrix.
+    order commutes with ``u -> u o sigma``, so the blocks of a pattern share
+    one matrix.
     """
     groups: dict[tuple[int, ...], tuple[tuple, list]] = {}
-    for block in weight_blocks(d, x.k):
-        first = index_to_word(block[0], d, x.k)
-        counts = tuple(len(list(run)) for _, run in itertools.groupby(first))
-        if counts not in groups:
-            rows = [[0] * len(block) for _ in block]
-            for perm, c in x.nums.items():
-                for row, j in zip(rows, _block_gather(counts, perm)):
-                    row[j] += c
-            groups[counts] = (tuple(map(tuple, rows)), [])
-        groups[counts][1].append(block)
+    for counts, blocks in weight_patterns(d, x.k).items():
+        rows = [[0] * len(blocks[0]) for _ in blocks[0]]
+        for perm, c in x.nums.items():
+            for row, j in zip(rows, _block_gather(counts, perm)):
+                row[j] += c
+        groups[counts] = (tuple(map(tuple, rows)), blocks)
     return groups
 
 
@@ -321,34 +319,40 @@ def _projector_blocks(d: int, k: int):
 
 
 @functools.cache
-def _projector_stack(d: int, k: int) -> _Stack:
-    """The projector family's block matrices stacked by :func:`_stack`."""
-    return _stack([groups for _, _, groups in _projector_blocks(d, k)])
+def _projector_stack(construction, d: int, k: int) -> _Stack:
+    """The block matrices of ``construction(d, k)`` stacked by :func:`_stack`."""
+    return _stack([groups for _, _, groups in construction(d, k)])
 
 
 @functools.cache
-def _projector_packed(d: int, k: int, width: int):
+def _projector_packed(construction, d: int, k: int, width: int):
     """:func:`_projector_stack` packed at one of the slot widths of
-    :func:`_apply_stacked`, 8, 16, 32 or 64 bits: at most four per ``(d,
-    k)``, whatever the size of the inputs."""
-    return _pack(_projector_stack(d, k), width)
+    :func:`_apply_stacked`, 8, 16, 32 or 64 bits: at most four per
+    construction and ``(d, k)``, whatever the size of the inputs."""
+    return _pack(_projector_stack(construction, d, k), width)
 
 
-def graded_projections(tensor: Tensor) -> dict[Partition, Tensor]:
-    """The graded components of a tensor, ``ga_act(E_lam, tensor)`` for each
-    partition lam of k: the projector family's block matrices, stacked and
-    packed once per ``(d, k)`` and slot width (subject to :data:`K_MAX`),
-    applied by :func:`_apply_stacked` in one pass over the weight blocks.
-    An order-0 tensor is its own component at the empty partition, as in the
-    solve backend of :func:`thrallkit.free_lie.thrall_decompose`."""
+def graded_projections(tensor: Tensor, construction=_projector_blocks) -> dict[Partition, Tensor]:
+    """The graded components of a tensor, one per partition lam of k.
+
+    ``construction(d, k)`` builds the projectors as ``(lam, den, groups)`` per
+    partition, ``groups`` the integer matrices of lam's projector over
+    ``den`` in the form of :func:`_block_operator`: by default
+    :func:`_projector_blocks`, the closed form ``ga_act(E_lam, .)`` (subject
+    to :data:`K_MAX`); the solve backend of
+    :func:`thrallkit.free_lie.thrall_decompose` passes its own.  The
+    matrices are stacked and packed once per construction, ``(d, k)`` and
+    slot width, and applied by :func:`_apply_stacked` in one pass over the
+    weight blocks.  An order-0 tensor is its own component at the empty
+    partition."""
     if tensor.k == 0:
         return {(): tensor}
     d, k, nums = tensor.d, tensor.k, tensor.nums
-    pack = functools.partial(_projector_packed, d, k)
-    outputs = _apply_stacked(_projector_stack(d, k), pack, nums)
+    pack = functools.partial(_projector_packed, construction, d, k)
+    outputs = _apply_stacked(_projector_stack(construction, d, k), pack, nums)
     return {
         lam: Tensor(d, k, out, den * tensor.den)
-        for (lam, den, _), out in zip(_projector_blocks(d, k), outputs)
+        for (lam, den, _), out in zip(construction(d, k), outputs)
     }
 
 
@@ -495,27 +499,45 @@ def _projector_family(k: int) -> dict[Partition, GroupAlgebraElement]:
         raise ValueError("lam must be a partition of k >= 1")
     if k > K_MAX:
         raise ResourceLimitError(f"degree {k} exceeds the projector degree cap {K_MAX}")
-    words = [perm_to_word(p) for p in all_permutations(k)]
-    family: dict[Partition, GroupAlgebraElement] = {}
+    # signs[a][j] = (-1)^j j! (a-1-j)!, the factor of a segment of a letters
+    # with j descents
+    signs = [
+        [(-1) ** j * math.factorial(j) * math.factorial(a - 1 - j) for j in range(a)]
+        for a in range(k + 1)
+    ]
+    # each rearrangement of lam as (start, end - 1, signs[a]) per segment
+    segments = {}
     for lam in partitions(k):
-        den = math.factorial(len(lam)) * math.prod(map(math.factorial, lam))
-        arrangements = list(distinct_orderings(lam))
-        nums: dict[Perm, int] = {}
-        for w in words:
-            total = 0
-            for parts in arrangements:
-                term, start = 1, 0
-                for a in parts:
-                    segment = w[start : start + a]
-                    j = sum(x > y for x, y in zip(segment, segment[1:]))
-                    term *= (-1) ** j * math.factorial(j) * math.factorial(a - 1 - j)
-                    start += a
-                total += term
-            # the slot action sends e_iota to e_{word(sigma^{-1})}, so the
-            # coefficient of sigma sits at that word
-            nums[inverse(word_to_perm(w))] = total
-        family[lam] = GroupAlgebraElement(k, nums, den)
-    return family
+        segments[lam] = []
+        for parts in distinct_orderings(lam):
+            starts = itertools.accumulate(parts, initial=0)
+            segments[lam].append([(s, s + a - 1, signs[a]) for s, a in zip(starts, parts)])
+    # a word's coefficients depend on its descents alone: one sum per descent set
+    by_descents: dict[tuple[int, ...], list[int]] = {}
+    family: dict[Partition, dict[Perm, int]] = {lam: {} for lam in segments}
+    for w in map(perm_to_word, all_permutations(k)):
+        # descents[i]: the descents of w at places 1..i, so a segment from s
+        # to e has descents[e] - descents[s]
+        descents = tuple(itertools.accumulate((x > y for x, y in zip(w, w[1:])), initial=0))
+        if descents not in by_descents:
+            by_descents[descents] = [
+                sum(
+                    math.prod(table[descents[e] - descents[s]] for s, e, table in parts)
+                    for parts in arrangements
+                )
+                for arrangements in segments.values()
+            ]
+        # the slot action sends e_iota to e_{word(sigma^{-1})}, so the
+        # coefficient of sigma sits at that word
+        sigma = inverse(word_to_perm(w))
+        for nums, c in zip(family.values(), by_descents[descents]):
+            nums[sigma] = c
+    return {
+        lam: GroupAlgebraElement(
+            k, nums, math.factorial(len(lam)) * math.prod(map(math.factorial, lam))
+        )
+        for lam, nums in family.items()
+    }
 
 
 def higher_lie_idempotent(lam: Partition) -> GroupAlgebraElement:

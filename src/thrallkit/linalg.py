@@ -81,9 +81,11 @@ def rank(matrix) -> int:
 def integer_inverse(matrix) -> tuple[list[list[int]], int]:
     """Inverse of a square matrix as integer numerators over one denominator.
 
-    Returns ``(N, D)`` with ``inverse == N / D``.  Reducing ``[S A | S]``,
-    where ``S`` holds the row scale factors, leaves ``[D I | D A^-1]``.
-    Raises :class:`ZeroDivisionError` when the matrix is singular.
+    Returns ``(N, D)`` with ``inverse == N / D`` in lowest terms and ``D >=
+    1``.  Reducing ``[S A | S]``, where ``S`` holds the row scale factors,
+    leaves ``[p I | p A^-1]``; ``p`` is a minor of the scaled matrix, and its
+    gcd with the numerators is often most of it.  Raises
+    :class:`ZeroDivisionError` when the matrix is singular.
     """
     rows, scales = _integer_rows(matrix)
     n = len(rows)
@@ -94,7 +96,8 @@ def integer_inverse(matrix) -> tuple[list[list[int]], int]:
     pivots, p, _ = _eliminate(rows)
     if pivots != list(range(n)):
         raise ZeroDivisionError("matrix is singular")
-    return [row[n:] for row in rows], p
+    g = math.gcd(p, *(x for row in rows for x in row[n:])) * (1 if p > 0 else -1)
+    return [[x // g for x in row[n:]] for row in rows], p // g
 
 
 def primitive_row_basis(matrix) -> list[list[int]]:

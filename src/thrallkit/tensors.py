@@ -173,6 +173,23 @@ def weight_blocks(d: int, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(block) for block in blocks.values())
 
 
+def weight_patterns(d: int, k: int) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
+    """The weight blocks grouped by letter pattern, the counts of the letters
+    that occur in letter order, in the order of :func:`weight_blocks`.
+
+    Relabelling the letters in order maps the words of a block onto those of
+    every block with the same pattern and keeps their lex order, so an
+    operator that commutes with it (a slot permutation, a graded projector)
+    has one matrix per pattern.
+    """
+    patterns: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for block in weight_blocks(d, k):
+        first = index_to_word(block[0], d, k)
+        counts = tuple(len(list(run)) for _, run in itertools.groupby(first))
+        patterns.setdefault(counts, []).append(block)
+    return patterns
+
+
 def is_symmetric(tensor: Tensor) -> bool:
     """True iff the tensor is fixed by every slot permutation: these permute
     each weight block transitively, so iff its numerators are constant on

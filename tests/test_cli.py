@@ -325,8 +325,9 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # thrall-coeffs, idempotent, check lie, check group-like and help cases, the
 # tensors that stored one Fraction per entry for the signature without --log,
 # the group-algebra elements that stored one Fraction per term for the
-# k = 5 idempotent, and the solve backend, whose projector route then took
-# one dot product per row, for the wide decompose case.
+# k = 5 idempotent, the solve backend, whose projector route then took one
+# dot product per row, for the wide decompose case, and the solve backend's
+# per-block inverses and dot products for the k = 6 decompose case.
 GOLDEN = [
     (["dims", "--d", "3", "--k", "5"], "dims_d3_k5.out", 0),
     (["--format", "text", "dims", "--d", "3", "--k", "5"], "dims_d3_k5_text.out", 0),
@@ -357,6 +358,9 @@ GOLDEN = [
     # 40-digit numerators over an lcm of 200 bits: too wide for 64-bit
     # slots, so the projectors take one dot product per row
     (["decompose", "--tensor", "tensor_d3_k4_wide.json"], "decompose_d3_k4_wide.out", 0),
+    # k = 6 is above the projector degree cap: the default route takes the
+    # solve-built projectors
+    (["decompose", "--tensor", "tensor_d2_k6.json"], "decompose_d2_k6.out", 0),
     (["invariants", "--d", "2", "--ell", "2"], "invariants_d2_ell2.out", 0),
     (["invariants", "--d", "5", "--ell", "1"], "invariants_d5_ell1.out", 0),
     (["invariant-space", "--d", "3", "--k", "6"], "invariant_space_d3_k6.out", 0),
@@ -396,6 +400,14 @@ def test_decompose_methods_match_golden_bytes(capsys, method, name):
     )
     assert code == 0
     assert out.encode() == (DATA / f"decompose_{name}.out").read_bytes()
+
+
+def test_solve_method_above_the_projector_cap_matches_golden_bytes(capsys):
+    code, out, _ = run(
+        capsys, "decompose", "--tensor", str(DATA / "tensor_d2_k6.json"), "--method", "solve"
+    )
+    assert code == 0
+    assert out.encode() == (DATA / "decompose_d2_k6.out").read_bytes()
 
 
 @pytest.mark.parametrize("method", ["auto", "idempotent", "solve"])

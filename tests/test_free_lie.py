@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thrallkit import linalg
+from thrallkit import free_lie, linalg
 from thrallkit.free_lie import (
     LieElement,
     _w_basis_cached,
@@ -380,15 +380,66 @@ def test_idempotent_decompose_matches_ga_act_and_solve(tensor):
     "d,k", [(d, k) for d in range(1, 10) for k in range(6) if d**k <= 243]
 )
 def test_idempotent_and_solve_backends_agree_on_wide_entries(d, k, digits):
-    # the packed kernel against the solve backend's plain dot products, with
-    # entries of 1, 20 and 100 digits: slots of 8 to 64 bits, and one dot
-    # product per row where no slot of 64 bits holds the outputs
+    # the closed-form and the solve-built projectors through the one packed
+    # kernel, with entries of 1, 20 and 100 digits: slots of 8 to 64 bits,
+    # and one dot product per row where no slot of 64 bits holds the outputs
     rng = Random(1000 * d + 10 * k + digits)
     nums = [rng.choice((-1, 1)) * rng.randrange(10 ** (digits - 1), 10**digits) for _ in range(d**k)]
     nums[0] = 7 * nums[0] + 1
     tensor = Tensor(d, k, nums, 7)
     assert tensor.den == 7
     assert thrall_decompose(tensor, "idempotent") == thrall_decompose(tensor, "solve")
+
+
+@pytest.mark.parametrize("digits", [20, 100])
+@pytest.mark.parametrize("d,k", [(2, 6), (3, 4)])
+def test_solve_route_on_wide_entries_matches_dense_solve(d, k, digits):
+    # outputs wider than 64-bit slots: the solve-built stack takes one dot
+    # product per row
+    rng = Random(7000 * d + 10 * k + digits)
+    nums = [
+        rng.choice((-1, 1)) * rng.randrange(10 ** (digits - 1), 10**digits) for _ in range(d**k)
+    ]
+    tensor = Tensor(d, k, nums, 10**digits + 1)
+    assert thrall_decompose(tensor, "solve") == dense_solve_decompose(tensor)
+
+
+@pytest.mark.parametrize("bits", [3, 12, 28, 60, 100])
+def test_compose_matches_plain_products_at_every_slot_width(bits):
+    # entries of the inverse that need slots of 1, 2, 4, 8 and more bytes
+    rng = Random(bits)
+    b = 4
+    inverse = [[rng.randint(-(2**bits), 2**bits) for _ in range(b)] for _ in range(b)]
+    inverse[0][0] = 2**bits
+    words = [(1, 1, 2), (1, 2, 1), (2, 1, 1), (2, 2, 1)]
+    place = {w: t for t, w in enumerate(words)}
+    cols = [
+        ((2, 1), {words[0]: 1, words[1]: -1}),
+        ((2, 1), {words[2]: 3}),
+        ((3,), {words[0]: -2, words[1]: 5, words[3]: 1}),
+        ((1, 1, 1), {words[3]: 1}),
+    ]
+    got = free_lie._compose(cols, place, inverse)
+    assert list(got) == [(2, 1), (3,), (1, 1, 1)]
+    for lam, flat in got.items():
+        rows = [[vec.get(w, 0) if mu == lam else 0 for mu, vec in cols] for w in words]
+        want = [sum(x * inv[c] for x, inv in zip(row, inverse)) for row in rows for c in range(b)]
+        assert flat == want
+
+
+@pytest.mark.parametrize("width", [8, 16, 32, 64, 72])
+def test_compose_at_the_slot_limits(width):
+    # entries up to 2^(W-1) - 1 in size fit slots of W bits, 2^(W-1) takes
+    # the next width; neighbouring slots of opposite signs
+    top = 2 ** (width - 1)
+    words = [(1, 2), (2, 1)]
+    place = {w: t for t, w in enumerate(words)}
+    cols = [((2,), {words[0]: 1}), ((1, 1), {words[1]: 1})]
+    for x in (top - 1, 1 - top, top, -top):
+        assert free_lie._compose(cols, place, [[x, -x], [-x, x]]) == {
+            (2,): [x, -x, 0, 0],
+            (1, 1): [0, 0, -x, x],
+        }
 
 
 def test_auto_falls_back_to_the_solve_above_the_projector_cap():

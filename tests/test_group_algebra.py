@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import operator
 from fractions import Fraction
 from random import Random
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from thrallkit import group_algebra, linalg
+from thrallkit import free_lie, group_algebra, linalg
 from thrallkit.free_lie import lie_basis, lyndon_bracketing
 from thrallkit.group_algebra import (
     GroupAlgebraElement,
@@ -285,8 +286,21 @@ def stacked_operators(draw):
     return layers, values
 
 
+def solve_built_case(d, k, digits):
+    """The layers that the solve backend builds at (d, k), and a vector with
+    entries of ``digits`` digits: 20 digits take one dot product per row."""
+    rng = Random(100 * d + 10 * k + digits)
+    values = [rng.randrange(-(10**digits), 10**digits) for _ in range(d**k)]
+    return [groups for _, _, groups in free_lie._solve_blocks(d, k)], values
+
+
 @settings(deadline=None, max_examples=200)
 @given(stacked_operators())
+@example(solve_built_case(2, 4, 1))
+@example(solve_built_case(3, 4, 1))
+@example(solve_built_case(3, 4, 20))
+@example(solve_built_case(2, 6, 1))
+@example(solve_built_case(2, 6, 20))
 def test_packed_kernel_matches_plain_dot_products(case):
     layers, values = case
     assert packed_layers(layers, values) == plain_layers(layers, values)
@@ -507,6 +521,39 @@ def test_central_idempotents_commute_with_group():
     for cyc in ([[1, 2]], [[1, 2, 3, 4]], [[2, 4]]):
         g = slot_permutation(from_cycles(cyc, k))
         assert ga_multiply(z, g) == ga_multiply(g, z)
+
+
+def closed_form_blocks(d, k):
+    """``(den, groups)`` per partition from the closed-form family, built
+    outside the caches so that a raised degree cap leaves them untouched."""
+    family = group_algebra._projector_family.__wrapped__(k)
+    return {lam: (e.den, group_algebra._block_operator(e, d)) for lam, e in family.items()}
+
+
+@pytest.mark.parametrize(
+    "d,k", [(d, k) for d in range(1, 10) for k in range(1, 7) if d**k <= 243 and k <= 5] + [(2, 6)]
+)
+def test_solve_and_closed_form_build_equal_stacks(monkeypatch, d, k):
+    # the two constructions of every projector's block matrices agree as
+    # rational matrices; their denominators differ (at (2, 4) the solve
+    # side has 6 where the closed form has 12), so compare cross-multiplied
+    monkeypatch.setattr(group_algebra, "K_MAX", max(k, K_MAX))
+    closed = closed_form_blocks(d, k)
+    solved = free_lie._solve_blocks(d, k)
+    assert [lam for lam, _, _ in solved] == list(closed) == list(partitions(k))
+    for lam, den, groups in solved:
+        closed_den, closed_groups = closed[lam]
+        assert groups.keys() == closed_groups.keys()
+        entries = []
+        for counts, (rows, blocks) in groups.items():
+            closed_rows, closed_blocks = closed_groups[counts]
+            assert blocks == closed_blocks
+            assert [[x * closed_den for x in row] for row in rows] == [
+                [x * den for x in row] for row in closed_rows
+            ]
+            entries.extend(itertools.chain.from_iterable(rows))
+        # each projector in lowest terms over its one denominator
+        assert math.gcd(den, *entries) == 1
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])

@@ -151,6 +151,8 @@ def test_determinant_and_inverse_fractional(m):
             linalg.integer_inverse(m)
         return
     num, den = linalg.integer_inverse(m)
+    # in lowest terms over a positive denominator
+    assert den >= 1 and math.gcd(den, *(x for row in num for x in row)) == 1
     inv = [[Fraction(x, den) for x in row] for row in num]
     product = [[sum((m[i][t] * inv[t][j] for t in range(n)), Fraction(0)) for j in range(n)] for i in range(n)]
     assert product == identity_matrix(n)
