@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -280,9 +279,9 @@ def _solve_blocks(d: int, k: int):
     (:func:`thrallkit.tensors.weight_patterns`), so these blocks share their
     projectors.  The first block of each pattern is inverted once by the
     exact kernel, and lam's projector there is ``rows_lam inverse[lo:hi] /
-    den`` (:func:`_compose`), where ``rows_lam[t]`` holds the entries at the
-    block's word ``t`` of its basis columns ``lo..hi-1`` from the
-    lam-graded basis.
+    den``, summed as integer rows of the inverse (:func:`_compose`), where
+    ``rows_lam[t]`` holds the entries at the block's word ``t`` of its basis
+    columns ``lo..hi-1`` from the lam-graded basis.
     """
     patterns = weight_patterns(d, k)
     pattern_of = {i: counts for counts, blocks in patterns.items() for i in blocks[0]}
@@ -324,48 +323,23 @@ def _solve_blocks(d: int, k: int):
     return tuple(out)
 
 
-# struct's standard formats of the signed slots of 1, 2, 4 and 8 bytes
-_SLOT_FORMATS = {1: "b", 2: "h", 4: "i", 8: "q"}
-
-
 def _compose(cols, place, inverse) -> dict[Partition, list[int]]:
     """The matrix ``rows_lam inverse[lo:hi]`` of :func:`_solve_blocks`,
     row-major, for each lam among the basis columns ``cols``, with
     ``place`` the place of each word of the block.
 
-    Each row of the inverse is packed into one int, ``step`` bytes a slot in
-    two's complement, enough for every entry of the product and a sign bit.
-    Row ``t`` of the product is then the one sum of ``c * packed[r]`` over
-    the nonzero entries ``c`` of the basis vectors ``r`` at word ``t``, and
-    adding and then xoring the top bit of every slot turns each slot into
-    its entry's two's complement bytes.
+    Row ``t`` of lam's matrix is the sum of ``c * inverse[r]`` over the
+    nonzero entries ``c`` at word ``t`` of lam's basis vectors ``r``: plain
+    sums of Python int rows, exact at any entry size.
     """
     b = len(inverse)
-    bound = max(map(abs, itertools.chain.from_iterable(inverse))) * max(
-        sum(abs(vec.get(w, 0)) for _, vec in cols) for w in place
-    )
-    need = -(-(bound.bit_length() + 1) // 8)
-    step = next((s for s in _SLOT_FORMATS if s >= need), need)
-    mask = int.from_bytes((1 << (8 * step - 1)).to_bytes(step, "little") * b, "little")
-    packed = [
-        (int.from_bytes(b"".join(x.to_bytes(step, "little", signed=True) for x in row), "little")
-         ^ mask) - mask
-        for row in inverse
-    ]
-    out, lo = {}, 0
-    for lam, group in itertools.groupby(cols, key=lambda col: col[0]):
-        sums = [0] * b
-        for (_, vec), column in zip(group, packed[lo:]):
-            lo += 1
-            for w, c in vec.items():
-                sums[place[w]] += c * column
-        raw = b"".join(((total + mask) ^ mask).to_bytes(step * b, "little") for total in sums)
-        if step in _SLOT_FORMATS:
-            out[lam] = list(struct.unpack(f"<{b * b}{_SLOT_FORMATS[step]}", raw))
-        else:
-            slots = range(0, len(raw), step)
-            out[lam] = [int.from_bytes(raw[i : i + step], "little", signed=True) for i in slots]
-    return out
+    out: dict[Partition, list[list[int]]] = {}
+    for (lam, vec), row in zip(cols, inverse):
+        rows = out.setdefault(lam, [[0] * b for _ in range(b)])
+        for w, c in vec.items():
+            t = place[w]
+            rows[t] = list(map(operator.add, rows[t], map(c.__mul__, row)))
+    return {lam: list(itertools.chain.from_iterable(rows)) for lam, rows in out.items()}
 
 
 def thrall_decompose(tensor: Tensor, method: str = "auto") -> dict[Partition, Tensor]:

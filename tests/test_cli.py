@@ -355,6 +355,9 @@ GOLDEN = [
     (["decompose", "--tensor", "tensor_d2_k5_fractional.json"],
      "decompose_d2_k5_fractional.out", 0),
     (["decompose", "--tensor", "tensor_d3_k4.json"], "decompose_d3_k4.out", 0),
+    # the solve-built projectors at d = 3, composed by integer row sums
+    (["decompose", "--tensor", "tensor_d3_k4.json", "--method", "solve"],
+     "decompose_d3_k4.out", 0),
     # 40-digit numerators over an lcm of 200 bits: too wide for 64-bit
     # slots, so the projectors take one dot product per row
     (["decompose", "--tensor", "tensor_d3_k4_wide.json"], "decompose_d3_k4_wide.out", 0),
@@ -373,7 +376,16 @@ GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize("argv,golden,exit_code", GOLDEN, ids=[g for _, g, _ in GOLDEN])
+def golden_id(argv, golden):
+    """The golden's file name, with the method where a case forces one."""
+    if "--method" in argv:
+        return f"{golden}-{argv[argv.index('--method') + 1]}"
+    return golden
+
+
+@pytest.mark.parametrize(
+    "argv,golden,exit_code", GOLDEN, ids=[golden_id(a, g) for a, g, _ in GOLDEN]
+)
 def test_stdout_matches_golden_bytes(capsys, argv, golden, exit_code):
     argv = [str(DATA / a) if a.endswith(".json") else a for a in argv]
     code, out, _ = run(capsys, *argv)

@@ -406,7 +406,8 @@ def test_solve_route_on_wide_entries_matches_dense_solve(d, k, digits):
 
 @pytest.mark.parametrize("bits", [3, 12, 28, 60, 100])
 def test_compose_matches_plain_products_at_every_slot_width(bits):
-    # entries of the inverse that need slots of 1, 2, 4, 8 and more bytes
+    # entries of the inverse of 3 to 100 bits, below and above a 64-bit
+    # machine word: the row sums stay exact at every size
     rng = Random(bits)
     b = 4
     inverse = [[rng.randint(-(2**bits), 2**bits) for _ in range(b)] for _ in range(b)]
@@ -429,8 +430,8 @@ def test_compose_matches_plain_products_at_every_slot_width(bits):
 
 @pytest.mark.parametrize("width", [8, 16, 32, 64, 72])
 def test_compose_at_the_slot_limits(width):
-    # entries up to 2^(W-1) - 1 in size fit slots of W bits, 2^(W-1) takes
-    # the next width; neighbouring slots of opposite signs
+    # entries of size 2^(W-1) - 1 and 2^(W-1), either side of the signed
+    # W-bit range, next to entries of the opposite sign in the same row
     top = 2 ** (width - 1)
     words = [(1, 2), (2, 1)]
     place = {w: t for t, w in enumerate(words)}
