@@ -370,9 +370,6 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "d", None) is not None:
             jsonio.check_wire_dimension(args.d, "d")
         return args.func(args)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ResourceLimitError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import cache
 
 from . import linalg
-from .tensors import Tensor, TensorSeries, weight_patterns
+from .tensors import SIGNATURE_ENTRIES_MAX, Tensor, TensorSeries, weight_patterns
 from .words import (
     Partition,
     ResourceLimitError,
@@ -248,8 +248,7 @@ def f_lambda(element: LieElement, lam: Partition) -> Tensor:
 # graded subspaces and the decomposition of tensor space
 
 
-@cache
-def _w_basis_cached(lam: Partition, d: int) -> tuple[dict[Word, int], ...]:
+def _w_basis(lam: Partition, d: int) -> tuple[dict[Word, int], ...]:
     """The lam-graded basis as sparse integer word polynomials: one vector
     per multiset of Lyndon words realizing lam, the sum over its distinct
     orderings of the products of their bracketings."""
@@ -282,14 +281,21 @@ def _solve_blocks(d: int, k: int):
     den``, summed as integer rows of the inverse (:func:`_compose`), where
     ``rows_lam[t]`` holds the entries at the block's word ``t`` of its basis
     columns ``lo..hi-1`` from the lam-graded basis.
+
+    Where the p(k) components of d^k entries pass SIGNATURE_ENTRIES_MAX in
+    all, raises :class:`ResourceLimitError` before any partition is listed.
     """
+    limit = SIGNATURE_ENTRIES_MAX // d**k
+    if _partition_count(k, limit) > limit:
+        raise ResourceLimitError(f"graded decomposition of d={d} to order {k} needs more "
+                                 f"than {SIGNATURE_ENTRIES_MAX} entries over its components")
     patterns = weight_patterns(d, k)
     pattern_of = {i: counts for counts, blocks in patterns.items() for i in blocks[0]}
     columns: dict[tuple[int, ...], list[tuple[Partition, dict[Word, int]]]] = {
         counts: [] for counts in patterns
     }
     for lam in partitions(k):
-        for vec in _w_basis_cached(lam, d):
+        for vec in _w_basis(lam, d):
             counts = pattern_of.get(word_to_index(next(iter(vec)), d))
             if counts is not None:
                 columns[counts].append((lam, vec))
@@ -323,6 +329,18 @@ def _solve_blocks(d: int, k: int):
     return tuple(out)
 
 
+def _partition_count(k: int, limit: int) -> int:
+    """p(k) by Euler's pentagonal recurrence, or the first p(n) above
+    ``limit`` for n <= k: p never decreases, so then p(k) > limit too."""
+    p = [1]
+    while len(p) <= k and p[-1] <= limit:
+        n = len(p)
+        # the generalized pentagonal numbers j(3j - 1)/2 at j = 1, -1, 2, -2, ..
+        pentagonal = ((i, j * (3 * j - 1) // 2) for i in range(1, n + 1) for j in (i, -i))
+        p.append(sum((-1) ** (i + 1) * p[n - g] for i, g in pentagonal if g <= n))
+    return p[-1]
+
+
 def _compose(cols, place, inverse) -> dict[Partition, list[int]]:
     """The matrix ``rows_lam inverse[lo:hi]`` of :func:`_solve_blocks`,
     row-major, for each lam among the basis columns ``cols``, with
@@ -348,24 +366,21 @@ def thrall_decompose(tensor: Tensor, method: str = "auto") -> dict[Partition, Te
     Two independent constructions of the graded projectors, each cached per
     (d, k) and applied by the one packed kernel of
     :func:`thrallkit.group_algebra.graded_projections`: ``"idempotent"``
-    takes the closed-form projector family (subject to its degree cap),
-    ``"solve"`` the inverse of the concatenated graded bases
-    (:func:`_solve_blocks`).  ``"auto"`` takes the closed form and falls
-    back to the solve where the projector family raises
-    :class:`ResourceLimitError`.  Degree 0 is the trivial piece: every route
-    returns an order-0 tensor as its one component, at the empty partition.
+    takes the closed-form projector family (which raises
+    :class:`ResourceLimitError` above its degree cap
+    :data:`~thrallkit.group_algebra.K_MAX`), ``"solve"`` the inverse of the
+    concatenated graded bases (:func:`_solve_blocks`).  ``"auto"`` picks
+    before anything is built: the closed form for k <= ``K_MAX``, the solve
+    above it.  Degree 0 is the trivial piece: every route returns an order-0
+    tensor as its one component, at the empty partition.
     """
     if method not in ("auto", "solve", "idempotent"):
         raise ValueError(f"unknown method {method!r}")
-    from .group_algebra import graded_projections
+    from . import group_algebra
 
-    if method != "solve":
-        try:
-            return graded_projections(tensor)
-        except ResourceLimitError:
-            if method == "idempotent":
-                raise
-    return graded_projections(tensor, _solve_blocks)
+    if method == "solve" or (method == "auto" and tensor.k > group_algebra.K_MAX):
+        return group_algebra.graded_projections(tensor, _solve_blocks)
+    return group_algebra.graded_projections(tensor)
 
 
 def is_lie_element(tensor: Tensor) -> bool:

@@ -58,16 +58,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import linalg
-from .permutations import (
-    Perm,
-    all_permutations,
-    compose,
-    cycle_type,
-    inverse,
-    perm_to_word,
-    sign,
-    word_to_perm,
-)
+from .permutations import Perm, all_permutations, compose, cycle_type, inverse, sign
 from .tensors import Tensor, weight_patterns
 from .words import (
     Partition,
@@ -79,10 +70,10 @@ from .words import (
     partitions,
 )
 
-# Degree cap for the projector family, checked by :func:`_projector_family`
-# before any table is built; reproduction of the published values needs
-# k <= 4.  The closed form has k! terms per projector; lifting the cap is an
-# extension point, not a supported path.
+# Degree cap for the closed-form projector family (k! terms per projector),
+# checked by :func:`_projector_family` before any table is built; the
+# published values need k <= 4.  ``thrall_decompose(method="auto")`` reads it
+# to take the solve backend above it instead.
 K_MAX = 5
 
 
@@ -356,23 +347,14 @@ def graded_projections(tensor: Tensor, construction=_projector_blocks) -> dict[P
     }
 
 
-def balanced_projections(d: int, ell: int, build):
-    """Functionals on the balanced weight block, projected along the graded pieces.
-
-    ``build(d, ell)`` returns ``(words, rows)``: the balanced words (each
-    letter of 1..d exactly ell times) in lex order and integer rows over
-    them, read as functionals.  It is called only after the degree d*ell
-    has been checked against :data:`K_MAX`.  Returns ``(words, images)``, where ``images[lam]``
-    holds each row composed with the slot action of E_lam (scaled by its
-    common denominator): the row times that block's projector matrix.
-    """
-    blocks = _projector_blocks(d, d * ell)
-    words, rows = build(d, ell)
-    images = {}
-    for lam, _, groups in blocks:
-        columns = list(zip(*groups[(ell,) * d][0]))
-        images[lam] = [[sum(map(operator.mul, row, col)) for col in columns] for row in rows]
-    return words, images
+def balanced_projections(d: int, ell: int) -> list[tuple[Partition, int, tuple]]:
+    """The closed-form graded projectors on the balanced weight block (each
+    letter of 1..d exactly ell times): ``(lam, den, rows)`` for each
+    partition lam of d*ell, ``rows`` the integer matrix of lam's projector
+    over ``den`` on the block's words in lex order.  The degree d*ell is
+    checked against :data:`K_MAX` before anything is built."""
+    balanced = (ell,) * d
+    return [(lam, den, groups[balanced][0]) for lam, den, groups in _projector_blocks(d, d * ell)]
 
 
 def operator_image(x: GroupAlgebraElement, d: int) -> list[Tensor]:
@@ -515,10 +497,10 @@ def _projector_family(k: int) -> dict[Partition, GroupAlgebraElement]:
     # a word's coefficients depend on its descents alone: one sum per descent set
     by_descents: dict[tuple[int, ...], list[int]] = {}
     family: dict[Partition, dict[Perm, int]] = {lam: {} for lam in segments}
-    for w in map(perm_to_word, all_permutations(k)):
-        # descents[i]: the descents of w at places 1..i, so a segment from s
-        # to e has descents[e] - descents[s]
-        descents = tuple(itertools.accumulate((x > y for x, y in zip(w, w[1:])), initial=0))
+    for p in all_permutations(k):
+        # descents[i]: the descents of the word of p at places 1..i, so a
+        # segment from s to e has descents[e] - descents[s]
+        descents = tuple(itertools.accumulate((x > y for x, y in zip(p, p[1:])), initial=0))
         if descents not in by_descents:
             by_descents[descents] = [
                 sum(
@@ -528,8 +510,8 @@ def _projector_family(k: int) -> dict[Partition, GroupAlgebraElement]:
                 for arrangements in segments.values()
             ]
         # the slot action sends e_iota to e_{word(sigma^{-1})}, so the
-        # coefficient of sigma sits at that word
-        sigma = inverse(word_to_perm(w))
+        # coefficient of sigma = p^{-1} sits at the word of p
+        sigma = inverse(p)
         for nums, c in zip(family.values(), by_descents[descents]):
             nums[sigma] = c
     return {

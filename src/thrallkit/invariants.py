@@ -12,6 +12,7 @@ invariant space is read off directly, with no linear solve.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from . import linalg
@@ -90,10 +91,10 @@ def path_invariants(d: int, ell: int) -> dict[Partition, list[WordFunctional]]:
 
     The invariants live on the balanced weight block (each letter ell times),
     so each image is a polytabloid row times that block's cached projector
-    matrix (:func:`thrallkit.group_algebra.balanced_projections`, subject to
-    its degree cap).  Degree 0 (``ell == 0``) is the trivial piece: the
-    constant functional at the empty partition.  Raises ``ValueError`` for
-    ``ell < 0``.
+    matrix (:func:`thrallkit.group_algebra.balanced_projections`), and the
+    rows are built only once that call has checked the degree cap.  Degree 0
+    (``ell == 0``) is the trivial piece: the constant functional at the
+    empty partition.  Raises ``ValueError`` for ``ell < 0``.
     """
     if ell < 0:
         raise ValueError(f"ell must be >= 0, got {ell}")
@@ -101,8 +102,14 @@ def path_invariants(d: int, ell: int) -> dict[Partition, list[WordFunctional]]:
         return {(): sl_invariant_space(d, 0)}
     from .group_algebra import balanced_projections
 
-    words, images = balanced_projections(d, ell, _polytabloid_rows)
-    return {lam: _functionals(d, words, rows) for lam, rows in images.items()}
+    projectors = balanced_projections(d, ell)
+    words, rows = _polytabloid_rows(d, ell)
+    table = {}
+    for lam, _, matrix in projectors:
+        columns = list(zip(*matrix))
+        images = [[sum(map(operator.mul, row, col)) for col in columns] for row in rows]
+        table[lam] = _functionals(d, words, images)
+    return table
 
 
 def lie_invariant_dimension(d: int, ell: int) -> int:

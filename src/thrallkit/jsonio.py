@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .words import Partition, Word, word_from_string, word_to_string
+from .words import Partition, Word, check_partition, word_from_string, word_to_string
 
 # The model classes are imported where a parser builds one, so that the CLI
 # loads only the modules of the subcommand that runs.
@@ -214,11 +214,10 @@ def parse_partition(text: str, field: str = "partition") -> Partition:
         parts = tuple(int(x) for x in text.replace(" ", "").split(","))
     except ValueError:
         raise FormatError(field, f"cannot parse {text!r} as comma-separated integers") from None
-    if any(p <= 0 for p in parts) or any(
-        parts[i] < parts[i + 1] for i in range(len(parts) - 1)
-    ):
-        raise FormatError(field, f"{parts} is not a weakly decreasing positive tuple")
-    return parts
+    try:
+        return check_partition(parts)
+    except ValueError as exc:
+        raise FormatError(field, str(exc)) from None
 
 
 def format_partition(lam: Partition) -> str:

@@ -73,15 +73,3 @@ def from_cycles(cycles, k: int) -> Perm:
         for i, x in enumerate(cyc):
             p[x - 1] = cyc[(i + 1) % len(cyc)] - 1
     return tuple(p)
-
-
-def perm_to_word(p: Perm) -> tuple[int, ...]:
-    """One-line word with 1-based letters, e.g. id -> (1, 2, .., k)."""
-    return tuple(v + 1 for v in p)
-
-
-def word_to_perm(word: tuple[int, ...]) -> Perm:
-    p = tuple(x - 1 for x in word)
-    if sorted(p) != list(range(len(p))):
-        raise ValueError(f"{word} is not a permutation word")
-    return p

@@ -40,9 +40,7 @@ from thrallkit.permutations import (
     compose,
     cycle_type,
     inverse,
-    perm_to_word,
     sign,
-    word_to_perm,
 )
 from thrallkit.rank_variety import RankOneResult
 from thrallkit.shuffle_sig import PiecewiseLinearPath, WordFunctional
@@ -67,6 +65,16 @@ from thrallkit.words import (
 # ---------------------------------------------------------------------------
 # helpers that only the tests use (they were public library API until no
 # library path, script or benchmark called them)
+
+
+def perm_to_word(p):
+    """One-line word with 1-based letters, e.g. id -> (1, 2, .., k)."""
+    return tuple(v + 1 for v in p)
+
+
+def word_to_perm(word):
+    """The permutation whose one-line word (1-based letters) is ``word``."""
+    return tuple(x - 1 for x in word)
 
 
 def basis_tensor(d: int, word) -> Tensor:

@@ -299,6 +299,17 @@ def test_invariants_guard_exits_3(capsys):
     assert code == 3
 
 
+def test_decompose_of_p_k_components_at_d_1_exits_3(tmp_path, capsys):
+    # p(50) > 200,000 one-entry components: refused before any is built
+    file = tmp_path / "t50.json"
+    file.write_text(json.dumps({"d": 1, "k": 50, "entries": {"1" * 50: "1"}}))
+    for argv in ([], ["--method", "solve"]):
+        code, out, err = run(capsys, "decompose", "--tensor", str(file), *argv)
+        assert code == 3 and out == "" and "resource guard" in err
+    code, out, err = run(capsys, "decompose", "--tensor", str(DATA / "tensor_d1_k2000.json"))
+    assert code == 3 and out == "" and "resource guard" in err
+
+
 def test_decompose_guard_and_solve_fallback(tmp_path, capsys):
     import json as _json
 

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thrallkit import free_lie, linalg
+from thrallkit import free_lie, group_algebra, linalg
 from thrallkit.free_lie import (
     LieElement,
-    _w_basis_cached,
+    _w_basis,
     bracket_expansion,
     exp_truncated,
     f_lambda,
@@ -54,7 +54,7 @@ from oracles import (
 
 def w_lambda_basis(lam, d):
     """The lam-graded basis behind the solve backend, as tensors."""
-    return [Tensor.from_dict(d, sum(lam), vec, 1) for vec in _w_basis_cached(lam, d)]
+    return [Tensor.from_dict(d, sum(lam), vec, 1) for vec in _w_basis(lam, d)]
 
 
 # Shapes (d, k) on which the Lyndon fast paths are cross-checked.
@@ -448,6 +448,52 @@ def test_auto_falls_back_to_the_solve_above_the_projector_cap():
     with pytest.raises(ResourceLimitError):
         thrall_decompose(t, "idempotent")
     assert thrall_decompose(t, "auto") == thrall_decompose(t, "solve")
+
+
+def test_auto_above_the_cap_never_builds_the_closed_form(monkeypatch):
+    # auto picks the solve from the degree alone, so the closed-form family
+    # is not even attempted at k = 6
+    def fail(*args):
+        raise AssertionError("auto built the closed form above the cap")
+
+    monkeypatch.setattr(group_algebra, "_projector_family", fail)
+    t = random_tensor(2, 6, Random(62))
+    assert thrall_decompose(t, "auto") == thrall_decompose(t, "solve")
+
+
+@pytest.mark.parametrize("method", ["auto", "solve"])
+def test_solve_guard_refuses_p_k_components_at_d_1(monkeypatch, method):
+    # p(2000) components of one entry each: refused before any partition of
+    # k is listed, where the solve once ran without end
+    def fail(*args):
+        raise AssertionError("listed the partitions before the guard")
+
+    monkeypatch.setattr(free_lie, "partitions", fail)
+    with pytest.raises(ResourceLimitError, match="components"):
+        thrall_decompose(Tensor(1, 2000, [1]), method)
+
+
+def test_solve_guard_counts_every_entry_of_the_answer(monkeypatch):
+    # p(30) = 5604 one-entry components pass; at (2, 3) the answer has
+    # p(3) * 2^3 = 24 entries, so a cap of 24 passes and 23 does not
+    t = Tensor(1, 30, [1])
+    parts = thrall_decompose(t, "solve")
+    assert len(parts) == 5604 and parts[(1,) * 30] == t
+    assert all(part.is_zero() for lam, part in parts.items() if lam != (1,) * 30)
+    monkeypatch.setattr(free_lie, "SIGNATURE_ENTRIES_MAX", 24)
+    assert len(free_lie._solve_blocks.__wrapped__(2, 3)) == 3
+    monkeypatch.setattr(free_lie, "SIGNATURE_ENTRIES_MAX", 23)
+    with pytest.raises(ResourceLimitError):
+        free_lie._solve_blocks.__wrapped__(2, 3)
+
+
+def test_partition_count_by_the_pentagonal_recurrence():
+    assert [free_lie._partition_count(n, 10**6) for n in range(30)] == [
+        len(partitions(n)) for n in range(30)
+    ]
+    # stops at the first p(n) above the limit: p(4) = 5 > 4
+    assert free_lie._partition_count(2000, 4) == 5
+    assert free_lie._partition_count(50, 10**6) == 204226
 
 
 def test_one_letter_basis_has_one_ordering():

@@ -53,6 +53,7 @@ from oracles import (
     slot_permutation,
     solve_lie_idempotents,
     verify_refinement,
+    word_to_perm,
 )
 
 
@@ -695,7 +696,7 @@ def test_degree5_invariant_grading():
     for lam, basis in table.items():
         assert len(basis) == (1 if lam == (2, 2, 1) else 0)
     beta = table[(2, 2, 1)][0]
-    from thrallkit.permutations import sign, word_to_perm
+    from thrallkit.permutations import sign
 
     assert len(beta.terms) == 120
     assert all(c == sign(word_to_perm(w)) for w, c in beta.terms.items())

@@ -221,6 +221,7 @@ PROGRAM_ARGV = [argv for argv, _, _ in GOLDEN] + [
     ["check", "symmetric", "--input", "tensor_d2_k3_rank_one.json"],
     ["hdet-pullback", "--seed", "2024", "--samples", "20"],
     ["decompose", "--tensor", "malformed_tensor.json"],
+    ["decompose", "--tensor", "tensor_d1_k2000.json"],
 ]
 SCRIPT_ARGV = [
     ["rank_survey.py"],

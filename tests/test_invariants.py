@@ -14,6 +14,7 @@ from thrallkit.invariants import (
     sl_invariant_space,
 )
 from thrallkit.permutations import all_permutations, sign
+from thrallkit.reference_suite import BETA_22, BETA_31
 from thrallkit.shuffle_sig import WordFunctional, levy_functional
 from thrallkit.symfun import thrall_coefficients
 from thrallkit.tensors import Tensor, symmetrize, tensor_product
@@ -38,16 +39,6 @@ def words_with_counts(counts: dict) -> list:
     return list(distinct_orderings(letter for letter, c in counts.items() for _ in range(c)))
 
 
-BETA_22 = WordFunctional(
-    2, {(1, 1, 2, 2): 1, (1, 2, 2, 1): -1, (2, 1, 1, 2): -1, (2, 2, 1, 1): 1}
-)
-BETA_31 = WordFunctional(
-    2,
-    {
-        (1, 1, 2, 2): -2, (1, 2, 1, 2): 1, (1, 2, 2, 1): 1,
-        (2, 1, 1, 2): 1, (2, 1, 2, 1): 1, (2, 2, 1, 1): -2,
-    },
-)
 ISOTYPIC_1 = WordFunctional(
     2, {(1, 2, 1, 2): 1, (1, 2, 2, 1): -1, (2, 1, 1, 2): -1, (2, 1, 2, 1): 1}
 )

@@ -100,3 +100,8 @@ def test_partition_parsing():
         jsonio.parse_partition("1,2")
     with pytest.raises(FormatError):
         jsonio.parse_partition("a,b")
+    # a zero, a negative or an empty part: the error still names the field
+    for text in ("3,0", "2,-1", "1,,2"):
+        with pytest.raises(FormatError) as exc:
+            jsonio.parse_partition(text, "--partition")
+        assert exc.value.field == "--partition"
