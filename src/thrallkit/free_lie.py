@@ -30,7 +30,6 @@ from .words import (
     Partition,
     ResourceLimitError,
     Word,
-    all_words,
     check_partition,
     distinct_orderings,
     index_to_word,
@@ -281,14 +280,7 @@ def _solve_blocks(d: int, k: int):
     den``, summed as integer rows of the inverse (:func:`_compose`), where
     ``rows_lam[t]`` holds the entries at the block's word ``t`` of its basis
     columns ``lo..hi-1`` from the lam-graded basis.
-
-    Where the p(k) components of d^k entries pass SIGNATURE_ENTRIES_MAX in
-    all, raises :class:`ResourceLimitError` before any partition is listed.
     """
-    limit = SIGNATURE_ENTRIES_MAX // d**k
-    if _partition_count(k, limit) > limit:
-        raise ResourceLimitError(f"graded decomposition of d={d} to order {k} needs more "
-                                 f"than {SIGNATURE_ENTRIES_MAX} entries over its components")
     patterns = weight_patterns(d, k)
     pattern_of = {i: counts for counts, blocks in patterns.items() for i in blocks[0]}
     columns: dict[tuple[int, ...], list[tuple[Partition, dict[Word, int]]]] = {
@@ -329,6 +321,7 @@ def _solve_blocks(d: int, k: int):
     return tuple(out)
 
 
+@cache
 def _partition_count(k: int, limit: int) -> int:
     """p(k) by Euler's pentagonal recurrence, or the first p(n) above
     ``limit`` for n <= k: p never decreases, so then p(k) > limit too."""
@@ -372,10 +365,16 @@ def thrall_decompose(tensor: Tensor, method: str = "auto") -> dict[Partition, Te
     concatenated graded bases (:func:`_solve_blocks`).  ``"auto"`` picks
     before anything is built: the closed form for k <= ``K_MAX``, the solve
     above it.  Degree 0 is the trivial piece: every route returns an order-0
-    tensor as its one component, at the empty partition.
+    tensor as its one component, at the empty partition.  Where the answer's
+    p(k) components of d^k entries pass SIGNATURE_ENTRIES_MAX in all, every
+    route raises :class:`ResourceLimitError` before any partition is listed.
     """
     if method not in ("auto", "solve", "idempotent"):
         raise ValueError(f"unknown method {method!r}")
+    d, k, limit = tensor.d, tensor.k, SIGNATURE_ENTRIES_MAX // tensor.d**tensor.k
+    if _partition_count(k, limit) > limit:
+        raise ResourceLimitError(f"graded decomposition of d={d} to order {k} needs more "
+                                 f"than {SIGNATURE_ENTRIES_MAX} entries over its components")
     from . import group_algebra
 
     if method == "solve" or (method == "auto" and tensor.k > group_algebra.K_MAX):
@@ -398,47 +397,64 @@ def lie_coordinates(tensor: Tensor) -> dict[Word, Fraction] | None:
     ascending order, the coefficient of ``w`` is the residual entry at
     ``w``; subtracting its bracketing leaves the remaining words untouched.
     The tensor is a Lie element iff the residual ends at zero.  The walk runs
-    on the tensor's integer numerators.
+    on a copy of the integer numerators, by flat index (:func:`_bracket_row`).
     """
-    residual = dict(zip(all_words(tensor.d, tensor.k), tensor.nums))
-    return _back_substitute(residual, tensor.d, tensor.k, tensor.den)
+    return _back_substitute(list(tensor.nums), tensor.d, tensor.k, tensor.den)
 
 
-def _back_substitute(residual: dict, d: int, k: int, den: int) -> dict | None:
-    """:func:`lie_coordinates` of the degree-k word polynomial ``residual / den``
-    (``residual`` integer and consumed), as Fractions."""
+@cache
+def _lyndon_table(d: int, k: int) -> tuple[tuple[Word, int], ...]:
+    """The Lyndon words of length k in lex order, each with its flat index."""
+    return tuple((w, word_to_index(w, d)) for w in lyndon_words(d, k))
+
+
+@cache
+def _bracket_row(word: Word, d: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The flat indices and integer coefficients of a Lyndon word's
+    :func:`bracket_expansion`: its own index first, at coefficient 1, then
+    the lex-greater words in index order."""
+    return tuple(zip(*sorted((word_to_index(u, d), c) for u, c in bracket_expansion(word).items())))
+
+
+def _back_substitute(residual: list[int], d: int, k: int, den: int) -> dict | None:
+    """:func:`lie_coordinates`, as Fractions, of ``residual / den`` (integer
+    numerators in index order, consumed); a sparse residual builds only the
+    rows of the words it meets."""
     coords = {}
-    for w in lyndon_words(d, k):
-        c = residual.get(w)
-        if not c:
-            continue
-        coords[w] = c
-        for u, e in bracket_expansion(w).items():
-            residual[u] = residual.get(u, 0) - c * e
-    if any(residual.values()):
-        return None
-    return {w: Fraction(c, den) for w, c in coords.items()}
+    for w, i in _lyndon_table(d, k):
+        c = residual[i]
+        if c:
+            coords[w] = c
+            for j, e in zip(*_bracket_row(w, d)):
+                residual[j] -= c * e
+    return None if any(residual) else {w: Fraction(c, den) for w, c in coords.items()}
 
 
 def lie_bracket(a: LieElement, b: LieElement) -> LieElement:
     """Commutator of truncated Lie elements, in Lyndon coordinates.
 
-    Level pieces are bracketed on their integer word numerators, and the
+    Level pieces are bracketed on their integer numerators by flat index
+    (the word ``u v`` sits at ``index(u) d^|v| + index(v)``), and the
     Lyndon coordinates recovered by :func:`lie_coordinates`' triangular
     back-substitution; graded pieces above the common truncation are dropped.
     """
     if a.d != b.d:
         raise ValueError("dimension mismatch")
-    k_max = min(a.k_max, b.k_max)
-    left, right = ([x._terms(i) for i in range(k_max + 1)] for x in (a, b))
+    d, k_max = a.d, min(a.k_max, b.k_max)
+    left, right = ([(den, [(word_to_index(w, d), c) for w, c in terms.items()])
+                    for den, terms in map(x._terms, range(k_max + 1))] for x in (a, b))
     coeffs: dict[Word, Fraction] = {}
     for i in range(1, k_max):
         for j in range(1, k_max - i + 1):
             (aden, u), (bden, v) = left[i], right[j]
             if not (u and v):
                 continue
-            commutator = _concat_into(_concat_into({}, u, v), v, u, -1)
-            coords = _back_substitute(commutator, a.d, i + j, aden * bden)
+            commutator, si, sj = [0] * d ** (i + j), d**i, d**j
+            for x, cx in u:
+                for y, cy in v:
+                    commutator[x * sj + y] += cx * cy
+                    commutator[y * si + x] -= cx * cy
+            coords = _back_substitute(commutator, d, i + j, aden * bden)
             if coords is None:
                 raise ArithmeticError("commutator left the graded Lie subspace")
             for w, c in coords.items():

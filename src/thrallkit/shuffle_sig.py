@@ -6,28 +6,17 @@ with increment ``v`` contributes the exponential of ``v``, and concatenation
 multiplies the series (Chen's identity).
 
 :func:`signature` runs Chen's identity on integer numerators over ``m! q^m``
-(``q`` the lcm of the vertex denominators).  Runs of consecutive parallel
-increments are merged into one segment, and the runs are applied right to
-left, ``S <- exp(u) (x) S``, on levels packed into one Python int each
-(``N_m[i]`` in bits ``B i .. B i + B - 1``, index order), so that the
-per-entry work runs inside integer arithmetic.  The slot width ``B`` comes
-from the bound ``|N_m(w)| <= V^m``, ``V`` summing each run's largest
-coordinate.  One path object shares one update: it keeps the integer
-levels of its highest truncation, which :func:`signature`,
-:func:`log_signature` and the straight-line criteria of
-:func:`thrallkit.rank_variety.fls_check` read, a lower truncation as a
-slice.  Each level goes to the tensor constructor as its numerators over
-``m! q^m`` (every tensor is held that way, see :mod:`thrallkit.tensors`),
-and :func:`log_signature` is the integer log kernel of
-:mod:`thrallkit.free_lie` on that signature, whose levels the path keeps
-the same way, so no reader builds a Fraction per entry.  Both are capped at
+(``q`` the lcm of the vertex denominators), each run of parallel increments
+as one segment, on levels packed into one Python int each.  One path object
+shares one update, which :func:`signature`, :func:`log_signature` (the
+integer log kernel of :mod:`thrallkit.free_lie`) and the straight-line
+criteria of :func:`thrallkit.rank_variety.fls_check` read, so no reader
+builds a Fraction per entry.  Both are capped at
 :data:`~thrallkit.tensors.SIGNATURE_ENTRIES_MAX` entries over all levels.
 
-:func:`is_group_like` tests one shuffle identity per non-Lyndon word ``w =
-l v`` (``l`` the longest Lyndon prefix), ``T_{l shuffle v} = T_l T_v``,
-rather than one per word pair: the word ``w`` leads ``l shuffle v`` in lex
-order, so these identities and the Lyndon coordinates are triangular, and
-by induction on the level they imply all the others (see its docstring).
+:func:`is_group_like` tests one shuffle identity per non-Lyndon word,
+not one per word pair; by induction on the level these imply all the
+others (see its docstring).
 """
 
 from __future__ import annotations
@@ -190,10 +179,11 @@ def is_group_like(series: TensorSeries) -> bool:
     den = [level.den for level in series.levels]
     nums = [level.nums for level in series.levels]
     for m in range(2, series.k_max + 1):
-        top = nums[m]
+        entry, top_den = nums[m].__getitem__, den[m]
+        cross = [den[p] * den[m - p] for p in range(m)]
         for p, i, j, words, mults in _group_like_plan(series.d, m):
-            lhs = sum(map(mul, mults, map(top.__getitem__, words)))
-            if lhs * den[p] * den[m - p] != nums[p][i] * nums[m - p][j] * den[m]:
+            lhs = sum(map(mul, mults, map(entry, words)))
+            if lhs * cross[p] != nums[p][i] * nums[m - p][j] * top_den:
                 return False
     return True
 
@@ -227,21 +217,26 @@ class PiecewiseLinearPath:
 
 def _chen_numerators(path: PiecewiseLinearPath, k_max: int):
     """The signature levels as numerators ``N_m`` and their denominators
-    ``m! q^m``; see :func:`signature`."""
+    ``m! q^m``; see :func:`signature`.  Coordinates are read as integer
+    ratios (no rescale at ``q = 1``), runs from one flat list of differences,
+    and each run lists its nonzero letters once, against per-call tables."""
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     d = path.d
     check_entries(d, k_max, "signature", levels=True)
-    q = math.lcm(*(x.denominator for p in path.points for x in p))
+    ratios = [x.as_integer_ratio() for p in path.points for x in p]
+    q = math.lcm(*(b for _, b in ratios))
     dens = [math.factorial(m) * q**m for m in range(k_max + 1)]
-    points = [[x.numerator * (q // x.denominator) for x in p] for p in path.points]
+    flat = [a for a, _ in ratios] if q == 1 else [a * (q // b) for a, b in ratios]
+    diffs = list(map(int.__sub__, flat[d:], flat[:-d]))
     runs: list[list[int]] = []
-    for a, b in zip(points, points[1:]):
-        u = list(map(int.__sub__, b, a))
+    for s in range(0, len(diffs), d):
+        u = diffs[s : s + d]
         i = next((i for i, x in enumerate(u) if x), None)
         if i is None:
             continue
-        # u_i != 0, so the last run r is parallel to u iff r_l u_i = u_l r_i
+        # u_i != 0, so the last run r is parallel to u iff r_l u_i = u_l r_i;
+        # a run that cancels is dropped, and the next step may join the one before
         if runs and all(x * u[i] == y * runs[-1][i] for x, y in zip(runs[-1], u)):
             runs[-1] = list(map(int.__add__, runs[-1], u))
             if not any(runs[-1]):
@@ -255,18 +250,22 @@ def _chen_numerators(path: PiecewiseLinearPath, k_max: int):
     # the all-ones tensor; so each final N_m(w) + 2^(B - 1) fits its B-bit slot
     V = sum(max(map(abs, u)) for u in runs)
     B = -(-(k_max * (V.bit_length() + 1) + 2) // 8) * 8
-    # u (x) X is the sum of x X << shift over the pairs of row j, for X of level j
-    rows = [[[(x, l * d**j * B) for l, x in enumerate(u) if x] for j in range(k_max)] for u in runs]
+    # u (x) X, for X of level j, is the sum of u_l X << shifts[j][l] over the letters l
+    shifts = [[l * d**j * B for l in range(d)] for j in range(k_max)]
+    # only earlier runs read binomials, and a path at d = 1 has one run at most
+    binomials = [[math.comb(m, j) for j in range(m + 1)] for m in range(k_max + 1)] if runs[1:] else []
+    letters = [[(x, l) for l, x in enumerate(u) if x] for u in runs]
     packed = [1]
-    for row in rows.pop():
-        packed.append(sum(x * packed[-1] << shift for x, shift in row))
-    for u_rows in reversed(rows):
+    for shift in shifts:
+        packed.append(sum(x * packed[-1] << shift[l] for x, l in letters[-1]))
+    for nonzero in reversed(letters[:-1]):
+        first = sum(x << l * B for x, l in nonzero)
         for m in range(k_max, 0, -1):
-            acc = 1
-            for j in range(1, m + 1):
-                new = math.comb(m, j) * packed[j]
-                for x, shift in u_rows[j - 1]:
-                    new += x * acc << shift
+            acc, binomial = m * packed[1] + first, binomials[m]
+            for j in range(2, m + 1):
+                new, shift = binomial[j] * packed[j], shifts[j - 1]
+                for x, l in nonzero:
+                    new += x * acc << shift[l]
                 acc = new
             packed[m] = acc
     b, half, nums = B // 8, 1 << (B - 1), [[1]]

@@ -48,10 +48,18 @@ class SymFun:
         for rho in self.nums:
             if sum(check_partition(rho)) != self.degree:
                 raise ValueError(f"{rho} is not a partition of {self.degree}")
+        reduced = SymFun._built(self.degree, {tuple(r): n for r, n in self.nums.items()}, self.den)
+        object.__setattr__(self, "nums", reduced.nums)
+        object.__setattr__(self, "den", reduced.den)
+
+    @classmethod
+    def _built(cls, degree: int, nums: dict[Partition, int], den: int) -> "SymFun":
+        """``nums / den`` for keys that are partitions of ``degree`` by
+        construction: reduced as the constructor reduces, no key checked."""
         # math.gcd also rejects numerators that are not integers
-        g = math.gcd(self.den, *self.nums.values())
-        object.__setattr__(self, "nums", {tuple(r): n // g for r, n in self.nums.items() if n})
-        object.__setattr__(self, "den", self.den // g)
+        g, out = math.gcd(den, *nums.values()), object.__new__(cls)
+        out.__dict__.update(degree=degree, nums={r: n // g for r, n in nums.items() if n}, den=den // g)
+        return out
 
     def __add__(self, other: "SymFun") -> "SymFun":
         if self.degree != other.degree:
@@ -60,7 +68,7 @@ class SymFun:
         nums = {rho: n * (den // self.den) for rho, n in self.nums.items()}
         for rho, n in other.nums.items():
             nums[rho] = nums.get(rho, 0) + n * (den // other.den)
-        return SymFun(self.degree, nums, den)
+        return SymFun._built(self.degree, nums, den)
 
     def __mul__(self, other: "SymFun") -> "SymFun":
         """Product; p_rho * p_tau = p_{rho union tau}."""
@@ -69,7 +77,7 @@ class SymFun:
             for r2, n2 in other.nums.items():
                 key = tuple(sorted(r1 + r2, reverse=True))
                 nums[key] = nums.get(key, 0) + n1 * n2
-        return SymFun(self.degree + other.degree, nums, self.den * other.den)
+        return SymFun._built(self.degree + other.degree, nums, self.den * other.den)
 
 # ---------------------------------------------------------------------------
 # irreducible characters of the symmetric group
@@ -137,7 +145,7 @@ def plethysm_p(j: int, f: SymFun) -> SymFun:
     if j < 1:
         raise ValueError("j must be >= 1")
     nums = {tuple(j * part for part in rho): n for rho, n in f.nums.items()}
-    return SymFun(j * f.degree, nums, f.den)
+    return SymFun._built(j * f.degree, nums, f.den)
 
 
 def plethysm_h(a: int, f: SymFun) -> SymFun:
@@ -147,13 +155,11 @@ def plethysm_h(a: int, f: SymFun) -> SymFun:
     """
     if a < 0:
         raise ValueError("a must be >= 0")
-    h: list[SymFun] = [SymFun(0, {(): 1})]
+    h: list[SymFun] = [SymFun._built(0, {(): 1}, 1)]
     p = [None] + [plethysm_p(j, f) for j in range(1, a + 1)]
     for n in range(1, a + 1):
-        acc = SymFun(n * f.degree, {})
-        for j in range(1, n + 1):
-            acc = acc + p[j] * h[n - j]
-        h.append(SymFun(acc.degree, acc.nums, acc.den * n))
+        acc = sum((p[j] * h[n - j] for j in range(1, n + 1)), SymFun._built(n * f.degree, {}, 1))
+        h.append(SymFun._built(acc.degree, acc.nums, acc.den * n))
     return h[a]
 
 
@@ -164,7 +170,7 @@ def higher_lie_character(lam: Partition) -> SymFun:
     Lie character and a_i the multiplicity of i in lam.
     """
     lam = check_partition(lam)
-    result = SymFun(0, {(): 1})
+    result = SymFun._built(0, {(): 1}, 1)
     for i, a in sorted(multiplicity_profile(lam).items()):
         result = result * plethysm_h(a, lie_character(i))
     return result

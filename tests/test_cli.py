@@ -327,6 +327,17 @@ def test_decompose_guard_and_solve_fallback(tmp_path, capsys):
     assert nonzero == ["6"]
 
 
+@pytest.mark.parametrize("method", ["auto", "solve", "idempotent"])
+def test_decompose_answer_guard_does_not_depend_on_the_route(tmp_path, capsys, method):
+    # one entry at (8, 5): the answer's 7 components of 8^5 entries pass the
+    # cap, so every route exits 3 and prints nothing
+    file = tmp_path / "t.json"
+    file.write_text(json.dumps({"d": 8, "k": 5, "entries": {"12345": "1"}}))
+    code, out, err = run(capsys, "decompose", "--tensor", str(file), "--method", method)
+    assert (code, out) == (3, "")
+    assert "entries" in err
+
+
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parent.parent / "src"
 # Stdout recorded from the earlier implementations: the Fraction series-product

@@ -33,7 +33,9 @@ from thrallkit.tensors import (
     tensor_product,
     weight_blocks,
 )
-from thrallkit.words import ResourceLimitError, lie_dim, lyndon_words, multichoose, partitions
+from thrallkit.words import (
+    ResourceLimitError, index_to_word, lie_dim, lyndon_words, multichoose, partitions, word_to_index,
+)
 
 from oracles import (
     basis_tensor,
@@ -461,7 +463,7 @@ def test_auto_above_the_cap_never_builds_the_closed_form(monkeypatch):
     assert thrall_decompose(t, "auto") == thrall_decompose(t, "solve")
 
 
-@pytest.mark.parametrize("method", ["auto", "solve"])
+@pytest.mark.parametrize("method", ["auto", "solve", "idempotent"])
 def test_solve_guard_refuses_p_k_components_at_d_1(monkeypatch, method):
     # p(2000) components of one entry each: refused before any partition of
     # k is listed, where the solve once ran without end
@@ -480,11 +482,14 @@ def test_solve_guard_counts_every_entry_of_the_answer(monkeypatch):
     parts = thrall_decompose(t, "solve")
     assert len(parts) == 5604 and parts[(1,) * 30] == t
     assert all(part.is_zero() for lam, part in parts.items() if lam != (1,) * 30)
-    monkeypatch.setattr(free_lie, "SIGNATURE_ENTRIES_MAX", 24)
-    assert len(free_lie._solve_blocks.__wrapped__(2, 3)) == 3
-    monkeypatch.setattr(free_lie, "SIGNATURE_ENTRIES_MAX", 23)
-    with pytest.raises(ResourceLimitError):
-        free_lie._solve_blocks.__wrapped__(2, 3)
+    # the guard sits before the route is picked, so every route answers alike
+    t = random_tensor(2, 3, Random(63))
+    for method in ("auto", "solve", "idempotent"):
+        monkeypatch.setattr(free_lie, "SIGNATURE_ENTRIES_MAX", 24)
+        assert len(thrall_decompose(t, method)) == 3
+        monkeypatch.setattr(free_lie, "SIGNATURE_ENTRIES_MAX", 23)
+        with pytest.raises(ResourceLimitError):
+            thrall_decompose(t, method)
 
 
 def test_partition_count_by_the_pentagonal_recurrence():
@@ -549,6 +554,44 @@ def test_lyndon_bracketings_are_unitriangular():
                 expansion = bracket_expansion(w)
                 assert expansion[w] == 1
                 assert all(u > w for u in expansion if u != w)
+
+
+@pytest.mark.parametrize("d, k_max", [(2, 4), (2, 5), (2, 6), (3, 4), (3, 5), (4, 4)])
+def test_lyndon_table_rows_are_the_bracket_expansions(d, k_max):
+    # the shapes signature-warm runs: each row is its word's bracketing by
+    # flat index, its own index first at coefficient 1, then lex-greater words
+    for k in range(1, k_max + 1):
+        table = free_lie._lyndon_table(d, k)
+        assert [w for w, _ in table] == lyndon_words(d, k)
+        for w, index in table:
+            indices, coeffs = free_lie._bracket_row(w, d)
+            assert (indices[0], coeffs[0]) == (index, 1) and index == word_to_index(w, d)
+            assert list(indices) == sorted(indices) and len(set(indices)) == len(indices)
+            assert {index_to_word(i, d, k): c for i, c in zip(indices, coeffs)} == bracket_expansion(w)
+
+
+def test_lie_coordinates_expand_only_the_bracketings_they_meet(monkeypatch):
+    # a sparse Lie element at (2, 14) builds the rows of its own words only,
+    # not the bracketings of all 1,161 Lyndon words of that length
+    built = []
+    row = free_lie._bracket_row.__wrapped__
+    monkeypatch.setattr(free_lie, "_bracket_row", lambda w, d: built.append(w) or row(w, d))
+    word = (1,) * 13 + (2,)
+    assert lie_coordinates(lyndon_bracketing(word, 2).scale(3)) == {word: 3}
+    assert built == [word]
+    assert lie_coordinates(Tensor(2, 14, [0] * 2**14)) == {} and built == [word]
+
+
+def test_lie_bracket_and_lie_coordinates_share_one_back_substitution(monkeypatch):
+    calls = []
+    substitute = free_lie._back_substitute
+    monkeypatch.setattr(
+        free_lie, "_back_substitute", lambda *args: calls.append(args[1:3]) or substitute(*args)
+    )
+    e1, e2 = (LieElement(2, 3, {(i,): 1}) for i in (1, 2))
+    assert free_lie.lie_bracket(e1, e2).coeffs == {(1, 2): 1}
+    assert lie_coordinates(lyndon_bracketing((1, 1, 2), 2)) == {(1, 1, 2): 1}
+    assert calls == [(2, 2), (2, 3)]
 
 
 def test_lie_coordinates_match_dense_solve():

@@ -306,6 +306,8 @@ def diagonal(d: int, steps) -> PiecewiseLinearPath:
 @example(diagonal(1, [2**8]), 12)  # V = 256, one past a bit-length boundary
 @example(diagonal(2, [2**8]), 0)
 @example(PiecewiseLinearPath.from_lists([[1, 2], [3, 0], [1, 2], [1, 2]]), 4)  # a run that cancels
+# the run (0, 1) cancels, and the step (1, 0) after it joins the run (1, 0) before it
+@example(PiecewiseLinearPath.from_lists([[0, 0], [1, 0], [1, 1], [1, 0], [2, 0]]), 5)
 def test_chen_numerators_match_the_list_update(path, k_max):
     assert shuffle_sig._chen_numerators(path, k_max) == chen_numerators_reference(path, k_max)
 

@@ -256,3 +256,15 @@ def test_symfun_canonical_form():
         SymFun(1, {(1,): Fraction(1, 2)})
     with pytest.raises(ValueError):
         SymFun(2, {(3,): 1})
+
+
+def test_symfun_constructor_checks_keys_and_arithmetic_keeps_them_canonical():
+    # sums and products build their keys as partitions and skip the check,
+    # but the public constructor still refuses a key that is not one
+    for bad in ((1, 2), (2, 0), (-1, 3)):
+        with pytest.raises(ValueError):
+            SymFun(3, {bad: 1})
+    f = SymFun(3, {(2, 1): 2, (1, 1, 1): -4}, 6) * SymFun(2, {(1, 1): 3}, 9)
+    assert f == SymFun(5, {(2, 1, 1, 1): 2, (1, 1, 1, 1, 1): -4}, 18)
+    assert f.nums == {(2, 1, 1, 1): 1, (1, 1, 1, 1, 1): -2} and f.den == 9
+    assert f + f == SymFun(5, {(2, 1, 1, 1): 2, (1, 1, 1, 1, 1): -4}, 9)
