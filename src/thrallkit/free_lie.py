@@ -247,17 +247,20 @@ def f_lambda(element: LieElement, lam: Partition) -> Tensor:
 # graded subspaces and the decomposition of tensor space
 
 
-def _w_basis(lam: Partition, d: int) -> tuple[dict[Word, int], ...]:
+def _w_basis(lam: Partition, d: int, contents=None) -> tuple[dict[Word, int], ...]:
     """The lam-graded basis as sparse integer word polynomials: one vector
     per multiset of Lyndon words realizing lam, the sum over its distinct
-    orderings of the products of their bracketings."""
+    orderings of the products of their bracketings; with ``contents``, only
+    the vectors of the multisets whose sorted letters are among them."""
     per_size = [
         itertools.combinations_with_replacement(lyndon_words(d, i), a)
         for i, a in sorted(multiplicity_profile(lam).items())
     ]
+    combos = ([w for group in combo for w in group] for combo in itertools.product(*per_size))
     return tuple(
-        _symmetrized_product([w for group in combo for w in group], bracket_expansion)
-        for combo in itertools.product(*per_size)
+        _symmetrized_product(words, bracket_expansion)
+        for words in combos
+        if contents is None or tuple(sorted(itertools.chain(*words))) in contents
     )
 
 
@@ -265,35 +268,37 @@ def _w_basis(lam: Partition, d: int) -> tuple[dict[Word, int], ...]:
 def _solve_blocks(d: int, k: int):
     """The graded projectors built by the solve, once per (d, k): ``(lam,
     den, groups)`` for each partition lam of k, ``groups`` the integer
-    matrices of lam's projector over ``den`` (in lowest terms) per letter
-    pattern, in the form that
-    :func:`thrallkit.group_algebra.graded_projections` applies.
+    matrices of lam's projector over ``den`` (in lowest terms) per shape,
+    in the form that :func:`thrallkit.group_algebra.graded_projections`
+    applies.
 
     The concatenated graded bases form a d^k x d^k change of basis.  Each
     basis vector lies in one weight block (letter content), so the matrix is
-    block-diagonal with square blocks.  Relabelling the letters in order
-    maps Lyndon words and their bracketings, and so the graded bases of a
-    block, onto those of each block with the same letter pattern
-    (:func:`thrallkit.tensors.weight_patterns`), so these blocks share their
-    projectors.  The first block of each pattern is inverted once by the
-    exact kernel, and lam's projector there is ``rows_lam inverse[lo:hi] /
-    den``, summed as integer rows of the inverse (:func:`_compose`), where
-    ``rows_lam[t]`` holds the entries at the block's word ``t`` of its basis
-    columns ``lo..hi-1`` from the lam-graded basis.
+    block-diagonal with square blocks.  The projector onto each graded
+    piece along the others is GL_d-equivariant, since every piece is a
+    GL_d-submodule, and the permutation matrices lie in GL_d: relabelling
+    letters maps the first block of a shape onto each block of that shape
+    in the order of :func:`thrallkit.tensors.weight_patterns` and commutes
+    with the projectors, so these blocks share their matrices.  Only the
+    first block of each shape is built, from the basis vectors of its
+    content, and inverted once by the exact kernel; lam's projector there
+    is ``rows_lam inverse[lo:hi] / den``, summed as integer rows of the
+    inverse (:func:`_compose`), where ``rows_lam[t]`` holds the entries at
+    the block's word ``t`` of its basis columns ``lo..hi-1`` from the
+    lam-graded basis.
     """
-    patterns = weight_patterns(d, k)
-    pattern_of = {i: counts for counts, blocks in patterns.items() for i in blocks[0]}
+    shapes = weight_patterns(d, k)
+    # each shape's first block by its content, the block's first word
+    shape_of = {index_to_word(blocks[0][0], d, k): shape for shape, blocks in shapes.items()}
     columns: dict[tuple[int, ...], list[tuple[Partition, dict[Word, int]]]] = {
-        counts: [] for counts in patterns
+        shape: [] for shape in shapes
     }
     for lam in partitions(k):
-        for vec in _w_basis(lam, d):
-            counts = pattern_of.get(word_to_index(next(iter(vec)), d))
-            if counts is not None:
-                columns[counts].append((lam, vec))
+        for vec in _w_basis(lam, d, shape_of):
+            columns[shape_of[tuple(sorted(next(iter(vec))))]].append((lam, vec))
     pieces: dict[Partition, list] = {lam: [] for lam in partitions(k)}
-    for counts, blocks in patterns.items():
-        cols, b = columns[counts], len(blocks[0])
+    for shape, blocks in shapes.items():
+        cols, b = columns[shape], len(blocks[0])
         if len(cols) != b:
             raise ArithmeticError("graded bases do not fill the tensor power")
         words = [index_to_word(i, d, k) for i in blocks[0]]
@@ -307,16 +312,16 @@ def _solve_blocks(d: int, k: int):
         for lam, found in pieces.items():
             flat = composed.get(lam, [0] * (b * b))
             g = math.gcd(den, *flat)
-            found.append((counts, blocks, flat, g, den // g))
+            found.append((shape, blocks, flat, g, den // g))
     out = []
     for lam, found in pieces.items():
         # each piece over its own denominator in lowest terms, so over their
         # lcm the whole projector is in lowest terms
         den = math.lcm(*(q for *_, q in found))
         groups = {}
-        for counts, blocks, flat, g, q in found:
+        for shape, blocks, flat, g, q in found:
             flat, b = [x // g * (den // q) for x in flat], len(blocks[0])
-            groups[counts] = (tuple(tuple(flat[i : i + b]) for i in range(0, b * b, b)), blocks)
+            groups[shape] = (tuple(tuple(flat[i : i + b]) for i in range(0, b * b, b)), blocks)
         out.append((lam, den, groups))
     return tuple(out)
 

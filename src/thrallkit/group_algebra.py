@@ -21,10 +21,11 @@ elements fixed by ``sigma -> sigma^{-1}`` (all degree-3 projectors below,
 every central idempotent) this agrees with the mirrored action; in general the
 two differ and this package consistently uses the slot action above.
 
-The slot action keeps the letter content of a word, so an element acts by
-one integer matrix per letter pattern of the weight blocks
-(:func:`_block_operator`).  One packed kernel applies them:
-:func:`_stack` stacks the matrices of several operators per pattern (the
+The slot action keeps the letter content of a word and commutes with
+relabelling letters, the permutation matrices of GL_d, so an element acts by
+one integer matrix per shape of the weight blocks, their letter counts in
+decreasing order (:func:`_block_operator`).  One packed kernel applies them:
+:func:`_stack` stacks the matrices of several operators per shape (the
 p(k) graded projectors in :func:`graded_projections`, cached per
 construction and ``(d, k)``; one element in :func:`ga_act`), :func:`_pack`
 packs each column of a stack into one Python int, ``W`` bits a slot, and
@@ -163,20 +164,20 @@ def ga_act(x: GroupAlgebraElement, tensor: Tensor) -> Tensor:
 
 
 @functools.cache
-def _block_places(counts: tuple[int, ...]) -> dict[Word, int]:
-    """The place of each word with these letter counts in lex order."""
-    letters = [a for a, c in enumerate(counts) for _ in range(c)]
+def _block_places(shape: tuple[int, ...]) -> dict[Word, int]:
+    """The place of each word of a shape's first block in lex order."""
+    letters = [a for a, c in enumerate(shape) for _ in range(c)]
     return {w: t for t, w in enumerate(distinct_orderings(letters))}
 
 
 @functools.cache
-def _block_gather(counts: tuple[int, ...], perm: Perm) -> tuple[int, ...]:
-    """The place of ``u o perm`` for each word ``u`` with these letter counts,
-    in lex order; cached per permutation, so a sparse element pays only for
-    its own support."""
+def _block_gather(shape: tuple[int, ...], perm: Perm) -> tuple[int, ...]:
+    """The place of ``u o perm`` for each word ``u`` of a shape's first
+    block, in lex order; cached per permutation, so a sparse element pays
+    only for its own support."""
     if len(perm) < 2:
         return (0,)  # one word; itemgetter needs two indices to return a tuple
-    place = _block_places(counts)
+    place = _block_places(shape)
     at = operator.itemgetter(*perm)
     return tuple(place[at(u)] for u in place)
 
@@ -184,49 +185,51 @@ def _block_gather(counts: tuple[int, ...], perm: Perm) -> tuple[int, ...]:
 def _block_operator(x: GroupAlgebraElement, d: int):
     """The integer matrices of ``ga_act(x, .)`` over ``x.den``.
 
-    ``groups`` maps each letter pattern of :func:`weight_patterns` to
-    ``(rows, blocks)``; row ``t`` holds ``x_sigma`` at the place of ``u o
-    sigma`` for ``u`` the block's ``t``-th word.  Relabelling the letters in
-    order commutes with ``u -> u o sigma``, so the blocks of a pattern share
-    one matrix.
+    ``groups`` maps each shape of :func:`weight_patterns` to ``(rows,
+    blocks)``; row ``t`` holds ``x_sigma`` at the place of ``u o sigma`` for
+    ``u`` the first block's ``t``-th word.  Relabelling letters commutes with
+    ``u -> u o sigma``, and each block of a shape lists the relabelled words
+    of the first in the same places, so the blocks of a shape share one
+    matrix.
     """
     groups: dict[tuple[int, ...], tuple[tuple, list]] = {}
-    for counts, blocks in weight_patterns(d, x.k).items():
+    for shape, blocks in weight_patterns(d, x.k).items():
         rows = [[0] * len(blocks[0]) for _ in blocks[0]]
         for perm, c in x.nums.items():
-            for row, j in zip(rows, _block_gather(counts, perm)):
+            for row, j in zip(rows, _block_gather(shape, perm)):
                 row[j] += c
-        groups[counts] = (tuple(map(tuple, rows)), blocks)
+        groups[shape] = (tuple(map(tuple, rows)), blocks)
     return groups
 
 
 class _Stack(NamedTuple):
     """The block matrices of ``layers`` operators at one ``(d, k)``, stacked
-    per letter pattern: row ``t * layers + j`` of a pattern's matrix is row
-    ``t`` of operator ``j``.  ``bound`` is the largest absolute row sum,
-    ``gather`` the flat indices block by block in pattern order, ``scatter``
-    its inverse, and ``patterns`` each pattern's stacked columns with its
-    block count, in that order."""
+    per shape: row ``t * layers + j`` of a shape's matrix is row ``t`` of
+    operator ``j``.  ``bound`` is the largest absolute row sum, ``gather``
+    the flat indices block by block in shape order, each block in its own
+    order of places, ``scatter`` its inverse, and ``shapes`` each shape's
+    stacked columns with its block count, in that order."""
 
     layers: int
     bound: int
     gather: list[int]
     scatter: list[int]
-    patterns: list[tuple[tuple[tuple[int, ...], ...], int]]
+    shapes: list[tuple[tuple[tuple[int, ...], ...], int]]
 
 
 def _stack(operators) -> _Stack:
     """Stack results of :func:`_block_operator` at one ``(d, k)``, which
-    share their patterns and blocks."""
-    bound, gather, patterns = 0, [], []
-    for counts, (_, blocks) in operators[0].items():
-        rows = [row for rows in zip(*(g[counts][0] for g in operators)) for row in rows]
+    share their shapes and blocks: one matrix per shape, which
+    :func:`_pass` applies to every block of the shape through ``gather``."""
+    bound, gather, shapes = 0, [], []
+    for shape, (_, blocks) in operators[0].items():
+        rows = [row for rows in zip(*(g[shape][0] for g in operators)) for row in rows]
         bound = max([bound, *(sum(map(abs, row)) for row in rows)])
-        patterns.append((tuple(zip(*rows)), len(blocks)))
+        shapes.append((tuple(zip(*rows)), len(blocks)))
         for block in blocks:
             gather.extend(block)
     scatter = sorted(range(len(gather)), key=gather.__getitem__)
-    return _Stack(len(operators), bound, gather, scatter, patterns)
+    return _Stack(len(operators), bound, gather, scatter, shapes)
 
 
 def _slot_width(bound: int, values) -> int:
@@ -251,13 +254,13 @@ def _pack(stack: _Stack, width: int):
     ``array`` writes the slots as two's complement bytes at C level, and
     ``(x ^ mask) - mask``, with ``mask`` the top bit of every slot, turns
     those bytes into the signed sum over the slots.  Returns ``(columns,
-    mask, size, count)`` per pattern, ``size`` the byte length of its packed
+    mask, size, count)`` per shape, ``size`` the byte length of its packed
     outputs and ``count`` its number of blocks.
     """
     p, code, step = stack.layers, _SLOT_CODES[width], width // 8
     top = (1 << (width - 1)).to_bytes(step, sys.byteorder)
     packed = []
-    for columns, count in stack.patterns:
+    for columns, count in stack.shapes:
         mask = int.from_bytes(top * (p * len(columns)), sys.byteorder)
         raws = (array(code, column).tobytes() for column in columns)
         ints = [(int.from_bytes(raw, sys.byteorder) ^ mask) - mask for raw in raws]
@@ -268,7 +271,7 @@ def _pack(stack: _Stack, width: int):
 def _pass(packed, width: int, xs) -> bytes:
     """The packed kernel over ``xs``, the inputs in the gather order of a
     stack, with ``packed`` that stack packed at ``width``: adding and then
-    xoring a pattern's ``mask`` leaves each slot of a block's sum holding its
+    xoring a shape's ``mask`` leaves each slot of a block's sum holding its
     output in two's complement, as native-order bytes."""
     raws, start = [], 0
     for columns, mask, size, count in packed:
@@ -293,7 +296,7 @@ def _apply_stacked(stack: _Stack, pack, values) -> list[list[int]]:
         flat = memoryview(_pass(pack(width), width, xs)).cast(_SLOT_CODES[width]).tolist()
     else:
         flat, start = [], 0
-        for columns, count in stack.patterns:
+        for columns, count in stack.shapes:
             rows = list(zip(*columns))
             for _ in range(count):
                 local = xs[start : start + len(columns)]
@@ -378,8 +381,9 @@ def operator_rank(x: GroupAlgebraElement, d: int) -> int:
 
     The slot action keeps letter content, so the operator is block-diagonal
     on the weight blocks; its rank is the sum of the ranks of the block
-    matrices of :func:`_block_operator`, one elimination per shared matrix
-    (scaling ``x`` to integer coefficients keeps the rank).
+    matrices of :func:`_block_operator`, one elimination per shape, since
+    the blocks of a shape share one matrix (scaling ``x`` to integer
+    coefficients keeps the rank).
     """
     groups = _block_operator(x, d)
     return sum(linalg.rank(rows) * len(blocks) for rows, blocks in groups.values())

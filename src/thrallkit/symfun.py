@@ -130,10 +130,12 @@ def sn_character(mu: Partition, rho: Partition) -> int:
 # characters of graded Lie pieces and their symmetric powers
 
 
+@cache
 def lie_character(k: int) -> SymFun:
     """Character of the degree-k graded piece of the free Lie algebra.
 
-    In power sums: (1/k) * sum_{t | k} moebius(t) * p_t^(k/t).
+    In power sums: (1/k) * sum_{t | k} moebius(t) * p_t^(k/t); built once
+    per degree.
     """
     if k < 1:
         raise ValueError("k must be >= 1")

@@ -21,7 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 from operator import floordiv
 
 from . import linalg
@@ -173,21 +173,36 @@ def weight_blocks(d: int, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(block) for block in blocks.values())
 
 
+@cache
 def weight_patterns(d: int, k: int) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
-    """The weight blocks grouped by letter pattern, the counts of the letters
-    that occur in letter order, in the order of :func:`weight_blocks`.
+    """The weight blocks grouped by shape, their letter counts in decreasing
+    order, in the order of :func:`weight_blocks`.
 
-    Relabelling the letters in order maps the words of a block onto those of
-    every block with the same pattern and keeps their lex order, so an
-    operator that commutes with it (a slot permutation, a graded projector)
-    has one matrix per pattern.
+    A shape's first block holds the letters 1..l with non-increasing counts,
+    its words in lex order.  Every other block lists its flat indices as the
+    images of those words under the letter relabelling that keeps counts,
+    ties broken in letter order, so place t of every block of a shape holds
+    the same word up to relabelling.  Relabelling letters is the action of a
+    permutation matrix of GL_d, so an operator that commutes with GL_d (a
+    slot permutation, a graded projector) has one matrix per shape.
     """
-    patterns: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    shapes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    words: dict[tuple[int, ...], list[Word]] = {}
     for block in weight_blocks(d, k):
-        first = index_to_word(block[0], d, k)
-        counts = tuple(len(list(run)) for _, run in itertools.groupby(first))
-        patterns.setdefault(counts, []).append(block)
-    return patterns
+        content = index_to_word(block[0], d, k)
+        runs = sorted((-len(list(run)), a) for a, run in itertools.groupby(content))
+        shape = tuple(-c for c, _ in runs)
+        if shape not in shapes:
+            # its content, letters 1..l with non-increasing counts, is the
+            # lex-least of the shape, so weight_blocks lists this block first
+            shapes[shape], words[shape] = [block], [index_to_word(i, d, k) for i in block]
+            continue
+        # image[c]: the digit of the letter that the first block's letter c becomes
+        image = [0, *(a - 1 for _, a in runs)]
+        shapes[shape].append(tuple(
+            reduce(lambda i, c: i * d + image[c], u, 0) for u in words[shape]
+        ))
+    return shapes
 
 
 def is_symmetric(tensor: Tensor) -> bool:

@@ -383,6 +383,9 @@ GOLDEN = [
     # 40-digit numerators over an lcm of 200 bits: too wide for 64-bit
     # slots, so the projectors take one dot product per row
     (["decompose", "--tensor", "tensor_d3_k4_wide.json"], "decompose_d3_k4_wide.out", 0),
+    # d = 4: most blocks share their shape's matrix through a relabelling
+    # that reorders letters
+    (["decompose", "--tensor", "tensor_d4_k4.json"], "decompose_d4_k4.out", 0),
     # k = 6 is above the projector degree cap: the default route takes the
     # solve-built projectors
     (["decompose", "--tensor", "tensor_d2_k6.json"], "decompose_d2_k6.out", 0),
@@ -427,7 +430,7 @@ def test_help_matches_golden_bytes():
 
 
 @pytest.mark.parametrize("method", ["idempotent", "solve"])
-@pytest.mark.parametrize("name", ["d2_k5_fractional", "d3_k4", "d3_k4_wide"])
+@pytest.mark.parametrize("name", ["d2_k5_fractional", "d3_k4", "d3_k4_wide", "d4_k4"])
 def test_decompose_methods_match_golden_bytes(capsys, method, name):
     code, out, _ = run(
         capsys, "decompose", "--tensor", str(DATA / f"tensor_{name}.json"), "--method", method

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 from random import Random
@@ -342,6 +343,35 @@ def test_solve_decompose_matches_dense_solve(d, k):
     assert thrall_decompose(zero, method="solve") == {
         lam: zero for lam in partitions(k)
     }
+
+
+def test_both_routes_at_four_letters_match_dense_solve():
+    # d = 4, k = 3: shapes (2, 1) and (1, 1, 1) span blocks whose relabelling
+    # reorders letters
+    rng = Random(403)
+    t = Tensor(4, 3, [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(64)])
+    want = dense_solve_decompose(t)
+    assert thrall_decompose(t, "solve") == want
+    assert thrall_decompose(t, "idempotent") == want
+
+
+def test_both_routes_agree_off_the_first_block_of_each_shape():
+    # a (4, 4) tensor supported only on blocks that are not the first of
+    # their shape (letters 1..l with non-increasing counts), so every
+    # nonzero output is read through a relabelled block
+    rng = Random(404)
+    entries = []
+    for w in itertools.product(range(1, 5), repeat=4):
+        counts = [w.count(a) for a in range(1, 5)]
+        used = [c for c in counts if c]
+        first = counts[: len(used)] == sorted(used, reverse=True)
+        entries.append(Fraction(0) if first else Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+    t = Tensor(4, 4, entries)
+    assert sum(1 for x in entries if x) > 150
+    solve, closed = thrall_decompose(t, "solve"), thrall_decompose(t, "idempotent")
+    assert solve == closed
+    for lam, part in closed.items():
+        assert part == dense_ga_act(higher_lie_idempotent(lam), t)
 
 
 @st.composite

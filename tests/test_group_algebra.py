@@ -226,10 +226,31 @@ def test_ga_act_matches_dense_sum(d, k):
 
 def test_ga_act_on_nine_letters_matches_dense_oracle():
     # one weight block of 120 words among 9^5 entries: the block operator
-    # builds one matrix per letter-count pattern, not one map per permutation
+    # builds one matrix per shape of letter counts, not one map per permutation
     x = higher_lie_idempotent((5,))
     t = basis_tensor(9, (1, 2, 3, 4, 5))
     assert ga_act(x, t) == dense_ga_act(x, t)
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_ga_act_at_four_letters_matches_dense_sum(k):
+    # at d = 4 blocks such as {1,2,2,3} and {1,1,2,3} share a shape with tied
+    # counts, so most blocks read their matrix through a relabelling that
+    # reorders letters
+    rng = Random(4000 + k)
+    cases = [_random_element(k, rng, count) for count in (1, 3, 24)]
+    cases += [higher_lie_idempotent(lam) for lam in partitions(k)]
+    for x in cases:
+        t = _random_fractional_tensor(4, k, rng)
+        assert ga_act(x, t) == dense_ga_act(x, t)
+
+
+def test_operator_rank_at_four_letters_matches_dense_rank():
+    rng = Random(43)
+    cases = [higher_lie_idempotent(lam) for lam in partitions(3)]
+    cases += [_random_element(3, rng, count) for count in (1, 2, 4)]
+    for x in cases:
+        assert operator_rank(x, 4) == dense_operator_rank(x, 4)
 
 
 def test_sparse_element_on_seven_slots_matches_dense_oracle():

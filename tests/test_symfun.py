@@ -97,6 +97,24 @@ def test_lie_character_small():
     assert schur_expand(l3) == {(2, 1): Fraction(1)}
 
 
+def test_lie_character_is_built_once_per_degree(monkeypatch):
+    # thrall_coefficients reads l_i for each part i of every lam; only the
+    # first read of a degree runs the validating constructor
+    from thrallkit import symfun
+
+    built = []
+    post_init = SymFun.__post_init__
+    monkeypatch.setattr(SymFun, "__post_init__", lambda f: built.append(f.degree) or post_init(f))
+    lie_character.cache_clear()
+    symfun._thrall_coefficients.cache_clear()
+    for lam in partitions(8):
+        thrall_coefficients(lam)
+    assert sorted(built) == list(range(1, 9))
+    assert lie_character(6) is lie_character(6)
+    with pytest.raises(ValueError):
+        lie_character(0)
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_lie_character_specializes_to_dimension(d):
     for k in range(1, 7):

@@ -16,6 +16,7 @@ from thrallkit.tensors import (
     is_symmetric,
     symmetrize,
     tensor_product,
+    weight_patterns,
 )
 
 from oracles import (
@@ -272,3 +273,53 @@ def test_numerators_contract_seeded_and_unseeded(d, k, data):
     for lam, part in solve.items():
         _check_canonical(part, part.entries)
         assert (part.den, part.nums) == (idempotent[lam].den, idempotent[lam].nums)
+
+
+def _word_of(index, d, k):
+    """The word at a flat index, letters 1..d, by plain base-d digits."""
+    digits = []
+    for _ in range(k):
+        index, rem = divmod(index, d)
+        digits.append(rem + 1)
+    return tuple(reversed(digits))
+
+
+# every (d, k) with d^k <= 1024, k >= 1, d up to 32
+SHAPE_CASES = [(d, k) for d in range(1, 33) for k in range(1, 11) if d**k <= 1024]
+
+
+@pytest.mark.parametrize("d,k", SHAPE_CASES)
+def test_weight_patterns_relabel_each_shape_from_its_first_block(d, k):
+    shapes = weight_patterns(d, k)
+    blocks = [block for group in shapes.values() for block in group]
+    # the blocks partition the flat indices
+    assert sorted(i for block in blocks for i in block) == list(range(d**k))
+    for shape, (first, *others) in shapes.items():
+        letters = len(shape)
+        assert list(shape) == sorted(shape, reverse=True) and sum(shape) == k
+        # the first block: letters 1..l, counts non-increasing, in lex order
+        want = [
+            w for w in itertools.product(range(1, letters + 1), repeat=k)
+            if tuple(w.count(a) for a in range(1, letters + 1)) == shape
+        ]
+        assert [_word_of(i, d, k) for i in first] == want
+        for block in others:
+            words = [_word_of(i, d, k) for i in block]
+            assert len(set(words)) == len(want) and len({tuple(sorted(w)) for w in words}) == 1
+            # one bijection maps the first block's word to this block's, place by place
+            image = {}
+            for u, w in zip(want, words):
+                for a, b in zip(u, w):
+                    assert image.setdefault(a, b) == b
+            assert sorted(image) == list(range(1, letters + 1))
+            assert len(set(image.values())) == letters
+            counts = [words[0].count(image[a]) for a in range(1, letters + 1)]
+            assert tuple(counts) == shape
+            # letters of equal count keep their order
+            assert all(
+                image[a] < image[a + 1] for a in range(1, letters) if shape[a - 1] == shape[a]
+            )
+    # shapes in the order of their first blocks' first indices
+    assert [group[0][0] for group in shapes.values()] == sorted(
+        group[0][0] for group in shapes.values()
+    )
