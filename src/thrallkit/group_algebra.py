@@ -78,6 +78,11 @@ from .words import (
 K_MAX = 5
 
 
+def _getter(indices):
+    """``itemgetter(*indices)`` of a permutation, a sequence also at ``(0,)`` and ``()``."""
+    return operator.itemgetter(*indices) if len(indices) > 1 else operator.itemgetter(slice(1))
+
+
 @dataclass(frozen=True)
 class GroupAlgebraElement:
     """Rational linear combination of permutations of {0..k-1}: a sparse map
@@ -135,16 +140,11 @@ def ga_multiply(x: GroupAlgebraElement, y: GroupAlgebraElement) -> GroupAlgebraE
     """
     x._check(y)
     acc: dict[Perm, int] = {}
-    if x.k < 2:
-        # the identity alone; itemgetter needs two indices to return a tuple
-        acc = {p: a * b for p, a in x.nums.items() for b in y.nums.values()}
-    else:
-        xs = x.nums.items()
-        for q, b in y.nums.items():
-            at = operator.itemgetter(*q)
-            for p, a in xs:
-                pq = at(p)
-                acc[pq] = acc.get(pq, 0) + a * b
+    for q, b in y.nums.items():
+        at = _getter(q)
+        for p, a in x.nums.items():
+            pq = at(p)
+            acc[pq] = acc.get(pq, 0) + a * b
     return GroupAlgebraElement(x.k, acc, x.den * y.den)
 
 
@@ -160,7 +160,7 @@ def ga_act(x: GroupAlgebraElement, tensor: Tensor) -> Tensor:
         raise ValueError(f"degree mismatch: element {x.k}, tensor order {tensor.k}")
     stack = _stack([_block_operator(x, tensor.d)])
     [nums] = _apply_stacked(stack, functools.partial(_pack, stack), tensor.nums)
-    return Tensor(tensor.d, tensor.k, nums, x.den * tensor.den)
+    return Tensor._built(tensor.d, tensor.k, nums, x.den * tensor.den)
 
 
 @functools.cache
@@ -175,10 +175,7 @@ def _block_gather(shape: tuple[int, ...], perm: Perm) -> tuple[int, ...]:
     """The place of ``u o perm`` for each word ``u`` of a shape's first
     block, in lex order; cached per permutation, so a sparse element pays
     only for its own support."""
-    if len(perm) < 2:
-        return (0,)  # one word; itemgetter needs two indices to return a tuple
-    place = _block_places(shape)
-    at = operator.itemgetter(*perm)
+    place, at = _block_places(shape), _getter(perm)
     return tuple(place[at(u)] for u in place)
 
 
@@ -206,14 +203,14 @@ class _Stack(NamedTuple):
     """The block matrices of ``layers`` operators at one ``(d, k)``, stacked
     per shape: row ``t * layers + j`` of a shape's matrix is row ``t`` of
     operator ``j``.  ``bound`` is the largest absolute row sum, ``gather``
-    the flat indices block by block in shape order, each block in its own
-    order of places, ``scatter`` its inverse, and ``shapes`` each shape's
-    stacked columns with its block count, in that order."""
+    an itemgetter of the inputs block by block in shape order, each block in
+    its own order of places, ``scatter`` one of the stacked outputs layer by
+    layer, and ``shapes`` each shape's stacked columns with its block count."""
 
     layers: int
     bound: int
-    gather: list[int]
-    scatter: list[int]
+    gather: operator.itemgetter
+    scatter: operator.itemgetter
     shapes: list[tuple[tuple[tuple[int, ...], ...], int]]
 
 
@@ -221,15 +218,15 @@ def _stack(operators) -> _Stack:
     """Stack results of :func:`_block_operator` at one ``(d, k)``, which
     share their shapes and blocks: one matrix per shape, which
     :func:`_pass` applies to every block of the shape through ``gather``."""
-    bound, gather, shapes = 0, [], []
+    bound, gather, shapes, p = 0, [], [], len(operators)
     for shape, (_, blocks) in operators[0].items():
         rows = [row for rows in zip(*(g[shape][0] for g in operators)) for row in rows]
         bound = max([bound, *(sum(map(abs, row)) for row in rows)])
         shapes.append((tuple(zip(*rows)), len(blocks)))
-        for block in blocks:
-            gather.extend(block)
-    scatter = sorted(range(len(gather)), key=gather.__getitem__)
-    return _Stack(len(operators), bound, gather, scatter, shapes)
+        gather.extend(itertools.chain.from_iterable(blocks))
+    inverse = sorted(range(len(gather)), key=gather.__getitem__)
+    scatter = [g * p + j for j in range(p) for g in inverse]
+    return _Stack(p, bound, _getter(gather), _getter(scatter), shapes)
 
 
 def _slot_width(bound: int, values) -> int:
@@ -289,8 +286,7 @@ def _apply_stacked(stack: _Stack, pack, values) -> list[list[int]]:
     ``values``, with ``pack(width)`` the stack packed by :func:`_pack`: one
     :func:`_pass` where a slot of at most 64 bits holds ``bound * max|x|``,
     else one dot product per row (see the module docstring)."""
-    p = stack.layers
-    xs = list(map(values.__getitem__, stack.gather))
+    xs = stack.gather(values)
     width = _slot_width(stack.bound, xs)
     if width <= 64:
         flat = memoryview(_pass(pack(width), width, xs)).cast(_SLOT_CODES[width]).tolist()
@@ -302,14 +298,23 @@ def _apply_stacked(stack: _Stack, pack, values) -> list[list[int]]:
                 local = xs[start : start + len(columns)]
                 start += len(columns)
                 flat.extend(sum(map(operator.mul, row, local)) for row in rows)
-    # flat[g p + j] is layer j's output at the place gather[g]
-    return [list(map(flat[j::p].__getitem__, stack.scatter)) for j in range(p)]
+    out, n = stack.scatter(flat), len(xs)
+    return [list(out[i : i + n]) for i in range(0, len(out), n)]
 
 
 @functools.cache
 def _projector_blocks(d: int, k: int):
-    """``(lam, E_lam.den, _block_operator(E_lam, d))`` for each partition lam of k."""
-    return tuple((lam, e.den, _block_operator(e, d)) for lam, e in _projector_family(k).items())
+    """``(lam, E_lam.den, _block_operator(E_lam, d))`` per partition lam of k over
+    their gcd: in lowest terms, as the solve builds them, so the stacks agree."""
+    out = []
+    for lam, e in _projector_family(k).items():
+        groups = _block_operator(e, d)
+        g = math.gcd(e.den, *(math.gcd(*row) for rows, _ in groups.values() for row in rows))
+        if g > 1:
+            for shape, (rows, blocks) in groups.items():
+                groups[shape] = tuple(tuple(x // g for x in row) for row in rows), blocks
+        out.append((lam, e.den // g, groups))
+    return tuple(out)
 
 
 @functools.cache
@@ -337,15 +342,15 @@ def graded_projections(tensor: Tensor, construction=_projector_blocks) -> dict[P
     :func:`thrallkit.free_lie.thrall_decompose` passes its own.  The
     matrices are stacked and packed once per construction, ``(d, k)`` and
     slot width, and applied by :func:`_apply_stacked` in one pass over the
-    weight blocks.  An order-0 tensor is its own component at the empty
-    partition."""
+    weight blocks; ``Tensor._built`` reduces each output, unchecked.  An
+    order-0 tensor is its own component at the empty partition."""
     if tensor.k == 0:
         return {(): tensor}
     d, k, nums = tensor.d, tensor.k, tensor.nums
     pack = functools.partial(_projector_packed, construction, d, k)
     outputs = _apply_stacked(_projector_stack(construction, d, k), pack, nums)
     return {
-        lam: Tensor(d, k, out, den * tensor.den)
+        lam: Tensor._built(d, k, out, den * tensor.den)
         for (lam, den, _), out in zip(construction(d, k), outputs)
     }
 
@@ -543,9 +548,13 @@ def intersection_projector(lam: Partition, mu: Partition) -> GroupAlgebraElement
 
     Equals the product of the graded projector with the central idempotent
     (in either order, by centrality); zero exactly when the corresponding
-    multiplicity vanishes.
+    multiplicity vanishes.  Built once per pair (88 pairs up to :data:`K_MAX`).
     """
-    lam, mu = check_partition(lam), check_partition(mu)
+    return _intersection_projector(check_partition(lam), check_partition(mu))
+
+
+@functools.cache
+def _intersection_projector(lam: Partition, mu: Partition) -> GroupAlgebraElement:
     if sum(lam) != sum(mu):
         raise ValueError("lam and mu must partition the same integer")
     return ga_multiply(higher_lie_idempotent(lam), central_idempotent(mu))

@@ -2,9 +2,9 @@
 
 A :class:`Tensor` has one representation: integer numerators over one
 positive denominator, in lowest terms.  Every algorithm computes on those
-integers, and each hands its own to the constructor, the one place where
-numerators become a tensor.  Fractions are built only at the boundary
-(:attr:`Tensor.entries`, item access, :meth:`Tensor.nonzero_terms`).
+integers and hands them to the constructor, or, sized by construction, to
+``Tensor._built``: both reduce them by one method.  Fractions are built
+only at the boundary (:attr:`Tensor.entries`, item access, :meth:`Tensor.nonzero_terms`).
 
 Weight blocks: slot permutations keep the letter content of a word (the
 multiset of its letters), and so do the graded bases and every operator
@@ -60,9 +60,9 @@ class Tensor:
     numerators ``nums`` over one denominator ``den``.
 
     ``Tensor(d, k, values)`` reads ``d**k`` ints or Fractions and ``Tensor(d, k,
-    nums, den)`` integer numerators over ``den >= 1``.  Both are reduced to
-    lowest terms, ``gcd(den, *nums) == 1`` (the zero tensor has ``den ==
-    1``), so equal tensors have equal fields, and equality, hashing and
+    nums, den)`` integer numerators over ``den >= 1``.  Both are checked, then
+    reduced by :meth:`_reduce` to ``gcd(den, *nums) == 1`` (the zero tensor has
+    ``den == 1``), so equal tensors have equal fields, and equality, hashing and
     repr read ``(d, k, nums, den)``.  Entries are indexed by words via
     base-``d`` encoding; ``k == 0`` stores a single scalar.  The Fractions
     :attr:`entries` are built on first read, for output and tests.
@@ -84,11 +84,22 @@ class Tensor:
         nums = tuple(nums)
         if len(nums) != self.d**self.k:
             raise ValueError(f"expected {self.d ** self.k} entries, got {len(nums)}")
+        self._reduce(nums, den)
+
+    @classmethod
+    def _built(cls, d: int, k: int, nums, den: int) -> "Tensor":
+        """``d**k`` integers over ``den >= 1`` by construction: reduced, unchecked."""
+        out = object.__new__(cls)
+        vars(out).update(d=d, k=k)
+        out._reduce(nums, den)
+        return out
+
+    def _reduce(self, nums, den: int) -> None:
         # math.gcd also rejects numerators that are not integers
         g = math.gcd(den, *nums)
         if g != 1:
-            nums, den = tuple(map(floordiv, nums, itertools.repeat(g))), den // g
-        object.__setattr__(self, "nums", nums)
+            nums, den = map(floordiv, nums, itertools.repeat(g)), den // g
+        object.__setattr__(self, "nums", tuple(nums))
         object.__setattr__(self, "den", den)
 
     # -- construction -------------------------------------------------

@@ -842,9 +842,17 @@ def nullspace_sl_invariant_space(d: int, k: int) -> list:
     off-diagonal elementary matrix E_ab then gives, for every word w with one
     extra b and one missing a, the condition sum over the slots of w holding
     b of beta[w with that slot set to a] = 0.
+
+    Built once per (d, k), since the tests that read one shape share it;
+    every call returns a fresh list.
     """
+    return list(_nullspace_sl_invariant_space(d, k))
+
+
+@functools.cache
+def _nullspace_sl_invariant_space(d: int, k: int) -> tuple:
     if k <= 0 or k % d != 0:
-        return []
+        return ()
     quota = k // d
     balanced = permutation_words_with_counts({letter: quota for letter in range(1, d + 1)})
     index = {w: i for i, w in enumerate(balanced)}
@@ -863,7 +871,7 @@ def nullspace_sl_invariant_space(d: int, k: int) -> list:
                         row[index[w[:slot] + (a,) + w[slot + 1 :]]] += 1
                 rows.append(row)
     basis = nullspace(rows) if rows else identity_matrix(len(balanced))
-    return normalized_row_functionals(d, balanced, basis)
+    return tuple(normalized_row_functionals(d, balanced, basis))
 
 
 def fraction_path_invariants(d: int, ell: int) -> dict:

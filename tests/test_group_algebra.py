@@ -557,8 +557,9 @@ def closed_form_blocks(d, k):
 )
 def test_solve_and_closed_form_build_equal_stacks(monkeypatch, d, k):
     # the two constructions of every projector's block matrices agree as
-    # rational matrices; their denominators differ (at (2, 4) the solve
-    # side has 6 where the closed form has 12), so compare cross-multiplied
+    # rational matrices; the solve's denominators are in lowest terms and the
+    # family's are not (at (2, 4) 6 against E_lam.den = 12), so compare
+    # cross-multiplied
     monkeypatch.setattr(group_algebra, "K_MAX", max(k, K_MAX))
     closed = closed_form_blocks(d, k)
     solved = free_lie._solve_blocks(d, k)
@@ -576,6 +577,21 @@ def test_solve_and_closed_form_build_equal_stacks(monkeypatch, d, k):
             entries.extend(itertools.chain.from_iterable(rows))
         # each projector in lowest terms over its one denominator
         assert math.gcd(den, *entries) == 1
+
+
+@pytest.mark.parametrize("d,k", [(1, 3), (2, 3), (2, 4), (3, 4), (2, 5), (3, 5), (4, 4), (4, 5)])
+def test_closed_form_and_solve_stacks_are_equal_integer_fields(d, k):
+    # the closed form divided by its gcd is in lowest terms, as the solve
+    # builds it, so the two stacks agree as integers, not only as rationals
+    built = {c: c(d, k) for c in (group_algebra._projector_blocks, free_lie._solve_blocks)}
+    stacks = [group_algebra._projector_stack(c, d, k) for c in built]
+    closed, solved = built.values()
+    assert [(lam, den) for lam, den, _ in closed] == [(lam, den) for lam, den, _ in solved]
+    for (_, den, groups), (_, _, solved_groups) in zip(closed, solved):
+        assert groups == solved_groups
+        assert math.gcd(den, *(x for rows, _ in groups.values() for r in rows for x in r)) == 1
+    assert stacks[0].shapes == stacks[1].shapes
+    assert (stacks[0].layers, stacks[0].bound) == (stacks[1].layers, stacks[1].bound)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
@@ -626,6 +642,24 @@ def test_intersection_projector_reference_elements():
     assert intersection_projector((2, 1), (1, 1, 1)) == _element(3, E21_1_REFERENCE)
     assert intersection_projector((2, 1), (2, 1)) == _element(3, E21_2_REFERENCE)
     assert intersection_projector((3,), (3,)) == GroupAlgebraElement.zero(3)
+
+
+def test_intersection_projector_is_built_once_per_pair(monkeypatch):
+    pairs = [(lam, mu) for k in range(1, 5) for lam in partitions(k) for mu in partitions(k)]
+    for lam, mu in pairs:
+        want = ga_multiply(higher_lie_idempotent(lam), central_idempotent(mu))
+        assert intersection_projector(lam, mu) == want
+    first = intersection_projector((2, 1, 1), (3, 1))
+    calls = []
+    monkeypatch.setattr(group_algebra, "ga_multiply", lambda *args: calls.append(args))
+    assert intersection_projector([2, 1, 1], [3, 1]) is first
+    for lam, mu in pairs:
+        intersection_projector(lam, mu)
+    assert calls == []
+    # above the degree cap nothing is cached: every call raises
+    for _ in range(3):
+        with pytest.raises(ResourceLimitError):
+            intersection_projector((6,), (6,))
 
 
 def test_intersection_projector_idempotent_and_central_commutes():

@@ -275,6 +275,22 @@ def test_numerators_contract_seeded_and_unseeded(d, k, data):
         assert (part.den, part.nums) == (idempotent[lam].den, idempotent[lam].nums)
 
 
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@given(d=st.integers(1, 3), data=st.data())
+def test_built_reduces_as_the_constructor_does(k, d, data):
+    nums = data.draw(st.lists(st.integers(-(10**12), 10**12), min_size=d**k, max_size=d**k))
+    den = data.draw(st.integers(1, 10**6))
+    g = data.draw(st.sampled_from([2, 6, 12, 2**70]))
+    reduced = Tensor(d, k, nums, den)
+    # drawn, with a common factor, zero, and already in lowest terms
+    cases = [(nums, den), ([g * n for n in nums], g * den), ([0] * d**k, den)]
+    for n, m in cases + [(reduced.nums, reduced.den)]:
+        built, want = Tensor._built(d, k, n, m), Tensor(d, k, n, m)
+        assert (built.d, built.k, built.nums, built.den) == (want.d, want.k, want.nums, want.den)
+        assert type(built.nums) is tuple and built.entries == want.entries
+        assert built == want and hash(built) == hash(want)
+
+
 def _word_of(index, d, k):
     """The word at a flat index, letters 1..d, by plain base-d digits."""
     digits = []
