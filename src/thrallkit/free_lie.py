@@ -10,7 +10,7 @@ The truncated exponential and logarithm share one kernel,
 :func:`_power_series`: it evaluates sum_n c_n X^n (c_n = 1/n! or
 (-1)^(n+1)/n) in Horner form on the levels' integer numerators (each
 tensor's ``nums`` over its ``den``, see :mod:`thrallkit.tensors`) and hands
-each output level's numerators to the tensor constructor.  The graded
+each output level's numerators to ``Tensor._built``.  The graded
 bases, the decomposition backends and :func:`lie_coordinates` likewise run
 on integers, so no Fraction is built per entry.
 """
@@ -156,8 +156,8 @@ def _power_series(series: TensorSeries, coeffs: list[Fraction]) -> TensorSeries:
     Level ``m`` of every ``R_j`` is held as integer numerators over
     ``D_m = lcm_a D_(m-a) dens[a]`` (``D_0 = 1``), so each term ``X_a (x)
     R_(m-a)`` is an integer outer product once ``X_a`` is scaled by ``D_m /
-    (D_(m-a) dens[a])``; each output level is handed to the tensor
-    constructor as its numerators over ``S D_m``.
+    (D_(m-a) dens[a])``; each output level, sized by construction, is
+    handed to ``Tensor._built`` as its numerators over ``S D_m``.
     """
     d, k_max = series.d, series.k_max
     nums = [level.nums for level in series.levels]
@@ -191,7 +191,7 @@ def _power_series(series: TensorSeries, coeffs: list[Fraction]) -> TensorSeries:
             nxt.append(acc or [0] * d**m)
         r = nxt
     return TensorSeries(d, tuple(
-        Tensor(d, m, level, scale * level_dens[m]) for m, level in enumerate(r)
+        Tensor._built(d, m, level, scale * level_dens[m]) for m, level in enumerate(r)
     ))
 
 
@@ -247,11 +247,11 @@ def f_lambda(element: LieElement, lam: Partition) -> Tensor:
 # graded subspaces and the decomposition of tensor space
 
 
-def _w_basis(lam: Partition, d: int, contents=None) -> tuple[dict[Word, int], ...]:
-    """The lam-graded basis as sparse integer word polynomials: one vector
-    per multiset of Lyndon words realizing lam, the sum over its distinct
-    orderings of the products of their bracketings; with ``contents``, only
-    the vectors of the multisets whose sorted letters are among them."""
+def _w_basis(lam: Partition, d: int, contents) -> tuple[dict[Word, int], ...]:
+    """The lam-graded basis vectors whose sorted letters are among
+    ``contents``, as sparse integer word polynomials: one vector per multiset
+    of Lyndon words realizing lam, the sum over its distinct orderings of the
+    products of their bracketings."""
     per_size = [
         itertools.combinations_with_replacement(lyndon_words(d, i), a)
         for i, a in sorted(multiplicity_profile(lam).items())
@@ -260,7 +260,7 @@ def _w_basis(lam: Partition, d: int, contents=None) -> tuple[dict[Word, int], ..
     return tuple(
         _symmetrized_product(words, bracket_expansion)
         for words in combos
-        if contents is None or tuple(sorted(itertools.chain(*words))) in contents
+        if tuple(sorted(itertools.chain(*words))) in contents
     )
 
 
@@ -390,7 +390,7 @@ def thrall_decompose(tensor: Tensor, method: str = "auto") -> dict[Partition, Te
 def is_lie_element(tensor: Tensor) -> bool:
     """Lie membership: order at least one and :func:`lie_coordinates`'
     back-substitution leaves no residual."""
-    return tensor.k >= 1 and lie_coordinates(tensor) is not None
+    return tensor.k >= 1 and _back_substitute(list(tensor.nums), tensor.d, tensor.k) is not None
 
 
 def lie_coordinates(tensor: Tensor) -> dict[Word, Fraction] | None:
@@ -404,7 +404,8 @@ def lie_coordinates(tensor: Tensor) -> dict[Word, Fraction] | None:
     The tensor is a Lie element iff the residual ends at zero.  The walk runs
     on a copy of the integer numerators, by flat index (:func:`_bracket_row`).
     """
-    return _back_substitute(list(tensor.nums), tensor.d, tensor.k, tensor.den)
+    coords = _back_substitute(list(tensor.nums), tensor.d, tensor.k)
+    return None if coords is None else {w: Fraction(c, tensor.den) for w, c in coords.items()}
 
 
 @cache
@@ -421,10 +422,10 @@ def _bracket_row(word: Word, d: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(zip(*sorted((word_to_index(u, d), c) for u, c in bracket_expansion(word).items())))
 
 
-def _back_substitute(residual: list[int], d: int, k: int, den: int) -> dict | None:
-    """:func:`lie_coordinates`, as Fractions, of ``residual / den`` (integer
-    numerators in index order, consumed); a sparse residual builds only the
-    rows of the words it meets."""
+def _back_substitute(residual: list[int], d: int, k: int) -> dict[Word, int] | None:
+    """The integer Lyndon coordinates of the integer numerators ``residual``
+    (in index order, consumed), or None when a residual is left; a sparse
+    residual builds only the rows of the words it meets."""
     coords = {}
     for w, i in _lyndon_table(d, k):
         c = residual[i]
@@ -432,7 +433,7 @@ def _back_substitute(residual: list[int], d: int, k: int, den: int) -> dict | No
             coords[w] = c
             for j, e in zip(*_bracket_row(w, d)):
                 residual[j] -= c * e
-    return None if any(residual) else {w: Fraction(c, den) for w, c in coords.items()}
+    return None if any(residual) else coords
 
 
 def lie_bracket(a: LieElement, b: LieElement) -> LieElement:
@@ -459,11 +460,11 @@ def lie_bracket(a: LieElement, b: LieElement) -> LieElement:
                 for y, cy in v:
                     commutator[x * sj + y] += cx * cy
                     commutator[y * si + x] -= cx * cy
-            coords = _back_substitute(commutator, d, i + j, aden * bden)
+            coords = _back_substitute(commutator, d, i + j)
             if coords is None:
                 raise ArithmeticError("commutator left the graded Lie subspace")
             for w, c in coords.items():
-                coeffs[w] = coeffs.get(w, 0) + c
+                coeffs[w] = coeffs.get(w, 0) + Fraction(c, aden * bden)
     return LieElement(a.d, k_max, {w: c for w, c in coeffs.items() if c})
 
 

@@ -33,26 +33,24 @@ def _integer_rows(matrix) -> tuple[list[list[int]], list[int]]:
     return rows, scales
 
 
-def _eliminate(rows: list[list[int]]) -> tuple[list[int], int, int]:
+def _eliminate(rows: list[list[int]]) -> tuple[list[int], int]:
     """Fraction-free Gauss-Jordan elimination of an integer matrix, in place.
 
-    Returns ``(pivot columns, p, s)``.  Afterwards row ``r`` below the rank
+    Returns ``(pivot columns, p)``.  Afterwards row ``r`` below the rank
     holds ``p`` at its pivot column and 0 at every other pivot column, the
     remaining rows are zero, and the RREF is ``rows / p``.  ``p`` is the
-    determinant of the pivot rows and columns after the row swaps, whose
-    sign is ``s``.
+    determinant of the pivot rows and columns after the row swaps.
     """
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots: list[int] = []
-    prev, sign, r = 1, 1, 0
+    prev, r = 1, 0
     for c in range(ncols):
         pivot_row = next((i for i in range(r, nrows) if rows[i][c]), None)
         if pivot_row is None:
             continue
         if pivot_row != r:
             rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            sign = -sign
         top = rows[r]
         p = top[c]
         for i in range(nrows):
@@ -70,7 +68,7 @@ def _eliminate(rows: list[list[int]]) -> tuple[list[int], int, int]:
         r += 1
         if r == nrows:
             break
-    return pivots, prev, sign
+    return pivots, prev
 
 
 def rank(matrix) -> int:
@@ -93,7 +91,7 @@ def integer_inverse(matrix) -> tuple[list[list[int]], int]:
         raise ValueError("inverse requires a square matrix")
     for i, s in enumerate(scales):
         rows[i] += [s if j == i else 0 for j in range(n)]
-    pivots, p, _ = _eliminate(rows)
+    pivots, p = _eliminate(rows)
     if pivots != list(range(n)):
         raise ZeroDivisionError("matrix is singular")
     g = math.gcd(p, *(x for row in rows for x in row[n:])) * (1 if p > 0 else -1)
@@ -108,7 +106,7 @@ def primitive_row_basis(matrix) -> list[list[int]]:
     dividing it by its gcd, signed like ``p``, makes it primitive.
     """
     rows, _ = _integer_rows(matrix)
-    pivots, p, _ = _eliminate(rows)
+    pivots, p = _eliminate(rows)
     basis = []
     for row in rows[: len(pivots)]:
         g = math.gcd(*row) if p > 0 else -math.gcd(*row)

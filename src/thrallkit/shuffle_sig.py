@@ -14,9 +14,10 @@ criteria of :func:`thrallkit.rank_variety.fls_check` read, so no reader
 builds a Fraction per entry.  Both are capped at
 :data:`~thrallkit.tensors.SIGNATURE_ENTRIES_MAX` entries over all levels.
 
-:func:`is_group_like` tests one shuffle identity per non-Lyndon word,
-not one per word pair; by induction on the level these imply all the
-others (see its docstring).
+:func:`is_group_like` tests no shuffle identity directly: the series is
+group-like exactly when its Dynkin log-derivative ``L``, ``Y(S) = S L`` for
+the grading operator ``Y``, is Lie at every level, which the Lyndon
+back-substitution of :mod:`thrallkit.free_lie` decides (see its docstring).
 """
 
 from __future__ import annotations
@@ -24,13 +25,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
-from operator import mul
+from operator import sub
 
 from .tensors import Tensor, TensorSeries, check_entries
-from .words import (
-    Word, all_words, index_to_word, longest_lyndon_prefix, word_to_index,
-)
+from .words import Word
 
 
 @dataclass(frozen=True)
@@ -85,106 +83,95 @@ def shuffle_words(a: Word, b: Word, d: int) -> WordFunctional:
 
 def shuffle_functionals(beta: WordFunctional, gamma: WordFunctional) -> WordFunctional:
     """Bilinear extension of :func:`shuffle_words`, summed into one map over
-    the interleavings that :func:`_shuffle_indices` counts."""
+    the interleavings that :func:`_shuffle_words` counts."""
     beta._check(gamma)
-    d = beta.d
     terms: dict[Word, Fraction] = {}
     for wa, ca in beta.terms.items():
         for wb, cb in gamma.terms.items():
-            n = len(wa) + len(wb)
-            for index, c in sorted(_shuffle_indices(wa, wb, d).items()):
-                w = index_to_word(index, d, n)
+            for w, c in sorted(_shuffle_words(wa, wb).items()):
                 terms[w] = terms.get(w, 0) + c * ca * cb
-    return WordFunctional(d, terms)
+    return WordFunctional(beta.d, terms)
 
 
-def _shuffle_indices(a: Word, b: Word, d: int) -> dict[int, int]:
-    """The words of ``a shuffle b`` as flat indices, with multiplicities.
+def _shuffle_words(a: Word, b: Word) -> dict[Word, int]:
+    """The words of ``a shuffle b``, with multiplicities.
 
     Recurrence on the first letter, ``a[i:] shuffle b[j:] = a[i] (a[i+1:]
-    shuffle b[j:]) + b[j] (a[i:] shuffle b[j+1:])``, where a leading letter
-    ``x`` adds ``(x - 1) d^(n - 1)`` to the index of a word of length ``n``.
-    The memo over the positions ``(i, j)`` lives for one call, so no
-    sub-shuffle outlives it.
+    shuffle b[j:]) + b[j] (a[i:] shuffle b[j+1:])``.  The memo over the
+    positions ``(i, j)`` lives for one call, so no sub-shuffle outlives it.
     """
-    memo: dict[tuple[int, int], dict[int, int]] = {}
+    memo: dict[tuple[int, int], dict[Word, int]] = {}
 
-    def rec(i: int, j: int) -> dict[int, int]:
+    def rec(i: int, j: int) -> dict[Word, int]:
         if i == len(a) or j == len(b):
-            return {word_to_index(a[i:] + b[j:], d): 1}
+            return {a[i:] + b[j:]: 1}
         out = memo.get((i, j))
         if out is None:
             out = {}
-            step = d ** (len(a) - i + len(b) - j - 1)
             for head, rest in ((a[i], rec(i + 1, j)), (b[j], rec(i, j + 1))):
-                for index, c in rest.items():
-                    index += (head - 1) * step
-                    out[index] = out.get(index, 0) + c
+                for w, c in rest.items():
+                    w = (head, *w)
+                    out[w] = out.get(w, 0) + c
             memo[(i, j)] = out
         return out
 
     return rec(0, 0)
 
 
-@cache
-def _group_like_plan(d: int, m: int) -> tuple[tuple, ...]:
-    """The level-m equations of :func:`is_group_like`, one per non-Lyndon word
-    ``w = l v``: ``(|l|, index of l, index of v, indices of the words of
-    l shuffle v, their multiplicities)``."""
-    plan = []
-    for w in all_words(d, m):
-        p = longest_lyndon_prefix(w)
-        if p == m:
-            continue
-        terms = _shuffle_indices(w[:p], w[p:], d)
-        plan.append((
-            p, word_to_index(w[:p], d), word_to_index(w[p:], d), tuple(terms), tuple(terms.values()),
-        ))
-    return tuple(plan)
-
-
 def is_group_like(series: TensorSeries) -> bool:
     """Exact check that the series satisfies every shuffle identity
     T_{a shuffle b} = T_a * T_b up to its truncation.
 
-    Only one identity per non-Lyndon word is tested: for ``w = l v`` with
-    ``l`` the first Lyndon factor of ``w`` (its longest Lyndon prefix),
-    ``T_{l shuffle v} = T_l * T_v``.  At level ``m`` these are ``d^m`` minus
-    the number of Lyndon words of length ``m``, which is the number of
-    independent identities there: the shuffle algebra is the free
-    commutative algebra on the Lyndon words (Radford 1979; Reutenauer, *Free
-    Lie Algebras*, 6.1).  The reduced set suffices, by induction on ``m``:
+    The identities say that ``S`` is group-like, ``Delta(S) = S (x) S`` for
+    the coproduct ``Delta`` that makes the letters primitive (dual to the
+    shuffle).  Let ``Y`` be the grading operator, ``Y w = |w| w``, and ``L``
+    the series with ``Y(S) = S L``; as ``S_0 = 1``, level by level
 
-    * the lexicographically largest word of ``l shuffle v`` is ``w`` itself,
-      with a positive coefficient, so the functionals ``T -> T_{l shuffle v}``
-      of the non-Lyndon words and the coordinates at the Lyndon words are
-      triangular in lex order: a basis of the dual of level ``m``;
-    * if ``T`` is group-like below ``m``, some group-like ``G`` equals ``T``
-      below ``m`` and at the Lyndon words of length ``m``: add to the
-      exponential of the lower Lie part the Lie element of degree ``m`` with
-      the right values there, which exists because the Lyndon bracketings are
-      unitriangular on the Lyndon words (Reutenauer Thm 5.1, as in
-      :func:`thrallkit.free_lie.lie_coordinates`);
-    * if the reduced identities hold, ``(T - G)_{l shuffle v} = T_l T_v - G_l
-      G_v = 0``, as ``l`` and ``v`` are shorter than ``m``; ``T - G`` vanishes
-      at level ``m`` on that basis, so ``T`` equals ``G`` there.
+        L_n = n S_n - sum_{i=1..n-1} S_i (x) L_(n-i),
 
-    Each level ``k`` is read as its integer numerators over its denominator
-    ``den[k]``, and the two sides are compared cross-multiplied.  The
-    equations of each level are built once per ``(d, m)`` and shared by
-    every truncation; the empty word holds trivially since level 0 must be 1.
+    so ``L_1..L_n`` read only ``S_1..S_n``.  ``S`` is group-like up to level
+    ``n`` iff ``L_1..L_n`` are Lie elements (Ree, Ann. of Math. 68, 1958;
+    Reutenauer, *Free Lie Algebras*, 1993, ch. 1 and 3):
+
+    * ``Delta`` is an algebra morphism that keeps total degree, so ``Delta Y
+      = (Y (x) 1 + 1 (x) Y) Delta``.  If ``L`` is
+      primitive up to level ``n``, then ``Delta(S)`` and ``S (x) S`` both
+      solve ``(Y (x) 1 + 1 (x) Y) X = X (L (x) 1 + 1 (x) L)`` there, from
+      ``X_0 = 1 (x) 1``; in total degree ``m >= 1`` this gives ``m X_m`` from
+      ``X`` below ``m``, so the two are equal up to level ``n``;
+    * if ``S`` is group-like up to level ``n``, then so is ``S^-1``, and
+      ``L = S^-1 Y(S)`` has ``Delta(L) = (S^-1 (x) S^-1) (Y(S) (x) S + S (x)
+      Y(S)) = L (x) 1 + 1 (x) L`` up to level ``n``: it is primitive;
+    * the primitive elements are the Lie elements (Friedrichs).
+
+    ``L_1 = S_1`` is always Lie, so each level ``n >= 2`` goes to
+    :func:`thrallkit.free_lie.is_lie_element`, the Lyndon back-substitution.
+    ``L_n`` is computed on the levels' integer numerators over one common
+    denominator, the lcm of those of its terms, and not reduced: Lie
+    membership does not depend on scale, so the numerators go to the test
+    as a tensor over 1.  A zero
+    ``L_j`` adds no term, so the trivial series takes no product, and a
+    group-like series at d = 1 (``L_n = 0`` for ``n >= 2``) one per level.
     """
     if series.level(0) != Tensor.scalar(series.d, 1):
         raise ValueError("group-likeness needs level 0 equal to 1")
-    den = [level.den for level in series.levels]
-    nums = [level.nums for level in series.levels]
-    for m in range(2, series.k_max + 1):
-        entry, top_den = nums[m].__getitem__, den[m]
-        cross = [den[p] * den[m - p] for p in range(m)]
-        for p, i, j, words, mults in _group_like_plan(series.d, m):
-            lhs = sum(map(mul, mults, map(entry, words)))
-            if lhs * cross[p] != nums[p][i] * nums[m - p][j] * top_den:
-                return False
+    from .free_lie import is_lie_element
+
+    d, levels, lie = series.d, series.levels, {}
+    for n in range(1, series.k_max + 1):
+        # the nonzero L_j for j < n, as numerators over a denominator
+        terms = [(levels[n - j], *b) for j, b in lie.items()]
+        den = math.lcm(levels[n].den, *(a.den * bden for a, _, bden in terms))
+        f = n * (den // levels[n].den)
+        acc = [f * x for x in levels[n].nums]
+        for a, ys, bden in terms:
+            f = den // (a.den * bden)
+            xs = a.nums if f == 1 else [f * x for x in a.nums]
+            acc = list(map(sub, acc, [x * y for x in xs for y in ys]))
+        if n >= 2 and not is_lie_element(Tensor._built(d, n, acc, 1)):
+            return False
+        if any(acc):
+            lie[n] = acc, den
     return True
 
 
@@ -297,8 +284,8 @@ def signature(path: PiecewiseLinearPath, k_max: int) -> TensorSeries:
     up to bytes, holds every final ``|N_m(w)| <= V^m``, for ``V`` the sum
     over the runs of ``max_l |u_l|``.
 
-    Each level hands ``N_m`` over ``m! q^m`` to the tensor constructor,
-    which reduces it to lowest terms.  The update runs once per path object
+    Each level hands ``N_m`` over ``m! q^m``, sized by construction, to
+    ``Tensor._built``, which reduces it to lowest terms.  The update runs once per path object
     and truncation: the path keeps the levels of the highest truncation
     computed so far, outside its dataclass fields (equality, hashing and
     repr ignore them), and :func:`log_signature` and lower truncations share
@@ -313,7 +300,7 @@ def signature(path: PiecewiseLinearPath, k_max: int) -> TensorSeries:
     levels = path.__dict__.get("_chen_levels")
     if levels is None or not 0 <= k_max < len(levels):
         nums, dens = _chen_numerators(path, k_max)
-        levels = tuple(Tensor(path.d, m, n, den) for m, (n, den) in enumerate(zip(nums, dens)))
+        levels = tuple(Tensor._built(path.d, m, n, den) for m, (n, den) in enumerate(zip(nums, dens)))
         object.__setattr__(path, "_chen_levels", levels)
     return TensorSeries(path.d, levels[: k_max + 1])
 

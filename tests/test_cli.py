@@ -363,6 +363,9 @@ GOLDEN = [
     (["check", "lie", "--input", "tensor_d3_k4_lie.json"], "check_lie_d3_k4.out", 0),
     (["check", "group-like", "--input", "series_d2_level3_signature.json"],
      "check_group_like_d2_level3.out", 0),
+    # the trivial series to level 16, inside the entry cap
+    (["check", "group-like", "--input", "series_d2_level16_trivial.json"],
+     "check_group_like_d2_level16_trivial.out", 0),
     (["signature", "--path", "path_d2_integer.json", "--level", "6", "--log"],
      "signature_log_d2_integer_level6.out", 0),
     (["signature", "--path", "path_d3_fractional.json", "--level", "5", "--log"],

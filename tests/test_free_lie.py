@@ -56,8 +56,11 @@ from oracles import (
 )
 
 def w_lambda_basis(lam, d):
-    """The lam-graded basis behind the solve backend, as tensors."""
-    return [Tensor.from_dict(d, sum(lam), vec, 1) for vec in _w_basis(lam, d)]
+    """The lam-graded basis behind the solve backend, as tensors: the basis
+    vectors of every weight block, each block named by its sorted content."""
+    k = sum(lam)
+    contents = {index_to_word(block[0], d, k) for block in weight_blocks(d, k)}
+    return [Tensor.from_dict(d, k, vec, 1) for vec in _w_basis(lam, d, contents)]
 
 
 # Shapes (d, k) on which the Lyndon fast paths are cross-checked.

@@ -229,7 +229,10 @@ SCRIPT_ARGV = [
     ["thrall_tables.py", "--max-k", "4", "--d", "2"],
 ]
 # what only the benchmark calls: it times these directly
-PERFBENCH_ONLY = {"free_lie.lie_bracket", "group_algebra.operator_rank", "tensors.Tensor.entries"}
+PERFBENCH_ONLY = {
+    "free_lie.lie_bracket", "free_lie.lie_coordinates", "group_algebra.operator_rank",
+    "tensors.Tensor.entries",
+}
 
 # Runs in a fresh interpreter, so no cache that an earlier test filled can
 # hide a call, and prints the code objects it entered under the package.

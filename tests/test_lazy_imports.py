@@ -99,11 +99,8 @@ def test_signature_and_checks_leave_the_group_algebra_unloaded(argv, code):
 
 @pytest.mark.parametrize(
     "argv",
-    [
-        ["signature", "--path", str(DATA / "path_d2_integer.json"), "--level", "3"],
-        ["check", "group-like", "--input", str(DATA / "series_d2_level3_signature.json")],
-    ],
-    ids=["signature", "check-group-like"],
+    [["signature", "--path", str(DATA / "path_d2_integer.json"), "--level", "3"]],
+    ids=["signature"],
 )
 def test_signature_without_log_leaves_free_lie_unloaded(argv):
     loaded = loaded_after(

@@ -23,7 +23,7 @@ from thrallkit.shuffle_sig import (
     signature,
 )
 from thrallkit.tensors import Tensor, TensorSeries
-from thrallkit.words import all_words, check_partition, lie_dim, partition_union, word_to_index
+from thrallkit.words import all_words, check_partition, lie_dim, partition_union
 
 
 from oracles import (
@@ -187,11 +187,26 @@ def test_group_like_matches_all_pairs_oracle(d, k_max, seed):
             assert is_group_like(moved)
 
 
+def test_group_like_at_high_levels():
+    """The trivial series at the top of the entry cap, and a level-12
+    signature with one entry moved at the top or in the middle."""
+    assert is_group_like(TensorSeries.from_levels(2, 16, {0: Tensor.scalar(2, 1)}))
+    path = PiecewiseLinearPath.from_lists([[0, 0], [1, 0], [1, 2], [-1, 3], [2, 1], [3, 3]])
+    sig = signature(path, 12)
+    assert is_group_like(sig)
+    for k in (12, 6):
+        entries = list(sig.level(k).entries)
+        entries[5] += Fraction(1, 7)
+        assert not is_group_like(_with_level(sig, k, Tensor(2, k, entries)))
+
+
 @pytest.mark.parametrize("d, m", [(d, m) for d in (1, 2, 3) for m in range(2, 6)] + [(2, 7)])
 def test_reduced_shuffle_equations_are_triangular(d, m):
     """For each non-Lyndon ``w = l v``, ``l`` its longest Lyndon prefix, the
     lexicographically largest word of ``l shuffle v`` is ``w``, with a positive
-    coefficient: the lemma behind the reduced set of :func:`is_group_like`."""
+    coefficient; there are ``d^m`` minus the number of Lyndon words of length
+    ``m`` of them, so with the coordinates at the Lyndon words they form a
+    triangular basis of the dual of level ``m`` (Radford 1979)."""
     equations = 0
     for w in all_words(d, m):
         p = _longest_lyndon_prefix(w)
@@ -201,22 +216,6 @@ def test_reduced_shuffle_equations_are_triangular(d, m):
         terms = shuffle_oracle(w[:p], w[p:])
         assert max(terms) == w and terms[w] > 0
     assert equations == d**m - lie_dim(d, m)
-    assert len(shuffle_sig._group_like_plan(d, m)) == equations
-
-
-@pytest.mark.parametrize("d, m", [(1, 5), (2, 6), (3, 4), (4, 3)])
-def test_group_like_plan_matches_the_position_oracle(d, m):
-    shuffle_sig._group_like_plan.cache_clear()
-    plan = iter(shuffle_sig._group_like_plan(d, m))
-    for w in all_words(d, m):
-        p = _longest_lyndon_prefix(w)
-        if p == m:
-            continue
-        got = next(plan)
-        want = {word_to_index(u, d): c for u, c in shuffle_oracle(w[:p], w[p:]).items() if c}
-        assert got[:3] == (p, word_to_index(w[:p], d), word_to_index(w[p:], d))
-        assert dict(zip(got[3], got[4])) == want
-    assert next(plan, None) is None
 
 
 def test_staircase_against_integration_oracle():
