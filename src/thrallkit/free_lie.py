@@ -4,7 +4,10 @@ decomposition of tensor space induced by the exponential parametrization.
 The standard bracketing of a Lyndon word ``w`` of length >= 2 splits
 ``w = u v`` with ``v`` the lexicographically smallest proper suffix (the
 classical right factorization; ``u`` and ``v`` are then Lyndon) and maps
-``w`` to ``[b(u), b(v)]``.
+``w`` to ``[b(u), b(v)]``.  Like every word polynomial here it is held as a
+sparse map from flat word index (see :mod:`thrallkit.words`) to integer, with
+``u v`` at ``index(u) d^|v| + index(v)``; words appear only where they are
+the interface: Lyndon words, :attr:`LieElement.coeffs`, Lyndon coordinates.
 
 The truncated exponential and logarithm share one kernel,
 :func:`_power_series`: it evaluates sum_n c_n X^n (c_n = 1/n! or
@@ -41,25 +44,38 @@ from .words import (
 )
 
 
-def _concat_into(out: dict, a: dict, b: dict, scale: int = 1) -> dict:
-    """Add ``scale`` times the concatenation product ``a b`` into ``out``."""
-    for wa, ca in a.items():
-        ca *= scale
-        for wb, cb in b.items():
-            out[wa + wb] = out.get(wa + wb, 0) + ca * cb
+def _concat_into(out: dict, a: dict, b: dict, sb: int, scale: int = 1) -> dict:
+    """Add ``scale`` times the concatenation product ``a b`` of flat
+    polynomials into ``out``, with ``sb = d^n`` for ``b``'s word length ``n``."""
+    for x, ca in a.items():
+        x, ca = x * sb, ca * scale
+        for y, cb in b.items():
+            out[x + y] = out.get(x + y, 0) + ca * cb
     return out
 
 
-def _symmetrized_product(labels, expand) -> dict[Word, int]:
+def _commutator(a: dict, b: dict, sa: int, sb: int) -> dict[int, int]:
+    """``a b - b a`` for flat polynomials, ``sa = d^|a|``, ``sb = d^|b|``; zeros dropped."""
+    out = _concat_into(_concat_into({}, a, b, sb), b, a, sa, -1)
+    return {i: c for i, c in out.items() if c}
+
+
+def _symmetrized_product(labels, factors) -> dict[int, int]:
     """Sum over the distinct orderings of the multiset ``labels`` of the
-    concatenation product of ``expand(label)`` in that order."""
-    out: dict[Word, int] = {}
+    concatenation product of their factors in that order, ``factors[label]``
+    being a flat polynomial and ``d^n`` for the length ``n`` of its words."""
+    out: dict[int, int] = {}
     for order in distinct_orderings(labels):
-        term = {(): 1}
+        term = {0: 1}
         for label in order:
-            term = _concat_into({}, term, expand(label))
-        _concat_into(out, term, {(): 1})  # out += term
-    return {w: c for w, c in out.items() if c}
+            term = _concat_into({}, term, *factors[label])
+        _concat_into(out, term, {0: 1}, 1)  # out += term
+    return {i: c for i, c in out.items() if c}
+
+
+def _tensor(d: int, k: int, poly: dict[int, int], den: int) -> Tensor:
+    """The order-k tensor of a flat polynomial of integer numerators over ``den``."""
+    return Tensor._built(d, k, [poly.get(i, 0) for i in range(d**k)], den)
 
 
 def standard_factorization(word: Word) -> tuple[Word, Word]:
@@ -71,20 +87,20 @@ def standard_factorization(word: Word) -> tuple[Word, Word]:
 
 
 @cache
-def bracket_expansion(word: Word) -> dict[Word, int]:
-    """Sparse integer expansion of the standard bracketing of a Lyndon word."""
+def bracket_expansion(word: Word, d: int) -> dict[int, int]:
+    """The standard bracketing of a Lyndon word over {1..d} as a flat polynomial,
+    the commutator of its standard factors' expansions: the one bracket cache."""
     if not is_lyndon(word):
         raise ValueError(f"{word} is not a Lyndon word")
     if len(word) == 1:
-        return {word: 1}
-    bu, bv = map(bracket_expansion, standard_factorization(word))
-    out = _concat_into(_concat_into({}, bu, bv), bv, bu, -1)
-    return {w: c for w, c in out.items() if c}
+        return {word_to_index(word, d): 1}
+    u, v = standard_factorization(word)
+    return _commutator(bracket_expansion(u, d), bracket_expansion(v, d), d ** len(u), d ** len(v))
 
 
 def lyndon_bracketing(word: Word, d: int) -> Tensor:
     """Dense tensor of the standard bracketing of a Lyndon word over {1..d}."""
-    return Tensor.from_dict(d, len(word), bracket_expansion(tuple(word)), 1)
+    return _tensor(d, len(word), bracket_expansion(tuple(word), d), 1)
 
 
 def lie_basis(d: int, k: int) -> list[Tensor]:
@@ -119,20 +135,20 @@ class LieElement:
                 cleaned[word] = c
         object.__setattr__(self, "coeffs", cleaned)
 
-    def _terms(self, k: int) -> tuple[int, dict[Word, int]]:
+    def _terms(self, k: int) -> tuple[int, dict[int, int]]:
         """The degree-k part: bracket expansions summed on integer numerators
-        over one denominator."""
+        over one denominator, as a flat polynomial."""
         words = [w for w in self.coeffs if len(w) == k]
         den, nums = linalg.integer_numerators(self.coeffs[w] for w in words)
-        acc: dict[Word, int] = {}
+        acc: dict[int, int] = {}
         for word, n in zip(words, nums):
-            _concat_into(acc, {(): n}, bracket_expansion(word))
+            _concat_into(acc, {0: n}, bracket_expansion(word, self.d), self.d**k)
         return den, acc
 
     def level(self, k: int) -> Tensor:
         """The degree-k homogeneous part, expanded as a dense tensor."""
         den, terms = self._terms(k)
-        return Tensor.from_dict(self.d, k, terms, den)
+        return _tensor(self.d, k, terms, den)
 
     def to_series(self, k_max: int) -> TensorSeries:
         """Embed into the tensor algebra to level ``k_max`` (level 0 is zero)."""
@@ -236,32 +252,31 @@ def f_lambda(element: LieElement, lam: Partition) -> Tensor:
     Sums (1/l!) T_(a_1) x .. x T_(a_l) over the distinct permutations
     (a_1, .., a_l) of lam.
     """
-    lam = check_partition(lam)
+    lam, d = check_partition(lam), element.d
     parts = {i: element._terms(i) for i in set(lam)}
     den = math.factorial(len(lam)) * math.prod(parts[a][0] for a in lam)
-    terms = _symmetrized_product(lam, lambda a: parts[a][1])
-    return Tensor.from_dict(element.d, sum(lam), terms, den)
+    terms = _symmetrized_product(lam, {a: (poly, d**a) for a, (_, poly) in parts.items()})
+    return _tensor(d, sum(lam), terms, den)
 
 
 # ---------------------------------------------------------------------------
 # graded subspaces and the decomposition of tensor space
 
 
-def _w_basis(lam: Partition, d: int, contents) -> tuple[dict[Word, int], ...]:
-    """The lam-graded basis vectors whose sorted letters are among
-    ``contents``, as sparse integer word polynomials: one vector per multiset
-    of Lyndon words realizing lam, the sum over its distinct orderings of the
-    products of their bracketings."""
+def _w_basis(lam: Partition, d: int, contents):
+    """The lam-graded basis vectors whose content (sorted letters) is among
+    ``contents``, as ``(content, vector)`` pairs with flat polynomial
+    vectors: one vector per multiset of Lyndon words realizing lam, the sum
+    over its distinct orderings of the products of their bracketings."""
     per_size = [
         itertools.combinations_with_replacement(lyndon_words(d, i), a)
         for i, a in sorted(multiplicity_profile(lam).items())
     ]
-    combos = ([w for group in combo for w in group] for combo in itertools.product(*per_size))
-    return tuple(
-        _symmetrized_product(words, bracket_expansion)
-        for words in combos
-        if tuple(sorted(itertools.chain(*words))) in contents
-    )
+    for combo in itertools.product(*per_size):
+        words = [w for group in combo for w in group]
+        if (content := tuple(sorted(itertools.chain(*words)))) in contents:
+            factors = {w: (bracket_expansion(w, d), d ** len(w)) for w in words}
+            yield content, _symmetrized_product(words, factors)
 
 
 @cache
@@ -284,31 +299,26 @@ def _solve_blocks(d: int, k: int):
     content, and inverted once by the exact kernel; lam's projector there
     is ``rows_lam inverse[lo:hi] / den``, summed as integer rows of the
     inverse (:func:`_compose`), where ``rows_lam[t]`` holds the entries at
-    the block's word ``t`` of its basis columns ``lo..hi-1`` from the
-    lam-graded basis.
+    the block's ``t``-th flat index of its basis columns ``lo..hi-1`` from
+    the lam-graded basis.
     """
     shapes = weight_patterns(d, k)
     # each shape's first block by its content, the block's first word
     shape_of = {index_to_word(blocks[0][0], d, k): shape for shape, blocks in shapes.items()}
-    columns: dict[tuple[int, ...], list[tuple[Partition, dict[Word, int]]]] = {
-        shape: [] for shape in shapes
-    }
+    columns: dict[tuple[int, ...], list] = {shape: [] for shape in shapes}
     for lam in partitions(k):
-        for vec in _w_basis(lam, d, shape_of):
-            columns[shape_of[tuple(sorted(next(iter(vec))))]].append((lam, vec))
+        for content, vec in _w_basis(lam, d, shape_of):
+            columns[shape_of[content]].append((lam, vec))
     pieces: dict[Partition, list] = {lam: [] for lam in partitions(k)}
     for shape, blocks in shapes.items():
-        cols, b = columns[shape], len(blocks[0])
+        cols, first, b = columns[shape], blocks[0], len(blocks[0])
         if len(cols) != b:
             raise ArithmeticError("graded bases do not fill the tensor power")
-        words = [index_to_word(i, d, k) for i in blocks[0]]
         try:
-            inverse, den = linalg.integer_inverse(
-                [[vec.get(w, 0) for _, vec in cols] for w in words]
-            )
+            inverse, den = linalg.integer_inverse([[vec.get(i, 0) for _, vec in cols] for i in first])
         except ZeroDivisionError:
             raise ArithmeticError("decomposition solve failed") from None
-        composed = _compose(cols, {w: t for t, w in enumerate(words)}, inverse)
+        composed = _compose(cols, {i: t for t, i in enumerate(first)}, inverse)
         for lam, found in pieces.items():
             flat = composed.get(lam, [0] * (b * b))
             g = math.gcd(den, *flat)
@@ -342,18 +352,18 @@ def _partition_count(k: int, limit: int) -> int:
 def _compose(cols, place, inverse) -> dict[Partition, list[int]]:
     """The matrix ``rows_lam inverse[lo:hi]`` of :func:`_solve_blocks`,
     row-major, for each lam among the basis columns ``cols``, with
-    ``place`` the place of each word of the block.
+    ``place`` the place in the block of each flat index.
 
     Row ``t`` of lam's matrix is the sum of ``c * inverse[r]`` over the
-    nonzero entries ``c`` at word ``t`` of lam's basis vectors ``r``: plain
-    sums of Python int rows, exact at any entry size.
+    nonzero entries ``c`` at the block's ``t``-th index of lam's basis
+    vectors ``r``: plain sums of Python int rows, exact at any entry size.
     """
     b = len(inverse)
     out: dict[Partition, list[list[int]]] = {}
     for (lam, vec), row in zip(cols, inverse):
         rows = out.setdefault(lam, [[0] * b for _ in range(b)])
-        for w, c in vec.items():
-            t = place[w]
+        for i, c in vec.items():
+            t = place[i]
             rows[t] = list(map(operator.add, rows[t], map(c.__mul__, row)))
     return {lam: list(itertools.chain.from_iterable(rows)) for lam, rows in out.items()}
 
@@ -402,7 +412,7 @@ def lie_coordinates(tensor: Tensor) -> dict[Word, Fraction] | None:
     ascending order, the coefficient of ``w`` is the residual entry at
     ``w``; subtracting its bracketing leaves the remaining words untouched.
     The tensor is a Lie element iff the residual ends at zero.  The walk runs
-    on a copy of the integer numerators, by flat index (:func:`_bracket_row`).
+    on a copy of the integer numerators, by flat index (:func:`_back_substitute`).
     """
     coords = _back_substitute(list(tensor.nums), tensor.d, tensor.k)
     return None if coords is None else {w: Fraction(c, tensor.den) for w, c in coords.items()}
@@ -414,24 +424,16 @@ def _lyndon_table(d: int, k: int) -> tuple[tuple[Word, int], ...]:
     return tuple((w, word_to_index(w, d)) for w in lyndon_words(d, k))
 
 
-@cache
-def _bracket_row(word: Word, d: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The flat indices and integer coefficients of a Lyndon word's
-    :func:`bracket_expansion`: its own index first, at coefficient 1, then
-    the lex-greater words in index order."""
-    return tuple(zip(*sorted((word_to_index(u, d), c) for u, c in bracket_expansion(word).items())))
-
-
 def _back_substitute(residual: list[int], d: int, k: int) -> dict[Word, int] | None:
     """The integer Lyndon coordinates of the integer numerators ``residual``
-    (in index order, consumed), or None when a residual is left; a sparse
-    residual builds only the rows of the words it meets."""
+    (in index order, consumed), or None when a residual is left; each word
+    met subtracts its :func:`bracket_expansion`, and no other is expanded."""
     coords = {}
     for w, i in _lyndon_table(d, k):
         c = residual[i]
         if c:
             coords[w] = c
-            for j, e in zip(*_bracket_row(w, d)):
+            for j, e in bracket_expansion(w, d).items():
                 residual[j] -= c * e
     return None if any(residual) else coords
 
@@ -439,27 +441,24 @@ def _back_substitute(residual: list[int], d: int, k: int) -> dict[Word, int] | N
 def lie_bracket(a: LieElement, b: LieElement) -> LieElement:
     """Commutator of truncated Lie elements, in Lyndon coordinates.
 
-    Level pieces are bracketed on their integer numerators by flat index
-    (the word ``u v`` sits at ``index(u) d^|v| + index(v)``), and the
-    Lyndon coordinates recovered by :func:`lie_coordinates`' triangular
+    Level pieces are bracketed on their integer numerators as flat
+    polynomials by the commutator that builds :func:`bracket_expansion`, and
+    the Lyndon coordinates recovered by :func:`lie_coordinates`' triangular
     back-substitution; graded pieces above the common truncation are dropped.
     """
     if a.d != b.d:
         raise ValueError("dimension mismatch")
     d, k_max = a.d, min(a.k_max, b.k_max)
-    left, right = ([(den, [(word_to_index(w, d), c) for w, c in terms.items()])
-                    for den, terms in map(x._terms, range(k_max + 1))] for x in (a, b))
+    left, right = ([x._terms(k) for k in range(k_max + 1)] for x in (a, b))
     coeffs: dict[Word, Fraction] = {}
     for i in range(1, k_max):
         for j in range(1, k_max - i + 1):
             (aden, u), (bden, v) = left[i], right[j]
             if not (u and v):
                 continue
-            commutator, si, sj = [0] * d ** (i + j), d**i, d**j
-            for x, cx in u:
-                for y, cy in v:
-                    commutator[x * sj + y] += cx * cy
-                    commutator[y * si + x] -= cx * cy
+            commutator = [0] * d ** (i + j)
+            for x, c in _commutator(u, v, d**i, d**j).items():
+                commutator[x] = c
             coords = _back_substitute(commutator, d, i + j)
             if coords is None:
                 raise ArithmeticError("commutator left the graded Lie subspace")

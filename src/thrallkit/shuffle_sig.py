@@ -196,10 +196,8 @@ class PiecewiseLinearPath:
 
     @staticmethod
     def from_lists(points) -> "PiecewiseLinearPath":
-        pts = tuple(tuple(Fraction(x) for x in p) for p in points)
-        if not pts:
-            raise ValueError("a path needs at least one point")
-        return PiecewiseLinearPath(len(pts[0]), pts)
+        pts = tuple(map(tuple, points))
+        return PiecewiseLinearPath(len(pts[0]) if pts else 0, pts)
 
 
 def _chen_numerators(path: PiecewiseLinearPath, k_max: int):

@@ -119,9 +119,12 @@ def lyndon_words(d: int, k: int) -> list[Word]:
 
 @cache
 def _lyndon_words(d: int, k: int) -> tuple[Word, ...]:
-    """The words of :func:`lyndon_words`, generated once per ``(d, k)``."""
+    """The words of :func:`lyndon_words`, generated once per ``(d, k)``; at
+    d = 1 only ``(1,)``, without the walk's O(k) steps to find nothing above it."""
     if d < 1 or k < 1:
         raise ValueError("require d >= 1 and k >= 1")
+    if d == 1:
+        return ((1,),) if k == 1 else ()
     out: list[Word] = []
     w = [1]
     while w:

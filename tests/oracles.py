@@ -6,7 +6,8 @@ and matrix rank from their minors, Lyndon coordinates from a dense exact
 solve, the truncated exp and log from
 Fraction series-product power sums, row reduction from Gauss-Jordan
 elimination over Fractions, the slot action from a dense sum of scattered
-tensors, the graded decomposition from one dense solve, the graded projector
+tensors, the graded decomposition from one dense solve, the standard
+bracketings of Lyndon words by concatenating word tuples, the graded projector
 family from an exact solve in the multilinear Lyndon-bracket bases and the
 column-first Young symmetrizer from its double sum, the group-algebra
 product from tuple compositions and Fraction products, the characters
@@ -30,7 +31,6 @@ from fractions import Fraction
 from thrallkit import linalg
 from thrallkit.free_lie import (
     LieElement,
-    bracket_expansion,
     lie_coordinates,
     lyndon_bracketing,
 )
@@ -586,6 +586,22 @@ def _sparse_product(factors):
     return term
 
 
+@functools.cache
+def lyndon_bracketing_by_words(word):
+    """The standard bracketing of a Lyndon word as a sparse map on word
+    tuples: ``[b(u), b(v)]`` for ``v`` the least proper suffix, expanded as
+    ``b(u) b(v) - b(v) b(u)`` by concatenating tuples."""
+    if len(word) == 1:
+        return {word: 1}
+    v = min(word[i:] for i in range(1, len(word)))
+    bu, bv = lyndon_bracketing_by_words(word[: len(word) - len(v)]), lyndon_bracketing_by_words(v)
+    out = {}
+    for sign, first, second in ((1, bu, bv), (-1, bv, bu)):
+        for w, c in _sparse_product([first, second]).items():
+            out[w] = out.get(w, 0) + sign * c
+    return {w: c for w, c in out.items() if c}
+
+
 def _multilinear_w_basis(k):
     """Multilinear part of each graded subspace, as sparse word vectors."""
     elements = tuple(range(1, k + 1))
@@ -601,7 +617,7 @@ def _multilinear_w_basis(k):
             blocks_sorted = sorted(key, key=lambda b: (len(b), b))
             choices = [_lyndon_words_on_set(tuple(block)) for block in blocks_sorted]
             for words in itertools.product(*choices):
-                brackets = [dict(bracket_expansion(w)) for w in words]
+                brackets = [lyndon_bracketing_by_words(w) for w in words]
                 vec = {}
                 for order in itertools.permutations(range(len(words))):
                     for w, c in _sparse_product([brackets[i] for i in order]).items():

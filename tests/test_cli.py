@@ -366,6 +366,9 @@ GOLDEN = [
     # the trivial series to level 16, inside the entry cap
     (["check", "group-like", "--input", "series_d2_level16_trivial.json"],
      "check_group_like_d2_level16_trivial.out", 0),
+    # d = 1 to level 20,000: no Lyndon word longer than one letter to walk
+    (["check", "group-like", "--input", "series_d1_level20000_trivial.json"],
+     "check_group_like_d1_level20000_trivial.out", 0),
     (["signature", "--path", "path_d2_integer.json", "--level", "6", "--log"],
      "signature_log_d2_integer_level6.out", 0),
     (["signature", "--path", "path_d3_fractional.json", "--level", "5", "--log"],

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -48,6 +49,7 @@ from oracles import (
     dense_solve_decompose,
     dense_w_lambda_basis,
     dynkin_is_lie_element,
+    lyndon_bracketing_by_words,
     random_tensor,
     series_exp,
     series_log,
@@ -57,10 +59,15 @@ from oracles import (
 
 def w_lambda_basis(lam, d):
     """The lam-graded basis behind the solve backend, as tensors: the basis
-    vectors of every weight block, each block named by its sorted content."""
+    vectors of every weight block, each block named by its sorted content,
+    and each vector in the block of the content it is paired with."""
     k = sum(lam)
     contents = {index_to_word(block[0], d, k) for block in weight_blocks(d, k)}
-    return [Tensor.from_dict(d, k, vec, 1) for vec in _w_basis(lam, d, contents)]
+    out = []
+    for content, vec in _w_basis(lam, d, contents):
+        assert {tuple(sorted(index_to_word(i, d, k))) for i in vec} == {content}
+        out.append(Tensor(d, k, [vec.get(i, 0) for i in range(d**k)], 1))
+    return out
 
 
 # Shapes (d, k) on which the Lyndon fast paths are cross-checked.
@@ -76,9 +83,10 @@ def test_standard_factorization():
 
 
 def test_bracket_expansion_values():
-    assert bracket_expansion((1,)) == {(1,): 1}
-    assert bracket_expansion((1, 2)) == {(1, 2): 1, (2, 1): -1}
-    assert bracket_expansion((1, 1, 2)) == {(1, 1, 2): 1, (1, 2, 1): -2, (2, 1, 1): 1}
+    # by flat index at d = 2: 1 -> 0; 12 -> 1, 21 -> 2; 112 -> 1, 121 -> 2, 211 -> 4
+    assert bracket_expansion((1,), 2) == {0: 1}
+    assert bracket_expansion((1, 2), 2) == {1: 1, 2: -1}
+    assert bracket_expansion((1, 1, 2), 2) == {1: 1, 2: -2, 4: 1}
 
 
 def test_lyndon_bracketing_tensor():
@@ -584,35 +592,46 @@ def test_lyndon_bracketings_are_unitriangular():
     for d, k_max in LYNDON_SHAPES:
         for k in range(1, k_max + 1):
             for w in lyndon_words(d, k):
-                expansion = bracket_expansion(w)
-                assert expansion[w] == 1
-                assert all(u > w for u in expansion if u != w)
+                expansion, i = bracket_expansion(w, d), word_to_index(w, d)
+                assert expansion[i] == 1
+                assert all(j > i for j in expansion if j != i)
+
+
+def test_bracket_expansion_matches_the_word_bracketing():
+    for d, k_max in LYNDON_SHAPES:
+        for k in range(1, k_max + 1):
+            for w in lyndon_words(d, k):
+                words = {index_to_word(i, d, k): c for i, c in bracket_expansion(w, d).items()}
+                assert words == lyndon_bracketing_by_words(w)
 
 
 @pytest.mark.parametrize("d, k_max", [(2, 4), (2, 5), (2, 6), (3, 4), (3, 5), (4, 4)])
 def test_lyndon_table_rows_are_the_bracket_expansions(d, k_max):
-    # the shapes signature-warm runs: each row is its word's bracketing by
-    # flat index, its own index first at coefficient 1, then lex-greater words
+    # the shapes signature-warm runs: the table lists the Lyndon words in lex
+    # order with their flat indices, and each row of the walk is the word's
+    # bracketing, at coefficient 1 on its own index
     for k in range(1, k_max + 1):
         table = free_lie._lyndon_table(d, k)
         assert [w for w, _ in table] == lyndon_words(d, k)
         for w, index in table:
-            indices, coeffs = free_lie._bracket_row(w, d)
-            assert (indices[0], coeffs[0]) == (index, 1) and index == word_to_index(w, d)
-            assert list(indices) == sorted(indices) and len(set(indices)) == len(indices)
-            assert {index_to_word(i, d, k): c for i, c in zip(indices, coeffs)} == bracket_expansion(w)
+            assert index == word_to_index(w, d) and bracket_expansion(w, d)[index] == 1
 
 
 def test_lie_coordinates_expand_only_the_bracketings_they_meet(monkeypatch):
-    # a sparse Lie element at (2, 14) builds the rows of its own words only,
-    # not the bracketings of all 1,161 Lyndon words of that length
-    built = []
-    row = free_lie._bracket_row.__wrapped__
-    monkeypatch.setattr(free_lie, "_bracket_row", lambda w, d: built.append(w) or row(w, d))
+    # a sparse Lie element at (2, 14) expands its own word and that word's
+    # standard factors only, not the bracketings of all 1,161 Lyndon words
+    # of that length
     word = (1,) * 13 + (2,)
-    assert lie_coordinates(lyndon_bracketing(word, 2).scale(3)) == {word: 3}
-    assert built == [word]
-    assert lie_coordinates(Tensor(2, 14, [0] * 2**14)) == {} and built == [word]
+    tensor = lyndon_bracketing(word, 2).scale(3)
+    built = []
+    expand = free_lie.bracket_expansion.__wrapped__
+    monkeypatch.setattr(
+        free_lie, "bracket_expansion", functools.cache(lambda w, d: built.append(w) or expand(w, d))
+    )
+    assert lie_coordinates(tensor) == {word: 3}
+    factors = [(1,) * j + (2,) for j in range(13)] + [(1,)]
+    assert sorted(built) == sorted([word] + factors)
+    assert lie_coordinates(Tensor(2, 14, [0] * 2**14)) == {} and len(built) == 15
 
 
 def test_lie_bracket_and_lie_coordinates_share_one_back_substitution(monkeypatch):

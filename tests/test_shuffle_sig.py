@@ -200,6 +200,27 @@ def test_group_like_at_high_levels():
         assert not is_group_like(_with_level(sig, k, Tensor(2, k, entries)))
 
 
+def test_group_like_at_d_1_to_level_20000():
+    """Over one letter no Lyndon word is longer than one, so every level
+    n >= 2 must have L_n = 0: the trivial series passes and one nonzero
+    entry at level 19,999 fails, neither walking the levels' words."""
+    unit = Tensor.scalar(1, 1)
+    assert is_group_like(TensorSeries.from_levels(1, 20_000, {0: unit}))
+    moved = TensorSeries.from_levels(1, 20_000, {0: unit, 19_999: Tensor(1, 19_999, [1])})
+    assert not is_group_like(moved)
+
+
+def test_from_lists_is_the_constructor():
+    points = [[1, "1/2"], [Fraction(3, 4), "-2"], ["0.25", 5]]
+    path = PiecewiseLinearPath.from_lists(points)
+    assert path == PiecewiseLinearPath(2, tuple(map(tuple, points)))
+    assert path.points[2] == (Fraction(1, 4), Fraction(5))
+    with pytest.raises(ValueError, match="at least one point"):
+        PiecewiseLinearPath.from_lists([])
+    with pytest.raises(ValueError, match="d coordinates"):
+        PiecewiseLinearPath.from_lists([[0, 0], [1]])
+
+
 @pytest.mark.parametrize("d, m", [(d, m) for d in (1, 2, 3) for m in range(2, 6)] + [(2, 7)])
 def test_reduced_shuffle_equations_are_triangular(d, m):
     """For each non-Lyndon ``w = l v``, ``l`` its longest Lyndon prefix, the
