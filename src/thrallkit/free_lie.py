@@ -113,7 +113,10 @@ def lie_basis(d: int, k: int) -> list[Tensor]:
 class LieElement:
     """Element of the truncated free Lie algebra in Lyndon coordinates.
 
-    ``coeffs`` maps Lyndon words of length 1..k_max over {1..d} to rationals.
+    ``coeffs`` maps Lyndon words of length 1..k_max over {1..d} to rationals;
+    the constructor checks each word and drops zeros.  Builders whose words
+    are Lyndon by construction (:func:`lie_bracket`,
+    :func:`random_lie_element`) skip the checks through :meth:`_built`.
     """
 
     d: int
@@ -134,6 +137,14 @@ class LieElement:
             if c != 0:
                 cleaned[word] = c
         object.__setattr__(self, "coeffs", cleaned)
+
+    @classmethod
+    def _built(cls, d: int, k_max: int, coeffs: dict[Word, Fraction]) -> "LieElement":
+        """Nonzero Fractions at Lyndon words of length 1..k_max over {1..d}
+        by construction: kept as given, unchecked."""
+        out = object.__new__(cls)
+        vars(out).update(d=d, k_max=k_max, coeffs=coeffs)
+        return out
 
     def _terms(self, k: int) -> tuple[int, dict[int, int]]:
         """The degree-k part: bracket expansions summed on integer numerators
@@ -443,14 +454,18 @@ def lie_bracket(a: LieElement, b: LieElement) -> LieElement:
 
     Level pieces are bracketed on their integer numerators as flat
     polynomials by the commutator that builds :func:`bracket_expansion`, and
-    the Lyndon coordinates recovered by :func:`lie_coordinates`' triangular
-    back-substitution; graded pieces above the common truncation are dropped.
+    the integer Lyndon coordinates recovered by :func:`lie_coordinates`'
+    triangular back-substitution, each over its pieces' denominators
+    ``aden * bden``; graded pieces above the common truncation are dropped.
+    The coordinates are summed over the lcm of those denominators, one
+    Fraction is built per output word, and the words, Lyndon by
+    construction, go to :meth:`LieElement._built` unchecked.
     """
     if a.d != b.d:
         raise ValueError("dimension mismatch")
     d, k_max = a.d, min(a.k_max, b.k_max)
     left, right = ([x._terms(k) for k in range(k_max + 1)] for x in (a, b))
-    coeffs: dict[Word, Fraction] = {}
+    found: list[tuple[dict[Word, int], int]] = []
     for i in range(1, k_max):
         for j in range(1, k_max - i + 1):
             (aden, u), (bden, v) = left[i], right[j]
@@ -462,9 +477,14 @@ def lie_bracket(a: LieElement, b: LieElement) -> LieElement:
             coords = _back_substitute(commutator, d, i + j)
             if coords is None:
                 raise ArithmeticError("commutator left the graded Lie subspace")
-            for w, c in coords.items():
-                coeffs[w] = coeffs.get(w, 0) + Fraction(c, aden * bden)
-    return LieElement(a.d, k_max, {w: c for w, c in coeffs.items() if c})
+            found.append((coords, aden * bden))
+    den = math.lcm(*(q for _, q in found))
+    nums: dict[Word, int] = {}
+    for coords, q in found:
+        f = den // q
+        for w, c in coords.items():
+            nums[w] = nums.get(w, 0) + c * f
+    return LieElement._built(d, k_max, {w: Fraction(n, den) for w, n in nums.items() if n})
 
 
 def random_lie_element(d: int, k_max: int, rng) -> LieElement:
@@ -476,4 +496,4 @@ def random_lie_element(d: int, k_max: int, rng) -> LieElement:
             num = rng.randint(-4, 4)
             if num:
                 coeffs[w] = Fraction(num, rng.randint(1, 3))
-    return LieElement(d, k_max, coeffs)
+    return LieElement._built(d, k_max, coeffs)

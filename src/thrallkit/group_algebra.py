@@ -388,10 +388,15 @@ def operator_rank(x: GroupAlgebraElement, d: int) -> int:
     on the weight blocks; its rank is the sum of the ranks of the block
     matrices of :func:`_block_operator`, one elimination per shape, since
     the blocks of a shape share one matrix (scaling ``x`` to integer
-    coefficients keeps the rank).
+    coefficients keeps the rank).  The rank is kept per ``d`` in the
+    element's instance dict, outside its fields (as :attr:`~GroupAlgebraElement.terms`
+    is), so equality and repr do not see it and it lives as long as ``x``.
     """
-    groups = _block_operator(x, d)
-    return sum(linalg.rank(rows) * len(blocks) for rows, blocks in groups.values())
+    ranks = vars(x).setdefault("_ranks", {})
+    if d not in ranks:
+        groups = _block_operator(x, d)
+        ranks[d] = sum(linalg.rank(rows) * len(blocks) for rows, blocks in groups.values())
+    return ranks[d]
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ invariant space is read off directly, with no linear solve.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from fractions import Fraction
@@ -92,24 +93,35 @@ def path_invariants(d: int, ell: int) -> dict[Partition, list[WordFunctional]]:
     The invariants live on the balanced weight block (each letter ell times),
     so each image is a polytabloid row times that block's cached projector
     matrix (:func:`thrallkit.group_algebra.balanced_projections`), and the
-    rows are built only once that call has checked the degree cap.  Degree 0
-    (``ell == 0``) is the trivial piece: the constant functional at the
-    empty partition.  Raises ``ValueError`` for ``ell < 0``.
+    rows are built only once that call has checked the degree cap.  The
+    table is built once per ``(d, ell)`` (:func:`_path_invariants`; at most
+    ten pairs pass the cap) and each call returns a fresh dict of fresh
+    lists of the shared frozen functionals, so clearing or extending an
+    answer changes no later one.  Degree 0 (``ell == 0``) is the trivial
+    piece: the constant functional at the empty partition.  Raises
+    ``ValueError`` for ``ell < 0``.
     """
     if ell < 0:
         raise ValueError(f"ell must be >= 0, got {ell}")
     if ell == 0:
         return {(): sl_invariant_space(d, 0)}
+    return {lam: list(basis) for lam, basis in _path_invariants(d, ell)}
+
+
+@functools.cache
+def _path_invariants(d: int, ell: int) -> tuple[tuple[Partition, tuple[WordFunctional, ...]], ...]:
+    """The table of :func:`path_invariants` at ``ell >= 1``, as ``(lam,
+    basis)`` pairs; an error (above the degree cap) is raised, not cached."""
     from .group_algebra import balanced_projections
 
     projectors = balanced_projections(d, ell)
     words, rows = _polytabloid_rows(d, ell)
-    table = {}
+    table = []
     for lam, _, matrix in projectors:
         columns = list(zip(*matrix))
         images = [[sum(map(operator.mul, row, col)) for col in columns] for row in rows]
-        table[lam] = _functionals(d, words, images)
-    return table
+        table.append((lam, tuple(_functionals(d, words, images))))
+    return tuple(table)
 
 
 def lie_invariant_dimension(d: int, ell: int) -> int:

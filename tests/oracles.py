@@ -5,8 +5,8 @@ come from direct polynomial integration, determinants from the Leibniz sum
 and matrix rank from their minors, Lyndon coordinates from a dense exact
 solve, the truncated exp and log from
 Fraction series-product power sums, row reduction from Gauss-Jordan
-elimination over Fractions, the slot action from a dense sum of scattered
-tensors, the graded decomposition from one dense solve, the standard
+elimination over Fractions, the slot action from a dense scatter of integer
+numerators, the graded decomposition from one dense solve, the standard
 bracketings of Lyndon words by concatenating word tuples, the graded projector
 family from an exact solve in the multilinear Lyndon-bracket bases and the
 column-first Young symmetrizer from its double sum, the group-algebra
@@ -511,18 +511,19 @@ def scatter_permute_slots(tensor: Tensor, sigma) -> Tensor:
 
 
 def dense_ga_act(x, tensor: Tensor) -> Tensor:
-    """sum_sigma x_sigma * (slot action of sigma on T) in Fractions, scattering
-    each nonzero entry at w to w o sigma^{-1} once per term."""
+    """sum_sigma x_sigma * (slot action of sigma on T) on integer numerators
+    over ``x.den * tensor.den``, scattering each nonzero entry at w to
+    w o sigma^{-1} once per term."""
     d, k = tensor.d, tensor.k
-    moves = [(inverse(perm), c) for perm, c in x.terms.items()]
-    entries = [Fraction(0)] * d**k
-    for i, v in enumerate(tensor.entries):
+    moves = [(inverse(perm), c) for perm, c in x.nums.items()]
+    nums = [0] * d**k
+    for i, v in enumerate(tensor.nums):
         if v == 0:
             continue
         w = index_to_word(i, d, k)
         for inv, c in moves:
-            entries[word_to_index(tuple(w[inv[j]] for j in range(k)), d)] += c * v
-    return Tensor(d, k, tuple(entries))
+            nums[word_to_index(tuple(w[inv[j]] for j in range(k)), d)] += c * v
+    return Tensor(d, k, nums, x.den * tensor.den)
 
 
 def dense_operator_rank(x, d: int) -> int:

@@ -397,6 +397,8 @@ GOLDEN = [
     (["decompose", "--tensor", "tensor_d2_k6.json"], "decompose_d2_k6.out", 0),
     (["invariants", "--d", "2", "--ell", "2"], "invariants_d2_ell2.out", 0),
     (["invariants", "--d", "5", "--ell", "1"], "invariants_d5_ell1.out", 0),
+    # a memoized table in which two of three pieces are empty
+    (["invariants", "--d", "3", "--ell", "1"], "invariants_d3_ell1.out", 0),
     (["invariant-space", "--d", "3", "--k", "6"], "invariant_space_d3_k6.out", 0),
     (["check", "rank1", "--input", "tensor_d2_k3_rank_one.json"],
      "check_rank1_d2_k3.out", 0),

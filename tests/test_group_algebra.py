@@ -409,6 +409,26 @@ def test_operator_rank_matches_oracles(d, k):
         assert operator_rank(x, d) == dense_operator_rank(x, d)
 
 
+def test_operator_rank_is_kept_per_element_and_d(monkeypatch):
+    x = higher_lie_idempotent((2, 1, 1))
+    want = {2: 3, 3: 18}
+    assert {d: dense_operator_rank(x, d) for d in want} == want
+    for _ in range(2):
+        assert {d: operator_rank(x, d) for d in want} == want
+
+    def fail(*args):
+        raise AssertionError("rebuilt a memoized rank")
+
+    with monkeypatch.context() as m:
+        m.setattr(group_algebra, "_block_operator", fail)
+        assert {d: operator_rank(x, d) for d in want} == want
+    # an equal fresh copy computes its own rank; the memo is not a field
+    copy = GroupAlgebraElement(x.k, dict(x.nums), x.den)
+    assert copy == x and repr(copy) == repr(x)
+    assert {d: operator_rank(copy, d) for d in want} == want
+    assert copy == x and repr(copy) == repr(x)
+
+
 def test_ga_act_degree_mismatch():
     with pytest.raises(ValueError):
         ga_act(slot_permutation(range(3)), random_tensor(2, 2, Random(0)))

@@ -1,5 +1,7 @@
 import itertools
+import json
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -13,6 +15,7 @@ from thrallkit.invariants import (
     random_unimodular_matrix,
     sl_invariant_space,
 )
+from thrallkit.jsonio import format_partition, functional_to_json
 from thrallkit.permutations import all_permutations, sign
 from thrallkit.reference_suite import BETA_22, BETA_31
 from thrallkit.shuffle_sig import WordFunctional, levy_functional
@@ -160,6 +163,39 @@ def test_path_invariants_resource_guard(monkeypatch):
     for d, ell in ((2, 3), (9, 1000)):
         with pytest.raises(ResourceLimitError):
             path_invariants(d, ell)
+
+
+def _table_plain(table):
+    """A table in the CLI's JSON form."""
+    return {
+        format_partition(lam): [functional_to_json(beta, grading=lam) for beta in basis]
+        for lam, basis in table.items()
+    }
+
+
+def test_path_invariants_are_built_once_and_returned_fresh(monkeypatch):
+    golden = json.loads((Path(__file__).parent / "data" / "invariants_d2_ell2.out").read_text())
+    first, second = path_invariants(2, 2), path_invariants(2, 2)
+    assert first == second
+    assert first is not second
+    # a caller that clears its answer changes no later one
+    for basis in first.values():
+        basis.clear()
+    first.clear()
+    assert _table_plain(second) == golden
+
+    def fail(*args):
+        raise AssertionError("rebuilt a memoized table")
+
+    monkeypatch.setattr(invariants, "_polytabloid_rows", fail)
+    assert _table_plain(path_invariants(2, 2)) == golden
+
+
+def test_path_invariants_above_the_cap_raise_on_every_call():
+    # an error is never cached
+    for _ in range(3):
+        with pytest.raises(ResourceLimitError):
+            path_invariants(1, 6)
 
 
 def test_path_invariants_pass_invariance_battery():
