@@ -23,9 +23,9 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
+from types import MappingProxyType
 
 from . import linalg
 from .tensors import SIGNATURE_ENTRIES_MAX, Tensor, TensorSeries, weight_patterns
@@ -40,6 +40,7 @@ from .words import (
     lyndon_words,
     multiplicity_profile,
     partitions,
+    value_type,
     word_to_index,
 )
 
@@ -109,41 +110,42 @@ def lie_basis(d: int, k: int) -> list[Tensor]:
     return [lyndon_bracketing(w, d) for w in lyndon_words(d, k)]
 
 
-@dataclass(frozen=True)
+@value_type
 class LieElement:
     """Element of the truncated free Lie algebra in Lyndon coordinates.
 
     ``coeffs`` maps Lyndon words of length 1..k_max over {1..d} to rationals;
-    the constructor checks each word and drops zeros.  Builders whose words
-    are Lyndon by construction (:func:`lie_bracket`,
-    :func:`random_lie_element`) skip the checks through :meth:`_built`.
+    the constructor checks each word and drops zeros, and keeps them as a
+    read-only mapping.  Builders whose words are Lyndon by construction
+    (:func:`lie_bracket`, :func:`random_lie_element`) skip the checks
+    through :meth:`_built`.
     """
 
     d: int
     k_max: int
-    coeffs: dict[Word, Fraction] = field(default_factory=dict)
+    coeffs: MappingProxyType[Word, Fraction]
 
-    def __post_init__(self) -> None:
+    def __init__(self, d: int, k_max: int, coeffs: dict[Word, Fraction] | None = None) -> None:
         cleaned = {}
-        for word, c in self.coeffs.items():
+        for word, c in (coeffs or {}).items():
             word = tuple(word)
             if not is_lyndon(word):
                 raise ValueError(f"{word} is not a Lyndon word")
-            if not 1 <= len(word) <= self.k_max:
-                raise ValueError(f"word {word} has length outside 1..{self.k_max}")
-            if any(not 1 <= letter <= self.d for letter in word):
-                raise ValueError(f"{word} has letters outside 1..{self.d}")
+            if not 1 <= len(word) <= k_max:
+                raise ValueError(f"word {word} has length outside 1..{k_max}")
+            if any(not 1 <= letter <= d for letter in word):
+                raise ValueError(f"{word} has letters outside 1..{d}")
             c = Fraction(c)
             if c != 0:
                 cleaned[word] = c
-        object.__setattr__(self, "coeffs", cleaned)
+        self.__dict__.update(d=d, k_max=k_max, coeffs=MappingProxyType(cleaned))
 
     @classmethod
     def _built(cls, d: int, k_max: int, coeffs: dict[Word, Fraction]) -> "LieElement":
         """Nonzero Fractions at Lyndon words of length 1..k_max over {1..d}
         by construction: kept as given, unchecked."""
         out = object.__new__(cls)
-        vars(out).update(d=d, k_max=k_max, coeffs=coeffs)
+        out.__dict__.update(d=d, k_max=k_max, coeffs=MappingProxyType(coeffs))
         return out
 
     def _terms(self, k: int) -> tuple[int, dict[int, int]]:

@@ -54,8 +54,8 @@ import math
 import operator
 import sys
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import NamedTuple
 
 from . import linalg
@@ -69,6 +69,7 @@ from .words import (
     check_partition,
     distinct_orderings,
     partitions,
+    value_type,
 )
 
 # Degree cap for the closed-form projector family (k! terms per projector),
@@ -83,41 +84,55 @@ def _getter(indices):
     return operator.itemgetter(*indices) if len(indices) > 1 else operator.itemgetter(slice(1))
 
 
-@dataclass(frozen=True)
+@value_type
 class GroupAlgebraElement:
     """Rational linear combination of permutations of {0..k-1}: a sparse map
     ``nums`` from permutation to integer numerator over one denominator ``den``.
 
     ``GroupAlgebraElement(k, terms)`` reads rationals and ``(k, nums, den)``
-    integers over ``den >= 1``; both are reduced to lowest terms (zero has
-    ``den == 1``), so equal elements have equal fields.  The Fractions
-    :attr:`terms` (permutation -> Fraction) are built on first read.
+    integers over ``den >= 1``; both are checked and reduced to lowest terms
+    (zero has ``den == 1``), so equal elements have equal fields.  Builders
+    whose keys are permutations by construction go through :meth:`_built`,
+    which reduces but checks no key.  ``nums`` and the Fractions
+    :attr:`terms` (permutation -> Fraction, built on first read) are
+    read-only mappings, so an element that a cache hands out cannot change.
     """
 
     k: int
-    nums: dict[Perm, int]
-    den: int | None = None
+    nums: MappingProxyType[Perm, int]
+    den: int
 
-    def __post_init__(self) -> None:
-        den, nums = self.den, self.nums
+    def __init__(self, k: int, nums: dict[Perm, int], den: int | None = None) -> None:
         if den is None:
             den, values = linalg.integer_numerators(map(Fraction, nums.values()))
             nums = dict(zip(nums, values))
         elif den < 1:
             raise ValueError(f"den must be >= 1, got {den}")
-        full = list(range(self.k))
+        full = list(range(k))
         for perm in nums:
             if sorted(perm) != full:
-                raise ValueError(f"{perm} is not a permutation of 0..{self.k - 1}")
+                raise ValueError(f"{perm} is not a permutation of 0..{k - 1}")
+        self._reduce(k, {tuple(p): n for p, n in nums.items()}, den)
+
+    @classmethod
+    def _built(cls, k: int, nums: dict[Perm, int], den: int) -> "GroupAlgebraElement":
+        """Integers over ``den >= 1`` at permutation tuples of 0..k-1 by
+        construction: reduced, unchecked."""
+        out = object.__new__(cls)
+        out._reduce(k, nums, den)
+        return out
+
+    def _reduce(self, k: int, nums: dict[Perm, int], den: int) -> None:
+        """Write the fields, ``nums`` and ``den`` divided by their gcd, zeros dropped."""
         # math.gcd also rejects numerators that are not integers
         g = math.gcd(den, *nums.values())
-        object.__setattr__(self, "nums", {tuple(p): n // g for p, n in nums.items() if n})
-        object.__setattr__(self, "den", den // g)
+        nums = MappingProxyType({p: n // g for p, n in nums.items() if n})
+        self.__dict__.update(k=k, nums=nums, den=den // g)
 
     @functools.cached_property
-    def terms(self) -> dict[Perm, Fraction]:
+    def terms(self) -> MappingProxyType[Perm, Fraction]:
         """The coefficients as Fractions, built once, on first read."""
-        return {p: Fraction(n, self.den) for p, n in self.nums.items()}
+        return MappingProxyType({p: Fraction(n, self.den) for p, n in self.nums.items()})
 
     @staticmethod
     def zero(k: int) -> "GroupAlgebraElement":
@@ -125,7 +140,7 @@ class GroupAlgebraElement:
 
     def reverse(self) -> "GroupAlgebraElement":
         """Image under the antipode sigma -> sigma^{-1}."""
-        return GroupAlgebraElement(self.k, {inverse(p): n for p, n in self.nums.items()}, self.den)
+        return GroupAlgebraElement._built(self.k, {inverse(p): n for p, n in self.nums.items()}, self.den)
 
     def _check(self, other: "GroupAlgebraElement") -> None:
         if self.k != other.k:
@@ -145,7 +160,7 @@ def ga_multiply(x: GroupAlgebraElement, y: GroupAlgebraElement) -> GroupAlgebraE
         for p, a in x.nums.items():
             pq = at(p)
             acc[pq] = acc.get(pq, 0) + a * b
-    return GroupAlgebraElement(x.k, acc, x.den * y.den)
+    return GroupAlgebraElement._built(x.k, acc, x.den * y.den)
 
 
 def ga_act(x: GroupAlgebraElement, tensor: Tensor) -> Tensor:
@@ -464,7 +479,7 @@ def _central_idempotent(mu: Partition) -> GroupAlgebraElement:
     f = sn_character(mu, (1,) * k)
     char_by_type = {rho: f * sn_character(mu, rho) for rho in partitions(k)}
     nums = {p: char_by_type[rho] for p, rho in _cycle_types(k)}
-    return GroupAlgebraElement(k, nums, math.factorial(k))
+    return GroupAlgebraElement._built(k, nums, math.factorial(k))
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +544,7 @@ def _projector_family(k: int) -> dict[Partition, GroupAlgebraElement]:
         for nums, c in zip(family.values(), by_descents[descents]):
             nums[sigma] = c
     return {
-        lam: GroupAlgebraElement(
+        lam: GroupAlgebraElement._built(
             k, nums, math.factorial(len(lam)) * math.prod(map(math.factorial, lam))
         )
         for lam, nums in family.items()

@@ -10,7 +10,6 @@ truncated (log-)signature.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from random import Random
 
@@ -18,9 +17,10 @@ from . import linalg
 from .free_lie import LieElement, exp_truncated, is_lie_element, phi_k
 from .shuffle_sig import PiecewiseLinearPath, log_signature, signature
 from .tensors import Tensor, TensorSeries, is_symmetric
+from .words import value_type
 
 
-@dataclass(frozen=True)
+@value_type
 class RankOneResult:
     """Outcome of the elementary-tensor test, with factors on success."""
 
@@ -67,7 +67,7 @@ def is_rank_one(tensor: Tensor) -> RankOneResult:
     return RankOneResult(True, tuple(factors))
 
 
-@dataclass(frozen=True)
+@value_type
 class SymmetryCascadeReport:
     hypothesis_level_symmetric: bool
     higher_parts_vanish: bool | None
@@ -98,7 +98,7 @@ def symmetric_level_implies_segment(series: TensorSeries, k: int) -> SymmetryCas
     return SymmetryCascadeReport(True, vanish, lower, vanish and lower)
 
 
-@dataclass(frozen=True)
+@value_type
 class FlsReport:
     """Straight-line criteria on the truncated signature of a path."""
 
@@ -109,7 +109,13 @@ class FlsReport:
     is_segment: bool
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return {
+            "criterion_a": self.criterion_a,
+            "criterion_b": self.criterion_b,
+            "criterion_c": self.criterion_c,
+            "consistent": self.consistent,
+            "is_segment": self.is_segment,
+        }
 
 
 def fls_check(path: PiecewiseLinearPath, k_max: int) -> FlsReport:
@@ -211,7 +217,7 @@ def hyperdeterminant_2x2x2(tensor: Tensor) -> Fraction:
     return mixed**2 - 4 * det_j0 * det_j1
 
 
-@dataclass(frozen=True)
+@value_type
 class PullbackReport:
     passed: bool
     constant: Fraction | None

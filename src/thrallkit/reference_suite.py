@@ -8,7 +8,6 @@ as ``thrallkit paper-suite``.  Checks return (passed, detail).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 from typing import Callable
@@ -61,9 +60,10 @@ from .shuffle_sig import (
 from .symfun import lie_character, plethysm_h, schur_expand, thrall_coefficients
 from .tensors import Tensor, is_symmetric, symmetrize
 from .words import YoungTableau, lie_dim, lyndon_words, partition_union, partitions, standard_tableaux
+from .words import value_type
 
 
-@dataclass(frozen=True)
+@value_type
 class CheckResult:
     name: str
     passed: bool

@@ -23,35 +23,35 @@ back-substitution of :mod:`thrallkit.free_lie` decides (see its docstring).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import sub
+from types import MappingProxyType
 
 from .tensors import Tensor, TensorSeries, check_entries
-from .words import Word
+from .words import Word, value_type
 
 
-@dataclass(frozen=True)
+@value_type
 class WordFunctional:
     """Finite rational combination of coordinate functionals T -> T_w.
 
     Words of different lengths may be mixed; evaluation on a series sums the
-    matching levels.
+    matching levels.  The nonzero ``terms`` are kept as a read-only mapping.
     """
 
     d: int
-    terms: dict[Word, Fraction] = field(default_factory=dict)
+    terms: MappingProxyType[Word, Fraction]
 
-    def __post_init__(self) -> None:
+    def __init__(self, d: int, terms: dict[Word, Fraction] | None = None) -> None:
         cleaned = {}
-        for word, c in self.terms.items():
+        for word, c in (terms or {}).items():
             word = tuple(word)
-            if any(not 1 <= letter <= self.d for letter in word):
-                raise ValueError(f"word {word} has letters outside 1..{self.d}")
+            if any(not 1 <= letter <= d for letter in word):
+                raise ValueError(f"word {word} has letters outside 1..{d}")
             c = Fraction(c)
             if c != 0:
                 cleaned[word] = c
-        object.__setattr__(self, "terms", cleaned)
+        self.__dict__.update(d=d, terms=MappingProxyType(cleaned))
 
     def scale(self, c) -> "WordFunctional":
         c = Fraction(c)
@@ -179,20 +179,20 @@ def is_group_like(series: TensorSeries) -> bool:
 # piecewise-linear paths
 
 
-@dataclass(frozen=True)
+@value_type
 class PiecewiseLinearPath:
     """Path through the given rational vertices, traversed in order."""
 
     d: int
     points: tuple[tuple[Fraction, ...], ...]
 
-    def __post_init__(self) -> None:
-        if not self.points:
+    def __init__(self, d: int, points) -> None:
+        if not points:
             raise ValueError("a path needs at least one point")
-        pts = tuple(tuple(Fraction(x) for x in p) for p in self.points)
-        if any(len(p) != self.d for p in pts):
+        pts = tuple(tuple(Fraction(x) for x in p) for p in points)
+        if any(len(p) != d for p in pts):
             raise ValueError("every vertex must have d coordinates")
-        object.__setattr__(self, "points", pts)
+        self.__dict__.update(d=d, points=pts)
 
     @staticmethod
     def from_lists(points) -> "PiecewiseLinearPath":
@@ -283,12 +283,13 @@ def signature(path: PiecewiseLinearPath, k_max: int) -> TensorSeries:
     over the runs of ``max_l |u_l|``.
 
     Each level hands ``N_m`` over ``m! q^m``, sized by construction, to
-    ``Tensor._built``, which reduces it to lowest terms.  The update runs once per path object
-    and truncation: the path keeps the levels of the highest truncation
-    computed so far, outside its dataclass fields (equality, hashing and
-    repr ignore them), and :func:`log_signature` and lower truncations share
-    them.  Level ``m`` does not depend on ``k_max``, so a lower truncation
-    is a slice; a higher one runs the update again, size cap included.
+    ``Tensor._built``, which reduces it to lowest terms.  The update runs
+    once per path object and truncation: the path keeps the levels of the
+    highest truncation computed so far in its instance dict, beside its
+    fields (equality, hashing and repr ignore them), and
+    :func:`log_signature` and lower truncations share them.  Level ``m``
+    does not depend on ``k_max``, so a lower truncation is a slice; a higher
+    one runs the update again, size cap included.
 
     Raises :class:`~thrallkit.words.ResourceLimitError`, before allocating
     any level, when the series would hold more than

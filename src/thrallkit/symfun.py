@@ -11,9 +11,9 @@ expansion is one integer dot product per row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from types import MappingProxyType
 
 from .words import (
     Partition,
@@ -24,10 +24,11 @@ from .words import (
     multichoose,
     multiplicity_profile,
     partitions,
+    value_type,
 )
 
 
-@dataclass(frozen=True)
+@value_type
 class SymFun:
     """Homogeneous symmetric function of a fixed degree in power sums: a
     sparse map ``nums`` from partitions of ``degree`` to integer numerators
@@ -35,31 +36,35 @@ class SymFun:
 
     Both are reduced to lowest terms and zero numerators are dropped, as a
     :class:`~thrallkit.tensors.Tensor` holds its entries, so equal functions
-    have equal fields.
+    have equal fields; ``nums`` is a read-only mapping.
     """
 
     degree: int
-    nums: dict[Partition, int]
-    den: int = 1
+    nums: MappingProxyType[Partition, int]
+    den: int
 
-    def __post_init__(self) -> None:
-        if self.den < 1:
-            raise ValueError(f"den must be >= 1, got {self.den}")
-        for rho in self.nums:
-            if sum(check_partition(rho)) != self.degree:
-                raise ValueError(f"{rho} is not a partition of {self.degree}")
-        reduced = SymFun._built(self.degree, {tuple(r): n for r, n in self.nums.items()}, self.den)
-        object.__setattr__(self, "nums", reduced.nums)
-        object.__setattr__(self, "den", reduced.den)
+    def __init__(self, degree: int, nums: dict[Partition, int], den: int = 1) -> None:
+        if den < 1:
+            raise ValueError(f"den must be >= 1, got {den}")
+        for rho in nums:
+            if sum(check_partition(rho)) != degree:
+                raise ValueError(f"{rho} is not a partition of {degree}")
+        self._reduce(degree, {tuple(r): n for r, n in nums.items()}, den)
 
     @classmethod
     def _built(cls, degree: int, nums: dict[Partition, int], den: int) -> "SymFun":
         """``nums / den`` for keys that are partitions of ``degree`` by
         construction: reduced as the constructor reduces, no key checked."""
-        # math.gcd also rejects numerators that are not integers
-        g, out = math.gcd(den, *nums.values()), object.__new__(cls)
-        out.__dict__.update(degree=degree, nums={r: n // g for r, n in nums.items() if n}, den=den // g)
+        out = object.__new__(cls)
+        out._reduce(degree, nums, den)
         return out
+
+    def _reduce(self, degree: int, nums: dict[Partition, int], den: int) -> None:
+        """Write the fields, ``nums`` and ``den`` divided by their gcd, zeros dropped."""
+        # math.gcd also rejects numerators that are not integers
+        g = math.gcd(den, *nums.values())
+        nums = MappingProxyType({r: n // g for r, n in nums.items() if n})
+        self.__dict__.update(degree=degree, nums=nums, den=den // g)
 
     def __add__(self, other: "SymFun") -> "SymFun":
         if self.degree != other.degree:

@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, reduce
 from operator import floordiv
 
 from . import linalg
-from .words import ResourceLimitError, Word, index_to_word, word_to_index
+from .words import ResourceLimitError, Word, index_to_word, value_type, word_to_index
 
 _ZERO = Fraction(0)
 
@@ -54,7 +53,7 @@ def check_entries(d: int, k: int, what: str, levels: bool = False) -> None:
             )
 
 
-@dataclass(frozen=True)
+@value_type
 class Tensor:
     """Dense order-``k`` tensor on a ``d``-dimensional space: integer
     numerators ``nums`` over one denominator ``den``.
@@ -71,36 +70,34 @@ class Tensor:
     d: int
     k: int
     nums: tuple[int, ...]
-    den: int | None = None
+    den: int
 
-    def __post_init__(self) -> None:
-        if self.d < 1 or self.k < 0:
+    def __init__(self, d: int, k: int, nums, den: int | None = None) -> None:
+        if d < 1 or k < 0:
             raise ValueError("require d >= 1 and k >= 0")
-        nums, den = self.nums, self.den
         if den is None:
             den, nums = linalg.integer_numerators(nums)
         elif den < 1:
             raise ValueError(f"den must be >= 1, got {den}")
         nums = tuple(nums)
-        if len(nums) != self.d**self.k:
-            raise ValueError(f"expected {self.d ** self.k} entries, got {len(nums)}")
-        self._reduce(nums, den)
+        if len(nums) != d**k:
+            raise ValueError(f"expected {d ** k} entries, got {len(nums)}")
+        self._reduce(d, k, nums, den)
 
     @classmethod
     def _built(cls, d: int, k: int, nums, den: int) -> "Tensor":
         """``d**k`` integers over ``den >= 1`` by construction: reduced, unchecked."""
         out = object.__new__(cls)
-        vars(out).update(d=d, k=k)
-        out._reduce(nums, den)
+        out._reduce(d, k, nums, den)
         return out
 
-    def _reduce(self, nums, den: int) -> None:
+    def _reduce(self, d: int, k: int, nums, den: int) -> None:
+        """Write the fields, ``nums`` and ``den`` divided by their gcd."""
         # math.gcd also rejects numerators that are not integers
         g = math.gcd(den, *nums)
         if g != 1:
             nums, den = map(floordiv, nums, itertools.repeat(g)), den // g
-        object.__setattr__(self, "nums", tuple(nums))
-        object.__setattr__(self, "den", den)
+        self.__dict__.update(d=d, k=k, nums=tuple(nums), den=den)
 
     # -- construction -------------------------------------------------
 
@@ -224,19 +221,20 @@ def is_symmetric(tensor: Tensor) -> bool:
     return all(len(set(map(at, block))) == 1 for block in weight_blocks(tensor.d, tensor.k))
 
 
-@dataclass(frozen=True)
+@value_type
 class TensorSeries:
     """Truncated tensor series: one tensor per level 0..k_max."""
 
     d: int
     levels: tuple[Tensor, ...]
 
-    def __post_init__(self) -> None:
-        if not self.levels:
+    def __init__(self, d: int, levels: tuple[Tensor, ...]) -> None:
+        if not levels:
             raise ValueError("series needs at least level 0")
-        for i, level in enumerate(self.levels):
-            if level.d != self.d or level.k != i:
+        for i, level in enumerate(levels):
+            if level.d != d or level.k != i:
                 raise ValueError(f"level {i} has wrong shape")
+        self.__dict__.update(d=d, levels=levels)
 
     @property
     def k_max(self) -> int:

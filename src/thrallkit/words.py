@@ -1,4 +1,5 @@
-"""Words, Lyndon words, partitions and Young tableaux.
+"""Words, Lyndon words, partitions and Young tableaux, and the decorator
+:func:`value_type` that gives the package's value classes their semantics.
 
 Conventions used throughout the package:
 
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+import operator
 from functools import cache
 
 Word = tuple[int, ...]
@@ -26,6 +27,56 @@ Partition = tuple[int, ...]
 # every module raise it, without loading the algebra.
 class ResourceLimitError(RuntimeError):
     """Raised when a computation exceeds a fixed degree or size cap."""
+
+
+def value_type(cls):
+    """Make ``cls`` an immutable value over its annotated fields, in order.
+
+    Installs ``==`` and ``hash`` on the tuple of fields, the repr
+    ``Name(field=value, ..)``, and an ``AttributeError`` on any assignment
+    or deletion of an attribute.  A class without its own ``__init__`` gets
+    one that takes the fields by position or keyword, with the class
+    attributes as defaults.  Fields live in the instance dict, which an
+    ``__init__`` writes directly; memos kept there beside them (a
+    ``cached_property``, or a key set through ``vars(x)``) are seen by
+    neither equality nor the repr.  Unlike a frozen dataclass it imports
+    nothing and generates no code, so no CLI process loads ``dataclasses``
+    and ``inspect``.
+    """
+    names = tuple(cls.__annotations__)
+    fields = operator.attrgetter(*names)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return fields(self) == fields(other)
+
+    def __hash__(self):
+        return hash(fields(self))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in names)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    if "__init__" not in vars(cls):
+        defaults = {n: vars(cls)[n] for n in names if n in vars(cls)}
+
+        def __init__(self, *args, **kwargs):
+            values = {**defaults, **dict(zip(names, args)), **kwargs}
+            extra = len(args) > len(names) or not kwargs.keys() <= set(names[len(args):])
+            if extra or len(values) != len(names):
+                raise TypeError(f"{cls.__qualname__} takes the fields {', '.join(names)}")
+            self.__dict__.update(values)
+
+        cls.__init__ = __init__
+    cls.__eq__, cls.__hash__, cls.__repr__ = __eq__, __hash__, __repr__
+    cls.__setattr__, cls.__delattr__ = __setattr__, __delattr__
+    return cls
 
 
 # ---------------------------------------------------------------------------
@@ -237,18 +288,18 @@ def multichoose(n: int, k: int) -> int:
 # tableaux
 
 
-@dataclass(frozen=True)
+@value_type
 class YoungTableau:
     """A filling of a partition shape with the integers 1..k, no repeats."""
 
     rows: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        entries = [x for row in self.rows for x in row]
-        k = len(entries)
-        if sorted(entries) != list(range(1, k + 1)):
+    def __init__(self, rows: tuple[tuple[int, ...], ...]) -> None:
+        entries = [x for row in rows for x in row]
+        if sorted(entries) != list(range(1, len(entries) + 1)):
             raise ValueError("filling must be a bijection with 1..k")
-        check_partition(self.shape)
+        check_partition(tuple(map(len, rows)))
+        self.__dict__.update(rows=rows)
 
     @property
     def shape(self) -> Partition:

@@ -1,4 +1,6 @@
-"""The package and the CLI load library modules on demand.
+"""The package and the CLI load library modules on demand, and no CLI path
+loads ``dataclasses`` (with ``inspect``, ``ast``, ``dis`` and ``tokenize``
+behind it).
 
 The import checks run in a fresh interpreter, because this test process has
 already imported every module.
@@ -23,11 +25,14 @@ HEAVY = (
 
 
 def loaded_after(code: str) -> set:
-    """The ``thrallkit`` modules loaded in a fresh interpreter after ``code``."""
+    """The ``thrallkit`` modules, and ``dataclasses`` if it is loaded, in a
+    fresh interpreter after ``code``."""
     script = (
         "import contextlib, io, json, sys\n"
         f"{code}\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'thrallkit')))\n"
+        "print(json.dumps(sorted(\n"
+        "    m for m in sys.modules if m.split('.')[0] in ('thrallkit', 'dataclasses')\n"
+        ")))\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
@@ -42,6 +47,7 @@ def test_import_package_loads_no_submodule():
 
 
 def test_import_cli_loads_only_jsonio_and_words():
+    # and not dataclasses, which loaded_after would list
     assert loaded_after("import thrallkit.cli") == {
         "thrallkit", "thrallkit.cli", "thrallkit.jsonio", "thrallkit.words",
     }
@@ -73,6 +79,7 @@ def test_light_subcommands_leave_the_algebra_stack_unloaded(argv, code):
     )
     assert "thrallkit.cli" in loaded
     assert not loaded & {f"thrallkit.{name}" for name in HEAVY}
+    assert "dataclasses" not in loaded
 
 
 @pytest.mark.parametrize(
@@ -95,6 +102,7 @@ def test_signature_and_checks_leave_the_group_algebra_unloaded(argv, code):
     )
     assert "thrallkit.shuffle_sig" in loaded or "thrallkit.free_lie" in loaded
     assert "thrallkit.group_algebra" not in loaded
+    assert "dataclasses" not in loaded
 
 
 @pytest.mark.parametrize(
@@ -110,6 +118,7 @@ def test_signature_without_log_leaves_free_lie_unloaded(argv):
     )
     assert "thrallkit.shuffle_sig" in loaded
     assert "thrallkit.free_lie" not in loaded
+    assert "dataclasses" not in loaded
 
 
 @pytest.mark.parametrize(
@@ -129,6 +138,17 @@ def test_tensor_commands_leave_the_signature_stack_unloaded(argv, code):
     )
     assert "thrallkit.tensors" in loaded
     assert "thrallkit.shuffle_sig" not in loaded
+    assert "dataclasses" not in loaded
+
+
+def test_paper_suite_builds_every_value_class_without_dataclasses():
+    loaded = loaded_after(
+        "from thrallkit.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['paper-suite']) == 0\n"
+    )
+    assert {"thrallkit.reference_suite", "thrallkit.rank_variety", "thrallkit.symfun"} <= loaded
+    assert "dataclasses" not in loaded
 
 
 def test_every_export_is_the_object_of_its_defining_module():

@@ -607,13 +607,3 @@ def test_size_cap_still_fires_after_a_lower_call():
         with pytest.raises(ResourceLimitError, match="entries"):
             f(wide, 12)
     assert log_signature(wide, 1) == log_signature(_fresh(wide), 1)
-
-
-def test_path_equality_hash_and_repr_ignore_the_memo():
-    path = PiecewiseLinearPath.from_lists([[0, 0], [1, 2], [Fraction(3, 2), 0]])
-    before = (repr(path), hash(path))
-    signature(path, 4)
-    other = _fresh(path)
-    assert path == other and hash(path) == hash(other) == before[1]
-    assert repr(path) == repr(other) == before[0]
-    assert len({path, other}) == 1

@@ -103,8 +103,8 @@ def test_lie_character_is_built_once_per_degree(monkeypatch):
     from thrallkit import symfun
 
     built = []
-    post_init = SymFun.__post_init__
-    monkeypatch.setattr(SymFun, "__post_init__", lambda f: built.append(f.degree) or post_init(f))
+    init = SymFun.__init__
+    monkeypatch.setattr(SymFun, "__init__", lambda f, degree, *rest: built.append(degree) or init(f, degree, *rest))
     lie_character.cache_clear()
     symfun._thrall_coefficients.cache_clear()
     for lam in partitions(8):

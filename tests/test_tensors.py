@@ -28,6 +28,7 @@ from oracles import (
     slot_permutation,
     unit_series,
 )
+from test_values import assert_same_value
 
 
 def e(d, *letters):
@@ -241,7 +242,7 @@ def _check_canonical(tensor, expected):
     assert tensor.entries is tensor.entries  # built once
     fresh = Tensor(tensor.d, tensor.k, tuple(expected))
     assert (tensor.den, tensor.nums) == (fresh.den, fresh.nums)
-    assert tensor == fresh and hash(tensor) == hash(fresh) and repr(tensor) == repr(fresh)
+    assert_same_value(tensor, fresh)
 
 
 @given(st.integers(1, 3), st.integers(0, 3), st.data())
