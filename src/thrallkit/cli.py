@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from . import jsonio
 from .jsonio import FormatError, format_partition, parse_partition
@@ -55,11 +54,14 @@ def _emit(payload, fmt: str, text_renderer=None) -> None:
 def _read(path: str, what: str, parse):
     """The input file at ``path``, decoded by ``parse`` under the digit limit."""
     try:
-        obj = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise FormatError(what, f"file not found: {path}") from None
+        with open(path) as file:
+            obj = json.load(file)
+    except OSError as exc:  # missing, a directory, unreadable
+        raise FormatError(what, f"cannot read {path}: {exc.strerror}") from None
     except ValueError as exc:  # bad JSON, or an integer literal over the digit limit
         raise FormatError(what, f"invalid JSON in {path}: {exc}") from None
+    if not isinstance(obj, dict):
+        raise FormatError(what, f"expected a JSON object, got {type(obj).__name__}")
     value = parse(obj, what)
     if _DIGIT_LIMIT:
         sys.set_int_max_str_digits(0)

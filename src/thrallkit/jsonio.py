@@ -13,16 +13,12 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .words import Partition, Word, check_partition, word_from_string, word_to_string
 
 # The model classes are imported where a parser builds one, so that the CLI
-# loads only the modules of the subcommand that runs.
-if TYPE_CHECKING:
-    from .group_algebra import GroupAlgebraElement
-    from .shuffle_sig import PiecewiseLinearPath, WordFunctional
-    from .tensors import Tensor, TensorSeries
+# loads only the modules of the subcommand that runs; the annotations that
+# name them are strings, never evaluated.
 
 
 class FormatError(ValueError):

@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from random import Random
-from typing import Callable
 
 from . import linalg
 from .free_lie import (

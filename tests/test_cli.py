@@ -1,18 +1,22 @@
 import contextlib
+import io
 import json
 import math
 import os
-import subprocess
 import sys
 import time
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from thrallkit.cli import main
 from thrallkit.jsonio import format_fraction, tensor_to_json
 from thrallkit.tensors import Tensor
+
+from golden import DATA, EMPTY, ROWS, resolve
+from golden import main as run_table
 
 
 def run(capsys, *argv):
@@ -161,6 +165,74 @@ def test_malformed_input_exits_2(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     code, _, err = run(capsys, "check", "symmetric", "--input", str(missing))
     assert code == 2
+    # a directory is no file: refused naming the path, not a traceback (exit 4)
+    code, out, err = run(capsys, "decompose", "--tensor", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert f"field 'tensor': cannot read {tmp_path}" in err and "Traceback" not in err
+
+
+# each reader of an input file, as a command, with the format it reads
+READERS = {
+    "decompose --tensor": "tensor",
+    "check group-like --input": "series",
+    "signature --level 3 --path": "path",
+}
+
+
+@pytest.mark.parametrize("text", ["5", "null", "true", '"dk"', '["d"]'])
+@pytest.mark.parametrize("command", READERS)
+def test_top_level_json_that_is_not_an_object_exits_2(tmp_path, capsys, command, text):
+    file = tmp_path / "input.json"
+    file.write_text(text)
+    code, out, err = run(capsys, *command.split(), str(file))
+    assert (code, out) == (2, "")
+    assert f"field {READERS[command]!r}: expected a JSON object" in err and "Traceback" not in err
+
+
+RATIONALS = st.integers(-2, 3) | st.sampled_from(["1/2", "-2/3"])
+JUNK = st.none() | st.booleans() | st.integers(-1, 5) | st.sampled_from(["", "1/0", "x", "2e3", []])
+VALUES = st.one_of(RATIONALS, RATIONALS, JUNK)
+
+
+@st.composite
+def documents(draw, fmt):
+    """A small ``fmt`` object, its words over the letters 0..d, with now and
+    then junk in place of a value, a field or the whole, or a field dropped."""
+    d, k = draw(st.integers(1, 3)), draw(st.integers(0, 4))
+    words = [st.text("0123"[: d + 1], min_size=m, max_size=m) for m in range(k + 1)]
+    terms = [draw(st.dictionaries(word, VALUES, max_size=3)) for word in words]
+    points = st.lists(st.lists(VALUES, min_size=d, max_size=d), max_size=4)
+    doc = {
+        "tensor": {"d": d, "k": k, "entries": terms[k]},
+        "series": {"d": d, "k_max": k, "levels": [{"": 1}, *terms[1:]]},
+        "path": {"d": d, "points": draw(points)},
+    }[fmt]
+    key = draw(st.sampled_from([None, *doc]))
+    if key is not None and draw(st.booleans()):
+        del doc[key]
+    elif key is not None:
+        doc[key] = draw(JUNK)
+    return draw(JUNK) if draw(st.integers(0, 7)) == 0 else doc
+
+
+FUZZED = {**READERS, "check lie --input": "tensor", "check fls --level 3 --input": "path"}
+
+
+@given(case=st.sampled_from(sorted(FUZZED)).flatmap(
+    lambda command: st.tuples(st.just(command), documents(FUZZED[command]))
+))
+@example(case=("decompose --tensor", 5))
+@example(case=("check group-like --input", None))
+@settings(max_examples=200, deadline=None)
+def test_any_json_input_exits_with_a_documented_code(tmp_path_factory, case):
+    command, document = case
+    file = tmp_path_factory.getbasetemp() / "fuzzed_input.json"
+    file.write_text(json.dumps(document))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*command.split(), str(file)])
+    assert code in (0, 1, 2, 3) and "Traceback" not in err.getvalue(), err.getvalue()
+    assert out.getvalue() == "" or code in (0, 1)
 
 
 @pytest.mark.parametrize("command", ["decompose --tensor", "check symmetric --input",
@@ -338,121 +410,39 @@ def test_decompose_answer_guard_does_not_depend_on_the_route(tmp_path, capsys, m
     assert "entries" in err
 
 
-DATA = Path(__file__).parent / "data"
-SRC = Path(__file__).resolve().parent.parent / "src"
-# Stdout recorded from the earlier implementations: the Fraction series-product
-# exp/log for the signature, fls and paper-suite cases, the per-partition
-# ga_act route with the Fraction dual action for the decompose and invariants
-# cases, the CLI that imported every module up front for the dims, lyndon,
-# thrall-coeffs, idempotent, check lie, check group-like and help cases, the
-# tensors that stored one Fraction per entry for the signature without --log,
-# the group-algebra elements that stored one Fraction per term for the
-# k = 5 idempotent, the solve backend, whose projector route then took one
-# dot product per row, for the wide decompose case, and the solve backend's
-# per-block inverses and dot products for the k = 6 decompose case.
-GOLDEN = [
-    (["dims", "--d", "3", "--k", "5"], "dims_d3_k5.out", 0),
-    (["--format", "text", "dims", "--d", "3", "--k", "5"], "dims_d3_k5_text.out", 0),
-    (["lyndon", "--d", "3", "--k", "4", "--upto"], "lyndon_d3_k4_upto.out", 0),
-    (["thrall-coeffs", "--k", "5"], "thrall_coeffs_k5.out", 0),
-    (["thrall-coeffs", "--k", "10"], "thrall_coeffs_k10.out", 0),
-    (["idempotent", "--k", "4", "--partition", "2,1,1", "--intersect-mu", "3,1"],
-     "idempotent_k4_211_mu31.out", 0),
-    (["idempotent", "--k", "5", "--partition", "3,2", "--intersect-mu", "3,1,1"],
-     "idempotent_k5_32_mu311.out", 0),
-    (["check", "lie", "--input", "tensor_d3_k4_lie.json"], "check_lie_d3_k4.out", 0),
-    (["check", "group-like", "--input", "series_d2_level3_signature.json"],
-     "check_group_like_d2_level3.out", 0),
-    # the trivial series to level 16, inside the entry cap
-    (["check", "group-like", "--input", "series_d2_level16_trivial.json"],
-     "check_group_like_d2_level16_trivial.out", 0),
-    # d = 1 to level 20,000: no Lyndon word longer than one letter to walk
-    (["check", "group-like", "--input", "series_d1_level20000_trivial.json"],
-     "check_group_like_d1_level20000_trivial.out", 0),
-    (["signature", "--path", "path_d2_integer.json", "--level", "6", "--log"],
-     "signature_log_d2_integer_level6.out", 0),
-    (["signature", "--path", "path_d3_fractional.json", "--level", "5", "--log"],
-     "signature_log_d3_fractional_level5.out", 0),
-    (["signature", "--path", "path_d3_fractional.json", "--level", "5"],
-     "signature_d3_fractional_level5.out", 0),
-    (["check", "fls", "--input", "path_collinear.json", "--level", "5"],
-     "check_fls_collinear_level5.out", 0),
-    (["check", "fls", "--input", "path_bent.json", "--level", "5"],
-     "check_fls_bent_level5.out", 1),
-    (["paper-suite"], "paper_suite.out", 0),
-    (["decompose", "--tensor", "tensor_d2_k5_fractional.json"],
-     "decompose_d2_k5_fractional.out", 0),
-    (["decompose", "--tensor", "tensor_d3_k4.json"], "decompose_d3_k4.out", 0),
-    # the solve-built projectors at d = 3, composed by integer row sums
-    (["decompose", "--tensor", "tensor_d3_k4.json", "--method", "solve"],
-     "decompose_d3_k4.out", 0),
-    # 40-digit numerators over an lcm of 200 bits: too wide for 64-bit
-    # slots, so the projectors take one dot product per row
-    (["decompose", "--tensor", "tensor_d3_k4_wide.json"], "decompose_d3_k4_wide.out", 0),
-    # d = 4: most blocks share their shape's matrix through a relabelling
-    # that reorders letters
-    (["decompose", "--tensor", "tensor_d4_k4.json"], "decompose_d4_k4.out", 0),
-    # k = 6 is above the projector degree cap: the default route takes the
-    # solve-built projectors
-    (["decompose", "--tensor", "tensor_d2_k6.json"], "decompose_d2_k6.out", 0),
-    (["invariants", "--d", "2", "--ell", "2"], "invariants_d2_ell2.out", 0),
-    (["invariants", "--d", "5", "--ell", "1"], "invariants_d5_ell1.out", 0),
-    # a memoized table in which two of three pieces are empty
-    (["invariants", "--d", "3", "--ell", "1"], "invariants_d3_ell1.out", 0),
-    (["invariant-space", "--d", "3", "--k", "6"], "invariant_space_d3_k6.out", 0),
-    (["check", "rank1", "--input", "tensor_d2_k3_rank_one.json"],
-     "check_rank1_d2_k3.out", 0),
-    # a 4,000-digit vertex (3^8383): its square has more digits than Python
-    # converts to a string by default
-    (["signature", "--path", "path_d1_4000_digits.json", "--level", "2"],
-     "signature_d1_4000_digits_level2.out", 0),
-]
-
-
-def golden_id(argv, golden):
-    """The golden's file name, with the method where a case forces one."""
-    if "--method" in argv:
-        return f"{golden}-{argv[argv.index('--method') + 1]}"
+def row_id(argv, golden):
+    """The golden's file name, with the row's last argument where that file
+    alone does not tell the rows apart: the method it forces, or its input."""
+    if golden == EMPTY or "--method" in argv:
+        return f"{golden}-{argv[-1]}"
     return golden
 
 
-@pytest.mark.parametrize(
-    "argv,golden,exit_code", GOLDEN, ids=[golden_id(a, g) for a, g, _ in GOLDEN]
-)
-def test_stdout_matches_golden_bytes(capsys, argv, golden, exit_code):
-    argv = [str(DATA / a) if a.endswith(".json") else a for a in argv]
-    code, out, _ = run(capsys, *argv)
+@pytest.mark.parametrize("argv,golden,exit_code", ROWS, ids=[row_id(a, g) for a, g, _ in ROWS])
+def test_stdout_matches_golden_bytes(capsys, monkeypatch, argv, golden, exit_code):
+    monkeypatch.setenv("COLUMNS", "80")  # the width the --help golden was written at
+    try:
+        code = main(resolve(argv))
+    except SystemExit as exc:  # --help
+        code = exc.code
     assert code == exit_code
-    assert out.encode() == (DATA / golden).read_bytes()
+    assert capsys.readouterr().out.encode() == (DATA / golden).read_bytes()
 
 
-def test_help_matches_golden_bytes():
-    # the installed console script and ``python -m thrallkit.cli`` share main()
-    env = dict(os.environ, COLUMNS="80")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "thrallkit.cli", "--help"], capture_output=True, env=env
-    )
-    assert proc.returncode == 0
-    assert proc.stdout == (DATA / "help.out").read_bytes()
-
-
-@pytest.mark.parametrize("method", ["idempotent", "solve"])
-@pytest.mark.parametrize("name", ["d2_k5_fractional", "d3_k4", "d3_k4_wide", "d4_k4"])
-def test_decompose_methods_match_golden_bytes(capsys, method, name):
-    code, out, _ = run(
-        capsys, "decompose", "--tensor", str(DATA / f"tensor_{name}.json"), "--method", method
-    )
-    assert code == 0
-    assert out.encode() == (DATA / f"decompose_{name}.out").read_bytes()
-
-
-def test_solve_method_above_the_projector_cap_matches_golden_bytes(capsys):
-    code, out, _ = run(
-        capsys, "decompose", "--tensor", str(DATA / "tensor_d2_k6.json"), "--method", "solve"
-    )
-    assert code == 0
-    assert out.encode() == (DATA / "decompose_d2_k6.out").read_bytes()
+def test_help_matches_golden_bytes(tmp_path, monkeypatch, capsys):
+    # the runner that CI points at the installed console script, here on
+    # ``python -m thrallkit.cli``: the --help row passes, a wrong golden fails
+    path = [str(DATA.parent.parent / "src"), os.environ.get("PYTHONPATH")]
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(filter(None, path)))
+    command = [sys.executable, "-m", "thrallkit.cli"]
+    assert run_table(command, [(["--help"], "help.out", 0)]) == 0
+    assert capsys.readouterr().out == "1 of 1 rows match\n"
+    wrong = tmp_path / "wrong.out"
+    wrong.write_bytes((DATA / "help.out").read_bytes() + b"\n")
+    assert run_table(command, [(["--help"], str(wrong), 0), (["--help"], "help.out", 2)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"--help: stdout differs from {wrong}", "--help: exit 0, expected 2", "0 of 2 rows match",
+    ]
 
 
 @pytest.mark.parametrize("method", ["auto", "idempotent", "solve"])

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from test_cli import GOLDEN
+from golden import ROWS, resolve
 
 ROOT = Path(__file__).parent.parent
 SOURCES = sorted((ROOT / "src" / "thrallkit").glob("*.py"))
@@ -211,18 +211,9 @@ def test_every_public_method_is_reached_outside_the_tests():
     assert not unreached, f"public methods that only the tests reach: {unreached}"
 
 
-# The program's own entry points besides the goldens: the CLI cases that CI
-# runs through the console script, a malformed input, and the scripts with
-# the arguments CI gives them.
-PROGRAM_ARGV = [argv for argv, _, _ in GOLDEN] + [
-    ["--help"],
-    ["dims", "--d", "2", "--k", "3"],
-    ["decompose", "--tensor", "tensor_d2_k5_fractional.json", "--method", "solve"],
-    ["check", "symmetric", "--input", "tensor_d2_k3_rank_one.json"],
-    ["hdet-pullback", "--seed", "2024", "--samples", "20"],
-    ["decompose", "--tensor", "malformed_tensor.json"],
-    ["decompose", "--tensor", "tensor_d1_k2000.json"],
-]
+# The program's own entry points: every CLI run of the golden table, and the
+# scripts with the arguments CI gives them.
+PROGRAM_ARGV = [argv for argv, _, _ in ROWS]
 SCRIPT_ARGV = [
     ["rank_survey.py"],
     ["invariants_demo.py"],
@@ -285,12 +276,11 @@ def _program_functions():
 
 def test_every_function_runs_under_the_program():
     """Each function and method of the package, dunders included, is entered
-    when the program runs: every golden CLI run and every CLI case that CI
-    runs, and the three scripts.  Operators and names shared across classes
-    are invisible to the static rules above; a trace is not.  Only what the
-    benchmark alone calls is exempt, and it must be read in ``perfbench/``."""
-    data = ROOT / "tests" / "data"
-    argvs = [[str(data / a) if a.endswith(".json") else a for a in argv] for argv in PROGRAM_ARGV]
+    when the program runs: every row of the golden table and the three
+    scripts.  Operators and names shared across classes are invisible to the
+    static rules above; a trace is not.  Only what the benchmark alone calls
+    is exempt, and it must be read in ``perfbench/``."""
+    argvs = [resolve(argv) for argv in PROGRAM_ARGV]
     scripts = [[str(ROOT / "scripts" / argv[0]), *argv[1:]] for argv in SCRIPT_ARGV]
     package = SOURCES[0].parent.resolve()
     proc = subprocess.run(

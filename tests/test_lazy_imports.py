@@ -1,9 +1,11 @@
-"""The package and the CLI load library modules on demand, and no CLI path
+"""The package and the CLI load library modules on demand, no CLI path
 loads ``dataclasses`` (with ``inspect``, ``ast``, ``dis`` and ``tokenize``
-behind it).
+behind it), and neither the CLI's start nor its light subcommands load
+``typing`` or ``pathlib``.
 
 The import checks run in a fresh interpreter, because this test process has
-already imported every module.
+already imported every module, and under ``-S``, because a site ``.pth`` may
+import modules before the program starts.
 """
 
 import importlib
@@ -25,19 +27,20 @@ HEAVY = (
 
 
 def loaded_after(code: str) -> set:
-    """The ``thrallkit`` modules, and ``dataclasses`` if it is loaded, in a
-    fresh interpreter after ``code``."""
+    """The ``thrallkit`` modules, and ``dataclasses``, ``typing`` and
+    ``pathlib`` where loaded, in a fresh interpreter after ``code``."""
     script = (
         "import contextlib, io, json, sys\n"
         f"{code}\n"
         "print(json.dumps(sorted(\n"
-        "    m for m in sys.modules if m.split('.')[0] in ('thrallkit', 'dataclasses')\n"
+        "    m for m in sys.modules\n"
+        "    if m.split('.')[0] in ('thrallkit', 'dataclasses', 'typing', 'pathlib')\n"
         ")))\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env, check=True
     )
     return set(json.loads(proc.stdout.splitlines()[-1]))
 
@@ -47,7 +50,7 @@ def test_import_package_loads_no_submodule():
 
 
 def test_import_cli_loads_only_jsonio_and_words():
-    # and not dataclasses, which loaded_after would list
+    # and not dataclasses, typing or pathlib, which loaded_after would list
     assert loaded_after("import thrallkit.cli") == {
         "thrallkit", "thrallkit.cli", "thrallkit.jsonio", "thrallkit.words",
     }
@@ -79,7 +82,7 @@ def test_light_subcommands_leave_the_algebra_stack_unloaded(argv, code):
     )
     assert "thrallkit.cli" in loaded
     assert not loaded & {f"thrallkit.{name}" for name in HEAVY}
-    assert "dataclasses" not in loaded
+    assert not loaded & {"dataclasses", "typing", "pathlib"}
 
 
 @pytest.mark.parametrize(
