@@ -174,24 +174,35 @@ class LieElement:
 # truncated exponential and logarithm
 
 
-def _power_series(series: TensorSeries, coeffs: list[Fraction]) -> TensorSeries:
-    """The truncated power series sum_{n=0..K} coeffs[n] X^n on integer numerators.
+@cache
+def _horner_weights(k_max: int, log: bool) -> tuple[int, tuple[int, ...]]:
+    """The coefficients ``c_n``, n = 0..k_max, of exp (``1/n!``) or of log (0,
+    then ``(-1)^(n+1)/n``) as integers over one denominator, once per ``k_max``."""
+    if log:
+        scale = math.lcm(*range(1, k_max + 1))
+        return scale, (0, *((-1) ** (n + 1) * (scale // n) for n in range(1, k_max + 1)))
+    scale = math.factorial(k_max)
+    return scale, tuple(scale // math.factorial(n) for n in range(k_max + 1))
+
+
+def _power_series(series: TensorSeries, scale: int, weights: tuple[int, ...]) -> TensorSeries:
+    """The truncated power series sum_{n=0..K} c_n X^n on integer numerators,
+    for ``c_n = weights[n] / scale``.
 
     ``X`` is the series with level 0 dropped: level ``a = 1..K`` is
-    ``nums[a] / dens[a]``, the level's numerators and denominator.  With ``S``
-    the lcm of the coefficient denominators and ``s_n = S coeffs[n]``, the
-    sum is ``R_0 / S`` for the Horner recursion ``R_K = s_K``, ``R_j = s_j +
-    X (x) R_(j+1)``, where ``R_j`` is only needed up to level ``K - j``.
-    Level ``m`` of every ``R_j`` is held as integer numerators over
-    ``D_m = lcm_a D_(m-a) dens[a]`` (``D_0 = 1``), so each term ``X_a (x)
-    R_(m-a)`` is an integer outer product once ``X_a`` is scaled by ``D_m /
-    (D_(m-a) dens[a])``; each output level, sized by construction, is
-    handed to ``Tensor._built`` as its numerators over ``S D_m``.
+    ``nums[a] / dens[a]``, the level's numerators and denominator.  With ``S
+    = scale`` and ``s_n = weights[n]``, the sum is ``R_0 / S`` for the Horner
+    recursion ``R_K = s_K``, ``R_j = s_j + X (x) R_(j+1)``, where ``R_j`` is
+    only needed up to level ``K - j``.  Level ``m`` of every ``R_j`` is held
+    as integer numerators over ``D_m = lcm_a D_(m-a) dens[a]`` (``D_0 =
+    1``), so each term ``X_a (x) R_(m-a)`` is an integer outer product once
+    ``X_a`` is scaled by ``D_m / (D_(m-a) dens[a])``; each output level,
+    sized by construction, is handed to ``Tensor._built`` as its numerators
+    over ``S D_m``.
     """
     d, k_max = series.d, series.k_max
     nums = [level.nums for level in series.levels]
     dens = [level.den for level in series.levels]
-    scale, weights = linalg.integer_numerators(coeffs)
     # D_m of the docstring
     level_dens = [1]
     for m in range(1, k_max + 1):
@@ -232,8 +243,7 @@ def exp_truncated(series: TensorSeries) -> TensorSeries:
     """
     if not series.level(0).is_zero():
         raise ValueError("exp requires level 0 equal to 0")
-    coeffs = [Fraction(1, math.factorial(n)) for n in range(series.k_max + 1)]
-    return _power_series(series, coeffs)
+    return _power_series(series, *_horner_weights(series.k_max, log=False))
 
 
 def log_truncated(series: TensorSeries) -> TensorSeries:
@@ -244,8 +254,7 @@ def log_truncated(series: TensorSeries) -> TensorSeries:
     """
     if series.level(0) != Tensor.scalar(series.d, 1):
         raise ValueError("log requires level 0 equal to 1")
-    coeffs = [0] + [Fraction((-1) ** (n + 1), n) for n in range(1, series.k_max + 1)]
-    return _power_series(series, coeffs)
+    return _power_series(series, *_horner_weights(series.k_max, log=True))
 
 
 def phi_k(element: LieElement, k: int) -> Tensor:
@@ -396,6 +405,8 @@ def thrall_decompose(tensor: Tensor, method: str = "auto") -> dict[Partition, Te
     tensor as its one component, at the empty partition.  Where the answer's
     p(k) components of d^k entries pass SIGNATURE_ENTRIES_MAX in all, every
     route raises :class:`ResourceLimitError` before any partition is listed.
+    A zero tensor that passes both caps is its own p(k) components, and no
+    construction is built for it.
     """
     if method not in ("auto", "solve", "idempotent"):
         raise ValueError(f"unknown method {method!r}")
@@ -405,7 +416,11 @@ def thrall_decompose(tensor: Tensor, method: str = "auto") -> dict[Partition, Te
                                  f"than {SIGNATURE_ENTRIES_MAX} entries over its components")
     from . import group_algebra
 
-    if method == "solve" or (method == "auto" and tensor.k > group_algebra.K_MAX):
+    solve = method == "solve" or (method == "auto" and k > group_algebra.K_MAX)
+    if not any(tensor.nums) and (solve or k <= group_algebra.K_MAX):
+        # every projector maps zero to zero, so no construction is built
+        return dict.fromkeys(partitions(k), tensor)
+    if solve:
         return group_algebra.graded_projections(tensor, _solve_blocks)
     return group_algebra.graded_projections(tensor)
 

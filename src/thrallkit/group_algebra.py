@@ -30,11 +30,14 @@ p(k) graded projectors in :func:`graded_projections`, cached per
 construction and ``(d, k)``; one element in :func:`ga_act`), :func:`_pack`
 packs each column of a stack into one Python int, ``W`` bits a slot, and
 :func:`_pass` computes a block's outputs for every operator as one sum of
-``b`` big-int products, read back by one ``to_bytes`` and one
-``memoryview.cast``.  The slot width ``W`` (:func:`_slot_width`) is the
-smallest of 8, 16, 32 and 64 bits that holds ``bound * max|x|`` plus a sign
-bit, ``bound`` the stack's largest absolute row sum, so that every output
-fits its slot and at most four packings are cached per stack.  Where no
+``b`` big-int products.  Packing, the slot width and the read-back (one
+``to_bytes`` a block and one ``memoryview.cast`` in all) are the slot codec
+of :mod:`thrallkit.tensors`, which the Chen update of
+:mod:`thrallkit.shuffle_sig` shares.  The slot width ``W``
+(:func:`~thrallkit.tensors.slot_width`) is the smallest of 8, 16, 32 and 64
+bits that holds ``bound * max|x|`` plus a sign bit, ``bound`` the stack's
+largest absolute row sum, so that every output fits its slot and at most
+four packings are cached per stack.  Where no
 such slot holds the outputs (closed-form projector inputs of more than 54
 bits), :func:`_apply_stacked` takes one dot product per row: a Python int
 is already a run of packed 30-bit digits, and wider slots would cost memory
@@ -52,15 +55,13 @@ import functools
 import itertools
 import math
 import operator
-import sys
-from array import array
 from fractions import Fraction
 from types import MappingProxyType
 from typing import NamedTuple
 
 from . import linalg
 from .permutations import Perm, all_permutations, compose, cycle_type, inverse, sign
-from .tensors import Tensor, weight_patterns
+from .tensors import Tensor, pack_slots, read_slots, slot_bytes, slot_mask, slot_width, weight_patterns
 from .words import (
     Partition,
     ResourceLimitError,
@@ -244,55 +245,32 @@ def _stack(operators) -> _Stack:
     return _Stack(p, bound, _getter(gather), _getter(scatter), shapes)
 
 
-def _slot_width(bound: int, values) -> int:
-    """The smallest power of two, at least 8, that holds ``bound * max|x|``
-    plus a sign bit: every output of a stacked matrix whose absolute row
-    sums are at most ``bound``, and every entry of that matrix."""
-    need = (bound * (max(map(abs, values)) or 1)).bit_length() + 1
-    return max(8, 1 << (need - 1).bit_length())
-
-
-# The signed C types of 8, 16, 32 and 64 bits, by width: array and
-# memoryview.cast read and write slots of these widths at C level.
-_SLOT_CODES = {array(code).itemsize * 8: code for code in "bhilq"}
-
-
 def _pack(stack: _Stack, width: int):
-    """The stacked columns packed into one int each, ``width`` bits a slot
-    (8 to 64).
-
-    Slot ``r`` holds row ``r`` (bits ``r * width`` up on a little-endian
-    machine; bytes are in native order, as ``memoryview.cast`` reads them).
-    ``array`` writes the slots as two's complement bytes at C level, and
-    ``(x ^ mask) - mask``, with ``mask`` the top bit of every slot, turns
-    those bytes into the signed sum over the slots.  Returns ``(columns,
-    mask, size, count)`` per shape, ``size`` the byte length of its packed
-    outputs and ``count`` its number of blocks.
-    """
-    p, code, step = stack.layers, _SLOT_CODES[width], width // 8
-    top = (1 << (width - 1)).to_bytes(step, sys.byteorder)
+    """The stacked columns packed into one int each by
+    :func:`~thrallkit.tensors.pack_slots`, ``width`` bits a slot (8 to 64),
+    slot ``r`` holding row ``r``.  Returns ``(columns, mask, count)`` per
+    shape, ``mask`` the sign bits of its outputs' slots and ``count`` its
+    number of blocks."""
     packed = []
     for columns, count in stack.shapes:
-        mask = int.from_bytes(top * (p * len(columns)), sys.byteorder)
-        raws = (array(code, column).tobytes() for column in columns)
-        ints = [(int.from_bytes(raw, sys.byteorder) ^ mask) - mask for raw in raws]
-        packed.append((ints, mask, step * p * len(columns), count))
+        mask = slot_mask(width, stack.layers * len(columns))
+        packed.append(([pack_slots(column, width, mask) for column in columns], mask, count))
     return packed
 
 
-def _pass(packed, width: int, xs) -> bytes:
+def _pass(packed, xs) -> bytes:
     """The packed kernel over ``xs``, the inputs in the gather order of a
-    stack, with ``packed`` that stack packed at ``width``: adding and then
-    xoring a shape's ``mask`` leaves each slot of a block's sum holding its
-    output in two's complement, as native-order bytes."""
+    stack, with ``packed`` that stack packed by :func:`_pack`: each block's
+    outputs are one sum of products, read out by
+    :func:`~thrallkit.tensors.slot_bytes`."""
     raws, start = [], 0
-    for columns, mask, size, count in packed:
+    for columns, mask, count in packed:
         b = len(columns)
         for _ in range(count):
             local = xs[start : start + b]
             start += b
             total = sum(map(operator.mul, local, columns)) if any(local) else 0
-            raws.append(((total + mask) ^ mask).to_bytes(size, sys.byteorder))
+            raws.append(slot_bytes(total, mask))
     return b"".join(raws)
 
 
@@ -302,9 +280,10 @@ def _apply_stacked(stack: _Stack, pack, values) -> list[list[int]]:
     :func:`_pass` where a slot of at most 64 bits holds ``bound * max|x|``,
     else one dot product per row (see the module docstring)."""
     xs = stack.gather(values)
-    width = _slot_width(stack.bound, xs)
+    # every output, and every entry of the stack, is at most bound * max|x|
+    width = slot_width((stack.bound * (max(map(abs, xs)) or 1)).bit_length() + 1)
     if width <= 64:
-        flat = memoryview(_pass(pack(width), width, xs)).cast(_SLOT_CODES[width]).tolist()
+        flat = read_slots(_pass(pack(width), xs), width)
     else:
         flat, start = [], 0
         for columns, count in stack.shapes:

@@ -7,7 +7,9 @@ multiplies the series (Chen's identity).
 
 :func:`signature` runs Chen's identity on integer numerators over ``m! q^m``
 (``q`` the lcm of the vertex denominators), each run of parallel increments
-as one segment, on levels packed into one Python int each.  One path object
+as one segment, on levels packed into one Python int each by the slot codec
+of :mod:`thrallkit.tensors`, which the slot action of
+:mod:`thrallkit.group_algebra` shares.  One path object
 shares one update, which :func:`signature`, :func:`log_signature` (the
 integer log kernel of :mod:`thrallkit.free_lie`) and the straight-line
 criteria of :func:`thrallkit.rank_variety.fls_check` read, so no reader
@@ -23,11 +25,13 @@ back-substitution of :mod:`thrallkit.free_lie` decides (see its docstring).
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
-from operator import sub
+from itertools import accumulate, combinations, compress
+from operator import itemgetter, mul, sub
 from types import MappingProxyType
 
-from .tensors import Tensor, TensorSeries, check_entries
+from .tensors import Tensor, TensorSeries, check_entries, read_slots, slot_bytes, slot_mask, slot_width
 from .words import Word, value_type
 
 
@@ -200,11 +204,31 @@ class PiecewiseLinearPath:
         return PiecewiseLinearPath(len(pts[0]) if pts else 0, pts)
 
 
+def _runs(diffs, d: int) -> list[tuple[int, ...]]:
+    """The sums of the runs of consecutive parallel steps, each ``d`` values
+    of ``diffs``, with zero steps and runs that sum to zero dropped; every
+    loop runs at C level.  Nonzero steps ``u`` and ``v`` are parallel iff
+    every 2x2 minor ``u_i v_j - u_j v_i`` is zero, so a run breaks between
+    consecutive steps with a nonzero minor, and it sums as a difference of
+    prefix sums of the coordinate columns.  Runs on either side of a dropped
+    one may be parallel; applied one after the other they commute, as any
+    parallel segments do, so the signature is the same."""
+    steps = list(filter(any, zip(*[iter(diffs)] * d)))
+    if not steps:
+        return []
+    columns = list(zip(*steps))
+    minors = [map(sub, map(mul, a[:-1], b[1:]), map(mul, b[:-1], a[1:]))
+              for a, b in combinations(columns, 2)]
+    at = itemgetter(0, *compress(range(1, len(steps)), map(any, zip(*minors))), len(steps))
+    ends = [at(list(accumulate(column, initial=0))) for column in columns]
+    return list(filter(any, zip(*(map(sub, e[1:], e[:-1]) for e in ends))))
+
+
 def _chen_numerators(path: PiecewiseLinearPath, k_max: int):
     """The signature levels as numerators ``N_m`` and their denominators
     ``m! q^m``; see :func:`signature`.  Coordinates are read as integer
-    ratios (no rescale at ``q = 1``), runs from one flat list of differences,
-    and each run lists its nonzero letters once, against per-call tables."""
+    ratios (no rescale at ``q = 1``), the runs by :func:`_runs`, and each
+    run lists its nonzero letters once, against per-call tables."""
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     d = path.d
@@ -213,28 +237,14 @@ def _chen_numerators(path: PiecewiseLinearPath, k_max: int):
     q = math.lcm(*(b for _, b in ratios))
     dens = [math.factorial(m) * q**m for m in range(k_max + 1)]
     flat = [a for a, _ in ratios] if q == 1 else [a * (q // b) for a, b in ratios]
-    diffs = list(map(int.__sub__, flat[d:], flat[:-d]))
-    runs: list[list[int]] = []
-    for s in range(0, len(diffs), d):
-        u = diffs[s : s + d]
-        i = next((i for i, x in enumerate(u) if x), None)
-        if i is None:
-            continue
-        # u_i != 0, so the last run r is parallel to u iff r_l u_i = u_l r_i;
-        # a run that cancels is dropped, and the next step may join the one before
-        if runs and all(x * u[i] == y * runs[-1][i] for x, y in zip(runs[-1], u)):
-            runs[-1] = list(map(int.__add__, runs[-1], u))
-            if not any(runs[-1]):
-                runs.pop()
-        else:
-            runs.append(u)
+    runs = _runs(map(int.__sub__, flat[d:], flat[:-d]), d)
     if not runs:
         return [[1]] + [[0] * d**m for m in range(1, k_max + 1)], dens
     # slot bound: |N_m(w)| = m! q^m |S_m(w)| <= V^m < 2^(B - 1) for V the sum over
     # runs of max_l |u_l|, as entrywise |exp(u / q)| <= exp(max_l |u_l| / q) times
-    # the all-ones tensor; so each final N_m(w) + 2^(B - 1) fits its B-bit slot
+    # the all-ones tensor; so each final N_m(w) fits its B-bit slot
     V = sum(max(map(abs, u)) for u in runs)
-    B = -(-(k_max * (V.bit_length() + 1) + 2) // 8) * 8
+    B = slot_width(k_max * (V.bit_length() + 1) + 2)
     # u (x) X, for X of level j, is the sum of u_l X << shifts[j][l] over the letters l
     shifts = [[l * d**j * B for l in range(d)] for j in range(k_max)]
     # only earlier runs read binomials, and a path at d = 1 has one run at most
@@ -253,11 +263,10 @@ def _chen_numerators(path: PiecewiseLinearPath, k_max: int):
                     new += x * acc << shift[l]
                 acc = new
             packed[m] = acc
-    b, half, nums = B // 8, 1 << (B - 1), [[1]]
-    for m in range(1, k_max + 1):
-        bias = int.from_bytes((bytes(b - 1) + b"\x80") * d**m, "little")
-        raw = (packed[m] + bias).to_bytes(d**m * b, "little")
-        nums.append([int.from_bytes(raw[i : i + b], "little") - half for i in range(0, len(raw), b)])
+    nums = [read_slots(slot_bytes(packed[m], slot_mask(B, d**m)), B) for m in range(k_max + 1)]
+    if sys.byteorder == "big":
+        # memory order is slot order reversed there
+        nums = [level[::-1] for level in nums]
     return nums, dens
 
 
@@ -277,10 +286,13 @@ def signature(path: PiecewiseLinearPath, k_max: int) -> TensorSeries:
     N_j`` for ``j = 1..m``.  Each level is packed into one int, ``sum_i
     N_m[i] 2^(B i)`` in index order (first letter most significant), so
     ``u (x) acc`` at level ``j`` is ``sum_l (u_l acc) << (l d^j B)``.
-    Packing is linear, so it is exact; each level is unpacked once, at the
-    end, and a slot of ``B = k_max (bit_length(V) + 1) + 2`` bits, rounded
-    up to bytes, holds every final ``|N_m(w)| <= V^m``, for ``V`` the sum
-    over the runs of ``max_l |u_l|``.
+    Packing is linear, so it is exact.  Every final ``|N_m(w)| <= V^m``, for
+    ``V`` the sum over the runs of ``max_l |u_l|``, fits ``k_max
+    (bit_length(V) + 1) + 2`` bits, and the slot ``B`` is that need as
+    :func:`~thrallkit.tensors.slot_width` of the shared slot codec rounds
+    it: 8, 16, 32 or 64 bits, else whole bytes.  Each level is read out once,
+    at the end, by :func:`~thrallkit.tensors.read_slots`: one
+    ``memoryview.cast``, or one ``int.from_bytes`` a slot above 64 bits.
 
     Each level hands ``N_m`` over ``m! q^m``, sized by construction, to
     ``Tensor._built``, which reduces it to lowest terms.  The update runs

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
+from array import array
 from fractions import Fraction
 from functools import cache, cached_property, reduce
 from operator import floordiv
@@ -262,3 +264,52 @@ def symmetrize(tensor: Tensor) -> Tensor:
         for i in block:
             nums[i] = total
     return Tensor(d, k, nums, tensor.den * n)
+
+
+# ---------------------------------------------------------------------------
+# the slot codec of both packed kernels, the slot action of
+# thrallkit.group_algebra and the Chen update of thrallkit.shuffle_sig:
+# signed integers packed into one Python int, ``width`` bits a slot
+
+# The signed C types of 8, 16, 32 and 64 bits, by width: array and
+# memoryview.cast read and write slots of these widths at C level.
+_SLOT_CODES = {array(code).itemsize * 8: code for code in "bhilq"}
+
+
+def slot_width(bits: int) -> int:
+    """The slot for signed values of ``bits`` bits, sign included: 8, 16, 32
+    or 64 bits, which ``array`` and ``memoryview.cast`` read at C level, else
+    whole bytes."""
+    return max(8, 1 << (bits - 1).bit_length()) if bits <= 64 else -(-bits // 8) * 8
+
+
+def slot_mask(width: int, count: int) -> int:
+    """The top bit of each of ``count`` slots of ``width`` bits."""
+    top = (1 << (width - 1)).to_bytes(width // 8, sys.byteorder)
+    return int.from_bytes(top * count, sys.byteorder)
+
+
+def pack_slots(values, width: int, mask: int) -> int:
+    """``values``, each fitting a slot of 8 to 64 bits, as one signed int:
+    ``array`` writes two's complement slots in native byte order, and
+    ``(x ^ mask) - mask`` makes them the signed sum over the slots."""
+    raw = array(_SLOT_CODES[width], values).tobytes()
+    return (int.from_bytes(raw, sys.byteorder) ^ mask) - mask
+
+
+def slot_bytes(total: int, mask: int) -> bytes:
+    """The slots of a sum of packed ints, each slot's value fitting it, as
+    two's complement in native byte order: adding ``mask`` first keeps each
+    slot's borrow out of the next.  ``mask`` has ``count * width`` bits."""
+    return ((total + mask) ^ mask).to_bytes(mask.bit_length() // 8, sys.byteorder)
+
+
+def read_slots(raw: bytes, width: int) -> list[int]:
+    """The signed slots of :func:`slot_bytes`, in memory order (slot order on
+    a little-endian machine): one ``memoryview.cast`` up to 64 bits, else
+    one ``int.from_bytes`` a slot."""
+    if width in _SLOT_CODES:
+        return memoryview(raw).cast(_SLOT_CODES[width]).tolist()
+    step = width // 8
+    return [int.from_bytes(raw[i : i + step], sys.byteorder, signed=True)
+            for i in range(0, len(raw), step)]

@@ -72,6 +72,8 @@ ROWS = [(argv.split(), golden, code) for argv, golden, code in [
     ("decompose --tensor malformed_tensor.json", EMPTY, 2),
     # p(2000) one-entry components at d = 1, refused before any is listed
     ("decompose --tensor tensor_d1_k2000.json", EMPTY, 3),
+    # the zero tensor is its own p(7) components: no projector is built
+    ("decompose --tensor tensor_d3_k7_zero.json", "decompose_d3_k7_zero.out", 0),
     ("invariants --d 2 --ell 2", "invariants_d2_ell2.out", 0),
     ("invariants --d 5 --ell 1", "invariants_d5_ell1.out", 0),
     # a memoized table in which two of three pieces are empty

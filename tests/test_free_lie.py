@@ -25,7 +25,7 @@ from thrallkit.free_lie import (
     standard_factorization,
     thrall_decompose,
 )
-from thrallkit.group_algebra import higher_lie_idempotent
+from thrallkit.group_algebra import K_MAX, higher_lie_idempotent
 from thrallkit.symfun import w_module_dim
 from thrallkit.tensors import (
     Tensor,
@@ -502,6 +502,30 @@ def test_auto_above_the_cap_never_builds_the_closed_form(monkeypatch):
     monkeypatch.setattr(group_algebra, "_projector_family", fail)
     t = random_tensor(2, 6, Random(62))
     assert thrall_decompose(t, "auto") == thrall_decompose(t, "solve")
+
+
+@pytest.mark.parametrize("d, k", [(2, 11), (3, 4), (1, 7)])
+def test_zero_tensor_builds_no_construction(monkeypatch, d, k):
+    # every projector maps zero to zero: at (2, 11) building the solve takes
+    # over a minute, and the p(11) = 56 zero components need none of it
+    def fail(*args):
+        raise AssertionError("built a construction for the zero tensor")
+
+    monkeypatch.setattr(group_algebra, "graded_projections", fail)
+    zero = Tensor(d, k, [0] * d**k)
+    for method in ("auto", "solve", "idempotent"):
+        if method == "idempotent" and k > K_MAX:
+            continue
+        parts = thrall_decompose(zero, method)
+        assert list(parts) == list(partitions(k)) and set(parts.values()) == {zero}
+    # the route cap and the answer guard still come first
+    monkeypatch.undo()
+    if k > K_MAX:
+        with pytest.raises(ResourceLimitError, match="degree cap"):
+            thrall_decompose(zero, "idempotent")
+    monkeypatch.setattr(free_lie, "SIGNATURE_ENTRIES_MAX", len(partitions(k)) * d**k - 1)
+    with pytest.raises(ResourceLimitError, match="components"):
+        thrall_decompose(zero, "auto")
 
 
 @pytest.mark.parametrize("method", ["auto", "solve", "idempotent"])

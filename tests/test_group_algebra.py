@@ -36,7 +36,7 @@ from thrallkit.reference_suite import (
     _element,
 )
 from thrallkit.symfun import thrall_coefficients
-from thrallkit.tensors import Tensor, symmetrize
+from thrallkit.tensors import Tensor, read_slots, slot_width, symmetrize
 from thrallkit.words import YoungTableau, partitions, schur_dim
 
 from oracles import (
@@ -332,9 +332,11 @@ def test_packed_kernel_matches_plain_dot_products(case):
 @pytest.mark.parametrize("width", [8, 16, 32, 64, 128])
 def test_packed_kernel_at_the_slot_limits(width):
     top = 2 ** (width - 1)
-    # outputs up to 2^(W-1) - 1 in size fit W bits; 2^(W-1) takes the next width
-    for x, w in ((top - 1, width), (1 - top, width), (top, 2 * width), (-top, 2 * width)):
-        assert group_algebra._slot_width(1, [x]) == w
+    # outputs up to 2^(W-1) - 1 in size fit W bits; 2^(W-1) takes the next
+    # width, whole bytes above 64 bits
+    wider = 2 * width if width < 64 else width + 8
+    for x, w in ((top - 1, width), (1 - top, width), (top, wider), (-top, wider)):
+        assert slot_width(abs(x).bit_length() + 1) == w
     # neighbouring slots of opposite signs, at the limit of their width
     plus, minus = {(1,): (((1,),), [(0,)])}, {(1,): (((-1,),), [(0,)])}
     for x in (top - 1, 1 - top, top, -top, 0):
@@ -346,8 +348,7 @@ def test_packed_kernel_at_the_slot_limits(width):
         # the most negative slot value fits W bits in two's complement
         stack = group_algebra._stack([plus])
         packed = group_algebra._pack(stack, width)
-        raw = group_algebra._pass(packed, width, [-top])
-        assert list(memoryview(raw).cast(group_algebra._SLOT_CODES[width])) == [-top]
+        assert read_slots(group_algebra._pass(packed, [-top]), width) == [-top]
 
 
 def test_packed_kernel_on_zero_and_one_place_blocks():

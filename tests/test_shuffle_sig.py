@@ -326,8 +326,29 @@ def diagonal(d: int, steps) -> PiecewiseLinearPath:
 @example(diagonal(1, [2**8]), 12)  # V = 256, one past a bit-length boundary
 @example(diagonal(2, [2**8]), 0)
 @example(PiecewiseLinearPath.from_lists([[1, 2], [3, 0], [1, 2], [1, 2]]), 4)  # a run that cancels
-# the run (0, 1) cancels, and the step (1, 0) after it joins the run (1, 0) before it
+# the run (0, 1) cancels, and the parallel runs (1, 0) around it apply one after the other
 @example(PiecewiseLinearPath.from_lists([[0, 0], [1, 0], [1, 1], [1, 0], [2, 0]]), 5)
+# the steps (0, 1, 0) and (0, 0, 1) are told apart by their last 2x2 minor alone
+@example(PiecewiseLinearPath.from_lists([[0, 0, 0], [0, 1, 0], [0, 1, 1], [2, 1, 1]]), 4)
+# the slot need k_max (bit_length(V) + 1) + 2 at and just above 8, 16, 32 and
+# 64 bits, which picks the next slot width, at d = 2 and 3; then 112 bits
+@example(diagonal(2, [31]), 1)  # need 8
+@example(diagonal(3, [3]), 2)  # 8
+@example(diagonal(2, [32]), 1)  # 9
+@example(diagonal(3, [4]), 2)  # 10
+@example(diagonal(2, [63]), 2)  # 16
+@example(diagonal(3, [63]), 2)  # 16
+@example(diagonal(2, [15]), 3)  # 17
+@example(diagonal(3, [3]), 5)  # 17
+@example(diagonal(2, [511]), 3)  # 32
+@example(diagonal(3, [31]), 5)  # 32
+@example(diagonal(2, [127]), 4)  # 34
+@example(diagonal(3, [2**29]), 1)  # 33
+@example(diagonal(2, [2**29, 2**29 - 1]), 2)  # 64
+@example(diagonal(3, [2**30 - 1]), 2)  # 64
+@example(diagonal(2, [2**20 - 1]), 3)  # 65
+@example(diagonal(3, [2**30]), 2)  # 66
+@example(diagonal(2, [2**20, 5]), 5)  # 112: one from_bytes a slot
 def test_chen_numerators_match_the_list_update(path, k_max):
     assert shuffle_sig._chen_numerators(path, k_max) == chen_numerators_reference(path, k_max)
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 from fractions import Fraction
 from random import Random
 
@@ -14,6 +15,11 @@ from thrallkit.tensors import (
     Tensor,
     TensorSeries,
     is_symmetric,
+    pack_slots,
+    read_slots,
+    slot_bytes,
+    slot_mask,
+    slot_width,
     symmetrize,
     tensor_product,
     weight_patterns,
@@ -340,3 +346,24 @@ def test_weight_patterns_relabel_each_shape_from_its_first_block(d, k):
     assert [group[0][0] for group in shapes.values()] == sorted(
         group[0][0] for group in shapes.values()
     )
+
+
+@pytest.mark.parametrize("width", [8, 16, 32, 64, 136])
+@given(st.data())
+def test_slot_codec_round_trips_signed_values(width, data):
+    top = 2 ** (width - 1) - 1
+    # random signed values that fit the slot, and its edges
+    values = data.draw(st.lists(st.integers(-top - 1, top), max_size=8)) + [top, -top, -top - 1, 0]
+    assert slot_width(width) == width
+    mask = slot_mask(width, len(values))
+    # memory order is slot order on a little-endian machine
+    in_memory = values if sys.byteorder == "little" else values[::-1]
+    # packed by shifts, as the Chen update packs: slot i at bits width * i up
+    total = sum(x << width * i for i, x in enumerate(values))
+    assert read_slots(slot_bytes(total, mask), width) == in_memory
+    # a sum of packed ints reads as the slotwise sum while every slot fits
+    halves = sum(x // 2 << width * i for i, x in enumerate(values))
+    assert read_slots(slot_bytes(halves + halves, mask), width) == [x // 2 * 2 for x in in_memory]
+    if width <= 64:
+        # packed by array in memory order, as the slot action packs
+        assert read_slots(slot_bytes(pack_slots(values, width, mask), mask), width) == values
