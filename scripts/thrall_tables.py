@@ -5,8 +5,8 @@ Usage: python scripts/thrall_tables.py [--max-k 6] [--d 3]
 
 import argparse
 
-from thrallkit.symfun import thrall_coefficients, w_module_dim
-from thrallkit.words import lie_dim, num_standard, partitions, schur_dim
+from thrallkit.symfun import thrall_coefficients
+from thrallkit.words import lie_dim, num_standard, partitions, schur_dim, w_module_dim
 
 
 def main() -> None:

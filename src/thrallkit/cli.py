@@ -22,6 +22,7 @@ from .words import (
     num_standard,
     partitions,
     schur_dim,
+    w_module_dim,
     word_to_string,
 )
 
@@ -73,8 +74,6 @@ def _read(path: str, what: str, parse):
 
 
 def cmd_dims(args) -> int:
-    from .symfun import w_module_dim
-
     d, k = args.d, args.k
     payload = {
         "d": d,
@@ -302,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
         "decompositions, projectors, invariants and rank diagnostics.",
     )
     parser.add_argument("--format", choices=["json", "text"], default="json")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     p = sub.add_parser("dims", help="dimension tables")
     p.add_argument("--d", type=int, required=True)

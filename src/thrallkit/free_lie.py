@@ -118,7 +118,7 @@ class LieElement:
     the constructor checks each word and drops zeros, and keeps them as a
     read-only mapping.  Builders whose words are Lyndon by construction
     (:func:`lie_bracket`, :func:`random_lie_element`) skip the checks
-    through :meth:`_built`.
+    through ``_built`` (see :func:`~thrallkit.words.value_type`).
     """
 
     d: int
@@ -138,15 +138,11 @@ class LieElement:
             c = Fraction(c)
             if c != 0:
                 cleaned[word] = c
-        self.__dict__.update(d=d, k_max=k_max, coeffs=MappingProxyType(cleaned))
+        self._reduce(d, k_max, cleaned)
 
-    @classmethod
-    def _built(cls, d: int, k_max: int, coeffs: dict[Word, Fraction]) -> "LieElement":
-        """Nonzero Fractions at Lyndon words of length 1..k_max over {1..d}
-        by construction: kept as given, unchecked."""
-        out = object.__new__(cls)
-        out.__dict__.update(d=d, k_max=k_max, coeffs=MappingProxyType(coeffs))
-        return out
+    def _reduce(self, d: int, k_max: int, coeffs: dict[Word, Fraction]) -> None:
+        """Write the fields, ``coeffs`` read-only."""
+        self.__dict__.update(d=d, k_max=k_max, coeffs=MappingProxyType(coeffs))
 
     def _terms(self, k: int) -> tuple[int, dict[int, int]]:
         """The degree-k part: bracket expansions summed on integer numerators

@@ -70,6 +70,7 @@ from .words import (
     check_partition,
     distinct_orderings,
     partitions,
+    reduced_mapping,
     value_type,
 )
 
@@ -93,10 +94,10 @@ class GroupAlgebraElement:
     ``GroupAlgebraElement(k, terms)`` reads rationals and ``(k, nums, den)``
     integers over ``den >= 1``; both are checked and reduced to lowest terms
     (zero has ``den == 1``), so equal elements have equal fields.  Builders
-    whose keys are permutations by construction go through :meth:`_built`,
-    which reduces but checks no key.  ``nums`` and the Fractions
-    :attr:`terms` (permutation -> Fraction, built on first read) are
-    read-only mappings, so an element that a cache hands out cannot change.
+    whose keys are permutations by construction go through ``_built`` (see
+    :func:`~thrallkit.words.value_type`), which reduces but checks no key.
+    ``nums`` and the Fractions :attr:`terms` (permutation -> Fraction, built
+    on first read) are read-only mappings, so a cached element cannot change.
     """
 
     k: int
@@ -115,20 +116,10 @@ class GroupAlgebraElement:
                 raise ValueError(f"{perm} is not a permutation of 0..{k - 1}")
         self._reduce(k, {tuple(p): n for p, n in nums.items()}, den)
 
-    @classmethod
-    def _built(cls, k: int, nums: dict[Perm, int], den: int) -> "GroupAlgebraElement":
-        """Integers over ``den >= 1`` at permutation tuples of 0..k-1 by
-        construction: reduced, unchecked."""
-        out = object.__new__(cls)
-        out._reduce(k, nums, den)
-        return out
-
     def _reduce(self, k: int, nums: dict[Perm, int], den: int) -> None:
-        """Write the fields, ``nums`` and ``den`` divided by their gcd, zeros dropped."""
-        # math.gcd also rejects numerators that are not integers
-        g = math.gcd(den, *nums.values())
-        nums = MappingProxyType({p: n // g for p, n in nums.items() if n})
-        self.__dict__.update(k=k, nums=nums, den=den // g)
+        """Write the fields, ``nums`` and ``den`` in lowest terms."""
+        nums, den = reduced_mapping(nums, den)
+        self.__dict__.update(k=k, nums=nums, den=den)
 
     @functools.cached_property
     def terms(self) -> MappingProxyType[Perm, Fraction]:
@@ -174,8 +165,7 @@ def ga_act(x: GroupAlgebraElement, tensor: Tensor) -> Tensor:
     """
     if x.k != tensor.k:
         raise ValueError(f"degree mismatch: element {x.k}, tensor order {tensor.k}")
-    stack = _stack([_block_operator(x, tensor.d)])
-    [nums] = _apply_stacked(stack, functools.partial(_pack, stack), tensor.nums)
+    [nums] = _apply_stacked(_stack([_block_operator(x, tensor.d)]), tensor.nums)
     return Tensor._built(tensor.d, tensor.k, nums, x.den * tensor.den)
 
 
@@ -221,13 +211,15 @@ class _Stack(NamedTuple):
     operator ``j``.  ``bound`` is the largest absolute row sum, ``gather``
     an itemgetter of the inputs block by block in shape order, each block in
     its own order of places, ``scatter`` one of the stacked outputs layer by
-    layer, and ``shapes`` each shape's stacked columns with its block count."""
+    layer, ``shapes`` each shape's stacked columns with its block count, and
+    ``packed`` its :func:`_pack` per slot width, each filled on first use."""
 
     layers: int
     bound: int
     gather: operator.itemgetter
     scatter: operator.itemgetter
     shapes: list[tuple[tuple[tuple[int, ...], ...], int]]
+    packed: dict[int, list]
 
 
 def _stack(operators) -> _Stack:
@@ -242,7 +234,7 @@ def _stack(operators) -> _Stack:
         gather.extend(itertools.chain.from_iterable(blocks))
     inverse = sorted(range(len(gather)), key=gather.__getitem__)
     scatter = [g * p + j for j in range(p) for g in inverse]
-    return _Stack(p, bound, _getter(gather), _getter(scatter), shapes)
+    return _Stack(p, bound, _getter(gather), _getter(scatter), shapes, {})
 
 
 def _pack(stack: _Stack, width: int):
@@ -274,16 +266,19 @@ def _pass(packed, xs) -> bytes:
     return b"".join(raws)
 
 
-def _apply_stacked(stack: _Stack, pack, values) -> list[list[int]]:
+def _apply_stacked(stack: _Stack, values) -> list[list[int]]:
     """Each operator of a stack applied to the integer numerators
-    ``values``, with ``pack(width)`` the stack packed by :func:`_pack`: one
-    :func:`_pass` where a slot of at most 64 bits holds ``bound * max|x|``,
-    else one dot product per row (see the module docstring)."""
+    ``values``: one :func:`_pass` where a slot of at most 64 bits holds
+    ``bound * max|x|``, else one dot product per row (see the module
+    docstring)."""
     xs = stack.gather(values)
     # every output, and every entry of the stack, is at most bound * max|x|
     width = slot_width((stack.bound * (max(map(abs, xs)) or 1)).bit_length() + 1)
     if width <= 64:
-        flat = read_slots(_pass(pack(width), xs), width)
+        packed = stack.packed.get(width)
+        if packed is None:
+            packed = stack.packed[width] = _pack(stack, width)
+        flat = read_slots(_pass(packed, xs), width)
     else:
         flat, start = [], 0
         for columns, count in stack.shapes:
@@ -317,14 +312,6 @@ def _projector_stack(construction, d: int, k: int) -> _Stack:
     return _stack([groups for _, _, groups in construction(d, k)])
 
 
-@functools.cache
-def _projector_packed(construction, d: int, k: int, width: int):
-    """:func:`_projector_stack` packed at one of the slot widths of
-    :func:`_apply_stacked`, 8, 16, 32 or 64 bits: at most four per
-    construction and ``(d, k)``, whatever the size of the inputs."""
-    return _pack(_projector_stack(construction, d, k), width)
-
-
 def graded_projections(tensor: Tensor, construction=_projector_blocks) -> dict[Partition, Tensor]:
     """The graded components of a tensor, one per partition lam of k.
 
@@ -340,9 +327,8 @@ def graded_projections(tensor: Tensor, construction=_projector_blocks) -> dict[P
     order-0 tensor is its own component at the empty partition."""
     if tensor.k == 0:
         return {(): tensor}
-    d, k, nums = tensor.d, tensor.k, tensor.nums
-    pack = functools.partial(_projector_packed, construction, d, k)
-    outputs = _apply_stacked(_projector_stack(construction, d, k), pack, nums)
+    d, k = tensor.d, tensor.k
+    outputs = _apply_stacked(_projector_stack(construction, d, k), tensor.nums)
     return {
         lam: Tensor._built(d, k, out, den * tensor.den)
         for (lam, den, _), out in zip(construction(d, k), outputs)

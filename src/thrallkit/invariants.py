@@ -24,14 +24,10 @@ from .words import Partition, Word, distinct_orderings, standard_tableaux, word_
 
 
 def _column_sign(letters: Word) -> int:
-    """Determinant of the basis vectors e_letters: a sign, or 0 on a repeat."""
-    inversions = 0
-    for i, a in enumerate(letters):
-        for b in letters[i + 1 :]:
-            if a == b:
-                return 0
-            inversions += a > b
-    return -1 if inversions % 2 else 1
+    """Determinant of the basis vectors e_letters: the sign that sorts them, or 0 on a repeat."""
+    if len(set(letters)) < len(letters):
+        return 0
+    return sign(tuple(sorted(range(len(letters)), key=letters.__getitem__)))
 
 
 def _polytabloid_rows(d: int, ell: int) -> tuple[list[Word], list[list[int]]]:

@@ -12,13 +12,12 @@ field.
 from __future__ import annotations
 
 import sys
-from fractions import Fraction
 
 from .words import Partition, Word, check_partition, word_from_string, word_to_string
 
-# The model classes are imported where a parser builds one, so that the CLI
-# loads only the modules of the subcommand that runs; the annotations that
-# name them are strings, never evaluated.
+# The model classes, and Fraction, are imported where a parser builds one,
+# so that the CLI loads only the modules of the subcommand that runs; the
+# annotations that name them are strings, never evaluated.
 
 
 class FormatError(ValueError):
@@ -45,11 +44,13 @@ def check_wire_dimension(d: int, field: str) -> int:
 
 
 def format_fraction(x: Fraction) -> str:
-    x = Fraction(x)
+    """A Fraction or an int as ``"p/q"``, or ``"p"`` when whole."""
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def _parse_fraction(text, field: str) -> Fraction:
+    from fractions import Fraction
+
     # a JSON boolean arrives as a bool, which is also an int
     if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)

@@ -336,13 +336,8 @@ def log_signature(path: PiecewiseLinearPath, k_max: int) -> TensorSeries:
 
 
 def levy_area(series: TensorSeries) -> Fraction:
-    """The planar invariant (T_12 - T_21) / 2."""
-    if series.d != 2:
-        raise ValueError("defined for d = 2 only")
-    if series.k_max < 2:
-        raise ValueError("needs k_max >= 2")
-    level = series.level(2)
-    return (level[(1, 2)] - level[(2, 1)]) / 2
+    """The planar invariant (T_12 - T_21) / 2, :func:`levy_functional`'s value."""
+    return levy_functional().evaluate(series)
 
 
 def levy_functional() -> WordFunctional:

@@ -19,11 +19,10 @@ from .words import (
     Partition,
     check_partition,
     divisors,
-    lie_dim,
     moebius,
-    multichoose,
     multiplicity_profile,
     partitions,
+    reduced_mapping,
     value_type,
 )
 
@@ -51,20 +50,10 @@ class SymFun:
                 raise ValueError(f"{rho} is not a partition of {degree}")
         self._reduce(degree, {tuple(r): n for r, n in nums.items()}, den)
 
-    @classmethod
-    def _built(cls, degree: int, nums: dict[Partition, int], den: int) -> "SymFun":
-        """``nums / den`` for keys that are partitions of ``degree`` by
-        construction: reduced as the constructor reduces, no key checked."""
-        out = object.__new__(cls)
-        out._reduce(degree, nums, den)
-        return out
-
     def _reduce(self, degree: int, nums: dict[Partition, int], den: int) -> None:
-        """Write the fields, ``nums`` and ``den`` divided by their gcd, zeros dropped."""
-        # math.gcd also rejects numerators that are not integers
-        g = math.gcd(den, *nums.values())
-        nums = MappingProxyType({r: n // g for r, n in nums.items() if n})
-        self.__dict__.update(degree=degree, nums=nums, den=den // g)
+        """Write the fields, ``nums`` and ``den`` in lowest terms."""
+        nums, den = reduced_mapping(nums, den)
+        self.__dict__.update(degree=degree, nums=nums, den=den)
 
     def __add__(self, other: "SymFun") -> "SymFun":
         if self.degree != other.degree:
@@ -219,12 +208,3 @@ def thrall_coefficients(lam: Partition) -> dict[Partition, int]:
     multiplicity zero.
     """
     return dict(_thrall_coefficients(check_partition(lam)))
-
-
-def w_module_dim(lam: Partition, d: int) -> int:
-    """Dimension of the lam-graded module on a d-dimensional space."""
-    lam = check_partition(lam)
-    return math.prod(
-        multichoose(lie_dim(d, i), a) for i, a in multiplicity_profile(lam).items()
-    )
-

@@ -3,8 +3,9 @@
 A :class:`Tensor` has one representation: integer numerators over one
 positive denominator, in lowest terms.  Every algorithm computes on those
 integers and hands them to the constructor, or, sized by construction, to
-``Tensor._built``: both reduce them by one method.  Fractions are built
-only at the boundary (:attr:`Tensor.entries`, item access, :meth:`Tensor.nonzero_terms`).
+the builder ``Tensor._built`` of :func:`~thrallkit.words.value_type`: both
+end in :meth:`Tensor._reduce`.  Fractions are built only at the boundary
+(:attr:`Tensor.entries`, item access, :meth:`Tensor.nonzero_terms`).
 
 Weight blocks: slot permutations keep the letter content of a word (the
 multiset of its letters), and so do the graded bases and every operator
@@ -86,13 +87,6 @@ class Tensor:
             raise ValueError(f"expected {d ** k} entries, got {len(nums)}")
         self._reduce(d, k, nums, den)
 
-    @classmethod
-    def _built(cls, d: int, k: int, nums, den: int) -> "Tensor":
-        """``d**k`` integers over ``den >= 1`` by construction: reduced, unchecked."""
-        out = object.__new__(cls)
-        out._reduce(d, k, nums, den)
-        return out
-
     def _reduce(self, d: int, k: int, nums, den: int) -> None:
         """Write the fields, ``nums`` and ``den`` divided by their gcd."""
         # math.gcd also rejects numerators that are not integers
@@ -115,15 +109,14 @@ class Tensor:
         return Tensor(d, 1, coords)
 
     @staticmethod
-    def from_dict(d: int, k: int, terms: dict[Word, Fraction], den: int | None = None) -> "Tensor":
-        """The tensor of a sparse word map: rational coefficients, or integer
-        numerators over ``den`` as in the constructor."""
+    def from_dict(d: int, k: int, terms: dict[Word, Fraction]) -> "Tensor":
+        """The tensor of a sparse map from words to rational coefficients."""
         values = [0] * d**k
         for word, coeff in terms.items():
             if len(word) != k:
                 raise ValueError(f"word {word} has length != {k}")
-            values[word_to_index(word, d)] += coeff if den else Fraction(coeff)
-        return Tensor(d, k, values, den)
+            values[word_to_index(word, d)] += Fraction(coeff)
+        return Tensor(d, k, values)
 
     # -- access --------------------------------------------------------
 

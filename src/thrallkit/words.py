@@ -18,6 +18,7 @@ import itertools
 import math
 import operator
 from functools import cache
+from types import MappingProxyType
 
 Word = tuple[int, ...]
 Partition = tuple[int, ...]
@@ -39,9 +40,11 @@ def value_type(cls):
     attributes as defaults.  Fields live in the instance dict, which an
     ``__init__`` writes directly; memos kept there beside them (a
     ``cached_property``, or a key set through ``vars(x)``) are seen by
-    neither equality nor the repr.  Unlike a frozen dataclass it imports
-    nothing and generates no code, so no CLI process loads ``dataclasses``
-    and ``inspect``.
+    neither equality nor the repr.  A class whose ``_reduce(self, *fields)``
+    writes the fields in canonical form gets ``cls._built(*fields)``, the one
+    builder of values valid by construction: reduced, unchecked.  Unlike a
+    frozen dataclass it imports nothing and generates no code, so no CLI
+    process loads ``dataclasses`` and ``inspect``.
     """
     names = tuple(cls.__annotations__)
     fields = operator.attrgetter(*names)
@@ -74,9 +77,25 @@ def value_type(cls):
             self.__dict__.update(values)
 
         cls.__init__ = __init__
+    if "_reduce" in vars(cls):
+        reduce = cls._reduce
+
+        def _built(*fields):
+            out = object.__new__(cls)
+            reduce(out, *fields)
+            return out
+
+        cls._built = staticmethod(_built)
     cls.__eq__, cls.__hash__, cls.__repr__ = __eq__, __hash__, __repr__
     cls.__setattr__, cls.__delattr__ = __setattr__, __delattr__
     return cls
+
+
+def reduced_mapping(nums: dict, den: int) -> tuple[MappingProxyType, int]:
+    """``nums``, integers over ``den``, read-only in lowest terms, zeros dropped."""
+    # math.gcd also rejects numerators that are not integers
+    g = math.gcd(den, *nums.values())
+    return MappingProxyType({key: n // g for key, n in nums.items() if n}), den // g
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +301,14 @@ def multichoose(n: int, k: int) -> int:
     if n <= 0:
         return 0
     return math.comb(n + k - 1, k)
+
+
+def w_module_dim(lam: Partition, d: int) -> int:
+    """Dimension of the lam-graded module on a d-dimensional space."""
+    lam = check_partition(lam)
+    return math.prod(
+        multichoose(lie_dim(d, i), a) for i, a in multiplicity_profile(lam).items()
+    )
 
 
 # ---------------------------------------------------------------------------

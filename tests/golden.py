@@ -26,7 +26,9 @@ ROWS = [(argv.split(), golden, code) for argv, golden, code in [
     ("dims --d 3 --k 5", "dims_d3_k5.out", 0),
     ("--format text dims --d 3 --k 5", "dims_d3_k5_text.out", 0),
     ("lyndon --d 3 --k 4 --upto", "lyndon_d3_k4_upto.out", 0),
+    ("--format text lyndon --d 3 --k 4 --upto", "lyndon_d3_k4_upto_text.out", 0),
     ("thrall-coeffs --k 5", "thrall_coeffs_k5.out", 0),
+    ("--format text thrall-coeffs --k 5", "thrall_coeffs_k5_text.out", 0),
     ("thrall-coeffs --k 10", "thrall_coeffs_k10.out", 0),
     ("idempotent --k 4 --partition 2,1,1 --intersect-mu 3,1", "idempotent_k4_211_mu31.out", 0),
     ("idempotent --k 5 --partition 3,2 --intersect-mu 3,1,1", "idempotent_k5_32_mu311.out", 0),
@@ -47,6 +49,7 @@ ROWS = [(argv.split(), golden, code) for argv, golden, code in [
     ("check fls --input path_collinear.json --level 5", "check_fls_collinear_level5.out", 0),
     ("check fls --input path_bent.json --level 5", "check_fls_bent_level5.out", 1),
     ("paper-suite", "paper_suite.out", 0),
+    ("--format text paper-suite", "paper_suite_text.out", 0),
     # every route of a decompose input prints the same bytes
     ("decompose --tensor tensor_d2_k5_fractional.json", "decompose_d2_k5_fractional.out", 0),
     ("decompose --tensor tensor_d2_k5_fractional.json --method idempotent",
@@ -75,6 +78,7 @@ ROWS = [(argv.split(), golden, code) for argv, golden, code in [
     # the zero tensor is its own p(7) components: no projector is built
     ("decompose --tensor tensor_d3_k7_zero.json", "decompose_d3_k7_zero.out", 0),
     ("invariants --d 2 --ell 2", "invariants_d2_ell2.out", 0),
+    ("--format text invariants --d 2 --ell 2", "invariants_d2_ell2_text.out", 0),
     ("invariants --d 5 --ell 1", "invariants_d5_ell1.out", 0),
     # a memoized table in which two of three pieces are empty
     ("invariants --d 3 --ell 1", "invariants_d3_ell1.out", 0),

@@ -26,7 +26,6 @@ from thrallkit.free_lie import (
     thrall_decompose,
 )
 from thrallkit.group_algebra import K_MAX, higher_lie_idempotent
-from thrallkit.symfun import w_module_dim
 from thrallkit.tensors import (
     Tensor,
     TensorSeries,
@@ -36,7 +35,14 @@ from thrallkit.tensors import (
     weight_blocks,
 )
 from thrallkit.words import (
-    ResourceLimitError, index_to_word, lie_dim, lyndon_words, multichoose, partitions, word_to_index,
+    ResourceLimitError,
+    index_to_word,
+    lie_dim,
+    lyndon_words,
+    multichoose,
+    partitions,
+    w_module_dim,
+    word_to_index,
 )
 
 from oracles import (

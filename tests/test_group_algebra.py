@@ -279,9 +279,7 @@ def plain_layers(layers, values):
 
 def packed_layers(layers, values):
     """The packed kernel on ``layers``, at the slot widths it picks itself."""
-    stack = group_algebra._stack(layers)
-    pack = functools.partial(group_algebra._pack, stack)
-    return group_algebra._apply_stacked(stack, pack, values)
+    return group_algebra._apply_stacked(group_algebra._stack(layers), values)
 
 
 @st.composite
@@ -349,6 +347,29 @@ def test_packed_kernel_at_the_slot_limits(width):
         stack = group_algebra._stack([plus])
         packed = group_algebra._pack(stack, width)
         assert read_slots(group_algebra._pass(packed, [-top]), width) == [-top]
+
+
+@pytest.mark.parametrize(
+    "construction", [group_algebra._projector_blocks, free_lie._solve_blocks], ids=["closed-form", "solve"]
+)
+def test_projector_stack_is_packed_at_most_once_per_width(construction):
+    # a fresh stack, so that its packings are the ones made here
+    group_algebra._projector_stack.cache_clear()
+    stack = group_algebra._projector_stack(construction, 3, 4)
+    rng = Random(34)
+    used = []
+    for size, width in ((1, 8), (10**2, 16), (10**6, 32), (10**12, 64), (10**20, 80)):
+        assert slot_width((stack.bound * size).bit_length() + 1) == width
+        t = Tensor(3, 4, [size] + [rng.randint(-size, size) for _ in range(80)])
+        graded_projections(t, construction)
+        if width <= 64:
+            used.append(width)
+        assert sorted(stack.packed) == used and len(stack.packed) <= 4
+        packings = dict(stack.packed)
+        graded_projections(t, construction)
+        assert group_algebra._projector_stack(construction, 3, 4) is stack
+        assert stack.packed.keys() == packings.keys()
+        assert all(stack.packed[w] is packings[w] for w in used)
 
 
 def test_packed_kernel_on_zero_and_one_place_blocks():

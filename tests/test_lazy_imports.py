@@ -1,7 +1,8 @@
 """The package and the CLI load library modules on demand, no CLI path
 loads ``dataclasses`` (with ``inspect``, ``ast``, ``dis`` and ``tokenize``
-behind it), and neither the CLI's start nor its light subcommands load
-``typing`` or ``pathlib``.
+behind it), neither the CLI's start nor its light subcommands load
+``typing`` or ``pathlib``, and the commands that print only integers load
+no ``fractions`` (with ``decimal`` behind it).
 
 The import checks run in a fresh interpreter, because this test process has
 already imported every module, and under ``-S``, because a site ``.pth`` may
@@ -27,14 +28,15 @@ HEAVY = (
 
 
 def loaded_after(code: str) -> set:
-    """The ``thrallkit`` modules, and ``dataclasses``, ``typing`` and
-    ``pathlib`` where loaded, in a fresh interpreter after ``code``."""
+    """The ``thrallkit`` modules, and ``dataclasses``, ``typing``,
+    ``pathlib`` and ``fractions`` where loaded, in a fresh interpreter after
+    ``code``."""
     script = (
         "import contextlib, io, json, sys\n"
         f"{code}\n"
         "print(json.dumps(sorted(\n"
         "    m for m in sys.modules\n"
-        "    if m.split('.')[0] in ('thrallkit', 'dataclasses', 'typing', 'pathlib')\n"
+        "    if m.split('.')[0] in ('thrallkit', 'dataclasses', 'typing', 'pathlib', 'fractions')\n"
         ")))\n"
     )
     env = dict(os.environ)
@@ -50,7 +52,7 @@ def test_import_package_loads_no_submodule():
 
 
 def test_import_cli_loads_only_jsonio_and_words():
-    # and not dataclasses, typing or pathlib, which loaded_after would list
+    # and not dataclasses, typing, pathlib or fractions, which loaded_after would list
     assert loaded_after("import thrallkit.cli") == {
         "thrallkit", "thrallkit.cli", "thrallkit.jsonio", "thrallkit.words",
     }
@@ -60,18 +62,19 @@ DATA = Path(__file__).resolve().parent / "data"
 MALFORMED = DATA / "malformed_tensor.json"
 
 
+# each light subcommand, with whether it prints integers only
 @pytest.mark.parametrize(
-    "argv,code",
+    "argv,code,integers",
     [
-        (["dims", "--d", "3", "--k", "5"], 0),
-        (["lyndon", "--d", "3", "--k", "4", "--upto"], 0),
-        (["thrall-coeffs", "--k", "5"], 0),
-        (["--help"], 0),
-        (["decompose", "--tensor", str(MALFORMED)], 2),
+        (["dims", "--d", "3", "--k", "5"], 0, True),
+        (["lyndon", "--d", "3", "--k", "4", "--upto"], 0, True),
+        (["thrall-coeffs", "--k", "5"], 0, False),
+        (["--help"], 0, True),
+        (["decompose", "--tensor", str(MALFORMED)], 2, False),
     ],
     ids=["dims", "lyndon", "thrall-coeffs", "help", "malformed-decompose"],
 )
-def test_light_subcommands_leave_the_algebra_stack_unloaded(argv, code):
+def test_light_subcommands_leave_the_algebra_stack_unloaded(argv, code, integers):
     loaded = loaded_after(
         "from thrallkit.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
@@ -83,6 +86,8 @@ def test_light_subcommands_leave_the_algebra_stack_unloaded(argv, code):
     assert "thrallkit.cli" in loaded
     assert not loaded & {f"thrallkit.{name}" for name in HEAVY}
     assert not loaded & {"dataclasses", "typing", "pathlib"}
+    if integers:
+        assert "fractions" not in loaded
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,6 @@ from thrallkit.symfun import (
     schur_expand,
     sn_character,
     thrall_coefficients,
-    w_module_dim,
 )
 from thrallkit.words import (
     conjugate_partition,
@@ -22,6 +21,7 @@ from thrallkit.words import (
     num_standard,
     partitions,
     schur_dim,
+    w_module_dim,
 )
 
 from oracles import kraskiewicz_weyman_multiplicity, mn_character
