@@ -138,10 +138,11 @@ class LieElement:
             c = Fraction(c)
             if c != 0:
                 cleaned[word] = c
-        self._reduce(d, k_max, cleaned)
+        self._reduce((d, k_max, cleaned))
 
-    def _reduce(self, d: int, k_max: int, coeffs: dict[Word, Fraction]) -> None:
-        """Write the fields, ``coeffs`` read-only."""
+    def _reduce(self, fields) -> None:
+        """Write the fields ``(d, k_max, coeffs)``, ``coeffs`` read-only."""
+        d, k_max, coeffs = fields
         self.__dict__.update(d=d, k_max=k_max, coeffs=MappingProxyType(coeffs))
 
     def _terms(self, k: int) -> tuple[int, dict[int, int]]:

@@ -114,10 +114,11 @@ class GroupAlgebraElement:
         for perm in nums:
             if sorted(perm) != full:
                 raise ValueError(f"{perm} is not a permutation of 0..{k - 1}")
-        self._reduce(k, {tuple(p): n for p, n in nums.items()}, den)
+        self._reduce((k, {tuple(p): n for p, n in nums.items()}, den))
 
-    def _reduce(self, k: int, nums: dict[Perm, int], den: int) -> None:
-        """Write the fields, ``nums`` and ``den`` in lowest terms."""
+    def _reduce(self, fields) -> None:
+        """Write the fields ``(k, nums, den)``, ``nums`` and ``den`` in lowest terms."""
+        k, nums, den = fields
         nums, den = reduced_mapping(nums, den)
         self.__dict__.update(k=k, nums=nums, den=den)
 

@@ -44,7 +44,6 @@ def check_wire_dimension(d: int, field: str) -> int:
 
 
 def format_fraction(x: Fraction) -> str:
-    """A Fraction or an int as ``"p/q"``, or ``"p"`` when whole."""
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 

@@ -48,10 +48,11 @@ class SymFun:
         for rho in nums:
             if sum(check_partition(rho)) != degree:
                 raise ValueError(f"{rho} is not a partition of {degree}")
-        self._reduce(degree, {tuple(r): n for r, n in nums.items()}, den)
+        self._reduce((degree, {tuple(r): n for r, n in nums.items()}, den))
 
-    def _reduce(self, degree: int, nums: dict[Partition, int], den: int) -> None:
-        """Write the fields, ``nums`` and ``den`` in lowest terms."""
+    def _reduce(self, fields) -> None:
+        """Write the fields ``(degree, nums, den)``, ``nums`` and ``den`` in lowest terms."""
+        degree, nums, den = fields
         nums, den = reduced_mapping(nums, den)
         self.__dict__.update(degree=degree, nums=nums, den=den)
 

@@ -3,9 +3,8 @@
 A :class:`Tensor` has one representation: integer numerators over one
 positive denominator, in lowest terms.  Every algorithm computes on those
 integers and hands them to the constructor, or, sized by construction, to
-the builder ``Tensor._built`` of :func:`~thrallkit.words.value_type`: both
-end in :meth:`Tensor._reduce`.  Fractions are built only at the boundary
-(:attr:`Tensor.entries`, item access, :meth:`Tensor.nonzero_terms`).
+``Tensor._built``: both reduce them by one method.  Fractions are built
+only at the boundary (:attr:`Tensor.entries`, item access, :meth:`Tensor.nonzero_terms`).
 
 Weight blocks: slot permutations keep the letter content of a word (the
 multiset of its letters), and so do the graded bases and every operator
@@ -85,10 +84,11 @@ class Tensor:
         nums = tuple(nums)
         if len(nums) != d**k:
             raise ValueError(f"expected {d ** k} entries, got {len(nums)}")
-        self._reduce(d, k, nums, den)
+        self._reduce((d, k, nums, den))
 
-    def _reduce(self, d: int, k: int, nums, den: int) -> None:
-        """Write the fields, ``nums`` and ``den`` divided by their gcd."""
+    def _reduce(self, fields) -> None:
+        """Write the fields ``(d, k, nums, den)``, ``nums`` and ``den`` divided by their gcd."""
+        d, k, nums, den = fields
         # math.gcd also rejects numerators that are not integers
         g = math.gcd(den, *nums)
         if g != 1:

@@ -40,11 +40,11 @@ def value_type(cls):
     attributes as defaults.  Fields live in the instance dict, which an
     ``__init__`` writes directly; memos kept there beside them (a
     ``cached_property``, or a key set through ``vars(x)``) are seen by
-    neither equality nor the repr.  A class whose ``_reduce(self, *fields)``
-    writes the fields in canonical form gets ``cls._built(*fields)``, the one
-    builder of values valid by construction: reduced, unchecked.  Unlike a
-    frozen dataclass it imports nothing and generates no code, so no CLI
-    process loads ``dataclasses`` and ``inspect``.
+    neither equality nor the repr.  A class whose ``_reduce(self, fields)``
+    writes a tuple of field values in canonical form gets the one builder of
+    values valid by construction, ``cls._built(*fields)``: reduced,
+    unchecked.  Unlike a frozen dataclass it imports nothing and generates
+    no code, so no CLI process loads ``dataclasses`` and ``inspect``.
     """
     names = tuple(cls.__annotations__)
     fields = operator.attrgetter(*names)
@@ -78,11 +78,11 @@ def value_type(cls):
 
         cls.__init__ = __init__
     if "_reduce" in vars(cls):
-        reduce = cls._reduce
+        new, reduce = object.__new__, cls._reduce
 
         def _built(*fields):
-            out = object.__new__(cls)
-            reduce(out, *fields)
+            out = new(cls)
+            reduce(out, fields)
             return out
 
         cls._built = staticmethod(_built)
