@@ -463,41 +463,48 @@ def _back_substitute(residual: list[int], d: int, k: int) -> dict[Word, int] | N
     return None if any(residual) else coords
 
 
+# [P_u, P_v] in integer Lyndon coordinates for Lyndon words u, v over
+# {1..d}, keyed by (u, v, d): the Lyndon basis's structure constants, filled
+# by lie_bracket as it meets each pair, so bounded by the pairs met
+_STRUCTURE: dict[tuple[Word, Word, int], tuple[tuple[Word, int], ...]] = {}
+
+
 def lie_bracket(a: LieElement, b: LieElement) -> LieElement:
     """Commutator of truncated Lie elements, in Lyndon coordinates.
 
-    Level pieces are bracketed on their integer numerators as flat
-    polynomials by the commutator that builds :func:`bracket_expansion`, and
-    the integer Lyndon coordinates recovered by :func:`lie_coordinates`'
-    triangular back-substitution, each over its pieces' denominators
-    ``aden * bden``; graded pieces above the common truncation are dropped.
-    The coordinates are summed over the lcm of those denominators, one
-    Fraction is built per output word, and the words, Lyndon by
+    The sum of ``a_u b_v [P_u, P_v]`` over the pairs of Lyndon words with
+    ``|u| + |v|`` at most the common truncation, on integer numerators over
+    one denominator per element.  The Lyndon basis is a Z-basis, so each
+    ``[P_u, P_v]`` has integer Lyndon coordinates, read back once per pair
+    from the commutator that builds :func:`bracket_expansion` by
+    :func:`lie_coordinates`' back-substitution and kept in ``_STRUCTURE``.
+    One Fraction is built per output word, and the words, Lyndon by
     construction, go to :meth:`LieElement._built` unchecked.
     """
     if a.d != b.d:
         raise ValueError("dimension mismatch")
     d, k_max = a.d, min(a.k_max, b.k_max)
-    left, right = ([x._terms(k) for k in range(k_max + 1)] for x in (a, b))
-    found: list[tuple[dict[Word, int], int]] = []
-    for i in range(1, k_max):
-        for j in range(1, k_max - i + 1):
-            (aden, u), (bden, v) = left[i], right[j]
-            if not (u and v):
-                continue
-            commutator = [0] * d ** (i + j)
-            for x, c in _commutator(u, v, d**i, d**j).items():
-                commutator[x] = c
-            coords = _back_substitute(commutator, d, i + j)
-            if coords is None:
-                raise ArithmeticError("commutator left the graded Lie subspace")
-            found.append((coords, aden * bden))
-    den = math.lcm(*(q for _, q in found))
+    aden, left = linalg.integer_numerators(a.coeffs.values())
+    bden, right = linalg.integer_numerators(b.coeffs.values())
+    right = list(zip(b.coeffs, right))
     nums: dict[Word, int] = {}
-    for coords, q in found:
-        f = den // q
-        for w, c in coords.items():
-            nums[w] = nums.get(w, 0) + c * f
+    for u, x in zip(a.coeffs, left):
+        room = k_max - len(u)
+        for v, y in right:
+            if len(v) > room:
+                continue
+            constants = _STRUCTURE.get((u, v, d))
+            if constants is None:
+                su, sv = d ** len(u), d ** len(v)
+                poly = _commutator(bracket_expansion(u, d), bracket_expansion(v, d), su, sv)
+                coords = _back_substitute([poly.get(i, 0) for i in range(su * sv)], d, len(u) + len(v))
+                if coords is None:
+                    raise ArithmeticError("commutator left the graded Lie subspace")
+                constants = _STRUCTURE[u, v, d] = tuple(coords.items())
+            xy = x * y
+            for w, c in constants:
+                nums[w] = nums.get(w, 0) + xy * c
+    den = aden * bden
     return LieElement._built(d, k_max, {w: Fraction(n, den) for w, n in nums.items() if n})
 
 

@@ -30,7 +30,8 @@ p(k) graded projectors in :func:`graded_projections`, cached per
 construction and ``(d, k)``; one element in :func:`ga_act`), :func:`_pack`
 packs each column of a stack into one Python int, ``W`` bits a slot, and
 :func:`_pass` computes a block's outputs for every operator as one sum of
-``b`` big-int products.  Packing, the slot width and the read-back (one
+``b`` big-int products; one ``itemgetter`` per operator then picks that
+operator's outputs out of them all.  Packing, the slot width and the read-back (one
 ``to_bytes`` a block and one ``memoryview.cast`` in all) are the slot codec
 of :mod:`thrallkit.tensors`, which the Chen update of
 :mod:`thrallkit.shuffle_sig` shares.  The slot width ``W``
@@ -82,8 +83,10 @@ K_MAX = 5
 
 
 def _getter(indices):
-    """``itemgetter(*indices)`` of a permutation, a sequence also at ``(0,)`` and ``()``."""
-    return operator.itemgetter(*indices) if len(indices) > 1 else operator.itemgetter(slice(1))
+    """``itemgetter(*indices)``, a sequence also for one index or none."""
+    if len(indices) > 1:
+        return operator.itemgetter(*indices)
+    return operator.itemgetter(slice(indices[0], indices[0] + 1) if indices else slice(0))
 
 
 @value_type
@@ -211,14 +214,15 @@ class _Stack(NamedTuple):
     per shape: row ``t * layers + j`` of a shape's matrix is row ``t`` of
     operator ``j``.  ``bound`` is the largest absolute row sum, ``gather``
     an itemgetter of the inputs block by block in shape order, each block in
-    its own order of places, ``scatter`` one of the stacked outputs layer by
-    layer, ``shapes`` each shape's stacked columns with its block count, and
-    ``packed`` its :func:`_pack` per slot width, each filled on first use."""
+    its own order of places, ``outputs`` one itemgetter per layer of that
+    layer's outputs in index order from the stacked ones, ``shapes`` each
+    shape's stacked columns with its block count, and ``packed`` its
+    :func:`_pack` per slot width, each filled on first use."""
 
     layers: int
     bound: int
     gather: operator.itemgetter
-    scatter: operator.itemgetter
+    outputs: tuple[operator.itemgetter, ...]
     shapes: list[tuple[tuple[tuple[int, ...], ...], int]]
     packed: dict[int, list]
 
@@ -234,8 +238,8 @@ def _stack(operators) -> _Stack:
         shapes.append((tuple(zip(*rows)), len(blocks)))
         gather.extend(itertools.chain.from_iterable(blocks))
     inverse = sorted(range(len(gather)), key=gather.__getitem__)
-    scatter = [g * p + j for j in range(p) for g in inverse]
-    return _Stack(p, bound, _getter(gather), _getter(scatter), shapes, {})
+    outputs = tuple(_getter([g * p + j for g in inverse]) for j in range(p))
+    return _Stack(p, bound, _getter(gather), outputs, shapes, {})
 
 
 def _pack(stack: _Stack, width: int):
@@ -267,11 +271,12 @@ def _pass(packed, xs) -> bytes:
     return b"".join(raws)
 
 
-def _apply_stacked(stack: _Stack, values) -> list[list[int]]:
+def _apply_stacked(stack: _Stack, values) -> list:
     """Each operator of a stack applied to the integer numerators
     ``values``: one :func:`_pass` where a slot of at most 64 bits holds
     ``bound * max|x|``, else one dot product per row (see the module
-    docstring)."""
+    docstring).  Each layer's outputs come straight from its getter in
+    ``outputs``: a tuple, or a one-entry list where the tensor has one entry."""
     xs = stack.gather(values)
     # every output, and every entry of the stack, is at most bound * max|x|
     width = slot_width((stack.bound * (max(map(abs, xs)) or 1)).bit_length() + 1)
@@ -288,8 +293,7 @@ def _apply_stacked(stack: _Stack, values) -> list[list[int]]:
                 local = xs[start : start + len(columns)]
                 start += len(columns)
                 flat.extend(sum(map(operator.mul, row, local)) for row in rows)
-    out, n = stack.scatter(flat), len(xs)
-    return [list(out[i : i + n]) for i in range(0, len(out), n)]
+    return [get(flat) for get in stack.outputs]
 
 
 @functools.cache

@@ -11,7 +11,6 @@ expansion is one integer dot product per row.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cache
 from types import MappingProxyType
 
@@ -173,31 +172,38 @@ def higher_lie_character(lam: Partition) -> SymFun:
     return result
 
 
-def schur_expand(f: SymFun) -> dict[Partition, Fraction]:
-    """Coefficients of f in the Schur basis.
+def _schur_numerators(f: SymFun):
+    """The nonzero Schur coefficients of f as ``(mu, n)``, integer
+    numerators ``n`` over ``f.den``.
 
     With f = sum_rho c_rho p_rho the Schur coefficient at mu is
     sum_rho c_rho * chi_mu(rho), by the self-duality of the power sums
     under the Hall pairing: one integer dot product per row of the table.
     """
-    out: dict[Partition, Fraction] = {}
     for mu, row in _character_table(f.degree).items():
         n = sum(c * row[rho] for rho, c in f.nums.items())
         if n:
-            out[mu] = Fraction(n, f.den)
-    return out
+            yield mu, n
+
+
+def schur_expand(f: SymFun) -> dict[Partition, Fraction]:
+    """Coefficients of f in the Schur basis, from :func:`_schur_numerators`."""
+    from fractions import Fraction
+
+    return {mu: Fraction(n, f.den) for mu, n in _schur_numerators(f)}
 
 
 @cache
 def _thrall_coefficients(lam: Partition) -> tuple[tuple[Partition, int], ...]:
-    expansion = schur_expand(higher_lie_character(lam))
+    f = higher_lie_character(lam)
     out = []
-    for mu, c in sorted(expansion.items(), reverse=True):
-        if c.denominator != 1 or c < 0:
+    for mu, n in sorted(_schur_numerators(f), reverse=True):
+        c, r = divmod(n, f.den)
+        if r or c < 0:
             raise ArithmeticError(
-                f"non-integral or negative multiplicity {c} at {mu} for {lam}"
+                f"non-integral or negative multiplicity {n}/{f.den} at {mu} for {lam}"
             )
-        out.append((mu, int(c)))
+        out.append((mu, c))
     return tuple(out)
 
 

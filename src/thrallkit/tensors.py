@@ -87,7 +87,8 @@ class Tensor:
         self._reduce((d, k, nums, den))
 
     def _reduce(self, fields) -> None:
-        """Write the fields ``(d, k, nums, den)``, ``nums`` and ``den`` divided by their gcd."""
+        """Write the fields ``(d, k, nums, den)``, ``nums`` and ``den`` divided by
+        their gcd; a tuple already in lowest terms is kept, not copied."""
         d, k, nums, den = fields
         # math.gcd also rejects numerators that are not integers
         g = math.gcd(den, *nums)

@@ -664,16 +664,78 @@ def test_lie_coordinates_expand_only_the_bracketings_they_meet(monkeypatch):
     assert lie_coordinates(Tensor(2, 14, [0] * 2**14)) == {} and len(built) == 15
 
 
-def test_lie_bracket_and_lie_coordinates_share_one_back_substitution(monkeypatch):
+def _count_back_substitutions(monkeypatch):
+    """A fresh structure-constant table, and the ``(d, k)`` of every
+    back-substitution from here on."""
     calls = []
     substitute = free_lie._back_substitute
     monkeypatch.setattr(
         free_lie, "_back_substitute", lambda *args: calls.append(args[1:3]) or substitute(*args)
     )
+    monkeypatch.setattr(free_lie, "_STRUCTURE", {})
+    return calls
+
+
+def test_lie_bracket_and_lie_coordinates_share_one_back_substitution(monkeypatch):
+    # the table starts empty whatever ran before, so the bracket's one pair
+    # is read back here, once
+    calls = _count_back_substitutions(monkeypatch)
     e1, e2 = (LieElement(2, 3, {(i,): 1}) for i in (1, 2))
     assert free_lie.lie_bracket(e1, e2).coeffs == {(1, 2): 1}
     assert lie_coordinates(lyndon_bracketing((1, 1, 2), 2)) == {(1, 1, 2): 1}
     assert calls == [(2, 2), (2, 3)]
+    assert free_lie.lie_bracket(e1, e2).coeffs == {(1, 2): 1}
+    assert calls == [(2, 2), (2, 3)]
+
+
+def test_bracket_table_holds_each_pair_once_within_the_truncation(monkeypatch):
+    calls = _count_back_substitutions(monkeypatch)
+    rng = Random(34)
+    a, b = random_lie_element(3, 4, rng), random_lie_element(3, 3, rng)
+    ab = free_lie.lie_bracket(a, b)
+    table = dict(free_lie._STRUCTURE)
+    # one back-substitution per pair met, none above min(k_max) = 3
+    assert len(calls) == len(table) > 0
+    assert all(d == 3 and len(u) + len(v) <= 3 for u, v, d in table)
+    assert {(u, v) for u, v, _ in table} == {
+        (u, v) for u in a.coeffs for v in b.coeffs if len(u) + len(v) <= 3
+    }
+    # each entry is [P_u, P_v] in Lyndon coordinates, read from the dense commutator
+    for (u, v, d), constants in table.items():
+        left, right = lyndon_bracketing(u, d), lyndon_bracketing(v, d)
+        commutator = tensor_product(left, right) + tensor_product(right, left).scale(-1)
+        assert dict(constants) == lie_coordinates(commutator)
+    assert ab == dense_lie_bracket(a, b)
+    # a repeat, and pairs already met at a higher truncation, compute nothing
+    low = LieElement(3, 2, {w: c for w, c in a.coeffs.items() if len(w) == 1})
+    want = dense_lie_bracket(low, b)
+    calls.clear()
+    assert free_lie.lie_bracket(a, b) == ab
+    assert free_lie.lie_bracket(low, b) == want
+    assert calls == [] and free_lie._STRUCTURE == table
+
+
+def test_bracket_at_one_letter_and_of_zero_is_zero(monkeypatch):
+    _count_back_substitutions(monkeypatch)
+    # at d = 1 the only Lyndon word is (1,), and [P_1, P_1] = 0
+    one = LieElement(1, 5, {(1,): Fraction(3, 2)})
+    assert free_lie.lie_bracket(one, one) == LieElement(1, 5, {})
+    assert free_lie._STRUCTURE == {((1,), (1,), 1): ()}
+    zero = LieElement(2, 3, {})
+    other = random_lie_element(2, 3, Random(1))
+    for x, y in ((zero, zero), (zero, other), (other, zero)):
+        assert free_lie.lie_bracket(x, y) == LieElement(2, 3, {}) == dense_lie_bracket(x, y)
+    assert free_lie.lie_bracket(other, other) == LieElement(2, 3, {})
+
+
+@pytest.mark.parametrize("d,ka,kb", [(2, 5, 2), (2, 1, 4), (3, 3, 4), (3, 4, 2)])
+def test_bracket_of_unequal_truncations_matches_dense_oracle(d, ka, kb):
+    rng = Random(100 * d + 10 * ka + kb)
+    a, b = random_lie_element(d, ka, rng), random_lie_element(d, kb, rng)
+    for x, y in ((a, b), (b, a)):
+        got = free_lie.lie_bracket(x, y)
+        assert got.k_max == min(ka, kb)
+        assert got == dense_lie_bracket(x, y)
 
 
 def test_lie_coordinates_match_dense_solve():

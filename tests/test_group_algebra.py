@@ -216,6 +216,10 @@ def test_ga_act_matches_dense_sum(d, k):
         x = _random_element(k, rng, count)
         t = _random_fractional_tensor(d, k, rng)
         assert ga_act(x, t) == dense_ga_act(x, t)
+        # numerators of 65 bits and more take one dot product per row of
+        # the one-layer stack
+        wide = t.scale(2**64 + 1)
+        assert ga_act(x, wide) == dense_ga_act(x, wide)
         zero = Tensor(d, k, [0] * d**k)
         assert ga_act(x, zero) == zero
         assert ga_act(GroupAlgebraElement.zero(k), t) == zero
@@ -277,8 +281,9 @@ def plain_layers(layers, values):
 
 
 def packed_layers(layers, values):
-    """The packed kernel on ``layers``, at the slot widths it picks itself."""
-    return group_algebra._apply_stacked(group_algebra._stack(layers), values)
+    """The packed kernel on ``layers``, at the slot widths it picks itself,
+    each layer's outputs as a list."""
+    return [list(out) for out in group_algebra._apply_stacked(group_algebra._stack(layers), values)]
 
 
 @st.composite
@@ -375,11 +380,29 @@ def test_packed_kernel_on_zero_and_one_place_blocks():
     groups = {(1,): (((5,),), [(0,), (1,)]), (2,): (((0, 0), (0, 0)), [(2, 3)])}
     assert packed_layers([groups], [0, 0, 0, 0]) == [[0, 0, 0, 0]]
     assert packed_layers([groups, groups], [3, 0, 7, -7]) == [[15, 0, 0, 0]] * 2
-    # d = 1: one word, one block of one place
+    # d = 1: one word, one block of one place, so each layer of a stack
+    # holds one output and reads it from its own slot, on both constructions
+    # and on both the packed pass and the per-row path
     for k in range(1, K_MAX + 1):
-        t = Tensor(1, k, [Fraction(-(10**30) - 1, 7)])
-        assert graded_projections(t) == {
-            lam: t if lam == (1,) * k else Tensor(1, k, [0]) for lam in partitions(k)
+        for x in (Fraction(3, 2), Fraction(-(10**30) - 1, 7)):
+            t = Tensor(1, k, [x])
+            want = {lam: t if lam == (1,) * k else Tensor(1, k, [0]) for lam in partitions(k)}
+            assert graded_projections(t) == graded_projections(t, free_lie._solve_blocks) == want
+
+
+@pytest.mark.parametrize("d,k", [(2, 4), (3, 4), (2, 5)])
+def test_wide_inputs_read_each_layer_out_per_row(d, k):
+    # an input over 2^55 takes one dot product per row on both constructions;
+    # the components are those of the small input, scaled
+    rng = Random(10 * d + k)
+    small = Tensor(d, k, [rng.randint(-5, 5) for _ in range(d**k)])
+    wide = small.scale(2**60 + 1)
+    stack = group_algebra._projector_stack(group_algebra._projector_blocks, d, k)
+    assert slot_width((stack.bound * max(map(abs, wide.nums))).bit_length() + 1) > 64
+    for method in ("idempotent", "solve"):
+        parts = free_lie.thrall_decompose(small, method)
+        assert free_lie.thrall_decompose(wide, method) == {
+            lam: t.scale(2**60 + 1) for lam, t in parts.items()
         }
 
 

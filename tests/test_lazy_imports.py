@@ -68,7 +68,7 @@ MALFORMED = DATA / "malformed_tensor.json"
     [
         (["dims", "--d", "3", "--k", "5"], 0, True),
         (["lyndon", "--d", "3", "--k", "4", "--upto"], 0, True),
-        (["thrall-coeffs", "--k", "5"], 0, False),
+        (["thrall-coeffs", "--k", "5"], 0, True),
         (["--help"], 0, True),
         (["decompose", "--tensor", str(MALFORMED)], 2, False),
     ],
