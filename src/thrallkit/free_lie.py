@@ -465,7 +465,7 @@ def _back_substitute(residual: list[int], d: int, k: int) -> dict[Word, int] | N
 
 # [P_u, P_v] in integer Lyndon coordinates for Lyndon words u, v over
 # {1..d}, keyed by (u, v, d): the Lyndon basis's structure constants, filled
-# by lie_bracket as it meets each pair, so bounded by the pairs met
+# by lie_bracket in both orders as it meets each pair, so bounded by the pairs met
 _STRUCTURE: dict[tuple[Word, Word, int], tuple[tuple[Word, int], ...]] = {}
 
 
@@ -477,9 +477,10 @@ def lie_bracket(a: LieElement, b: LieElement) -> LieElement:
     one denominator per element.  The Lyndon basis is a Z-basis, so each
     ``[P_u, P_v]`` has integer Lyndon coordinates, read back once per pair
     from the commutator that builds :func:`bracket_expansion` by
-    :func:`lie_coordinates`' back-substitution and kept in ``_STRUCTURE``.
-    One Fraction is built per output word, and the words, Lyndon by
-    construction, go to :meth:`LieElement._built` unchecked.
+    :func:`lie_coordinates`' back-substitution and kept in ``_STRUCTURE``
+    with its negative ``[P_v, P_u]``.  One Fraction is built per output
+    word, and the words, Lyndon by construction, go to
+    :meth:`LieElement._built` unchecked.
     """
     if a.d != b.d:
         raise ValueError("dimension mismatch")
@@ -501,6 +502,7 @@ def lie_bracket(a: LieElement, b: LieElement) -> LieElement:
                 if coords is None:
                     raise ArithmeticError("commutator left the graded Lie subspace")
                 constants = _STRUCTURE[u, v, d] = tuple(coords.items())
+                _STRUCTURE[v, u, d] = tuple((w, -c) for w, c in constants)
             xy = x * y
             for w, c in constants:
                 nums[w] = nums.get(w, 0) + xy * c

@@ -24,7 +24,10 @@ two differ and this package consistently uses the slot action above.
 The slot action keeps the letter content of a word and commutes with
 relabelling letters, the permutation matrices of GL_d, so an element acts by
 one integer matrix per shape of the weight blocks, their letter counts in
-decreasing order (:func:`_block_operator`).  One packed kernel applies them:
+decreasing order, in the word order that
+:func:`~thrallkit.tensors.weight_patterns` fixes.  One walk of the elements'
+supports builds them (:func:`_block_operators`: the projector family at
+once, or one element, kept on it).  One packed kernel applies them:
 :func:`_stack` stacks the matrices of several operators per shape (the
 p(k) graded projectors in :func:`graded_projections`, cached per
 construction and ``(d, k)``; one element in :func:`ga_act`), :func:`_pack`
@@ -57,8 +60,7 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from types import MappingProxyType
-from typing import NamedTuple
+from types import MappingProxyType, SimpleNamespace
 
 from . import linalg
 from .permutations import Perm, all_permutations, compose, cycle_type, inverse, sign
@@ -66,10 +68,10 @@ from .tensors import Tensor, pack_slots, read_slots, slot_bytes, slot_mask, slot
 from .words import (
     Partition,
     ResourceLimitError,
-    Word,
     YoungTableau,
     check_partition,
     distinct_orderings,
+    index_to_word,
     partitions,
     reduced_mapping,
     value_type,
@@ -163,74 +165,67 @@ def ga_act(x: GroupAlgebraElement, tensor: Tensor) -> Tensor:
     """Apply an element to a tensor through the slot action.
 
     ``out[u] = sum_sigma x_sigma T[u o sigma]``: the integer block matrices
-    of :func:`_block_operator`, packed for this call and applied to the
+    of :func:`_element_blocks`, packed for this call and applied to the
     tensor's integer numerators by :func:`_apply_stacked`, the kernel of
     :func:`graded_projections`, as a stack of one layer.
     """
     if x.k != tensor.k:
         raise ValueError(f"degree mismatch: element {x.k}, tensor order {tensor.k}")
-    [nums] = _apply_stacked(_stack([_block_operator(x, tensor.d)]), tensor.nums)
+    [nums] = _apply_stacked(_stack([_element_blocks(x, tensor.d)]), tensor.nums)
     return Tensor._built(tensor.d, tensor.k, nums, x.den * tensor.den)
 
 
-@functools.cache
-def _block_places(shape: tuple[int, ...]) -> dict[Word, int]:
-    """The place of each word of a shape's first block in lex order."""
-    letters = [a for a, c in enumerate(shape) for _ in range(c)]
-    return {w: t for t, w in enumerate(distinct_orderings(letters))}
+def _block_operators(elements, d: int) -> list[dict]:
+    """The integer matrices of ``ga_act(x, .)`` over ``x.den`` for each
+    element ``x`` of one degree, in one walk of the union of their supports.
 
-
-@functools.cache
-def _block_gather(shape: tuple[int, ...], perm: Perm) -> tuple[int, ...]:
-    """The place of ``u o perm`` for each word ``u`` of a shape's first
-    block, in lex order; cached per permutation, so a sparse element pays
-    only for its own support."""
-    place, at = _block_places(shape), _getter(perm)
-    return tuple(place[at(u)] for u in place)
-
-
-def _block_operator(x: GroupAlgebraElement, d: int):
-    """The integer matrices of ``ga_act(x, .)`` over ``x.den``.
-
-    ``groups`` maps each shape of :func:`weight_patterns` to ``(rows,
-    blocks)``; row ``t`` holds ``x_sigma`` at the place of ``u o sigma`` for
-    ``u`` the first block's ``t``-th word.  Relabelling letters commutes with
-    ``u -> u o sigma``, and each block of a shape lists the relabelled words
-    of the first in the same places, so the blocks of a shape share one
-    matrix.
+    Each element's ``groups`` maps each shape of :func:`weight_patterns` to
+    ``(rows, blocks)``; row ``t`` holds ``x_sigma`` at the place of ``u o
+    sigma`` for ``u`` the word at place ``t`` of the shape's first block.
+    Relabelling letters commutes with ``u -> u o sigma``, and each block of a
+    shape lists the relabelled words of the first in the same places, so the
+    blocks of a shape share one matrix.  The walk holds each permutation of
+    the supports once, as one ``itemgetter`` with every element's
+    coefficient: its places are found once per shape, for all elements.
     """
-    groups: dict[tuple[int, ...], tuple[tuple, list]] = {}
-    for shape, blocks in weight_patterns(d, x.k).items():
-        rows = [[0] * len(blocks[0]) for _ in blocks[0]]
-        for perm, c in x.nums.items():
-            for row, j in zip(rows, _block_gather(shape, perm)):
-                row[j] += c
-        groups[shape] = (tuple(map(tuple, rows)), blocks)
-    return groups
+    walk = [(_getter(perm), [x.nums.get(perm, 0) for x in elements])
+            for perm in set().union(*(x.nums for x in elements))]
+    out = [{} for _ in elements]
+    for shape, blocks in weight_patterns(d, elements[0].k).items():
+        words = [index_to_word(i, d, sum(shape)) for i in blocks[0]]
+        place = {u: t for t, u in enumerate(words)}.__getitem__
+        matrices = [[[0] * len(words) for _ in words] for _ in elements]
+        for at, coefficients in walk:
+            places = list(map(place, map(at, words)))
+            for rows, c in zip(matrices, coefficients):
+                if c:
+                    for row, j in zip(rows, places):
+                        row[j] += c
+        for groups, rows in zip(out, matrices):
+            groups[shape] = (tuple(map(tuple, rows)), blocks)
+    return out
 
 
-class _Stack(NamedTuple):
-    """The block matrices of ``layers`` operators at one ``(d, k)``, stacked
-    per shape: row ``t * layers + j`` of a shape's matrix is row ``t`` of
-    operator ``j``.  ``bound`` is the largest absolute row sum, ``gather``
-    an itemgetter of the inputs block by block in shape order, each block in
-    its own order of places, ``outputs`` one itemgetter per layer of that
-    layer's outputs in index order from the stacked ones, ``shapes`` each
-    shape's stacked columns with its block count, and ``packed`` its
-    :func:`_pack` per slot width, each filled on first use."""
-
-    layers: int
-    bound: int
-    gather: operator.itemgetter
-    outputs: tuple[operator.itemgetter, ...]
-    shapes: list[tuple[tuple[tuple[int, ...], ...], int]]
-    packed: dict[int, list]
+def _element_blocks(x: GroupAlgebraElement, d: int) -> dict:
+    """``x``'s :func:`_block_operators`, kept per ``d`` in its instance dict
+    beside its ranks, so that a repeated call builds no row."""
+    blocks = vars(x).setdefault("_blocks", {})
+    if d not in blocks:
+        [blocks[d]] = _block_operators([x], d)
+    return blocks[d]
 
 
-def _stack(operators) -> _Stack:
-    """Stack results of :func:`_block_operator` at one ``(d, k)``, which
-    share their shapes and blocks: one matrix per shape, which
-    :func:`_pass` applies to every block of the shape through ``gather``."""
+def _stack(operators) -> SimpleNamespace:
+    """The block matrices of ``layers`` operators at one ``(d, k)``, which
+    share their shapes and blocks, stacked per shape: row ``t * layers + j``
+    of a shape's matrix is row ``t`` of operator ``j``, and :func:`_pass`
+    applies it to every block of the shape.  ``bound`` is the largest
+    absolute row sum, ``gather`` an itemgetter of the inputs block by block
+    in shape order, each block in its own order of places, ``outputs`` one
+    itemgetter per layer of that layer's outputs in index order from the
+    stacked ones, ``shapes`` each shape's stacked columns with its block
+    count, and ``packed`` its :func:`_pack` per slot width, each filled on
+    first use."""
     bound, gather, shapes, p = 0, [], [], len(operators)
     for shape, (_, blocks) in operators[0].items():
         rows = [row for rows in zip(*(g[shape][0] for g in operators)) for row in rows]
@@ -238,11 +233,13 @@ def _stack(operators) -> _Stack:
         shapes.append((tuple(zip(*rows)), len(blocks)))
         gather.extend(itertools.chain.from_iterable(blocks))
     inverse = sorted(range(len(gather)), key=gather.__getitem__)
-    outputs = tuple(_getter([g * p + j for g in inverse]) for j in range(p))
-    return _Stack(p, bound, _getter(gather), outputs, shapes, {})
+    return SimpleNamespace(
+        layers=p, bound=bound, gather=_getter(gather), shapes=shapes, packed={},
+        outputs=tuple(_getter([g * p + j for g in inverse]) for j in range(p)),
+    )
 
 
-def _pack(stack: _Stack, width: int):
+def _pack(stack: SimpleNamespace, width: int):
     """The stacked columns packed into one int each by
     :func:`~thrallkit.tensors.pack_slots`, ``width`` bits a slot (8 to 64),
     slot ``r`` holding row ``r``.  Returns ``(columns, mask, count)`` per
@@ -271,7 +268,7 @@ def _pass(packed, xs) -> bytes:
     return b"".join(raws)
 
 
-def _apply_stacked(stack: _Stack, values) -> list:
+def _apply_stacked(stack: SimpleNamespace, values) -> list:
     """Each operator of a stack applied to the integer numerators
     ``values``: one :func:`_pass` where a slot of at most 64 bits holds
     ``bound * max|x|``, else one dot product per row (see the module
@@ -298,11 +295,12 @@ def _apply_stacked(stack: _Stack, values) -> list:
 
 @functools.cache
 def _projector_blocks(d: int, k: int):
-    """``(lam, E_lam.den, _block_operator(E_lam, d))`` per partition lam of k over
+    """``(lam, E_lam.den, groups)`` per partition lam of k, ``groups`` E_lam's
+    block matrices from one :func:`_block_operators` walk of the family, over
     their gcd: in lowest terms, as the solve builds them, so the stacks agree."""
+    family = _projector_family(k)
     out = []
-    for lam, e in _projector_family(k).items():
-        groups = _block_operator(e, d)
+    for (lam, e), groups in zip(family.items(), _block_operators(list(family.values()), d)):
         g = math.gcd(e.den, *(math.gcd(*row) for rows, _ in groups.values() for row in rows))
         if g > 1:
             for shape, (rows, blocks) in groups.items():
@@ -312,7 +310,7 @@ def _projector_blocks(d: int, k: int):
 
 
 @functools.cache
-def _projector_stack(construction, d: int, k: int) -> _Stack:
+def _projector_stack(construction, d: int, k: int) -> SimpleNamespace:
     """The block matrices of ``construction(d, k)`` stacked by :func:`_stack`."""
     return _stack([groups for _, _, groups in construction(d, k)])
 
@@ -322,7 +320,7 @@ def graded_projections(tensor: Tensor, construction=_projector_blocks) -> dict[P
 
     ``construction(d, k)`` builds the projectors as ``(lam, den, groups)`` per
     partition, ``groups`` the integer matrices of lam's projector over
-    ``den`` in the form of :func:`_block_operator`: by default
+    ``den`` in the form of :func:`_block_operators`: by default
     :func:`_projector_blocks`, the closed form ``ga_act(E_lam, .)`` (subject
     to :data:`K_MAX`); the solve backend of
     :func:`thrallkit.free_lie.thrall_decompose` passes its own.  The
@@ -352,10 +350,9 @@ def balanced_projections(d: int, ell: int) -> list[tuple[Partition, int, tuple]]
 
 def operator_image(x: GroupAlgebraElement, d: int) -> list[Tensor]:
     """The nonzero images of the basis tensors under ``ga_act(x, .)``, in word
-    order (they span the image): the nonzero columns of :func:`_block_operator`."""
-    groups = _block_operator(x, d)
+    order (they span the image): the nonzero columns of :func:`_element_blocks`."""
     images = {}
-    for rows, blocks in groups.values():
+    for rows, blocks in _element_blocks(x, d).values():
         for block in blocks:
             for v, column in zip(block, zip(*rows)):
                 if any(column):
@@ -371,7 +368,7 @@ def operator_rank(x: GroupAlgebraElement, d: int) -> int:
 
     The slot action keeps letter content, so the operator is block-diagonal
     on the weight blocks; its rank is the sum of the ranks of the block
-    matrices of :func:`_block_operator`, one elimination per shape, since
+    matrices of :func:`_element_blocks`, one elimination per shape, since
     the blocks of a shape share one matrix (scaling ``x`` to integer
     coefficients keeps the rank).  The rank is kept per ``d`` in the
     element's instance dict, outside its fields (as :attr:`~GroupAlgebraElement.terms`
@@ -379,8 +376,8 @@ def operator_rank(x: GroupAlgebraElement, d: int) -> int:
     """
     ranks = vars(x).setdefault("_ranks", {})
     if d not in ranks:
-        groups = _block_operator(x, d)
-        ranks[d] = sum(linalg.rank(rows) * len(blocks) for rows, blocks in groups.values())
+        groups = _element_blocks(x, d).values()
+        ranks[d] = sum(linalg.rank(rows) * len(blocks) for rows, blocks in groups)
     return ranks[d]
 
 

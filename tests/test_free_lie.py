@@ -694,12 +694,12 @@ def test_bracket_table_holds_each_pair_once_within_the_truncation(monkeypatch):
     a, b = random_lie_element(3, 4, rng), random_lie_element(3, 3, rng)
     ab = free_lie.lie_bracket(a, b)
     table = dict(free_lie._STRUCTURE)
-    # one back-substitution per pair met, none above min(k_max) = 3
-    assert len(calls) == len(table) > 0
-    assert all(d == 3 and len(u) + len(v) <= 3 for u, v, d in table)
-    assert {(u, v) for u, v, _ in table} == {
-        (u, v) for u in a.coeffs for v in b.coeffs if len(u) + len(v) <= 3
-    }
+    # none above min(k_max) = 3; each pair met is kept in both orders, from
+    # one back-substitution per unordered pair
+    met = {(u, v) for u in a.coeffs for v in b.coeffs if len(u) + len(v) <= 3}
+    assert all(d == 3 for _, _, d in table)
+    assert {(u, v) for u, v, _ in table} == met | {(v, u) for u, v in met}
+    assert len(calls) == len({frozenset(pair) for pair in met}) < len(met)
     # each entry is [P_u, P_v] in Lyndon coordinates, read from the dense commutator
     for (u, v, d), constants in table.items():
         left, right = lyndon_bracketing(u, d), lyndon_bracketing(v, d)

@@ -465,13 +465,34 @@ def test_operator_rank_is_kept_per_element_and_d(monkeypatch):
         raise AssertionError("rebuilt a memoized rank")
 
     with monkeypatch.context() as m:
-        m.setattr(group_algebra, "_block_operator", fail)
+        m.setattr(group_algebra, "_block_operators", fail)
         assert {d: operator_rank(x, d) for d in want} == want
     # an equal fresh copy computes its own rank; the memo is not a field
     copy = GroupAlgebraElement(x.k, dict(x.nums), x.den)
     assert_same_value(copy, x)
     assert {d: operator_rank(copy, d) for d in want} == want
     assert_same_value(copy, x)
+
+
+def test_block_matrices_are_kept_per_element_and_d(monkeypatch):
+    # ga_act, operator_image and operator_rank read one element's block
+    # matrices, built once per d; a repeat builds no row
+    x = _random_element(4, Random(35), 5)
+    tensors = {d: _random_fractional_tensor(d, 4, Random(d)) for d in (2, 3)}
+    acts = {d: ga_act(x, t) for d, t in tensors.items()}
+    images = {d: operator_image(x, d) for d in tensors}
+
+    def fail(*args):
+        raise AssertionError("rebuilt an element's block matrices")
+
+    monkeypatch.setattr(group_algebra, "_block_operators", fail)
+    for d, t in tensors.items():
+        assert ga_act(x, t) == acts[d] == dense_ga_act(x, t)
+        assert operator_image(x, d) == images[d]
+        assert operator_rank(x, d) == dense_operator_rank(x, d)
+    # an equal fresh copy builds its own
+    with pytest.raises(AssertionError, match="rebuilt"):
+        ga_act(GroupAlgebraElement(x.k, dict(x.nums), x.den), tensors[2])
 
 
 def test_ga_act_degree_mismatch():
@@ -610,11 +631,34 @@ def test_central_idempotents_commute_with_group():
         assert ga_multiply(z, g) == ga_multiply(g, z)
 
 
+@pytest.mark.parametrize("d,k", [(2, 5), (3, 5), (4, 4), (5, 4)])
+def test_one_walk_builds_every_elements_block_matrices(d, k):
+    # the projector family, a Young symmetrizer and a sparse element share one
+    # walk of their supports: each element gets the matrices of its own walk,
+    # and column j of a block holds the dense slot action on the basis tensor
+    # at the block's place j, over the element's denominator
+    elements = list(group_algebra._projector_family(k).values())
+    elements.append(young_symmetrizer({4: tau([1, 3], [2, 4]), 5: tau([1, 3, 4], [2, 5])}[k]))
+    elements.append(_random_element(k, Random(10 * d + k), 3))
+    built = group_algebra._block_operators(elements, d)
+    assert built == [group_algebra._block_operators([x], d)[0] for x in elements]
+    for shape, (_, blocks) in built[0].items():
+        for block in blocks:
+            for j, v in enumerate(block):
+                basis = Tensor(d, k, [int(i == v) for i in range(d**k)])
+                for x, groups in zip(elements, built):
+                    column = [0] * d**k
+                    for u, row in zip(block, groups[shape][0]):
+                        column[u] = row[j]
+                    assert Tensor(d, k, column, x.den) == dense_ga_act(x, basis)
+
+
 def closed_form_blocks(d, k):
     """``(den, groups)`` per partition from the closed-form family, built
     outside the caches so that a raised degree cap leaves them untouched."""
     family = group_algebra._projector_family.__wrapped__(k)
-    return {lam: (e.den, group_algebra._block_operator(e, d)) for lam, e in family.items()}
+    built = group_algebra._block_operators(list(family.values()), d)
+    return {lam: (e.den, groups) for (lam, e), groups in zip(family.items(), built)}
 
 
 @pytest.mark.parametrize(

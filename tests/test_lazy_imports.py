@@ -1,8 +1,9 @@
 """The package and the CLI load library modules on demand, no CLI path
 loads ``dataclasses`` (with ``inspect``, ``ast``, ``dis`` and ``tokenize``
 behind it), neither the CLI's start nor its light subcommands load
-``typing`` or ``pathlib``, and the commands that print only integers load
-no ``fractions`` (with ``decimal`` behind it).
+``typing`` or ``pathlib``, the commands that build the group algebra load no
+``typing``, and the commands that print only integers load no ``fractions``
+(with ``decimal`` behind it).
 
 The import checks run in a fresh interpreter, because this test process has
 already imported every module, and under ``-S``, because a site ``.pth`` may
@@ -147,6 +148,26 @@ def test_tensor_commands_leave_the_signature_stack_unloaded(argv, code):
     assert "thrallkit.tensors" in loaded
     assert "thrallkit.shuffle_sig" not in loaded
     assert "dataclasses" not in loaded
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose", "--tensor", str(DATA / "tensor_d3_k4.json")],
+        ["idempotent", "--k", "4", "--partition", "2,1,1"],
+        ["invariants", "--d", "2", "--ell", "2"],
+        ["paper-suite"],
+    ],
+    ids=["decompose", "idempotent", "invariants", "paper-suite"],
+)
+def test_group_algebra_commands_leave_typing_unloaded(argv):
+    loaded = loaded_after(
+        "from thrallkit.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0\n"
+    )
+    assert "thrallkit.group_algebra" in loaded
+    assert "typing" not in loaded
 
 
 def test_paper_suite_builds_every_value_class_without_dataclasses():

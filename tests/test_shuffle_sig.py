@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from thrallkit import shuffle_sig, tensors
 from thrallkit.free_lie import exp_truncated, is_lie_element, random_lie_element
-from thrallkit.group_algebra import ResourceLimitError, higher_lie_idempotent
+from thrallkit.group_algebra import K_MAX, ResourceLimitError, ga_act, higher_lie_idempotent
 from thrallkit.invariants import random_unimodular_matrix
 from thrallkit.rank_variety import fls_check
 from thrallkit.shuffle_sig import (
@@ -445,6 +445,25 @@ def test_log_signature_levels_are_lie():
         for k in range(1, 5):
             level = log.level(k)
             assert level.is_zero() or is_lie_element(level)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_log_levels_are_the_first_eulerian_components_of_the_signature(d):
+    # the Horner log and the projector family are independent: the first
+    # Eulerian idempotent E_(m) (the lam = (m) graded projector) sends level m
+    # of a signature to level m of its log, on lattice paths, collinear and
+    # back-tracking ones among them, at every m up to the projector cap
+    rng = Random(50 + d)
+    paths = [
+        [[rng.randint(-2, 2) for _ in range(d)] for _ in range(rng.randint(2, 6))] for _ in range(8)
+    ]
+    step = [rng.randint(1, 3) for _ in range(d)]
+    paths += [[[t * x for x in step] for t in ts] for ts in ([0, 1, 3], [0, 2, -1, 4], [1, 1])]
+    for points in paths:
+        path = PiecewiseLinearPath.from_lists(points)
+        sig, log = signature(path, K_MAX), log_signature(path, K_MAX)
+        for m in range(1, K_MAX + 1):
+            assert ga_act(higher_lie_idempotent((m,)), sig.level(m)) == log.level(m)
 
 
 def test_levy_area_values():
