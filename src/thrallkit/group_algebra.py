@@ -27,10 +27,11 @@ one integer matrix per shape of the weight blocks, their letter counts in
 decreasing order, in the word order that
 :func:`~thrallkit.tensors.weight_patterns` fixes.  One walk of the elements'
 supports builds them (:func:`_block_operators`: the projector family at
-once, or one element, kept on it).  One packed kernel applies them:
+once, or one element).  One packed kernel applies them:
 :func:`_stack` stacks the matrices of several operators per shape (the
 p(k) graded projectors in :func:`graded_projections`, cached per
-construction and ``(d, k)``; one element in :func:`ga_act`), :func:`_pack`
+construction and ``(d, k)``; one element in :func:`ga_act`, kept on the
+element per ``d``), :func:`_pack`
 packs each column of a stack into one Python int, ``W`` bits a slot, and
 :func:`_pass` computes a block's outputs for every operator as one sum of
 ``b`` big-int products; one ``itemgetter`` per operator then picks that
@@ -165,13 +166,20 @@ def ga_act(x: GroupAlgebraElement, tensor: Tensor) -> Tensor:
     """Apply an element to a tensor through the slot action.
 
     ``out[u] = sum_sigma x_sigma T[u o sigma]``: the integer block matrices
-    of :func:`_element_blocks`, packed for this call and applied to the
-    tensor's integer numerators by :func:`_apply_stacked`, the kernel of
-    :func:`graded_projections`, as a stack of one layer.
+    of :func:`_block_operators`, stacked by :func:`_stack` as one layer and
+    applied to the tensor's integer numerators by :func:`_apply_stacked`,
+    the kernel of :func:`graded_projections`.  The stack, with its
+    packings, is kept per ``d`` in the element's instance dict beside its
+    ranks (see :func:`operator_rank`), so a repeated call builds and packs
+    nothing.
     """
     if x.k != tensor.k:
         raise ValueError(f"degree mismatch: element {x.k}, tensor order {tensor.k}")
-    [nums] = _apply_stacked(_stack([_element_blocks(x, tensor.d)]), tensor.nums)
+    stacks = vars(x).setdefault("_stacks", {})
+    stack = stacks.get(tensor.d)
+    if stack is None:
+        stack = stacks[tensor.d] = _stack(_block_operators([x], tensor.d))
+    [nums] = _apply_stacked(stack, tensor.nums)
     return Tensor._built(tensor.d, tensor.k, nums, x.den * tensor.den)
 
 
@@ -190,9 +198,9 @@ def _block_operators(elements, d: int) -> list[dict]:
     """
     walk = [(_getter(perm), [x.nums.get(perm, 0) for x in elements])
             for perm in set().union(*(x.nums for x in elements))]
-    out = [{} for _ in elements]
-    for shape, blocks in weight_patterns(d, elements[0].k).items():
-        words = [index_to_word(i, d, sum(shape)) for i in blocks[0]]
+    k, out = elements[0].k, [{} for _ in elements]
+    for shape, blocks in weight_patterns(d, k).items():
+        words = [index_to_word(i, d, k) for i in blocks[0]]
         place = {u: t for t, u in enumerate(words)}.__getitem__
         matrices = [[[0] * len(words) for _ in words] for _ in elements]
         for at, coefficients in walk:
@@ -204,15 +212,6 @@ def _block_operators(elements, d: int) -> list[dict]:
         for groups, rows in zip(out, matrices):
             groups[shape] = (tuple(map(tuple, rows)), blocks)
     return out
-
-
-def _element_blocks(x: GroupAlgebraElement, d: int) -> dict:
-    """``x``'s :func:`_block_operators`, kept per ``d`` in its instance dict
-    beside its ranks, so that a repeated call builds no row."""
-    blocks = vars(x).setdefault("_blocks", {})
-    if d not in blocks:
-        [blocks[d]] = _block_operators([x], d)
-    return blocks[d]
 
 
 def _stack(operators) -> SimpleNamespace:
@@ -350,9 +349,10 @@ def balanced_projections(d: int, ell: int) -> list[tuple[Partition, int, tuple]]
 
 def operator_image(x: GroupAlgebraElement, d: int) -> list[Tensor]:
     """The nonzero images of the basis tensors under ``ga_act(x, .)``, in word
-    order (they span the image): the nonzero columns of :func:`_element_blocks`."""
+    order (they span the image): the nonzero columns of :func:`_block_operators`."""
     images = {}
-    for rows, blocks in _element_blocks(x, d).values():
+    [groups] = _block_operators([x], d)
+    for rows, blocks in groups.values():
         for block in blocks:
             for v, column in zip(block, zip(*rows)):
                 if any(column):
@@ -368,7 +368,7 @@ def operator_rank(x: GroupAlgebraElement, d: int) -> int:
 
     The slot action keeps letter content, so the operator is block-diagonal
     on the weight blocks; its rank is the sum of the ranks of the block
-    matrices of :func:`_element_blocks`, one elimination per shape, since
+    matrices of :func:`_block_operators`, one elimination per shape, since
     the blocks of a shape share one matrix (scaling ``x`` to integer
     coefficients keeps the rank).  The rank is kept per ``d`` in the
     element's instance dict, outside its fields (as :attr:`~GroupAlgebraElement.terms`
@@ -376,8 +376,8 @@ def operator_rank(x: GroupAlgebraElement, d: int) -> int:
     """
     ranks = vars(x).setdefault("_ranks", {})
     if d not in ranks:
-        groups = _element_blocks(x, d).values()
-        ranks[d] = sum(linalg.rank(rows) * len(blocks) for rows, blocks in groups)
+        [groups] = _block_operators([x], d)
+        ranks[d] = sum(linalg.rank(rows) * len(blocks) for rows, blocks in groups.values())
     return ranks[d]
 
 

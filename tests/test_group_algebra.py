@@ -464,8 +464,10 @@ def test_operator_rank_is_kept_per_element_and_d(monkeypatch):
     def fail(*args):
         raise AssertionError("rebuilt a memoized rank")
 
+    # a memoized rank runs neither the walk nor the elimination
     with monkeypatch.context() as m:
         m.setattr(group_algebra, "_block_operators", fail)
+        m.setattr(group_algebra.linalg, "rank", fail)
         assert {d: operator_rank(x, d) for d in want} == want
     # an equal fresh copy computes its own rank; the memo is not a field
     copy = GroupAlgebraElement(x.k, dict(x.nums), x.den)
@@ -474,22 +476,20 @@ def test_operator_rank_is_kept_per_element_and_d(monkeypatch):
     assert_same_value(copy, x)
 
 
-def test_block_matrices_are_kept_per_element_and_d(monkeypatch):
-    # ga_act, operator_image and operator_rank read one element's block
-    # matrices, built once per d; a repeat builds no row
+def test_ga_act_keeps_its_stack_per_element_and_d(monkeypatch):
+    # ga_act stacks and packs one element's block matrices once per d; a
+    # repeat builds no row and packs no column
     x = _random_element(4, Random(35), 5)
     tensors = {d: _random_fractional_tensor(d, 4, Random(d)) for d in (2, 3)}
     acts = {d: ga_act(x, t) for d, t in tensors.items()}
-    images = {d: operator_image(x, d) for d in tensors}
 
     def fail(*args):
-        raise AssertionError("rebuilt an element's block matrices")
+        raise AssertionError("rebuilt an element's stack")
 
-    monkeypatch.setattr(group_algebra, "_block_operators", fail)
+    for name in ("_block_operators", "_stack", "_pack"):
+        monkeypatch.setattr(group_algebra, name, fail)
     for d, t in tensors.items():
         assert ga_act(x, t) == acts[d] == dense_ga_act(x, t)
-        assert operator_image(x, d) == images[d]
-        assert operator_rank(x, d) == dense_operator_rank(x, d)
     # an equal fresh copy builds its own
     with pytest.raises(AssertionError, match="rebuilt"):
         ga_act(GroupAlgebraElement(x.k, dict(x.nums), x.den), tensors[2])
