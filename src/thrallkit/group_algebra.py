@@ -64,7 +64,7 @@ from fractions import Fraction
 from types import MappingProxyType, SimpleNamespace
 
 from . import linalg
-from .permutations import Perm, all_permutations, compose, cycle_type, inverse, sign
+from .permutations import Perm, all_permutations, compose, cycle_type, inverse, sign, subgroup_fixing
 from .tensors import Tensor, pack_slots, read_slots, slot_bytes, slot_mask, slot_width, weight_patterns
 from .words import (
     Partition,
@@ -385,27 +385,13 @@ def operator_rank(x: GroupAlgebraElement, d: int) -> int:
 # Young symmetrizers
 
 
-def _subgroup_fixing(groups: list[tuple[int, ...]], k: int) -> list[Perm]:
-    """All permutations preserving each 1-based group setwise."""
-    perms = []
-    options = [list(itertools.permutations(g)) for g in groups]
-    for combo in itertools.product(*options):
-        p = list(range(k))
-        for group, image in zip(groups, combo):
-            for a, b in zip(group, image):
-                p[a - 1] = b - 1
-        perms.append(tuple(p))
-    return perms
-
-
 def young_symmetrizer(tableau: YoungTableau) -> GroupAlgebraElement:
     """Row sum times signed column sum, in that product order."""
     k = tableau.size
-    rows = [tuple(r) for r in tableau.rows]
     cols = [tableau.column(j) for j in range(tableau.shape[0])]
     nums: dict[Perm, int] = {}
-    for t in _subgroup_fixing(rows, k):
-        for s in _subgroup_fixing(cols, k):
+    for t in subgroup_fixing(tableau.rows, k):
+        for s in subgroup_fixing(cols, k):
             ts = compose(t, s)
             nums[ts] = nums.get(ts, 0) + sign(s)
     return GroupAlgebraElement(k, nums, 1)

@@ -4,45 +4,43 @@ By the first fundamental theorem for the determinant-one group, the
 degree-k invariants are zero unless k = d*ell, and then they are spanned by
 products of determinants: split the k slots into ell columns of d slots and
 multiply the determinants of the letters read in each column.  The standard
-tableaux of the d-by-ell rectangle give a basis (the standard polytabloids;
-straightening rewrites every other column split in terms of them), so the
-invariant space is read off directly, with no linear solve.
+tableaux of the d-by-ell rectangle give a basis (the standard polytabloids,
+each its tableau's signed sum over its column group, Sagan, *The Symmetric
+Group*, 2001, §2.3; straightening rewrites every other column split in terms
+of them), so the invariant space is read off directly, with no linear solve.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 import operator
 from fractions import Fraction
 
 from . import linalg
-from .permutations import all_permutations, sign
+from .permutations import all_permutations, sign, subgroup_fixing
 from .shuffle_sig import WordFunctional
 from .tensors import Tensor
 from .words import Partition, Word, distinct_orderings, standard_tableaux, word_to_index
 
 
-def _column_sign(letters: Word) -> int:
-    """Determinant of the basis vectors e_letters: the sign that sorts them, or 0 on a repeat."""
-    if len(set(letters)) < len(letters):
-        return 0
-    return sign(tuple(sorted(range(len(letters)), key=letters.__getitem__)))
-
-
 def _polytabloid_rows(d: int, ell: int) -> tuple[list[Word], list[list[int]]]:
     """The balanced words (each letter ell times) and one integer row per
-    standard tableau of the rectangle ``(ell,)*d``: at the word w, the product
-    over the tableau's columns of the determinant of the letters of w in that
-    column's slots."""
+    standard tableau ``t`` of the rectangle ``(ell,)*d``: its polytabloid
+    ``e_t = sum sgn(pi) (w_t o pi)`` over the column group ``C_t`` of ``t``
+    (Sagan, *The Symmetric Group*, 2001, §2.3), for ``w_t`` the word whose
+    slot ``s`` holds the row of ``t`` that holds ``s``.  Distinct ``pi`` give
+    distinct words, so the row holds ``sgn(pi)`` at the place of ``w_t o pi``
+    and zero elsewhere: at ``w``, the product over the columns of the
+    determinant of the letters of ``w`` in that column's slots."""
     words = list(distinct_orderings(letter for letter in range(1, d + 1) for _ in range(ell)))
+    place = {w: i for i, w in enumerate(words)}
     rows = []
     for tableau in standard_tableaux((ell,) * d):
-        columns = [tableau.column(j) for j in range(ell)]
-        rows.append([
-            math.prod(_column_sign(tuple(w[slot - 1] for slot in col)) for col in columns)
-            for w in words
-        ])
+        word = [i for _, i in sorted((s, i) for i, row in enumerate(tableau.rows, 1) for s in row)]
+        row = [0] * len(words)
+        for pi in subgroup_fixing([tableau.column(j) for j in range(ell)], d * ell):
+            row[place[tuple(map(word.__getitem__, pi))]] = sign(pi)
+        rows.append(row)
     return words, rows
 
 

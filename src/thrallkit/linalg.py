@@ -117,14 +117,11 @@ def primitive_row_basis(matrix) -> list[list[int]]:
 def in_span(vectors, target) -> bool:
     """Exact membership of ``target`` in the span of ``vectors``."""
     vecs = [list(v) for v in vectors]
-    base = rank(vecs) if vecs else 0
-    return rank(vecs + [list(target)]) == base
+    return rank(vecs + [list(target)]) == rank(vecs)
 
 
 def same_span(vectors_a, vectors_b) -> bool:
     """Exact equality of spans."""
     a = [list(v) for v in vectors_a]
     b = [list(v) for v in vectors_b]
-    ra = rank(a) if a else 0
-    rb = rank(b) if b else 0
-    return ra == rb == rank(a + b)
+    return rank(a) == rank(b) == rank(a + b)

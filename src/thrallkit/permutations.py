@@ -49,6 +49,17 @@ def all_permutations(k: int) -> list[Perm]:
     return list(itertools.permutations(range(k)))
 
 
+def subgroup_fixing(groups: list[tuple[int, ...]], k: int) -> list[Perm]:
+    """All permutations preserving each 1-based group setwise: the row or
+    column group of a tableau, for its rows or columns as the groups."""
+    moved = list(itertools.chain(*groups))
+    perms = []
+    for images in itertools.product(*map(itertools.permutations, groups)):
+        image = dict(zip(moved, itertools.chain(*images)))
+        perms.append(tuple(image.get(i, i) - 1 for i in range(1, k + 1)))
+    return perms
+
+
 def cycle_type(p: Perm) -> tuple[int, ...]:
     """Cycle type as a partition (weakly decreasing, fixed points included)."""
     return tuple(sorted(map(len, _cycles(p)), reverse=True))

@@ -251,42 +251,20 @@ def hdet_pullback_check(seed: int, samples: int = 20) -> PullbackReport:
     constant: Fraction | None = None
     checked = 0
     while checked < samples:
-        s1, s2, t12, u112, u122 = (
-            Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(5)
-        )
-        element = LieElement(
-            2,
-            3,
-            {
-                (1,): s1,
-                (2,): s2,
-                (1, 2): t12,
-                (1, 1, 2): u112,
-                (1, 2, 2): u122,
-            },
-        )
+        coords = [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(5)]
+        s1, s2, t12, u112, u122 = coords
+        element = LieElement(2, 3, dict(zip([(1,), (2,), (1, 2), (1, 1, 2), (1, 2, 2)], coords)))
         lhs = hyperdeterminant_2x2x2(phi_k(element, 3))
-        rhs_factor = (s2 * u112 + s1 * u122) ** 2 * (
-            3 * t12**2 - 4 * s2 * u112 - 4 * s1 * u122
-        )
+        rhs_factor = (s2 * u112 + s1 * u122) ** 2 * (3 * t12**2 - 4 * s2 * u112 - 4 * s1 * u122)
         checked += 1
         if rhs_factor == 0:
             if lhs != 0:
-                return PullbackReport(
-                    False,
-                    constant,
-                    checked,
-                    {"tuple": [str(v) for v in (s1, s2, t12, u112, u122)]},
-                )
+                return PullbackReport(False, constant, checked, {"tuple": list(map(str, coords))})
             continue
         ratio = lhs / rhs_factor
         if constant is None:
             constant = ratio
         elif ratio != constant:
-            return PullbackReport(
-                False,
-                constant,
-                checked,
-                {"tuple": [str(v) for v in (s1, s2, t12, u112, u122)], "ratio": str(ratio)},
-            )
+            counterexample = {"tuple": list(map(str, coords)), "ratio": str(ratio)}
+            return PullbackReport(False, constant, checked, counterexample)
     return PullbackReport(True, constant, checked)

@@ -224,20 +224,31 @@ def _runs(diffs, d: int) -> list[tuple[int, ...]]:
     return list(filter(any, zip(*(map(sub, e[1:], e[:-1]) for e in ends))))
 
 
-def _chen_numerators(path: PiecewiseLinearPath, k_max: int):
-    """The signature levels as numerators ``N_m`` and their denominators
-    ``m! q^m``; see :func:`signature`.  Coordinates are read as integer
-    ratios (no rescale at ``q = 1``), the runs by :func:`_runs`, and each
-    run lists its nonzero letters once, against per-call tables."""
+def _scaled_runs(path: PiecewiseLinearPath, k_max: int) -> tuple[int, list[tuple[int, ...]]]:
+    """``q``, the lcm of the vertex denominators, and the :func:`_runs` of
+    the path times ``q``, once ``k_max`` passes :func:`signature`'s checks.
+    Coordinates are read as integer ratios (no rescale at ``q = 1``), once
+    per path: it keeps both in its instance dict."""
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     d = path.d
     check_entries(d, k_max, "signature", levels=True)
-    ratios = [x.as_integer_ratio() for p in path.points for x in p]
-    q = math.lcm(*(b for _, b in ratios))
+    if "_scaled_runs" not in vars(path):
+        ratios = [x.as_integer_ratio() for p in path.points for x in p]
+        q = math.lcm(*(b for _, b in ratios))
+        flat = [a for a, _ in ratios] if q == 1 else [a * (q // b) for a, b in ratios]
+        object.__setattr__(path, "_scaled_runs", (q, _runs(map(int.__sub__, flat[d:], flat[:-d]), d)))
+    return vars(path)["_scaled_runs"]
+
+
+def _chen_numerators(path: PiecewiseLinearPath, k_max: int):
+    """The signature levels as numerators ``N_m`` and their denominators
+    ``m! q^m``; see :func:`signature`.  The runs come from
+    :func:`_scaled_runs`, and each run lists its nonzero letters once,
+    against per-call tables."""
+    d = path.d
+    q, runs = _scaled_runs(path, k_max)
     dens = [math.factorial(m) * q**m for m in range(k_max + 1)]
-    flat = [a for a, _ in ratios] if q == 1 else [a * (q // b) for a, b in ratios]
-    runs = _runs(map(int.__sub__, flat[d:], flat[:-d]), d)
     if not runs:
         return [[1]] + [[0] * d**m for m in range(1, k_max + 1)], dens
     # slot bound: |N_m(w)| = m! q^m |S_m(w)| <= V^m < 2^(B - 1) for V the sum over
@@ -319,6 +330,9 @@ def signature(path: PiecewiseLinearPath, k_max: int) -> TensorSeries:
 def log_signature(path: PiecewiseLinearPath, k_max: int) -> TensorSeries:
     """Truncated logarithm of the signature; levels are Lie elements.
 
+    When every run of :func:`_scaled_runs` is parallel to the first (at d =
+    1, or on a line), the signature is ``exp(v)`` for the total increment
+    ``v``, so the log is ``v`` at level 1 and zero above.  Otherwise it is
     :func:`thrallkit.free_lie.log_truncated` of :func:`signature`, whose
     levels share the path's one Chen update; both run on integer
     numerators.  The path keeps the log levels of its highest truncation
@@ -328,9 +342,14 @@ def log_signature(path: PiecewiseLinearPath, k_max: int) -> TensorSeries:
     """
     levels = path.__dict__.get("_log_levels")
     if levels is None or not 0 <= k_max < len(levels):
-        from .free_lie import log_truncated
+        d, (q, runs) = path.d, _scaled_runs(path, k_max)
+        if all(a * y == x * b for u in runs[1:] for (a, b), (x, y) in combinations(zip(runs[0], u), 2)):
+            v = Tensor._built(d, 1, [sum(column) for column in zip(*runs)] or [0] * d, q)
+            levels = TensorSeries.from_levels(d, k_max, {1: v}).levels
+        else:
+            from .free_lie import log_truncated
 
-        levels = log_truncated(signature(path, k_max)).levels
+            levels = log_truncated(signature(path, k_max)).levels
         object.__setattr__(path, "_log_levels", levels)
     return TensorSeries(path.d, levels[: k_max + 1])
 

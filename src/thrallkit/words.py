@@ -43,8 +43,10 @@ def value_type(cls):
     neither equality nor the repr.  A class whose ``_reduce(self, fields)``
     writes a tuple of field values in canonical form gets the one builder of
     values valid by construction, ``cls._built(*fields)``: reduced,
-    unchecked.  Unlike a frozen dataclass it imports nothing and generates
-    no code, so no CLI process loads ``dataclasses`` and ``inspect``.
+    unchecked.  ``pickle`` and ``copy`` rebuild a value from its fields (a
+    read-only mapping as a dict) through ``_built``, else the constructor,
+    and carry no memo.  Unlike a frozen dataclass it imports nothing and
+    generates no code, so no CLI process loads ``dataclasses`` and ``inspect``.
     """
     names = tuple(cls.__annotations__)
     fields = operator.attrgetter(*names)
@@ -77,6 +79,7 @@ def value_type(cls):
             self.__dict__.update(values)
 
         cls.__init__ = __init__
+    build = cls
     if "_reduce" in vars(cls):
         new, reduce = object.__new__, cls._reduce
 
@@ -85,8 +88,15 @@ def value_type(cls):
             reduce(out, fields)
             return out
 
-        cls._built = staticmethod(_built)
-    cls.__eq__, cls.__hash__, cls.__repr__ = __eq__, __hash__, __repr__
+        # named as the class attribute it is, so pickle finds it by reference
+        _built.__module__, _built.__qualname__ = cls.__module__, f"{cls.__qualname__}._built"
+        cls._built, build = staticmethod(_built), _built
+
+    def __reduce__(self):
+        values = map(vars(self).__getitem__, names)
+        return build, tuple(dict(v) if isinstance(v, MappingProxyType) else v for v in values)
+
+    cls.__eq__, cls.__hash__, cls.__repr__, cls.__reduce__ = __eq__, __hash__, __repr__, __reduce__
     cls.__setattr__, cls.__delattr__ = __setattr__, __delattr__
     return cls
 

@@ -83,6 +83,8 @@ ROWS = [(argv.split(), golden, code) for argv, golden, code in [
     # a memoized table in which two of three pieces are empty
     ("invariants --d 3 --ell 1", "invariants_d3_ell1.out", 0),
     ("invariant-space --d 3 --k 6", "invariant_space_d3_k6.out", 0),
+    # 42 rows of 252 balanced words, each row 32 signed words
+    ("invariant-space --d 2 --k 10", "invariant_space_d2_k10.out", 0),
     ("check rank1 --input tensor_d2_k3_rank_one.json", "check_rank1_d2_k3.out", 0),
     # the rank-one tensor is not symmetric
     ("check symmetric --input tensor_d2_k3_rank_one.json", "check_symmetric_d2_k3.out", 1),
@@ -90,6 +92,9 @@ ROWS = [(argv.split(), golden, code) for argv, golden, code in [
     # a vertex of 4,000 digits, whose square has more than Python prints by default
     ("signature --path path_d1_4000_digits.json --level 2",
      "signature_d1_4000_digits_level2.out", 0),
+    # d = 1: the log is the increment alone; through the power series this took 6.5 min
+    ("signature --path path_d1_three_vertices.json --level 1000 --log",
+     "signature_log_d1_three_vertices_level1000.out", 0),
 ]]
 
 

@@ -17,10 +17,12 @@ idempotents from Fraction character values, the dual slot action
 on functionals and the Lie levels from term-by-term Fraction sums, and the
 graded bases, the f_lambda summands and the Lie bracket from dense Fraction
 tensor products, the determinant-one invariants from the nullspace of the
-infinitesimal conditions, Lie membership from Dynkin's criterion and the
-rank-one test from single-slot flattening ranks, Lyndon words from their
-rotations and shuffles from the positions of the first word, so the main
-implementations are checked against genuinely different arithmetic.
+infinitesimal conditions, the standard polytabloid rows by scanning every
+balanced word for each tableau's column determinants, Lie membership from
+Dynkin's criterion and the rank-one test from single-slot flattening ranks,
+Lyndon words from their rotations and shuffles from the positions of the
+first word, so the main implementations are checked against genuinely
+different arithmetic.
 """
 
 import functools
@@ -34,13 +36,14 @@ from thrallkit.free_lie import (
     lie_coordinates,
     lyndon_bracketing,
 )
-from thrallkit.group_algebra import GroupAlgebraElement, _subgroup_fixing, higher_lie_idempotent
+from thrallkit.group_algebra import GroupAlgebraElement, higher_lie_idempotent
 from thrallkit.permutations import (
     all_permutations,
     compose,
     cycle_type,
     inverse,
     sign,
+    subgroup_fixing,
 )
 from thrallkit.rank_variety import RankOneResult
 from thrallkit.shuffle_sig import PiecewiseLinearPath, WordFunctional
@@ -52,6 +55,7 @@ from thrallkit.tensors import (
 from thrallkit.words import (
     all_words,
     check_partition,
+    distinct_orderings,
     index_to_word,
     lyndon_words,
     multiplicity_profile,
@@ -681,8 +685,8 @@ def column_first_young_symmetrizer(tableau):
     rows = [tuple(r) for r in tableau.rows]
     cols = [tableau.column(j) for j in range(tableau.shape[0])]
     terms = {}
-    for s in _subgroup_fixing(cols, k):
-        for t in _subgroup_fixing(rows, k):
+    for s in subgroup_fixing(cols, k):
+        for t in subgroup_fixing(rows, k):
             st = compose(s, t)
             terms[st] = terms.get(st, Fraction(0)) + sign(s)
     return GroupAlgebraElement(k, terms)
@@ -972,3 +976,26 @@ def dense_lie_bracket(a, b):
             for w, c in coords.items():
                 coeffs[w] = coeffs.get(w, Fraction(0)) + c
     return LieElement(a.d, k_max, coeffs)
+
+
+def _column_sign(letters) -> int:
+    """Determinant of the basis vectors e_letters: the sign that sorts them, or 0 on a repeat."""
+    if len(set(letters)) < len(letters):
+        return 0
+    return sign(tuple(sorted(range(len(letters)), key=letters.__getitem__)))
+
+
+def polytabloid_rows_by_scan(d: int, ell: int):
+    """The balanced words and the standard polytabloid rows of
+    :func:`thrallkit.invariants._polytabloid_rows`, by scanning every
+    balanced word for every standard tableau: the entry at w is the product
+    over the tableau's columns of the determinant of w's letters there."""
+    words = list(distinct_orderings(letter for letter in range(1, d + 1) for _ in range(ell)))
+    rows = []
+    for tableau in standard_tableaux((ell,) * d):
+        columns = [tableau.column(j) for j in range(ell)]
+        rows.append([
+            math.prod(_column_sign(tuple(w[slot - 1] for slot in col)) for col in columns)
+            for w in words
+        ])
+    return words, rows

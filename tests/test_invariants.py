@@ -21,7 +21,14 @@ from thrallkit.reference_suite import BETA_22, BETA_31
 from thrallkit.shuffle_sig import WordFunctional, levy_functional
 from thrallkit.symfun import thrall_coefficients
 from thrallkit.tensors import Tensor, symmetrize, tensor_product
-from thrallkit.words import ResourceLimitError, all_words, distinct_orderings, num_standard, partitions
+from thrallkit.words import (
+    ResourceLimitError,
+    all_words,
+    distinct_orderings,
+    num_standard,
+    partitions,
+    standard_tableaux,
+)
 
 from oracles import (
     apply_matrix,
@@ -34,6 +41,7 @@ from oracles import (
     nullspace_sl_invariant_space,
     permutation_sl_invariant_space,
     permutation_words_with_counts,
+    polytabloid_rows_by_scan,
     random_tensor,
 )
 
@@ -90,6 +98,33 @@ def test_balanced_words_and_invariants_match_the_permutation_enumeration(d, k):
     counts = {letter: k // d for letter in range(1, d + 1)}
     assert words_with_counts(counts) == permutation_words_with_counts(counts)
     assert sl_invariant_space(d, k) == permutation_sl_invariant_space(d, k)
+
+
+@pytest.mark.parametrize(
+    "d,ell",
+    [(2, ell) for ell in range(1, 7)] + [(3, 1), (3, 2), (3, 3), (4, 1), (4, 2)]
+    + [(d, 1) for d in (1, 5, 6)],
+)
+def test_polytabloid_rows_match_the_scan_of_every_balanced_word(d, ell):
+    assert invariants._polytabloid_rows(d, ell) == polytabloid_rows_by_scan(d, ell)
+
+
+def test_polytabloid_rows_at_2_7_hold_one_signed_word_per_column_permutation():
+    # the scan takes seconds here: count the rows and their nonzero entries,
+    # and read sampled entries as products of Leibniz column determinants
+    words, rows = invariants._polytabloid_rows(2, 7)
+    tableaux = standard_tableaux((7, 7))
+    assert len(words) == 3432 and len(rows) == len(tableaux) == 429
+    assert all(sum(map(abs, row)) == sum(map(bool, row)) == 2**7 for row in rows)
+    rng = Random(36)
+    for t in rng.sample(range(429), 6):
+        support = [i for i, c in enumerate(rows[t]) if c]
+        for i in rng.sample(support, 8) + rng.sample(range(3432), 8):
+            expected = 1
+            for j in range(7):
+                letters = [words[i][slot - 1] for slot in tableaux[t].column(j)]
+                expected *= leibniz_determinant([[int(a == b) for b in (1, 2)] for a in letters])
+            assert rows[t][i] == expected
 
 
 def test_invariant_space_empty_when_degree_not_divisible():

@@ -96,12 +96,18 @@ def test_light_subcommands_leave_the_algebra_stack_unloaded(argv, code, integers
     [
         (["signature", "--path", str(DATA / "path_d2_integer.json"), "--level", "3"], 0),
         (["signature", "--path", str(DATA / "path_d2_integer.json"), "--level", "3", "--log"], 0),
+        # one direction: the log in closed form, with no Chen update
+        (["signature", "--path", str(DATA / "path_d1_three_vertices.json"), "--level", "3", "--log"], 0),
+        (["invariant-space", "--d", "2", "--k", "4"], 0),
         (["check", "lie", "--input", str(DATA / "tensor_d3_k4_lie.json")], 0),
         (["check", "group-like", "--input", str(DATA / "series_d2_level3_signature.json")], 0),
         (["check", "fls", "--input", str(DATA / "path_bent.json"), "--level", "5"], 1),
         (["check", "rank1", "--input", str(DATA / "tensor_d2_k3_rank_one.json")], 0),
     ],
-    ids=["signature", "signature-log", "check-lie", "check-group-like", "check-fls", "check-rank1"],
+    ids=[
+        "signature", "signature-log", "signature-log-d1", "invariant-space", "check-lie",
+        "check-group-like", "check-fls", "check-rank1",
+    ],
 )
 def test_signature_and_checks_leave_the_group_algebra_unloaded(argv, code):
     loaded = loaded_after(

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from thrallkit import shuffle_sig, tensors
-from thrallkit.free_lie import exp_truncated, is_lie_element, random_lie_element
+from thrallkit import free_lie, shuffle_sig, tensors
+from thrallkit.free_lie import exp_truncated, is_lie_element, log_truncated, random_lie_element
 from thrallkit.group_algebra import K_MAX, ResourceLimitError, ga_act, higher_lie_idempotent
 from thrallkit.invariants import random_unimodular_matrix
 from thrallkit.rank_variety import fls_check
@@ -420,9 +420,33 @@ def test_log_signature_cases():
     assert sig == unit_series(2, 4)
 
 
-def test_log_signature_is_kept_on_the_path(monkeypatch):
-    from thrallkit import free_lie
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_one_direction_log_is_the_increment_alone(monkeypatch, d):
+    # when every run is parallel to the first, the signature is exp(v) and
+    # the log is v at level 1 and zero above: no Chen update, no power series
+    rng = Random(60 + d)
+    step = [rng.choice((-1, 1)) * rng.randint(1, 3) for _ in range(d)]
+    other = [1] + [0] * (d - 1)
+    times = ([0, 1], [0, 2, -1, 4], [Fraction(1, 2), Fraction(-5, 3), 3, 3], [1, 1], [7])
+    paths = [[[t * x for x in step] for t in ts] for ts in times]
+    # two runs apart, either side of one that cancels
+    paths.append([[0] * d, step, [a + b for a, b in zip(step, other)], step, [2 * x for x in step]])
+    expected = [[log_truncated(signature(PiecewiseLinearPath.from_lists(p), k)) for k in range(7)]
+                for p in paths]
 
+    def fail(*args):
+        raise AssertionError("the log of a one-direction path ran the general route")
+
+    monkeypatch.setattr(shuffle_sig, "_chen_numerators", fail)
+    monkeypatch.setattr(free_lie, "_power_series", fail)
+    for points, logs in zip(paths, expected):
+        assert [log_signature(PiecewiseLinearPath.from_lists(points), k) for k in range(7)] == logs
+        increment = [b - a for a, b in zip(points[0], points[-1])]
+        assert logs[6].level(1) == Tensor.from_vector(d, increment)
+        assert all(level.is_zero() for level in logs[6].levels[2:])
+
+
+def test_log_signature_is_kept_on_the_path(monkeypatch):
     points = [[0, 0], [1, 2], [3, 1], [2, -1]]
     fresh = [log_signature(PiecewiseLinearPath.from_lists(points), k) for k in range(7)]
     path = PiecewiseLinearPath.from_lists(points)

@@ -2,7 +2,9 @@
 assignment or deletion, memos outside the fields, and read-only mappings in
 the answers that caches hand out."""
 
+import copy
 import json
+import pickle
 from fractions import Fraction
 from pathlib import Path
 
@@ -177,6 +179,23 @@ def test_value_contract(name):
     assert_same_value(x, y)
     assert repr(x) == _expected_repr(name, x)
     assert x != object() and not x == repr(x)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_values_survive_pickle_and_deepcopy(name):
+    build, _, fill = CASES[name]
+    x = build()
+    if fill is not None:
+        fill(x)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert_same_value(pickle.loads(pickle.dumps(x, protocol)), x)
+    y = copy.deepcopy(x)
+    assert_same_value(y, x)
+    # a rebuilt value carries no memo, and its mappings stay read-only
+    assert len(vars(y)) == len(type(x).__annotations__)
+    if name in READ_ONLY:
+        with pytest.raises(TypeError):
+            getattr(y, READ_ONLY[name])["key"] = 1
 
 
 def test_value_init_takes_the_fields_once():
