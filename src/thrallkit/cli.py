@@ -102,7 +102,8 @@ def cmd_dims(args) -> int:
 
 
 def cmd_lyndon(args) -> int:
-    lengths = range(1, args.k + 1) if args.upto else [args.k]
+    # k < 1 takes the one-length route, where lyndon_words refuses it
+    lengths = range(1, args.k + 1) if args.upto and args.k >= 1 else [args.k]
     words = [word_to_string(w) for k in lengths for w in lyndon_words(args.d, k)]
     _emit({"d": args.d, "k": args.k, "words": words}, args.format,
           lambda p: print(" ".join(p["words"])))

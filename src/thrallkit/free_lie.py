@@ -35,7 +35,6 @@ from .words import (
     Word,
     check_partition,
     distinct_orderings,
-    index_to_word,
     is_lyndon,
     lyndon_words,
     multiplicity_profile,
@@ -323,13 +322,13 @@ def _solve_blocks(d: int, k: int):
     """
     shapes = weight_patterns(d, k)
     # each shape's first block by its content, the block's first word
-    shape_of = {index_to_word(blocks[0][0], d, k): shape for shape, blocks in shapes.items()}
+    shape_of = {words[0]: shape for shape, (words, _) in shapes.items()}
     columns: dict[tuple[int, ...], list] = {shape: [] for shape in shapes}
     for lam in partitions(k):
         for content, vec in _w_basis(lam, d, shape_of):
             columns[shape_of[content]].append((lam, vec))
     pieces: dict[Partition, list] = {lam: [] for lam in partitions(k)}
-    for shape, blocks in shapes.items():
+    for shape, (_, blocks) in shapes.items():
         cols, first, b = columns[shape], blocks[0], len(blocks[0])
         if len(cols) != b:
             raise ArithmeticError("graded bases do not fill the tensor power")

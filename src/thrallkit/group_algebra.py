@@ -64,7 +64,7 @@ from fractions import Fraction
 from types import MappingProxyType, SimpleNamespace
 
 from . import linalg
-from .permutations import Perm, all_permutations, compose, cycle_type, inverse, sign, subgroup_fixing
+from .permutations import Perm, all_permutations, compose, cycle_type, inverse, subgroup_fixing
 from .tensors import Tensor, pack_slots, read_slots, slot_bytes, slot_mask, slot_width, weight_patterns
 from .words import (
     Partition,
@@ -72,7 +72,6 @@ from .words import (
     YoungTableau,
     check_partition,
     distinct_orderings,
-    index_to_word,
     partitions,
     reduced_mapping,
     value_type,
@@ -199,8 +198,7 @@ def _block_operators(elements, d: int) -> list[dict]:
     walk = [(_getter(perm), [x.nums.get(perm, 0) for x in elements])
             for perm in set().union(*(x.nums for x in elements))]
     k, out = elements[0].k, [{} for _ in elements]
-    for shape, blocks in weight_patterns(d, k).items():
-        words = [index_to_word(i, d, k) for i in blocks[0]]
+    for shape, (words, blocks) in weight_patterns(d, k).items():
         place = {u: t for t, u in enumerate(words)}.__getitem__
         matrices = [[[0] * len(words) for _ in words] for _ in elements]
         for at, coefficients in walk:
@@ -388,12 +386,12 @@ def operator_rank(x: GroupAlgebraElement, d: int) -> int:
 def young_symmetrizer(tableau: YoungTableau) -> GroupAlgebraElement:
     """Row sum times signed column sum, in that product order."""
     k = tableau.size
-    cols = [tableau.column(j) for j in range(tableau.shape[0])]
+    cols = subgroup_fixing([tableau.column(j) for j in range(tableau.shape[0])], k)
     nums: dict[Perm, int] = {}
-    for t in subgroup_fixing(tableau.rows, k):
-        for s in subgroup_fixing(cols, k):
+    for t, _ in subgroup_fixing(tableau.rows, k):
+        for s, sgn in cols:
             ts = compose(t, s)
-            nums[ts] = nums.get(ts, 0) + sign(s)
+            nums[ts] = nums.get(ts, 0) + sgn
     return GroupAlgebraElement(k, nums, 1)
 
 

@@ -38,8 +38,8 @@ def _polytabloid_rows(d: int, ell: int) -> tuple[list[Word], list[list[int]]]:
     for tableau in standard_tableaux((ell,) * d):
         word = [i for _, i in sorted((s, i) for i, row in enumerate(tableau.rows, 1) for s in row)]
         row = [0] * len(words)
-        for pi in subgroup_fixing([tableau.column(j) for j in range(ell)], d * ell):
-            row[place[tuple(map(word.__getitem__, pi))]] = sign(pi)
+        for pi, sgn in subgroup_fixing([tableau.column(j) for j in range(ell)], d * ell):
+            row[place[tuple(map(word.__getitem__, pi))]] = sgn
         rows.append(row)
     return words, rows
 

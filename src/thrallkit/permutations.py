@@ -9,6 +9,7 @@ match the usual "(12)", "(132)" style.
 from __future__ import annotations
 
 import itertools
+import math
 
 Perm = tuple[int, ...]
 
@@ -49,14 +50,16 @@ def all_permutations(k: int) -> list[Perm]:
     return list(itertools.permutations(range(k)))
 
 
-def subgroup_fixing(groups: list[tuple[int, ...]], k: int) -> list[Perm]:
-    """All permutations preserving each 1-based group setwise: the row or
-    column group of a tableau, for its rows or columns as the groups."""
+def subgroup_fixing(groups: list[tuple[int, ...]], k: int) -> list[tuple[Perm, int]]:
+    """All permutations preserving each 1-based group setwise, each with its
+    sign, the product of its groups' signs (each found once per ordering):
+    the row or column group of a tableau, for its rows or columns as groups."""
     moved = list(itertools.chain(*groups))
+    signs = itertools.product(*([sign(p) for p in itertools.permutations(range(len(g)))] for g in groups))
     perms = []
-    for images in itertools.product(*map(itertools.permutations, groups)):
+    for images, signed in zip(itertools.product(*map(itertools.permutations, groups)), signs):
         image = dict(zip(moved, itertools.chain(*images)))
-        perms.append(tuple(image.get(i, i) - 1 for i in range(1, k + 1)))
+        perms.append((tuple(image.get(i, i) - 1 for i in range(1, k + 1)), math.prod(signed)))
     return perms
 
 

@@ -9,10 +9,11 @@ only at the boundary (:attr:`Tensor.entries`, item access, :meth:`Tensor.nonzero
 Weight blocks: slot permutations keep the letter content of a word (the
 multiset of its letters), and so do the graded bases and every operator
 built from them, because the diagonal torus of GL_d fixes each of these.
-:func:`weight_blocks` groups the flat indices by content.  The slot action
-itself is :func:`thrallkit.group_algebra.ga_act`; the symmetric group acts
-transitively on each weight block, so :func:`is_symmetric` and
-:func:`symmetrize` read the blocks alone.
+:func:`weight_patterns` walks the contents, not the d^k words, and lists
+the flat indices of each one's words, its weight block, grouped by shape.
+The slot action itself is :func:`thrallkit.group_algebra.ga_act`; the
+symmetric group acts transitively on each weight block, so
+:func:`is_symmetric` and :func:`symmetrize` read the blocks alone.
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ import math
 import sys
 from array import array
 from fractions import Fraction
-from functools import cache, cached_property, reduce
-from operator import floordiv
+from functools import cache, cached_property
+from operator import add, floordiv, mul
 
 from . import linalg
-from .words import ResourceLimitError, Word, index_to_word, value_type, word_to_index
+from .words import ResourceLimitError, Word, distinct_orderings, index_to_word, value_type, word_to_index
 
 _ZERO = Fraction(0)
 
@@ -166,46 +167,41 @@ def tensor_product(a: Tensor, b: Tensor) -> Tensor:
 
 
 @cache
-def weight_blocks(d: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """Flat indices of the words of length k grouped by letter content.
+def weight_patterns(d: int, k: int) -> dict[tuple[int, ...], tuple[tuple[Word, ...], list]]:
+    """The weight blocks, the flat indices of the words of length k that
+    share one letter content, grouped by shape (their letter counts in
+    decreasing order) as ``shape: (words, blocks)``, shapes and blocks in
+    the order of the blocks' first indices: the lex order of the contents.
 
-    Blocks appear in the order of their first index, indices ascending.
-    """
-    blocks: dict[tuple[int, ...], list[int]] = {}
-    for i, word in enumerate(itertools.product(range(d), repeat=k)):
-        blocks.setdefault(tuple(sorted(word)), []).append(i)
-    return tuple(tuple(block) for block in blocks.values())
-
-
-@cache
-def weight_patterns(d: int, k: int) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
-    """The weight blocks grouped by shape, their letter counts in decreasing
-    order, in the order of :func:`weight_blocks`.
-
-    A shape's first block holds the letters 1..l with non-increasing counts,
-    its words in lex order.  Every other block lists its flat indices as the
+    ``words`` are the words of the letters 1..l with the shape's counts,
+    non-increasing, in lex order.  Each block lists its flat indices as the
     images of those words under the letter relabelling that keeps counts,
     ties broken in letter order, so place t of every block of a shape holds
-    the same word up to relabelling.  Relabelling letters is the action of a
-    permutation matrix of GL_d, so an operator that commutes with GL_d (a
-    slot permutation, a graded projector) has one matrix per shape.
+    the same word up to relabelling; the first block holds ``words``.
+    Relabelling letters is the action of a permutation matrix of GL_d, so
+    an operator that commutes with GL_d (a slot permutation, a graded
+    projector) has one matrix per shape.
     """
-    shapes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    words: dict[tuple[int, ...], list[Word]] = {}
-    for block in weight_blocks(d, k):
-        content = index_to_word(block[0], d, k)
+    shapes, values = {}, {}
+    powers = [d**p for p in reversed(range(k))]
+    for content in itertools.combinations_with_replacement(range(d), k):
         runs = sorted((-len(list(run)), a) for a, run in itertools.groupby(content))
         shape = tuple(-c for c, _ in runs)
         if shape not in shapes:
-            # its content, letters 1..l with non-increasing counts, is the
-            # lex-least of the shape, so weight_blocks lists this block first
-            shapes[shape], words[shape] = [block], [index_to_word(i, d, k) for i in block]
-            continue
-        # image[c]: the digit of the letter that the first block's letter c becomes
-        image = [0, *(a - 1 for _, a in runs)]
-        shapes[shape].append(tuple(
-            reduce(lambda i, c: i * d + image[c], u, 0) for u in words[shape]
-        ))
+            words = tuple(distinct_orderings(c for c, n in enumerate(shape, 1) for _ in range(n)))
+            shapes[shape] = (words, [])
+            # values[shape][c - 1][t]: the place value of letter c in word t,
+            # the sum of d^(k-1-p) over the places p that hold it
+            values[shape] = [[0] * len(words) for _ in shape]
+            for t, u in enumerate(words):
+                for x, c in zip(powers, u):
+                    values[shape][c - 1][t] += x
+        words, blocks = shapes[shape]
+        # a relabelled word's index: each letter's place value times its new digit
+        block = itertools.repeat(0, len(words))
+        for column, (_, a) in zip(values[shape], runs):
+            block = map(add, block, map(mul, column, itertools.repeat(a)))
+        blocks.append(tuple(block))
     return shapes
 
 
@@ -214,7 +210,8 @@ def is_symmetric(tensor: Tensor) -> bool:
     each weight block transitively, so iff its numerators are constant on
     every block."""
     at = tensor.nums.__getitem__
-    return all(len(set(map(at, block))) == 1 for block in weight_blocks(tensor.d, tensor.k))
+    return all(len(set(map(at, block))) == 1
+               for _, blocks in weight_patterns(tensor.d, tensor.k).values() for block in blocks)
 
 
 @value_type
@@ -253,7 +250,7 @@ def symmetrize(tensor: Tensor) -> Tensor:
     d, k = tensor.d, tensor.k
     n = math.factorial(k)
     nums = [0] * len(tensor.nums)
-    for block in weight_blocks(d, k):
+    for block in itertools.chain.from_iterable(blocks for _, blocks in weight_patterns(d, k).values()):
         total = sum(map(tensor.nums.__getitem__, block)) * (n // len(block))
         for i in block:
             nums[i] = total

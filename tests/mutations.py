@@ -24,7 +24,7 @@ ROOT = Path(__file__).resolve().parent.parent
 ROWS = [
     # a polytabloid row without its column signs
     ("thrallkit/invariants.py",
-     "row[place[tuple(map(word.__getitem__, pi))]] = sign(pi)",
+     "row[place[tuple(map(word.__getitem__, pi))]] = sgn",
      "row[place[tuple(map(word.__getitem__, pi))]] = 1",
      "tests/test_invariants.py::test_polytabloid_rows_match_the_scan_of_every_balanced_word"),
     # the closed-form log taken for a path whose runs are not parallel
@@ -77,6 +77,47 @@ ROWS = [
      "    if stack is None:\n",
      "    if True:\n",
      "tests/test_group_algebra.py::test_ga_act_keeps_its_stack_per_element_and_d"),
+    # Bareiss elimination leaving the rows with a zero in the pivot column unscaled
+    ("thrallkit/linalg.py",
+     "elif p != prev:",
+     "elif False:",
+     "tests/test_linalg.py::test_kernel_matches_gauss_jordan_oracle"),
+    # a tensor kept over a common factor of its numerators and denominator
+    ("thrallkit/tensors.py",
+     "if g != 1:",
+     "if False:",
+     "tests/test_tensors.py::test_numerators_contract_seeded_and_unseeded"),
+    # the slot codec reading a negative slot without the mask's borrow guard
+    ("thrallkit/tensors.py",
+     "((total + mask) ^ mask)",
+     "(total ^ mask)",
+     "tests/test_tensors.py::test_slot_codec_round_trips_signed_values"),
+    # the stacked outputs read back in gather order, not in index order
+    ("thrallkit/group_algebra.py",
+     "inverse = sorted(range(len(gather)), key=gather.__getitem__)",
+     "inverse = list(range(len(gather)))",
+     "tests/test_group_algebra.py::test_ga_act_matches_dense_sum"),
+    # Chen runs that break only where every 2x2 minor is nonzero
+    ("thrallkit/shuffle_sig.py",
+     "map(any, zip(*minors))",
+     "map(all, zip(*minors))",
+     "tests/test_shuffle_sig.py::test_chen_numerators_match_the_list_update"),
+    # a stack packed again at every call of a width it has met
+    ("thrallkit/group_algebra.py",
+     "packed = stack.packed[width] = _pack(stack, width)",
+     "packed = _pack(stack, width)",
+     "tests/test_group_algebra.py::test_projector_stack_is_packed_at_most_once_per_width"),
+    # solve-built projectors left over their unreduced denominator
+    ("thrallkit/free_lie.py",
+     "g = math.gcd(den, *flat)",
+     "g = 1",
+     "tests/test_group_algebra.py::test_solve_and_closed_form_build_equal_stacks"),
+    # the weight-shape table breaking ties between equal counts in reverse letter order
+    ("thrallkit/tensors.py",
+     "runs = sorted((-len(list(run)), a) for a, run in itertools.groupby(content))",
+     "runs = sorted(((-len(list(run)), a) for a, run in itertools.groupby(content)),"
+     " key=lambda r: (r[0], -r[1]))",
+     "tests/test_tensors.py::test_weight_patterns_equal_the_table_grouped_from_every_word"),
 ]
 
 

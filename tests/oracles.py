@@ -18,7 +18,9 @@ on functionals and the Lie levels from term-by-term Fraction sums, and the
 graded bases, the f_lambda summands and the Lie bracket from dense Fraction
 tensor products, the determinant-one invariants from the nullspace of the
 infinitesimal conditions, the standard polytabloid rows by scanning every
-balanced word for each tableau's column determinants, Lie membership from
+balanced word for each tableau's column determinants, the weight-shape
+table by grouping every word by content and relabelling each word by its
+base-d digits, Lie membership from
 Dynkin's criterion and the rank-one test from single-slot flattening ranks,
 Lyndon words from their rotations and shuffles from the positions of the
 first word, so the main implementations are checked against genuinely
@@ -29,6 +31,7 @@ import functools
 import itertools
 import math
 from fractions import Fraction
+from functools import reduce
 
 from thrallkit import linalg
 from thrallkit.free_lie import (
@@ -53,6 +56,7 @@ from thrallkit.tensors import (
     tensor_product,
 )
 from thrallkit.words import (
+    Word,
     all_words,
     check_partition,
     distinct_orderings,
@@ -685,8 +689,8 @@ def column_first_young_symmetrizer(tableau):
     rows = [tuple(r) for r in tableau.rows]
     cols = [tableau.column(j) for j in range(tableau.shape[0])]
     terms = {}
-    for s in subgroup_fixing(cols, k):
-        for t in subgroup_fixing(rows, k):
+    for s, _ in subgroup_fixing(cols, k):
+        for t, _ in subgroup_fixing(rows, k):
             st = compose(s, t)
             terms[st] = terms.get(st, Fraction(0)) + sign(s)
     return GroupAlgebraElement(k, terms)
@@ -999,3 +1003,47 @@ def polytabloid_rows_by_scan(d: int, ell: int):
             for w in words
         ])
     return words, rows
+
+
+@functools.cache
+def weight_blocks(d: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """Flat indices of the words of length k grouped by letter content.
+
+    Blocks appear in the order of their first index, indices ascending.
+    """
+    blocks: dict[tuple[int, ...], list[int]] = {}
+    for i, word in enumerate(itertools.product(range(d), repeat=k)):
+        blocks.setdefault(tuple(sorted(word)), []).append(i)
+    return tuple(tuple(block) for block in blocks.values())
+
+
+@functools.cache
+def weight_patterns(d: int, k: int) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
+    """The weight blocks grouped by shape, their letter counts in decreasing
+    order, in the order of :func:`weight_blocks`.
+
+    A shape's first block holds the letters 1..l with non-increasing counts,
+    its words in lex order.  Every other block lists its flat indices as the
+    images of those words under the letter relabelling that keeps counts,
+    ties broken in letter order, so place t of every block of a shape holds
+    the same word up to relabelling.  Relabelling letters is the action of a
+    permutation matrix of GL_d, so an operator that commutes with GL_d (a
+    slot permutation, a graded projector) has one matrix per shape.
+    """
+    shapes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    words: dict[tuple[int, ...], list[Word]] = {}
+    for block in weight_blocks(d, k):
+        content = index_to_word(block[0], d, k)
+        runs = sorted((-len(list(run)), a) for a, run in itertools.groupby(content))
+        shape = tuple(-c for c, _ in runs)
+        if shape not in shapes:
+            # its content, letters 1..l with non-increasing counts, is the
+            # lex-least of the shape, so weight_blocks lists this block first
+            shapes[shape], words[shape] = [block], [index_to_word(i, d, k) for i in block]
+            continue
+        # image[c]: the digit of the letter that the first block's letter c becomes
+        image = [0, *(a - 1 for _, a in runs)]
+        shapes[shape].append(tuple(
+            reduce(lambda i, c: i * d + image[c], u, 0) for u in words[shape]
+        ))
+    return shapes

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from thrallkit.cli import main
 from thrallkit.jsonio import format_fraction, tensor_to_json
 from thrallkit.tensors import Tensor
+from thrallkit.words import partitions
 
 from golden import DATA, EMPTY, ROWS, resolve
 from golden import main as run_table
@@ -38,6 +39,13 @@ def test_lyndon_upto(capsys):
     code, out, _ = run(capsys, "lyndon", "--d", "2", "--k", "3", "--upto")
     assert code == 0
     assert json.loads(out)["words"] == ["1", "2", "12", "112", "122"]
+
+
+@pytest.mark.parametrize("k", ["0", "-2"])
+@pytest.mark.parametrize("upto", [[], ["--upto"]], ids=["one-length", "upto"])
+def test_lyndon_length_below_one_exits_2(capsys, k, upto):
+    code, out, err = run(capsys, "lyndon", "--d", "2", "--k", k, *upto)
+    assert (code, out) == (2, "") and "k >= 1" in err
 
 
 def test_idempotent_text_output(capsys):
@@ -233,6 +241,60 @@ def test_any_json_input_exits_with_a_documented_code(tmp_path_factory, case):
         code = main([*command.split(), str(file)])
     assert code in (0, 1, 2, 3) and "Traceback" not in err.getvalue(), err.getvalue()
     assert out.getvalue() == "" or code in (0, 1)
+
+
+# partitions that are not partitions; a drawn k adds its own partitions
+BAD_PARTITIONS = ["3,0", "2,-1", "1,,2", "1,2", "", "0", "-1", ",", "x"]
+# sizes stay inside the commands' unbounded ranges: d <= 4 (d = 10 is refused
+# before any work), k <= 8 and samples <= 50
+DIMENSIONS = st.sampled_from([-1, 0, 1, 2, 3, 4, 10])
+ORDERS = st.sampled_from(range(-2, 9))
+
+
+@st.composite
+def integer_argvs(draw, path):
+    """The argv of one command with drawn integer options and partitions."""
+    d, k = str(draw(DIMENSIONS)), draw(ORDERS)
+    good = [",".join(map(str, lam)) for lam in partitions(max(k, 0))]
+    k = str(k)
+
+    def part():
+        return draw(st.sampled_from(BAD_PARTITIONS) | st.sampled_from(good))
+
+    # each argv is built only when drawn, so it draws only what it uses
+    argv = draw(st.sampled_from([
+        lambda: ["idempotent", "--k", k, "--partition", part(), "--intersect-mu", part()],
+        lambda: ["idempotent", "--k", k, "--partition", part()],
+        lambda: ["thrall-coeffs", "--k", k, "--partition", part()],
+        lambda: ["thrall-coeffs", "--k", k],
+        lambda: ["dims", "--d", d, "--k", k],
+        lambda: ["lyndon", "--d", d, "--k", k, "--upto"],
+        lambda: ["lyndon", "--d", d, "--k", k],
+        lambda: ["invariants", "--d", d, "--ell", k],
+        lambda: ["invariant-space", "--d", d, "--k", k],
+        lambda: ["hdet-pullback", "--seed", str(draw(st.integers(-2**70, 2**70))),
+                 "--samples", str(draw(st.integers(-2, 50)))],
+        lambda: ["signature", "--path", path, "--level", k],
+        lambda: ["signature", "--path", path, "--level", k, "--log"],
+        lambda: ["check", "fls", "--input", path, "--level", k],
+    ]))()
+    return draw(st.sampled_from([[], ["--format", "text"]])) + argv
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_any_integer_option_exits_with_a_documented_code(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzzed_path.json"
+    path.write_text(json.dumps({"d": 2, "points": [[0, 0], [1, 2], [3, -1]]}))
+    argv = data.draw(integer_argvs(str(path)))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 1, 2, 3) and "Traceback" not in err.getvalue(), (argv, err.getvalue())
+    assert out.getvalue() == "" or code in (0, 1), argv
 
 
 @pytest.mark.parametrize("command", ["decompose --tensor", "check symmetric --input",

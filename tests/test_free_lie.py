@@ -32,7 +32,6 @@ from thrallkit.tensors import (
     is_symmetric,
     symmetrize,
     tensor_product,
-    weight_blocks,
 )
 from thrallkit.words import (
     ResourceLimitError,
@@ -61,6 +60,7 @@ from oracles import (
     series_log,
     series_product,
     unit_series,
+    weight_blocks,
 )
 
 def w_lambda_basis(lam, d):

@@ -34,6 +34,7 @@ from oracles import (
     slot_permutation,
     unit_series,
 )
+from oracles import weight_patterns as oracle_weight_patterns
 from test_values import assert_same_value
 
 
@@ -314,10 +315,10 @@ SHAPE_CASES = [(d, k) for d in range(1, 33) for k in range(1, 11) if d**k <= 102
 @pytest.mark.parametrize("d,k", SHAPE_CASES)
 def test_weight_patterns_relabel_each_shape_from_its_first_block(d, k):
     shapes = weight_patterns(d, k)
-    blocks = [block for group in shapes.values() for block in group]
+    blocks = [block for _, group in shapes.values() for block in group]
     # the blocks partition the flat indices
     assert sorted(i for block in blocks for i in block) == list(range(d**k))
-    for shape, (first, *others) in shapes.items():
+    for shape, (first_words, (first, *others)) in shapes.items():
         letters = len(shape)
         assert list(shape) == sorted(shape, reverse=True) and sum(shape) == k
         # the first block: letters 1..l, counts non-increasing, in lex order
@@ -325,7 +326,7 @@ def test_weight_patterns_relabel_each_shape_from_its_first_block(d, k):
             w for w in itertools.product(range(1, letters + 1), repeat=k)
             if tuple(w.count(a) for a in range(1, letters + 1)) == shape
         ]
-        assert [_word_of(i, d, k) for i in first] == want
+        assert list(first_words) == [_word_of(i, d, k) for i in first] == want
         for block in others:
             words = [_word_of(i, d, k) for i in block]
             assert len(set(words)) == len(want) and len({tuple(sorted(w)) for w in words}) == 1
@@ -343,9 +344,19 @@ def test_weight_patterns_relabel_each_shape_from_its_first_block(d, k):
                 image[a] < image[a + 1] for a in range(1, letters) if shape[a - 1] == shape[a]
             )
     # shapes in the order of their first blocks' first indices
-    assert [group[0][0] for group in shapes.values()] == sorted(
-        group[0][0] for group in shapes.values()
-    )
+    firsts = [blocks[0][0] for _, blocks in shapes.values()]
+    assert firsts == sorted(firsts)
+
+
+@pytest.mark.parametrize("d,k", SHAPE_CASES + [(d, 0) for d in range(1, 5)] + [(9, 5)])
+def test_weight_patterns_equal_the_table_grouped_from_every_word(d, k):
+    """The table built from the contents equals the one that groups all d^k
+    words by content and relabels each word by its digits: the same shapes
+    in the same order, the same index tuples, and as words the first block."""
+    shapes, want = weight_patterns(d, k), oracle_weight_patterns(d, k)
+    assert [(shape, blocks) for shape, (_, blocks) in shapes.items()] == list(want.items())
+    for words, blocks in shapes.values():
+        assert words == tuple(_word_of(i, d, k) for i in blocks[0])
 
 
 @pytest.mark.parametrize("width", [8, 16, 32, 64, 136])
