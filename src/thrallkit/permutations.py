@@ -55,6 +55,7 @@ def subgroup_fixing(groups: list[tuple[int, ...]], k: int) -> list[tuple[Perm, i
     sign, the product of its groups' signs (each found once per ordering):
     the row or column group of a tableau, for its rows or columns as groups."""
     moved = list(itertools.chain(*groups))
+    # permutations(g) lists g's orderings by position, in the order of range(len(g))'s
     signs = itertools.product(*([sign(p) for p in itertools.permutations(range(len(g)))] for g in groups))
     perms = []
     for images, signed in zip(itertools.product(*map(itertools.permutations, groups)), signs):
