@@ -297,13 +297,13 @@ def _w_basis(lam: Partition, d: int, contents):
             yield content, _symmetrized_product(words, factors)
 
 
-@cache
 def _solve_blocks(d: int, k: int):
-    """The graded projectors built by the solve, once per (d, k): ``(lam,
-    den, groups)`` for each partition lam of k, ``groups`` the integer
-    matrices of lam's projector over ``den`` (in lowest terms) per shape,
-    in the form that :func:`thrallkit.group_algebra.graded_projections`
-    applies.
+    """The graded projectors built by the solve, in the form that
+    :func:`thrallkit.group_algebra.graded_projections` reduces and stacks:
+    for each shape of :func:`thrallkit.tensors.weight_patterns` in turn,
+    ``(den, rows)`` per partition lam of k, ``rows`` the integer matrix of
+    lam's projector on the shape's first block over ``den``, the
+    denominator of that block's inverse.
 
     The concatenated graded bases form a d^k x d^k change of basis.  Each
     basis vector lies in one weight block (letter content), so the matrix is
@@ -314,11 +314,11 @@ def _solve_blocks(d: int, k: int):
     in the order of :func:`thrallkit.tensors.weight_patterns` and commutes
     with the projectors, so these blocks share their matrices.  Only the
     first block of each shape is built, from the basis vectors of its
-    content, and inverted once by the exact kernel; lam's projector there
-    is ``rows_lam inverse[lo:hi] / den``, summed as integer rows of the
-    inverse (:func:`_compose`), where ``rows_lam[t]`` holds the entries at
-    the block's ``t``-th flat index of its basis columns ``lo..hi-1`` from
-    the lam-graded basis.
+    content, and inverted once by the exact kernel, as the shape is reached;
+    lam's projector there is ``rows_lam inverse[lo:hi] / den``, summed as
+    integer rows of the inverse (:func:`_compose`), where ``rows_lam[t]``
+    holds the entries at the block's ``t``-th flat index of its basis
+    columns ``lo..hi-1`` from the lam-graded basis.
     """
     shapes = weight_patterns(d, k)
     # each shape's first block by its content, the block's first word
@@ -327,9 +327,8 @@ def _solve_blocks(d: int, k: int):
     for lam in partitions(k):
         for content, vec in _w_basis(lam, d, shape_of):
             columns[shape_of[content]].append((lam, vec))
-    pieces: dict[Partition, list] = {lam: [] for lam in partitions(k)}
     for shape, (_, blocks) in shapes.items():
-        cols, first, b = columns[shape], blocks[0], len(blocks[0])
+        cols, first, b = columns.pop(shape), blocks[0], len(blocks[0])
         if len(cols) != b:
             raise ArithmeticError("graded bases do not fill the tensor power")
         try:
@@ -337,21 +336,7 @@ def _solve_blocks(d: int, k: int):
         except ZeroDivisionError:
             raise ArithmeticError("decomposition solve failed") from None
         composed = _compose(cols, {i: t for t, i in enumerate(first)}, inverse)
-        for lam, found in pieces.items():
-            flat = composed.get(lam, [0] * (b * b))
-            g = math.gcd(den, *flat)
-            found.append((shape, blocks, flat, g, den // g))
-    out = []
-    for lam, found in pieces.items():
-        # each piece over its own denominator in lowest terms, so over their
-        # lcm the whole projector is in lowest terms
-        den = math.lcm(*(q for *_, q in found))
-        groups = {}
-        for shape, blocks, flat, g, q in found:
-            flat, b = [x // g * (den // q) for x in flat], len(blocks[0])
-            groups[shape] = (tuple(tuple(flat[i : i + b]) for i in range(0, b * b, b)), blocks)
-        out.append((lam, den, groups))
-    return tuple(out)
+        yield [(den, composed.get(lam) or [[0] * b for _ in range(b)]) for lam in partitions(k)]
 
 
 @cache
@@ -367,9 +352,9 @@ def _partition_count(k: int, limit: int) -> int:
     return p[-1]
 
 
-def _compose(cols, place, inverse) -> dict[Partition, list[int]]:
-    """The matrix ``rows_lam inverse[lo:hi]`` of :func:`_solve_blocks`,
-    row-major, for each lam among the basis columns ``cols``, with
+def _compose(cols, place, inverse) -> dict[Partition, list[list[int]]]:
+    """The matrix ``rows_lam inverse[lo:hi]`` of :func:`_solve_blocks`, as a
+    list of rows, for each lam among the basis columns ``cols``, with
     ``place`` the place in the block of each flat index.
 
     Row ``t`` of lam's matrix is the sum of ``c * inverse[r]`` over the
@@ -383,14 +368,14 @@ def _compose(cols, place, inverse) -> dict[Partition, list[int]]:
         for i, c in vec.items():
             t = place[i]
             rows[t] = list(map(operator.add, rows[t], map(c.__mul__, row)))
-    return {lam: list(itertools.chain.from_iterable(rows)) for lam, rows in out.items()}
+    return out
 
 
 def thrall_decompose(tensor: Tensor, method: str = "auto") -> dict[Partition, Tensor]:
     """Split a tensor into its graded components, one per partition of k.
 
-    Two independent constructions of the graded projectors, each cached per
-    (d, k) and applied by the one packed kernel of
+    Two independent constructions of the graded projectors, each stacked
+    in lowest terms once per (d, k) and applied by the one packed kernel of
     :func:`thrallkit.group_algebra.graded_projections`: ``"idempotent"``
     takes the closed-form projector family (which raises
     :class:`ResourceLimitError` above its degree cap

@@ -26,12 +26,12 @@ relabelling letters, the permutation matrices of GL_d, so an element acts by
 one integer matrix per shape of the weight blocks, their letter counts in
 decreasing order, in the word order that
 :func:`~thrallkit.tensors.weight_patterns` fixes.  One walk of the elements'
-supports builds them (:func:`_block_operators`: the projector family at
-once, or one element).  One packed kernel applies them:
+supports builds them, shape by shape (:func:`_block_operators`: the
+projector family at once, or one element).  One packed kernel applies them:
 :func:`_stack` stacks the matrices of several operators per shape (the
-p(k) graded projectors in :func:`graded_projections`, cached per
-construction and ``(d, k)``; one element in :func:`ga_act`, kept on the
-element per ``d``), :func:`_pack`
+p(k) graded projectors in :func:`graded_projections`, in lowest terms and
+cached per construction and ``(d, k)``; one element in :func:`ga_act`, kept
+on the element per ``d``), :func:`_pack`
 packs each column of a stack into one Python int, ``W`` bits a slot, and
 :func:`_pass` computes a block's outputs for every operator as one sum of
 ``b`` big-int products; one ``itemgetter`` per operator then picks that
@@ -47,11 +47,12 @@ such slot holds the outputs (closed-form projector inputs of more than 54
 bits), :func:`_apply_stacked` takes one dot product per row: a Python int
 is already a run of packed 30-bit digits, and wider slots would cost memory
 per packing and superlinear products.  The graded projectors have two
-constructions, both applied by this kernel: the closed form here
-(:func:`_projector_blocks`) and the solve backend of
+constructions, both reduced to lowest terms in one place
+(:func:`_projector_stack`) and applied by this kernel: the closed form here
+(:func:`_closed_form_blocks`) and the solve backend of
 :func:`thrallkit.free_lie.thrall_decompose`, which inverts the graded
-bases.  They stay independent checks on each other where the risk is, in
-how the matrices are made.
+bases.  Neither keeps what it builds.  They stay independent checks on each
+other where the risk is, in how the matrices are made.
 """
 
 from __future__ import annotations
@@ -177,28 +178,29 @@ def ga_act(x: GroupAlgebraElement, tensor: Tensor) -> Tensor:
     stacks = vars(x).setdefault("_stacks", {})
     stack = stacks.get(tensor.d)
     if stack is None:
-        stack = stacks[tensor.d] = _stack(_block_operators([x], tensor.d))
+        table = weight_patterns(tensor.d, x.k)
+        stack = stacks[tensor.d] = _stack(_block_operators([x], tensor.d, table), table)
     [nums] = _apply_stacked(stack, tensor.nums)
     return Tensor._built(tensor.d, tensor.k, nums, x.den * tensor.den)
 
 
-def _block_operators(elements, d: int) -> list[dict]:
+def _block_operators(elements, d: int, shapes):
     """The integer matrices of ``ga_act(x, .)`` over ``x.den`` for each
-    element ``x`` of one degree, in one walk of the union of their supports.
-
-    Each element's ``groups`` maps each shape of :func:`weight_patterns` to
-    ``(rows, blocks)``; row ``t`` holds ``x_sigma`` at the place of ``u o
-    sigma`` for ``u`` the word at place ``t`` of the shape's first block.
-    Relabelling letters commutes with ``u -> u o sigma``, and each block of a
-    shape lists the relabelled words of the first in the same places, so the
-    blocks of a shape share one matrix.  The walk holds each permutation of
-    the supports once, as one ``itemgetter`` with every element's
+    element ``x`` of one degree, in one walk of the union of their supports:
+    for each of ``shapes`` in turn, each element's rows on the shape's first
+    block of :func:`weight_patterns`.  Row ``t`` holds ``x_sigma`` at the
+    place of ``u o sigma`` for ``u`` the word at place ``t`` of that block.
+    Relabelling letters commutes with ``u -> u o sigma``, and each block of
+    a shape lists the relabelled words of the first in the same places, so
+    the blocks of a shape share one matrix.  The walk holds each permutation
+    of the supports once, as one ``itemgetter`` with every element's
     coefficient: its places are found once per shape, for all elements.
     """
     walk = [(_getter(perm), [x.nums.get(perm, 0) for x in elements])
             for perm in set().union(*(x.nums for x in elements))]
-    k, out = elements[0].k, [{} for _ in elements]
-    for shape, (words, blocks) in weight_patterns(d, k).items():
+    table = weight_patterns(d, elements[0].k)
+    for shape in shapes:
+        words = table[shape][0]
         place = {u: t for t, u in enumerate(words)}.__getitem__
         matrices = [[[0] * len(words) for _ in words] for _ in elements]
         for at, coefficients in walk:
@@ -207,15 +209,14 @@ def _block_operators(elements, d: int) -> list[dict]:
                 if c:
                     for row, j in zip(rows, places):
                         row[j] += c
-        for groups, rows in zip(out, matrices):
-            groups[shape] = (tuple(map(tuple, rows)), blocks)
-    return out
+        yield matrices
 
 
-def _stack(operators) -> SimpleNamespace:
-    """The block matrices of ``layers`` operators at one ``(d, k)``, which
-    share their shapes and blocks, stacked per shape: row ``t * layers + j``
-    of a shape's matrix is row ``t`` of operator ``j``, and :func:`_pass`
+def _stack(matrices, table) -> SimpleNamespace:
+    """The block matrices of ``layers`` operators stacked per shape, from
+    each operator's rows on the first block of each shape of ``table``
+    (:func:`weight_patterns`' form) in turn: row ``t * layers + j`` of a
+    shape's matrix is row ``t`` of operator ``j``, and :func:`_pass`
     applies it to every block of the shape.  ``bound`` is the largest
     absolute row sum, ``gather`` an itemgetter of the inputs block by block
     in shape order, each block in its own order of places, ``outputs`` one
@@ -223,9 +224,9 @@ def _stack(operators) -> SimpleNamespace:
     stacked ones, ``shapes`` each shape's stacked columns with its block
     count, and ``packed`` its :func:`_pack` per slot width, each filled on
     first use."""
-    bound, gather, shapes, p = 0, [], [], len(operators)
-    for shape, (_, blocks) in operators[0].items():
-        rows = [row for rows in zip(*(g[shape][0] for g in operators)) for row in rows]
+    bound, gather, shapes = 0, [], []
+    for layers, (_, blocks) in zip(matrices, table.values()):
+        p, rows = len(layers), [row for rows in zip(*layers) for row in rows]
         bound = max([bound, *(sum(map(abs, row)) for row in rows)])
         shapes.append((tuple(zip(*rows)), len(blocks)))
         gather.extend(itertools.chain.from_iterable(blocks))
@@ -290,67 +291,76 @@ def _apply_stacked(stack: SimpleNamespace, values) -> list:
     return [get(flat) for get in stack.outputs]
 
 
-@functools.cache
-def _projector_blocks(d: int, k: int):
-    """``(lam, E_lam.den, groups)`` per partition lam of k, ``groups`` E_lam's
-    block matrices from one :func:`_block_operators` walk of the family, over
-    their gcd: in lowest terms, as the solve builds them, so the stacks agree."""
+def _closed_form_blocks(d: int, k: int):
+    """The closed-form graded projectors ``ga_act(E_lam, .)``, subject to
+    :data:`K_MAX`, as :func:`_projector_stack` reads a construction: for
+    each shape of :func:`weight_patterns` in turn, ``(E_lam.den, rows)`` per
+    partition lam of k, from one :func:`_block_operators` walk of the family."""
     family = _projector_family(k)
-    out = []
-    for (lam, e), groups in zip(family.items(), _block_operators(list(family.values()), d)):
-        g = math.gcd(e.den, *(math.gcd(*row) for rows, _ in groups.values() for row in rows))
-        if g > 1:
-            for shape, (rows, blocks) in groups.items():
-                groups[shape] = tuple(tuple(x // g for x in row) for row in rows), blocks
-        out.append((lam, e.den // g, groups))
-    return tuple(out)
+    dens = [e.den for e in family.values()]
+    return (list(zip(dens, matrices))
+            for matrices in _block_operators(list(family.values()), d, weight_patterns(d, k)))
 
 
 @functools.cache
 def _projector_stack(construction, d: int, k: int) -> SimpleNamespace:
-    """The block matrices of ``construction(d, k)`` stacked by :func:`_stack`."""
-    return _stack([groups for _, _, groups in construction(d, k)])
+    """The graded projectors of ``construction(d, k)`` stacked by
+    :func:`_stack`, ``dens`` mapping each partition lam of k, in layer
+    order, to its denominator.  A construction gives, for each shape of
+    :func:`weight_patterns` in turn, ``(den, rows)`` per lam: lam's integer
+    matrix on the shape's first block over ``den``.  This is the one
+    lowest-terms step: the gcd ``g`` of ``den`` and the entries leaves a
+    matrix over ``den // g``, so a projector is in lowest terms over the
+    lcm of those over its shapes.  Each matrix is scaled to that lcm as it
+    is stacked, and kept as built where the scale is one."""
+    pieces = [[(den // math.gcd(den, *itertools.chain.from_iterable(rows)), den, rows)
+               for den, rows in matrices] for matrices in construction(d, k)]
+    dens = [math.lcm(*(q for q, _, _ in found)) for found in zip(*pieces)]
+    # popped as stacked, so that no shape is held both unscaled and scaled
+    scaled = ([rows if lcm == den else [[x * lcm // den for x in row] for row in rows]
+               for lcm, (_, den, rows) in zip(dens, pieces.pop(0))] for _ in range(len(pieces)))
+    stack = _stack(scaled, weight_patterns(d, k))
+    stack.dens = dict(zip(partitions(k), dens))
+    return stack
 
 
-def graded_projections(tensor: Tensor, construction=_projector_blocks) -> dict[Partition, Tensor]:
+def graded_projections(tensor: Tensor, construction=_closed_form_blocks) -> dict[Partition, Tensor]:
     """The graded components of a tensor, one per partition lam of k.
 
-    ``construction(d, k)`` builds the projectors as ``(lam, den, groups)`` per
-    partition, ``groups`` the integer matrices of lam's projector over
-    ``den`` in the form of :func:`_block_operators`: by default
-    :func:`_projector_blocks`, the closed form ``ga_act(E_lam, .)`` (subject
-    to :data:`K_MAX`); the solve backend of
-    :func:`thrallkit.free_lie.thrall_decompose` passes its own.  The
-    matrices are stacked and packed once per construction, ``(d, k)`` and
-    slot width, and applied by :func:`_apply_stacked` in one pass over the
-    weight blocks; ``Tensor._built`` reduces each output, unchecked.  An
-    order-0 tensor is its own component at the empty partition."""
+    ``construction(d, k)`` builds the projectors' integer matrices shape by
+    shape, in the form that :func:`_projector_stack` reduces and stacks: by
+    default :func:`_closed_form_blocks`, the closed form ``ga_act(E_lam, .)``
+    (subject to :data:`K_MAX`); the solve backend of
+    :func:`thrallkit.free_lie.thrall_decompose` passes its own.  The stack,
+    with each lam's denominator, is built once per construction and
+    ``(d, k)``, packed once per slot width, and applied by
+    :func:`_apply_stacked` in one pass over the weight blocks;
+    ``Tensor._built`` reduces each output, unchecked.  An order-0 tensor is
+    its own component at the empty partition."""
     if tensor.k == 0:
         return {(): tensor}
-    d, k = tensor.d, tensor.k
-    outputs = _apply_stacked(_projector_stack(construction, d, k), tensor.nums)
-    return {
-        lam: Tensor._built(d, k, out, den * tensor.den)
-        for (lam, den, _), out in zip(construction(d, k), outputs)
-    }
+    stack = _projector_stack(construction, tensor.d, tensor.k)
+    return {lam: Tensor._built(tensor.d, tensor.k, out, den * tensor.den)
+            for (lam, den), out in zip(stack.dens.items(), _apply_stacked(stack, tensor.nums))}
 
 
-def balanced_projections(d: int, ell: int) -> list[tuple[Partition, int, tuple]]:
+def balanced_projections(d: int, ell: int) -> list[tuple[Partition, list]]:
     """The closed-form graded projectors on the balanced weight block (each
-    letter of 1..d exactly ell times): ``(lam, den, rows)`` for each
-    partition lam of d*ell, ``rows`` the integer matrix of lam's projector
-    over ``den`` on the block's words in lex order.  The degree d*ell is
-    checked against :data:`K_MAX` before anything is built."""
-    balanced = (ell,) * d
-    return [(lam, den, groups[balanced][0]) for lam, den, groups in _projector_blocks(d, d * ell)]
+    letter of 1..d exactly ell times): ``(lam, rows)`` for each partition
+    lam of d*ell, ``rows`` the integer matrix of ``ga_act(E_lam, .)`` over
+    ``E_lam.den`` on the block's words in lex order, from a walk of that one
+    shape.  The degree d*ell is checked against :data:`K_MAX` before
+    anything is built."""
+    family = _projector_family(d * ell)
+    [matrices] = _block_operators(list(family.values()), d, [(ell,) * d])
+    return list(zip(family, matrices))
 
 
 def operator_image(x: GroupAlgebraElement, d: int) -> list[Tensor]:
     """The nonzero images of the basis tensors under ``ga_act(x, .)``, in word
     order (they span the image): the nonzero columns of :func:`_block_operators`."""
-    images = {}
-    [groups] = _block_operators([x], d)
-    for rows, blocks in groups.values():
+    images, table = {}, weight_patterns(d, x.k)
+    for [rows], (_, blocks) in zip(_block_operators([x], d, table), table.values()):
         for block in blocks:
             for v, column in zip(block, zip(*rows)):
                 if any(column):
@@ -374,8 +384,9 @@ def operator_rank(x: GroupAlgebraElement, d: int) -> int:
     """
     ranks = vars(x).setdefault("_ranks", {})
     if d not in ranks:
-        [groups] = _block_operators([x], d)
-        ranks[d] = sum(linalg.rank(rows) * len(blocks) for rows, blocks in groups.values())
+        table = weight_patterns(d, x.k)
+        ranks[d] = sum(linalg.rank(rows) * len(blocks)
+                       for [rows], (_, blocks) in zip(_block_operators([x], d, table), table.values()))
     return ranks[d]
 
 

@@ -85,7 +85,7 @@ def path_invariants(d: int, ell: int) -> dict[Partition, list[WordFunctional]]:
     multiplicity of the d-by-ell rectangle inside the lam-graded character.
 
     The invariants live on the balanced weight block (each letter ell times),
-    so each image is a polytabloid row times that block's cached projector
+    so each image is a polytabloid row times that one shape's projector
     matrix (:func:`thrallkit.group_algebra.balanced_projections`), and the
     rows are built only once that call has checked the degree cap.  The
     table is built once per ``(d, ell)`` (:func:`_path_invariants`; at most
@@ -111,7 +111,8 @@ def _path_invariants(d: int, ell: int) -> tuple[tuple[Partition, tuple[WordFunct
     projectors = balanced_projections(d, ell)
     words, rows = _polytabloid_rows(d, ell)
     table = []
-    for lam, _, matrix in projectors:
+    # each basis is primitive, so the scale of lam's matrix does not matter
+    for lam, matrix in projectors:
         columns = list(zip(*matrix))
         images = [[sum(map(operator.mul, row, col)) for col in columns] for row in rows]
         table.append((lam, tuple(_functionals(d, words, images))))

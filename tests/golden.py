@@ -82,6 +82,14 @@ ROWS = [(argv.split(), golden, code) for argv, golden, code in [
     ("invariants --d 5 --ell 1", "invariants_d5_ell1.out", 0),
     # a memoized table in which two of three pieces are empty
     ("invariants --d 3 --ell 1", "invariants_d3_ell1.out", 0),
+    # the other under-cap pairs: d = 1 has the one word, in the piece 1,..,1
+    ("invariants --d 1 --ell 1", "invariants_d1_ell1.out", 0),
+    ("invariants --d 1 --ell 2", "invariants_d1_ell2.out", 0),
+    ("invariants --d 1 --ell 3", "invariants_d1_ell3.out", 0),
+    ("invariants --d 1 --ell 4", "invariants_d1_ell4.out", 0),
+    ("invariants --d 1 --ell 5", "invariants_d1_ell5.out", 0),
+    ("invariants --d 2 --ell 1", "invariants_d2_ell1.out", 0),
+    ("invariants --d 4 --ell 1", "invariants_d4_ell1.out", 0),
     ("invariant-space --d 3 --k 6", "invariant_space_d3_k6.out", 0),
     # 42 rows of 252 balanced words, each row 32 signed words
     ("invariant-space --d 2 --k 10", "invariant_space_d2_k10.out", 0),

@@ -107,11 +107,26 @@ ROWS = [
      "packed = stack.packed[width] = _pack(stack, width)",
      "packed = _pack(stack, width)",
      "tests/test_group_algebra.py::test_projector_stack_is_packed_at_most_once_per_width"),
-    # solve-built projectors left over their unreduced denominator
-    ("thrallkit/free_lie.py",
-     "g = math.gcd(den, *flat)",
-     "g = 1",
+    # stacked projectors left over their constructions' unreduced denominators
+    ("thrallkit/group_algebra.py",
+     "den // math.gcd(den, *itertools.chain.from_iterable(rows))",
+     "den // 1",
      "tests/test_group_algebra.py::test_solve_and_closed_form_build_equal_stacks"),
+    # a projector over its first shape's reduced denominator, not the lcm over its shapes
+    ("thrallkit/group_algebra.py",
+     "dens = [math.lcm(*(q for q, _, _ in found)) for found in zip(*pieces)]",
+     "dens = [found[0][0] for found in zip(*pieces)]",
+     "tests/test_group_algebra.py::test_closed_form_and_solve_stacks_are_equal_integer_fields"),
+    # the balanced projectors walked on another shape than the balanced one
+    ("thrallkit/group_algebra.py",
+     "[(ell,) * d]",
+     "[(d * ell,)]",
+     "tests/test_group_algebra.py::test_balanced_projections_build_only_the_balanced_shape"),
+    # the solve's composition adding the inverse's rows without their coefficients
+    ("thrallkit/free_lie.py",
+     "map(c.__mul__, row)",
+     "row",
+     "tests/test_free_lie.py::test_compose_matches_plain_products_at_every_slot_width"),
     # the weight-shape table breaking ties between equal counts in reverse letter order
     ("thrallkit/tensors.py",
      "runs = sorted((-len(list(run)), a) for a, run in itertools.groupby(content))",

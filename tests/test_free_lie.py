@@ -471,10 +471,10 @@ def test_compose_matches_plain_products_at_every_slot_width(bits):
     ]
     got = free_lie._compose(cols, place, inverse)
     assert list(got) == [(2, 1), (3,), (1, 1, 1)]
-    for lam, flat in got.items():
+    for lam, matrix in got.items():
         rows = [[vec.get(w, 0) if mu == lam else 0 for mu, vec in cols] for w in words]
-        want = [sum(x * inv[c] for x, inv in zip(row, inverse)) for row in rows for c in range(b)]
-        assert flat == want
+        want = [[sum(x * inv[c] for x, inv in zip(row, inverse)) for c in range(b)] for row in rows]
+        assert matrix == want
 
 
 @pytest.mark.parametrize("width", [8, 16, 32, 64, 72])
@@ -487,8 +487,8 @@ def test_compose_at_the_slot_limits(width):
     cols = [((2,), {words[0]: 1}), ((1, 1), {words[1]: 1})]
     for x in (top - 1, 1 - top, top, -top):
         assert free_lie._compose(cols, place, [[x, -x], [-x, x]]) == {
-            (2,): [x, -x, 0, 0],
-            (1, 1): [0, 0, -x, x],
+            (2,): [[x, -x], [0, 0]],
+            (1, 1): [[0, 0], [-x, x]],
         }
 
 

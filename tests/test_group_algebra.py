@@ -35,7 +35,7 @@ from thrallkit.reference_suite import (
     _element,
 )
 from thrallkit.symfun import thrall_coefficients
-from thrallkit.tensors import Tensor, read_slots, slot_width, symmetrize
+from thrallkit.tensors import Tensor, read_slots, slot_width, symmetrize, weight_patterns
 from thrallkit.words import YoungTableau, partitions, schur_dim
 
 from oracles import (
@@ -265,39 +265,39 @@ def test_sparse_element_on_seven_slots_matches_dense_oracle():
     assert ga_act(x, t) == dense_ga_act(x, t)
 
 
-def plain_layers(layers, values):
+def plain_layers(matrices, table, values):
     """Each layer's block matrices applied one dot product per row: the
-    products that the packed kernel replaces."""
-    outputs = []
-    for groups in layers:
-        out = [0] * len(values)
-        for rows, blocks in groups.values():
+    products that the packed kernel replaces.  ``matrices`` holds each
+    shape's rows per layer, in the order of the block table ``table``."""
+    outputs = [[0] * len(values) for _ in matrices[0]]
+    for layers, (_, blocks) in zip(matrices, table.values()):
+        for out, rows in zip(outputs, layers):
             for block in blocks:
                 local = [values[i] for i in block]
                 for i, row in zip(block, rows):
                     out[i] = sum(map(operator.mul, row, local))
-        outputs.append(out)
     return outputs
 
 
-def packed_layers(layers, values):
-    """The packed kernel on ``layers``, at the slot widths it picks itself,
-    each layer's outputs as a list."""
-    return [list(out) for out in group_algebra._apply_stacked(group_algebra._stack(layers), values)]
+def packed_layers(matrices, table, values):
+    """The packed kernel on ``matrices`` over ``table``, at the slot widths
+    it picks itself, each layer's outputs as a list."""
+    stack = group_algebra._stack(matrices, table)
+    return [list(out) for out in group_algebra._apply_stacked(stack, values)]
 
 
 @st.composite
 def stacked_operators(draw):
-    """1-3 layers of block matrices over 1-4 letter patterns, each pattern
-    with 1-3 blocks of 1-4 places, the places a shuffle of the indices, and
-    a vector; entries are small or up to 2^70 in size, and some blocks of
-    the vector are zero."""
+    """1-3 layers of block matrices over a block table of 1-4 letter
+    patterns, each pattern with 1-3 blocks of 1-4 places, the places a
+    shuffle of the indices, and a vector; entries are small or up to 2^70
+    in size, and some blocks of the vector are zero."""
     entries = st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70))
     sizes = draw(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 3)), min_size=1, max_size=4))
     places = draw(st.permutations(range(sum(b * count for b, count in sizes))))
     values = draw(st.lists(entries, min_size=len(places), max_size=len(places)))
-    layers = [{} for _ in range(draw(st.integers(1, 3)))]
-    start = 0
+    layers = draw(st.integers(1, 3))
+    matrices, table, start = [], {}, 0
     for pattern, (b, count) in enumerate(sizes):
         blocks = [tuple(places[start + i * b : start + (i + 1) * b]) for i in range(count)]
         start += b * count
@@ -305,18 +305,20 @@ def stacked_operators(draw):
             if draw(st.booleans()):
                 for i in block:
                     values[i] = 0
-        for groups in layers:
-            matrix = st.lists(st.lists(entries, min_size=b, max_size=b), min_size=b, max_size=b)
-            groups[pattern] = (tuple(map(tuple, draw(matrix))), blocks)
-    return layers, values
+        table[pattern] = ((), blocks)
+        matrix = st.lists(st.lists(entries, min_size=b, max_size=b), min_size=b, max_size=b)
+        matrices.append([tuple(map(tuple, draw(matrix))) for _ in range(layers)])
+    return matrices, table, values
 
 
 def solve_built_case(d, k, digits):
-    """The layers that the solve backend builds at (d, k), and a vector with
-    entries of ``digits`` digits: 20 digits take one dot product per row."""
+    """The matrices that the solve backend builds at (d, k), over its block
+    table, and a vector with entries of ``digits`` digits: 20 digits take
+    one dot product per row."""
     rng = Random(100 * d + 10 * k + digits)
     values = [rng.randrange(-(10**digits), 10**digits) for _ in range(d**k)]
-    return [groups for _, _, groups in free_lie._solve_blocks(d, k)], values
+    matrices = [[rows for _, rows in shape] for shape in free_lie._solve_blocks(d, k)]
+    return matrices, weight_patterns(d, k), values
 
 
 @settings(deadline=None, max_examples=200)
@@ -327,8 +329,7 @@ def solve_built_case(d, k, digits):
 @example(solve_built_case(2, 6, 1))
 @example(solve_built_case(2, 6, 20))
 def test_packed_kernel_matches_plain_dot_products(case):
-    layers, values = case
-    assert packed_layers(layers, values) == plain_layers(layers, values)
+    assert packed_layers(*case) == plain_layers(*case)
 
 
 @pytest.mark.parametrize("width", [8, 16, 32, 64, 128])
@@ -340,22 +341,23 @@ def test_packed_kernel_at_the_slot_limits(width):
     for x, w in ((top - 1, width), (1 - top, width), (top, wider), (-top, wider)):
         assert slot_width(abs(x).bit_length() + 1) == w
     # neighbouring slots of opposite signs, at the limit of their width
-    plus, minus = {(1,): (((1,),), [(0,)])}, {(1,): (((-1,),), [(0,)])}
+    one, plus, minus = {(1,): ((), [(0,)])}, ((1,),), ((-1,),)
     for x in (top - 1, 1 - top, top, -top, 0):
-        assert packed_layers([plus, minus, plus], [x]) == [[x], [-x], [x]]
-    diagonal = {(1, 1): (((1, 0), (0, -1)), [(0, 1), (2, 3)])}
+        assert packed_layers([[plus, minus, plus]], one, [x]) == [[x], [-x], [x]]
+    diagonal, matrix = {(1, 1): ((), [(0, 1), (2, 3)])}, [[((1, 0), (0, -1))]]
     for xs in ([top - 1, top - 1, 0, 0], [1 - top, top - 1, top - 1, 1 - top], [-top, top, 1, -1]):
-        assert packed_layers([diagonal], xs) == plain_layers([diagonal], xs)
+        assert packed_layers(matrix, diagonal, xs) == plain_layers(matrix, diagonal, xs)
     if width <= 64:
         # the most negative slot value fits W bits in two's complement
-        stack = group_algebra._stack([plus])
+        stack = group_algebra._stack([[plus]], one)
         packed = group_algebra._pack(stack, width)
         assert read_slots(group_algebra._pass(packed, [-top]), width) == [-top]
 
 
-@pytest.mark.parametrize(
-    "construction", [group_algebra._projector_blocks, free_lie._solve_blocks], ids=["closed-form", "solve"]
-)
+CONSTRUCTIONS = [group_algebra._closed_form_blocks, free_lie._solve_blocks]
+
+
+@pytest.mark.parametrize("construction", CONSTRUCTIONS, ids=["closed-form", "solve"])
 def test_projector_stack_is_packed_at_most_once_per_width(construction):
     # a fresh stack, so that its packings are the ones made here
     group_algebra._projector_stack.cache_clear()
@@ -377,9 +379,10 @@ def test_projector_stack_is_packed_at_most_once_per_width(construction):
 
 
 def test_packed_kernel_on_zero_and_one_place_blocks():
-    groups = {(1,): (((5,),), [(0,), (1,)]), (2,): (((0, 0), (0, 0)), [(2, 3)])}
-    assert packed_layers([groups], [0, 0, 0, 0]) == [[0, 0, 0, 0]]
-    assert packed_layers([groups, groups], [3, 0, 7, -7]) == [[15, 0, 0, 0]] * 2
+    table = {(1,): ((), [(0,), (1,)]), (2,): ((), [(2, 3)])}
+    five, zero = ((5,),), ((0, 0), (0, 0))
+    assert packed_layers([[five], [zero]], table, [0, 0, 0, 0]) == [[0, 0, 0, 0]]
+    assert packed_layers([[five, five], [zero, zero]], table, [3, 0, 7, -7]) == [[15, 0, 0, 0]] * 2
     # d = 1: one word, one block of one place, so each layer of a stack
     # holds one output and reads it from its own slot, on both constructions
     # and on both the packed pass and the per-row path
@@ -397,7 +400,7 @@ def test_wide_inputs_read_each_layer_out_per_row(d, k):
     rng = Random(10 * d + k)
     small = Tensor(d, k, [rng.randint(-5, 5) for _ in range(d**k)])
     wide = small.scale(2**60 + 1)
-    stack = group_algebra._projector_stack(group_algebra._projector_blocks, d, k)
+    stack = group_algebra._projector_stack(group_algebra._closed_form_blocks, d, k)
     assert slot_width((stack.bound * max(map(abs, wide.nums))).bit_length() + 1) > 64
     for method in ("idempotent", "solve"):
         parts = free_lie.thrall_decompose(small, method)
@@ -640,25 +643,41 @@ def test_one_walk_builds_every_elements_block_matrices(d, k):
     elements = list(group_algebra._projector_family(k).values())
     elements.append(young_symmetrizer({4: tau([1, 3], [2, 4]), 5: tau([1, 3, 4], [2, 5])}[k]))
     elements.append(_random_element(k, Random(10 * d + k), 3))
-    built = group_algebra._block_operators(elements, d)
-    assert built == [group_algebra._block_operators([x], d)[0] for x in elements]
-    for shape, (_, blocks) in built[0].items():
+    table = weight_patterns(d, k)
+    built = list(group_algebra._block_operators(elements, d, table))
+    alone = [[rows for [rows] in group_algebra._block_operators([x], d, table)] for x in elements]
+    assert [list(layers) for layers in zip(*alone)] == built
+    for (_, blocks), layers in zip(table.values(), built):
         for block in blocks:
             for j, v in enumerate(block):
                 basis = Tensor(d, k, [int(i == v) for i in range(d**k)])
-                for x, groups in zip(elements, built):
+                for x, rows in zip(elements, layers):
                     column = [0] * d**k
-                    for u, row in zip(block, groups[shape][0]):
+                    for u, row in zip(block, rows):
                         column[u] = row[j]
                     assert Tensor(d, k, column, x.den) == dense_ga_act(x, basis)
 
 
-def closed_form_blocks(d, k):
-    """``(den, groups)`` per partition from the closed-form family, built
-    outside the caches so that a raised degree cap leaves them untouched."""
-    family = group_algebra._projector_family.__wrapped__(k)
-    built = group_algebra._block_operators(list(family.values()), d)
-    return {lam: (e.den, groups) for (lam, e), groups in zip(family.items(), built)}
+def closed_form_blocks(monkeypatch, d, k):
+    """The closed-form construction's matrices at (d, k), under a degree
+    cap raised to k, from a family built outside its cache so that the
+    raised cap leaves the caches untouched."""
+    monkeypatch.setattr(group_algebra, "K_MAX", max(k, K_MAX))
+    monkeypatch.setattr(group_algebra, "_projector_family", group_algebra._projector_family.__wrapped__)
+    return list(group_algebra._closed_form_blocks(d, k))
+
+
+def stacked_layers(stack):
+    """Each shape's stacked matrix split back into each layer's rows."""
+    p = stack.layers
+    return [[rows[j::p] for j in range(p)] for rows in (list(zip(*columns)) for columns, _ in stack.shapes)]
+
+
+def assert_lowest_terms(stack):
+    """Each layer of a projector stack is in lowest terms over its denominator."""
+    shapes = stacked_layers(stack)
+    for j, den in enumerate(stack.dens.values()):
+        assert math.gcd(den, *(x for layers in shapes for row in layers[j] for x in row)) == 1
 
 
 @pytest.mark.parametrize(
@@ -666,41 +685,81 @@ def closed_form_blocks(d, k):
 )
 def test_solve_and_closed_form_build_equal_stacks(monkeypatch, d, k):
     # the two constructions of every projector's block matrices agree as
-    # rational matrices; the solve's denominators are in lowest terms and the
-    # family's are not (at (2, 4) 6 against E_lam.den = 12), so compare
+    # rational matrices, shape by shape; each is over its own denominator
+    # (the family's E_lam.den, the solve's block inverse's), so compare
     # cross-multiplied
-    monkeypatch.setattr(group_algebra, "K_MAX", max(k, K_MAX))
-    closed = closed_form_blocks(d, k)
-    solved = free_lie._solve_blocks(d, k)
-    assert [lam for lam, _, _ in solved] == list(closed) == list(partitions(k))
-    for lam, den, groups in solved:
-        closed_den, closed_groups = closed[lam]
-        assert groups.keys() == closed_groups.keys()
-        entries = []
-        for counts, (rows, blocks) in groups.items():
-            closed_rows, closed_blocks = closed_groups[counts]
-            assert blocks == closed_blocks
+    closed = closed_form_blocks(monkeypatch, d, k)
+    solved = list(free_lie._solve_blocks(d, k))
+    assert len(closed) == len(solved) == len(weight_patterns(d, k))
+    for closed_shape, solved_shape in zip(closed, solved):
+        assert len(closed_shape) == len(solved_shape) == len(partitions(k))
+        for (closed_den, closed_rows), (den, rows) in zip(closed_shape, solved_shape):
             assert [[x * closed_den for x in row] for row in rows] == [
                 [x * den for x in row] for row in closed_rows
             ]
-            entries.extend(itertools.chain.from_iterable(rows))
-        # each projector in lowest terms over its one denominator
-        assert math.gcd(den, *entries) == 1
+    # the one lowest-terms step makes equal integer stacks of them, outside
+    # the stack cache, so that the raised cap leaves it untouched
+    stacks = [group_algebra._projector_stack.__wrapped__(lambda d, k, m=m: m, d, k) for m in (closed, solved)]
+    assert list(stacks[0].dens.items()) == list(stacks[1].dens.items())
+    assert stacks[0].shapes == stacks[1].shapes
+    assert_lowest_terms(stacks[0])
 
 
 @pytest.mark.parametrize("d,k", [(1, 3), (2, 3), (2, 4), (3, 4), (2, 5), (3, 5), (4, 4), (4, 5)])
 def test_closed_form_and_solve_stacks_are_equal_integer_fields(d, k):
-    # the closed form divided by its gcd is in lowest terms, as the solve
-    # builds it, so the two stacks agree as integers, not only as rationals
-    built = {c: c(d, k) for c in (group_algebra._projector_blocks, free_lie._solve_blocks)}
-    stacks = [group_algebra._projector_stack(c, d, k) for c in built]
-    closed, solved = built.values()
-    assert [(lam, den) for lam, den, _ in closed] == [(lam, den) for lam, den, _ in solved]
-    for (_, den, groups), (_, _, solved_groups) in zip(closed, solved):
-        assert groups == solved_groups
-        assert math.gcd(den, *(x for rows, _ in groups.values() for r in rows for x in r)) == 1
-    assert stacks[0].shapes == stacks[1].shapes
-    assert (stacks[0].layers, stacks[0].bound) == (stacks[1].layers, stacks[1].bound)
+    # each cached stack holds its construction's matrices over the lcm of
+    # their reduced denominators, in lowest terms, so the two stacks agree
+    # as integers, not only as rationals
+    stacks = [group_algebra._projector_stack(c, d, k) for c in CONSTRUCTIONS]
+    for construction, stack in zip(CONSTRUCTIONS, stacks):
+        assert list(stack.dens) == list(partitions(k))
+        assert_lowest_terms(stack)
+        for layers, built in zip(stacked_layers(stack), construction(d, k), strict=True):
+            for rows, den, (built_den, built_rows) in zip(layers, stack.dens.values(), built, strict=True):
+                assert [[x * built_den for x in row] for row in rows] == [
+                    [x * den for x in row] for row in built_rows
+                ]
+    closed, solved = stacks
+    assert list(closed.dens.items()) == list(solved.dens.items())
+    assert closed.shapes == solved.shapes
+    assert (closed.layers, closed.bound) == (solved.layers, solved.bound)
+
+
+def test_repeated_graded_projections_build_neither_construction_again(monkeypatch):
+    t = random_tensor(3, 4, Random(38))
+    first = [graded_projections(t, c) for c in CONSTRUCTIONS]
+
+    def fail(*args):
+        raise AssertionError("built a construction again")
+
+    for module, name in ((group_algebra, "_projector_family"), (group_algebra, "_block_operators"),
+                         (free_lie, "_w_basis"), (free_lie, "_compose")):
+        monkeypatch.setattr(module, name, fail)
+    assert [graded_projections(t, c) for c in CONSTRUCTIONS] == first
+    assert [free_lie.thrall_decompose(t, method) for method in ("idempotent", "solve")] == first
+
+
+@pytest.mark.parametrize("d,ell", [(2, 2), (3, 1), (5, 1)])
+def test_balanced_projections_build_only_the_balanced_shape(monkeypatch, d, ell):
+    # one walk of the one shape; each lam's rows are over E_lam.den, so they
+    # are the closed-form stack's rows at that shape scaled by lam's factor
+    k, balanced = d * ell, (ell,) * d
+    index = list(weight_patterns(d, k)).index(balanced)
+    stack = group_algebra._projector_stack(group_algebra._closed_form_blocks, d, k)
+    want = stacked_layers(stack)[index]
+    walk, asked = group_algebra._block_operators, []
+
+    def recorded(elements, d, shapes):
+        asked.append(list(shapes))
+        return walk(elements, d, asked[-1])
+
+    monkeypatch.setattr(group_algebra, "_block_operators", recorded)
+    got = group_algebra.balanced_projections(d, ell)
+    assert asked == [[balanced]]
+    assert [lam for lam, _ in got] == list(stack.dens) == list(partitions(k))
+    for (lam, rows), stacked, den in zip(got, want, stack.dens.values()):
+        scale = higher_lie_idempotent(lam).den
+        assert [[x * den for x in row] for row in rows] == [[x * scale for x in row] for row in stacked]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
