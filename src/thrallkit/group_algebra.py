@@ -420,27 +420,17 @@ def young_symmetrizer_transposed(tableau: YoungTableau) -> GroupAlgebraElement:
 # central idempotents
 
 
-@functools.cache
-def _cycle_types(k: int) -> tuple[tuple[Perm, Partition], ...]:
-    """Every permutation of {0..k-1} with its cycle type."""
-    return tuple((p, cycle_type(p)) for p in all_permutations(k))
-
-
 def central_idempotent(mu: Partition) -> GroupAlgebraElement:
     """Character projector onto the isotypic component labelled by mu:
     ``f^mu chi^mu(type sigma) / k!`` at each sigma, where ``f^mu`` is chi^mu
-    at the identity; built once per mu."""
-    return _central_idempotent(check_partition(mu))
-
-
-@functools.cache
-def _central_idempotent(mu: Partition) -> GroupAlgebraElement:
+    at the identity."""
     from .symfun import sn_character
 
+    mu = check_partition(mu)
     k = sum(mu)
     f = sn_character(mu, (1,) * k)
     char_by_type = {rho: f * sn_character(mu, rho) for rho in partitions(k)}
-    nums = {p: char_by_type[rho] for p, rho in _cycle_types(k)}
+    nums = {p: char_by_type[cycle_type(p)] for p in all_permutations(k)}
     return GroupAlgebraElement._built(k, nums, math.factorial(k))
 
 

@@ -427,7 +427,7 @@ def check_hdet_pullback() -> tuple[bool, str]:
     )
 
 
-ALL_CHECKS: list[tuple[str, Callable[[], tuple[bool, str]]]] = [
+ALL_CHECKS = [
     ("lyndon-words-and-dims", check_lyndon_words_and_dims),
     ("lie-dim-formula", check_lie_dim_formula),
     ("partition-union", check_partition_union),

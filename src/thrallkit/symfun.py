@@ -124,12 +124,10 @@ def sn_character(mu: Partition, rho: Partition) -> int:
 # characters of graded Lie pieces and their symmetric powers
 
 
-@cache
 def lie_character(k: int) -> SymFun:
     """Character of the degree-k graded piece of the free Lie algebra.
 
-    In power sums: (1/k) * sum_{t | k} moebius(t) * p_t^(k/t); built once
-    per degree.
+    In power sums: (1/k) * sum_{t | k} moebius(t) * p_t^(k/t).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -193,25 +191,22 @@ def schur_expand(f: SymFun) -> dict[Partition, Fraction]:
     return {mu: Fraction(n, f.den) for mu, n in _schur_numerators(f)}
 
 
-@cache
-def _thrall_coefficients(lam: Partition) -> tuple[tuple[Partition, int], ...]:
+def thrall_coefficients(lam: Partition) -> dict[Partition, int]:
+    """Multiplicities of the irreducible summands of the lam-graded module,
+    in descending order of mu.
+
+    Values are asserted to be nonnegative integers; a violation indicates an
+    internal error, not bad input.  Partitions not in the returned map have
+    multiplicity zero.
+    """
+    lam = check_partition(lam)
     f = higher_lie_character(lam)
-    out = []
+    out = {}
     for mu, n in sorted(_schur_numerators(f), reverse=True):
         c, r = divmod(n, f.den)
         if r or c < 0:
             raise ArithmeticError(
                 f"non-integral or negative multiplicity {n}/{f.den} at {mu} for {lam}"
             )
-        out.append((mu, c))
-    return tuple(out)
-
-
-def thrall_coefficients(lam: Partition) -> dict[Partition, int]:
-    """Multiplicities of the irreducible summands of the lam-graded module.
-
-    Values are asserted to be nonnegative integers; a violation indicates an
-    internal error, not bad input.  Partitions not in the returned map have
-    multiplicity zero.
-    """
-    return dict(_thrall_coefficients(check_partition(lam)))
+        out[mu] = c
+    return out

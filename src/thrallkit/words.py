@@ -221,7 +221,6 @@ def _lyndon_words(d: int, k: int) -> tuple[Word, ...]:
     return tuple(out)
 
 
-@cache
 def moebius(n: int) -> int:
     """Number-theoretic Moebius function."""
     if n < 1:
@@ -391,7 +390,6 @@ def conjugate_partition(lam: Partition) -> Partition:
     return tuple(sum(1 for p in lam if p > j) for j in range(lam[0]))
 
 
-@cache
 def num_standard(lam: Partition) -> int:
     """Number of standard tableaux of shape lam, by the hook length formula.
 

@@ -1,13 +1,16 @@
 """Checks on the library source: stdlib-only imports, no floating point, no
 imported name left unused, no private name left unreferenced and none
 reached from another module, no public name or method that only the tests
-reach, and no function or method that the program itself never enters."""
+reach, no function or method that the program itself never enters, module
+annotations that resolve, and no cache that no workload reads."""
 
 import ast
+import importlib
 import json
 import os
 import subprocess
 import sys
+import typing
 from collections import Counter
 from pathlib import Path
 
@@ -56,6 +59,13 @@ def test_no_floating_point(path):
             and node.func.id == "float"
         )
         assert not is_float_call, f"{path.name}:{node.lineno} calls float("
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_module_annotations_resolve(path):
+    """Every name a module-level annotation uses is defined in its module."""
+    name = "thrallkit" if path.stem == "__init__" else f"thrallkit.{path.stem}"
+    typing.get_type_hints(importlib.import_module(name))
 
 
 def _imported_names(tree: ast.Module):
@@ -304,3 +314,46 @@ def test_every_function_runs_under_the_program():
     }
     unread = sorted(name for name in PERFBENCH_ONLY if name.rsplit(".", 1)[1] not in perfbench)
     assert not unread, f"perfbench no longer reads these: {unread}"
+
+
+# Every process-lifetime cache in the package, with the benchmark traffic that
+# reads it: hits over three passes of the workload's deck after its warm-up
+# (seed 7), inside the timed calls unless the warm-up is named.  A table that
+# no workload reads is recomputed instead.
+CACHES = {
+    "free_lie.bracket_expansion": "signature-warm: 2,316 timed hits (free_lie.bracket_hit_ratio)",
+    "free_lie._horner_weights": "signature-warm: 44 timed hits",
+    "free_lie._partition_count": "algebra-warm: 216 timed hits",
+    "free_lie._lyndon_table": "signature-warm: 402 timed hits",
+    "group_algebra._projector_stack": "algebra-warm: 216 timed hits",
+    "group_algebra._projector_family": "algebra-warm: 33 timed hits",
+    "group_algebra._intersection_projector": "algebra-warm: 15 timed hits",
+    "invariants._path_invariants": "algebra-warm: 24 timed hits",
+    "symfun._character_table": "algebra-warm: 108 timed hits",
+    "tensors.weight_patterns": "signature-warm: 18 timed hits",
+    "words._lyndon_words": "algebra-warm: 38 hits in the warm-up (setup_s)",
+    "words.partitions": "algebra-warm: 18 timed hits",
+}
+
+
+def _is_cache(decorator: ast.expr) -> bool:
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    name = decorator.attr if isinstance(decorator, ast.Attribute) else getattr(decorator, "id", "")
+    return name in ("cache", "lru_cache")
+
+
+def test_every_cache_names_the_workload_that_reads_it():
+    """The cached functions of the package are exactly ``CACHES``, and each
+    entry names a workload of ``BENCHMARK.json``."""
+    found = {
+        f"{path.stem}.{node.name}"
+        for path in SOURCES
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.FunctionDef) and any(map(_is_cache, node.decorator_list))
+    }
+    assert not found - set(CACHES), f"caches no workload is named for: {sorted(found - set(CACHES))}"
+    assert not set(CACHES) - found, f"listed caches that are gone: {sorted(set(CACHES) - found)}"
+    workloads = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    unnamed = [name for name, reads in CACHES.items() if not any(w in reads for w in workloads)]
+    assert not unnamed, f"caches whose entry names no workload: {unnamed}"

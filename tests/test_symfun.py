@@ -97,20 +97,7 @@ def test_lie_character_small():
     assert schur_expand(l3) == {(2, 1): Fraction(1)}
 
 
-def test_lie_character_is_built_once_per_degree(monkeypatch):
-    # thrall_coefficients reads l_i for each part i of every lam; only the
-    # first read of a degree runs the validating constructor
-    from thrallkit import symfun
-
-    built = []
-    init = SymFun.__init__
-    monkeypatch.setattr(SymFun, "__init__", lambda f, degree, *rest: built.append(degree) or init(f, degree, *rest))
-    lie_character.cache_clear()
-    symfun._thrall_coefficients.cache_clear()
-    for lam in partitions(8):
-        thrall_coefficients(lam)
-    assert sorted(built) == list(range(1, 9))
-    assert lie_character(6) is lie_character(6)
+def test_lie_character_rejects_degree_zero():
     with pytest.raises(ValueError):
         lie_character(0)
 
