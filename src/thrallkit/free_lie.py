@@ -16,6 +16,12 @@ tensor's ``nums`` over its ``den``, see :mod:`thrallkit.tensors`) and hands
 each output level's numerators to ``Tensor._built``.  The graded
 bases, the decomposition backends and :func:`lie_coordinates` likewise run
 on integers, so no Fraction is built per entry.
+
+Lyndon coordinates, Lie membership and :func:`lie_bracket`'s structure
+constants share one triangular walk, :func:`_back_substitute`, over a table
+of rows per (d, k).  The first walk that meets a word fills its row with the
+``items()`` view of its cached :func:`bracket_expansion` (a reference, not a
+copy); later walks read it there, and a word no walk meets is never expanded.
 """
 
 from __future__ import annotations
@@ -408,8 +414,15 @@ def thrall_decompose(tensor: Tensor, method: str = "auto") -> dict[Partition, Te
 
 def is_lie_element(tensor: Tensor) -> bool:
     """Lie membership: order at least one and :func:`lie_coordinates`'
-    back-substitution leaves no residual."""
-    return tensor.k >= 1 and _back_substitute(list(tensor.nums), tensor.d, tensor.k) is not None
+    back-substitution leaves no residual (:func:`is_lie_numerators`)."""
+    return tensor.k >= 1 and is_lie_numerators(tensor.nums, tensor.d, tensor.k)
+
+
+def is_lie_numerators(nums, d: int, k: int) -> bool:
+    """Lie membership of the order-k tensor over {1..d} with the integer
+    numerators ``nums`` (in index order, over any denominator), no tensor
+    built: the back-substitution on a copy leaves no residual."""
+    return _back_substitute(list(nums), d, k) is not None
 
 
 def lie_coordinates(tensor: Tensor) -> dict[Word, Fraction] | None:
@@ -421,28 +434,33 @@ def lie_coordinates(tensor: Tensor) -> dict[Word, Fraction] | None:
     ascending order, the coefficient of ``w`` is the residual entry at
     ``w``; subtracting its bracketing leaves the remaining words untouched.
     The tensor is a Lie element iff the residual ends at zero.  The walk runs
-    on a copy of the integer numerators, by flat index (:func:`_back_substitute`).
+    on a copy of the integer numerators, by flat index, and reads each
+    bracketing from the word's table row (:func:`_back_substitute`).
     """
     coords = _back_substitute(list(tensor.nums), tensor.d, tensor.k)
     return None if coords is None else {w: Fraction(c, tensor.den) for w, c in coords.items()}
 
 
 @cache
-def _lyndon_table(d: int, k: int) -> tuple[tuple[Word, int], ...]:
-    """The Lyndon words of length k in lex order, each with its flat index."""
-    return tuple((w, word_to_index(w, d)) for w in lyndon_words(d, k))
+def _lyndon_table(d: int, k: int) -> tuple[list, ...]:
+    """The rows ``[word, index, expansion]`` of the Lyndon words of length k
+    in lex order, ``expansion`` None until a walk meets the word."""
+    return tuple([w, word_to_index(w, d), None] for w in lyndon_words(d, k))
 
 
 def _back_substitute(residual: list[int], d: int, k: int) -> dict[Word, int] | None:
     """The integer Lyndon coordinates of the integer numerators ``residual``
     (in index order, consumed), or None when a residual is left; each word
-    met subtracts its :func:`bracket_expansion`, and no other is expanded."""
+    met subtracts its bracketing from its table row, filled on first meeting."""
     coords = {}
-    for w, i in _lyndon_table(d, k):
+    for row in _lyndon_table(d, k):
+        w, i, expansion = row
         c = residual[i]
         if c:
             coords[w] = c
-            for j, e in bracket_expansion(w, d).items():
+            if expansion is None:
+                expansion = row[2] = bracket_expansion(w, d).items()
+            for j, e in expansion:
                 residual[j] -= c * e
     return None if any(residual) else coords
 

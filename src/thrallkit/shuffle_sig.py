@@ -148,18 +148,19 @@ def is_group_like(series: TensorSeries) -> bool:
       Y(S)) = L (x) 1 + 1 (x) L`` up to level ``n``: it is primitive;
     * the primitive elements are the Lie elements (Friedrichs).
 
-    ``L_1 = S_1`` is always Lie, so each level ``n >= 2`` goes to
-    :func:`thrallkit.free_lie.is_lie_element`, the Lyndon back-substitution.
+    ``L_1 = S_1`` is always Lie, so each level ``n >= 2`` goes to the Lyndon
+    back-substitution of :func:`thrallkit.free_lie.is_lie_element`.
     ``L_n`` is computed on the levels' integer numerators over one common
     denominator, the lcm of those of its terms, and not reduced: Lie
     membership does not depend on scale, so the numerators go to the test
-    as a tensor over 1.  A zero
+    as they are (:func:`thrallkit.free_lie.is_lie_numerators`), and no
+    tensor is built for ``L_n``.  A zero
     ``L_j`` adds no term, so the trivial series takes no product, and a
     group-like series at d = 1 (``L_n = 0`` for ``n >= 2``) one per level.
     """
     if series.level(0) != Tensor.scalar(series.d, 1):
         raise ValueError("group-likeness needs level 0 equal to 1")
-    from .free_lie import is_lie_element
+    from .free_lie import is_lie_numerators
 
     d, levels, lie = series.d, series.levels, {}
     for n in range(1, series.k_max + 1):
@@ -172,7 +173,7 @@ def is_group_like(series: TensorSeries) -> bool:
             f = den // (a.den * bden)
             xs = a.nums if f == 1 else [f * x for x in a.nums]
             acc = list(map(sub, acc, [x * y for x in xs for y in ys]))
-        if n >= 2 and not is_lie_element(Tensor._built(d, n, acc, 1)):
+        if n >= 2 and not is_lie_numerators(acc, d, n):
             return False
         if any(acc):
             lie[n] = acc, den

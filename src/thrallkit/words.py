@@ -139,8 +139,10 @@ def all_words(d: int, k: int) -> list[Word]:
 
 
 def word_from_string(s: str) -> Word:
-    """Parse a digit string like ``"1122"`` into a word."""
-    if not all(c.isdigit() and c != "0" for c in s):
+    """Parse a digit string like ``"1122"`` into a word.  Only the ASCII
+    digits 1..9 are letters: ``str.isdigit`` also accepts the digits of
+    other scripts, which would make ``"١٢"`` and ``"１２"`` aliases of ``"12"``."""
+    if not all("1" <= c <= "9" for c in s):
         raise ValueError(f"word string {s!r} must consist of digits 1..9")
     return tuple(int(c) for c in s)
 

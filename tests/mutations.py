@@ -57,6 +57,12 @@ ROWS = [
      "_STRUCTURE[v, u, d] = tuple((w, -c) for w, c in constants)",
      "_STRUCTURE[v, u, d] = constants",
      "tests/test_free_lie.py::test_lie_bracket_matches_dense_oracle"),
+    # the Lyndon walk reading each word's bracketing from the row before it
+    ("thrallkit/free_lie.py",
+     "    for row in _lyndon_table(d, k):\n        w, i, expansion = row\n",
+     "    table = _lyndon_table(d, k)\n"
+     "    for row, prev in zip(table, (table[0], *table)):\n        w, i, expansion = row[0], row[1], prev[2]\n",
+     "tests/test_free_lie.py::test_lie_coordinates_match_dense_solve"),
     # a Chen slot one sign bit and two guard bits too narrow
     ("thrallkit/shuffle_sig.py",
      "B = slot_width(k_max * (V.bit_length() + 1) + 2)",
@@ -86,7 +92,7 @@ ROWS = [
     ("thrallkit/tensors.py",
      "if g != 1:",
      "if False:",
-     "tests/test_tensors.py::test_numerators_contract_seeded_and_unseeded"),
+     "tests/test_values.py::test_value_contract[Tensor]"),
     # the slot codec reading a negative slot without the mask's borrow guard
     ("thrallkit/tensors.py",
      "((total + mask) ^ mask)",

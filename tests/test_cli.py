@@ -164,6 +164,24 @@ def test_check_rank1_order_one_witness_is_the_vector(tmp_path, capsys):
     assert payload["passed"] and payload["witness"] == [["3", "-1"]]
 
 
+@pytest.mark.parametrize("key", ["\u0661\u0662", "\uff11\uff12", "1\u0662"])
+@pytest.mark.parametrize("command, where", [
+    ("check lie --input", "tensor"), ("check group-like --input", "series.levels[2]"),
+])
+def test_non_ascii_digit_keys_exit_2_naming_the_field(tmp_path, capsys, key, command, where):
+    # Arabic-Indic and fullwidth digits are no letters: read as digits, the
+    # key would alias "12" and one of the two entries would be dropped
+    entries = {"12": "1", key: "5"}
+    doc = {"d": 2, "k": 2, "entries": entries}
+    if where != "tensor":
+        doc = {"d": 2, "k_max": 2, "levels": [{"": "1"}, {}, entries]}
+    file = tmp_path / "input.json"
+    file.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *command.split(), str(file))
+    assert (code, out) == (2, "")
+    assert f"field {where + '.entries.' + key!r}: word string" in err and "Traceback" not in err
+
+
 def test_malformed_input_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"d": 2, "k": 2, "entries": {"31": "1"}}))
@@ -197,6 +215,8 @@ def test_top_level_json_that_is_not_an_object_exits_2(tmp_path, capsys, command,
     assert f"field {READERS[command]!r}: expected a JSON object" in err and "Traceback" not in err
 
 
+# digits of other scripts, which are no letters of a word
+OTHER_DIGITS = "\u0661\u0662\uff11\uff12"
 RATIONALS = st.integers(-2, 3) | st.sampled_from(["1/2", "-2/3"])
 JUNK = st.none() | st.booleans() | st.integers(-1, 5) | st.sampled_from(["", "1/0", "x", "2e3", []])
 VALUES = st.one_of(RATIONALS, RATIONALS, JUNK)
@@ -204,10 +224,15 @@ VALUES = st.one_of(RATIONALS, RATIONALS, JUNK)
 
 @st.composite
 def documents(draw, fmt):
-    """A small ``fmt`` object, its words over the letters 0..d, with now and
-    then junk in place of a value, a field or the whole, or a field dropped."""
+    """A small ``fmt`` object, its words over the letters 0..d (half of them
+    also over ``OTHER_DIGITS``), with now and then junk in place of a value,
+    a field or the whole, or a field dropped."""
     d, k = draw(st.integers(1, 3)), draw(st.integers(0, 4))
-    words = [st.text("0123"[: d + 1], min_size=m, max_size=m) for m in range(k + 1)]
+    words = [
+        st.text("0123"[: d + 1], min_size=m, max_size=m)
+        | st.text("0123"[: d + 1] + OTHER_DIGITS, min_size=m, max_size=m)
+        for m in range(k + 1)
+    ]
     terms = [draw(st.dictionaries(word, VALUES, max_size=3)) for word in words]
     points = st.lists(st.lists(VALUES, min_size=d, max_size=d), max_size=4)
     doc = {
@@ -231,6 +256,7 @@ FUZZED = {**READERS, "check lie --input": "tensor", "check fls --level 3 --input
 ))
 @example(case=("decompose --tensor", 5))
 @example(case=("check group-like --input", None))
+@example(case=("check lie --input", {"d": 2, "k": 2, "entries": {"12": "1", "\u0661\u0662": "5"}}))
 @settings(max_examples=200, deadline=None)
 def test_any_json_input_exits_with_a_documented_code(tmp_path_factory, case):
     command, document = case

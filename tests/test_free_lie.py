@@ -1,4 +1,5 @@
 import functools
+import gc
 import itertools
 import math
 from fractions import Fraction
@@ -638,19 +639,26 @@ def test_bracket_expansion_matches_the_word_bracketing():
 @pytest.mark.parametrize("d, k_max", [(2, 4), (2, 5), (2, 6), (3, 4), (3, 5), (4, 4)])
 def test_lyndon_table_rows_are_the_bracket_expansions(d, k_max):
     # the shapes signature-warm runs: the table lists the Lyndon words in lex
-    # order with their flat indices, and each row of the walk is the word's
-    # bracketing, at coefficient 1 on its own index
+    # order with their flat indices; once a walk has met a word (each word's
+    # own bracketing meets it), its row holds the word's cached bracketing
+    # itself, not a copy, at coefficient 1 on its own index
     for k in range(1, k_max + 1):
         table = free_lie._lyndon_table(d, k)
-        assert [w for w, _ in table] == lyndon_words(d, k)
-        for w, index in table:
-            assert index == word_to_index(w, d) and bracket_expansion(w, d)[index] == 1
+        assert [w for w, _, _ in table] == lyndon_words(d, k)
+        for w in lyndon_words(d, k):
+            assert lie_coordinates(lyndon_bracketing(w, d)) == {w: 1}
+        for w, index, expansion in table:
+            assert index == word_to_index(w, d)
+            # a dict's items() view refers to that one dict
+            (expanded,) = gc.get_referents(expansion)
+            assert expanded is bracket_expansion(w, d) and expanded[index] == 1
 
 
 def test_lie_coordinates_expand_only_the_bracketings_they_meet(monkeypatch):
     # a sparse Lie element at (2, 14) expands its own word and that word's
     # standard factors only, not the bracketings of all 1,161 Lyndon words
-    # of that length
+    # of that length; the table starts empty whatever ran before, so no row
+    # filled earlier hides an expansion
     word = (1,) * 13 + (2,)
     tensor = lyndon_bracketing(word, 2).scale(3)
     built = []
@@ -658,6 +666,7 @@ def test_lie_coordinates_expand_only_the_bracketings_they_meet(monkeypatch):
     monkeypatch.setattr(
         free_lie, "bracket_expansion", functools.cache(lambda w, d: built.append(w) or expand(w, d))
     )
+    monkeypatch.setattr(free_lie, "_lyndon_table", functools.cache(free_lie._lyndon_table.__wrapped__))
     assert lie_coordinates(tensor) == {word: 3}
     factors = [(1,) * j + (2,) for j in range(13)] + [(1,)]
     assert sorted(built) == sorted([word] + factors)

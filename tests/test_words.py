@@ -100,6 +100,14 @@ def test_word_index_roundtrip(d, k, data):
     assert word_from_string(word_to_string(w)) == w
 
 
+@pytest.mark.parametrize("text", ["\u0661\u0662", "\uff11\uff12", "1\u0662", "0", "1a", "\u00b9"])
+def test_word_strings_take_only_ascii_digits_1_to_9(text):
+    # str.isdigit holds for each of these but "1a"
+    with pytest.raises(ValueError):
+        word_from_string(text)
+    assert word_from_string("19") == (1, 9)
+
+
 def test_all_words_in_lex_order():
     words = all_words(3, 2)
     assert words == sorted(words)
