@@ -295,6 +295,17 @@ def cmd_paper_suite(args) -> int:
 # parser
 
 
+def _int_option(text: str) -> int:
+    """``int`` on ASCII text (:data:`~thrallkit.jsonio.ASCII_ONLY`), with
+    argparse's own message for a value it refuses."""
+    if text.isascii():
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="thrallkit",
@@ -305,24 +316,24 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     p = sub.add_parser("dims", help="dimension tables")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--d", type=_int_option, required=True)
+    p.add_argument("--k", type=_int_option, required=True)
     p.set_defaults(func=cmd_dims)
 
     p = sub.add_parser("lyndon", help="Lyndon words")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--d", type=_int_option, required=True)
+    p.add_argument("--k", type=_int_option, required=True)
     p.add_argument("--upto", action="store_true", help="all lengths 1..k")
     p.set_defaults(func=cmd_lyndon)
 
     p = sub.add_parser("idempotent", help="graded projector in the group algebra")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_int_option, required=True)
     p.add_argument("--partition", required=True)
     p.add_argument("--intersect-mu", default=None)
     p.set_defaults(func=cmd_idempotent)
 
     p = sub.add_parser("thrall-coeffs", help="graded multiplicity tables")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_int_option, required=True)
     p.add_argument("--partition", default=None)
     p.set_defaults(func=cmd_thrall_coeffs)
 
@@ -332,30 +343,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("invariants", help="graded invariant functionals")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
+    p.add_argument("--d", type=_int_option, required=True)
+    p.add_argument("--ell", type=_int_option, required=True)
     p.set_defaults(func=cmd_invariants)
 
     p = sub.add_parser("invariant-space", help="ambient invariant functionals")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--d", type=_int_option, required=True)
+    p.add_argument("--k", type=_int_option, required=True)
     p.set_defaults(func=cmd_ambient_invariants)
 
     p = sub.add_parser("signature", help="signature of a piecewise-linear path")
     p.add_argument("--path", required=True, help="path JSON file")
-    p.add_argument("--level", type=int, required=True)
+    p.add_argument("--level", type=_int_option, required=True)
     p.add_argument("--log", action="store_true")
     p.set_defaults(func=cmd_signature)
 
     p = sub.add_parser("check", help="boolean checks with exit code 0/1")
     p.add_argument("what", choices=["group-like", "symmetric", "rank1", "fls", "lie"])
     p.add_argument("--input", required=True)
-    p.add_argument("--level", type=int, default=4)
+    p.add_argument("--level", type=_int_option, default=4)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("hdet-pullback", help="sampled pullback factorization check")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--samples", type=int, default=20)
+    p.add_argument("--seed", type=_int_option, required=True)
+    p.add_argument("--samples", type=_int_option, default=20)
     p.set_defaults(func=cmd_hdet_pullback)
 
     p = sub.add_parser("paper-suite", help="run all reference-value regressions")

@@ -43,6 +43,12 @@ def check_wire_dimension(d: int, field: str) -> int:
     return d
 
 
+# ``int``, ``Fraction`` and ``str.isdigit`` also read the digits of other
+# scripts ("١٢" as 12), which the word keys refuse: every number on the wire
+# and on the command line is ASCII text.
+ASCII_ONLY = "numbers are written in the ASCII digits 0-9"
+
+
 def format_fraction(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
@@ -56,6 +62,8 @@ def _parse_fraction(text, field: str) -> Fraction:
     if not isinstance(text, str):
         raise FormatError(field, f"expected a rational string, got {type(text).__name__}")
     try:
+        if not text.isascii():
+            raise ValueError(ASCII_ONLY)
         _, e, exponent = text.lower().rpartition("e")
         if e:
             # exponent notation reaches any size in a few characters: an
@@ -203,6 +211,8 @@ def path_from_json(obj: dict, where: str = "path") -> PiecewiseLinearPath:
 
 
 def parse_partition(text: str, field: str = "partition") -> Partition:
+    if not text.isascii():
+        raise FormatError(field, f"cannot parse {text!r}: {ASCII_ONLY}")
     text = text.strip()
     if not text:
         return ()

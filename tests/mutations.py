@@ -139,6 +139,16 @@ ROWS = [
      "runs = sorted(((-len(list(run)), a) for a, run in itertools.groupby(content)),"
      " key=lambda r: (r[0], -r[1]))",
      "tests/test_tensors.py::test_weight_patterns_equal_the_table_grouped_from_every_word"),
+    # group-likeness from a known log that skips the walk of its level 2
+    ("thrallkit/shuffle_sig.py",
+     "for n in range(2, len(log)))",
+     "for n in range(3, len(log)))",
+     "tests/test_shuffle_sig.py::test_group_like_walks_the_known_log_alone"),
+    # group-likeness decided by a log known only below the series' truncation
+    ("thrallkit/shuffle_sig.py",
+     "if log is not None and len(log) == len(levels):",
+     "if log is not None:",
+     "tests/test_shuffle_sig.py::test_group_like_walks_the_known_log_alone"),
 ]
 
 

@@ -182,6 +182,42 @@ def test_non_ascii_digit_keys_exit_2_naming_the_field(tmp_path, capsys, key, com
     assert f"field {where + '.entries.' + key!r}: word string" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", ["\u0661\u0662", "-\u0661\u0662", "\uff11/\uff12", "1e\u0663", "1\u2003"])
+def test_non_ascii_numbers_exit_2_naming_the_field(tmp_path, capsys, value):
+    # Fraction and str.isdigit read the digits of every script, so these
+    # once read as 12, -12, 1/2, 1000 and 1
+    cases = [
+        (["check", "lie", "--input"], {"d": 2, "k": 2, "entries": {"12": value, "21": "-12"}},
+         "tensor.entries.12"),
+        (["signature", "--level", "1", "--path"], {"d": 2, "points": [["0", "0"], [value, "2"]]},
+         "path.points[1][0]"),
+    ]
+    for argv, doc, field in cases:
+        file = tmp_path / "input.json"
+        file.write_text(json.dumps(doc))
+        code, out, err = run(capsys, *argv, str(file))
+        assert (code, out) == (2, "")
+        assert f"field {field!r}: bad rational {value!r}: numbers are written in the ASCII digits" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["idempotent", "--k", "\u0663", "--partition", "2,1"], "argument --k: invalid int value: '\u0663'"),
+    (["dims", "--d", "\uff12", "--k", "3"], "argument --d: invalid int value: '\uff12'"),
+    (["hdet-pullback", "--seed", "1", "--samples", "\u0662"], "argument --samples: invalid int value"),
+    (["idempotent", "--k", "3", "--partition", "\u0662,\u0661"], "field 'partition': cannot parse"),
+    (["idempotent", "--k", "3", "--partition", "2,1", "--intersect-mu", "\u0661,1,1"],
+     "field 'intersect-mu': cannot parse"),
+    (["thrall-coeffs", "--k", "3", "--partition", "\uff13"], "field 'partition': cannot parse"),
+])
+def test_non_ascii_integer_options_exit_2_naming_the_option(capsys, argv, message):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "") and message in err and "Traceback" not in err
+
+
 def test_malformed_input_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"d": 2, "k": 2, "entries": {"31": "1"}}))
@@ -215,10 +251,11 @@ def test_top_level_json_that_is_not_an_object_exits_2(tmp_path, capsys, command,
     assert f"field {READERS[command]!r}: expected a JSON object" in err and "Traceback" not in err
 
 
-# digits of other scripts, which are no letters of a word
+# digits of other scripts, which are no letters of a word and no digits of a number
 OTHER_DIGITS = "\u0661\u0662\uff11\uff12"
 RATIONALS = st.integers(-2, 3) | st.sampled_from(["1/2", "-2/3"])
-JUNK = st.none() | st.booleans() | st.integers(-1, 5) | st.sampled_from(["", "1/0", "x", "2e3", []])
+JUNK = st.none() | st.booleans() | st.integers(-1, 5) | st.sampled_from(
+    ["", "1/0", "x", "2e3", [], "\u0661\u0662", "-\uff11/\uff12", "1e\u0663"])
 VALUES = st.one_of(RATIONALS, RATIONALS, JUNK)
 
 
@@ -257,6 +294,8 @@ FUZZED = {**READERS, "check lie --input": "tensor", "check fls --level 3 --input
 @example(case=("decompose --tensor", 5))
 @example(case=("check group-like --input", None))
 @example(case=("check lie --input", {"d": 2, "k": 2, "entries": {"12": "1", "\u0661\u0662": "5"}}))
+@example(case=("check lie --input", {"d": 2, "k": 2, "entries": {"12": "\u0661\u0662", "21": "-\u0661\u0662"}}))
+@example(case=("signature --level 3 --path", {"d": 2, "points": [["0", "0"], ["\u0661", "\uff12"]]}))
 @settings(max_examples=200, deadline=None)
 def test_any_json_input_exits_with_a_documented_code(tmp_path_factory, case):
     command, document = case
@@ -267,10 +306,15 @@ def test_any_json_input_exits_with_a_documented_code(tmp_path_factory, case):
         code = main([*command.split(), str(file)])
     assert code in (0, 1, 2, 3) and "Traceback" not in err.getvalue(), err.getvalue()
     assert out.getvalue() == "" or code in (0, 1)
+    # every value and key of a document is read, and no other script's digit passes
+    if not json.dumps(document, ensure_ascii=False).isascii():
+        assert code == 2, document
 
 
 # partitions that are not partitions; a drawn k adds its own partitions
-BAD_PARTITIONS = ["3,0", "2,-1", "1,,2", "1,2", "", "0", "-1", ",", "x"]
+BAD_PARTITIONS = ["3,0", "2,-1", "1,,2", "1,2", "", "0", "-1", ",", "x", "\u0662,\u0661", "\uff13"]
+# an integer written in Arabic-Indic or fullwidth digits
+OTHER_SCRIPTS = [str.maketrans("0123456789", "".join(map(chr, range(z, z + 10)))) for z in (0x660, 0xFF10)]
 # sizes stay inside the commands' unbounded ranges: d <= 4 (d = 10 is refused
 # before any work), k <= 8 and samples <= 50
 DIMENSIONS = st.sampled_from([-1, 0, 1, 2, 3, 4, 10])
@@ -283,6 +327,8 @@ def integer_argvs(draw, path):
     d, k = str(draw(DIMENSIONS)), draw(ORDERS)
     good = [",".join(map(str, lam)) for lam in partitions(max(k, 0))]
     k = str(k)
+    if draw(st.integers(0, 7)) == 0:
+        d, k = (x.translate(draw(st.sampled_from(OTHER_SCRIPTS))) for x in (d, k))
 
     def part():
         return draw(st.sampled_from(BAD_PARTITIONS) | st.sampled_from(good))
@@ -321,6 +367,8 @@ def test_any_integer_option_exits_with_a_documented_code(tmp_path_factory, data)
             code = exc.code
     assert code in (0, 1, 2, 3) and "Traceback" not in err.getvalue(), (argv, err.getvalue())
     assert out.getvalue() == "" or code in (0, 1), argv
+    if not "".join(argv).isascii():
+        assert code == 2, argv
 
 
 @pytest.mark.parametrize("command", ["decompose --tensor", "check symmetric --input",

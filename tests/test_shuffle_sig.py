@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from thrallkit import free_lie, shuffle_sig, tensors
+from thrallkit import free_lie, jsonio, shuffle_sig, tensors
 from thrallkit.free_lie import exp_truncated, is_lie_element, log_truncated, random_lie_element
 from thrallkit.group_algebra import K_MAX, ResourceLimitError, ga_act, higher_lie_idempotent
 from thrallkit.invariants import random_unimodular_matrix
@@ -134,26 +134,49 @@ def test_group_like_exponentials_and_counterexample():
         is_group_like(TensorSeries.from_levels(2, 2, {}))
 
 
+# is_group_like's two routes, each case run on both: the recurrence for L,
+# and the walks of a known log, which log_signature leaves on a path's
+# signature.  On the second, a corrupted series gets its own log as
+# log_signature would leave it, so the walks decide every case.
+ROUTES = ["recurrence", "known log"]
+
+
+def _path_signature(points, k_max, route):
+    path = PiecewiseLinearPath.from_lists(points)
+    sig = signature(path, k_max)
+    if route == "known log":
+        log_signature(path, k_max)
+        assert len(vars(sig)["_log_levels"]) == k_max + 1
+    return sig
+
+
+def _on_route(series, route):
+    if route == "known log":
+        vars(series)["_log_levels"] = log_truncated(series).levels
+    return series
+
+
 def test_group_like_matches_oracle_on_signatures_and_corruptions():
-    rng = Random(28)
-    for d, k_max in [(2, 5), (3, 4), (1, 4)]:
-        for _ in range(3):
-            points = [
-                [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(d)]
-                for _ in range(4)
-            ]
-            sig = signature(PiecewiseLinearPath.from_lists(points), k_max)
-            assert is_group_like(sig) and group_like_oracle(sig)
-            # one entry of one level moved by a small rational
-            levels = list(sig.levels)
-            k = rng.randint(1, k_max)
-            entries = list(levels[k].entries)
-            entries[rng.randrange(len(entries))] += Fraction(1, rng.randint(1, 3))
-            levels[k] = Tensor(d, k, tuple(entries))
-            bad = TensorSeries(d, tuple(levels))
-            assert is_group_like(bad) == group_like_oracle(bad)
-            if k == k_max:  # the top level only ever sits on the shuffle side
-                assert not is_group_like(bad)
+    for route in ROUTES:
+        rng = Random(28)
+        for d, k_max in [(2, 5), (3, 4), (1, 4)]:
+            for _ in range(3):
+                points = [
+                    [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(d)]
+                    for _ in range(4)
+                ]
+                sig = _path_signature(points, k_max, route)
+                assert is_group_like(sig) and group_like_oracle(sig)
+                # one entry of one level moved by a small rational
+                levels = list(sig.levels)
+                k = rng.randint(1, k_max)
+                entries = list(levels[k].entries)
+                entries[rng.randrange(len(entries))] += Fraction(1, rng.randint(1, 3))
+                levels[k] = Tensor(d, k, tuple(entries))
+                bad = _on_route(TensorSeries(d, tuple(levels)), route)
+                assert is_group_like(bad) == group_like_oracle(bad)
+                if k == k_max:  # the top level only ever sits on the shuffle side
+                    assert not is_group_like(bad)
 
 
 def _with_level(series, k, tensor):
@@ -165,26 +188,61 @@ def _with_level(series, k, tensor):
 @settings(deadline=None, max_examples=60)
 @given(st.integers(1, 3), st.integers(0, 5), st.integers(0, 2**32))
 def test_group_like_matches_all_pairs_oracle(d, k_max, seed):
-    rng = Random(seed)
-    points = [
-        [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(d)]
-        for _ in range(rng.randint(1, 4))
-    ]
-    sig = signature(PiecewiseLinearPath.from_lists(points), k_max)
-    assert is_group_like(sig) and group_like_oracle(sig)
-    for k in range(1, k_max + 1):
-        # one entry of level k moved by a small rational
-        entries = list(sig.level(k).entries)
-        entries[rng.randrange(len(entries))] += Fraction(rng.choice([-1, 1]), rng.randint(1, 3))
-        bad = _with_level(sig, k, Tensor(d, k, tuple(entries)))
-        assert is_group_like(bad) == group_like_oracle(bad)
-        # a Lie element of degree k added at level k: group-like at the top
-        # level, where exp(x + y) = exp(x) + y, and generally not below it
-        lie = random_lie_element(d, k, rng).level(k)
-        moved = _with_level(sig, k, sig.level(k) + lie)
-        assert is_group_like(moved) == group_like_oracle(moved)
-        if k == k_max:
-            assert is_group_like(moved)
+    for route in ROUTES:
+        rng = Random(seed)
+        points = [
+            [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(d)]
+            for _ in range(rng.randint(1, 4))
+        ]
+        sig = _path_signature(points, k_max, route)
+        assert is_group_like(sig) and group_like_oracle(sig)
+        for k in range(1, k_max + 1):
+            # one entry of level k moved by a small rational
+            entries = list(sig.level(k).entries)
+            entries[rng.randrange(len(entries))] += Fraction(rng.choice([-1, 1]), rng.randint(1, 3))
+            bad = _on_route(_with_level(sig, k, Tensor(d, k, tuple(entries))), route)
+            assert is_group_like(bad) == group_like_oracle(bad)
+            # a Lie element of degree k added at level k: group-like at the top
+            # level, where exp(x + y) = exp(x) + y, and generally not below it
+            lie = random_lie_element(d, k, rng).level(k)
+            moved = _on_route(_with_level(sig, k, sig.level(k) + lie), route)
+            assert is_group_like(moved) == group_like_oracle(moved)
+            if k == k_max:
+                assert is_group_like(moved)
+
+
+def test_group_like_walks_the_known_log_alone(monkeypatch):
+    """A path's signature with the log that log_signature left on it hands
+    each log level 2..K, its own numerators, to the Lie test and forms no
+    L_n; a lower truncation and a series read back from JSON have no known
+    log, and run the recurrence."""
+    seen = []
+    lie = free_lie.is_lie_numerators
+    monkeypatch.setattr(free_lie, "is_lie_numerators", lambda nums, d, k: seen.append((nums, k)) or lie(nums, d, k))
+
+    def fail(*args):
+        raise AssertionError("the log of a one-direction path ran the general route")
+
+    # a bent path, then a collinear one: its closed-form log is left on the
+    # series that signature made, with no power series run
+    for points in ([[0, 0, 0], [1, 2, 0], [3, 1, -1], [2, -1, 2]], [[0, 0], [1, 2], [-2, -4], [3, 6]]):
+        path = PiecewiseLinearPath.from_lists(points)
+        sig = signature(path, 4)
+        assert sig is signature(path, 4)
+        # a log below the series' truncation is kept, but does not decide it
+        low = log_signature(path, 2)
+        assert is_group_like(sig) and not any(nums is low.level(2).nums for nums, _ in seen)
+        log = log_signature(path, 4)
+        seen.clear()
+        assert is_group_like(sig)
+        assert [k for _, k in seen] == [2, 3, 4]
+        assert all(nums is log.level(k).nums for nums, k in seen)
+        for other in (signature(path, 3), jsonio.series_from_json(jsonio.series_to_json(sig))):
+            seen.clear()
+            assert "_log_levels" not in vars(other) and is_group_like(other)
+            assert [k for _, k in seen] == list(range(2, other.k_max + 1))
+            assert not any(nums is log.level(k).nums for nums, k in seen)
+        monkeypatch.setattr(free_lie, "_power_series", fail)
 
 
 def test_group_like_at_high_levels():
@@ -642,6 +700,9 @@ def test_memo_slices_lower_and_recomputes_higher(monkeypatch):
     for k_max in (3, 1, 0, 3, 5, 2, 4):
         assert signature(path, k_max) == signature(_fresh(path), k_max)
     assert [k for p, k in calls if p is path] == [3, 5]
+    # the path keeps one series: itself at its top truncation, sliced below it
+    assert signature(path, 5) is signature(path, 5) is vars(path)["_signature"]
+    assert signature(path, 4) is not signature(path, 4)
     with pytest.raises(ValueError, match="k_max"):
         signature(path, -1)
 

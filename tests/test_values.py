@@ -181,9 +181,18 @@ def test_value_contract(name):
     assert x != object() and not x == repr(x)
 
 
-@pytest.mark.parametrize("name", CASES)
+def _signature_with_its_log():
+    """A path's signature series, with the log that log_signature leaves on it."""
+    path = PiecewiseLinearPath.from_lists([[0, 0], [1, 2], [Fraction(3, 2), 0]])
+    series = signature(path, 3)
+    log_signature(path, 3)
+    assert len(vars(series)) > len(TensorSeries.__annotations__)
+    return series
+
+
+@pytest.mark.parametrize("name", [*CASES, "TensorSeries with its log"])
 def test_values_survive_pickle_and_deepcopy(name):
-    build, _, fill = CASES[name]
+    build, _, fill = CASES.get(name, (_signature_with_its_log, None, None))
     x = build()
     if fill is not None:
         fill(x)
